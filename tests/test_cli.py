@@ -11,6 +11,7 @@ from qoct.fileio import (
     read_pulse_csv,
     sampled_from_pulse,
     write_csv,
+    write_json,
     write_pulse_csv,
 )
 
@@ -60,6 +61,19 @@ class TestFileIO:
         p.write_text("t,u\n0.5,0.1\n0.6,0.1\n")
         with pytest.raises(ValueError):
             read_pulse_csv(p)
+
+    def test_reader_rejects_nonfinite(self, tmp_path):
+        p = tmp_path / "x.csv"
+        for body in ("0,0.1\n0.1,nan\n0.2,0.1\n", "0,0.1\n0.1,inf\n0.2,0.1\n",
+                     "0,0.1\nnan,0.1\n0.2,0.1\n"):
+            p.write_text("t,u\n" + body)
+            with pytest.raises(ValueError, match="non-finite"):
+                read_pulse_csv(p)
+
+    def test_json_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "r.json", {"lambda0": float("nan")})
+        assert not (tmp_path / "r.json").exists()
 
     def test_amplitude_bound_enforced(self):
         t = np.arange(10) * 0.1
@@ -122,6 +136,23 @@ class TestCli:
         write_pulse_csv(p, t, np.full(10, 0.9))
         assert main(["verify", "--pulse", str(p), "--umax", "0.2"]) == 2
 
+    def test_nan_pulse_exits_2_without_report(self, outdir, tmp_path):
+        p = tmp_path / "nan.csv"
+        t = np.arange(10) * 0.1
+        u = np.full(10, 0.1)
+        u[5] = np.nan
+        write_pulse_csv(p, t, u)
+        assert main(["verify", "--pulse", str(p), "--umax", "0.2"]) == 2
+        assert not (outdir / "verify" / "report.json").exists()
+
+    def test_report_near_optimum_clipped_switch(self, outdir):
+        # at 0.999 T* the re-optimized BB-2 switch times touch 0 or T; the
+        # report must audit the canonical protocol instead of refusing it
+        rc = main(["state-prep", "--theta-init=2.1983153152904236", "--phi-init=0",
+                   "--theta-target=1.0970878453687456",
+                   "--phi-target=3.141592653589793", "--umax=0.349783"])
+        assert rc == 0
+
     def test_unknown_structure_exits_2(self, outdir):
         rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
                    "--theta-target", "0.35pi", "--phi-target", "1pi",
@@ -148,6 +179,18 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["n_lines"] == 5
+
+    def test_explicit_flag_beats_config_file(self, outdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "nmax": 4}))
+        pulse = tmp_path / "p.csv"
+        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        rc = main(["spectrum", "--pulse", str(pulse), "--seed", "0",
+                   "--config", str(cfg)])
+        assert rc == 0
+        record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
+        assert record["seed"] == 0 and record["config"]["seed"] == 0
+        assert record["config"]["nmax"] == 4
 
     def test_smooth_constrained_requires_time(self, outdir):
         rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2"])

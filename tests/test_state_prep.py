@@ -12,6 +12,10 @@ from qoct.dynamics import (
 from qoct.optim import golden_section
 from qoct.state_prep import (
     StatePrepProblem,
+    _axis_rate,
+    _bloch_vec,
+    _equator_angles,
+    _rot,
     StructureLabel,
     best_bsb,
     bsb_candidates,
@@ -140,6 +144,26 @@ class TestBsbConstruction:
         dt = traj.times[1] - traj.times[0]
         rate = (phis[-1] - phis[0]) / (dt * (mask.sum() - 1))
         assert abs(rate - 2.0) < 1e-6
+
+    def test_equator_angles_off_the_phi_zero_arc(self):
+        # azimuths other than 0 and pi make the cross term C nonzero, which
+        # the equator-crossing angles must carry with the right sign
+        p = StatePrepProblem(BlochPoint(0.7 * np.pi, 0.3), DEFAULT_TARGET,
+                             ModelParams(u_max=0.85))
+        r_i, r_t = (_bloch_vec(s) for s in p.states())
+        for s in (1, -1):
+            n, _ = _axis_rate(s * 0.85, p.params)
+            angles = _equator_angles(r_i, n)
+            assert len(angles) == 2
+            for a in angles:
+                assert abs(_rot(n, a, r_i)[2]) < 1e-12
+            for a in _equator_angles(r_t, n, backward=True):
+                assert abs(_rot(n, -a, r_t)[2]) < 1e-12
+        best = bsb_candidates(p)[0]
+        c = cost_of_switchings([best["t1"], best["t1"] + best["coast"]],
+                               [best["s1"] * 0.85, 0.0, best["s2"] * 0.85],
+                               best["T"], p)
+        assert c + 1.0 <= 1e-6
 
     def test_singular_duration_monotone_toward_critical_amplitude(self):
         coasts = [best_bsb(problem_at(u))["coast"] for u in (0.65, 0.7, 0.8, 1.0)]
