@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--config", default=None,
+        sp.add_argument("--config", default=None, action=_ConfigFile,
                         help="JSON file with defaults for this subcommand")
 
     sp = sub.add_parser("state-prep", help="time-optimal state preparation search")
@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("xgate", help="minimum-time gate search")
     sp.add_argument("--umax", type=float, required=True)
     sp.add_argument("--gate", choices=["x", "y", "pt"], default="x")
-    sp.add_argument("--sweep", type=_parse_sweep, default=None, metavar="lo:hi:n")
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("sweep", help="parallel u_max sweep of the gate search")
@@ -109,26 +107,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("recipe", choices=sorted(RECIPES))
     common(sp)
 
-    for action_group in p._subparsers._group_actions:
-        for sub_parser in action_group.choices.values():
-            for action in sub_parser._actions:
-                if action.dest not in ("help",):
-                    _PARSER_DEFAULTS.setdefault(action.dest, action.default)
     return p
 
 
-_PARSER_DEFAULTS: dict[str, object] = {}
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: the file's entries become the subcommand's defaults.
+
+    Explicit flags must win over the file wherever they appear on the command
+    line, so ``main`` parses a second time once the defaults are in place.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            cfg = json.loads(Path(values).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"{option_string}: {exc}")
+        if not isinstance(cfg, dict):
+            parser.error(f"{option_string}: expected a JSON object")
+        parser.set_defaults(**{k.replace("-", "_"): v for k, v in cfg.items()
+                               if hasattr(namespace, k.replace("-", "_"))})
+        setattr(namespace, self.dest, values)
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    # precedence: explicit flags > config file > parser defaults; a flag is
-    # treated as explicit when its value differs from the parser default
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) == _PARSER_DEFAULTS.get(attr):
-                setattr(args, attr, val)
     resolved = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     resolved["config_file"] = getattr(args, "config", None)
     return resolved
@@ -160,7 +161,7 @@ class _Record:
         return fileio.write_json(self.out / "run_record.json", rec)
 
 
-def _parse_structures(names, umax: float):
+def _parse_structures(names):
     if not names:
         return None
     out = []
@@ -181,7 +182,7 @@ def cmd_state_prep(args) -> int:
     params = ModelParams(u_max=args.umax)
     problem = StatePrepProblem(BlochPoint(args.theta_init, args.phi_init),
                                BlochPoint(args.theta_target, args.phi_target), params)
-    res = state_prep.find_time_optimal(problem, structures=_parse_structures(args.structures, args.umax),
+    res = state_prep.find_time_optimal(problem, structures=_parse_structures(args.structures),
                                        t_max=args.tmax, seed=args.seed)
     payload = {
         "found": res.found,
@@ -222,14 +223,15 @@ def _gate_result_payload(res) -> dict:
 
 
 def _sweep_point(task) -> dict:
-    u, gate, seed = task
+    u, gate = task
     res = xgate.min_gate_time(GateProblem(gate, ModelParams(u_max=u)), with_report=False)
     return {"u_max": u, "t_star": res.t_star, "ratio": res.ratio,
             "omega_eff": res.omega_eff, "n_switch": res.n_switch}
 
 
-def _run_sweep(rec: _Record, grid, gate: str, jobs: int, seed: int) -> int:
-    tasks = [(float(u), gate, seed + i) for i, u in enumerate(grid)]
+def _run_sweep(rec: _Record, grid, gate: str, jobs: int) -> int:
+    """Minimum gate time at every u_max of the grid, written to sweep.csv."""
+    tasks = [(float(u), gate) for u in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -240,15 +242,10 @@ def _run_sweep(rec: _Record, grid, gate: str, jobs: int, seed: int) -> int:
                      ["u_max", "t_star", "ratio", "omega_eff", "n_switch"],
                      [(r["u_max"], r["t_star"], r["ratio"], r["omega_eff"], r["n_switch"])
                       for r in rows])
-    rec.finish()
-    print(json.dumps({"points": len(rows)}))
-    return 0
+    return len(rows)
 
 
 def cmd_xgate(args) -> int:
-    if args.sweep is not None:
-        rec = _Record("xgate", args)
-        return _run_sweep(rec, args.sweep, args.gate, args.jobs, args.seed)
     rec = _Record("xgate", args)
     problem = GateProblem(args.gate, ModelParams(u_max=args.umax))
     res = xgate.min_gate_time(problem)
@@ -266,7 +263,10 @@ def cmd_xgate(args) -> int:
 
 def cmd_sweep(args) -> int:
     rec = _Record("sweep", args)
-    return _run_sweep(rec, args.umax, args.gate, args.jobs, args.seed)
+    n = _run_sweep(rec, args.umax, args.gate, args.jobs)
+    rec.finish()
+    print(json.dumps({"points": n}))
+    return 0
 
 
 def cmd_smooth(args) -> int:
@@ -361,7 +361,7 @@ def _repro_rabi(rec: _Record):
 
 def _repro_ratio(rec: _Record):
     grid = np.linspace(0.05, 0.5, 10)
-    _run_sweep(rec, grid, "x", 1, 0)
+    _run_sweep(rec, grid, "x", 1)
 
 
 def _repro_gate_point(rec: _Record, umax: float):
@@ -466,6 +466,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is not None:
+        args = parser.parse_args(argv)  # now with the config file's defaults
     try:
         return _DISPATCH[args.cmd](args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:

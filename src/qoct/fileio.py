@@ -71,8 +71,8 @@ def _jsonable(obj):
 def write_json(path, obj: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n",
-                    encoding="ascii", newline="\n")
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="ascii", newline="\n")
     return path
 
 
@@ -96,8 +96,8 @@ def write_pulse_csv(path, protocol_or_times, values=None, n_samples: int | None 
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read and validate a `t,u` pulse file.
 
-    Requires the exact header, strictly increasing uniform times starting at
-    zero; raises ValueError on malformed input.
+    Requires the exact header, finite values, and strictly increasing uniform
+    times starting at zero; raises ValueError on malformed input.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
@@ -109,6 +109,8 @@ def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: malformed numeric row") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two 't,u' rows")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value in 't,u' rows")
     t, u = data[:, 0], data[:, 1]
     if abs(t[0]) > 1e-12:
         raise ValueError(f"{path}: time grid must start at 0")

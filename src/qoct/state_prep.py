@@ -234,7 +234,7 @@ def _equator_angles(r0: np.ndarray, n: np.ndarray, backward: bool = False):
         return []
     ph = np.arctan2(C, B)
     base = np.arccos(np.clip(-A / R, -1.0, 1.0))
-    return sorted({round(float((-ph + s * base) % (2.0 * np.pi)), 13) for s in (1.0, -1.0)})
+    return sorted({round(float((ph + s * base) % (2.0 * np.pi)), 13) for s in (1.0, -1.0)})
 
 
 def bsb_candidates(problem: StatePrepProblem) -> list[dict]:
@@ -458,6 +458,7 @@ def report_near_optimum(structure: StructureLabel, t_star: float, times, values,
     x0 = np.asarray(times, dtype=float) * shrink
     opt_times, _, opt_values = optimize_structure(structure, T, problem,
                                                   seeds=seeds, x0=x0)
+    opt_times, opt_values, _ = canonicalize_bangs(opt_times, opt_values, T)
     proto = BangSequence(T, problem.params.u_max, tuple(opt_times), tuple(opt_values))
     return pmp.audit(proto, problem.params, problem.cost_spec(), n_samples=n_samples)
 
