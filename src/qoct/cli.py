@@ -124,8 +124,8 @@ class _ConfigFile(argparse.Action):
             parser.error(f"{option_string}: {exc}")
         if not isinstance(cfg, dict):
             parser.error(f"{option_string}: expected a JSON object")
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in cfg.items()
-                               if hasattr(namespace, k.replace("-", "_"))})
+        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
+        parser.set_defaults(**{k: v for k, v in defaults.items() if hasattr(namespace, k)})
         setattr(namespace, self.dest, values)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "Trajectory",
     "constant_propagator",
     "segment_propagators",
+    "prefix_states",
     "total_unitary",
     "propagate",
     "state_from_bloch",
@@ -144,6 +145,20 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     return units[0]
 
 
+def prefix_states(units: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """States entering each segment: row k is U[k-1] @ ... @ U[0] @ psi0.
+
+    Returns n+1 rows for n segments, the last being the final state.  The
+    adjoint sweep is the same recursion run backward on the daggers:
+    ``prefix_states(U.conj().transpose(0, 2, 1)[::-1], lam_T)[::-1]``.
+    """
+    states = np.empty((len(units) + 1, 2), dtype=complex)
+    states[0] = psi0
+    for k in range(len(units)):
+        states[k + 1] = units[k] @ states[k]
+    return states
+
+
 def total_unitary(protocol: Protocol, params: ModelParams,
                   points_per_pi: int = DEFAULT_POINTS_PER_PI) -> np.ndarray:
     """Total evolution operator of a protocol over [0, T]."""
@@ -168,10 +183,7 @@ def propagate(protocol: Protocol, params: ModelParams,
 
     bounds = np.concatenate([[0.0], np.cumsum(durs)])
     bounds[-1] = protocol.T
-    entry = np.empty((len(durs) + 1, 2), dtype=complex)
-    entry[0] = psi0
-    for k in range(len(durs)):
-        entry[k + 1] = units[k] @ entry[k]
+    entry = prefix_states(units, psi0)
 
     times = np.linspace(0.0, protocol.T, n_samples)
     seg = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(durs) - 1)

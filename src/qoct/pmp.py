@@ -30,6 +30,7 @@ from .dynamics import (
     BlochPoint,
     ModelParams,
     Trajectory,
+    prefix_states,
     propagate,
     segment_propagators,
 )
@@ -173,14 +174,7 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
     U = segment_propagators(np.full(n, dt), vals, params)
     Uh = segment_propagators(np.full(n, dt / 2.0), vals, params)
 
-    inits = cost.initial_states()
-    psi_edges = []
-    for s in inits:
-        edges = np.empty((n + 1, 2), dtype=complex)
-        edges[0] = s
-        for k in range(n):
-            edges[k + 1] = U[k] @ edges[k]
-        psi_edges.append(edges)
+    psi_edges = [prefix_states(U, s) for s in cost.initial_states()]
 
     finals = [e[-1] for e in psi_edges]
     lam_T = terminal_adjoints(cost, finals)
@@ -192,11 +186,9 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
 
     grad = np.zeros(n)
     Uh_dag = Uh.conj().transpose(0, 2, 1)
+    U_dag_rev = U.conj().transpose(0, 2, 1)[::-1]
     for edges, lT in zip(psi_edges, lam_T):
-        lam_edges = np.empty((n + 1, 2), dtype=complex)
-        lam_edges[n] = lT
-        for k in range(n - 1, -1, -1):
-            lam_edges[k] = U[k].conj().T @ lam_edges[k + 1]
+        lam_edges = prefix_states(U_dag_rev, lT)[::-1]
         psi_mid = np.einsum("kij,kj->ki", Uh, edges[:-1])
         lam_mid = np.einsum("kij,kj->ki", Uh_dag, lam_edges[1:])
         phi_e = _bilinear_x(lam_edges, edges)

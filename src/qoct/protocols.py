@@ -24,6 +24,7 @@ __all__ = [
     "Protocol",
     "as_sampled",
     "segment_durations_values",
+    "square_wave",
     "protocol_to_dict",
     "protocol_from_dict",
     "DEFAULT_POINTS_PER_PI",
@@ -131,27 +132,34 @@ class OneParamBB:
         s = np.where(s == 0.0, 1.0, s)
         return self.sign * self.u_max * s
 
-    def switch_offsets(self) -> np.ndarray:
-        """Zero crossings of the carrier, as offsets from T/2 (both signs)."""
-        half = self.T / 2.0
-        if self.parity == "even":
-            base = (np.pi / 2.0 + np.pi * np.arange(0, max(1, int(self.omega_eff * half / np.pi) + 2))) / self.omega_eff
-            pos = base[base < half]
-            offs = np.concatenate([-pos[::-1], pos])
-        else:
-            base = np.pi * np.arange(1, max(2, int(self.omega_eff * half / np.pi) + 2)) / self.omega_eff
-            pos = base[base < half]
-            offs = np.concatenate([-pos[::-1], [0.0], pos])
-        return offs
-
     def to_bang_sequence(self) -> BangSequence:
-        switches = self.switch_offsets() + self.T / 2.0
-        bounds = np.concatenate([[0.0], switches, [self.T]])
-        mids = 0.5 * (bounds[:-1] + bounds[1:])
-        vals = self.u(mids)
-        # snap to the exact three-valued alphabet
-        vals = self.u_max * np.sign(vals)
-        return BangSequence(self.T, self.u_max, tuple(switches), tuple(vals))
+        bounds, vals = square_wave(self.omega_eff, self.T, self.u_max, self.sign, self.parity)
+        return BangSequence(self.T, self.u_max, tuple(bounds[1:-1]), tuple(vals))
+
+
+def square_wave(omega_eff: float, T: float, u_max: float, sign: float, parity: str):
+    """Segments of sign * u_max * Sgn[carrier(omega_eff (t - T/2))] on [0, T].
+
+    The carrier is cos for 'even' parity and sin for 'odd'; its zero
+    crossings are the switching times.  Returns (bounds, values): the n+1
+    segment boundaries from 0 to T and the n segment values.  It builds bare
+    arrays rather than a ``BangSequence`` because the gate search evaluates
+    it hundreds of thousands of times per run.
+    """
+    half = T / 2.0
+    n_half = int(omega_eff * half / np.pi) + 2
+    if parity == "even":
+        pos = (np.pi / 2.0 + np.pi * np.arange(n_half)) / omega_eff
+        pos = pos[pos < half]
+        offs = np.concatenate([-pos[::-1], pos])
+    else:
+        pos = np.pi * np.arange(1, n_half + 1) / omega_eff
+        pos = pos[pos < half]
+        offs = np.concatenate([-pos[::-1], [0.0], pos])
+    bounds = np.concatenate([[0.0], offs + half, [T]])
+    mids = 0.5 * (bounds[:-1] + bounds[1:]) - half
+    carrier = np.cos(omega_eff * mids) if parity == "even" else np.sin(omega_eff * mids)
+    return bounds, sign * u_max * np.sign(carrier)
 
 
 @dataclass(frozen=True)
@@ -274,7 +282,9 @@ def segment_durations_values(protocol: Protocol,
                              points_per_pi: int = DEFAULT_POINTS_PER_PI):
     """Return (durations, values) of an exactly piecewise-constant realization."""
     if isinstance(protocol, OneParamBB):
-        protocol = protocol.to_bang_sequence()
+        bounds, vals = square_wave(protocol.omega_eff, protocol.T, protocol.u_max,
+                                   protocol.sign, protocol.parity)
+        return np.diff(bounds), vals
     if isinstance(protocol, BangSequence):
         return protocol.durations, np.asarray(protocol.values)
     if isinstance(protocol, Sampled):

@@ -128,22 +128,24 @@ def canonicalize_bangs(times, values, T: float, tol: float | None = None):
     return switch_times, out_vals, label
 
 
-def _segment_cost(durations, values, psi_i, psi_t, params) -> float:
-    U = ordered_product(segment_propagators(durations, values, params))
-    return state_prep_cost(U, psi_i, psi_t)
-
-
-def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> float:
-    """Terminal cost of a piecewise-constant protocol given interior switch times.
+def _bang_cost(times, values, T: float, psi_i, psi_t, params: ModelParams) -> float:
+    """State-prep cost of the segments between 0, the switch times and T.
 
     Unordered or out-of-range times are repaired (sorted and clipped) rather
     than penalized, so simplex optimizers see a continuous landscape.
     """
-    psi_i, psi_t = problem.states()
-    times = np.sort(np.clip(np.asarray(times, dtype=float), 0.0, T))
+    # ndarray.clip: np.clip's dispatch costs as much as the clipping here
+    times = np.sort(np.asarray(times, dtype=float).clip(0.0, T))
     bounds = np.concatenate([[0.0], times, [T]])
-    return _segment_cost(np.diff(bounds), np.asarray(values, dtype=float),
-                         psi_i, psi_t, problem.params)
+    U = ordered_product(segment_propagators(np.diff(bounds), values, params))
+    return state_prep_cost(U, psi_i, psi_t)
+
+
+def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> float:
+    """Terminal cost of a piecewise-constant protocol given interior switch times."""
+    psi_i, psi_t = problem.states()
+    return _bang_cost(times, np.asarray(values, dtype=float), T, psi_i, psi_t,
+                      problem.params)
 
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
@@ -167,25 +169,19 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
 
     if k == 0:
         vals = value_sets[0]
-        cost = _segment_cost(np.array([T]), vals, psi_i, psi_t, params)
+        cost = _bang_cost(np.empty(0), vals, T, psi_i, psi_t, params)
         return np.empty(0), cost, tuple(vals)
 
     cfg = config or OptimizerConfig(max_iter=2000, tol=1e-10, restarts=seeds,
                                     bounds=tuple((0.0, T) for _ in range(k)))
-
-    def make_obj(values):
-        def obj(x):
-            times = np.sort(np.clip(np.asarray(x, dtype=float), 0.0, T))
-            bounds = np.concatenate([[0.0], times, [T]])
-            return _segment_cost(np.diff(bounds), values, psi_i, psi_t, params)
-        return obj
 
     def sampler(rng):
         return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
 
     best = (np.inf, None, None)
     for values in value_sets:
-        obj = make_obj(values)
+        def obj(x, values=values):
+            return _bang_cost(x, values, T, psi_i, psi_t, params)
         start = (np.asarray(x0, dtype=float) if x0 is not None
                  else sampler(np.random.default_rng(cfg.seed + 1)))
         r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
@@ -287,17 +283,8 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 def _reduced_cost(x, structure: StructureLabel, T: float, psi_i, psi_t,
                   params: ModelParams) -> float:
     """Cost in the equal-middle-bang form (t0, tbar), exact for BB extremals."""
-    k = structure.n_switch
-    vals = _bb_values(k, structure.lead_sign, params.u_max)
-    if k == 0:
-        return _segment_cost(np.array([T]), vals, psi_i, psi_t, params)
-    if k == 1:
-        times = np.clip(np.asarray(x, dtype=float), 0.0, T)
-    else:
-        t0, tbar = x
-        times = np.sort(np.clip(t0 + tbar * np.arange(k), 0.0, T))
-    bounds = np.concatenate([[0.0], times, [T]])
-    return _segment_cost(np.diff(bounds), vals, psi_i, psi_t, params)
+    vals = _bb_values(structure.n_switch, structure.lead_sign, params.u_max)
+    return _bang_cost(_reduced_to_times(x, structure, T), vals, T, psi_i, psi_t, params)
 
 
 def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
@@ -305,9 +292,9 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
     if k == 0:
         return np.empty(0)
     if k == 1:
-        return np.clip(np.asarray(x, dtype=float), 0.0, T)
+        return np.asarray(x, dtype=float).clip(0.0, T)
     t0, tbar = x
-    return np.sort(np.clip(t0 + tbar * np.arange(k), 0.0, T))
+    return np.sort((t0 + tbar * np.arange(k)).clip(0.0, T))
 
 
 def _scan_optimum(structure: StructureLabel, T: float, problem: StatePrepProblem,

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .optim import golden_section, scalar_minimize
 from .pmp import CostSpec, OptimalityReport
-from .protocols import OneParamBB
+from .protocols import OneParamBB, square_wave
 
 __all__ = [
     "GateProblem",
@@ -83,31 +83,11 @@ def one_param_protocol(omega_eff: float, T: float, problem: GateProblem,
                       sign=sign, parity=parity)
 
 
-def _square_wave_segments(omega_eff: float, T: float, u_max: float,
-                          sign: float, parity: str):
-    half = T / 2.0
-    n_half = int(omega_eff * half / np.pi) + 2
-    if parity == "even":
-        pos = (np.pi / 2.0 + np.pi * np.arange(n_half)) / omega_eff
-        pos = pos[pos < half]
-        offs = np.concatenate([-pos[::-1], pos])
-    else:
-        pos = np.pi * np.arange(1, n_half + 1) / omega_eff
-        pos = pos[pos < half]
-        offs = np.concatenate([-pos[::-1], [0.0], pos])
-    bounds = np.concatenate([[0.0], offs + half, [T]])
-    durs = np.diff(bounds)
-    mids = 0.5 * (bounds[:-1] + bounds[1:]) - half
-    carrier = np.cos(omega_eff * mids) if parity == "even" else np.sin(omega_eff * mids)
-    vals = sign * u_max * np.sign(carrier)
-    return durs, vals
-
-
 def one_param_cost(omega_eff: float, T: float, problem: GateProblem,
                    sign: float = 1.0, parity: str = "even") -> float:
     """Gate cost of the square-wave protocol (exact segment propagators)."""
-    durs, vals = _square_wave_segments(omega_eff, T, problem.params.u_max, sign, parity)
-    U = ordered_product(segment_propagators(durs, vals, problem.params))
+    bounds, vals = square_wave(omega_eff, T, problem.params.u_max, sign, parity)
+    U = ordered_product(segment_propagators(np.diff(bounds), vals, problem.params))
     return gate_cost(U, problem.kind)
 
 

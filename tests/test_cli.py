@@ -99,6 +99,22 @@ class TestCli:
         for name in record["outputs"]:
             assert (out / name).exists()
 
+    def test_sweep_writes_one_row_per_amplitude(self, outdir, capsys):
+        rc = main(["sweep", "--umax", "0.45:0.5:2"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.strip()) == {"points": 2}
+        lines = (outdir / "sweep" / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "u_max,t_star,ratio,omega_eff,n_switch"
+        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        assert rows.shape == (2, 5)
+        np.testing.assert_allclose(rows[:, 0], [0.45, 0.5])
+        assert np.all((rows[:, 2] >= 0.75) & (rows[:, 2] <= 0.85))
+
+    def test_xgate_sweep_flag_removed(self, outdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["xgate", "--umax", "0.5", "--sweep", "0.45:0.5:2"])
+        assert exc.value.code == 2
+
     def test_state_prep_angles_with_pi_suffix(self, outdir, capsys):
         rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
                    "--theta-target", "0.35pi", "--phi-target", "1pi",

@@ -14,9 +14,12 @@ from qoct.dynamics import (
     bloch_from_state,
     constant_propagator,
     gate_cost,
+    ordered_product,
+    prefix_states,
     propagate,
     rabi_pi_time,
     rabi_protocol,
+    segment_propagators,
     state_from_bloch,
     state_prep_cost,
     terminal_cost,
@@ -111,6 +114,20 @@ class TestPropagate:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             propagate(BangSequence(1.0, 0.5, (), (0.5,)), P05, KET_0, n_samples=1)
+
+
+class TestPrefixStates:
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_rows_match_prefix_products(self, n):
+        rng = np.random.default_rng(n)
+        units = segment_propagators(rng.uniform(0.0, 0.5, n), rng.uniform(-0.5, 0.5, n), P05)
+        psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
+        states = prefix_states(units, psi0)
+        assert states.shape == (n + 1, 2)
+        np.testing.assert_array_equal(states[0], psi0)
+        for k in range(1, n + 1):
+            ref = ordered_product(units[:k]) @ psi0
+            assert np.max(np.abs(states[k] - ref)) < 1e-14
 
 
 class TestBlochMaps:
