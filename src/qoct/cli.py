@@ -129,19 +129,14 @@ class _ConfigFile(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    resolved = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
-    resolved["config_file"] = getattr(args, "config", None)
-    return resolved
-
-
 class _Record:
     def __init__(self, cmd: str, args: argparse.Namespace):
         self.cmd = cmd
         self.out = fileio.default_out_dir(getattr(args, "out", None)) / cmd
         self.t0 = time.perf_counter()
         self.files: list[str] = []
-        self.config = _resolve_config(args)
+        self.config = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
+        self.config["config_file"] = args.config
 
     def path(self, name: str) -> Path:
         self.files.append(name)

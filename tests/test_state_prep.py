@@ -12,10 +12,6 @@ from qoct.dynamics import (
 from qoct.optim import golden_section
 from qoct.state_prep import (
     StatePrepProblem,
-    _axis_rate,
-    _bloch_vec,
-    _equator_angles,
-    _rot,
     StructureLabel,
     best_bsb,
     bsb_candidates,
@@ -23,6 +19,10 @@ from qoct.state_prep import (
     cost_of_switchings,
     find_time_optimal,
     optimize_structure,
+    _axis_rate,
+    _bloch_vec,
+    _equator_angles,
+    _rot,
 )
 
 DEFAULT_INIT = BlochPoint(0.7 * np.pi, 0.0)
