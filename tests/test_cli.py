@@ -208,6 +208,13 @@ class TestCli:
         assert record["seed"] == 0 and record["config"]["seed"] == 0
         assert record["config"]["nmax"] == 4
 
+    def test_smooth_missed_gate_not_reported_converged(self, outdir, capsys):
+        rc = main(["smooth", "--scheme", "third", "--umax", "0.2", "--t-over-trabi", "0.8"])
+        run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
+        assert rc == 3
+        assert run["cost_plus_1"] > 1e-6
+        assert run["converged"] is False
+
     def test_smooth_constrained_requires_time(self, outdir):
         rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2"])
         assert rc == 2

@@ -112,6 +112,26 @@ class TestTanh:
         assert np.max(np.abs(p.u(t))) <= 0.2 + 1e-12
 
 
+    @pytest.mark.parametrize("field, bad", [("u_max", -0.2), ("beta", -3.0), ("beta", 0.0),
+                                            ("beta", float("nan")), ("T", float("inf"))])
+    def test_rejects_nonpositive_or_nonfinite_parameters(self, field, bad):
+        kw = {"u_max": 0.2, "T": 4.0, "beta": 4.0, "times": (0.5, 3.5)}
+        kw[field] = bad
+        with pytest.raises(ValueError):
+            TanhProtocol(**kw)
+
+
+class TestRabi:
+    @pytest.mark.parametrize("field, bad", [("u_max", float("nan")), ("u_max", -0.2),
+                                            ("T", -1.0), ("T", float("inf")),
+                                            ("omega0", 0.0)])
+    def test_rejects_nonpositive_or_nonfinite_parameters(self, field, bad):
+        kw = {"u_max": 0.2, "T": np.pi / 0.2, "omega0": 2.0}
+        kw[field] = bad
+        with pytest.raises(ValueError):
+            RabiProtocol(**kw)
+
+
 class TestThirdHarmonic:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
@@ -176,3 +196,12 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             protocol_from_dict({"variant": "Nope", "T": 1.0, "u_max": 1.0, "params": {}})
+
+    @pytest.mark.parametrize("d", [
+        {"variant": "Rabi", "T": -1.0, "u_max": float("nan")},
+        {"variant": "Tanh", "T": 4.0, "u_max": -0.2,
+         "params": {"beta": -3.0, "times": [0.5, 3.5]}},
+    ])
+    def test_invalid_smooth_variant_rejected(self, d):
+        with pytest.raises(ValueError):
+            protocol_from_dict(d)
