@@ -304,7 +304,7 @@ def cmd_smooth(args) -> int:
     fileio.write_json(rec.path("smoothing_run.json"), payload)
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("scheme", "t_over_trabi", "cost_plus_1")}))
-    return 0 if run.cost_plus_1 <= 1e-6 or args.scheme == "constrained" else 3
+    return 0 if run.cost_plus_1 <= smoothing.GATE_TOL or args.scheme == "constrained" else 3
 
 
 def _cost_spec_from_args(args) -> CostSpec:

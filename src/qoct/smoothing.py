@@ -54,6 +54,9 @@ __all__ = [
 # at DEFAULT_POINTS_PER_PI and checked by grid doubling in the tests
 OPT_POINTS_PER_PI = 500
 
+# C + 1 at or below which a run counts as a perfect gate
+GATE_TOL = 1e-6
+
 
 @dataclass
 class SmoothingRun:
@@ -62,7 +65,7 @@ class SmoothingRun:
     params: ModelParams
     protocol: Protocol
     cost_plus_1: float
-    converged: bool
+    converged: bool  # the optimizer converged and, for tanh and third, C + 1 <= GATE_TOL
     extras: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)  # (iter, c_smooth, c_gate_plus_1)
 
@@ -123,16 +126,17 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
     times = np.sort(np.clip(r.x, 1e-9, half * (1.0 - 1e-12)))
     proto = tanh_protocol(times, beta, T, params)
-    cost1 = _gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0
+    cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
-                        cost_plus_1=float(cost1), converged=r.status == "converged",
+                        cost_plus_1=cost1,
+                        converged=r.status == "converged" and cost1 <= GATE_TOL,
                         extras={"beta": beta, "times": tuple(float(t) for t in times),
                                 "n_pairs": n_pairs})
 
 
 def min_tanh_time(problem: GateProblem, beta: float = 4.0,
                   t_range: tuple[float, float] = (0.78, 1.05), coarse: float = 0.01,
-                  resolution: float | None = None, tol_fidelity: float = 1e-6,
+                  resolution: float | None = None, tol_fidelity: float = GATE_TOL,
                   seeds: int = 6, **kw) -> tuple[float, SmoothingRun]:
     """Smallest T (scanning upward in units of T_Rabi) with a perfect tanh gate.
 
@@ -219,15 +223,16 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
     r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
     w, R = (float(v) for v in to_physical(r.x))
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
-    cost1 = _gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0
+    cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
     return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
-                        cost_plus_1=float(cost1), converged=r.status == "converged",
+                        cost_plus_1=cost1,
+                        converged=r.status == "converged" and cost1 <= GATE_TOL,
                         extras={"omega": w, "ratio": R})
 
 
 def min_third_harmonic_time(problem: GateProblem,
                             t_range: tuple[float, float] = (0.84, 1.02),
-                            coarse: float = 0.005, tol_fidelity: float = 1e-6,
+                            coarse: float = 0.005, tol_fidelity: float = GATE_TOL,
                             seeds: int = 2,
                             opt_points_per_pi: int = 250) -> tuple[float, SmoothingRun]:
     """Smallest perfect-gate time of the two-harmonic pulse.
