@@ -232,17 +232,27 @@ def gate_cost(U_total: np.ndarray, kind: str) -> float:
 
     C_X = -|<1|U|0> + <0|U|1>|^2 / 4 demands equal transfer phases in both
     directions; C_Y uses the difference; C_PT ignores phases entirely.
+    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.
     """
-    u10 = U_total[1, 0]
-    u01 = U_total[0, 1]
+    u10 = U_total[..., 1, 0]
+    u01 = U_total[..., 0, 1]
     kind = kind.lower()
     if kind == "x":
-        return -0.25 * abs(u10 + u01) ** 2
+        return -0.25 * _abs2(u10 + u01)
     if kind == "y":
-        return -0.25 * abs(u10 - u01) ** 2
+        return -0.25 * _abs2(u10 - u01)
     if kind == "pt":
-        return -0.5 * (abs(u10) ** 2 + abs(u01) ** 2)
+        return -0.5 * (_abs2(u10) + _abs2(u01))
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _abs2(z):
+    """|z|^2 with the bits of the scalar ``abs(z) ** 2`` on arrays as well.
+
+    ``np.abs(z) ** 2`` on an array differs from it in the last bit: the array
+    ``abs`` and the array square take other code paths than the scalar ones.
+    """
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
 def terminal_cost(U_total: np.ndarray, kind: str,

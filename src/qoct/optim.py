@@ -15,6 +15,7 @@ __all__ = [
     "OptimResult",
     "nelder_mead",
     "scalar_minimize",
+    "refine_basins",
     "golden_section",
     "projected_gradient",
 ]
@@ -169,7 +170,17 @@ def scalar_minimize(f, bracket: tuple[float, float], n_scan: int = 400,
     refinement around every local basin of the scan; returns the best."""
     lo, hi = bracket
     xs = np.linspace(lo, hi, max(3, n_scan))
-    fs = np.array([f(x) for x in xs])
+    return refine_basins(f, xs, np.array([f(x) for x in xs]), tol)
+
+
+def refine_basins(f, xs, fs, tol: float = 1e-12) -> tuple[float, float]:
+    """Golden-section refinement of ``f`` around every local basin of a scan.
+
+    ``fs`` holds f at the increasing points ``xs``.  Each interior local
+    minimum and the scan's global minimum are refined between their
+    neighbours; returns the best (x, f(x)), the scanned points included.
+    """
+    fs = np.asarray(fs)
     interior = np.flatnonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:])) + 1
     basins = set(int(i) for i in interior)
     basins.add(int(np.argmin(fs)))

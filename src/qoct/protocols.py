@@ -42,6 +42,13 @@ def _as_float_tuple(xs) -> tuple[float, ...]:
     return tuple(float(x) for x in np.atleast_1d(np.asarray(xs, dtype=float)))
 
 
+def _require_finite_positive(protocol, *names: str) -> None:
+    for name in names:
+        v = getattr(protocol, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class BangSequence:
     """Piecewise-constant control with values restricted to {+u_max, -u_max, 0}.
@@ -96,6 +103,9 @@ class RabiProtocol:
     T: float
     omega0: float = 2.0
 
+    def __post_init__(self):
+        _require_finite_positive(self, "u_max", "T", "omega0")
+
     def u(self, t):
         t = np.asarray(t, dtype=float)
         return self.u_max * np.cos(self.omega0 * (t - self.T / 2.0))
@@ -137,7 +147,7 @@ class OneParamBB:
         return BangSequence(self.T, self.u_max, tuple(bounds[1:-1]), tuple(vals))
 
 
-def square_wave(omega_eff: float, T: float, u_max: float, sign: float, parity: str):
+def square_wave(omega_eff, T: float, u_max: float, sign: float, parity: str):
     """Segments of sign * u_max * Sgn[carrier(omega_eff (t - T/2))] on [0, T].
 
     The carrier is cos for 'even' parity and sin for 'odd'; its zero
@@ -145,20 +155,29 @@ def square_wave(omega_eff: float, T: float, u_max: float, sign: float, parity: s
     segment boundaries from 0 to T and the n segment values.  It builds bare
     arrays rather than a ``BangSequence`` because the gate search evaluates
     it hundreds of thousands of times per run.
+
+    ``omega_eff`` may also be a 1-D array of M frequencies.  Bounds and values
+    then have M rows, each the single-frequency segments followed by
+    zero-duration segments at T, which pad the rows to one length.
     """
+    w = np.asarray(omega_eff, dtype=float)[..., None]
     half = T / 2.0
-    n_half = int(omega_eff * half / np.pi) + 2
+    k = np.arange(int(w.max() * half / np.pi) + 2)
     if parity == "even":
-        pos = (np.pi / 2.0 + np.pi * np.arange(n_half)) / omega_eff
-        pos = pos[pos < half]
-        offs = np.concatenate([-pos[::-1], pos])
+        pos = (np.pi / 2.0 + np.pi * k) / w
+        offs = np.concatenate([-pos[..., ::-1], pos], axis=-1)
     else:
-        pos = np.pi * np.arange(1, n_half + 1) / omega_eff
-        pos = pos[pos < half]
-        offs = np.concatenate([-pos[::-1], [0.0], pos])
-    bounds = np.concatenate([[0.0], offs + half, [T]])
-    mids = 0.5 * (bounds[:-1] + bounds[1:]) - half
-    carrier = np.cos(omega_eff * mids) if parity == "even" else np.sin(omega_eff * mids)
+        pos = np.pi * (k + 1) / w
+        offs = np.concatenate([-pos[..., ::-1], np.zeros_like(w), pos], axis=-1)
+    inside = np.abs(offs) < half
+    if w.ndim == 1:  # one frequency: drop the crossings outside (0, T)
+        switches = offs[inside] + half
+    else:  # move them to T, so the padding comes after every real segment
+        switches = np.sort(np.where(inside, offs + half, T), axis=-1)
+    edge = np.zeros(switches.shape[:-1] + (1,))
+    bounds = np.concatenate([edge, switches, edge + T], axis=-1)
+    mids = 0.5 * (bounds[..., :-1] + bounds[..., 1:]) - half
+    carrier = np.cos(w * mids) if parity == "even" else np.sin(w * mids)
     return bounds, sign * u_max * np.sign(carrier)
 
 
@@ -178,6 +197,7 @@ class TanhProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "times", _as_float_tuple(self.times))
+        _require_finite_positive(self, "u_max", "T", "beta")
         if len(self.times) % 2 != 0:
             raise ValueError("need an even number of switching times")
         if any(t < 0.0 or t > self.T for t in self.times):

@@ -134,10 +134,11 @@ def _bang_cost(times, values, T: float, psi_i, psi_t, params: ModelParams) -> fl
     Unordered or out-of-range times are repaired (sorted and clipped) rather
     than penalized, so simplex optimizers see a continuous landscape.
     """
-    # ndarray.clip: np.clip's dispatch costs as much as the clipping here
+    # ndarray.clip and the slice difference: np.clip's and np.diff's dispatch
+    # cost as much as the arithmetic here
     times = np.sort(np.asarray(times, dtype=float).clip(0.0, T))
     bounds = np.concatenate([[0.0], times, [T]])
-    U = ordered_product(segment_propagators(np.diff(bounds), values, params))
+    U = ordered_product(segment_propagators(bounds[1:] - bounds[:-1], values, params))
     return state_prep_cost(U, psi_i, psi_t)
 
 

@@ -24,7 +24,7 @@ from .dynamics import (
     segment_propagators,
     total_unitary,
 )
-from .optim import golden_section, scalar_minimize
+from .optim import golden_section, refine_basins
 from .pmp import CostSpec, OptimalityReport
 from .protocols import OneParamBB, square_wave
 
@@ -38,6 +38,11 @@ __all__ = [
     "asymptotic_ratio_model",
     "rabi_fidelity_curve",
 ]
+
+# frequencies per batched call in the omega scan: the whole 400-point scan
+# at once raised the peak memory of a gate search by ~4 MB for a ~1% faster
+# scan, and blocks of 25 made the scan ~9% slower
+_SCAN_BLOCK = 100
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,18 @@ def one_param_protocol(omega_eff: float, T: float, problem: GateProblem,
                       sign=sign, parity=parity)
 
 
-def one_param_cost(omega_eff: float, T: float, problem: GateProblem,
-                   sign: float = 1.0, parity: str = "even") -> float:
-    """Gate cost of the square-wave protocol (exact segment propagators)."""
+def one_param_cost(omega_eff, T: float, problem: GateProblem,
+                   sign: float = 1.0, parity: str = "even"):
+    """Gate cost of the square-wave protocol (exact segment propagators).
+
+    ``omega_eff`` may be a 1-D array of frequencies, giving one cost each.
+    The zero-duration padding of ``square_wave`` contributes exact identity
+    factors after the real segments, so every cost has the bits of the
+    single-frequency call.
+    """
     bounds, vals = square_wave(omega_eff, T, problem.params.u_max, sign, parity)
-    U = ordered_product(segment_propagators(np.diff(bounds), vals, problem.params))
+    durs = bounds[..., 1:] - bounds[..., :-1]
+    U = ordered_product(segment_propagators(durs.T, vals.T, problem.params))
     return gate_cost(U, problem.kind)
 
 
@@ -95,17 +107,20 @@ def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400,
                        bracket: tuple[float, float] | None = None):
     """Globally minimize the gate cost over the switching frequency at fixed T.
 
-    Dense coarse scan plus golden-section refinement around every basin,
-    for each admissible parity; both overall protocol signs are degenerate
-    (checked in the tests), so only the canonical +1 sign is scanned.
+    Dense coarse scan, evaluated in batched blocks of frequencies, plus
+    golden-section refinement around every basin, for each admissible
+    parity; both overall protocol signs are degenerate (checked in the
+    tests), so only the canonical +1 sign is scanned.
     Returns (omega_eff, cost, parity).
     """
     if bracket is None:
         bracket = (0.8 * problem.params.omega0, 1.1 * problem.params.big_omega)
+    ws = np.linspace(*bracket, max(3, n_scan))
     best = (np.inf, None, None)
     for parity in problem.parities():
-        w, c = scalar_minimize(lambda w: one_param_cost(w, T, problem, 1.0, parity),
-                               bracket, n_scan=n_scan)
+        cs = np.concatenate([one_param_cost(ws[i:i + _SCAN_BLOCK], T, problem, 1.0, parity)
+                             for i in range(0, len(ws), _SCAN_BLOCK)])
+        w, c = refine_basins(lambda w: one_param_cost(w, T, problem, 1.0, parity), ws, cs)
         if c < best[0]:
             best = (c, w, parity)
     return best[1], best[0], best[2]

@@ -49,6 +49,21 @@ class TestConstantPropagator:
         np.testing.assert_allclose(constant_propagator(0.0, 0.37, P05), SIGMA_0,
                                    atol=1e-15)
 
+    def test_zero_duration_segment_is_exact_identity(self):
+        U = segment_propagators(np.zeros(4), [0.5, -0.5, 0.0, 0.37], P05)
+        for Uk in U:
+            np.testing.assert_array_equal(Uk, SIGMA_0)
+
+    def test_identity_padding_at_end_keeps_product_bits(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 40):
+            durs, vals = rng.uniform(0.0, 3.0, n), rng.choice([-0.5, 0.5], n)
+            ref = ordered_product(segment_propagators(durs, vals, P05))
+            for pad in (1, 2, 7):
+                padded = segment_propagators(np.r_[durs, np.zeros(pad)],
+                                             np.r_[vals, np.full(pad, 0.5)], P05)
+                np.testing.assert_array_equal(ordered_product(padded), ref)
+
     def test_matches_fine_grid_product_integrator(self):
         U = constant_propagator(1.3, 0.37, P05)
         U_ref = taylor_step_oracle(1.3, 0.37)
@@ -171,6 +186,16 @@ class TestCosts:
     def test_gate_cost_global_phase_insensitive(self):
         for phase in (0.3, 1.2, -2.0):
             assert abs(gate_cost(np.exp(1j * phase) * SIGMA_X, "x") + 1.0) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    def test_gate_cost_on_stack_matches_per_matrix_bitwise(self, kind):
+        rng = np.random.default_rng(3)
+        stack = segment_propagators(rng.uniform(0.0, 20.0, 5000), rng.uniform(-1.0, 1.0, 5000),
+                                    P05)
+        batch = gate_cost(stack, kind)
+        loop = np.array([gate_cost(U, kind) for U in stack])
+        assert batch.shape == (5000,)
+        np.testing.assert_array_equal(batch.view(np.uint64), loop.view(np.uint64))
 
     def test_identity_gives_zero(self):
         assert gate_cost(SIGMA_0, "x") == 0.0

@@ -8,6 +8,7 @@ from qoct.optim import (
     nelder_mead,
     nelder_mead_restarts,
     projected_gradient,
+    refine_basins,
     scalar_minimize,
 )
 
@@ -71,6 +72,14 @@ class TestScalarMinimize:
             return min((x - 0.3) ** 2 + 0.5, 3.0 * (x - 2.1) ** 2)
         x, v = scalar_minimize(f, (0.0, 3.0))
         assert abs(x - 2.1) < 1e-8
+
+    def test_refine_basins_finds_global_basin_of_scan(self):
+        def f(x):
+            return min((x - 0.3) ** 2 + 0.5, 3.0 * (x - 2.1) ** 2)
+        xs = np.linspace(0.0, 3.0, 400)
+        x, v = refine_basins(f, xs, [f(x) for x in xs])
+        assert abs(x - 2.1) < 1e-8
+        assert (x, v) == scalar_minimize(f, (0.0, 3.0))
 
     def test_density_doubling_stable(self):
         def f(x):

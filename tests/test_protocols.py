@@ -16,6 +16,7 @@ from qoct.protocols import (
     protocol_from_dict,
     protocol_to_dict,
     segment_durations_values,
+    square_wave,
 )
 
 
@@ -75,6 +76,20 @@ class TestOneParamBB:
         assert len(durs) >= 5
         np.testing.assert_allclose(durs[1:-1], np.pi / 1.99, rtol=1e-12)
         assert abs(durs[0] - durs[-1]) < 1e-12
+
+
+class TestSquareWave:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_rows_are_scalar_segments_padded_at_end(self, parity):
+        ws = np.linspace(0.3, 4.0, 97)
+        T = 9.7
+        bounds, vals = square_wave(ws, T, 0.4, -1.0, parity)
+        assert bounds.shape == (97, vals.shape[1] + 1)
+        for w, b_row, v_row in zip(ws, bounds, vals):
+            b, v = square_wave(w, T, 0.4, -1.0, parity)
+            np.testing.assert_array_equal(b_row[:len(b)], b)
+            np.testing.assert_array_equal(v_row[:len(v)], v)
+            assert np.all(b_row[len(b):] == T)
 
 
 class TestTanh:

@@ -1,7 +1,9 @@
 """Gate synthesis: one-parameter family, frequency search, asymptotics."""
 import numpy as np
+import pytest
 
-from qoct.dynamics import ModelParams, total_unitary
+from qoct.dynamics import ModelParams, rabi_pi_time, total_unitary
+from qoct.optim import scalar_minimize
 from qoct.xgate import (
     GateProblem,
     asymptotic_ratio_model,
@@ -83,6 +85,29 @@ class TestOptimizeOmegaEff:
         w1, _, _ = optimize_omega_eff(T, X05, n_scan=400)
         w2, _, _ = optimize_omega_eff(T, X05, n_scan=800)
         assert abs(w1 - w2) < 1e-6
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    @pytest.mark.parametrize("u_max", [0.48, 0.2, 0.0502, 0.3])
+    def test_batched_costs_equal_scalar_loop_bitwise(self, kind, u_max):
+        problem = GateProblem(kind, ModelParams(u_max=u_max))
+        ws = np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, 400)
+        for frac in (0.6, 0.8, 1.0, 1.2):
+            T = frac * rabi_pi_time(problem.params)
+            for parity in ("even", "odd"):
+                batch = one_param_cost(ws, T, problem, 1.0, parity)
+                loop = np.array([one_param_cost(w, T, problem, 1.0, parity) for w in ws])
+                np.testing.assert_array_equal(batch.view(np.uint64), loop.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["x", "pt"])
+    def test_scan_matches_scalar_minimize_exactly(self, kind):
+        problem = GateProblem(kind, ModelParams(u_max=0.5))
+        T = 1.69 * np.pi
+        w, c, parity = optimize_omega_eff(T, problem)
+        bracket = (0.8 * problem.params.omega0, 1.1 * problem.params.big_omega)
+        ref = scalar_minimize(lambda x: one_param_cost(x, T, problem, 1.0, parity), bracket)
+        assert (w, c) == ref
 
 
 class TestAsymptoticModel:
