@@ -227,7 +227,7 @@ def state_prep_cost(U_total: np.ndarray, init: np.ndarray, target: np.ndarray) -
     return -abs(np.vdot(target, U_total @ init)) ** 2
 
 
-def gate_cost(U_total: np.ndarray, kind: str) -> float:
+def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:
     """Gate terminal costs C_X, C_Y, C_PT, each in [-1, 0].
 
     C_X = -|<1|U|0> + <0|U|1>|^2 / 4 demands equal transfer phases in both
