@@ -161,6 +161,14 @@ class TestCli:
         assert main(["verify", "--pulse", str(p), "--umax", "0.2"]) == 2
         assert not (outdir / "verify" / "report.json").exists()
 
+    def test_infinite_umax_verify_exits_2_without_report(self, outdir, rabi_csv):
+        assert main(["verify", "--pulse", str(rabi_csv), "--umax", "inf"]) == 2
+        assert not (outdir / "verify" / "report.json").exists()
+
+    def test_nan_umax_xgate_exits_2_naming_u_max(self, outdir, capsys):
+        assert main(["xgate", "--umax", "nan"]) == 2
+        assert "u_max" in capsys.readouterr().err
+
     def test_report_near_optimum_clipped_switch(self, outdir):
         # at 0.999 T* the re-optimized BB-2 switch times touch 0 or T; the
         # report must audit the canonical protocol instead of refusing it

@@ -259,3 +259,10 @@ class TestRabiProtocol:
         proto = rabi_protocol(P05)
         s = as_sampled(proto)
         assert np.max(np.abs(s.values)) <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("field", ["u_max", "omega0"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_model_params_reject_nonpositive_or_nonfinite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ModelParams(**{"u_max": 0.2, field: bad})

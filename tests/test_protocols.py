@@ -167,6 +167,23 @@ class TestThirdHarmonic:
         assert np.max(np.abs(p.u(t))) <= 0.2 + 1e-9
 
 
+@pytest.mark.parametrize("cls, kw, field", [
+    (OneParamBB, {"omega_eff": 2.0, "T": 5.0, "u_max": 0.2}, "omega_eff"),
+    (OneParamBB, {"omega_eff": 2.0, "T": 5.0, "u_max": 0.2}, "T"),
+    (OneParamBB, {"omega_eff": 2.0, "T": 5.0, "u_max": 0.2}, "u_max"),
+    (BangSequence, {"T": 2.0, "u_max": 0.5, "switch_times": (1.0,), "values": (0.5, -0.5)}, "T"),
+    (BangSequence, {"T": 2.0, "u_max": 0.5, "switch_times": (), "values": (0.0,)}, "u_max"),
+    (ThirdHarmonic, {"u_max": 0.2, "T": 5.0, "omega": 2.0, "ratio": 0.0}, "u_max"),
+    (ThirdHarmonic, {"u_max": 0.2, "T": 5.0, "omega": 2.0, "ratio": 0.0}, "T"),
+    (ThirdHarmonic, {"u_max": 0.2, "T": 5.0, "omega": 2.0, "ratio": 0.0}, "omega"),
+    (Sampled, {"T": 2.0, "u_max": 0.5, "values": np.zeros(4)}, "T"),
+    (Sampled, {"T": 2.0, "u_max": 0.5, "values": np.zeros(4)}, "u_max"),
+])
+def test_constructors_reject_nan(cls, kw, field):
+    with pytest.raises(ValueError, match=field):
+        cls(**{**kw, field: float("nan")})
+
+
 class TestSampledAndReduction:
     def test_cell_lookup(self):
         p = Sampled(T=1.0, u_max=1.0, values=np.array([0.1, -0.2, 0.3, -0.4]))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qoct import xgate
 from qoct.dynamics import ModelParams, rabi_pi_time, total_unitary
 from qoct.optim import scalar_minimize
 from qoct.xgate import (
@@ -71,6 +72,18 @@ class TestMinGateTime:
         res = min_gate_time(GateProblem("pt", ModelParams(u_max=0.5)),
                             with_report=False)
         assert res.t_star <= gate_results[0.5].t_star + 1e-6
+
+    def test_frequency_scanned_once_at_t_star(self, monkeypatch):
+        scanned = []
+        scan = xgate.optimize_omega_eff
+
+        def counting(T, problem, *args, **kw):
+            scanned.append(T)
+            return scan(T, problem, *args, **kw)
+
+        monkeypatch.setattr(xgate, "optimize_omega_eff", counting)
+        res = min_gate_time(X05, with_report=False)
+        assert scanned.count(res.t_star) == 1
 
 
 class TestOptimizeOmegaEff:
