@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, pmp, smoothing, state_prep, xgate
-from .dynamics import BlochPoint, ModelParams, bloch_from_state, propagate
+from .dynamics import TARGET_TOL, BlochPoint, ModelParams, bloch_from_state, propagate
 from .pmp import CostSpec
 from .protocols import protocol_to_dict
 from .state_prep import StatePrepProblem, StructureLabel
@@ -142,7 +142,7 @@ class _Record:
         self.files.append(name)
         return self.out / name
 
-    def finish(self, extra: dict | None = None) -> Path:
+    def finish(self) -> Path:
         rec = {
             "subcommand": self.cmd,
             "config": self.config,
@@ -151,8 +151,6 @@ class _Record:
             "duration_s": time.perf_counter() - self.t0,
             "outputs": sorted(set(self.files)),
         }
-        if extra:
-            rec.update(extra)
         return fileio.write_json(self.out / "run_record.json", rec)
 
 
@@ -271,13 +269,10 @@ def cmd_smooth(args) -> int:
     t_rabi = np.pi / args.umax
     if args.scheme == "tanh":
         if args.t_over_trabi is None:
-            T, run = smoothing.min_tanh_time(problem, beta=args.beta, seeds=6)
+            T, run = smoothing.min_tanh_time(problem, beta=args.beta)
         else:
             T = args.t_over_trabi * t_rabi
-            n = max(1, round(T / np.pi))
-            runs = [smoothing.optimize_tanh(k, args.beta, T, problem, seed=args.seed)
-                    for k in {max(1, n - 1), n, n + 1}]
-            run = min(runs, key=lambda r: r.cost_plus_1)
+            run = smoothing.best_tanh_run(T, args.beta, problem, seed=args.seed)
     elif args.scheme == "third":
         if args.t_over_trabi is None:
             T, run = smoothing.min_third_harmonic_time(problem)
@@ -290,8 +285,7 @@ def cmd_smooth(args) -> int:
         T = args.t_over_trabi * t_rabi
         run = smoothing.constrained_smooth_optimize(T, problem, n_t=args.nt,
                                                     initial=args.initial,
-                                                    objective=args.objective,
-                                                    seed=args.seed)
+                                                    objective=args.objective)
         fileio.write_csv(rec.path("trace.csv"), ["iter", "c_smooth", "c_x_plus_1"],
                          run.trace)
     fileio.write_pulse_csv(rec.path("pulse.csv"), run.protocol)
@@ -304,7 +298,7 @@ def cmd_smooth(args) -> int:
     fileio.write_json(rec.path("smoothing_run.json"), payload)
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("scheme", "t_over_trabi", "cost_plus_1")}))
-    return 0 if run.cost_plus_1 <= smoothing.GATE_TOL or args.scheme == "constrained" else 3
+    return 0 if run.cost_plus_1 <= TARGET_TOL or args.scheme == "constrained" else 3
 
 
 def _cost_spec_from_args(args) -> CostSpec:

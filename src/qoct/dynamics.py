@@ -19,6 +19,7 @@ from .protocols import (
     DEFAULT_POINTS_PER_PI,
     Protocol,
     RabiProtocol,
+    _require_finite_positive,
     segment_durations_values,
 )
 
@@ -29,6 +30,7 @@ __all__ = [
     "SIGMA_Z",
     "KET_0",
     "KET_1",
+    "TARGET_TOL",
     "ModelParams",
     "BlochPoint",
     "Trajectory",
@@ -54,6 +56,10 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_1 = np.array([0.0, 1.0], dtype=complex)
 
+# C + 1 at or below which a terminal cost counts as reaching its target:
+# the gate or state the searches stop at and the CLI's exit-3 threshold
+TARGET_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -63,10 +69,7 @@ class ModelParams:
     omega0: float = 2.0
 
     def __post_init__(self):
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        _require_finite_positive(self, "u_max", "omega0")
 
     @property
     def big_omega(self) -> float:

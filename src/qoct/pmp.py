@@ -75,13 +75,20 @@ class CostSpec:
             return [np.asarray(self.init, dtype=complex)]
         return [KET_0, KET_1]
 
-    def value(self, U_total: np.ndarray) -> float:
-        return dynamics.terminal_cost(U_total, self.kind, self.init, self.target)
+    def value(self, finals: list[np.ndarray]) -> float:
+        """Terminal cost from the final states of the forward trajectories.
+
+        ``finals`` holds ``initial_states()`` evolved to T, as in
+        ``terminal_adjoints``.
+        """
+        if self.kind == "sp":
+            return -abs(np.vdot(self.target, finals[0])) ** 2
+        return dynamics.gate_cost(np.column_stack(finals), self.kind)
 
 
 def forward_trajectories(protocol: Protocol, params: ModelParams, cost: CostSpec,
-                         n_samples: int = 2001, **kw) -> list[Trajectory]:
-    return [propagate(protocol, params, s, n_samples, **kw) for s in cost.initial_states()]
+                         n_samples: int = 2001) -> list[Trajectory]:
+    return [propagate(protocol, params, s, n_samples) for s in cost.initial_states()]
 
 
 def terminal_adjoints(cost: CostSpec, finals: list[np.ndarray]) -> list[np.ndarray]:
@@ -110,23 +117,18 @@ def terminal_adjoints(cost: CostSpec, finals: list[np.ndarray]) -> list[np.ndarr
 
 
 def adjoint_trajectories(protocol: Protocol, params: ModelParams, cost: CostSpec,
-                         forwards: list[Trajectory], n_samples: int | None = None,
-                         **kw) -> list[Trajectory]:
+                         forwards: list[Trajectory]) -> list[Trajectory]:
     """Back-propagated adjoint fields, sampled on the forward grid.
 
     The adjoint solves the same Schroedinger equation, so lambda(t) is
     obtained exactly by forward-propagating lambda(0) = U_total^dag lambda(T).
     """
-    if n_samples is None:
-        n_samples = len(forwards[0].times)
-    for traj in forwards:
-        if len(traj.times) != n_samples:
-            raise ValueError("forward and adjoint grids must match")
+    n_samples = len(forwards[0].times)
     lam_T = terminal_adjoints(cost, [traj.final for traj in forwards])
     out = []
     for traj, lT in zip(forwards, lam_T):
         lam0 = traj.total.conj().T @ lT
-        out.append(propagate(protocol, params, lam0, n_samples, **kw))
+        out.append(propagate(protocol, params, lam0, n_samples))
     return out
 
 
@@ -178,11 +180,7 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
 
     finals = [e[-1] for e in psi_edges]
     lam_T = terminal_adjoints(cost, finals)
-    if cost.kind == "sp":
-        cval = -abs(np.vdot(cost.target, finals[0])) ** 2
-    else:
-        total = np.column_stack([finals[0], finals[1]])
-        cval = dynamics.gate_cost(total, cost.kind)
+    cval = cost.value(finals)
 
     grad = np.zeros(n)
     Uh_dag = Uh.conj().transpose(0, 2, 1)
@@ -311,18 +309,16 @@ class OptimalityReport:
 
 
 def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
-          n_samples: int = 4001, sign_tol: float = 1e-6,
-          exclude_steps: int = 2, singular_tol: float = 1e-3,
-          **kw) -> OptimalityReport:
+          n_samples: int = 4001) -> OptimalityReport:
     """Evaluate the PMP diagnostics of a protocol against a terminal cost.
 
-    Sign consistency counts samples with u * Phi <= sign_tol * max|Phi|,
-    excluding samples within ``exclude_steps`` grid steps of a switching
-    instant.  Singular residence accumulates time spent with u = 0 while
-    |theta - pi/2| < singular_tol.
+    Sign consistency counts samples with u * Phi <= 1e-6 * max|Phi| * u_max,
+    excluding samples within two grid steps of a switching instant.
+    Singular residence accumulates time spent with u = 0 while
+    |theta - pi/2| < 1e-3.
     """
-    forwards = forward_trajectories(protocol, params, cost, n_samples, **kw)
-    adjoints = adjoint_trajectories(protocol, params, cost, forwards, **kw)
+    forwards = forward_trajectories(protocol, params, cost, n_samples)
+    adjoints = adjoint_trajectories(protocol, params, cost, forwards)
     times = forwards[0].times
     phi = switching_function(forwards, adjoints)
 
@@ -364,9 +360,9 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     flips = boundaries[1:-1][np.sign(vals[1:]) != np.sign(vals[:-1])]
     keep = np.ones(len(times), dtype=bool)
     for sw in flips:
-        keep &= np.abs(times - sw) > exclude_steps * dt_grid
+        keep &= np.abs(times - sw) > 2 * dt_grid
     if max_abs_phi > 0.0 and np.any(keep):
-        viol = (u[keep] * phi[keep]) > sign_tol * max_abs_phi * params.u_max
+        viol = (u[keep] * phi[keep]) > 1e-6 * max_abs_phi * params.u_max
         sign_fraction = float(1.0 - viol.mean())
     else:
         sign_fraction = 1.0
@@ -374,7 +370,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     # singular-arc residence
     z = (np.abs(forwards[0].states[:, 0]) ** 2
          - np.abs(forwards[0].states[:, 1]) ** 2)
-    on_arc = (np.abs(u) < 1e-12) & (np.abs(np.arccos(np.clip(z, -1, 1)) - np.pi / 2) < singular_tol)
+    on_arc = (np.abs(u) < 1e-12) & (np.abs(np.arccos(np.clip(z, -1, 1)) - np.pi / 2) < 1e-3)
     singular_residence = float(on_arc.sum() * dt_grid)
 
     # middle-bang frequency and amplitude fit; only meaningful when the

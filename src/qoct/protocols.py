@@ -65,10 +65,7 @@ class BangSequence:
     def __post_init__(self):
         object.__setattr__(self, "switch_times", _as_float_tuple(self.switch_times))
         object.__setattr__(self, "values", _as_float_tuple(self.values))
-        if self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        _require_finite_positive(self, "T", "u_max")
         ts = self.switch_times
         if len(self.values) != len(ts) + 1:
             raise ValueError("need exactly one value per segment")
@@ -127,8 +124,7 @@ class OneParamBB:
     parity: str = "even"
 
     def __post_init__(self):
-        if self.omega_eff <= 0 or self.T <= 0:
-            raise ValueError("omega_eff and T must be positive")
+        _require_finite_positive(self, "omega_eff", "T", "u_max")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.parity not in ("even", "odd"):
@@ -236,8 +232,7 @@ class ThirdHarmonic:
     def __post_init__(self):
         if not (-0.125 - 1e-12 <= self.ratio <= 1.0 + 1e-12):
             raise ValueError("mixing ratio must lie in [-1/8, 1]")
-        if self.omega <= 0 or self.T <= 0:
-            raise ValueError("omega and T must be positive")
+        _require_finite_positive(self, "u_max", "T", "omega")
 
     def u(self, t):
         s = np.asarray(t, dtype=float) - self.T / 2.0
@@ -259,8 +254,7 @@ class Sampled:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a nonempty 1-D array")
-        if self.T <= 0 or self.u_max <= 0:
-            raise ValueError("T and u_max must be positive")
+        _require_finite_positive(self, "T", "u_max")
 
     @property
     def n_t(self) -> int:

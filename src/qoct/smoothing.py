@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim, pmp
-from .dynamics import ModelParams, gate_cost, rabi_pi_time, total_unitary
+from .dynamics import TARGET_TOL, ModelParams, gate_cost, rabi_pi_time, total_unitary
 from .optim import OptimizerConfig
 from .protocols import (
     DEFAULT_POINTS_PER_PI,
@@ -37,6 +37,7 @@ __all__ = [
     "SmoothingRun",
     "tanh_protocol",
     "optimize_tanh",
+    "best_tanh_run",
     "min_tanh_time",
     "optimize_third_harmonic",
     "min_third_harmonic_time",
@@ -54,9 +55,6 @@ __all__ = [
 # at DEFAULT_POINTS_PER_PI and checked by grid doubling in the tests
 OPT_POINTS_PER_PI = 500
 
-# C + 1 at or below which a run counts as a perfect gate
-GATE_TOL = 1e-6
-
 
 @dataclass
 class SmoothingRun:
@@ -65,7 +63,7 @@ class SmoothingRun:
     params: ModelParams
     protocol: Protocol
     cost_plus_1: float
-    converged: bool  # the optimizer converged and, for tanh and third, C + 1 <= GATE_TOL
+    converged: bool  # the optimizer converged and, for tanh and third, C + 1 <= TARGET_TOL
     extras: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)  # (iter, c_smooth, c_gate_plus_1)
 
@@ -98,13 +96,11 @@ def _tanh_seed(n_pairs: int, T: float, params: ModelParams) -> np.ndarray:
 
 
 def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
-                  seeds: int = 6, seed: int = 0,
-                  opt_points_per_pi: int = OPT_POINTS_PER_PI,
-                  x0=None) -> SmoothingRun:
+                  seeds: int = 6, seed: int = 0, x0=None) -> SmoothingRun:
     """Minimize the gate cost over the N free tanh switching times.
 
     The number of switchings 2N should follow the resonance estimate
-    2N ~ 2T/pi; callers scanning T try neighbouring N as well.
+    2N ~ 2T/pi; ``best_tanh_run`` tries neighbouring N as well.
     """
     params = problem.params
     half = T / 2.0
@@ -112,7 +108,7 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     def obj(x):
         t = np.sort(np.clip(np.asarray(x, dtype=float), 1e-9, half * (1.0 - 1e-12)))
         proto = tanh_protocol(t, beta, T, params)
-        return _gate_cost_of(proto, problem, opt_points_per_pi)
+        return _gate_cost_of(proto, problem, OPT_POINTS_PER_PI)
 
     seed_times = _tanh_seed(n_pairs, T, params)
     start = np.asarray(x0, dtype=float) if x0 is not None else seed_times
@@ -129,60 +125,49 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
-                        converged=r.status == "converged" and cost1 <= GATE_TOL,
+                        converged=r.status == "converged" and cost1 <= TARGET_TOL,
                         extras={"beta": beta, "times": tuple(float(t) for t in times),
                                 "n_pairs": n_pairs})
 
 
-def min_tanh_time(problem: GateProblem, beta: float = 4.0,
-                  t_range: tuple[float, float] = (0.78, 1.05), coarse: float = 0.01,
-                  resolution: float | None = None, tol_fidelity: float = GATE_TOL,
-                  seeds: int = 6, **kw) -> tuple[float, SmoothingRun]:
-    """Smallest T (scanning upward in units of T_Rabi) with a perfect tanh gate.
+def best_tanh_run(T: float, beta: float, problem: GateProblem, seed: int = 0,
+                  warm: dict | None = None) -> SmoothingRun:
+    """Lowest-cost tanh run at T over the resonance switch count and its neighbours.
 
-    Tries the resonance switch count and its neighbours at every scan point.
-    By default the first passing grid point is returned (measurement
-    resolution = ``coarse``); pass ``resolution`` to refine the crossing by
-    bisection.
+    The resonance count is N = round(T omega0 / (2 pi)), at least 2; N - 1,
+    N and N + 1 are tried in that order and the first lowest cost wins.
+    ``warm`` maps a count to the free times of an earlier run, which start
+    that count's search; it is updated with this run's times.
+    """
+    if warm is None:
+        warm = {}
+    n_c = max(2, round(T / np.pi * problem.params.omega0 / 2.0))
+    best = None
+    for n in (n_c - 1, n_c, n_c + 1):
+        x0 = warm.get(n)
+        run = optimize_tanh(n, beta, T, problem, seed=seed,
+                            x0=None if x0 is None else np.clip(x0, 1e-9, T / 2 * (1 - 1e-9)))
+        warm[n] = np.asarray(run.extras["times"])
+        if best is None or run.cost_plus_1 < best.cost_plus_1:
+            best = run
+    return best
+
+
+def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, SmoothingRun]:
+    """Smallest T with a perfect tanh gate, scanning [0.78, 1.05] T_Rabi upward.
+
+    Each scan point takes ``best_tanh_run``, warm-started from the previous
+    point.  The first point in steps of 0.01 T_Rabi with C + 1 <= TARGET_TOL
+    is returned, so the measurement resolution is 0.01 T_Rabi.
     """
     t_rabi = rabi_pi_time(problem.params)
-
-    def best_at(T, warm):
-        n_c = max(2, round(T / np.pi * problem.params.omega0 / 2.0))
-        best = None
-        for n in sorted({max(1, n_c - 1), n_c, n_c + 1}):
-            x0 = warm.get(n)
-            run = optimize_tanh(n, beta, T, problem, seeds=seeds,
-                                x0=None if x0 is None else np.clip(x0, 1e-9, T / 2 * (1 - 1e-9)),
-                                **kw)
-            warm[n] = np.asarray(run.extras["times"])
-            if best is None or run.cost_plus_1 < best.cost_plus_1:
-                best = run
-        return best
-
     warm: dict = {}
-    prev_T = None
-    hit = None
-    for frac in np.arange(t_range[0], t_range[1] + 1e-12, coarse):
+    for frac in np.arange(0.78, 1.05 + 1e-12, 0.01):
         T = frac * t_rabi
-        run = best_at(T, warm)
-        if run.cost_plus_1 <= tol_fidelity:
-            hit = (T, run)
-            break
-        prev_T = T
-    if hit is None:
-        raise RuntimeError("tanh scheme did not reach the gate fidelity in the scan range")
-    if resolution is None or prev_T is None:
-        return hit[0], hit[1]
-    lo, hi, best_run = prev_T, hit[0], hit[1]
-    while hi - lo > resolution * t_rabi:
-        mid = 0.5 * (lo + hi)
-        run = best_at(mid, warm)
-        if run.cost_plus_1 <= tol_fidelity:
-            hi, best_run = mid, run
-        else:
-            lo = mid
-    return hi, best_run
+        run = best_tanh_run(T, beta, problem, warm=warm)
+        if run.cost_plus_1 <= TARGET_TOL:
+            return T, run
+    raise RuntimeError("tanh scheme did not reach the gate fidelity in the scan range")
 
 
 def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
@@ -226,33 +211,30 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
     cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
     return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
-                        converged=r.status == "converged" and cost1 <= GATE_TOL,
+                        converged=r.status == "converged" and cost1 <= TARGET_TOL,
                         extras={"omega": w, "ratio": R})
 
 
-def min_third_harmonic_time(problem: GateProblem,
-                            t_range: tuple[float, float] = (0.84, 1.02),
-                            coarse: float = 0.005, tol_fidelity: float = GATE_TOL,
-                            seeds: int = 2,
-                            opt_points_per_pi: int = 250) -> tuple[float, SmoothingRun]:
+def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
     """Smallest perfect-gate time of the two-harmonic pulse.
 
-    Deterministic upward scan in units of T_Rabi with warm-started inner
-    optimization; the first grid point reaching the fidelity tolerance is
-    returned, so the measurement resolution equals ``coarse``.  The hit is
-    re-optimized at ``OPT_POINTS_PER_PI``; if that run misses the tolerance,
-    the scan's own run (which passed) is returned instead.
+    Deterministic upward scan of [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
+    with a warm-started two-restart inner optimization at 250 points/pi; the
+    first grid point with C + 1 <= TARGET_TOL is returned, so the measurement
+    resolution is 0.005 T_Rabi.  The hit is re-optimized at
+    ``OPT_POINTS_PER_PI``; if that run misses the tolerance, the scan's own
+    run (which passed) is returned instead.
     """
     t_rabi = rabi_pi_time(problem.params)
     warm = None
-    for frac in np.arange(t_range[0], t_range[1] + 1e-12, coarse):
-        run = optimize_third_harmonic(frac * t_rabi, problem, seeds=seeds,
-                                      opt_points_per_pi=opt_points_per_pi, x0=warm)
+    for frac in np.arange(0.84, 1.02 + 1e-12, 0.005):
+        run = optimize_third_harmonic(frac * t_rabi, problem, seeds=2,
+                                      opt_points_per_pi=250, x0=warm)
         warm = np.array([run.extras["omega"], run.extras["ratio"]])
-        if run.cost_plus_1 <= tol_fidelity:
-            fine = optimize_third_harmonic(frac * t_rabi, problem, seeds=seeds,
+        if run.cost_plus_1 <= TARGET_TOL:
+            fine = optimize_third_harmonic(frac * t_rabi, problem, seeds=2,
                                            opt_points_per_pi=OPT_POINTS_PER_PI, x0=warm)
-            return frac * t_rabi, fine if fine.cost_plus_1 <= tol_fidelity else run
+            return frac * t_rabi, fine if fine.cost_plus_1 <= TARGET_TOL else run
     raise RuntimeError("third-harmonic scheme did not reach the gate fidelity in the scan range")
 
 
@@ -360,9 +342,7 @@ def _initial_control(initial, T: float, n_t: int, problem: GateProblem) -> np.nd
 
 def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
                                 initial="bb", objective="smooth",
-                                du_cap: float | None = None, eps: float | None = None,
-                                max_outer: int = 400, project_tol: float = 1e-10,
-                                anneal: bool = True, seed: int = 0) -> SmoothingRun:
+                                max_outer: int = 400) -> SmoothingRun:
     """Minimize a smoothness objective subject to a perfect gate and |u| <= u_max.
 
     Alternates (a) projection onto C = -1 by switching-function gradient
@@ -370,16 +350,13 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
     scaled so its largest component is ``du_cap`` (u_max/5 initially), until
     consecutive projected iterates differ by at most u_max/4000 everywhere.
     A fixed u_max/5 kick re-injects structure faster than the projection
-    removes it, so by default the kick is halved whenever the objective
-    stagnates, which lets the iteration settle and reach the stopping
-    tolerance.  The returned control is the projected (constraint-
-    satisfying) iterate.
+    removes it, so the kick is halved whenever the objective stagnates, and
+    every 50 iterations, down to u_max/8000, which lets the iteration settle
+    and reach the stopping tolerance.  The returned control is the projected
+    (constraint-satisfying) iterate.
     """
     params = problem.params
-    if du_cap is None:
-        du_cap = params.u_max / 5.0
-    if eps is None:
-        eps = params.u_max / 4000.0
+    du_cap = params.u_max / 5.0
     obj_cost, obj_grad = _objective_funcs(objective)
 
     u_tilde = _initial_control(initial, T, n_t, problem)
@@ -391,24 +368,23 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
     stall = 0
     cap_floor = params.u_max / 8000.0
     for it in range(max_outer):
-        proto, _ = project_to_gate(u_tilde, T, problem, tol=project_tol)
+        proto, _ = project_to_gate(u_tilde, T, problem)
         u_n = proto.values
         c_gate1 = _gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0
         c_obj = obj_cost(proto)
         trace.append((it, c_obj, float(c_gate1)))
-        if prev is not None and float(np.max(np.abs(u_n - prev))) <= eps:
+        if prev is not None and float(np.max(np.abs(u_n - prev))) <= params.u_max / 4000.0:
             converged = True
             break
-        if anneal:
-            # shrink the kick when the objective stalls, and on a slow fixed
-            # schedule so the stopping tolerance is eventually reachable
-            if c_obj < best_obj - 1e-12:
-                best_obj, stall = c_obj, 0
-            else:
-                stall += 1
-            if (stall >= 3 or (it + 1) % 50 == 0) and du_cap > cap_floor:
-                du_cap = max(0.5 * du_cap, cap_floor)
-                stall = 0
+        # shrink the kick when the objective stalls, and on a slow fixed
+        # schedule so the stopping tolerance is eventually reachable
+        if c_obj < best_obj - 1e-12:
+            best_obj, stall = c_obj, 0
+        else:
+            stall += 1
+        if (stall >= 3 or (it + 1) % 50 == 0) and du_cap > cap_floor:
+            du_cap = max(0.5 * du_cap, cap_floor)
+            stall = 0
         prev = u_n
         g = obj_grad(proto)
         gmax = float(np.max(np.abs(g)))
@@ -422,14 +398,13 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
                         trace=trace)
 
 
-def fourier_spectrum(protocol: Protocol, n_max: int = 40,
-                     points_per_pi: int = DEFAULT_POINTS_PER_PI):
+def fourier_spectrum(protocol: Protocol, n_max: int = 40):
     """Normalized pulse spectrum u~(f_n) = int u/u_max e^(-2 pi i f_n t) dt, f_n = n/T.
 
     Uses the closed-form integral on every piecewise-constant cell, so bang
     protocols are exact and smooth protocols inherit the dense-grid reduction.
     """
-    durs, vals = segment_durations_values(protocol, points_per_pi)
+    durs, vals = segment_durations_values(protocol)
     T = protocol.T
     edges = np.concatenate([[0.0], np.cumsum(durs)])
     edges[-1] = T
@@ -446,17 +421,16 @@ def fourier_spectrum(protocol: Protocol, n_max: int = 40,
     return freqs, amps
 
 
-def perturbative_amplitude(V, omega: float, t: float,
-                           params: ModelParams = ModelParams(u_max=1.0)) -> complex:
+def perturbative_amplitude(V, omega: float, t: float) -> complex:
     """First-order excited amplitude for a multi-harmonic drive at small t.
 
     For u(t) = sum_N V_N cos(N omega t) acting on the ground state in the
-    rotating frame, each harmonic contributes a resonant pair term
+    rotating frame (omega0 = 2), each harmonic contributes a resonant pair term
     (1 - e^(i (omega0 - N omega) t)) / (omega0 - N omega) plus its
     counter-rotating partner; an exactly resonant denominator takes the
     limit value -i t.
     """
-    w0 = params.omega0
+    w0 = 2.0
 
     def g(x: float) -> complex:
         if abs(x) < 1e-12:

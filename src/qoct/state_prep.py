@@ -16,6 +16,7 @@ import numpy as np
 
 from . import optim, pmp
 from .dynamics import (
+    TARGET_TOL,
     BlochPoint,
     ModelParams,
     ordered_product,
@@ -94,24 +95,27 @@ class SearchResult:
                             self.switch_times, self.values)
 
 
+# Nelder-Mead restarts of the free-switch-time polish at T* and at the
+# report time just below it
+_POLISH_SEEDS = 12
+
+
 def _bb_values(n_switch: int, lead_sign: int, u_max: float) -> np.ndarray:
     return lead_sign * u_max * (-1.0) ** np.arange(n_switch + 1)
 
 
-def canonicalize_bangs(times, values, T: float, tol: float | None = None):
-    """Drop vanishing segments and merge equal neighbours.
+def canonicalize_bangs(times, values, T: float):
+    """Drop segments no longer than 1e-7 T and merge equal neighbours.
 
     Optimizers frequently park a switch on top of another (or at 0 or T),
     which leaves a protocol whose nominal switching count overstates the
     real one; the canonical form recovers the true structure label.
     Returns (switch_times, values, label).
     """
-    if tol is None:
-        tol = 1e-7 * T
     bounds = np.concatenate([[0.0], np.sort(np.asarray(times, dtype=float)), [T]])
     durs = np.diff(bounds)
     vals = np.asarray(values, dtype=float)
-    kept = [(d, v) for d, v in zip(durs, vals) if d > tol]
+    kept = [(d, v) for d, v in zip(durs, vals) if d > 1e-7 * T]
     merged: list[list[float]] = []
     for d, v in kept:
         if merged and abs(merged[-1][1] - v) < 1e-12:
@@ -150,13 +154,12 @@ def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> fl
 
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
-                       seeds: int = 20, config: OptimizerConfig | None = None,
-                       x0=None) -> tuple[np.ndarray, float, tuple[float, ...]]:
+                       seeds: int = 20, x0=None) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """Best switch times for a structure at fixed T, by restarted Nelder-Mead.
 
     Switch times are free variables (with sort/clip repair); for BSB both
     trailing-bang signs are tried.  Returns (times, cost, segment values),
-    deterministic for a fixed config seed.
+    deterministic.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
@@ -173,8 +176,8 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
         cost = _bang_cost(np.empty(0), vals, T, psi_i, psi_t, params)
         return np.empty(0), cost, tuple(vals)
 
-    cfg = config or OptimizerConfig(max_iter=2000, tol=1e-10, restarts=seeds,
-                                    bounds=tuple((0.0, T) for _ in range(k)))
+    cfg = OptimizerConfig(max_iter=2000, tol=1e-10, restarts=seeds,
+                          bounds=tuple((0.0, T) for _ in range(k)))
 
     def sampler(rng):
         return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
@@ -184,7 +187,7 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
         def obj(x, values=values):
             return _bang_cost(x, values, T, psi_i, psi_t, params)
         start = (np.asarray(x0, dtype=float) if x0 is not None
-                 else sampler(np.random.default_rng(cfg.seed + 1)))
+                 else sampler(np.random.default_rng(1)))
         r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
         if r.fun < best[0]:
             best = (r.fun, np.sort(np.clip(r.x, 0.0, T)), values)
@@ -299,7 +302,7 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _scan_optimum(structure: StructureLabel, T: float, problem: StatePrepProblem,
-                  psi_i, psi_t, warm, seeds: int, seed: int):
+                  psi_i, psi_t, warm, seed: int):
     k = structure.n_switch
     if k == 0:
         return np.empty(0), _reduced_cost(np.empty(0), structure, T, psi_i, psi_t,
@@ -311,7 +314,7 @@ def _scan_optimum(structure: StructureLabel, T: float, problem: StatePrepProblem
         bounds = ((0.0, T), (1e-9, T / (k - 1)))
         sampler = lambda rng: np.array([rng.uniform(0.0, T / (k + 1)),
                                         rng.uniform(0.3, 1.0) * T / (k - 1)])
-    cfg = OptimizerConfig(max_iter=1500, tol=1e-12, restarts=seeds, seed=seed,
+    cfg = OptimizerConfig(max_iter=1500, tol=1e-12, restarts=6, seed=seed,
                           bounds=bounds)
     obj = lambda x: _reduced_cost(x, structure, T, psi_i, psi_t, problem.params)
     x0 = warm if warm is not None else sampler(np.random.default_rng(seed))
@@ -320,28 +323,24 @@ def _scan_optimum(structure: StructureLabel, T: float, problem: StatePrepProblem
 
 
 def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel] | None = None,
-                      t_max: float | None = None, tol_fidelity: float = 1e-6,
-                      coarse_step: float | None = None, resolution: float | None = None,
-                      seeds: int = 6, seed: int = 0, polish_seeds: int = 12,
-                      with_report: bool = True, n_samples: int = 4001) -> SearchResult:
-    """Smallest T reaching cost <= -1 + tol_fidelity over candidate structures.
+                      t_max: float | None = None, seed: int = 0,
+                      with_report: bool = True) -> SearchResult:
+    """Smallest T reaching cost <= -1 + TARGET_TOL over candidate structures.
 
-    BB structures are scanned on a shared coarse T grid (in the fast
-    equal-middle-bang form, both leading signs) and refined by bisection;
-    the minimal BSB time comes from the closed-form equator construction,
-    validated by propagation.  The winner is re-optimized with fully free
-    switch times, and its optimality report is evaluated at 0.999 T* where
-    the PMP quantities are small but nonzero.  Ties break toward fewer
-    switchings.
+    BB structures are scanned on a shared T grid of step pi/4 (in the fast
+    equal-middle-bang form, both leading signs) and refined by bisection to
+    1e-3 pi; the minimal BSB time comes from the closed-form equator
+    construction, validated by propagation.  The winner is re-optimized
+    with fully free switch times, and its optimality report is evaluated at
+    0.999 T* where the PMP quantities are small but nonzero.  Ties break
+    toward fewer switchings.
     """
     params = problem.params
     psi_i, psi_t = problem.states()
     if t_max is None:
         t_max = np.pi + np.pi / params.u_max
-    if coarse_step is None:
-        coarse_step = 0.25 * np.pi
-    if resolution is None:
-        resolution = 1e-3 * np.pi
+    coarse_step = 0.25 * np.pi
+    resolution = 1e-3 * np.pi
 
     if structures is None:
         structures = _default_structures(problem, t_max)
@@ -353,7 +352,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     if bsb is not None:
         proto = _bsb_protocol(bsb, params)
         c = cost_of_switchings(proto.switch_times, proto.values, proto.T, problem)
-        if c > -1.0 + tol_fidelity:  # construction must be self-consistent
+        if c > -1.0 + TARGET_TOL:  # construction must be self-consistent
             bsb, bsb_T = None, np.inf
 
     warm: dict = {}
@@ -366,9 +365,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             if s.n_switch > kmax_here:
                 continue
             key = (s.n_switch, s.lead_sign)
-            x, c = _scan_optimum(s, T, problem, psi_i, psi_t, warm.get(key), seeds, seed)
+            x, c = _scan_optimum(s, T, problem, psi_i, psi_t, warm.get(key), seed)
             warm[key] = x
-            if c <= -1.0 + tol_fidelity:
+            if c <= -1.0 + TARGET_TOL:
                 hits[key] = (s, x)
         if hits or bsb_T <= T:
             T_hit = T
@@ -382,8 +381,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
                 x, c = _scan_optimum(s, mid, problem, psi_i, psi_t,
-                                     x_best * (mid / hi), seeds, seed)
-                if c <= -1.0 + tol_fidelity:
+                                     x_best * (mid / hi), seed)
+                if c <= -1.0 + TARGET_TOL:
                     hi, x_best = mid, np.asarray(x, dtype=float)
                 else:
                     lo = mid
@@ -418,7 +417,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     else:
         times0 = _reduced_to_times(x_win, s_win, t_star)
         times, cost, values = optimize_structure(s_win, t_star, problem,
-                                                 seeds=polish_seeds, x0=times0)
+                                                 seeds=_POLISH_SEEDS, x0=times0)
         times, values, structure = canonicalize_bangs(times, values, t_star)
         values = tuple(float(v) for v in values)
         diag = {"singular_duration": 0.0}
@@ -427,15 +426,13 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     report = None
     if with_report:
-        report = report_near_optimum(structure, t_star, times, values, problem,
-                                     n_samples=n_samples, seeds=polish_seeds)
+        report = report_near_optimum(structure, t_star, times, values, problem)
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
                         tuple(float(v) for v in values), float(cost), report, diag)
 
 
 def report_near_optimum(structure: StructureLabel, t_star: float, times, values,
-                        problem: StatePrepProblem, shrink: float = 0.999,
-                        n_samples: int = 4001, seeds: int = 12) -> OptimalityReport:
+                        problem: StatePrepProblem, shrink: float = 0.999) -> OptimalityReport:
     """Audit the re-optimized protocol at T slightly below T*.
 
     At T* both Phi and H_oc vanish and the sign test is vacuous, so the
@@ -445,35 +442,34 @@ def report_near_optimum(structure: StructureLabel, t_star: float, times, values,
     T = shrink * t_star
     x0 = np.asarray(times, dtype=float) * shrink
     opt_times, _, opt_values = optimize_structure(structure, T, problem,
-                                                  seeds=seeds, x0=x0)
+                                                  seeds=_POLISH_SEEDS, x0=x0)
     opt_times, opt_values, _ = canonicalize_bangs(opt_times, opt_values, T)
     proto = BangSequence(T, problem.params.u_max, tuple(opt_times), tuple(opt_values))
-    return pmp.audit(proto, problem.params, problem.cost_spec(), n_samples=n_samples)
+    return pmp.audit(proto, problem.params, problem.cost_spec())
 
 
-def critical_amplitude(problem: StatePrepProblem, bracket: tuple[float, float],
-                       tol: float = 1e-2, coast_resolution: float = 1e-3,
-                       **search_kw) -> float:
+def critical_amplitude(problem: StatePrepProblem, bracket: tuple[float, float]) -> float:
     """Amplitude below which the optimal protocol loses its singular segment.
 
-    Bisects on the predicate "the time-optimal structure is BSB with a
-    singular segment longer than coast_resolution * T*".  The bracket must
-    straddle the transition (predicate true at u_hi, false at u_lo).
+    Bisects to a bracket of width 0.01 on the predicate "the time-optimal
+    structure is BSB with a singular segment longer than 1e-3 T*".  The
+    bracket must straddle the transition (predicate true at u_hi, false at
+    u_lo).
     """
     def predicate(u: float) -> bool:
         p = StatePrepProblem(problem.init, problem.target,
                              ModelParams(u_max=u, omega0=problem.params.omega0))
-        res = find_time_optimal(p, with_report=False, **search_kw)
+        res = find_time_optimal(p, with_report=False)
         if not res.found or res.structure.kind != "bsb":
             return False
-        return res.diagnostics.get("singular_duration", 0.0) > coast_resolution * res.t_star
+        return res.diagnostics.get("singular_duration", 0.0) > 1e-3 * res.t_star
 
     u_lo, u_hi = bracket
     if predicate(u_lo):
         raise ValueError("bracket does not straddle the transition: BSB already optimal at u_lo")
     if not predicate(u_hi):
         raise ValueError("bracket does not straddle the transition: BSB not optimal at u_hi")
-    while u_hi - u_lo > tol:
+    while u_hi - u_lo > 1e-2:
         mid = 0.5 * (u_lo + u_hi)
         if predicate(mid):
             u_hi = mid

@@ -10,12 +10,14 @@ refining the dip.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pmp
 from .dynamics import (
+    TARGET_TOL,
     ModelParams,
     gate_cost,
     ordered_product,
@@ -103,19 +105,16 @@ def one_param_cost(omega_eff, T: float, problem: GateProblem,
     return gate_cost(U, problem.kind)
 
 
-def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400,
-                       bracket: tuple[float, float] | None = None):
+def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
     """Globally minimize the gate cost over the switching frequency at fixed T.
 
-    Dense coarse scan, evaluated in batched blocks of frequencies, plus
-    golden-section refinement around every basin, for each admissible
-    parity; both overall protocol signs are degenerate (checked in the
-    tests), so only the canonical +1 sign is scanned.
-    Returns (omega_eff, cost, parity).
+    Dense coarse scan over [0.8 omega0, 1.1 Omega], evaluated in batched
+    blocks of frequencies, plus golden-section refinement around every
+    basin, for each admissible parity; both overall protocol signs are
+    degenerate (checked in the tests), so only the canonical +1 sign is
+    scanned.  Returns (omega_eff, cost, parity).
     """
-    if bracket is None:
-        bracket = (0.8 * problem.params.omega0, 1.1 * problem.params.big_omega)
-    ws = np.linspace(*bracket, max(3, n_scan))
+    ws = np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, n_scan)
     best = (np.inf, None, None)
     for parity in problem.parities():
         cs = np.concatenate([one_param_cost(ws[i:i + _SCAN_BLOCK], T, problem, 1.0, parity)
@@ -126,77 +125,67 @@ def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400,
     return best[1], best[0], best[2]
 
 
-def min_gate_time(problem: GateProblem, tol_fidelity: float = 1e-6,
-                  coarse: float = 0.01, resolution: float = 1e-3,
-                  scan_range: tuple[float, float] = (0.6, 1.2),
-                  n_scan: int = 400, with_report: bool = True,
-                  n_samples: int = 4001) -> GateSearchResult:
+def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
     """Smallest T at which the optimized square-wave protocol completes the gate.
 
     The optimized cost as a function of T touches -1 at isolated times, so
-    the scan (step coarse * T_Rabi) brackets candidate dips and each is
-    refined by golden section to resolution * T_Rabi; the first dip reaching
-    tol_fidelity is T*.  The optimality report is produced at 0.999 T*, where
-    lambda0 is small but nonzero.
+    a scan of [0.6, 1.2] T_Rabi in steps of 0.01 T_Rabi brackets candidate
+    dips and each is refined by golden section to 1e-3 T_Rabi; the first dip
+    with C + 1 <= TARGET_TOL is T*.  The optimality report is produced at
+    0.999 T*, where lambda0 is small but nonzero.
     """
     t_rabi = rabi_pi_time(problem.params)
-    lo, hi = scan_range[0] * t_rabi, scan_range[1] * t_rabi
-    ts = np.arange(lo, hi + 1e-12, coarse * t_rabi)
-    fs = np.empty(len(ts))
-    for i, T in enumerate(ts):
-        _, fs[i], _ = optimize_omega_eff(T, problem, n_scan=n_scan)
-
-    def f(T):
-        return optimize_omega_eff(T, problem, n_scan=n_scan)[1]
+    ts = np.arange(0.6 * t_rabi, 1.2 * t_rabi + 1e-12, 0.01 * t_rabi)
+    # golden section ends on a fresh evaluation at T*, whose frequency and
+    # parity are the result
+    scan = functools.cache(lambda T: optimize_omega_eff(T, problem))
+    fs = np.array([scan(T)[1] for T in ts])
 
     mins = [i for i in range(1, len(ts) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
-    if fs[0] <= -1.0 + tol_fidelity:
-        raise RuntimeError("gate already complete at the scan start; lower scan_range")
+    if fs[0] <= -1.0 + TARGET_TOL:
+        raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
     t_star = None
     for i in sorted(mins, key=lambda i: ts[i]):
-        T, c = golden_section(f, ts[i - 1], ts[i + 1], tol=resolution * t_rabi)
-        if c <= -1.0 + tol_fidelity:
+        T, c = golden_section(lambda T: scan(T)[1], ts[i - 1], ts[i + 1], tol=1e-3 * t_rabi)
+        if c <= -1.0 + TARGET_TOL:
             t_star = T
             break
     if t_star is None:
         raise RuntimeError(
-            f"no T in [{scan_range[0]}, {scan_range[1]}] * T_Rabi reaches the gate "
-            f"fidelity {tol_fidelity}")
+            f"no T in [0.6, 1.2] * T_Rabi reaches the gate fidelity {TARGET_TOL}")
 
     # the +/-u* degeneracy lets us return the canonical orientation (middle
     # bang at -u_max), which matches the A > 0 form of the analytical
     # switching function
-    w_opt, cost, parity = optimize_omega_eff(t_star, problem, n_scan=n_scan)
+    w_opt, cost, parity = scan(t_star)
     proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
     n_switch = len(proto.to_bang_sequence().switch_times)
 
     report = None
     if with_report:
         T_r = 0.999 * t_star
-        w_r, _, parity_r = optimize_omega_eff(T_r, problem, n_scan=n_scan)
+        w_r, _, parity_r = optimize_omega_eff(T_r, problem)
         proto_r = one_param_protocol(w_r, T_r, problem, sign=-1, parity=parity_r)
-        report = pmp.audit(proto_r, problem.params, problem.cost_spec(),
-                           n_samples=n_samples)
+        report = pmp.audit(proto_r, problem.params, problem.cost_spec())
     return GateSearchResult(t_star=float(t_star), omega_eff=float(w_opt),
                             parity=parity, sign=-1, n_switch=int(n_switch),
                             ratio=float(t_star / t_rabi), cost=float(cost),
                             protocol=proto, report=report)
 
 
-def asymptotic_ratio_model(u_max: float, kind: str = "x", n_max: int | None = None,
-                           omega0: float = 2.0, eps_scale: float = 1e-3) -> dict:
+def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:
     """Small-amplitude estimate of T*/T_Rabi from powers of a one-period block.
 
     The block is a symmetric bang-bang cell over one natural period t0:
     U(t0/4, +u) U(t0/2, -u) U(t0/4, +u) for X (the Y variant uses two half
     periods), which tends to -exp(-2i u_max sigma_x) as u_max -> 0.  The
-    smallest power N completing the gate within eps = eps_scale * u_max
-    gives ratio = N t0 / T_Rabi -> pi/4.  The N-quantization leaves an
-    O(u_max^2) cost residual, so when no power meets eps the best N is
-    reported with ``met_threshold`` False.
+    smallest power N completing the gate within eps = 1e-3 u_max gives
+    ratio = N t0 / T_Rabi -> pi/4.  The N-quantization leaves an O(u_max^2)
+    cost residual, so when no power up to 1.5 pi/(4 u_max) + 4 meets eps the
+    best N is reported with ``met_threshold`` False.
     """
-    params = ModelParams(u_max=u_max, omega0=omega0)
-    t0 = 2.0 * np.pi / omega0
+    params = ModelParams(u_max=u_max)
+    t0 = 2.0 * np.pi / params.omega0
     if kind.lower() == "x":
         durs = np.array([t0 / 4.0, t0 / 2.0, t0 / 4.0])
         vals = np.array([u_max, -u_max, u_max])
@@ -204,36 +193,30 @@ def asymptotic_ratio_model(u_max: float, kind: str = "x", n_max: int | None = No
         durs = np.array([t0 / 2.0, t0 / 2.0])
         vals = np.array([-u_max, u_max])
     block = ordered_product(segment_propagators(durs, vals, params))
-    if n_max is None:
-        n_max = int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 4
-    eps = eps_scale * u_max
+    n_max = int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 4
     P = np.eye(2, dtype=complex)
     best = (np.inf, 0)
-    hit = None
+    met = False
     for n in range(1, n_max + 1):
         P = block @ P
         c = gate_cost(P, kind)
-        if c + 1.0 <= eps and hit is None:
-            hit = (n, c)
+        if c + 1.0 <= 1e-3 * u_max:
+            met = True
             break
         if c < best[0]:
             best = (c, n)
-    if hit is not None:
-        n, c = hit
-        met = True
-    else:
+    if not met:
         c, n = best
-        met = False
     t_rabi = np.pi / u_max
     return {"n_periods": n, "ratio": n * t0 / t_rabi, "cost": float(c),
             "met_threshold": met, "block": block}
 
 
-def rabi_fidelity_curve(u_values, omega0: float = 2.0, **kw) -> list[tuple[float, float]]:
+def rabi_fidelity_curve(u_values, **kw) -> list[tuple[float, float]]:
     """Full-dynamics C_X + 1 of the resonant Rabi pi-pulse over an amplitude grid."""
     out = []
     for u in np.asarray(u_values, dtype=float):
-        params = ModelParams(u_max=float(u), omega0=omega0)
+        params = ModelParams(u_max=float(u))
         U = total_unitary(rabi_protocol(params), params, **kw)
         out.append((float(u), float(gate_cost(U, "x") + 1.0)))
     return out
