@@ -206,15 +206,47 @@ class TestCli:
 
     def test_explicit_flag_beats_config_file(self, outdir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7, "nmax": 4}))
+        cfg.write_text(json.dumps({"nmax": 4, "umax": 0.5}))
         pulse = tmp_path / "p.csv"
         write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
-        rc = main(["spectrum", "--pulse", str(pulse), "--seed", "0",
+        rc = main(["spectrum", "--pulse", str(pulse), "--nmax", "6",
                    "--config", str(cfg)])
         assert rc == 0
         record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
-        assert record["seed"] == 0 and record["config"]["seed"] == 0
-        assert record["config"]["nmax"] == 4
+        assert record["config"]["nmax"] == 6
+        assert record["config"]["umax"] == 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["xgate", "--umax", "0.5"],
+        ["sweep", "--umax", "0.45:0.5:2"],
+        ["verify", "--pulse", "p.csv", "--umax", "0.2"],
+        ["spectrum", "--pulse", "p.csv"],
+        ["repro", "fig3b"],
+    ])
+    def test_seed_rejected_where_nothing_reads_it(self, outdir, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+
+    def test_seed_recorded_only_where_read(self, outdir, tmp_path):
+        pulse = tmp_path / "p.csv"
+        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        assert main(["spectrum", "--pulse", str(pulse)]) == 0
+        record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
+        assert "seed" not in record and "seed" not in record["config"]
+        assert main(["smooth", "--scheme", "third", "--umax", "0.2",
+                     "--t-over-trabi", "0.8", "--seed", "3"]) == 3
+        record = json.loads((outdir / "smooth" / "run_record.json").read_text())
+        assert record["seed"] == 3 and record["config"]["seed"] == 3
+
+    def test_state_prep_hit_before_first_coarse_step(self, outdir, capsys):
+        # t_max = 0.2 < pi/4: the only coarse time hits, so the bisection
+        # bracket must start at 0 rather than at 0.2 - pi/4
+        rc = main(["state-prep", "--theta-init=0", "--phi-init=0", "--theta-target=0.001",
+                   "--phi-target=0", "--umax=0.2", "--tmax=0.2"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["found"] and 0.0 < payload["t_star"] <= 0.2
 
     def test_smooth_missed_gate_not_reported_converged(self, outdir, capsys):
         rc = main(["smooth", "--scheme", "third", "--umax", "0.2", "--t-over-trabi", "0.8"])

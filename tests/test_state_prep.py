@@ -209,6 +209,14 @@ class TestFindTimeOptimal:
         with pytest.raises(ValueError):
             res.protocol()
 
+    def test_hit_before_first_coarse_step_bisects_from_zero(self):
+        # the only coarse time, t_max = 0.2 < pi/4, hits; no time before it missed
+        p = StatePrepProblem(BlochPoint(0.0, 0.0), BlochPoint(0.001, 0.0),
+                             ModelParams(u_max=0.2))
+        res = find_time_optimal(p, t_max=0.2, with_report=False)
+        assert res.found and 0.0 < res.t_star <= 0.2
+        assert res.cost <= -1.0 + 1e-6
+
     def test_phi_and_hoc_vanish_jointly_at_t_star(self):
         from qoct.state_prep import report_near_optimum
         p = problem_at(0.5)
