@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library workflows; every run writes its
-artifacts plus a run_record.json (resolved config, seed, version, wall time,
-output manifest) into the output directory.  Exit codes: 0 success,
-2 validation error, 3 optimization failure.
+artifacts plus a run_record.json (resolved config, version, wall time, output
+manifest, and the seed where the subcommand takes one) into the output
+directory.  Exit codes: 0 success, 2 validation error, 3 optimization failure.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--config", default=None, action=_ConfigFile,
                         help="JSON file with defaults for this subcommand")
 
@@ -61,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=_angle, default=None)
     sp.add_argument("--structures", nargs="*", default=None,
                     help="candidates like BB-2 BB-4 BSB (default: enumerate)")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the restart draws")
     common(sp)
 
     sp = sub.add_parser("xgate", help="minimum-time gate search")
@@ -84,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--objective", default="smooth",
                     help="smooth | power | mixed:w")
     sp.add_argument("--initial", default="bb", help="bb | rabi (constrained scheme)")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the restart draws (tanh and third schemes at a fixed T)")
     common(sp)
 
     sp = sub.add_parser("verify", help="PMP audit of an external pulse file")
@@ -143,14 +145,11 @@ class _Record:
         return self.out / name
 
     def finish(self) -> Path:
-        rec = {
-            "subcommand": self.cmd,
-            "config": self.config,
-            "version": __version__,
-            "seed": self.config.get("seed", 0),
-            "duration_s": time.perf_counter() - self.t0,
-            "outputs": sorted(set(self.files)),
-        }
+        rec = {"subcommand": self.cmd, "config": self.config, "version": __version__}
+        if "seed" in self.config:  # only subcommands whose searches read it take --seed
+            rec["seed"] = self.config["seed"]
+        rec["duration_s"] = time.perf_counter() - self.t0
+        rec["outputs"] = sorted(set(self.files))
         return fileio.write_json(self.out / "run_record.json", rec)
 
 

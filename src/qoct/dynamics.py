@@ -225,9 +225,19 @@ def bloch_from_state(psi: np.ndarray) -> BlochPoint:
     return BlochPoint(theta=float(np.clip(theta, 0.0, np.pi)), phi=phi)
 
 
-def state_prep_cost(U_total: np.ndarray, init: np.ndarray, target: np.ndarray) -> float:
-    """Terminal cost -|<target| U |init>|^2, in [-1, 0]."""
-    return -abs(np.vdot(target, U_total @ init)) ** 2
+def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
+                    target: np.ndarray) -> float | np.ndarray:
+    """Terminal cost -|<target| U |init>|^2, in [-1, 0].
+
+    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  Each
+    overlap is still one ``np.vdot``: the vectorized overlaps (einsum,
+    matmul, elementwise) differ from it in the last bit.
+    """
+    final = U_total @ init
+    if final.ndim == 1:
+        return -abs(np.vdot(target, final)) ** 2
+    costs = [-abs(np.vdot(target, psi)) ** 2 for psi in final.reshape(-1, 2)]
+    return np.array(costs).reshape(final.shape[:-1])
 
 
 def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:

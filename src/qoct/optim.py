@@ -14,6 +14,8 @@ __all__ = [
     "OptimizerConfig",
     "OptimResult",
     "nelder_mead",
+    "nelder_mead_restarts",
+    "lockstep_nelder_mead",
     "scalar_minimize",
     "refine_basins",
     "golden_section",
@@ -47,81 +49,16 @@ class OptimResult:
     trace: list = field(default_factory=list)
 
 
-def _clip(x, bounds):
-    if bounds is None:
-        return x
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.minimum(np.maximum(x, lo), hi)
-
-
 def nelder_mead(f, x0, config: OptimizerConfig = OptimizerConfig()) -> OptimResult:
     """Reflect/expand/contract/shrink simplex minimization with bound clipping.
 
-    Raises RuntimeError if the objective returns NaN.
+    One lane of ``lockstep_nelder_mead``.  Raises RuntimeError if the
+    objective returns NaN.
     """
     x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    bounds = config.bounds
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-
-    def feval(x):
-        v = float(f(x))
-        if np.isnan(v):
-            raise RuntimeError(f"objective returned NaN at x={x!r}")
-        return v
-
-    # axis-aligned initial simplex; steps of 5% of each bound range when
-    # bounded, otherwise scale-aware absolute steps
-    if bounds is not None:
-        steps = np.array([0.05 * (hi - lo) if hi > lo else 0.05 for lo, hi in bounds])
-    else:
-        steps = 0.05 * np.maximum(np.abs(x0), 1.0)
-    simplex = [np.array(_clip(x0, bounds), dtype=float)]
-    for i in range(n):
-        p = simplex[0].copy()
-        p[i] += steps[i] if p[i] + steps[i] != p[i] else 1e-8
-        simplex.append(np.array(_clip(p, bounds)))
-    fvals = [feval(p) for p in simplex]
-    n_eval = n + 1
-
-    status = "max-iter"
-    for _ in range(config.max_iter):
-        order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if abs(fvals[-1] - fvals[0]) <= config.tol * (1.0 + abs(fvals[0])):
-            status = "converged"
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = _clip(centroid + alpha * (centroid - simplex[-1]), bounds)
-        fr = feval(xr)
-        n_eval += 1
-        if fvals[0] <= fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-            continue
-        if fr < fvals[0]:
-            xe = _clip(centroid + gamma * (centroid - simplex[-1]), bounds)
-            fe = feval(xe)
-            n_eval += 1
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-            continue
-        xc = _clip(centroid + rho * (simplex[-1] - centroid), bounds)
-        fc = feval(xc)
-        n_eval += 1
-        if fc < fvals[-1]:
-            simplex[-1], fvals[-1] = xc, fc
-            continue
-        for i in range(1, n + 1):
-            simplex[i] = _clip(simplex[0] + sigma * (simplex[i] - simplex[0]), bounds)
-            fvals[i] = feval(simplex[i])
-        n_eval += n
-
-    best = int(np.argmin(fvals))
-    return OptimResult(x=simplex[best], fun=fvals[best], status=status, n_eval=n_eval)
+    lo, hi = _box(config.bounds)
+    return lockstep_nelder_mead(_by_rows(f), x0[None], lo, hi,
+                                config.max_iter, config.tol)[0]
 
 
 def nelder_mead_restarts(f, x0, config: OptimizerConfig = OptimizerConfig(),
@@ -129,10 +66,12 @@ def nelder_mead_restarts(f, x0, config: OptimizerConfig = OptimizerConfig(),
     """Best of ``config.restarts`` Nelder-Mead runs from seeded start points.
 
     ``sampler(rng)`` draws additional start points; the provided ``x0`` is
-    always tried first.  Deterministic for a fixed seed.
+    always tried first.  The runs are lanes of one ``lockstep_nelder_mead``
+    call, and the first run reaching the lowest cost wins.  Deterministic for
+    a fixed seed.
     """
     rng = np.random.default_rng(config.seed)
-    best = nelder_mead(f, x0, config)
+    starts = [np.asarray(x0, dtype=float)]
     for _ in range(max(0, config.restarts - 1)):
         if sampler is not None:
             start = sampler(rng)
@@ -140,10 +79,141 @@ def nelder_mead_restarts(f, x0, config: OptimizerConfig = OptimizerConfig(),
             start = np.array([rng.uniform(lo, hi) for lo, hi in config.bounds])
         else:
             start = np.asarray(x0, dtype=float) * (1.0 + 0.3 * rng.standard_normal(len(np.atleast_1d(x0))))
-        r = nelder_mead(f, start, config)
-        if r.fun < best.fun:
-            best = r
-    return best
+        starts.append(start)
+    lo, hi = _box(config.bounds)
+    runs = lockstep_nelder_mead(_by_rows(f), np.array(starts), lo, hi,
+                                config.max_iter, config.tol)
+    return min(runs, key=lambda r: r.fun)
+
+
+def _box(bounds):
+    if bounds is None:
+        return None, None
+    return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
+
+
+def _by_rows(f):
+    """A lane objective that calls the scalar objective ``f`` on each row."""
+    return lambda X, lanes: [float(f(x)) for x in X]
+
+
+def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[OptimResult]:
+    """Nelder-Mead on B independent lanes, advanced together.
+
+    ``starts`` is (B, n); ``lo`` and ``hi`` are box bounds broadcastable to
+    (B, n), or both None for an unbounded search.  ``f(X, lanes)`` returns
+    the objective at the rows of X (m, n), row i belonging to lane
+    ``lanes[i]``.  Every reflect, expand, contract and shrink phase makes one
+    call over the lanes that need it, and each lane takes exactly the steps
+    (and gets exactly the bits) of a run on its own.  A lane stops when its
+    simplex's cost spread is at most ``tol * (1 + |best|)`` or after
+    ``max_iter`` iterations; the results come back in lane order.
+
+    Raises RuntimeError if the objective returns NaN.
+    """
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    X0 = np.array(starts, dtype=float)
+    B, n = X0.shape
+    if lo is not None:
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (B, n))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (B, n))
+        if np.any(lo > hi):
+            raise ValueError("bound lo must not exceed hi")
+
+    def clip(x, lanes):
+        if lo is None:
+            return x
+        return np.minimum(np.maximum(x, lo[lanes]), hi[lanes])
+
+    def feval(X, lanes):
+        v = np.asarray(f(X, lanes), dtype=float)
+        if np.any(np.isnan(v)):
+            raise RuntimeError(f"objective returned NaN at x={X[np.argmax(np.isnan(v))]!r}")
+        return v
+
+    # axis-aligned initial simplex; steps of 5% of each bound range when
+    # bounded, otherwise scale-aware absolute steps
+    lanes = np.arange(B)
+    if lo is not None:
+        steps = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
+    else:
+        steps = 0.05 * np.maximum(np.abs(X0), 1.0)
+    base = clip(X0, lanes)
+    S = np.repeat(base[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    S[:, diag + 1, diag] = clip(base + np.where(base + steps != base, steps, 1e-8), lanes)
+    F = feval(S.reshape(B * (n + 1), n), np.repeat(lanes, n + 1)).reshape(B, n + 1)
+    n_eval = np.full(B, n + 1)
+
+    x_out = np.empty((B, n))
+    f_out = np.empty(B)
+    n_eval_out = np.empty(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+
+    def retire(done, conv):
+        # a finished lane reports its best vertex, the first on ties
+        best = np.argmin(F[done], axis=1)
+        x_out[lanes[done]] = S[done, best]
+        f_out[lanes[done]] = F[done, best]
+        n_eval_out[lanes[done]] = n_eval[done]
+        converged[lanes[done]] = conv
+
+    for _ in range(max_iter):
+        order = np.argsort(F, axis=1)
+        rows = np.arange(len(F))[:, None]
+        F, S = F[rows, order], S[rows, order]
+        keep = np.abs(F[:, -1] - F[:, 0]) > tol * (1.0 + np.abs(F[:, 0]))
+        if not keep.all():
+            retire(~keep, True)
+            S, F, n_eval, lanes = S[keep], F[keep], n_eval[keep], lanes[keep]
+            if not lanes.size:
+                break
+        centroid = np.mean(S[:, :-1], axis=1)
+        worst = S[:, -1]
+        xr = clip(centroid + alpha * (centroid - worst), lanes)
+        fr = feval(xr, lanes)
+        n_eval += 1
+        # each lane's replacement for its worst vertex: the reflection when
+        # f0 <= fr < f[-2], else the better of expansion and reflection when
+        # fr < f0, else the contraction if it beats the worst; a lane whose
+        # contraction fails shrinks toward its best vertex instead
+        expand = np.flatnonzero(fr < F[:, 0])
+        contract = np.flatnonzero(fr >= F[:, -2])
+        x_new, f_new = xr, fr
+        if expand.size:
+            c, ln = centroid[expand], lanes[expand]
+            xe = clip(c + gamma * (c - worst[expand]), ln)
+            fe = feval(xe, ln)
+            n_eval[expand] += 1
+            better = fe < fr[expand]
+            x_new[expand[better]] = xe[better]
+            f_new[expand[better]] = fe[better]
+        shrink = contract[:0]
+        if contract.size:
+            c, ln = centroid[contract], lanes[contract]
+            xc = clip(c + rho * (worst[contract] - c), ln)
+            fc = feval(xc, ln)
+            n_eval[contract] += 1
+            ok = fc < F[contract, -1]
+            x_new[contract[ok]] = xc[ok]
+            f_new[contract[ok]] = fc[ok]
+            shrink = contract[~ok]
+        replace = np.ones(len(lanes), dtype=bool)
+        replace[shrink] = False
+        S[replace, -1] = x_new[replace]
+        F[replace, -1] = f_new[replace]
+        if shrink.size:
+            ln = np.repeat(lanes[shrink], n)
+            b = S[shrink, :1]
+            P = clip((b + sigma * (S[shrink, 1:] - b)).reshape(-1, n), ln)
+            S[shrink, 1:] = P.reshape(-1, n, n)
+            F[shrink, 1:] = feval(P, ln).reshape(-1, n)
+            n_eval[shrink] += n
+    if lanes.size:
+        retire(np.ones(len(lanes), dtype=bool), False)
+    return [OptimResult(x=x_out[b], fun=float(f_out[b]),
+                        status="converged" if converged[b] else "max-iter",
+                        n_eval=int(n_eval_out[b])) for b in range(B)]
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -24,7 +24,6 @@ from .dynamics import (
     state_from_bloch,
     state_prep_cost,
 )
-from .optim import OptimizerConfig
 from .pmp import CostSpec, OptimalityReport
 from .protocols import BangSequence
 
@@ -132,25 +131,33 @@ def canonicalize_bangs(times, values, T: float):
     return switch_times, out_vals, label
 
 
-def _bang_cost(times, values, T: float, psi_i, psi_t, params: ModelParams) -> float:
-    """State-prep cost of the segments between 0, the switch times and T.
+def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarray:
+    """State-prep costs of B bang sequences, one per row.
 
-    Unordered or out-of-range times are repaired (sorted and clipped) rather
-    than penalized, so simplex optimizers see a continuous landscape.
+    Row b switches at ``times[b]`` between the segment values ``values[b]``
+    over [0, T[b]].  Unordered or out-of-range times are repaired (sorted and
+    clipped) rather than penalized, so simplex optimizers see a continuous
+    landscape.  A row with fewer switchings is padded at the end with times
+    at T[b]: its padded segments last zero time, are exact identities, and
+    leave the row's cost bit for bit as it is unpadded.
     """
+    T = np.asarray(T, dtype=float)[:, None]
     # ndarray.clip and the slice difference: np.clip's and np.diff's dispatch
     # cost as much as the arithmetic here
-    times = np.sort(np.asarray(times, dtype=float).clip(0.0, T))
-    bounds = np.concatenate([[0.0], times, [T]])
-    U = ordered_product(segment_propagators(bounds[1:] - bounds[:-1], values, params))
-    return state_prep_cost(U, psi_i, psi_t)
+    times = np.sort(np.asarray(times, dtype=float).clip(0.0, T), axis=1)
+    bounds = np.concatenate([np.zeros_like(T), times, T], axis=1)
+    durs = bounds[:, 1:] - bounds[:, :-1]
+    values = np.asarray(values, dtype=float)
+    return state_prep_cost(ordered_product(segment_propagators(durs.T, values.T, params)),
+                           psi_i, psi_t)
 
 
 def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> float:
     """Terminal cost of a piecewise-constant protocol given interior switch times."""
     psi_i, psi_t = problem.states()
-    return _bang_cost(times, np.asarray(values, dtype=float), T, psi_i, psi_t,
-                      problem.params)
+    return float(_bang_costs(np.asarray(times, dtype=float)[None], [T],
+                             np.asarray(values, dtype=float)[None], psi_i, psi_t,
+                             problem.params)[0])
 
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
@@ -158,8 +165,9 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     """Best switch times for a structure at fixed T, by restarted Nelder-Mead.
 
     Switch times are free variables (with sort/clip repair); for BSB both
-    trailing-bang signs are tried.  Returns (times, cost, segment values),
-    deterministic.
+    trailing-bang signs are tried.  The restarts of every sign are lanes of
+    one lockstep Nelder-Mead, and the first lane reaching the lowest cost
+    wins.  Returns (times, cost, segment values), deterministic.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
@@ -173,26 +181,27 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
 
     if k == 0:
         vals = value_sets[0]
-        cost = _bang_cost(np.empty(0), vals, T, psi_i, psi_t, params)
-        return np.empty(0), cost, tuple(vals)
-
-    cfg = OptimizerConfig(max_iter=2000, tol=1e-10, restarts=seeds,
-                          bounds=tuple((0.0, T) for _ in range(k)))
+        return np.empty(0), cost_of_switchings((), vals, T, problem), tuple(vals)
 
     def sampler(rng):
         return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
 
-    best = (np.inf, None, None)
-    for values in value_sets:
-        def obj(x, values=values):
-            return _bang_cost(x, values, T, psi_i, psi_t, params)
-        start = (np.asarray(x0, dtype=float) if x0 is not None
-                 else sampler(np.random.default_rng(1)))
-        r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
-        if r.fun < best[0]:
-            best = (r.fun, np.sort(np.clip(r.x, 0.0, T)), values)
-    cost, times, values = best
-    return times, cost, tuple(float(v) for v in values)
+    start = (np.asarray(x0, dtype=float) if x0 is not None
+             else sampler(np.random.default_rng(1)))
+    starts = []
+    for _ in value_sets:
+        rng = np.random.default_rng(0)
+        starts += [start] + [sampler(rng) for _ in range(seeds - 1)]
+    lane_values = np.repeat(value_sets, len(starts) // len(value_sets), axis=0)
+    lane_T = np.full(len(starts), T)
+
+    def obj(X, lanes):
+        return _bang_costs(X, lane_T[lanes], lane_values[lanes], psi_i, psi_t, params)
+
+    runs = optim.lockstep_nelder_mead(obj, starts, 0.0, T, 2000, 1e-10)
+    best = min(range(len(runs)), key=lambda i: runs[i].fun)
+    times = np.sort(np.clip(runs[best].x, 0.0, T))
+    return times, runs[best].fun, tuple(float(v) for v in lane_values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -284,42 +293,86 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
     return out
 
 
-def _reduced_cost(x, structure: StructureLabel, T: float, psi_i, psi_t,
-                  params: ModelParams) -> float:
-    """Cost in the equal-middle-bang form (t0, tbar), exact for BB extremals."""
-    vals = _bb_values(structure.n_switch, structure.lead_sign, params.u_max)
-    return _bang_cost(_reduced_to_times(x, structure, T), vals, T, psi_i, psi_t, params)
+# Nelder-Mead restarts per structure at each time of the T* scan and bisection
+_SCAN_RESTARTS = 6
+
+
+def _reduced_times(X, ks, T) -> np.ndarray:
+    """Switch times of reduced coordinates, one row per row of X.
+
+    One column is the single switch time of BB-1; two are (t0, tbar), the
+    equal-middle-bang form t0 + j tbar (j < k), exact for BB extremals, whose
+    rows are padded with T to the largest k.  The times are neither sorted
+    nor clipped: ``_bang_costs`` does both.
+    """
+    if X.shape[1] < 2:
+        return X
+    j = np.arange(np.max(ks))
+    return np.where(j < ks[:, None], X[:, :1] + X[:, 1:] * j, T[:, None])
 
 
 def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
-    k = structure.n_switch
-    if k == 0:
-        return np.empty(0)
-    if k == 1:
-        return np.asarray(x, dtype=float).clip(0.0, T)
-    t0, tbar = x
-    return np.sort((t0 + tbar * np.arange(k)).clip(0.0, T))
+    times = _reduced_times(np.asarray(x, dtype=float)[None], np.array([structure.n_switch]),
+                           np.array([T]))[0]
+    return np.sort(times.clip(0.0, T))
 
 
-def _scan_optimum(structure: StructureLabel, T: float, problem: StatePrepProblem,
-                  psi_i, psi_t, warm, seed: int):
-    k = structure.n_switch
-    if k == 0:
-        return np.empty(0), _reduced_cost(np.empty(0), structure, T, psi_i, psi_t,
-                                          problem.params)
-    if k == 1:
-        bounds = ((0.0, T),)
-        sampler = lambda rng: rng.uniform(0.0, T, 1)
-    else:
-        bounds = ((0.0, T), (1e-9, T / (k - 1)))
-        sampler = lambda rng: np.array([rng.uniform(0.0, T / (k + 1)),
-                                        rng.uniform(0.3, 1.0) * T / (k - 1)])
-    cfg = OptimizerConfig(max_iter=1500, tol=1e-12, restarts=6, seed=seed,
-                          bounds=bounds)
-    obj = lambda x: _reduced_cost(x, structure, T, psi_i, psi_t, problem.params)
-    x0 = warm if warm is not None else sampler(np.random.default_rng(seed))
-    r = optim.nelder_mead_restarts(obj, x0, cfg, sampler=sampler)
-    return r.x, r.fun
+def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
+                 problem: StatePrepProblem, seed: int) -> list[tuple[np.ndarray, float]]:
+    """Best reduced coordinates and cost of each BB structure at its own T.
+
+    A structure's _SCAN_RESTARTS Nelder-Mead runs start from its warm start
+    (or a seeded draw) and then from seeded draws.  The runs of all
+    structures are lanes of one lockstep call per coordinate count: BB-1 in
+    its switch time, k >= 2 in (t0, tbar).  BB-0 has nothing to optimize.
+    """
+    psi_i, psi_t = problem.states()
+    params = problem.params
+    out = [None] * len(structures)
+    zero = [j for j, s in enumerate(structures) if s.n_switch == 0]
+    if zero:
+        costs = _bang_costs(np.empty((len(zero), 0)), [Ts[j] for j in zero],
+                            [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero],
+                            psi_i, psi_t, params)
+        for j, c in zip(zero, costs):
+            out[j] = (np.empty(0), float(c))
+    for dim in (1, 2):
+        group = [j for j, s in enumerate(structures) if min(s.n_switch, 2) == dim]
+        if not group:
+            continue
+        kmax = max(structures[j].n_switch for j in group)
+        starts, lo, hi, lane_values = [], [], [], []
+        for j in group:
+            s, T, k = structures[j], Ts[j], structures[j].n_switch
+            if dim == 1:
+                box = ((0.0,), (T,))
+                sampler = lambda rng, T=T: rng.uniform(0.0, T, 1)
+            else:
+                box = ((0.0, 1e-9), (T, T / (k - 1)))
+                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
+                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
+            rng = np.random.default_rng(seed)
+            starts.append(warms[j] if warms[j] is not None
+                          else sampler(np.random.default_rng(seed)))
+            starts += [sampler(rng) for _ in range(_SCAN_RESTARTS - 1)]
+            lo += [box[0]] * _SCAN_RESTARTS
+            hi += [box[1]] * _SCAN_RESTARTS
+            values = np.pad(_bb_values(k, s.lead_sign, params.u_max), (0, kmax - k), mode="edge")
+            lane_values += [values] * _SCAN_RESTARTS
+        lane_T = np.repeat([Ts[j] for j in group], _SCAN_RESTARTS)
+        lane_k = np.repeat([structures[j].n_switch for j in group], _SCAN_RESTARTS)
+        lane_values = np.array(lane_values)
+
+        def obj(X, lanes):
+            times = _reduced_times(X, lane_k[lanes], lane_T[lanes])
+            return _bang_costs(times, lane_T[lanes], lane_values[lanes, :times.shape[1] + 1],
+                               psi_i, psi_t, params)
+
+        runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
+        for i, j in enumerate(group):
+            r = min(runs[i * _SCAN_RESTARTS:(i + 1) * _SCAN_RESTARTS], key=lambda r: r.fun)
+            out[j] = (r.x, r.fun)
+    return out
 
 
 def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel] | None = None,
@@ -336,7 +389,6 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     toward fewer switchings.
     """
     params = problem.params
-    psi_i, psi_t = problem.states()
     if t_max is None:
         t_max = np.pi + np.pi / params.u_max
     coarse_step = 0.25 * np.pi
@@ -344,7 +396,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     if structures is None:
         structures = _default_structures(problem, t_max)
-    bb_structs = [s for s in structures if s.kind == "bb"]
+    bb_structs = list(dict.fromkeys(s for s in structures if s.kind == "bb"))
     want_bsb = any(s.kind == "bsb" for s in structures)
 
     bsb = best_bsb(problem) if want_bsb else None
@@ -358,38 +410,47 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     warm: dict = {}
     hits: dict = {}
     T_hit = None
+    T_miss = 0.0  # the last coarse time that missed
     for j in range(1, int(np.ceil(t_max / coarse_step)) + 1):
         T = min(j * coarse_step, t_max)
         kmax_here = math.ceil(params.omega0 * T / np.pi) + 2
-        for s in bb_structs:
-            if s.n_switch > kmax_here:
-                continue
-            key = (s.n_switch, s.lead_sign)
-            x, c = _scan_optimum(s, T, problem, psi_i, psi_t, warm.get(key), seed)
+        scan = [s for s in bb_structs if s.n_switch <= kmax_here]
+        keys = [(s.n_switch, s.lead_sign) for s in scan]
+        optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
+                              problem, seed)
+        for s, key, (x, c) in zip(scan, keys, optima):
             warm[key] = x
             if c <= -1.0 + TARGET_TOL:
                 hits[key] = (s, x)
         if hits or bsb_T <= T:
             T_hit = T
             break
+        T_miss = T
 
     candidates = []  # (t_star, effective n_switch, bsb_last, structure-or-None, payload)
     if T_hit is not None:
-        for s, x_hit in hits.values():
-            lo, hi = T_hit - coarse_step, T_hit
-            x_best = np.asarray(x_hit, dtype=float)
-            while hi - lo > resolution:
-                mid = 0.5 * (lo + hi)
-                x, c = _scan_optimum(s, mid, problem, psi_i, psi_t,
-                                     x_best * (mid / hi), seed)
+        # every hit bisects from the last coarse time that missed (on the
+        # grid, T_hit - coarse_step is that time with the bits it always had);
+        # the hits step together, each at its own midpoint
+        found = list(hits.values())
+        lo = [T_hit - coarse_step if T_hit == j * coarse_step else T_miss] * len(found)
+        hi = [T_hit] * len(found)
+        x_best = [np.asarray(x, dtype=float) for _, x in found]
+        while steps := [i for i in range(len(found)) if hi[i] - lo[i] > resolution]:
+            mids = [0.5 * (lo[i] + hi[i]) for i in steps]
+            optima = _scan_optima([found[i][0] for i in steps], mids,
+                                  [x_best[i] * (mid / hi[i]) for i, mid in zip(steps, mids)],
+                                  problem, seed)
+            for i, mid, (x, c) in zip(steps, mids, optima):
                 if c <= -1.0 + TARGET_TOL:
-                    hi, x_best = mid, np.asarray(x, dtype=float)
+                    hi[i], x_best[i] = mid, np.asarray(x, dtype=float)
                 else:
-                    lo = mid
-            _, _, eff = canonicalize_bangs(_reduced_to_times(x_best, s, hi),
+                    lo[i] = mid
+        for (s, _), t_hi, x in zip(found, hi, x_best):
+            _, _, eff = canonicalize_bangs(_reduced_to_times(x, s, t_hi),
                                            _bb_values(s.n_switch, s.lead_sign, params.u_max),
-                                           hi)
-            candidates.append((hi, eff.n_switch, 1, s, x_best))
+                                           t_hi)
+            candidates.append((t_hi, eff.n_switch, 1, s, x))
     if bsb is not None and bsb_T <= t_max:
         candidates.append((bsb_T, 2, 0, None, bsb))
 

@@ -5,6 +5,7 @@ import pytest
 from qoct.optim import (
     OptimizerConfig,
     golden_section,
+    lockstep_nelder_mead,
     nelder_mead,
     nelder_mead_restarts,
     projected_gradient,
@@ -55,6 +56,90 @@ class TestNelderMead:
     def test_status_reported(self):
         r = nelder_mead(quadratic, np.zeros(2), OptimizerConfig(max_iter=3))
         assert r.status == "max-iter"
+
+
+def lane_objectives(n):
+    """Per-lane scalar objectives: shifted quadratics, Rosenbrock-like valleys,
+    sines and rugged bowls (whose simplexes shrink, several lanes at once)."""
+    rng = np.random.default_rng(n)
+    out = []
+    for i in range(8):
+        c = rng.uniform(-1.5, 1.5, n)
+        if i % 4 == 0:
+            out.append(lambda x, c=c: float(np.sum((np.asarray(x) - c) ** 2)))
+        elif i % 4 == 1:
+            out.append(lambda x, c=c: float(np.sum(100.0 * (x - c) ** 2 * (1 + x[0] ** 2))
+                                             + (1.0 - x[0]) ** 2))
+        elif i % 4 == 2:
+            out.append(lambda x, c=c: float(np.sum(np.sin(3.0 * x + c)) + 0.1 * np.sum(x ** 2)))
+        else:
+            out.append(lambda x, c=c: float(np.sum(np.cos(37.0 * (x - c)) + 0.5 * (x - c) ** 2)))
+    return out
+
+
+class TestLockstep:
+    """Lanes advanced together take the steps and bits of each lane run alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_lanes_equal_single_runs(self, n):
+        fs = lane_objectives(n)
+        rng = np.random.default_rng(10 + n)
+        starts = rng.uniform(-1.0, 1.0, (len(fs), n))
+        lo = np.repeat(rng.uniform(-2.0, -0.5, (len(fs), 1)), n, axis=1)
+        hi = rng.uniform(0.2, 2.0, (len(fs), n))
+        hi[1, 0] = lo[1, 0]  # a degenerate box side
+        # the rugged lanes twice, so that lanes shrink in the same iteration
+        twins = np.arange(3, len(fs), 4)
+        fs += [fs[b] for b in twins]
+        starts, lo, hi = (np.vstack([a, a[twins]]) for a in (starts, lo, hi))
+        max_iter = {1: 15, 2: 40, 3: 60}[n]  # some lanes converge, the others hit the cap
+
+        def f(X, lanes):
+            return [fs[b](x) for x, b in zip(X, lanes)]
+
+        runs = lockstep_nelder_mead(f, starts, lo, hi, max_iter, 1e-10)
+        assert {r.status for r in runs} == {"converged", "max-iter"}
+        for b, r in enumerate(runs):
+            cfg = OptimizerConfig(max_iter=max_iter, tol=1e-10,
+                                  bounds=tuple(zip(lo[b], hi[b])))
+            alone = nelder_mead(fs[b], starts[b], cfg)
+            assert np.array_equal(r.x, alone.x)
+            assert r.fun == alone.fun
+            assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
+            assert np.all(r.x >= lo[b]) and np.all(r.x <= hi[b])
+
+    def test_unbounded_lanes_equal_single_runs(self):
+        fs = lane_objectives(2)
+        starts = np.random.default_rng(3).uniform(-1.0, 1.0, (len(fs), 2))
+        runs = lockstep_nelder_mead(lambda X, lanes: [fs[b](x) for x, b in zip(X, lanes)],
+                                    starts, None, None, 200, 1e-12)
+        for b, r in enumerate(runs):
+            alone = nelder_mead(fs[b], starts[b], OptimizerConfig(max_iter=200, tol=1e-12))
+            assert np.array_equal(r.x, alone.x) and r.fun == alone.fun
+            assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
+
+    def test_nan_in_one_lane_aborts(self):
+        def f(X, lanes):
+            return [np.nan if b == 2 else float(np.sum(x ** 2)) for x, b in zip(X, lanes)]
+        with pytest.raises(RuntimeError):
+            lockstep_nelder_mead(f, np.ones((4, 2)), -3.0, 3.0, 100, 1e-10)
+
+    def test_inverted_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            lockstep_nelder_mead(lambda X, lanes: [0.0] * len(X), np.zeros((2, 1)),
+                                 [[0.0], [0.5]], [[1.0], [0.4]], 10, 1e-10)
+
+    def test_restarts_return_first_lane_at_the_minimum(self):
+        # every restart ends on the flat floor |x| <= 0.5, each at its own x
+        def f(x):
+            return float(max(abs(x[0]) - 0.5, 0.0))
+        cfg = OptimizerConfig(restarts=5, seed=2, bounds=((-3.0, 3.0),))
+        best = nelder_mead_restarts(f, np.array([2.5]), cfg)
+        rng = np.random.default_rng(2)
+        starts = [np.array([2.5])] + [np.array([rng.uniform(-3.0, 3.0)]) for _ in range(4)]
+        runs = [nelder_mead(f, s, cfg) for s in starts]
+        assert len({float(r.x[0]) for r in runs}) > 1 and {r.fun for r in runs} == {0.0}
+        assert np.array_equal(best.x, runs[0].x)
 
 
 def rosenbrock_3(x):

@@ -1,13 +1,18 @@
 """State-preparation search: switching-time costs, structures, BSB geometry."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoct.dynamics import (
     BlochPoint,
     ModelParams,
     bloch_from_state,
+    ordered_product,
     propagate,
+    segment_propagators,
     state_from_bloch,
+    state_prep_cost,
 )
 from qoct.optim import golden_section
 from qoct.state_prep import (
@@ -20,6 +25,7 @@ from qoct.state_prep import (
     find_time_optimal,
     optimize_structure,
     _axis_rate,
+    _bang_costs,
     _bloch_vec,
     _equator_angles,
     _rot,
@@ -64,6 +70,45 @@ class TestCostOfSwitchings:
             psi = np.linalg.matrix_power(step, n) @ psi
         c_ref = -abs(np.vdot(p.states()[1], psi)) ** 2
         assert abs(c - c_ref) < 1e-8
+
+
+lane = st.tuples(
+    st.integers(0, 9),                        # switch count
+    st.floats(0.05, 12.0),                    # T
+    st.lists(st.floats(-0.2, 1.2), min_size=9, max_size=9),  # times / T, some clipped
+    st.lists(st.sampled_from([1.0, -1.0, 0.0]), min_size=10, max_size=10),
+)
+
+
+class TestBangKernel:
+    """Batched costs equal the per-lane scalar path bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(lane, min_size=1, max_size=7), st.integers(0, 4),
+           st.floats(0.05, 1.5), st.floats(0.0, np.pi), st.floats(0.0, np.pi),
+           st.floats(-3.0, 3.0))
+    def test_padded_lanes_equal_scalar_path(self, lanes, extra, u_max, th_i, th_t, ph):
+        params = ModelParams(u_max=u_max)
+        psi_i = state_from_bloch(BlochPoint(th_i, 0.0))
+        psi_t = state_from_bloch(BlochPoint(th_t, ph))
+        K = max(k for k, *_ in lanes) + extra  # padding beyond the longest lane too
+        times = np.empty((len(lanes), K))
+        values = np.empty((len(lanes), K + 1))
+        refs, units = [], []
+        for b, (k, T, frac, signs) in enumerate(lanes):
+            t = T * np.array(frac[:k])
+            v = u_max * np.array(signs[:k + 1])
+            times[b] = np.concatenate([t, np.full(K - k, T)])
+            values[b] = np.concatenate([v, np.full(K - k, v[-1])])
+            bounds = np.concatenate([[0.0], np.sort(t.clip(0.0, T)), [T]])
+            U = ordered_product(segment_propagators(np.diff(bounds), v, params))
+            units.append(U)
+            refs.append(state_prep_cost(U, psi_i, psi_t))
+        Ts = [T for _, T, _, _ in lanes]
+        costs = _bang_costs(times, Ts, values, psi_i, psi_t, params)
+        assert costs.tolist() == refs
+        stacked = state_prep_cost(np.array(units), psi_i, psi_t)
+        assert stacked.shape == (len(lanes),) and stacked.tolist() == refs
 
 
 class TestOptimizeStructure:
