@@ -173,21 +173,20 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
         xr = clip(centroid + alpha * (centroid - worst), lanes)
         fr = feval(xr, lanes)
         n_eval += 1
-        # each lane's replacement for its worst vertex: the reflection when
-        # f0 <= fr < f[-2], else the better of expansion and reflection when
-        # fr < f0, else the contraction if it beats the worst; a lane whose
-        # contraction fails shrinks toward its best vertex instead
+        # (xr, fr) becomes each lane's replacement for its worst vertex: the
+        # reflection when f0 <= fr < f[-2], else the better of expansion and
+        # reflection when fr < f0, else the contraction if it beats the worst;
+        # a lane whose contraction fails shrinks toward its best vertex instead
         expand = np.flatnonzero(fr < F[:, 0])
         contract = np.flatnonzero(fr >= F[:, -2])
-        x_new, f_new = xr, fr
         if expand.size:
             c, ln = centroid[expand], lanes[expand]
             xe = clip(c + gamma * (c - worst[expand]), ln)
             fe = feval(xe, ln)
             n_eval[expand] += 1
             better = fe < fr[expand]
-            x_new[expand[better]] = xe[better]
-            f_new[expand[better]] = fe[better]
+            xr[expand[better]] = xe[better]
+            fr[expand[better]] = fe[better]
         shrink = contract[:0]
         if contract.size:
             c, ln = centroid[contract], lanes[contract]
@@ -195,13 +194,13 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
             fc = feval(xc, ln)
             n_eval[contract] += 1
             ok = fc < F[contract, -1]
-            x_new[contract[ok]] = xc[ok]
-            f_new[contract[ok]] = fc[ok]
+            xr[contract[ok]] = xc[ok]
+            fr[contract[ok]] = fc[ok]
             shrink = contract[~ok]
         replace = np.ones(len(lanes), dtype=bool)
         replace[shrink] = False
-        S[replace, -1] = x_new[replace]
-        F[replace, -1] = f_new[replace]
+        S[replace, -1] = xr[replace]
+        F[replace, -1] = fr[replace]
         if shrink.size:
             ln = np.repeat(lanes[shrink], n)
             b = S[shrink, :1]
