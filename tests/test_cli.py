@@ -123,6 +123,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["structure"] == "BSB"
 
+    def test_state_prep_trajectory_runs_from_initial_to_target(self, outdir):
+        rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
+                   "--theta-target", "0.35pi", "--phi-target", "1pi",
+                   "--umax", "0.85"])
+        assert rc == 0
+        rows = (outdir / "state-prep" / "trajectory.csv").read_text().splitlines()[1:]
+        path = np.array([[float(c) for c in r.split(",")] for r in rows])
+
+        def bloch_vec(theta, phi):
+            return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                             np.cos(theta)])
+
+        first = bloch_vec(*path[0, 1:])
+        last = bloch_vec(*path[-1, 1:])
+        assert path[0, 0] == 0.0
+        np.testing.assert_allclose(first, bloch_vec(0.7 * np.pi, 0.0), atol=1e-10)
+        assert np.linalg.norm(last - bloch_vec(0.35 * np.pi, np.pi)) < 1e-4
+
     def test_verify_rabi_pulse_not_extremal(self, outdir, rabi_csv, capsys):
         rc = main(["verify", "--pulse", str(rabi_csv), "--umax", "0.2",
                    "--cost", "x"])

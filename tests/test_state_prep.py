@@ -29,6 +29,7 @@ from qoct.state_prep import (
     _bloch_vec,
     _equator_angles,
     _rot,
+    _scan_optima,
 )
 
 DEFAULT_INIT = BlochPoint(0.7 * np.pi, 0.0)
@@ -109,6 +110,31 @@ class TestBangKernel:
         assert costs.tolist() == refs
         stacked = state_prep_cost(np.array(units), psi_i, psi_t)
         assert stacked.shape == (len(lanes),) and stacked.tolist() == refs
+
+
+class TestScanLanes:
+    @pytest.mark.parametrize("warm", [False, True], ids=["seeded", "warm"])
+    def test_no_two_lanes_of_a_structure_share_a_start(self, warm, monkeypatch):
+        from qoct import optim
+        seen = []
+        lockstep = optim.lockstep_nelder_mead
+
+        def spy(f, starts, lo, hi, max_iter, tol):
+            seen.append(np.array(starts, dtype=float))
+            return lockstep(f, starts, lo, hi, max_iter, tol)
+
+        monkeypatch.setattr(optim, "lockstep_nelder_mead", spy)
+        p = problem_at(0.3)
+        T = 2.0 * np.pi
+        for s in (StructureLabel("bb", 1, 1), StructureLabel("bb", 2, -1),
+                  StructureLabel("bb", 4, 1)):
+            start = None
+            if warm:
+                start = np.array([0.3]) if s.n_switch == 1 else np.array([0.2, 0.9])
+            seen.clear()
+            _scan_optima([s], [T], [start], p, seed=0)
+            (starts,) = seen
+            assert len(np.unique(starts, axis=0)) == len(starts), str(s)
 
 
 class TestOptimizeStructure:
