@@ -190,7 +190,7 @@ def cmd_state_prep(args) -> int:
     if res.found:
         proto = res.protocol()
         fileio.write_pulse_csv(rec.path("pulse.csv"), proto)
-        traj = propagate(proto, params, n_samples=2001)
+        traj = propagate(proto, params, problem.states()[0], n_samples=2001)
         rows = []
         for t, psi in zip(traj.times, traj.states):
             b = bloch_from_state(psi)

@@ -96,7 +96,7 @@ class Trajectory:
     """States sampled on a uniform time grid plus the total evolution operator."""
 
     times: np.ndarray
-    states: np.ndarray  # (n, 2) complex
+    states: np.ndarray  # (n, 2) or, for a block of m states, (n, 2, m) complex
     total: np.ndarray  # (2, 2) complex
 
     @property
@@ -148,15 +148,16 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     return units[0]
 
 
-def prefix_states(units: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """States entering each segment: row k is U[k-1] @ ... @ U[0] @ psi0.
+def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """States entering each segment: row k is U[k-1] @ ... @ U[0] @ initial.
 
-    Returns n+1 rows for n segments, the last being the final state.  The
-    adjoint sweep is the same recursion run backward on the daggers:
-    ``prefix_states(U.conj().transpose(0, 2, 1)[::-1], lam_T)[::-1]``.
+    ``initial`` is one state (2,) or a block of states (2, m); the 2x2
+    identity gives the prefix unitaries P_k themselves.  Returns n+1 rows
+    for n segments, the last being the final state or block.
     """
-    states = np.empty((len(units) + 1, 2), dtype=complex)
-    states[0] = psi0
+    initial = np.asarray(initial, dtype=complex)
+    states = np.empty((len(units) + 1,) + initial.shape, dtype=complex)
+    states[0] = initial
     for k in range(len(units)):
         states[k + 1] = units[k] @ states[k]
     return states
@@ -169,29 +170,29 @@ def total_unitary(protocol: Protocol, params: ModelParams,
     return ordered_product(segment_propagators(durs, vals, params))
 
 
-def propagate(protocol: Protocol, params: ModelParams,
-              initial: np.ndarray | None = None, n_samples: int = 2001,
+def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
+              n_samples: int = 2001,
               points_per_pi: int = DEFAULT_POINTS_PER_PI) -> Trajectory:
-    """Propagate a state through a protocol, sampling it on a uniform grid.
+    """Propagate a state (2,) or a block of states (2, m) on a uniform grid.
 
     Piecewise-constant protocols are integrated exactly; within each segment
     the sampled states are U(t - t_seg, u_seg) applied to the segment-entry
-    state, so there is no time-stepping error anywhere.
+    state, so there is no time-stepping error anywhere.  The identity as
+    ``initial`` samples the evolution operator U(t) itself.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    psi0 = KET_0 if initial is None else np.asarray(initial, dtype=complex)
     durs, vals = segment_durations_values(protocol, points_per_pi)
     units = segment_propagators(durs, vals, params)
 
     bounds = np.concatenate([[0.0], np.cumsum(durs)])
     bounds[-1] = protocol.T
-    entry = prefix_states(units, psi0)
+    entry = prefix_states(units, initial)
 
     times = np.linspace(0.0, protocol.T, n_samples)
     seg = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(durs) - 1)
     local = segment_propagators(times - bounds[seg], vals[seg], params)
-    states = np.einsum("nij,nj->ni", local, entry[seg])
+    states = np.einsum("nij,nj...->ni...", local, entry[seg])
     return Trajectory(times=times, states=states, total=ordered_product(units))
 
 

@@ -11,9 +11,13 @@ The first-order optimality conditions used throughout:
   W^2 = omega0^2 + 4 u_max^2, which makes Phi a piecewise cosine whose zeros
   are spaced by pi/omega_eff.
 
-Gate costs involve the two forward trajectories from |0> and |1>; their
-switching functions and control-Hamiltonians add, because the cost gradient
-is additive over trajectories.
+Forward and adjoint states are both taken from the prefix unitaries
+P_k = U_(k-1) ... U_0 of one propagation: the forward states are P_k psi(0)
+and, since the adjoint obeys the same Schroedinger equation, the adjoints
+are P_k P_n^dag lambda(T).  A state-prep cost has one trajectory; a gate
+cost has the two from |0> and |1>, handled as the columns of a (2, 2) block,
+and their switching functions and control-Hamiltonians add, because the cost
+gradient is additive over trajectories.
 """
 from __future__ import annotations
 
@@ -25,11 +29,9 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import (
-    KET_0,
-    KET_1,
+    SIGMA_0,
     BlochPoint,
     ModelParams,
-    Trajectory,
     prefix_states,
     propagate,
     segment_propagators,
@@ -39,9 +41,7 @@ from .protocols import Protocol, Sampled, segment_durations_values
 __all__ = [
     "CostSpec",
     "OptimalityReport",
-    "forward_trajectories",
     "terminal_adjoints",
-    "adjoint_trajectories",
     "switching_function",
     "control_hamiltonian",
     "cost_and_gradient",
@@ -70,31 +70,23 @@ class CostSpec:
         if kind == "sp" and (self.init is None or self.target is None):
             raise ValueError("state-prep cost needs init and target states")
 
-    def initial_states(self) -> list[np.ndarray]:
+    def initial_states(self) -> np.ndarray:
+        """Initial states of the forward trajectories as the columns of a (2, m) block."""
         if self.kind == "sp":
-            return [np.asarray(self.init, dtype=complex)]
-        return [KET_0, KET_1]
+            return np.asarray(self.init, dtype=complex)[:, None]
+        return np.eye(2, dtype=complex)  # |0> and |1>
 
-    def value(self, finals: list[np.ndarray]) -> float:
-        """Terminal cost from the final states of the forward trajectories.
-
-        ``finals`` holds ``initial_states()`` evolved to T, as in
-        ``terminal_adjoints``.
-        """
+    def value(self, finals: np.ndarray) -> float:
+        """Terminal cost from ``initial_states()`` evolved to T, a (2, m) block."""
         if self.kind == "sp":
-            return -abs(np.vdot(self.target, finals[0])) ** 2
-        return dynamics.gate_cost(np.column_stack(finals), self.kind)
+            return -abs(np.vdot(self.target, finals[:, 0])) ** 2
+        return dynamics.gate_cost(finals, self.kind)
 
 
-def forward_trajectories(protocol: Protocol, params: ModelParams, cost: CostSpec,
-                         n_samples: int = 2001) -> list[Trajectory]:
-    return [propagate(protocol, params, s, n_samples) for s in cost.initial_states()]
+def terminal_adjoints(cost: CostSpec, finals: np.ndarray) -> np.ndarray:
+    """Adjoint terminal conditions |lambda(T)> = 2 dC/d<psi(T)|, one column per state.
 
-
-def terminal_adjoints(cost: CostSpec, finals: list[np.ndarray]) -> list[np.ndarray]:
-    """Adjoint terminal conditions |lambda(T)> = 2 dC/d<psi(T)|.
-
-    ``finals`` holds the final state of each forward trajectory.  For the
+    ``finals`` is the (2, m) block of final forward states.  For the
     state-prep cost the condition is -2 <target|psi(T)> |target>.  For the
     gate costs the analogous Wirtinger derivative gives, with
     m = <1|U|0> +/- <0|U|1>, the terminal adjoints -(m/2)|1> and -+(m/2)|0>
@@ -103,64 +95,46 @@ def terminal_adjoints(cost: CostSpec, finals: list[np.ndarray]) -> list[np.ndarr
     """
     if cost.kind == "sp":
         target = np.asarray(cost.target, dtype=complex)
-        overlap = np.vdot(target, finals[0])
-        return [-2.0 * overlap * target]
-    u10 = finals[0][1]  # <1|U|0>
-    u01 = finals[1][0]  # <0|U|1>
+        return (-2.0 * np.vdot(target, finals[:, 0]) * target)[:, None]
+    u10 = finals[1, 0]  # <1|U|0>
+    u01 = finals[0, 1]  # <0|U|1>
     if cost.kind == "x":
-        m = u10 + u01
-        return [-(m / 2.0) * KET_1, -(m / 2.0) * KET_0]
-    if cost.kind == "y":
-        m = u10 - u01
-        return [-(m / 2.0) * KET_1, +(m / 2.0) * KET_0]
-    return [-u10 * KET_1, -u01 * KET_0]  # population transfer
+        a0 = a1 = -(u10 + u01) / 2.0
+    elif cost.kind == "y":
+        a0, a1 = -(u10 - u01) / 2.0, (u10 - u01) / 2.0
+    else:  # population transfer
+        a0, a1 = -u10, -u01
+    return np.array([[0.0, a1], [a0, 0.0]], dtype=complex)
 
 
-def adjoint_trajectories(protocol: Protocol, params: ModelParams, cost: CostSpec,
-                         forwards: list[Trajectory]) -> list[Trajectory]:
-    """Back-propagated adjoint fields, sampled on the forward grid.
+def _forward_and_adjoint(P: np.ndarray, cost: CostSpec):
+    """Forward and adjoint state blocks (..., 2, m) from prefix unitaries P (..., 2, 2).
 
-    The adjoint solves the same Schroedinger equation, so lambda(t) is
-    obtained exactly by forward-propagating lambda(0) = U_total^dag lambda(T).
+    The last row of P is the total evolution operator.  Also returns the
+    (2, m) block of final forward states.
     """
-    n_samples = len(forwards[0].times)
-    lam_T = terminal_adjoints(cost, [traj.final for traj in forwards])
-    out = []
-    for traj, lT in zip(forwards, lam_T):
-        lam0 = traj.total.conj().T @ lT
-        out.append(propagate(protocol, params, lam0, n_samples))
-    return out
+    psi0 = cost.initial_states()
+    finals = P[-1] @ psi0
+    lam0 = P[-1].conj().T @ terminal_adjoints(cost, finals)
+    return P @ psi0, P @ lam0, finals
 
 
-def _bilinear_x(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    # Re[-i <lam| sigma_x |psi>] on stacked (n, 2) arrays
-    return np.real(-1j * (lam[..., 0].conj() * psi[..., 1]
-                          + lam[..., 1].conj() * psi[..., 0]))
+def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Phi = Re[-i <lambda|sigma_x|psi>] summed over the state columns.
+
+    ``lam`` and ``psi`` are adjoint and forward blocks (..., 2, m);
+    dC/du(t) = Phi(t) dt.
+    """
+    return np.imag(lam[..., 0, :].conj() * psi[..., 1, :]
+                   + lam[..., 1, :].conj() * psi[..., 0, :]).sum(axis=-1)
 
 
-def _bilinear_z(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.real(-1j * (lam[..., 0].conj() * psi[..., 0]
-                          - lam[..., 1].conj() * psi[..., 1]))
-
-
-def switching_function(forwards: list[Trajectory], adjoints: list[Trajectory]) -> np.ndarray:
-    """Sampled Phi(t), summed over trajectory pairs; dC/du(t) = Phi(t) dt."""
-    phi = np.zeros(len(forwards[0].times))
-    for f, a in zip(forwards, adjoints):
-        phi += _bilinear_x(a.states, f.states)
-    return phi
-
-
-def control_hamiltonian(forwards: list[Trajectory], adjoints: list[Trajectory],
-                        protocol: Protocol, params: ModelParams) -> np.ndarray:
-    """Sampled H_oc(t) = Re[-i <lambda|H(t)|psi>], summed over pairs."""
-    times = forwards[0].times
-    u = np.asarray(protocol.u(times), dtype=float)
-    hoc = np.zeros(len(times))
-    for f, a in zip(forwards, adjoints):
-        hoc += 0.5 * params.omega0 * _bilinear_z(a.states, f.states)
-        hoc += u * _bilinear_x(a.states, f.states)
-    return hoc
+def control_hamiltonian(lam: np.ndarray, psi: np.ndarray, u: np.ndarray,
+                        params: ModelParams) -> np.ndarray:
+    """H_oc = Re[-i <lambda|H|psi>] summed over the state columns, u the control per row."""
+    phi_z = np.imag(lam[..., 0, :].conj() * psi[..., 0, :]
+                    - lam[..., 1, :].conj() * psi[..., 1, :]).sum(axis=-1)
+    return 0.5 * params.omega0 * phi_z + u * switching_function(lam, psi)
 
 
 def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
@@ -175,24 +149,11 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
     vals = protocol.values
     U = segment_propagators(np.full(n, dt), vals, params)
     Uh = segment_propagators(np.full(n, dt / 2.0), vals, params)
-
-    psi_edges = [prefix_states(U, s) for s in cost.initial_states()]
-
-    finals = [e[-1] for e in psi_edges]
-    lam_T = terminal_adjoints(cost, finals)
-    cval = cost.value(finals)
-
-    grad = np.zeros(n)
-    Uh_dag = Uh.conj().transpose(0, 2, 1)
-    U_dag_rev = U.conj().transpose(0, 2, 1)[::-1]
-    for edges, lT in zip(psi_edges, lam_T):
-        lam_edges = prefix_states(U_dag_rev, lT)[::-1]
-        psi_mid = np.einsum("kij,kj->ki", Uh, edges[:-1])
-        lam_mid = np.einsum("kij,kj->ki", Uh_dag, lam_edges[1:])
-        phi_e = _bilinear_x(lam_edges, edges)
-        phi_m = _bilinear_x(lam_mid, psi_mid)
-        grad += dt / 6.0 * (phi_e[:-1] + 4.0 * phi_m + phi_e[1:])
-    return cval, grad
+    psi, lam, finals = _forward_and_adjoint(prefix_states(U, SIGMA_0), cost)
+    phi_e = switching_function(lam, psi)
+    phi_m = switching_function(Uh @ lam[:-1], Uh @ psi[:-1])
+    grad = dt / 6.0 * (phi_e[:-1] + 4.0 * phi_m + phi_e[1:])
+    return cost.value(finals), grad
 
 
 def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:
@@ -317,10 +278,10 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     Singular residence accumulates time spent with u = 0 while
     |theta - pi/2| < 1e-3.
     """
-    forwards = forward_trajectories(protocol, params, cost, n_samples)
-    adjoints = adjoint_trajectories(protocol, params, cost, forwards)
-    times = forwards[0].times
-    phi = switching_function(forwards, adjoints)
+    traj = propagate(protocol, params, SIGMA_0, n_samples)
+    psi, lam, _ = _forward_and_adjoint(traj.states, cost)
+    times = traj.times
+    phi = switching_function(lam, psi)
 
     # merge equal-value cells so dense Sampled grids recover their true
     # piecewise structure (bang segments); smooth pulses stay cell-resolved
@@ -334,11 +295,10 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
 
     seg_idx = np.clip(np.searchsorted(boundaries, times, side="right") - 1,
                       0, len(vals) - 1)
-    u = vals[seg_idx]  # control at each sample, consistent with its segment
-    hoc = control_hamiltonian(forwards, adjoints, protocol, params)
-    # re-evaluate the u Phi part with the segment-consistent control so that
-    # samples landing exactly on a cell edge do not leak across segments
-    hoc = hoc - np.asarray(protocol.u(times), dtype=float) * phi + u * phi
+    # the control at each sample is taken from its segment, so that samples
+    # landing exactly on a cell edge do not leak across segments
+    u = vals[seg_idx]
+    hoc = control_hamiltonian(lam, psi, u, params)
 
     counts = np.bincount(seg_idx, minlength=len(vals)).astype(float)
     sums = np.bincount(seg_idx, weights=hoc, minlength=len(vals))
@@ -368,8 +328,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
         sign_fraction = 1.0
 
     # singular-arc residence
-    z = (np.abs(forwards[0].states[:, 0]) ** 2
-         - np.abs(forwards[0].states[:, 1]) ** 2)
+    z = np.abs(psi[:, 0, 0]) ** 2 - np.abs(psi[:, 1, 0]) ** 2
     on_arc = (np.abs(u) < 1e-12) & (np.abs(np.arccos(np.clip(z, -1, 1)) - np.pi / 2) < 1e-3)
     singular_residence = float(on_arc.sum() * dt_grid)
 

@@ -368,9 +368,9 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
     stall = 0
     cap_floor = params.u_max / 8000.0
     for it in range(max_outer):
-        proto, _ = project_to_gate(u_tilde, T, problem)
+        proto, proj = project_to_gate(u_tilde, T, problem)
         u_n = proto.values
-        c_gate1 = _gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0
+        c_gate1 = proj.fun + 1.0  # the projection's own C at its returned control
         c_obj = obj_cost(proto)
         trace.append((it, c_obj, float(c_gate1)))
         if prev is not None and float(np.max(np.abs(u_n - prev))) <= params.u_max / 4000.0:

@@ -293,8 +293,9 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
     return out
 
 
-# Nelder-Mead restarts per structure at each time of the T* scan and bisection
-_SCAN_RESTARTS = 6
+# seeded Nelder-Mead starts per structure at each time of the T* scan and
+# bisection, run besides the structure's warm start when it has one
+_SCAN_DRAWS = 5
 
 
 def _reduced_times(X, ks, T) -> np.ndarray:
@@ -321,8 +322,8 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                  problem: StatePrepProblem, seed: int) -> list[tuple[np.ndarray, float]]:
     """Best reduced coordinates and cost of each BB structure at its own T.
 
-    A structure's _SCAN_RESTARTS Nelder-Mead runs start from its warm start
-    (or a seeded draw) and then from seeded draws.  The runs of all
+    A structure's Nelder-Mead runs start from its warm start, if it has
+    one, and from _SCAN_DRAWS seeded draws.  The runs of all
     structures are lanes of one lockstep call per coordinate count: BB-1 in
     its switch time, k >= 2 in (t0, tbar).  BB-0 has nothing to optimize.
     """
@@ -341,7 +342,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         if not group:
             continue
         kmax = max(structures[j].n_switch for j in group)
-        starts, lo, hi, lane_values = [], [], [], []
+        starts, boxes, values, counts = [], [], [], []
         for j in group:
             s, T, k = structures[j], Ts[j], structures[j].n_switch
             if dim == 1:
@@ -352,16 +353,18 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                 sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
                                                           rng.uniform(0.3, 1.0) * T / (k - 1)])
             rng = np.random.default_rng(seed)
-            starts.append(warms[j] if warms[j] is not None
-                          else sampler(np.random.default_rng(seed)))
-            starts += [sampler(rng) for _ in range(_SCAN_RESTARTS - 1)]
-            lo += [box[0]] * _SCAN_RESTARTS
-            hi += [box[1]] * _SCAN_RESTARTS
-            values = np.pad(_bb_values(k, s.lead_sign, params.u_max), (0, kmax - k), mode="edge")
-            lane_values += [values] * _SCAN_RESTARTS
-        lane_T = np.repeat([Ts[j] for j in group], _SCAN_RESTARTS)
-        lane_k = np.repeat([structures[j].n_switch for j in group], _SCAN_RESTARTS)
-        lane_values = np.array(lane_values)
+            mine = [] if warms[j] is None else [warms[j]]
+            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
+            starts += mine
+            counts.append(len(mine))
+            boxes.append(box)
+            values.append(np.pad(_bb_values(k, s.lead_sign, params.u_max), (0, kmax - k),
+                                 mode="edge"))
+        lo = np.repeat([b[0] for b in boxes], counts, axis=0)
+        hi = np.repeat([b[1] for b in boxes], counts, axis=0)
+        lane_values = np.repeat(values, counts, axis=0)
+        lane_T = np.repeat([Ts[j] for j in group], counts)
+        lane_k = np.repeat([structures[j].n_switch for j in group], counts)
 
         def obj(X, lanes):
             times = _reduced_times(X, lane_k[lanes], lane_T[lanes])
@@ -369,8 +372,8 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                                psi_i, psi_t, params)
 
         runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
-        for i, j in enumerate(group):
-            r = min(runs[i * _SCAN_RESTARTS:(i + 1) * _SCAN_RESTARTS], key=lambda r: r.fun)
+        for j, end, count in zip(group, np.cumsum(counts), counts):
+            r = min(runs[end - count:end], key=lambda r: r.fun)
             out[j] = (r.x, r.fun)
     return out
 

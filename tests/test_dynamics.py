@@ -145,6 +145,23 @@ class TestPrefixStates:
             assert np.max(np.abs(states[k] - ref)) < 1e-14
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.01, 2.0))
+    def test_prefix_unitaries_unitary(self, n, seed, u_max):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(u_max=u_max)
+        units = segment_propagators(rng.uniform(0.0, 1.0, n),
+                                    rng.uniform(-u_max, u_max, n), params)
+        P = prefix_states(units, SIGMA_0)
+        assert P.shape == (n + 1, 2, 2)
+        np.testing.assert_array_equal(P[0], SIGMA_0)
+        defect = np.abs(P.conj().transpose(0, 2, 1) @ P - SIGMA_0).max()
+        assert defect < 1e-12
+        # a block of states is the prefix unitaries applied to it
+        psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
+        np.testing.assert_allclose(prefix_states(units, psi0), P @ psi0, rtol=0, atol=1e-13)
+
+
 class TestBlochMaps:
     def test_north_pole(self):
         np.testing.assert_allclose(state_from_bloch(BlochPoint(0.0, 0.0)), KET_0,

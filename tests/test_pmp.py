@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from qoct.dynamics import (
     KET_0,
     KET_1,
+    SIGMA_0,
     BlochPoint,
     ModelParams,
     gate_cost,
+    propagate,
     state_from_bloch,
     state_prep_cost,
     terminal_cost,
@@ -23,7 +25,6 @@ from qoct.pmp import (
     bloch_velocity,
     control_hamiltonian,
     cost_and_gradient,
-    forward_trajectories,
     omega_eff_from_ratio,
     switching_function,
     terminal_adjoints,
@@ -48,16 +49,17 @@ class TestTerminalAdjoints:
         proto = BangSequence(1.0, 0.2, (), (0.0,))
         cost = CostSpec("sp", init=KET_0,
                         target=np.exp(-1j * 1.0) * KET_0)  # evolved |0> itself
-        fw = forward_trajectories(proto, P02, cost, n_samples=5)
-        lam = terminal_adjoints(cost, [t.final for t in fw])
-        assert abs(np.linalg.norm(lam[0]) - 2.0) < 1e-12
+        finals = total_unitary(proto, P02) @ cost.initial_states()
+        lam = terminal_adjoints(cost, finals)
+        assert lam.shape == (2, 1)
+        assert abs(np.linalg.norm(lam[:, 0]) - 2.0) < 1e-12
 
     def test_state_prep_orthogonal_zero_gradient(self):
         proto = BangSequence(1e-9, 0.2, (), (0.0,))
         cost = CostSpec("sp", init=KET_0, target=KET_1)
-        fw = forward_trajectories(proto, P02, cost, n_samples=5)
-        lam = terminal_adjoints(cost, [t.final for t in fw])
-        assert np.linalg.norm(lam[0]) < 1e-8
+        finals = total_unitary(proto, P02) @ cost.initial_states()
+        lam = terminal_adjoints(cost, finals)
+        assert np.linalg.norm(lam[:, 0]) < 1e-8
 
 
 class TestGradientOracle:
@@ -83,6 +85,35 @@ class TestGradientOracle:
             cm = f(total_unitary(Sampled(proto.T, 0.3, vm), params))
             assert abs((cp - cm) / (2 * h) - grad[i]) < 1e-5 * scale
 
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["sp", "x", "y", "pt"]), T=st.floats(0.5, 8.0),
+           u_max=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+           angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi),
+                            st.floats(-np.pi, np.pi)))
+    def test_gradient_matches_central_differences_on_random_controls(
+            self, kind, T, u_max, seed, angles):
+        # cells no wider than 0.05 keep the Simpson rule's error per cell far
+        # below the 1e-5 bound at these frequencies
+        rng = np.random.default_rng(seed)
+        n = int(np.ceil(T / rng.uniform(0.02, 0.05)))
+        proto = Sampled(T, u_max, rng.uniform(-u_max, u_max, n))
+        params = ModelParams(u_max=u_max)
+        cost = CostSpec(kind) if kind != "sp" else CostSpec(
+            "sp", init=state_from_bloch(BlochPoint(angles[0], 0.0)),
+            target=state_from_bloch(BlochPoint(angles[1], angles[2])))
+        _, grad = cost_and_gradient(proto, params, cost)
+        scale = np.max(np.abs(grad))
+        h = 1e-5
+        for i in rng.choice(n, min(n, 8), replace=False):
+            vp, vm = proto.values.copy(), proto.values.copy()
+            vp[i] += h
+            vm[i] -= h
+            cp = cost.value(total_unitary(Sampled(T, u_max + h, vp), params)
+                            @ cost.initial_states())
+            cm = cost.value(total_unitary(Sampled(T, u_max + h, vm), params)
+                            @ cost.initial_states())
+            assert abs((cp - cm) / (2 * h) - grad[i]) <= 1e-5 * scale
+
     @pytest.mark.parametrize("cost", [SP_COST, CostSpec("x"), CostSpec("y"), CostSpec("pt")],
                              ids=["sp", "x", "y", "pt"])
     def test_cost_value_consistent(self, cost):
@@ -92,17 +123,17 @@ class TestGradientOracle:
         U = total_unitary(proto, params)
         ref = terminal_cost(U, cost.kind, cost.init, cost.target)
         assert abs(c0 - ref) < 1e-12
-        assert abs(cost.value([U @ s for s in cost.initial_states()]) - ref) < 1e-12
+        assert abs(cost.value(U @ cost.initial_states()) - ref) < 1e-12
 
 
 class TestControlHamiltonian:
     def test_zero_control_self_adjoint_pair_gives_zero(self):
         proto = BangSequence(2.0, 0.2, (), (0.0,))
-        fw = forward_trajectories(proto, P02, CostSpec("sp", init=KET_0, target=KET_0),
-                                  n_samples=51)
+        traj = propagate(proto, P02, SIGMA_0, n_samples=51)
         # adjoint equal to the forward state: expectation of H is real,
         # so Re[-i <psi|H|psi>] vanishes
-        hoc = control_hamiltonian(fw, fw, proto, P02)
+        hoc = control_hamiltonian(traj.states, traj.states, proto.u(traj.times), P02)
+        assert hoc.shape == (51,)
         assert np.max(np.abs(hoc)) < 1e-12
 
     def test_segmentwise_constant_for_any_protocol(self):
@@ -132,11 +163,9 @@ class TestControlHamiltonian:
 class TestSwitchingFunction:
     def test_zero_adjoint_gives_zero_phi(self):
         proto = BangSequence(2.0, 0.2, (), (0.2,))
-        cost = CostSpec("sp", init=KET_0, target=KET_1)
-        fw = forward_trajectories(proto, P02, cost, n_samples=41)
-        zero = [type(f)(times=f.times, states=np.zeros_like(f.states), total=f.total)
-                for f in fw]
-        phi = switching_function(fw, zero)
+        psi = propagate(proto, P02, SIGMA_0, n_samples=41).states
+        phi = switching_function(np.zeros_like(psi), psi)
+        assert phi.shape == (41,)
         assert np.max(np.abs(phi)) == 0.0
 
     def test_sign_opposite_to_control_at_gate_optimum(self, gate_results):

@@ -126,6 +126,20 @@ class TestTanh:
         t = np.linspace(0.0, T, 4001)
         assert np.max(np.abs(p.u(t))) <= 0.2 + 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 20.0), st.floats(0.01, 3.0), st.floats(0.01, 1000.0),
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10, unique=True))
+    def test_amplitude_bound_for_any_admissible_times(self, T, u_max, beta, fracs):
+        # sorted times make the alternating tanh sum lie in [0, 2), so
+        # u = u_max (sum - 1) never leaves [-u_max, u_max], however close
+        # the switchings sit
+        times = np.sort(np.asarray(fracs[:len(fracs) // 2 * 2])) * T
+        if np.any(np.diff(times) <= 0.0):
+            return
+        p = TanhProtocol(u_max=u_max, T=T, beta=beta, times=tuple(times))
+        t = np.concatenate([np.linspace(0.0, T, 2001), times,
+                            0.5 * (times[1:] + times[:-1])])
+        assert np.max(np.abs(p.u(t))) <= u_max * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("field, bad", [("u_max", -0.2), ("beta", -3.0), ("beta", 0.0),
                                             ("beta", float("nan")), ("T", float("inf"))])
