@@ -1,8 +1,12 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoct.cli import main
 from qoct.dynamics import ModelParams, rabi_protocol
@@ -14,6 +18,7 @@ from qoct.fileio import (
     write_json,
     write_pulse_csv,
 )
+from qoct.protocols import Sampled
 
 
 @pytest.fixture()
@@ -43,6 +48,18 @@ class TestFileIO:
         t2, u2 = read_pulse_csv(path)
         np.testing.assert_allclose(t2, t, atol=1e-12)
         np.testing.assert_allclose(u2, u, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(0.01, 2.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=200))
+    def test_pulse_file_round_trip_keeps_twelve_digits(self, T, u_max, fracs):
+        proto = Sampled(T, u_max, u_max * np.array(fracs))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_pulse_csv(Path(tmp) / "p.csv", proto)
+            back = sampled_from_pulse(*read_pulse_csv(path), u_max)
+        assert [fmt(v) for v in back.values] == [fmt(v) for v in proto.values]
+        assert back.n_t == proto.n_t and back.u_max == proto.u_max
+        assert abs(back.T - T) <= 1e-11 * T
 
     def test_reader_rejects_bad_header(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -293,6 +310,29 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["singular_residence"] > 0.1
+
+    def test_smooth_nonfinite_weight_exits_2_without_artifacts(self, outdir):
+        rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2",
+                   "--t-over-trabi", "0.9", "--initial", "rabi", "--nt", "100",
+                   "--objective", "mixed:nan"])
+        assert rc == 2
+        assert not (outdir / "smooth").exists()
+
+    @pytest.mark.parametrize("tmax", ["inf", "nan", "-1", "0"])
+    def test_state_prep_bad_tmax_exits_2_without_artifacts(self, outdir, capsys, tmax):
+        rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
+                   "--theta-target", "0.35pi", "--phi-target", "1pi", "--umax", "0.5",
+                   f"--tmax={tmax}"])
+        assert rc == 2
+        assert "t_max" in capsys.readouterr().err
+        assert not (outdir / "state-prep").exists()
+
+    def test_spectrum_negative_nmax_exits_2_without_artifacts(self, outdir, tmp_path, capsys):
+        pulse = tmp_path / "p.csv"
+        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        assert main(["spectrum", "--pulse", str(pulse), "--nmax", "-1"]) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not (outdir / "spectrum").exists()
 
     def test_verify_state_prep_without_angles_exits_2(self, outdir, rabi_csv):
         rc = main(["verify", "--pulse", str(rabi_csv), "--umax", "0.2",

@@ -1,4 +1,7 @@
 """Protocol families: construction, evaluation, reduction, serialization."""
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +254,74 @@ class TestSerialization:
     def test_invalid_smooth_variant_rejected(self, d):
         with pytest.raises(ValueError):
             protocol_from_dict(d)
+
+
+def _spans(draw):
+    return draw(st.floats(0.5, 50.0)), draw(st.floats(0.01, 2.0))
+
+
+@st.composite
+def protocols(draw):
+    """One valid protocol of any of the six variants."""
+    T, u_max = _spans(draw)
+    variant = draw(st.sampled_from(["bang", "rabi", "bb1", "tanh", "third", "sampled"]))
+    if variant == "bang":
+        ks = sorted(draw(st.lists(st.integers(1, 999), max_size=6, unique=True)))
+        vals = draw(st.lists(st.sampled_from([u_max, -u_max, 0.0]),
+                             min_size=len(ks) + 1, max_size=len(ks) + 1))
+        return BangSequence(T, u_max, tuple(T * k / 1000 for k in ks), tuple(vals))
+    if variant == "rabi":
+        return RabiProtocol(u_max=u_max, T=T, omega0=draw(st.floats(0.5, 4.0)))
+    if variant == "bb1":
+        return OneParamBB(omega_eff=draw(st.floats(0.5, 4.0)), T=T, u_max=u_max,
+                          sign=draw(st.sampled_from([1, -1])),
+                          parity=draw(st.sampled_from(["even", "odd"])))
+    if variant == "tanh":
+        ks = draw(st.lists(st.integers(1, 499), min_size=1, max_size=4, unique=True))
+        return TanhProtocol(u_max=u_max, T=T, beta=draw(st.floats(0.5, 20.0)),
+                            times=mirrored_tanh_times([T * k / 1000 for k in ks], T))
+    if variant == "third":
+        return ThirdHarmonic(u_max=u_max, T=T, omega=draw(st.floats(1.0, 3.0)),
+                             ratio=draw(st.floats(-0.125, 1.0)))
+    values = draw(st.lists(st.floats(-u_max, u_max), min_size=1, max_size=50))
+    return Sampled(T=T, u_max=u_max, values=np.array(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocols())
+def test_dict_round_trip_is_exact(proto):
+    d = protocol_to_dict(proto)
+    back = protocol_from_dict(json.loads(json.dumps(d)))
+    assert type(back) is type(proto)
+    assert protocol_to_dict(back) == d
+
+
+# a valid instance of each variant, and the fields that carry floats; a
+# tuple or array field is corrupted in one entry
+VALID = [
+    (BangSequence, {"T": 2.0, "u_max": 0.5, "switch_times": (0.5, 1.2),
+                    "values": (0.5, -0.5, 0.0)}),
+    (RabiProtocol, {"u_max": 0.2, "T": np.pi / 0.2, "omega0": 2.0}),
+    (OneParamBB, {"omega_eff": 2.0, "T": 5.0, "u_max": 0.2}),
+    (TanhProtocol, {"u_max": 0.2, "T": 4.0, "beta": 4.0, "times": (0.5, 1.1, 2.9, 3.5)}),
+    (ThirdHarmonic, {"u_max": 0.2, "T": 5.0, "omega": 2.0, "ratio": -0.1}),
+    (Sampled, {"T": 2.0, "u_max": 0.5, "values": np.array([0.1, -0.2, 0.3])}),
+]
+FLOAT_FIELDS = [(cls, kw, name) for cls, kw in VALID for name, v in kw.items()
+                if isinstance(v, (float, tuple, np.ndarray))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.integers(0, 3))
+def test_constructors_refuse_nonfinite_input(case, bad, index):
+    cls, kw, name = case
+    value = kw[name]
+    if isinstance(value, float):
+        value = bad
+    else:
+        entries = list(value)
+        entries[index % len(entries)] = bad
+        value = np.array(entries) if isinstance(value, np.ndarray) else tuple(entries)
+    with pytest.raises(ValueError, match=name):
+        cls(**{**kw, name: value})

@@ -43,6 +43,19 @@ class TestTanhScheme:
         run = optimize_tanh(4, 4.0, 0.90 * T_RABI_02, X02, seeds=4)
         assert run.cost_plus_1 <= 1e-6
 
+    @pytest.mark.parametrize("gap", ["equal", "one ulp"])
+    def test_colliding_free_times_are_repaired(self, gap):
+        # Nelder-Mead drives two free times together; T - t then rounds to
+        # one float for both and the mirrored times stop increasing strictly
+        a = 1.68322712
+        b = a if gap == "equal" else np.nextafter(a, 2.0)
+        problem = GateProblem("x", ModelParams(u_max=0.1))
+        T = 0.79 * np.pi / 0.1
+        run = optimize_tanh(2, 4.0, T, problem, seeds=1, x0=[a, b])
+        times = run.protocol.times
+        assert len(times) == 4
+        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
 
 class TestThirdHarmonic:
     def test_optimize_single_point(self):
@@ -210,6 +223,16 @@ class TestConstrainedSmoothing:
         with pytest.raises(ValueError):
             constrained_smooth_optimize(T_RABI_02, X02, n_t=200, objective="nope")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_nonfinite_mixed_weight_rejected_before_work(self, weight, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(smoothing, "_initial_control", no_work)
+        with pytest.raises(ValueError, match="weight"):
+            constrained_smooth_optimize(T_RABI_02, X02, n_t=100, initial="rabi",
+                                        objective=f"mixed:{weight}")
+
 
 class TestFourierSpectrum:
     def test_constant_pulse_single_line(self):
@@ -231,6 +254,10 @@ class TestFourierSpectrum:
         p = Sampled(3.0, 0.5, np.full(8, 0.25))
         _, amps = fourier_spectrum(p, n_max=2)
         assert abs(amps[0] - 1.5) < 1e-12
+
+    def test_negative_line_count_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            fourier_spectrum(Sampled(3.0, 0.5, np.full(8, 0.25)), n_max=-1)
 
 
 class TestPerturbativeAmplitude:
