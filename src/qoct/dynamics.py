@@ -6,17 +6,20 @@ the qubit by
     U(t, u) = cos(W t) 1 - i sin(W t) (sigma_z + u sigma_x) / W,   W = sqrt(1 + u^2),
 
 so piecewise-constant protocols propagate exactly as ordered products of
-closed-form 2x2 unitaries.  Smooth protocols are reduced to a dense uniform
-grid first (see :mod:`qoct.protocols`).
+closed-form 2x2 unitaries.  Smooth protocols propagate by the fourth-order
+commutator-free Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), which is a
+product of two such constant-control cells per step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .protocols import (
-    DEFAULT_POINTS_PER_PI,
+    _SMOOTH,
     Protocol,
     RabiProtocol,
     _require_finite_positive,
@@ -37,6 +40,7 @@ __all__ = [
     "constant_propagator",
     "segment_propagators",
     "prefix_states",
+    "propagation_cells",
     "total_unitary",
     "propagate",
     "state_from_bloch",
@@ -59,6 +63,15 @@ KET_1 = np.array([0.0, 1.0], dtype=complex)
 # C + 1 at or below which a terminal cost counts as reaching its target:
 # the gate or state the searches stop at and the CLI's exit-3 threshold
 TARGET_TOL = 1e-6
+
+# Magnus steps per unit of T/pi for smooth protocols.  A step [t, t + h]
+# samples u at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h and applies two
+# constant-control cells of length h/2 whose values mix those samples with
+# the weights below (first cell first); the error in U stays below 2e-8 for
+# u_max in [0.05, 0.5], checked against an adaptive ODE solver in the tests.
+MAGNUS_STEPS_PER_PI = 100
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_CF4_WEIGHTS = 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -93,11 +106,10 @@ class BlochPoint:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States sampled on a uniform time grid plus the total evolution operator."""
+    """States sampled on a uniform time grid."""
 
     times: np.ndarray
     states: np.ndarray  # (n, 2) or, for a block of m states, (n, 2, m) complex
-    total: np.ndarray  # (2, 2) complex
 
     @property
     def final(self) -> np.ndarray:
@@ -163,26 +175,48 @@ def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
     return states
 
 
-def total_unitary(protocol: Protocol, params: ModelParams,
-                  points_per_pi: int = DEFAULT_POINTS_PER_PI) -> np.ndarray:
+def propagation_cells(protocol: Protocol):
+    """(durations, values) of the constant-control cells that propagate a protocol.
+
+    Piecewise-constant protocols give their exact segments.  A smooth one
+    gives two cells of length h/2 per Magnus step of length h, with
+    ``MAGNUS_STEPS_PER_PI`` steps per unit of T/pi.  The cell values mix the
+    control at the two Gauss nodes and reach 1.155 u_max: they are not
+    samples of the pulse, which ``segment_durations_values`` gives instead.
+    """
+    if not isinstance(protocol, _SMOOTH):
+        return segment_durations_values(protocol)
+    n = math.ceil(MAGNUS_STEPS_PER_PI * protocol.T / np.pi)
+    h = protocol.T / n
+    nodes = (np.arange(n)[:, None] + _GAUSS_NODES) * h
+    vals = np.asarray(protocol.u(nodes), dtype=float) @ _CF4_WEIGHTS.T
+    return np.full(2 * n, 0.5 * h), vals.ravel()
+
+
+def total_unitary(protocol: Protocol, params: ModelParams) -> np.ndarray:
     """Total evolution operator of a protocol over [0, T]."""
-    durs, vals = segment_durations_values(protocol, points_per_pi)
+    durs, vals = propagation_cells(protocol)
     return ordered_product(segment_propagators(durs, vals, params))
 
 
 def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
-              n_samples: int = 2001,
-              points_per_pi: int = DEFAULT_POINTS_PER_PI) -> Trajectory:
+              n_samples: int = 2001) -> Trajectory:
     """Propagate a state (2,) or a block of states (2, m) on a uniform grid.
 
     Piecewise-constant protocols are integrated exactly; within each segment
     the sampled states are U(t - t_seg, u_seg) applied to the segment-entry
     state, so there is no time-stepping error anywhere.  The identity as
     ``initial`` samples the evolution operator U(t) itself.
+
+    A smooth protocol is propagated through its Magnus cells
+    (``propagation_cells``), which are fourth order at step boundaries and
+    at T (errors of about 1e-8 at u_max = 0.2).  A sample inside a step sees
+    a cell value rather than the pulse and is only second order there (1.6e-5
+    to 3.2e-5 at u_max = 0.2).
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    durs, vals = segment_durations_values(protocol, points_per_pi)
+    durs, vals = propagation_cells(protocol)
     units = segment_propagators(durs, vals, params)
 
     bounds = np.concatenate([[0.0], np.cumsum(durs)])
@@ -193,7 +227,7 @@ def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
     seg = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(durs) - 1)
     local = segment_propagators(times - bounds[seg], vals[seg], params)
     states = np.einsum("nij,nj...->ni...", local, entry[seg])
-    return Trajectory(times=times, states=states, total=ordered_product(units))
+    return Trajectory(times=times, states=states)
 
 
 def state_from_bloch(b: BlochPoint) -> np.ndarray:

@@ -125,9 +125,13 @@ def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sampled_from_pulse(times: np.ndarray, values: np.ndarray, u_max: float) -> Sampled:
-    """Interpret pulse rows as cell values on a uniform grid of step t[1]-t[0]."""
+    """Interpret pulse rows as cell values on a uniform grid of step t[1]-t[0].
+
+    The amplitude bound allows the rounding of 12-significant-digit rows, so
+    a file written at |u| = u_max reads back within the bound.
+    """
     dt = times[1] - times[0]
-    if np.max(np.abs(values)) > u_max + 1e-12:
+    if np.max(np.abs(values)) > u_max + max(1e-12, 1e-11 * u_max):
         raise ValueError("pulse exceeds the amplitude bound u_max")
     return Sampled(T=float(times[-1] + dt), u_max=float(u_max),
                    values=np.asarray(values, dtype=float))

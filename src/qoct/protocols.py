@@ -1,10 +1,10 @@
 """Control-protocol families for the driven qubit.
 
 Every protocol evaluates u(t) on [0, T], carries its own amplitude bound
-``u_max``, and can be reduced to a uniform piecewise-constant ``Sampled``
-protocol for propagation.  Piecewise-constant families additionally expose
-exact segment boundaries so the dynamics can use closed-form per-segment
-propagators.
+``u_max``, and can be sampled onto a uniform piecewise-constant ``Sampled``
+grid for pulse files and spectra.  Piecewise-constant families additionally
+expose exact segment boundaries so the dynamics can use closed-form
+per-segment propagators; smooth ones are propagated by :mod:`qoct.dynamics`.
 """
 from __future__ import annotations
 
@@ -30,16 +30,18 @@ __all__ = [
     "DEFAULT_POINTS_PER_PI",
 ]
 
-# Uniform-grid resolution used when reducing smooth protocols to piecewise
-# constant: points per unit of T/pi.  Midpoint sampling converges
-# quadratically; this density keeps the reduction error below 1e-8 even at
-# the amplitudes with resonantly enhanced error accumulation (u ~ 0.3-0.4).
-# Grid-doubling convergence is part of the test suite.
+# Midpoint samples per unit of T/pi when a smooth pulse is written as cells:
+# pulse files, spectra and audits.  Propagation does not use these samples.
 DEFAULT_POINTS_PER_PI = 8000
 
 
-def _as_float_tuple(xs) -> tuple[float, ...]:
-    return tuple(float(x) for x in np.atleast_1d(np.asarray(xs, dtype=float)))
+def _store_finite_tuple(protocol, name: str) -> None:
+    """Store field ``name`` as a tuple of floats, refusing non-finite entries."""
+    xs = tuple(float(x) for x in np.atleast_1d(np.asarray(getattr(protocol, name),
+                                                          dtype=float)))
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError(f"{name} must be finite, got {xs!r}")
+    object.__setattr__(protocol, name, xs)
 
 
 def _require_finite_positive(protocol, *names: str) -> None:
@@ -63,8 +65,8 @@ class BangSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "switch_times", _as_float_tuple(self.switch_times))
-        object.__setattr__(self, "values", _as_float_tuple(self.values))
+        _store_finite_tuple(self, "switch_times")
+        _store_finite_tuple(self, "values")
         _require_finite_positive(self, "T", "u_max")
         ts = self.switch_times
         if len(self.values) != len(ts) + 1:
@@ -192,7 +194,7 @@ class TanhProtocol:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _as_float_tuple(self.times))
+        _store_finite_tuple(self, "times")
         _require_finite_positive(self, "u_max", "T", "beta")
         if len(self.times) % 2 != 0:
             raise ValueError("need an even number of switching times")
@@ -254,6 +256,8 @@ class Sampled:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a nonempty 1-D array")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
         _require_finite_positive(self, "T", "u_max")
 
     @property
@@ -276,10 +280,10 @@ _SMOOTH = (RabiProtocol, TanhProtocol, ThirdHarmonic)
 
 
 def as_sampled(protocol: Protocol, points_per_pi: int = DEFAULT_POINTS_PER_PI) -> Sampled:
-    """Reduce any protocol to a uniform piecewise-constant grid.
+    """Sample any protocol onto a uniform piecewise-constant grid.
 
     Smooth protocols are sampled at cell midpoints, which preserves the
-    amplitude bound and converges quadratically under grid refinement.
+    amplitude bound.
     """
     if isinstance(protocol, Sampled):
         return protocol
@@ -292,9 +296,12 @@ def as_sampled(protocol: Protocol, points_per_pi: int = DEFAULT_POINTS_PER_PI) -
     return Sampled(T, protocol.u_max, np.asarray(protocol.u(mids), dtype=float))
 
 
-def segment_durations_values(protocol: Protocol,
-                             points_per_pi: int = DEFAULT_POINTS_PER_PI):
-    """Return (durations, values) of an exactly piecewise-constant realization."""
+def segment_durations_values(protocol: Protocol):
+    """(durations, values) of the protocol's piecewise-constant form.
+
+    Exact segments for piecewise-constant protocols; for smooth ones the
+    midpoint samples of ``as_sampled``, the physical pulse on a grid.
+    """
     if isinstance(protocol, OneParamBB):
         bounds, vals = square_wave(protocol.omega_eff, protocol.T, protocol.u_max,
                                    protocol.sign, protocol.parity)
@@ -304,7 +311,7 @@ def segment_durations_values(protocol: Protocol,
     if isinstance(protocol, Sampled):
         return np.full(protocol.n_t, protocol.dt), protocol.values
     if isinstance(protocol, _SMOOTH):
-        s = as_sampled(protocol, points_per_pi)
+        s = as_sampled(protocol)
         return np.full(s.n_t, s.dt), s.values
     raise TypeError(f"unsupported protocol type {type(protocol).__name__}")
 

@@ -15,6 +15,7 @@ to explain the odd-harmonic structure round out the module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ from . import optim, pmp
 from .dynamics import TARGET_TOL, ModelParams, gate_cost, rabi_pi_time, total_unitary
 from .optim import OptimizerConfig
 from .protocols import (
-    DEFAULT_POINTS_PER_PI,
     Protocol,
     Sampled,
     TanhProtocol,
@@ -51,11 +51,6 @@ __all__ = [
     "perturbative_amplitude",
 ]
 
-# resolution used inside smoothing optimizers; final costs are re-evaluated
-# at DEFAULT_POINTS_PER_PI and checked by grid doubling in the tests
-OPT_POINTS_PER_PI = 500
-
-
 @dataclass
 class SmoothingRun:
     scheme: str  # 'tanh' | 'third' | 'constrained'
@@ -78,10 +73,23 @@ def tanh_protocol(times, beta: float, T: float, params: ModelParams) -> TanhProt
                         times=mirrored_tanh_times(times, T))
 
 
-def _gate_cost_of(protocol: Protocol, problem: GateProblem,
-                  points_per_pi: int) -> float:
-    U = total_unitary(protocol, problem.params, points_per_pi=points_per_pi)
-    return gate_cost(U, problem.kind)
+def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
+    return gate_cost(total_unitary(protocol, problem.params), problem.kind)
+
+
+def _free_tanh_times(x, T: float) -> np.ndarray:
+    """Free switching times repaired, not penalized, into (0, T/2).
+
+    They are sorted, clipped and then spaced at least 1e-12 T apart, so that
+    the mirrored times T - t stay distinct floats and all 2N times strictly
+    increase.  Times already that far apart pass unchanged.
+    """
+    hi = 0.5 * T * (1.0 - 1e-12)
+    gap = 1e-12 * T
+    t = np.sort(np.clip(np.asarray(x, dtype=float), 1e-9, hi))
+    for i in range(1, len(t)):
+        t[i] = max(t[i], t[i - 1] + gap)
+    return np.minimum(t, hi - gap * np.arange(len(t) - 1, -1, -1))
 
 
 def _tanh_seed(n_pairs: int, T: float, params: ModelParams) -> np.ndarray:
@@ -106,9 +114,7 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     half = T / 2.0
 
     def obj(x):
-        t = np.sort(np.clip(np.asarray(x, dtype=float), 1e-9, half * (1.0 - 1e-12)))
-        proto = tanh_protocol(t, beta, T, params)
-        return _gate_cost_of(proto, problem, OPT_POINTS_PER_PI)
+        return _gate_cost_of(tanh_protocol(_free_tanh_times(x, T), beta, T, params), problem)
 
     seed_times = _tanh_seed(n_pairs, T, params)
     start = np.asarray(x0, dtype=float) if x0 is not None else seed_times
@@ -120,9 +126,9 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     cfg = OptimizerConfig(max_iter=2000, tol=1e-12, restarts=seeds, seed=seed,
                           bounds=tuple((0.0, half) for _ in range(n_pairs)))
     r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
-    times = np.sort(np.clip(r.x, 1e-9, half * (1.0 - 1e-12)))
+    times = _free_tanh_times(r.x, T)
     proto = tanh_protocol(times, beta, T, params)
-    cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
+    cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
@@ -171,9 +177,7 @@ def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, Smoot
 
 
 def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
-                            seed: int = 0,
-                            opt_points_per_pi: int = OPT_POINTS_PER_PI,
-                            x0=None) -> SmoothingRun:
+                            seed: int = 0, x0=None) -> SmoothingRun:
     """Minimize the gate cost over frequency and third-harmonic mixing ratio.
 
     ``x0`` is a physical start point ``(omega, R)``.  The simplex works in
@@ -196,8 +200,7 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
 
     def obj(x):
         w, R = to_physical(x)
-        proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
-        return _gate_cost_of(proto, problem, opt_points_per_pi)
+        return _gate_cost_of(ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R), problem)
 
     start = to_free(x0 if x0 is not None else (w0, -0.05))
 
@@ -208,7 +211,7 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
     r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
     w, R = (float(v) for v in to_physical(r.x))
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
-    cost1 = float(_gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI) + 1.0)
+    cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
     return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
@@ -219,22 +222,17 @@ def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
     """Smallest perfect-gate time of the two-harmonic pulse.
 
     Deterministic upward scan of [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
-    with a warm-started two-restart inner optimization at 250 points/pi; the
-    first grid point with C + 1 <= TARGET_TOL is returned, so the measurement
-    resolution is 0.005 T_Rabi.  The hit is re-optimized at
-    ``OPT_POINTS_PER_PI``; if that run misses the tolerance, the scan's own
-    run (which passed) is returned instead.
+    with a warm-started two-restart inner optimization; the first grid point
+    with C + 1 <= TARGET_TOL is returned, so the measurement resolution is
+    0.005 T_Rabi.
     """
     t_rabi = rabi_pi_time(problem.params)
     warm = None
     for frac in np.arange(0.84, 1.02 + 1e-12, 0.005):
-        run = optimize_third_harmonic(frac * t_rabi, problem, seeds=2,
-                                      opt_points_per_pi=250, x0=warm)
+        run = optimize_third_harmonic(frac * t_rabi, problem, seeds=2, x0=warm)
         warm = np.array([run.extras["omega"], run.extras["ratio"]])
         if run.cost_plus_1 <= TARGET_TOL:
-            fine = optimize_third_harmonic(frac * t_rabi, problem, seeds=2,
-                                           opt_points_per_pi=OPT_POINTS_PER_PI, x0=warm)
-            return frac * t_rabi, fine if fine.cost_plus_1 <= TARGET_TOL else run
+            return frac * t_rabi, run
     raise RuntimeError("third-harmonic scheme did not reach the gate fidelity in the scan range")
 
 
@@ -276,6 +274,8 @@ _OBJECTIVES = {
 def _objective_funcs(objective):
     if isinstance(objective, str) and objective.startswith("mixed:"):
         w = float(objective.split(":", 1)[1])
+        if not math.isfinite(w):
+            raise ValueError(f"mixed objective weight must be finite, got {w!r}")
 
         def cost(p):
             return smoothness_cost(p) + w * power_cost(p)
@@ -303,8 +303,7 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     cost = problem.cost_spec()
 
     def f(u):
-        proto = Sampled(T, params.u_max, np.asarray(u, dtype=float))
-        return _gate_cost_of(proto, problem, DEFAULT_POINTS_PER_PI)
+        return _gate_cost_of(Sampled(T, params.u_max, np.asarray(u, dtype=float)), problem)
 
     def g(u):
         proto = Sampled(T, params.u_max, np.asarray(u, dtype=float))
@@ -402,8 +401,10 @@ def fourier_spectrum(protocol: Protocol, n_max: int = 40):
     """Normalized pulse spectrum u~(f_n) = int u/u_max e^(-2 pi i f_n t) dt, f_n = n/T.
 
     Uses the closed-form integral on every piecewise-constant cell, so bang
-    protocols are exact and smooth protocols inherit the dense-grid reduction.
+    protocols are exact and smooth protocols use their midpoint samples.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     durs, vals = segment_durations_values(protocol)
     T = protocol.T
     edges = np.concatenate([[0.0], np.cumsum(durs)])

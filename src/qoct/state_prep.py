@@ -394,6 +394,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     params = problem.params
     if t_max is None:
         t_max = np.pi + np.pi / params.u_max
+    elif not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     coarse_step = 0.25 * np.pi
     resolution = 1e-3 * np.pi
 

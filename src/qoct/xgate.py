@@ -212,11 +212,11 @@ def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:
             "met_threshold": met, "block": block}
 
 
-def rabi_fidelity_curve(u_values, **kw) -> list[tuple[float, float]]:
+def rabi_fidelity_curve(u_values) -> list[tuple[float, float]]:
     """Full-dynamics C_X + 1 of the resonant Rabi pi-pulse over an amplitude grid."""
     out = []
     for u in np.asarray(u_values, dtype=float):
         params = ModelParams(u_max=float(u))
-        U = total_unitary(rabi_protocol(params), params, **kw)
+        U = total_unitary(rabi_protocol(params), params)
         out.append((float(u), float(gate_cost(U, "x") + 1.0)))
     return out

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from qoct.dynamics import KET_0, KET_1, BlochPoint, ModelParams, propagate
+from qoct.dynamics import (
+    KET_0,
+    KET_1,
+    BlochPoint,
+    ModelParams,
+    gate_cost,
+    propagate,
+    total_unitary,
+)
 from qoct.pmp import CostSpec, cost_and_gradient
 from qoct.protocols import Sampled, as_sampled
 from qoct.smoothing import (
@@ -135,7 +143,6 @@ def test_criterion_5_pmp_audit_suite(gate_results, plateau_scan):
         scale = np.max(np.abs(grad))
         h = 1e-5
         worst = 0.0
-        from qoct.dynamics import gate_cost, total_unitary
         for i in rng.choice(proto.n_t, 10, replace=False):
             vp, vm = proto.values.copy(), proto.values.copy()
             vp[i] += h
@@ -152,7 +159,7 @@ def test_criterion_5_pmp_audit_suite(gate_results, plateau_scan):
         seq = res.protocol.to_bang_sequence()
         traj0 = propagate(seq, params, KET_0, n_samples=2001)
         traj1 = propagate(seq, params, KET_1, n_samples=2001)
-        U = traj0.total
+        U = total_unitary(seq, params)
         unit = np.max(np.abs(U.conj().T @ U - np.eye(2)))
         norms = [np.abs(np.linalg.norm(t.states, axis=1) - 1.0).max()
                  for t in (traj0, traj1)]

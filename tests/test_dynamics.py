@@ -9,6 +9,7 @@ from qoct.dynamics import (
     KET_1,
     SIGMA_0,
     SIGMA_X,
+    SIGMA_Z,
     BlochPoint,
     ModelParams,
     bloch_from_state,
@@ -25,7 +26,13 @@ from qoct.dynamics import (
     terminal_cost,
     total_unitary,
 )
-from qoct.protocols import BangSequence, as_sampled
+from qoct.protocols import (
+    BangSequence,
+    TanhProtocol,
+    ThirdHarmonic,
+    as_sampled,
+    mirrored_tanh_times,
+)
 
 P05 = ModelParams(u_max=0.5)
 
@@ -118,13 +125,35 @@ class TestPropagate:
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - np.linalg.norm(lam0))) < 1e-10
 
-    def test_rabi_grid_refinement_1e8(self):
-        params = ModelParams(u_max=0.2)
-        proto = rabi_protocol(params)
-        p1 = abs(propagate(proto, params, KET_0, n_samples=3).final[1]) ** 2
-        p2 = abs(propagate(proto, params, KET_0, n_samples=3,
-                           points_per_pi=80000).final[1]) ** 2
-        assert abs(p1 - p2) < 1e-8
+    @pytest.mark.parametrize("u_max", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("variant", ["rabi", "tanh", "third"])
+    def test_smooth_protocols_match_ode_oracle(self, variant, u_max):
+        # the Magnus propagation against an adaptive integrator that shares no
+        # code with it, at 0.9 T_Rabi for the tanh and third-harmonic pulses
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        params = ModelParams(u_max=u_max)
+        T = 0.9 * np.pi / u_max
+        if variant == "rabi":
+            proto = rabi_protocol(params)
+        elif variant == "tanh":
+            n = max(2, round(T / np.pi))
+            first = 0.5 * (T - (2 * n - 1) * np.pi / 2) + np.pi / 2 * np.arange(n)
+            proto = TanhProtocol(u_max=u_max, T=T, beta=4.0,
+                                 times=mirrored_tanh_times(first, T))
+        else:
+            proto = ThirdHarmonic(u_max=u_max, T=T, omega=2.0, ratio=-0.1)
+
+        def rhs(t, y):
+            H = 0.5 * params.omega0 * SIGMA_Z + proto.u(t) * SIGMA_X
+            return (-1j * H @ y.reshape(2, 2)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, proto.T), SIGMA_0.ravel(), method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert sol.success
+        U_ode = sol.y[:, -1].reshape(2, 2)
+        U = total_unitary(proto, params)
+        assert np.max(np.abs(U - U_ode)) <= 2e-8
+        assert abs(gate_cost(U, "x") - gate_cost(U_ode, "x")) <= 1e-8
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from qoct import smoothing
 from qoct.dynamics import SIGMA_X, SIGMA_Z, ModelParams, gate_cost, total_unitary
 from qoct.protocols import BangSequence, Sampled, ThirdHarmonic
 from qoct.smoothing import (
-    OPT_POINTS_PER_PI,
     constrained_smooth_optimize,
     fourier_spectrum,
     min_third_harmonic_time,
@@ -76,19 +75,6 @@ class TestThirdHarmonic:
         # the default 1e-6 tolerance
         problem = GateProblem("x", ModelParams(u_max=0.35))
         T, run = min_third_harmonic_time(problem)
-        assert run.T == T
-        assert run.cost_plus_1 <= 1e-6
-
-    def test_min_time_falls_back_when_fine_reoptimization_misses(self, monkeypatch):
-        def fine_misses(T, problem, opt_points_per_pi=OPT_POINTS_PER_PI, **kw):
-            run = optimize_third_harmonic(T, problem, opt_points_per_pi=opt_points_per_pi,
-                                          **kw)
-            if opt_points_per_pi == OPT_POINTS_PER_PI:
-                run.cost_plus_1 = 1.0
-            return run
-
-        monkeypatch.setattr(smoothing, "optimize_third_harmonic", fine_misses)
-        T, run = min_third_harmonic_time(GateProblem("x", ModelParams(u_max=0.4)))
         assert run.T == T
         assert run.cost_plus_1 <= 1e-6
 

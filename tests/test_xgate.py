@@ -153,8 +153,3 @@ class TestRabiCurve:
         errs = dict(curve)
         assert all(v > 0.0 for v in errs.values())
         assert errs[0.01] < errs[0.5]
-
-    def test_grid_refinement_crosscheck(self):
-        a = rabi_fidelity_curve([0.3])[0][1]
-        b = rabi_fidelity_curve([0.3], points_per_pi=80000)[0][1]
-        assert abs(a - b) < 1e-8
