@@ -209,6 +209,8 @@ def _gate_result_payload(res) -> dict:
         "n_switch": res.n_switch,
         "parity": res.parity,
         "cost": res.cost,
+        "residual": res.residual,
+        "newton_steps": res.newton_steps,
         "protocol": protocol_to_dict(res.protocol),
         "report": res.report.summary() if res.report else None,
     }

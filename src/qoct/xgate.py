@@ -3,14 +3,16 @@
 The time-optimal gate protocol is bang-bang with equal middle bangs and
 equal first/last bangs, which reduces the search at fixed T to the single
 frequency of a signed square wave (even in t - T/2 for X, odd for Y; both
-parities are legitimate for population transfer).  Because that family is
-exactly the set of fixed-T extremals, the optimized cost touches -1 only at
-the time-optimal T*, so the minimum gate time is located by scanning T and
-refining the dip.
+parities are legitimate for population transfer).  An even wave's
+propagator has U01 = U10 and an odd wave's U01 = -U10, so C_X + 1 on the
+even wave, C_Y + 1 on the odd wave and C_PT + 1 on either all equal
+|U00|^2, and a perfect gate is a root of U00(T, omega) = 0: two real
+equations in two unknowns.  The minimum gate time is located by scanning T
+upward until the frequency-optimized cost dips, then solving for the root
+in that dip by Newton's method.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ from .dynamics import (
     segment_propagators,
     total_unitary,
 )
-from .optim import golden_section, refine_basins
+from .optim import refine_basins
 from .pmp import CostSpec, OptimalityReport
 from .protocols import OneParamBB, square_wave
 
@@ -45,6 +47,12 @@ __all__ = [
 # at once raised the peak memory of a gate search by ~4 MB for a ~1% faster
 # scan, and blocks of 25 made the scan ~9% slower
 _SCAN_BLOCK = 100
+# a root of U00(T, omega) is accepted when |U00|^2 is at most this
+ROOT_TOL = 1e-20
+# Newton steps on one dip before the T scan moves on
+_NEWTON_MAX_STEPS = 12
+# central-difference step of the Newton Jacobian, relative to T and omega
+_NEWTON_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,8 @@ class GateSearchResult:
     n_switch: int
     ratio: float
     cost: float
+    residual: float  # |U00|^2 of the returned protocol
+    newton_steps: int
     protocol: OneParamBB
     report: OptimalityReport | None
 
@@ -99,10 +109,23 @@ def one_param_cost(omega_eff, T: float, problem: GateProblem,
     factors after the real segments, so every cost has the bits of the
     single-frequency call.
     """
+    return gate_cost(_square_wave_unitary(omega_eff, T, problem, sign, parity), problem.kind)
+
+
+def _square_wave_unitary(omega_eff, T: float, problem: GateProblem, sign: float, parity: str):
     bounds, vals = square_wave(omega_eff, T, problem.params.u_max, sign, parity)
     durs = bounds[..., 1:] - bounds[..., :-1]
-    U = ordered_product(segment_propagators(durs.T, vals.T, problem.params))
-    return gate_cost(U, problem.kind)
+    return ordered_product(segment_propagators(durs.T, vals.T, problem.params))
+
+
+def _frequency_grid(problem: GateProblem, n_scan: int) -> np.ndarray:
+    return np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, n_scan)
+
+
+def _grid_costs(ws: np.ndarray, T: float, problem: GateProblem, parity: str) -> np.ndarray:
+    """Costs at the frequencies ``ws``, evaluated in batched blocks."""
+    return np.concatenate([one_param_cost(ws[i:i + _SCAN_BLOCK], T, problem, 1.0, parity)
+                           for i in range(0, len(ws), _SCAN_BLOCK)])
 
 
 def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
@@ -114,50 +137,95 @@ def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
     degenerate (checked in the tests), so only the canonical +1 sign is
     scanned.  Returns (omega_eff, cost, parity).
     """
-    ws = np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, n_scan)
+    ws = _frequency_grid(problem, n_scan)
     best = (np.inf, None, None)
     for parity in problem.parities():
-        cs = np.concatenate([one_param_cost(ws[i:i + _SCAN_BLOCK], T, problem, 1.0, parity)
-                             for i in range(0, len(ws), _SCAN_BLOCK)])
+        cs = _grid_costs(ws, T, problem, parity)
         w, c = refine_basins(lambda w: one_param_cost(w, T, problem, 1.0, parity), ws, cs)
         if c < best[0]:
             best = (c, w, parity)
     return best[1], best[0], best[2]
 
 
-def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
-    """Smallest T at which the optimized square-wave protocol completes the gate.
+def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
+                 t_bracket: tuple[float, float], w_bracket: tuple[float, float]):
+    """Newton's method on (Re U00, Im U00) in (T, omega), from (T0, w0).
 
-    The optimized cost as a function of T touches -1 at isolated times, so
-    a scan of [0.6, 1.2] T_Rabi in steps of 0.01 T_Rabi brackets candidate
-    dips and each is refined by golden section to 1e-3 T_Rabi; the first dip
-    with C + 1 <= TARGET_TOL is T*.  The optimality report is produced at
+    The Jacobian is taken by central differences.  The wave has the
+    returned orientation (sign -1), so the last evaluation is the returned
+    protocol's.  Returns (T, omega, |U00|^2, steps) once |U00|^2 <= ROOT_TOL,
+    or None when an iterate leaves the brackets, the Jacobian is singular
+    or the steps run out.
+    """
+    def f(x):
+        u00 = _square_wave_unitary(x[1], x[0], problem, -1.0, parity)[0, 0]
+        return np.array([u00.real, u00.imag])
+
+    x = np.array([T0, w0])
+    for steps in range(_NEWTON_MAX_STEPS + 1):
+        F = f(x)
+        r = float(F @ F)
+        if r <= ROOT_TOL:
+            return float(x[0]), float(x[1]), r, steps
+        if steps == _NEWTON_MAX_STEPS:
+            break
+        J = np.column_stack([(f(x + d) - f(x - d)) / (2.0 * d[j])
+                             for j, d in enumerate(np.diag(_NEWTON_REL_STEP * x))])
+        try:
+            x = x - np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            break
+        if not (t_bracket[0] <= x[0] <= t_bracket[1] and w_bracket[0] <= x[1] <= w_bracket[1]):
+            break
+    return None
+
+
+def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
+    """Smallest T at which the square-wave protocol completes the gate exactly.
+
+    T is scanned upward from 0.6 T_Rabi in steps of min(0.01 T_Rabi, an
+    eighth of the natural period 2 pi/omega0); at each T the cost is the
+    best point of the 400-point frequency grid of ``optimize_omega_eff``
+    over the admissible parities, without refinement.  At each local
+    minimum of the scanned cost, in increasing T, Newton's method solves
+    U00(T, omega) = 0 from the dip's grid point; the first root found
+    inside the dip's bracket of the scan, with |U00|^2 <= ROOT_TOL, is T*.
+    The scan stops at 1.2 T_Rabi.  The optimality report is produced at
     0.999 T*, where lambda0 is small but nonzero.
     """
     t_rabi = rabi_pi_time(problem.params)
-    ts = np.arange(0.6 * t_rabi, 1.2 * t_rabi + 1e-12, 0.01 * t_rabi)
-    # golden section ends on a fresh evaluation at T*, whose frequency and
-    # parity are the result
-    scan = functools.cache(lambda T: optimize_omega_eff(T, problem))
-    fs = np.array([scan(T)[1] for T in ts])
+    # at small u_max a dip of the scanned cost is about one natural period
+    # wide, and 0.01 T_Rabi is a whole period at u_max = 0.01
+    step = min(0.01 * t_rabi, (2.0 * np.pi / problem.params.omega0) / 8.0)
+    ts = np.arange(0.6 * t_rabi, 1.2 * t_rabi + 1e-12, step)
+    ws = _frequency_grid(problem, 400)
 
-    mins = [i for i in range(1, len(ts) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
-    if fs[0] <= -1.0 + TARGET_TOL:
-        raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
-    t_star = None
-    for i in sorted(mins, key=lambda i: ts[i]):
-        T, c = golden_section(lambda T: scan(T)[1], ts[i - 1], ts[i + 1], tol=1e-3 * t_rabi)
-        if c <= -1.0 + TARGET_TOL:
-            t_star = T
-            break
-    if t_star is None:
+    scanned = []  # the grid's best (cost, omega, parity) at each scanned T
+    for j, T in enumerate(ts):
+        best = (np.inf, None, None)
+        for p in problem.parities():
+            cs = _grid_costs(ws, T, problem, p)
+            k = int(np.argmin(cs))
+            if cs[k] < best[0]:
+                best = (float(cs[k]), float(ws[k]), p)
+        scanned.append(best)
+        if j == 0 and best[0] <= -1.0 + TARGET_TOL:
+            raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
+        if j >= 2 and scanned[j - 2][0] >= scanned[j - 1][0] <= best[0]:
+            _, w_dip, parity = scanned[j - 1]
+            root = _newton_root(ts[j - 1], w_dip, problem, parity,
+                                (ts[j - 2], T), (ws[0], ws[-1]))
+            if root is not None:
+                break
+    else:
         raise RuntimeError(
-            f"no T in [0.6, 1.2] * T_Rabi reaches the gate fidelity {TARGET_TOL}")
+            f"no T in [0.6, 1.2] * T_Rabi reaches the gate (|U00|^2 <= {ROOT_TOL})")
+    t_star, w_opt, residual, newton_steps = root
 
     # the +/-u* degeneracy lets us return the canonical orientation (middle
     # bang at -u_max), which matches the A > 0 form of the analytical
     # switching function
-    w_opt, cost, parity = scan(t_star)
+    cost = one_param_cost(w_opt, t_star, problem, -1.0, parity)
     proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
     n_switch = len(proto.to_bang_sequence().switch_times)
 
@@ -167,10 +235,10 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         w_r, _, parity_r = optimize_omega_eff(T_r, problem)
         proto_r = one_param_protocol(w_r, T_r, problem, sign=-1, parity=parity_r)
         report = pmp.audit(proto_r, problem.params, problem.cost_spec())
-    return GateSearchResult(t_star=float(t_star), omega_eff=float(w_opt),
-                            parity=parity, sign=-1, n_switch=int(n_switch),
-                            ratio=float(t_star / t_rabi), cost=float(cost),
-                            protocol=proto, report=report)
+    return GateSearchResult(t_star=t_star, omega_eff=w_opt, parity=parity, sign=-1,
+                            n_switch=int(n_switch), ratio=float(t_star / t_rabi),
+                            cost=float(cost), residual=residual,
+                            newton_steps=int(newton_steps), protocol=proto, report=report)
 
 
 def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:

@@ -1,4 +1,5 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qoct import xgate
 from qoct.cli import main
 from qoct.dynamics import ModelParams, rabi_protocol
 from qoct.fileio import (
@@ -115,6 +117,19 @@ class TestCli:
         record = json.loads((out / "run_record.json").read_text())
         for name in record["outputs"]:
             assert (out / name).exists()
+        result = json.loads((out / "gate_result.json").read_text())
+        assert 0.0 <= result["residual"] <= 1e-20
+        assert result["newton_steps"] >= 0
+
+    def test_xgate_nonfinite_residual_exits_2_without_result(self, outdir, monkeypatch):
+        search = xgate.min_gate_time
+
+        def nan_residual(problem, with_report=True):
+            return dataclasses.replace(search(problem, with_report), residual=float("nan"))
+
+        monkeypatch.setattr(xgate, "min_gate_time", nan_residual)
+        assert main(["xgate", "--umax", "0.5"]) == 2
+        assert not (outdir / "xgate" / "gate_result.json").exists()
 
     def test_sweep_writes_one_row_per_amplitude(self, outdir, capsys):
         rc = main(["sweep", "--umax", "0.45:0.5:2"])

@@ -1,10 +1,20 @@
 """Gate synthesis: one-parameter family, frequency search, asymptotics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoct import xgate
-from qoct.dynamics import ModelParams, rabi_pi_time, total_unitary
+from qoct.dynamics import (
+    ModelParams,
+    gate_cost,
+    ordered_product,
+    rabi_pi_time,
+    segment_propagators,
+    total_unitary,
+)
 from qoct.optim import scalar_minimize
+from qoct.protocols import square_wave
 from qoct.xgate import (
     GateProblem,
     asymptotic_ratio_model,
@@ -73,17 +83,112 @@ class TestMinGateTime:
                             with_report=False)
         assert res.t_star <= gate_results[0.5].t_star + 1e-6
 
-    def test_frequency_scanned_once_at_t_star(self, monkeypatch):
-        scanned = []
-        scan = xgate.optimize_omega_eff
-
-        def counting(T, problem, *args, **kw):
-            scanned.append(T)
-            return scan(T, problem, *args, **kw)
-
-        monkeypatch.setattr(xgate, "optimize_omega_eff", counting)
+    def test_returned_point_is_a_root(self):
         res = min_gate_time(X05, with_report=False)
-        assert scanned.count(res.t_star) == 1
+        bounds, vals = square_wave(res.omega_eff, res.t_star, 0.5, res.sign, res.parity)
+        U = ordered_product(segment_propagators(bounds[1:] - bounds[:-1], vals, X05.params))
+        assert abs(U[0, 0]) ** 2 <= 1e-20
+        fresh = one_param_cost(res.omega_eff, res.t_star, X05, res.sign, res.parity)
+        assert np.float64(res.cost).view(np.uint64) == np.float64(fresh).view(np.uint64)
+        assert res.n_switch == len(res.protocol.to_bang_sequence().switch_times)
+
+    def test_no_converged_dip_raises(self, monkeypatch):
+        tried = []
+
+        def never(T0, *args):
+            tried.append(T0)
+
+        monkeypatch.setattr(xgate, "_newton_root", never)
+        with pytest.raises(RuntimeError, match="reaches the gate"):
+            min_gate_time(X05, with_report=False)
+        assert tried
+
+
+GRID = [float(round(u, 10)) for u in np.linspace(0.05, 0.5, 10)]
+
+
+def oracle_square_wave(omega, T, u_max, sign, parity):
+    """Cell bounds and values of sign * u_max * Sgn[carrier(omega (t - T/2))]."""
+    n = int(omega * T / (2.0 * np.pi)) + 2
+    if parity == "even":
+        offs = (0.5 + np.arange(-n, n)) * np.pi / omega
+    else:
+        offs = np.arange(-n, n + 1) * np.pi / omega
+    cuts = T / 2.0 + offs[np.abs(offs) < T / 2.0]
+    bounds = np.concatenate([[0.0], cuts, [T]])
+    mids = 0.5 * (bounds[:-1] + bounds[1:]) - T / 2.0
+    carrier = np.cos if parity == "even" else np.sin
+    return bounds, sign * u_max * np.sign(carrier(omega * mids))
+
+
+def oracle_gap(res, kind, u_max, omega0=2.0):
+    """C + 1 of the returned gate, propagated cell by cell through eigh.
+
+    H = (omega0/2) sigma_z + u sigma_x on each cell.  C + 1 is written
+    through unitarity, without the cancellation in 1 - |.|^2:
+    C_X + 1 = |U00|^2 + |U10 - U01|^2/4, C_Y + 1 = |U00|^2 + |U10 + U01|^2/4
+    and C_PT + 1 = (|U00|^2 + |U11|^2)/2.
+    """
+    bounds, vals = oracle_square_wave(res.omega_eff, res.t_star, u_max, res.sign, res.parity)
+    U = np.eye(2, dtype=complex)
+    for dt, u in zip(np.diff(bounds), vals):
+        lam, V = np.linalg.eigh(np.array([[omega0 / 2.0, u], [u, -omega0 / 2.0]]))
+        U = (V * np.exp(-1j * lam * dt)) @ V.conj().T @ U
+    a00, a11 = abs(U[0, 0]) ** 2, abs(U[1, 1]) ** 2
+    return {"x": a00 + abs(U[1, 0] - U[0, 1]) ** 2 / 4.0,
+            "y": a00 + abs(U[1, 0] + U[0, 1]) ** 2 / 4.0,
+            "pt": (a00 + a11) / 2.0}[kind]
+
+
+class TestFirstRootAndOracle:
+    """T* is the first root, and an independent propagator confirms the gate."""
+
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    @pytest.mark.parametrize("u_max", GRID)
+    def test_first_root_confirmed_by_eigh_oracle(self, kind, u_max):
+        problem = GateProblem(kind, ModelParams(u_max=u_max))
+        res = min_gate_time(problem, with_report=False)
+        assert res.residual <= 1e-20
+        assert oracle_gap(res, kind, u_max) <= 1e-20
+        T_before = res.t_star - 1e-3 * rabi_pi_time(problem.params)
+        _, c, _ = optimize_omega_eff(T_before, problem)
+        assert c + 1.0 > 1e-6
+
+    def test_small_amplitude_first_root_confirmed_by_eigh_oracle(self):
+        # the dip is wider here: the optimized C+1 is 6.3e-7 at T* - 1e-3
+        # T_Rabi and first falls below 1e-6 about 1.9e-3 T_Rabi before T*.
+        # From 3e-3 T_Rabi before T*, where it is above 1e-6, it must fall
+        # monotonically, so no earlier root hides in the band
+        problem = GateProblem("x", ModelParams(u_max=0.01))
+        res = min_gate_time(problem, with_report=False)
+        assert res.residual <= 1e-20
+        assert oracle_gap(res, "x", 0.01) <= 1e-20
+        t_rabi = rabi_pi_time(problem.params)
+        gaps = [optimize_omega_eff(res.t_star - k * 2.5e-4 * t_rabi, problem)[1] + 1.0
+                for k in range(12, 0, -1)]
+        assert gaps[0] > 1e-6
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.05, 1.0), st.floats(0.6, 1.2), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
+def test_square_wave_parity_reduces_gate_costs_to_u00(u_max, t_frac, w_frac, sign):
+    """An even wave has U01 = U10 and an odd one U01 = -U10, so C + 1 = |U00|^2.
+
+    Drawn over the gate search's domain: T in [0.6, 1.2] T_Rabi and omega in
+    the frequency scan's range.  C + 1 also carries the product's unitarity
+    defect, which grows with the segment count (to 4.5e-14 on 2000 random
+    cases of up to 50 segments), hence its looser bound.
+    """
+    params = ModelParams(u_max=u_max)
+    T = t_frac * rabi_pi_time(params)
+    omega = 0.8 * params.omega0 + w_frac * (1.1 * params.big_omega - 0.8 * params.omega0)
+    for parity, kinds, flip in (("even", ("x", "pt"), 1.0), ("odd", ("y", "pt"), -1.0)):
+        bounds, vals = square_wave(omega, T, u_max, sign, parity)
+        U = ordered_product(segment_propagators(bounds[1:] - bounds[:-1], vals, params))
+        assert abs(U[0, 1] - flip * U[1, 0]) <= 1e-14
+        for kind in kinds:
+            assert abs(gate_cost(U, kind) + 1.0 - abs(U[0, 0]) ** 2) <= 1e-13
 
 
 class TestOptimizeOmegaEff:
