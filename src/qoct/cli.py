@@ -25,10 +25,11 @@ from .xgate import GateProblem
 
 
 def _angle(text: str) -> float:
-    """Angle literal: plain radians, or a multiple of pi like '0.7pi'."""
+    """Angle literal: plain radians, or a multiple of pi like '0.7pi' or '-pi'."""
     s = text.strip().lower()
     if s.endswith("pi"):
-        return float(s[:-2] or 1.0) * np.pi
+        factor = s[:-2]
+        return float(factor + "1" if factor in ("", "+", "-") else factor) * np.pi
     return float(s)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoct import xgate
-from qoct.cli import main
+from qoct.cli import _angle, main
 from qoct.dynamics import ModelParams, rabi_protocol
 from qoct.fileio import (
     fmt,
@@ -154,6 +154,22 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["structure"] == "BSB"
+
+    @pytest.mark.parametrize("text, value", [("pi", np.pi), ("-pi", -np.pi), ("+pi", np.pi),
+                                             ("-1pi", -np.pi), ("-0.5PI", -0.5 * np.pi),
+                                             ("0.7pi", 0.7 * np.pi), ("-2.5", -2.5)])
+    def test_angle_literals(self, text, value):
+        assert _angle(text) == value
+
+    def test_state_prep_phi_minus_pi_runs_like_pi(self, tmp_path):
+        args = ["state-prep", "--theta-init=0.7pi", "--phi-init=0",
+                "--theta-target=0.35pi", "--umax=0.8"]
+        for phi in ("pi", "-pi", "-1pi"):
+            assert main(args + [f"--phi-target={phi}", f"--out={tmp_path / phi}"]) == 0
+        for name in ("search_result.json", "pulse.csv", "trajectory.csv"):
+            ref = (tmp_path / "pi" / "state-prep" / name).read_bytes()
+            for phi in ("-pi", "-1pi"):
+                assert (tmp_path / phi / "state-prep" / name).read_bytes() == ref
 
     def test_state_prep_trajectory_runs_from_initial_to_target(self, outdir):
         rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",

@@ -1,7 +1,7 @@
 """Exact propagators, Bloch maps, and terminal costs."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoct.dynamics import (
@@ -15,11 +15,13 @@ from qoct.dynamics import (
     bloch_from_state,
     constant_propagator,
     gate_cost,
+    matmul_2x2,
     ordered_product,
     prefix_states,
     propagate,
     rabi_pi_time,
     rabi_protocol,
+    segment_derivatives,
     segment_propagators,
     state_from_bloch,
     state_prep_cost,
@@ -160,6 +162,12 @@ class TestPropagate:
             propagate(BangSequence(1.0, 0.5, (), (0.5,)), P05, KET_0, n_samples=1)
 
 
+# cell counts for the blocked scan: the edges, squares (exact blocks), primes
+# (a short last block) and one 10^4 + 1 (one cell past a square)
+SCAN_SIZES = st.one_of(st.integers(0, 3), st.integers(2, 40).map(lambda k: k * k),
+                       st.sampled_from([5, 7, 13, 31, 101, 997, 4099]), st.just(10_001))
+
+
 class TestPrefixStates:
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_rows_match_prefix_products(self, n):
@@ -190,6 +198,49 @@ class TestPrefixStates:
         psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
         np.testing.assert_allclose(prefix_states(units, psi0), P @ psi0, rtol=0, atol=1e-13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=SCAN_SIZES, m=st.sampled_from([None, 1, 2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=0, m=None, seed=0)
+    @example(n=10_001, m=2, seed=1)
+    def test_matches_sequential_loop(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        units = segment_propagators(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
+        shape = (2,) if m is None else (2, m)
+        initial = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        initial /= np.linalg.norm(initial, axis=0)
+        ref = [initial]
+        for U in units:
+            ref.append(U @ ref[-1])
+        states = prefix_states(units, initial)
+        assert states.shape == (n + 1,) + shape
+        np.testing.assert_array_equal(states[0], initial)
+        assert np.abs(states - np.array(ref)).max() <= 1e-13
+
+    def test_matmul_2x2_matches_matmul(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((7, 3, 2, 2)) + 1j * rng.standard_normal((7, 3, 2, 2))
+        for B in (rng.standard_normal((7, 3, 2, 2)), rng.standard_normal((2, 1)) + 0.5j):
+            np.testing.assert_allclose(matmul_2x2(A, B), A @ B, rtol=0, atol=1e-14)
+
+
+class TestSegmentDerivatives:
+    @pytest.mark.parametrize("u", [0.0, 0.1, -0.25, 0.5, -0.5, 0.6, -0.6])
+    def test_matches_central_differences_in_u(self, u):
+        # |u| up to 1.2 u_max (u_max = 0.5), from short cells to several periods
+        durs = np.array([1e-3, 0.014, 0.3, 1.7, 6.0])
+        vals = np.full(len(durs), u)
+        h = 1e-6
+        fd = (segment_propagators(durs, vals + h, P05)
+              - segment_propagators(durs, vals - h, P05)) / (2.0 * h)
+        dU = segment_derivatives(durs, vals, P05)
+        assert dU.shape == (len(durs), 2, 2)
+        assert np.abs(dU - fd).max() <= 1e-8
+
+    def test_zero_duration_cell_has_zero_derivative(self):
+        dU = segment_derivatives(np.zeros(3), [0.0, 0.3, -0.5], P05)
+        np.testing.assert_array_equal(dU, np.zeros((3, 2, 2)))
+
 
 class TestBlochMaps:
     def test_north_pole(self):
@@ -214,6 +265,16 @@ class TestBlochMaps:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             bloch_from_state(np.zeros(2, dtype=complex))
+
+    def test_phi_minus_pi_is_stored_as_pi(self):
+        b = BlochPoint(0.3, -np.pi)
+        assert b.phi == np.pi
+        assert np.array_equal(state_from_bloch(b), state_from_bloch(BlochPoint(0.3, np.pi)))
+
+    @pytest.mark.parametrize("phi", [-np.pi - 1e-9, -4.0, 3.2])
+    def test_phi_outside_range_rejected(self, phi):
+        with pytest.raises(ValueError):
+            BlochPoint(0.3, phi)
 
 
 class TestCosts:
