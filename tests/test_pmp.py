@@ -1,4 +1,5 @@
 """Adjoint machinery, switching function, control-Hamiltonian, planar geometry."""
+import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +322,19 @@ class TestAuditInvariants:
         for key in ("lambda0", "A", "omega_eff", "hoc_max_dev", "sign_fraction",
                     "singular_residence"):
             assert key in summary
+
+    def test_summary_writes_rounding_level_hoc_dev_as_zero(self):
+        # H_oc is exactly constant on every bang, so a deviation of a few
+        # 1e-16 is rounding and must not change the written summary
+        proto = BangSequence(2.0, 0.5, (0.8,), (0.5, -0.5))
+        rep = audit(proto, P05, SP_COST, n_samples=801)
+        a = dataclasses.replace(rep, hoc_seg_max_dev=2.1e-16)
+        b = dataclasses.replace(rep, hoc_seg_max_dev=5.7e-16)
+        assert a.summary() == b.summary()
+        assert a.summary()["hoc_max_dev"] == 0.0
+        assert dataclasses.replace(rep, hoc_seg_max_dev=1e-12).summary()["hoc_max_dev"] == 0.0
+        assert dataclasses.replace(rep, hoc_seg_max_dev=1e-6).summary()["hoc_max_dev"] == 1e-6
+        assert a.hoc_seg_max_dev == 2.1e-16  # the in-memory figure stays raw
 
     def test_singular_residence_counts_equator_coast(self):
         from qoct.state_prep import StatePrepProblem, best_bsb, _bsb_protocol

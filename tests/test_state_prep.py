@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoct.dynamics import (
+    TARGET_TOL,
     BlochPoint,
     ModelParams,
     bloch_from_state,
@@ -272,6 +273,34 @@ class TestFindTimeOptimal:
         ts = [find_time_optimal(problem_at(u), with_report=False).t_star
               for u in (0.3, 0.5, 0.8, 1.0)]
         assert all(a >= b for a, b in zip(ts, ts[1:]))
+
+    @pytest.mark.parametrize("forced", ["max-iter", "converged"])
+    def test_stalled_misses_counted(self, forced, monkeypatch):
+        # every lane is made to end with the forced status; a miss is a
+        # structure whose best scan or bisection cost stays above the target
+        from qoct import optim, state_prep
+        lockstep, scan = optim.lockstep_nelder_mead, state_prep._scan_optima
+        misses = []
+
+        def forced_lockstep(*args):
+            runs = lockstep(*args)
+            for r in runs:
+                r.status = forced
+            return runs
+
+        def spy(structures, *args):
+            optima = scan(structures, *args)
+            # BB-0 has no lanes: nothing of it can stall
+            misses.extend(s.n_switch > 0 and c > -1.0 + TARGET_TOL
+                          for s, (_, c, _) in zip(structures, optima))
+            return optima
+
+        monkeypatch.setattr(optim, "lockstep_nelder_mead", forced_lockstep)
+        monkeypatch.setattr(state_prep, "_scan_optima", spy)
+        res = find_time_optimal(problem_at(0.5), with_report=False)
+        assert res.found and sum(misses) > 0
+        expected = sum(misses) if forced == "max-iter" else 0
+        assert res.diagnostics["stalled_misses"] == expected
 
     def test_not_found_reported(self):
         res = find_time_optimal(problem_at(0.05), t_max=0.2 * np.pi,
