@@ -196,7 +196,7 @@ def cmd_state_prep(args) -> int:
         for t, psi in zip(traj.times, traj.states):
             b = bloch_from_state(psi)
             rows.append((t, b.theta, b.phi))
-        fileio.write_csv(rec.path("trajectory.csv"), ["t", "theta", "phi"], rows)
+        fileio.write_csv(rec.path("trajectory.csv"), ["t", "theta", "phi"], np.array(rows))
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("found", "t_star", "structure", "cost")}))
     return 0 if res.found else 3
@@ -250,7 +250,7 @@ def cmd_xgate(args) -> int:
     if res.report is not None:
         fileio.write_json(rec.path("report.json"), res.report.summary())
         fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
-                         zip(res.report.times, res.report.phi, res.report.hoc))
+                         np.column_stack((res.report.times, res.report.phi, res.report.hoc)))
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("t_star", "ratio", "omega_eff", "n_switch")}))
     return 0
@@ -293,7 +293,7 @@ def cmd_smooth(args) -> int:
     fileio.write_pulse_csv(rec.path("pulse.csv"), run.protocol)
     freqs, amps = smoothing.fourier_spectrum(run.protocol)
     fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     [(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)])
+                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
     payload = {"scheme": run.scheme, "T": run.T, "t_over_trabi": run.T / t_rabi,
                "cost_plus_1": run.cost_plus_1, "converged": run.converged,
                "extras": {k: v for k, v in run.extras.items()}}
@@ -322,7 +322,7 @@ def cmd_verify(args) -> int:
     report = pmp.audit(protocol, params, _cost_spec_from_args(args))
     fileio.write_json(rec.path("report.json"), report.summary())
     fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
-                     zip(report.times, report.phi, report.hoc))
+                     np.column_stack((report.times, report.phi, report.hoc)))
     rec.finish()
     print(report.to_json())
     return 0
@@ -335,7 +335,7 @@ def cmd_spectrum(args) -> int:
     protocol = fileio.sampled_from_pulse(t, u, umax)
     freqs, amps = smoothing.fourier_spectrum(protocol, n_max=args.nmax)
     fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     [(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)])
+                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
     rec.finish()
     print(json.dumps({"n_lines": len(freqs)}))
     return 0
@@ -360,7 +360,7 @@ def _repro_gate_point(rec: _Record, umax: float):
     fileio.write_json(rec.path("gate_result.json"), _gate_result_payload(res))
     fileio.write_pulse_csv(rec.path("pulse.csv"), res.protocol.to_bang_sequence())
     fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
-                     zip(res.report.times, res.report.phi, res.report.hoc))
+                     np.column_stack((res.report.times, res.report.phi, res.report.hoc)))
 
 
 def _repro_stateprep(rec: _Record):
@@ -395,7 +395,7 @@ def _repro_spectra(rec: _Record, smoothed: bool):
         proto = xgate.min_gate_time(problem, with_report=False).protocol.to_bang_sequence()
     freqs, amps = smoothing.fourier_spectrum(proto, n_max=60)
     fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     [(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)])
+                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
 
 
 def _repro_third(rec: _Record):

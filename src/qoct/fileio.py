@@ -45,12 +45,24 @@ def default_out_dir(override: str | None = None) -> Path:
 
 
 def write_csv(path, header: list[str], rows) -> Path:
+    """Write a header line and one line per row.
+
+    ``rows`` is either an iterable of rows, each value formatted by ``fmt``,
+    or a 2-D float array, whose rows are formatted with one "{:.12g}"
+    template from Python floats, taken column by column.  That is the text
+    ``fmt`` gives for the same floats, at about a third of the cost of its
+    type dispatch on numpy scalars; rows holding ints, bools or strings take
+    the iterable form.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        template = ",".join(["{:.12g}"] * rows.shape[1])
+        body = list(map(template.format, *rows.T.tolist()))
+    else:
+        body = [",".join(fmt(x) for x in row) for row in rows]
+    path.write_text("\n".join([",".join(header)] + body) + "\n", encoding="ascii",
+                    newline="\n")
     return path
 
 
@@ -90,7 +102,7 @@ def write_pulse_csv(path, protocol_or_times, values=None, n_samples: int | None 
     else:
         times = np.asarray(protocol_or_times, dtype=float)
         vals = np.asarray(values, dtype=float)
-    return write_csv(path, ["t", "u"], zip(times, vals))
+    return write_csv(path, ["t", "u"], np.column_stack((times, vals)))
 
 
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -319,13 +319,15 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
-                 problem: StatePrepProblem, seed: int) -> list[tuple[np.ndarray, float]]:
-    """Best reduced coordinates and cost of each BB structure at its own T.
+                 problem: StatePrepProblem, seed: int) -> list[tuple[np.ndarray, float, str]]:
+    """Best reduced coordinates, cost and lane status of each BB structure at its own T.
 
     A structure's Nelder-Mead runs start from its warm start, if it has
     one, and from _SCAN_DRAWS seeded draws.  The runs of all
     structures are lanes of one lockstep call per coordinate count: BB-1 in
-    its switch time, k >= 2 in (t0, tbar).  BB-0 has nothing to optimize.
+    its switch time, k >= 2 in (t0, tbar).  The status is that of the
+    structure's best lane, 'converged' or 'max-iter'.  BB-0 has nothing to
+    optimize and reports 'exact'.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
@@ -336,7 +338,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                             [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero],
                             psi_i, psi_t, params)
         for j, c in zip(zero, costs):
-            out[j] = (np.empty(0), float(c))
+            out[j] = (np.empty(0), float(c), "exact")
     for dim in (1, 2):
         group = [j for j, s in enumerate(structures) if min(s.n_switch, 2) == dim]
         if not group:
@@ -374,7 +376,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
         for j, end, count in zip(group, np.cumsum(counts), counts):
             r = min(runs[end - count:end], key=lambda r: r.fun)
-            out[j] = (r.x, r.fun)
+            out[j] = (r.x, r.fun, r.status)
     return out
 
 
@@ -389,7 +391,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     construction, validated by propagation.  The winner is re-optimized
     with fully free switch times, and its optimality report is evaluated at
     0.999 T* where the PMP quantities are small but nonzero.  Ties break
-    toward fewer switchings.
+    toward fewer switchings.  ``diagnostics["stalled_misses"]`` counts the
+    scan and bisection misses whose best Nelder-Mead lane ended 'max-iter'.
     """
     params = problem.params
     if t_max is None:
@@ -416,6 +419,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     hits: dict = {}
     T_hit = None
     T_miss = 0.0  # the last coarse time that missed
+    # misses decided by a best lane that ran out of Nelder-Mead iterations:
+    # such a miss may be a stall rather than a time too short
+    stalled = 0
     for j in range(1, int(np.ceil(t_max / coarse_step)) + 1):
         T = min(j * coarse_step, t_max)
         kmax_here = math.ceil(params.omega0 * T / np.pi) + 2
@@ -423,10 +429,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         keys = [(s.n_switch, s.lead_sign) for s in scan]
         optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
                               problem, seed)
-        for s, key, (x, c) in zip(scan, keys, optima):
+        for s, key, (x, c, status) in zip(scan, keys, optima):
             warm[key] = x
             if c <= -1.0 + TARGET_TOL:
                 hits[key] = (s, x)
+            else:
+                stalled += status == "max-iter"
         if hits or bsb_T <= T:
             T_hit = T
             break
@@ -446,11 +454,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             optima = _scan_optima([found[i][0] for i in steps], mids,
                                   [x_best[i] * (mid / hi[i]) for i, mid in zip(steps, mids)],
                                   problem, seed)
-            for i, mid, (x, c) in zip(steps, mids, optima):
+            for i, mid, (x, c, status) in zip(steps, mids, optima):
                 if c <= -1.0 + TARGET_TOL:
                     hi[i], x_best[i] = mid, np.asarray(x, dtype=float)
                 else:
                     lo[i] = mid
+                    stalled += status == "max-iter"
         for (s, _), t_hi, x in zip(found, hi, x_best):
             _, _, eff = canonicalize_bangs(_reduced_to_times(x, s, t_hi),
                                            _bb_values(s.n_switch, s.lead_sign, params.u_max),
@@ -461,7 +470,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     if not candidates:
         return SearchResult(False, None, None, (), (), None, None,
-                            {"t_max": t_max, "reason": "no structure reached fidelity"})
+                            {"t_max": t_max, "reason": "no structure reached fidelity",
+                             "stalled_misses": stalled})
 
     # smallest refined T wins; within the refinement resolution ties break
     # toward fewer switchings, then toward the singular structure (the exact
@@ -488,6 +498,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         values = tuple(float(v) for v in values)
         diag = {"singular_duration": 0.0}
     diag["t_max"] = t_max
+    diag["stalled_misses"] = stalled
     diag["candidates"] = [(c[0], "BSB" if c[3] is None else str(c[3])) for c in candidates]
 
     report = None

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qoct import dynamics
 from qoct.dynamics import (
     KET_0,
     KET_1,
@@ -222,6 +223,62 @@ class TestPrefixStates:
         A = rng.standard_normal((7, 3, 2, 2)) + 1j * rng.standard_normal((7, 3, 2, 2))
         for B in (rng.standard_normal((7, 3, 2, 2)), rng.standard_normal((2, 1)) + 0.5j):
             np.testing.assert_allclose(matmul_2x2(A, B), A @ B, rtol=0, atol=1e-14)
+
+
+# cell counts for the pairwise tree: the smallest, odd counts (a carried last
+# element), powers of two (no carry), 1000 and 100,003
+PRODUCT_SIZES = st.sampled_from([1, 2, 3, 5, 7, 13, 31, 101, 4, 8, 16, 64, 256, 1000, 100_003])
+
+
+def random_cells(rng, shape, u_max, d_max):
+    """segment_propagators cells of durations up to d_max and |u| up to 1.2 u_max."""
+    return segment_propagators(rng.uniform(0.0, d_max, shape),
+                               rng.uniform(-1.2 * u_max, 1.2 * u_max, shape),
+                               ModelParams(u_max=u_max))
+
+
+class TestOrderedProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(n=PRODUCT_SIZES, lanes=st.sampled_from([(), (1,), (3,), (40,), (2, 3), (4, 5)]),
+           seed=st.integers(0, 2**32 - 1), u_max=st.floats(0.01, 1.5),
+           d_max=st.floats(0.0, 6.0))
+    @example(n=100_003, lanes=(), seed=0, u_max=1.0, d_max=6.0)
+    @example(n=1000, lanes=(4, 5), seed=1, u_max=0.2, d_max=6.0)
+    def test_matches_sequential_matmul_loop(self, n, lanes, seed, u_max, d_max):
+        # stacks (n,), (n, M) and (n, K, B); the long stack alone only as (n,)
+        if n > 1000:
+            lanes = ()
+        rng = np.random.default_rng(seed)
+        units = random_cells(rng, (n,) + lanes, u_max, d_max)
+        ref = np.broadcast_to(SIGMA_0, lanes + (2, 2))
+        for U in units:
+            ref = np.matmul(U, ref)
+        out = ordered_product(units)
+        assert out.shape == lanes + (2, 2)
+        # |U_ij| <= 1, so the bound is relative to the unitary's norm
+        assert np.abs(out - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+    @pytest.mark.parametrize("lanes", [(), (5,), (60,), (3, 4)])
+    def test_output_is_exactly_su2_form_and_reads_only_first_column(self, n, lanes):
+        rng = np.random.default_rng(n)
+        units = random_cells(rng, (n,) + lanes, 0.3, 4.0)
+        out = ordered_product(units)
+        np.testing.assert_array_equal(out[..., 0, 1], -np.conjugate(out[..., 1, 0]))
+        np.testing.assert_array_equal(out[..., 1, 1], np.conjugate(out[..., 0, 0]))
+        spoiled = units.copy()
+        spoiled[..., :, 1] = np.nan
+        np.testing.assert_array_equal(ordered_product(spoiled), out)
+
+    @pytest.mark.parametrize("shape", [(9, 60), (300,), (5, 3), (17,), (2, 200)])
+    def test_both_layouts_agree_bitwise(self, shape, monkeypatch):
+        rng = np.random.default_rng(len(shape))
+        units = random_cells(rng, shape, 0.48, 3.0)
+        monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 0)
+        separate = ordered_product(units)
+        monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 10**9)
+        side_by_side = ordered_product(units)
+        assert separate.tobytes() == side_by_side.tobytes()
 
 
 class TestSegmentDerivatives:
