@@ -242,6 +242,13 @@ class TestCli:
                    "--theta-target=1.0970878453687456",
                    "--phi-target=3.141592653589793", "--umax=0.349783"])
         assert rc == 0
+        # the plateau's structure is BB-2: a last switch parked a sliver
+        # before T* must not turn it into BB-3
+        res = json.loads((outdir / "state-prep" / "search_result.json").read_text())
+        assert res["structure"] == "BB-2"
+        T = res["t_star"]
+        durs = np.diff(np.concatenate([[0.0], res["switch_times"], [T]]))
+        assert np.min(durs) >= 1e-3 * T
 
     def test_unknown_structure_exits_2(self, outdir):
         rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",

@@ -169,6 +169,33 @@ class TestFirstRootAndOracle:
         assert gaps[0] > 1e-6
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
+    def test_root_past_the_dip_bracket_confirmed_by_eigh_oracle(self):
+        # Newton's first step from the dip at T = 48.80 lands at T = 49.70,
+        # outside the dip's bracket [48.41, 49.19]; it still converges to the
+        # first root, T* = 49.3038, just past the dip's right neighbour
+        problem = GateProblem("x", ModelParams(u_max=0.0503845))
+        res = min_gate_time(problem, with_report=False)
+        assert res.residual <= 1e-20
+        assert oracle_gap(res, "x", 0.0503845) <= 1e-20
+        assert abs(res.t_star - 49.303781345) < 1e-6
+        T_before = res.t_star - 1e-3 * rabi_pi_time(problem.params)
+        _, c, _ = optimize_omega_eff(T_before, problem)
+        assert c + 1.0 > 1e-6
+
+    def test_wide_dip_root_past_the_bracket_confirmed_by_eigh_oracle(self):
+        # as at u_max = 0.01 the dip is wide: the optimized C+1 is 1.29e-6 at
+        # T* - 3e-3 T_Rabi and must fall monotonically from there to T*
+        problem = GateProblem("x", ModelParams(u_max=0.105))
+        res = min_gate_time(problem, with_report=False)
+        assert res.residual <= 1e-20
+        assert oracle_gap(res, "x", 0.105) <= 1e-20
+        assert abs(res.t_star - 23.618429220) < 1e-6
+        t_rabi = rabi_pi_time(problem.params)
+        gaps = [optimize_omega_eff(res.t_star - k * 2.5e-4 * t_rabi, problem)[1] + 1.0
+                for k in range(12, -1, -1)]
+        assert gaps[0] > 1e-6
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.6, 1.2), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
