@@ -5,7 +5,9 @@ between +/-u_max) and bang-singular-bang (BSB), whose singular segment must
 ride the Bloch equator with u = 0.  The search scans the evolution time
 upward per structure until the terminal cost reaches -1, refines by
 bisection, and picks the structure with the smallest T*, breaking ties
-toward fewer switchings.
+toward fewer switchings.  At a fixed T every structure is searched in at
+most two reduced coordinates: the equal-middle-bang form (t0, tbar) of a
+BB-k extremal, the single switch time of BB-1, and (t1, t2 - t1) of BSB.
 """
 from __future__ import annotations
 
@@ -94,11 +96,6 @@ class SearchResult:
                             self.switch_times, self.values)
 
 
-# Nelder-Mead restarts of the free-switch-time polish at T* and at the
-# report time just below it
-_POLISH_SEEDS = 12
-
-
 def _bb_values(n_switch: int, lead_sign: int, u_max: float) -> np.ndarray:
     return lead_sign * u_max * (-1.0) ** np.arange(n_switch + 1)
 
@@ -161,47 +158,20 @@ def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> fl
 
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
-                       seeds: int = 20, x0=None) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """Best switch times for a structure at fixed T, by restarted Nelder-Mead.
+                       x0=None) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """Best switch times for a structure at fixed T, by the scan's reduced search.
 
-    Switch times are free variables (with sort/clip repair); for BSB both
-    trailing-bang signs are tried.  The restarts of every sign are lanes of
-    one lockstep Nelder-Mead, and the first lane reaching the lowest cost
-    wins.  Returns (times, cost, segment values), deterministic.
+    BB-1 is searched in its switch time, BB-k (k >= 2) in (t0, tbar) and BSB
+    in (t1, t2 - t1), once per trailing-bang sign; see ``_scan_optima``.  The
+    switch times ``x0``, if given, warm-start the search as (x0[0], their
+    mean spacing).  Returns (times, cost, segment values), deterministic.
     """
-    psi_i, psi_t = problem.states()
-    params = problem.params
-    k = 2 if structure.kind == "bsb" else structure.n_switch
-
-    if structure.kind == "bsb":
-        value_sets = [np.array([structure.lead_sign * params.u_max, 0.0, s2 * params.u_max])
-                      for s2 in (1.0, -1.0)]
-    else:
-        value_sets = [_bb_values(k, structure.lead_sign, params.u_max)]
-
-    if k == 0:
-        vals = value_sets[0]
-        return np.empty(0), cost_of_switchings((), vals, T, problem), tuple(vals)
-
-    def sampler(rng):
-        return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
-
-    start = (np.asarray(x0, dtype=float) if x0 is not None
-             else sampler(np.random.default_rng(1)))
-    starts = []
-    for _ in value_sets:
-        rng = np.random.default_rng(0)
-        starts += [start] + [sampler(rng) for _ in range(seeds - 1)]
-    lane_values = np.repeat(value_sets, len(starts) // len(value_sets), axis=0)
-    lane_T = np.full(len(starts), T)
-
-    def obj(X, lanes):
-        return _bang_costs(X, lane_T[lanes], lane_values[lanes], psi_i, psi_t, params)
-
-    runs = optim.lockstep_nelder_mead(obj, starts, 0.0, T, 2000, 1e-10)
-    best = min(range(len(runs)), key=lambda i: runs[i].fun)
-    times = np.sort(np.clip(runs[best].x, 0.0, T))
-    return times, runs[best].fun, tuple(float(v) for v in lane_values[best])
+    warm = None
+    if x0 is not None and structure.n_switch > 0:
+        t = np.sort(np.asarray(x0, dtype=float))
+        warm = t[:1] if len(t) == 1 else np.array([t[0], (t[-1] - t[0]) / (len(t) - 1)])
+    ((x, cost, _, values),) = _scan_optima([structure], [T], [warm], problem, seed=0)
+    return _reduced_to_times(x, structure, T), cost, values
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +263,27 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
     return out
 
 
-# seeded Nelder-Mead starts per structure at each time of the T* scan and
-# bisection, run besides the structure's warm start when it has one
+# seeded Nelder-Mead starts per structure at each time of the T* scan, the
+# bisection and the report, run besides the structure's warm start when it
+# has one
 _SCAN_DRAWS = 5
+
+
+def _segment_values(structure: StructureLabel, u_max: float) -> list[np.ndarray]:
+    """The segment values searched for a structure: one set, or one per BSB trailing sign."""
+    if structure.kind == "bsb":
+        return [np.array([structure.lead_sign * u_max, 0.0, s2 * u_max]) for s2 in (1.0, -1.0)]
+    return [_bb_values(structure.n_switch, structure.lead_sign, u_max)]
 
 
 def _reduced_times(X, ks, T) -> np.ndarray:
     """Switch times of reduced coordinates, one row per row of X.
 
     One column is the single switch time of BB-1; two are (t0, tbar), the
-    equal-middle-bang form t0 + j tbar (j < k), exact for BB extremals, whose
-    rows are padded with T to the largest k.  The times are neither sorted
-    nor clipped: ``_bang_costs`` does both.
+    equal-middle-bang form t0 + j tbar (j < k), exact for BB extremals and,
+    at k = 2, the (t1, t2 - t1) of BSB.  Rows are padded with T to the
+    largest k.  The times are neither sorted nor clipped: ``_bang_costs``
+    does both.
     """
     if X.shape[1] < 2:
         return X
@@ -319,32 +298,35 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
-                 problem: StatePrepProblem, seed: int) -> list[tuple[np.ndarray, float, str]]:
-    """Best reduced coordinates, cost and lane status of each BB structure at its own T.
+                 problem: StatePrepProblem,
+                 seed: int) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
+    """Best reduced coordinates, cost, lane status and segment values of each structure.
 
-    A structure's Nelder-Mead runs start from its warm start, if it has
-    one, and from _SCAN_DRAWS seeded draws.  The runs of all
-    structures are lanes of one lockstep call per coordinate count: BB-1 in
-    its switch time, k >= 2 in (t0, tbar).  The status is that of the
-    structure's best lane, 'converged' or 'max-iter'.  BB-0 has nothing to
-    optimize and reports 'exact'.
+    Each structure is searched at its own T.  Its Nelder-Mead runs start
+    from its warm start, if it has one, and from _SCAN_DRAWS seeded draws;
+    BSB runs them once per trailing-bang sign.  The runs of all structures
+    are lanes of one lockstep call per coordinate count: BB-1 in its switch
+    time, BB-k (k >= 2) in (t0, tbar) and BSB in (t1, t2 - t1).  The first
+    lane reaching a structure's lowest cost wins, and the status is that
+    lane's, 'converged' or 'max-iter'.  BB-0 has nothing to optimize and
+    reports 'exact'.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
     out = [None] * len(structures)
     zero = [j for j, s in enumerate(structures) if s.n_switch == 0]
     if zero:
-        costs = _bang_costs(np.empty((len(zero), 0)), [Ts[j] for j in zero],
-                            [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero],
+        zero_values = [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero]
+        costs = _bang_costs(np.empty((len(zero), 0)), [Ts[j] for j in zero], zero_values,
                             psi_i, psi_t, params)
-        for j, c in zip(zero, costs):
-            out[j] = (np.empty(0), float(c), "exact")
+        for j, vals, c in zip(zero, zero_values, costs):
+            out[j] = (np.empty(0), float(c), "exact", tuple(float(v) for v in vals))
     for dim in (1, 2):
         group = [j for j, s in enumerate(structures) if min(s.n_switch, 2) == dim]
         if not group:
             continue
         kmax = max(structures[j].n_switch for j in group)
-        starts, boxes, values, counts = [], [], [], []
+        starts, boxes, values, counts, owners = [], [], [], [], []
         for j in group:
             s, T, k = structures[j], Ts[j], structures[j].n_switch
             if dim == 1:
@@ -357,16 +339,18 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
             rng = np.random.default_rng(seed)
             mine = [] if warms[j] is None else [warms[j]]
             mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
-            starts += mine
-            counts.append(len(mine))
-            boxes.append(box)
-            values.append(np.pad(_bb_values(k, s.lead_sign, params.u_max), (0, kmax - k),
-                                 mode="edge"))
+            for vals in _segment_values(s, params.u_max):
+                starts += mine
+                counts.append(len(mine))
+                boxes.append(box)
+                values.append(vals)
+                owners.append(j)
         lo = np.repeat([b[0] for b in boxes], counts, axis=0)
         hi = np.repeat([b[1] for b in boxes], counts, axis=0)
-        lane_values = np.repeat(values, counts, axis=0)
-        lane_T = np.repeat([Ts[j] for j in group], counts)
-        lane_k = np.repeat([structures[j].n_switch for j in group], counts)
+        lane_values = np.repeat([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for v in values],
+                                counts, axis=0)
+        lane_T = np.repeat([Ts[j] for j in owners], counts)
+        lane_k = np.repeat([structures[j].n_switch for j in owners], counts)
 
         def obj(X, lanes):
             times = _reduced_times(X, lane_k[lanes], lane_T[lanes])
@@ -374,9 +358,10 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                                psi_i, psi_t, params)
 
         runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
-        for j, end, count in zip(group, np.cumsum(counts), counts):
+        for j, vals, end, count in zip(owners, values, np.cumsum(counts), counts):
             r = min(runs[end - count:end], key=lambda r: r.fun)
-            out[j] = (r.x, r.fun, r.status)
+            if out[j] is None or r.fun < out[j][1]:
+                out[j] = (r.x, r.fun, r.status, tuple(float(v) for v in vals))
     return out
 
 
@@ -388,8 +373,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     BB structures are scanned on a shared T grid of step pi/4 (in the fast
     equal-middle-bang form, both leading signs) and refined by bisection to
     1e-3 pi; the minimal BSB time comes from the closed-form equator
-    construction, validated by propagation.  The winner is re-optimized
-    with fully free switch times, and its optimality report is evaluated at
+    construction, validated by propagation.  A BB winner is the bisection's
+    best lane at T* as it is, and its optimality report is evaluated at
     0.999 T* where the PMP quantities are small but nonzero.  Ties break
     toward fewer switchings.  ``diagnostics["stalled_misses"]`` counts the
     scan and bisection misses whose best Nelder-Mead lane ended 'max-iter'.
@@ -429,7 +414,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         keys = [(s.n_switch, s.lead_sign) for s in scan]
         optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
                               problem, seed)
-        for s, key, (x, c, status) in zip(scan, keys, optima):
+        for s, key, (x, c, status, _) in zip(scan, keys, optima):
             warm[key] = x
             if c <= -1.0 + TARGET_TOL:
                 hits[key] = (s, x)
@@ -454,7 +439,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             optima = _scan_optima([found[i][0] for i in steps], mids,
                                   [x_best[i] * (mid / hi[i]) for i, mid in zip(steps, mids)],
                                   problem, seed)
-            for i, mid, (x, c, status) in zip(steps, mids, optima):
+            for i, mid, (x, c, status, _) in zip(steps, mids, optima):
                 if c <= -1.0 + TARGET_TOL:
                     hi[i], x_best[i] = mid, np.asarray(x, dtype=float)
                 else:
@@ -491,9 +476,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         cost = cost_of_switchings(times, values, t_star, problem)
         diag = {"singular_duration": cand["coast"], "bsb": dict(cand)}
     else:
-        times0 = _reduced_to_times(x_win, s_win, t_star)
-        times, cost, values = optimize_structure(s_win, t_star, problem,
-                                                 seeds=_POLISH_SEEDS, x0=times0)
+        times = _reduced_to_times(x_win, s_win, t_star)
+        values = _bb_values(s_win.n_switch, s_win.lead_sign, params.u_max)
+        cost = cost_of_switchings(times, values, t_star, problem)
         times, values, structure = canonicalize_bangs(times, values, t_star)
         values = tuple(float(v) for v in values)
         diag = {"singular_duration": 0.0}
@@ -510,16 +495,16 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
 def report_near_optimum(structure: StructureLabel, t_star: float, times, values,
                         problem: StatePrepProblem, shrink: float = 0.999) -> OptimalityReport:
-    """Audit the re-optimized protocol at T slightly below T*.
+    """Audit the structure's optimum at T slightly below T*.
 
     At T* both Phi and H_oc vanish and the sign test is vacuous, so the
     diagnostics are evaluated at shrink * T* where lambda0 is small but
-    finite.
+    finite.  The protocol there is ``optimize_structure``'s, warm-started
+    from the switch times at T* scaled by ``shrink``.
     """
     T = shrink * t_star
     x0 = np.asarray(times, dtype=float) * shrink
-    opt_times, _, opt_values = optimize_structure(structure, T, problem,
-                                                  seeds=_POLISH_SEEDS, x0=x0)
+    opt_times, _, opt_values = optimize_structure(structure, T, problem, x0=x0)
     opt_times, opt_values, _ = canonicalize_bangs(opt_times, opt_values, T)
     proto = BangSequence(T, problem.params.u_max, tuple(opt_times), tuple(opt_values))
     return pmp.audit(proto, problem.params, problem.cost_spec())

@@ -153,9 +153,11 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
 
     The Jacobian is taken by central differences.  The wave has the
     returned orientation (sign -1), so the last evaluation is the returned
-    protocol's.  Returns (T, omega, |U00|^2, steps) once |U00|^2 <= ROOT_TOL,
-    or None when an iterate leaves the brackets, the Jacobian is singular
-    or the steps run out.
+    protocol's.  Returns (T, omega, |U00|^2, steps) once |U00|^2 <= ROOT_TOL
+    at a T inside ``t_bracket``, or None when an iterate leaves T > 0 or the
+    omega bracket, the Jacobian is singular, the steps run out or the root
+    lies outside ``t_bracket``.  Only the root is held to ``t_bracket``: a
+    first step from a dip may overshoot it and still converge back.
     """
     def f(x):
         u00 = _square_wave_unitary(x[1], x[0], problem, -1.0, parity)[0, 0]
@@ -166,6 +168,8 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
         F = f(x)
         r = float(F @ F)
         if r <= ROOT_TOL:
+            if not t_bracket[0] <= x[0] <= t_bracket[1]:
+                return None
             return float(x[0]), float(x[1]), r, steps
         if steps == _NEWTON_MAX_STEPS:
             break
@@ -175,7 +179,7 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
             x = x - np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             break
-        if not (t_bracket[0] <= x[0] <= t_bracket[1] and w_bracket[0] <= x[1] <= w_bracket[1]):
+        if not (x[0] > 0.0 and w_bracket[0] <= x[1] <= w_bracket[1]):
             break
     return None
 
@@ -189,7 +193,8 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     over the admissible parities, without refinement.  At each local
     minimum of the scanned cost, in increasing T, Newton's method solves
     U00(T, omega) = 0 from the dip's grid point; the first root found
-    inside the dip's bracket of the scan, with |U00|^2 <= ROOT_TOL, is T*.
+    inside the dip's bracket of the scan, widened by one step to the right,
+    with |U00|^2 <= ROOT_TOL, is T*.
     The scan stops at 1.2 T_Rabi.  The optimality report is produced at
     0.999 T*, where lambda0 is small but nonzero.
     """
@@ -214,7 +219,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         if j >= 2 and scanned[j - 2][0] >= scanned[j - 1][0] <= best[0]:
             _, w_dip, parity = scanned[j - 1]
             root = _newton_root(ts[j - 1], w_dip, problem, parity,
-                                (ts[j - 2], T), (ws[0], ws[-1]))
+                                (ts[j - 2], T + step), (ws[0], ws[-1]))
             if root is not None:
                 break
     else:

@@ -383,7 +383,7 @@ class TestCosts:
 
     def test_state_prep_at_bb6_optimum(self):
         # the six-switch optimum at u_max = 0.11 reaches the global minimum;
-        # seeded from the known equal-middle-bang layout and polished
+        # warm-started from the known equal-middle-bang layout
         from qoct.state_prep import StatePrepProblem, StructureLabel, optimize_structure
         params = ModelParams(u_max=0.11)
         problem = StatePrepProblem(BlochPoint(0.7 * np.pi, 0.0),
@@ -392,7 +392,7 @@ class TestCosts:
         tbar = 0.5584 * np.pi
         x0 = 0.2322 * np.pi + tbar * np.arange(6)
         times, cost, values = optimize_structure(StructureLabel("bb", 6, 1), T,
-                                                 problem, seeds=2, x0=x0)
+                                                 problem, x0=x0)
         psi_i, psi_t = problem.states()
         proto = BangSequence(T, 0.11, tuple(times), tuple(values))
         c = state_prep_cost(total_unitary(proto, params), psi_i, psi_t)

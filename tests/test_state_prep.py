@@ -15,6 +15,7 @@ from qoct.dynamics import (
     state_from_bloch,
     state_prep_cost,
 )
+from qoct import optim, state_prep
 from qoct.optim import golden_section
 from qoct.state_prep import (
     StatePrepProblem,
@@ -29,6 +30,7 @@ from qoct.state_prep import (
     _bang_costs,
     _bloch_vec,
     _equator_angles,
+    _reduced_to_times,
     _rot,
     _scan_optima,
 )
@@ -175,8 +177,7 @@ class TestOptimizeStructure:
         p = problem_at(0.11)
         T = 3.4285 * np.pi
         x0 = 0.232 * np.pi + 0.5584 * np.pi * np.arange(6)
-        times, cost, values = optimize_structure(StructureLabel("bb", 6, 1), T, p,
-                                                 seeds=4, x0=x0)
+        times, cost, values = optimize_structure(StructureLabel("bb", 6, 1), T, p, x0=x0)
         assert cost + 1.0 < 1e-4
         durs = np.diff(np.concatenate([[0.0], times, [T]]))
         mids = durs[1:-1]
@@ -187,9 +188,114 @@ class TestOptimizeStructure:
 
     def test_deterministic(self):
         p = problem_at(0.5)
-        a = optimize_structure(StructureLabel("bb", 2, 1), 1.3 * np.pi, p, seeds=3)
-        b = optimize_structure(StructureLabel("bb", 2, 1), 1.3 * np.pi, p, seeds=3)
+        a = optimize_structure(StructureLabel("bb", 2, 1), 1.3 * np.pi, p)
+        b = optimize_structure(StructureLabel("bb", 2, 1), 1.3 * np.pi, p)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+def free_time_optimum(structure, T, problem, x0, restarts=12):
+    """Lowest cost of a restarted Nelder-Mead over all k switch times, free.
+
+    The reference search: every switch time is its own coordinate (sorted
+    and clipped by the cost), the restarts start from x0 and from stratified
+    draws, and BSB runs them once per trailing-bang sign.
+    """
+    psi_i, psi_t = problem.states()
+    u = problem.params.u_max
+    k = structure.n_switch
+    if structure.kind == "bsb":
+        value_sets = [[structure.lead_sign * u, 0.0, s2 * u] for s2 in (1.0, -1.0)]
+    else:
+        value_sets = [structure.lead_sign * u * (-1.0) ** np.arange(k + 1)]
+    starts = []
+    for _ in value_sets:
+        rng = np.random.default_rng(0)
+        starts += [np.asarray(x0, dtype=float)]
+        starts += [np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
+                   for _ in range(restarts - 1)]
+    lane_values = np.repeat(np.array(value_sets, dtype=float), restarts, axis=0)
+    lane_T = np.full(len(starts), T)
+
+    def obj(X, lanes):
+        return _bang_costs(X, lane_T[lanes], lane_values[lanes], psi_i, psi_t, problem.params)
+
+    runs = optim.lockstep_nelder_mead(obj, starts, 0.0, T, 2000, 1e-10)
+    return min(r.fun for r in runs)
+
+
+@pytest.fixture(scope="module")
+def optima():
+    """find_time_optimal at the BB-6, BB-4, BB-2 and BSB plateaus."""
+    return {u: find_time_optimal(problem_at(u), with_report=False)
+            for u in (0.11, 0.16, 0.5, 0.85)}
+
+
+class TestSingleSearch:
+    def test_t_star_times_are_the_winning_lane(self, monkeypatch):
+        hits = []
+
+        def spy(structures, Ts, *args):
+            out = scan(structures, Ts, *args)
+            hits.extend((s, T, x, c) for s, T, (x, c, _, _) in zip(structures, Ts, out)
+                        if c <= -1.0 + TARGET_TOL)
+            return out
+
+        scan = state_prep._scan_optima
+        monkeypatch.setattr(state_prep, "_scan_optima", spy)
+        # at u = 0.5 the winning lane is a BB-3 with a switch clipped to 0
+        # or T, whose canonical form is BB-2
+        for u, lane_label, label in ((0.16, "BB-4", "BB-4"), (0.5, "BB-3", "BB-2")):
+            hits.clear()
+            p = problem_at(u)
+            res = find_time_optimal(p, with_report=False)
+            assert str(res.structure) == label
+            # the winner is the first lane at T* whose canonical structure is the result's
+            for s, T, x, _ in hits:
+                times = _reduced_to_times(x, s, T)
+                values = state_prep._bb_values(s.n_switch, s.lead_sign, u)
+                if T == res.t_star and canonicalize_bangs(times, values, T)[2] == res.structure:
+                    break
+            assert T == res.t_star and str(s) == lane_label
+            assert res.cost == cost_of_switchings(times, values, res.t_star, p)
+            canonical, canonical_values, _ = canonicalize_bangs(times, values, res.t_star)
+            assert np.array(res.switch_times).tobytes() == canonical.tobytes()
+            assert res.values == tuple(canonical_values)
+
+    @pytest.mark.parametrize("u, label", [(0.11, "BB-6"), (0.16, "BB-4"), (0.5, "BB-2"),
+                                          (0.85, "BSB")])
+    def test_no_worse_than_free_times_below_t_star(self, optima, u, label):
+        res = optima[u]
+        assert str(res.structure) == label
+        p = problem_at(u)
+        T = 0.999 * res.t_star
+        x0 = np.array(res.switch_times) * 0.999
+        times, cost, values = optimize_structure(res.structure, T, p, x0=x0)
+        assert cost <= free_time_optimum(res.structure, T, p, x0) + 1e-12
+        assert cost == cost_of_switchings(times, values, T, p)
+        if res.structure.kind == "bb":
+            durs = np.diff(np.concatenate([[0.0], times, [T]]))
+            mids = durs[1:-1]
+            assert np.max(np.abs(mids - mids[0])) <= 1e-12 * mids[0]
+
+    def test_bsb_searches_both_trailing_signs(self, monkeypatch):
+        last = set()
+        scans = []
+
+        def bang_costs(times, T, values, *args):
+            last.update(np.asarray(values)[:, -1].tolist())
+            return bang_costs_of(times, T, values, *args)
+
+        def spy(*args, **kwargs):
+            scans.append(args[0])
+            return scan(*args, **kwargs)
+
+        bang_costs_of, scan = state_prep._bang_costs, state_prep._scan_optima
+        monkeypatch.setattr(state_prep, "_bang_costs", bang_costs)
+        monkeypatch.setattr(state_prep, "_scan_optima", spy)
+        _, _, values = optimize_structure(StructureLabel("bsb", 2, 1), 3.0, problem_at(0.85))
+        assert scans == [[StructureLabel("bsb", 2, 1)]]
+        assert last == {0.85, -0.85}
+        assert values[0] == 0.85 and values[1] == 0.0 and abs(values[2]) == 0.85
 
 
 class TestBsbConstruction:
@@ -292,7 +398,7 @@ class TestFindTimeOptimal:
             optima = scan(structures, *args)
             # BB-0 has no lanes: nothing of it can stall
             misses.extend(s.n_switch > 0 and c > -1.0 + TARGET_TOL
-                          for s, (_, c, _) in zip(structures, optima))
+                          for s, (_, c, _, _) in zip(structures, optima))
             return optima
 
         monkeypatch.setattr(optim, "lockstep_nelder_mead", forced_lockstep)
