@@ -328,6 +328,13 @@ class TestCli:
         assert run["cost_plus_1"] > 1e-6
         assert run["converged"] is False
 
+    def test_smooth_tanh_fixed_time_runs_resonance_count(self, outdir):
+        rc = main(["smooth", "--scheme", "tanh", "--umax", "0.4", "--t-over-trabi", "0.86"])
+        run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
+        assert rc == 0
+        assert run["extras"]["n_pairs"] == 2
+        assert run["cost_plus_1"] <= 1e-6
+
     def test_smooth_constrained_requires_time(self, outdir):
         rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2"])
         assert rc == 2

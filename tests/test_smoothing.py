@@ -8,6 +8,7 @@ from qoct.protocols import BangSequence, Sampled, ThirdHarmonic
 from qoct.smoothing import (
     constrained_smooth_optimize,
     fourier_spectrum,
+    min_tanh_time,
     min_third_harmonic_time,
     optimize_tanh,
     optimize_third_harmonic,
@@ -15,6 +16,7 @@ from qoct.smoothing import (
     power_cost,
     power_gradient,
     project_to_gate,
+    resonance_pairs,
     smoothness_cost,
     smoothness_gradient,
     tanh_protocol,
@@ -54,6 +56,36 @@ class TestTanhScheme:
         times = run.protocol.times
         assert len(times) == 4
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
+    # the minimum tanh times of the fig5a recipe, in units of T_Rabi, and the
+    # floor at 2 where rounding T omega0 / (2 pi) gives 1 (u = 0.9, 0.8 T_Rabi)
+    @pytest.mark.parametrize("u_max, frac, n_pairs",
+                             [(0.1, 0.89, 9), (0.2, 0.85, 4), (0.3, 0.89, 3),
+                              (0.4, 0.85, 2), (0.5, 0.93, 2), (0.9, 0.8, 2)])
+    def test_resonance_pairs(self, u_max, frac, n_pairs):
+        assert resonance_pairs(frac * np.pi / u_max, ModelParams(u_max=u_max)) == n_pairs
+
+    def test_min_time_scan_runs_one_count_per_point(self, monkeypatch):
+        calls = []
+
+        def spy(n_pairs, beta, T, problem, **kwargs):
+            run = optimize_tanh(n_pairs, beta, T, problem, **kwargs)
+            calls.append((n_pairs, T, kwargs.get("x0"), run))
+            return run
+
+        monkeypatch.setattr(smoothing, "optimize_tanh", spy)
+        problem = GateProblem("x", ModelParams(u_max=0.4))
+        T, run = min_tanh_time(problem)
+        assert calls[-1][3] is run and run.T == T
+        fracs = [c[1] / (np.pi / 0.4) for c in calls]
+        np.testing.assert_allclose(fracs, 0.78 + 0.01 * np.arange(len(calls)), atol=1e-12)
+        assert calls[0][2] is None
+        for n, T_k, _, _ in calls:
+            assert n == resonance_pairs(T_k, problem.params)
+        # the count stays 2 over this scan, so every later point is warm
+        for (_, _, _, prev), (_, T_k, x0, _) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(
+                x0, np.clip(prev.extras["times"], 1e-9, T_k / 2 * (1 - 1e-9)))
 
 
 class TestThirdHarmonic:

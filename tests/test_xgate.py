@@ -182,6 +182,24 @@ class TestFirstRootAndOracle:
         _, c, _ = optimize_omega_eff(T_before, problem)
         assert c + 1.0 > 1e-6
 
+    def test_root_digits_independent_of_newton_start(self):
+        # the scan at u_max = 0.0505 dips at indices 29 and 31; Newton stopped
+        # at the first iterate within ROOT_TOL returned roots 5.5e-11 apart
+        problem = GateProblem("x", ModelParams(u_max=0.0505))
+        t_rabi = rabi_pi_time(problem.params)
+        step = min(0.01 * t_rabi, (2.0 * np.pi / problem.params.omega0) / 8.0)
+        ts = np.arange(0.6 * t_rabi, 1.2 * t_rabi + 1e-12, step)
+        ws = xgate._frequency_grid(problem, 400)
+        roots = []
+        for j in (29, 31):
+            w_dip = ws[int(np.argmin(xgate._grid_costs(ws, ts[j], problem, "even")))]
+            roots.append(xgate._newton_root(ts[j], w_dip, problem, "even",
+                                            (ts[27], ts[33]), (ws[0], ws[-1])))
+        (t_a, _, r_a, _), (t_b, _, r_b, _) = roots
+        assert max(r_a, r_b) <= xgate.ROOT_TOL
+        assert abs(t_a - t_b) <= 1e-13 * t_a
+        assert f"{t_a:.12g}" == f"{t_b:.12g}"
+
     def test_wide_dip_root_past_the_bracket_confirmed_by_eigh_oracle(self):
         # as at u_max = 0.01 the dip is wide: the optimized C+1 is 1.29e-6 at
         # T* - 3e-3 T_Rabi and must fall monotonically from there to T*
