@@ -274,7 +274,8 @@ def cmd_smooth(args) -> int:
             T, run = smoothing.min_tanh_time(problem, beta=args.beta)
         else:
             T = args.t_over_trabi * t_rabi
-            run = smoothing.best_tanh_run(T, args.beta, problem, seed=args.seed)
+            n = smoothing.resonance_pairs(T, params)
+            run = smoothing.optimize_tanh(n, args.beta, T, problem, seed=args.seed)
     elif args.scheme == "third":
         if args.t_over_trabi is None:
             T, run = smoothing.min_third_harmonic_time(problem)

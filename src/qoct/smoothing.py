@@ -37,7 +37,7 @@ __all__ = [
     "SmoothingRun",
     "tanh_protocol",
     "optimize_tanh",
-    "best_tanh_run",
+    "resonance_pairs",
     "min_tanh_time",
     "optimize_third_harmonic",
     "min_third_harmonic_time",
@@ -107,8 +107,8 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
                   seeds: int = 6, seed: int = 0, x0=None) -> SmoothingRun:
     """Minimize the gate cost over the N free tanh switching times.
 
-    The number of switchings 2N should follow the resonance estimate
-    2N ~ 2T/pi; ``best_tanh_run`` tries neighbouring N as well.
+    The number of switchings 2N should follow the resonance estimate of
+    ``resonance_pairs``, which the scan and the command line use.
     """
     params = problem.params
     half = T / 2.0
@@ -136,43 +136,34 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
                                 "n_pairs": n_pairs})
 
 
-def best_tanh_run(T: float, beta: float, problem: GateProblem, seed: int = 0,
-                  warm: dict | None = None) -> SmoothingRun:
-    """Lowest-cost tanh run at T over the resonance switch count and its neighbours.
+def resonance_pairs(T: float, params: ModelParams) -> int:
+    """Resonance count of tanh edge pairs at T: N = round(T omega0 / (2 pi)), at least 2.
 
-    The resonance count is N = round(T omega0 / (2 pi)), at least 2; N - 1,
-    N and N + 1 are tried in that order and the first lowest cost wins.
-    ``warm`` maps a count to the free times of an earlier run, which start
-    that count's search; it is updated with this run's times.
+    Middle bangs of about pi/omega0 fit about this many pairs into T.
     """
-    if warm is None:
-        warm = {}
-    n_c = max(2, round(T / np.pi * problem.params.omega0 / 2.0))
-    best = None
-    for n in (n_c - 1, n_c, n_c + 1):
-        x0 = warm.get(n)
-        run = optimize_tanh(n, beta, T, problem, seed=seed,
-                            x0=None if x0 is None else np.clip(x0, 1e-9, T / 2 * (1 - 1e-9)))
-        warm[n] = np.asarray(run.extras["times"])
-        if best is None or run.cost_plus_1 < best.cost_plus_1:
-            best = run
-    return best
+    return max(2, round(T / np.pi * params.omega0 / 2.0))
 
 
 def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, SmoothingRun]:
     """Smallest T with a perfect tanh gate, scanning [0.78, 1.05] T_Rabi upward.
 
-    Each scan point takes ``best_tanh_run``, warm-started from the previous
-    point.  The first point in steps of 0.01 T_Rabi with C + 1 <= TARGET_TOL
-    is returned, so the measurement resolution is 0.01 T_Rabi.
+    Each scan point runs ``optimize_tanh`` at the resonance count
+    ``resonance_pairs``, warm-started from the previous point's free times
+    while the count is unchanged and cold after it steps.  The first point
+    in steps of 0.01 T_Rabi with C + 1 <= TARGET_TOL is returned, so the
+    measurement resolution is 0.01 T_Rabi.
     """
     t_rabi = rabi_pi_time(problem.params)
-    warm: dict = {}
+    prev = None
     for frac in np.arange(0.78, 1.05 + 1e-12, 0.01):
         T = frac * t_rabi
-        run = best_tanh_run(T, beta, problem, warm=warm)
-        if run.cost_plus_1 <= TARGET_TOL:
-            return T, run
+        n = resonance_pairs(T, problem.params)
+        x0 = None
+        if prev is not None and prev.extras["n_pairs"] == n:
+            x0 = np.clip(prev.extras["times"], 1e-9, T / 2 * (1 - 1e-9))
+        prev = optimize_tanh(n, beta, T, problem, x0=x0)
+        if prev.cost_plus_1 <= TARGET_TOL:
+            return T, prev
     raise RuntimeError("tanh scheme did not reach the gate fidelity in the scan range")
 
 

@@ -488,12 +488,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     report = None
     if with_report:
-        report = report_near_optimum(structure, t_star, times, values, problem)
+        report = report_near_optimum(structure, t_star, times, problem)
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
                         tuple(float(v) for v in values), float(cost), report, diag)
 
 
-def report_near_optimum(structure: StructureLabel, t_star: float, times, values,
+def report_near_optimum(structure: StructureLabel, t_star: float, times,
                         problem: StatePrepProblem, shrink: float = 0.999) -> OptimalityReport:
     """Audit the structure's optimum at T slightly below T*.
 

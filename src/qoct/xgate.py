@@ -151,27 +151,35 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
                  t_bracket: tuple[float, float], w_bracket: tuple[float, float]):
     """Newton's method on (Re U00, Im U00) in (T, omega), from (T0, w0).
 
-    The Jacobian is taken by central differences.  The wave has the
-    returned orientation (sign -1), so the last evaluation is the returned
-    protocol's.  Returns (T, omega, |U00|^2, steps) once |U00|^2 <= ROOT_TOL
-    at a T inside ``t_bracket``, or None when an iterate leaves T > 0 or the
-    omega bracket, the Jacobian is singular, the steps run out or the root
-    lies outside ``t_bracket``.  Only the root is held to ``t_bracket``: a
-    first step from a dip may overshoot it and still converge back.
+    The Jacobian is taken by central differences, on the wave of the
+    returned orientation (sign -1).  Once |U00|^2 <= ROOT_TOL at a T inside
+    ``t_bracket``, one more step is taken and kept if its |U00|^2 is no
+    larger and it stays inside both brackets: the tolerance alone fixes T
+    only to about |U00| / |dU00/dT|, so its last digits would depend on the
+    start point.  Returns (T, omega, |U00|^2, steps), or None when an
+    iterate leaves T > 0 or the omega bracket, the Jacobian is singular, the
+    steps run out or the root lies outside ``t_bracket``.  Only the root is
+    held to ``t_bracket``: a first step from a dip may overshoot it and
+    still converge back.
     """
     def f(x):
         u00 = _square_wave_unitary(x[1], x[0], problem, -1.0, parity)[0, 0]
         return np.array([u00.real, u00.imag])
 
     x = np.array([T0, w0])
-    for steps in range(_NEWTON_MAX_STEPS + 1):
+    root = None  # the first iterate within ROOT_TOL
+    for steps in range(_NEWTON_MAX_STEPS + 2):
         F = f(x)
         r = float(F @ F)
+        if root is not None:  # the one step past the tolerance
+            if r <= root[2] and t_bracket[0] <= x[0] <= t_bracket[1]:
+                return float(x[0]), float(x[1]), r, steps
+            return root
         if r <= ROOT_TOL:
             if not t_bracket[0] <= x[0] <= t_bracket[1]:
                 return None
-            return float(x[0]), float(x[1]), r, steps
-        if steps == _NEWTON_MAX_STEPS:
+            root = (float(x[0]), float(x[1]), r, steps)
+        elif steps == _NEWTON_MAX_STEPS:
             break
         J = np.column_stack([(f(x + d) - f(x - d)) / (2.0 * d[j])
                              for j, d in enumerate(np.diag(_NEWTON_REL_STEP * x))])
@@ -181,7 +189,7 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
             break
         if not (x[0] > 0.0 and w_bracket[0] <= x[1] <= w_bracket[1]):
             break
-    return None
+    return root
 
 
 def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:

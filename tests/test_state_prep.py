@@ -427,10 +427,10 @@ class TestFindTimeOptimal:
         from qoct.state_prep import report_near_optimum
         p = problem_at(0.5)
         res = find_time_optimal(p, with_report=False)
-        rep_at = report_near_optimum(res.structure, res.t_star, res.switch_times,
-                                     res.values, p, shrink=0.9999)
-        rep_below = report_near_optimum(res.structure, res.t_star, res.switch_times,
-                                        res.values, p, shrink=0.95)
+        rep_at = report_near_optimum(res.structure, res.t_star, res.switch_times, p,
+                                     shrink=0.9999)
+        rep_below = report_near_optimum(res.structure, res.t_star, res.switch_times, p,
+                                        shrink=0.95)
         assert rep_at.max_abs_phi < 0.10 * rep_below.max_abs_phi
         assert abs(rep_at.lambda0) < 0.10 * abs(rep_below.lambda0)
 
