@@ -5,13 +5,13 @@ them (newline characters), then the total, then the number of parameters
 with a default value over all ``def`` and ``async def`` statements
 (positional plus keyword-only defaults; lambdas are not counted).
 
-    python tools/size_report.py [PACKAGE_DIR]
+    python tools/size_report.py
 """
 import ast
 import sys
 from pathlib import Path
 
-DEFAULT_DIR = Path(__file__).resolve().parent.parent / "src" / "qoct"
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "qoct"
 
 
 def defaulted_parameters(source: str) -> int:
@@ -23,11 +23,9 @@ def defaulted_parameters(source: str) -> int:
     return count
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else DEFAULT_DIR
+def main() -> int:
     total = defaults = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
         data = path.read_bytes()
         lines = data.count(b"\n")
         total += lines
