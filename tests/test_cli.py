@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import xgate
+from qoct import cli, xgate
 from qoct.cli import _angle, main
 from qoct.dynamics import ModelParams, rabi_protocol
 from qoct.fileio import (
@@ -141,6 +141,39 @@ class TestCli:
         assert rows.shape == (2, 5)
         np.testing.assert_allclose(rows[:, 0], [0.45, 0.5])
         assert np.all((rows[:, 2] >= 0.75) & (rows[:, 2] <= 0.85))
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exits_2_without_artifacts(self, outdir, capsys, jobs):
+        assert main(["sweep", "--umax", "0.45:0.5:2", f"--jobs={jobs}"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (outdir / "sweep").exists()
+
+    @pytest.mark.parametrize("grid", ["0.45:0.5:0", "0.45:0.5:-2"])
+    def test_sweep_empty_grid_exits_2(self, outdir, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", f"--umax={grid}"])
+        assert exc.value.code == 2
+        assert not (outdir / "sweep").exists()
+
+    def test_sweep_workers_capped_at_grid_size(self, outdir, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["sweep", "--umax", "0.45:0.5:2", "--jobs", "64"]) == 0
+        assert pools == [2]
 
     def test_xgate_sweep_flag_removed(self, outdir):
         with pytest.raises(SystemExit) as exc:
@@ -371,6 +404,15 @@ class TestCli:
         assert rc == 2
         assert "t_max" in capsys.readouterr().err
         assert not (outdir / "state-prep").exists()
+
+    @pytest.mark.parametrize("scheme", ["tanh", "third", "constrained"])
+    @pytest.mark.parametrize("frac", ["inf", "-inf", "nan", "-1", "0"])
+    def test_smooth_bad_time_exits_2_without_artifacts(self, outdir, capsys, scheme, frac):
+        rc = main(["smooth", "--scheme", scheme, "--umax", "0.2", f"--t-over-trabi={frac}",
+                   "--initial", "rabi", "--nt", "100"])
+        assert rc == 2
+        assert "--t-over-trabi" in capsys.readouterr().err
+        assert not (outdir / "smooth").exists()
 
     def test_spectrum_negative_nmax_exits_2_without_artifacts(self, outdir, tmp_path, capsys):
         pulse = tmp_path / "p.csv"
