@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library workflows; every run writes its
-artifacts plus a run_record.json (resolved config, version, wall time, output
-manifest, and the seed where the subcommand takes one) into the output
-directory.  Exit codes: 0 success, 2 validation error, 3 optimization failure.
+artifacts plus a run_record.json (resolved config, version, wall time and
+output manifest) into the output directory.  Exit codes: 0 success,
+2 validation error, 3 optimization failure.
 """
 from __future__ import annotations
 
@@ -36,9 +36,11 @@ def _angle(text: str) -> float:
 def _parse_sweep(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(":")
+        if int(n) < 1:
+            raise ValueError
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
-        raise argparse.ArgumentTypeError("sweep must be lo:hi:n") from None
+        raise argparse.ArgumentTypeError("sweep must be lo:hi:n with n >= 1") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=_angle, default=None)
     sp.add_argument("--structures", nargs="*", default=None,
                     help="candidates like BB-2 BB-4 BSB (default: enumerate)")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the restart draws")
     common(sp)
 
     sp = sub.add_parser("xgate", help="minimum-time gate search")
@@ -85,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--objective", default="smooth",
                     help="smooth | power | mixed:w")
     sp.add_argument("--initial", default="bb", help="bb | rabi (constrained scheme)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed of the restart draws (tanh and third schemes at a fixed T)")
     common(sp)
 
     sp = sub.add_parser("verify", help="PMP audit of an external pulse file")
@@ -146,11 +145,8 @@ class _Record:
         return self.out / name
 
     def finish(self) -> Path:
-        rec = {"subcommand": self.cmd, "config": self.config, "version": __version__}
-        if "seed" in self.config:  # only subcommands whose searches read it take --seed
-            rec["seed"] = self.config["seed"]
-        rec["duration_s"] = time.perf_counter() - self.t0
-        rec["outputs"] = sorted(set(self.files))
+        rec = {"subcommand": self.cmd, "config": self.config, "version": __version__,
+               "duration_s": time.perf_counter() - self.t0, "outputs": sorted(set(self.files))}
         return fileio.write_json(self.out / "run_record.json", rec)
 
 
@@ -176,7 +172,7 @@ def cmd_state_prep(args) -> int:
     problem = StatePrepProblem(BlochPoint(args.theta_init, args.phi_init),
                                BlochPoint(args.theta_target, args.phi_target), params)
     res = state_prep.find_time_optimal(problem, structures=_parse_structures(args.structures),
-                                       t_max=args.tmax, seed=args.seed)
+                                       t_max=args.tmax)
     payload = {
         "found": res.found,
         "t_star": res.t_star,
@@ -227,6 +223,7 @@ def _sweep_point(task) -> dict:
 def _run_sweep(rec: _Record, grid, gate: str, jobs: int) -> int:
     """Minimum gate time at every u_max of the grid, written to sweep.csv."""
     tasks = [(float(u), gate) for u in grid]
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -257,6 +254,8 @@ def cmd_xgate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     rec = _Record("sweep", args)
     n = _run_sweep(rec, args.umax, args.gate, args.jobs)
     rec.finish()
@@ -265,6 +264,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    if args.t_over_trabi is not None and not (np.isfinite(args.t_over_trabi)
+                                              and args.t_over_trabi > 0):
+        raise ValueError(f"--t-over-trabi must be finite and positive, got {args.t_over_trabi!r}")
     rec = _Record("smooth", args)
     params = ModelParams(u_max=args.umax)
     problem = GateProblem("x", params)
@@ -275,13 +277,13 @@ def cmd_smooth(args) -> int:
         else:
             T = args.t_over_trabi * t_rabi
             n = smoothing.resonance_pairs(T, params)
-            run = smoothing.optimize_tanh(n, args.beta, T, problem, seed=args.seed)
+            run = smoothing.optimize_tanh(n, args.beta, T, problem)
     elif args.scheme == "third":
         if args.t_over_trabi is None:
             T, run = smoothing.min_third_harmonic_time(problem)
         else:
             T = args.t_over_trabi * t_rabi
-            run = smoothing.optimize_third_harmonic(T, problem, seed=args.seed)
+            run = smoothing.optimize_third_harmonic(T, problem)
     else:
         if args.t_over_trabi is None:
             raise ValueError("--t-over-trabi is required for the constrained scheme")

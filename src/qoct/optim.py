@@ -1,17 +1,16 @@
 """Derivative-free and gradient-based optimizers shared by the search modules.
 
-All routines are deterministic for a fixed seed, respect box bounds exactly
-(iterates are clipped, never merely penalized), and report a status instead
-of raising on slow convergence.
+All routines are deterministic (restart draws come from one fixed generator),
+respect box bounds exactly (iterates are clipped, never merely penalized),
+and report a status instead of raising on slow convergence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "OptimizerConfig",
     "OptimResult",
     "nelder_mead",
     "nelder_mead_restarts",
@@ -23,66 +22,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iter: int = 2000
-    tol: float = 1e-10
-    restarts: int = 20
-    seed: int = 0
-    bounds: tuple | None = None  # per-dimension (lo, hi)
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.bounds is not None:
-            for lo, hi in self.bounds:
-                if lo > hi:
-                    raise ValueError("bound lo must not exceed hi")
-
-
 @dataclass
 class OptimResult:
     x: np.ndarray
     fun: float
     status: str  # 'converged' | 'max-iter' | 'line-search-failed'
     n_eval: int = 0
-    trace: list = field(default_factory=list)
 
 
-def nelder_mead(f, x0, config: OptimizerConfig = OptimizerConfig()) -> OptimResult:
+def nelder_mead(f, x0, max_iter: int, tol: float, bounds=None) -> OptimResult:
     """Reflect/expand/contract/shrink simplex minimization with bound clipping.
 
-    One lane of ``lockstep_nelder_mead``.  Raises RuntimeError if the
-    objective returns NaN.
+    One lane of ``lockstep_nelder_mead``; ``bounds`` holds a (lo, hi) pair per
+    dimension, or is None.  Raises RuntimeError if the objective returns NaN.
     """
     x0 = np.asarray(x0, dtype=float)
-    lo, hi = _box(config.bounds)
-    return lockstep_nelder_mead(_by_rows(f), x0[None], lo, hi,
-                                config.max_iter, config.tol)[0]
+    lo, hi = _box(bounds)
+    return lockstep_nelder_mead(_by_rows(f), x0[None], lo, hi, max_iter, tol)[0]
 
 
-def nelder_mead_restarts(f, x0, config: OptimizerConfig = OptimizerConfig(),
-                         sampler=None) -> OptimResult:
-    """Best of ``config.restarts`` Nelder-Mead runs from seeded start points.
+def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
+                         bounds=None) -> OptimResult:
+    """Best of ``n_starts`` Nelder-Mead runs: from ``x0``, then from drawn points.
 
-    ``sampler(rng)`` draws additional start points; the provided ``x0`` is
-    always tried first.  The runs are lanes of one ``lockstep_nelder_mead``
-    call, and the first run reaching the lowest cost wins.  Deterministic for
-    a fixed seed.
+    ``draw(rng)`` returns one more start point; the draws come from
+    ``np.random.default_rng(0)``.  The runs are lanes of one
+    ``lockstep_nelder_mead`` call, and the first run reaching the lowest cost
+    wins.
     """
-    rng = np.random.default_rng(config.seed)
-    starts = [np.asarray(x0, dtype=float)]
-    for _ in range(max(0, config.restarts - 1)):
-        if sampler is not None:
-            start = sampler(rng)
-        elif config.bounds is not None:
-            start = np.array([rng.uniform(lo, hi) for lo, hi in config.bounds])
-        else:
-            start = np.asarray(x0, dtype=float) * (1.0 + 0.3 * rng.standard_normal(len(np.atleast_1d(x0))))
-        starts.append(start)
-    lo, hi = _box(config.bounds)
-    runs = lockstep_nelder_mead(_by_rows(f), np.array(starts), lo, hi,
-                                config.max_iter, config.tol)
+    rng = np.random.default_rng(0)
+    starts = [np.asarray(x0, dtype=float)] + [draw(rng) for _ in range(n_starts - 1)]
+    lo, hi = _box(bounds)
+    runs = lockstep_nelder_mead(_by_rows(f), np.array(starts), lo, hi, max_iter, tol)
     return min(runs, key=lambda r: r.fun)
 
 
@@ -263,15 +234,14 @@ def refine_basins(f, xs, fs, tol: float = 1e-12) -> tuple[float, float]:
     return best
 
 
-def projected_gradient(f, grad_f, x0, bounds, config: OptimizerConfig = OptimizerConfig(),
+def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
                        target: float | None = None, step0: float = 1.0,
-                       max_step: float | None = None,
-                       keep_trace: bool = False) -> OptimResult:
+                       max_step: float | None = None) -> OptimResult:
     """Projected gradient descent with backtracking line search on a box.
 
     Stops when the objective reaches ``target`` (if given), when the
-    projected step stalls below tolerance, or at the iteration cap.  The
-    objective trace is monotone nonincreasing by construction.  ``max_step``
+    projected step stalls below ``tol``, or after ``max_iter`` iterations.
+    Every accepted step lowers the objective.  ``max_step``
     caps the sup-norm of every accepted move, which keeps the iterate close
     to the descent path (useful when the routine serves as an approximate
     nearest-point projection).
@@ -281,9 +251,8 @@ def projected_gradient(f, grad_f, x0, bounds, config: OptimizerConfig = Optimize
     fx = float(f(x))
     n_eval = 1
     step = step0
-    trace = [fx] if keep_trace else []
     status = "max-iter"
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         if target is not None and fx <= target:
             status = "converged"
             break
@@ -299,11 +268,9 @@ def projected_gradient(f, grad_f, x0, bounds, config: OptimizerConfig = Optimize
             if fc < fx - 1e-16:
                 delta = float(np.max(np.abs(cand - x)))
                 x, fx = cand, fc
-                if keep_trace:
-                    trace.append(fx)
                 step *= 1.6  # re-grow after a success so steps track curvature
                 moved = True
-                if target is None and delta <= config.tol:
+                if target is None and delta <= tol:
                     status = "converged"
                 break
             step *= 0.5
@@ -312,4 +279,4 @@ def projected_gradient(f, grad_f, x0, bounds, config: OptimizerConfig = Optimize
             break
         if status == "converged":
             break
-    return OptimResult(x=x, fun=fx, status=status, n_eval=n_eval, trace=trace)
+    return OptimResult(x=x, fun=fx, status=status, n_eval=n_eval)

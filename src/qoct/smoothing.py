@@ -22,7 +22,6 @@ import numpy as np
 
 from . import optim, pmp
 from .dynamics import TARGET_TOL, ModelParams, gate_cost, rabi_pi_time, total_unitary
-from .optim import OptimizerConfig
 from .protocols import (
     Protocol,
     Sampled,
@@ -104,7 +103,7 @@ def _tanh_seed(n_pairs: int, T: float, params: ModelParams) -> np.ndarray:
 
 
 def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
-                  seeds: int = 6, seed: int = 0, x0=None) -> SmoothingRun:
+                  seeds: int = 6, x0=None) -> SmoothingRun:
     """Minimize the gate cost over the N free tanh switching times.
 
     The number of switchings 2N should follow the resonance estimate of
@@ -119,13 +118,12 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     seed_times = _tanh_seed(n_pairs, T, params)
     start = np.asarray(x0, dtype=float) if x0 is not None else seed_times
 
-    def sampler(rng):
+    def draw(rng):
         jitter = 0.15 * (np.pi / params.omega0) * rng.standard_normal(n_pairs)
         return np.sort(np.clip(seed_times + jitter, 1e-6 * T, half * (1 - 1e-9)))
 
-    cfg = OptimizerConfig(max_iter=2000, tol=1e-12, restarts=seeds, seed=seed,
-                          bounds=tuple((0.0, half) for _ in range(n_pairs)))
-    r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
+    r = optim.nelder_mead_restarts(obj, start, draw, seeds, 2000, 1e-12,
+                                   bounds=[(0.0, half)] * n_pairs)
     times = _free_tanh_times(r.x, T)
     proto = tanh_protocol(times, beta, T, params)
     cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
@@ -168,7 +166,7 @@ def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, Smoot
 
 
 def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
-                            seed: int = 0, x0=None) -> SmoothingRun:
+                            x0=None) -> SmoothingRun:
     """Minimize the gate cost over frequency and third-harmonic mixing ratio.
 
     ``x0`` is a physical start point ``(omega, R)``.  The simplex works in
@@ -195,11 +193,10 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
 
     start = to_free(x0 if x0 is not None else (w0, -0.05))
 
-    def sampler(rng):
+    def draw(rng):
         return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(-0.125, 0.4)))
 
-    cfg = OptimizerConfig(max_iter=1500, tol=1e-12, restarts=seeds, seed=seed)
-    r = optim.nelder_mead_restarts(obj, start, cfg, sampler=sampler)
+    r = optim.nelder_mead_restarts(obj, start, draw, seeds, 1500, 1e-12)
     w, R = (float(v) for v in to_physical(r.x))
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
     cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
@@ -300,8 +297,7 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
         proto = Sampled(T, params.u_max, np.asarray(u, dtype=float))
         return pmp.cost_and_gradient(proto, params, cost)[1]
 
-    cfg = OptimizerConfig(max_iter=max_iter, tol=1e-15)
-    r = optim.projected_gradient(f, g, values, (-params.u_max, params.u_max), cfg,
+    r = optim.projected_gradient(f, g, values, (-params.u_max, params.u_max), max_iter, 1e-15,
                                  target=-1.0 + tol, step0=1e6,
                                  max_step=params.u_max / 20.0)
     if r.fun > -1.0 + tol:

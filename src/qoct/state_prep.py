@@ -170,7 +170,7 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     if x0 is not None and structure.n_switch > 0:
         t = np.sort(np.asarray(x0, dtype=float))
         warm = t[:1] if len(t) == 1 else np.array([t[0], (t[-1] - t[0]) / (len(t) - 1)])
-    ((x, cost, _, values),) = _scan_optima([structure], [T], [warm], problem, seed=0)
+    ((x, cost, _, values),) = _scan_optima([structure], [T], [warm], problem)
     return _reduced_to_times(x, structure, T), cost, values
 
 
@@ -263,9 +263,9 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
     return out
 
 
-# seeded Nelder-Mead starts per structure at each time of the T* scan, the
+# drawn Nelder-Mead starts per structure at each time of the T* scan, the
 # bisection and the report, run besides the structure's warm start when it
-# has one
+# has one; every structure draws them from np.random.default_rng(0)
 _SCAN_DRAWS = 5
 
 
@@ -298,12 +298,11 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
-                 problem: StatePrepProblem,
-                 seed: int) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
+                 problem: StatePrepProblem) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
     """Best reduced coordinates, cost, lane status and segment values of each structure.
 
     Each structure is searched at its own T.  Its Nelder-Mead runs start
-    from its warm start, if it has one, and from _SCAN_DRAWS seeded draws;
+    from its warm start, if it has one, and from _SCAN_DRAWS drawn points;
     BSB runs them once per trailing-bang sign.  The runs of all structures
     are lanes of one lockstep call per coordinate count: BB-1 in its switch
     time, BB-k (k >= 2) in (t0, tbar) and BSB in (t1, t2 - t1).  The first
@@ -331,14 +330,14 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
             s, T, k = structures[j], Ts[j], structures[j].n_switch
             if dim == 1:
                 box = ((0.0,), (T,))
-                sampler = lambda rng, T=T: rng.uniform(0.0, T, 1)
+                draw = lambda rng, T=T: rng.uniform(0.0, T, 1)
             else:
                 box = ((0.0, 1e-9), (T, T / (k - 1)))
-                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
-                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
-            rng = np.random.default_rng(seed)
+                draw = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
+                                                       rng.uniform(0.3, 1.0) * T / (k - 1)])
+            rng = np.random.default_rng(0)
             mine = [] if warms[j] is None else [warms[j]]
-            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
+            mine += [draw(rng) for _ in range(_SCAN_DRAWS)]
             for vals in _segment_values(s, params.u_max):
                 starts += mine
                 counts.append(len(mine))
@@ -366,8 +365,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
 
 
 def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel] | None = None,
-                      t_max: float | None = None, seed: int = 0,
-                      with_report: bool = True) -> SearchResult:
+                      t_max: float | None = None, with_report: bool = True) -> SearchResult:
     """Smallest T reaching cost <= -1 + TARGET_TOL over candidate structures.
 
     BB structures are scanned on a shared T grid of step pi/4 (in the fast
@@ -412,8 +410,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         kmax_here = math.ceil(params.omega0 * T / np.pi) + 2
         scan = [s for s in bb_structs if s.n_switch <= kmax_here]
         keys = [(s.n_switch, s.lead_sign) for s in scan]
-        optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
-                              problem, seed)
+        optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys], problem)
         for s, key, (x, c, status, _) in zip(scan, keys, optima):
             warm[key] = x
             if c <= -1.0 + TARGET_TOL:
@@ -438,7 +435,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             mids = [0.5 * (lo[i] + hi[i]) for i in steps]
             optima = _scan_optima([found[i][0] for i in steps], mids,
                                   [x_best[i] * (mid / hi[i]) for i, mid in zip(steps, mids)],
-                                  problem, seed)
+                                  problem)
             for i, mid, (x, c, status, _) in zip(steps, mids, optima):
                 if c <= -1.0 + TARGET_TOL:
                     hi[i], x_best[i] = mid, np.asarray(x, dtype=float)

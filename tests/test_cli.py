@@ -328,22 +328,24 @@ class TestCli:
         ["verify", "--pulse", "p.csv", "--umax", "0.2"],
         ["spectrum", "--pulse", "p.csv"],
         ["repro", "fig3b"],
+        ["state-prep", "--theta-init", "0", "--phi-init", "0", "--theta-target", "1",
+         "--phi-target", "0", "--umax", "0.5"],
+        ["smooth", "--scheme", "third", "--umax", "0.2", "--t-over-trabi", "0.9"],
     ])
     def test_seed_rejected_where_nothing_reads_it(self, outdir, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "3"])
         assert exc.value.code == 2
 
-    def test_seed_recorded_only_where_read(self, outdir, tmp_path):
+    def test_no_seed_recorded(self, outdir, tmp_path):
         pulse = tmp_path / "p.csv"
         write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
         assert main(["spectrum", "--pulse", str(pulse)]) == 0
-        record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
-        assert "seed" not in record and "seed" not in record["config"]
         assert main(["smooth", "--scheme", "third", "--umax", "0.2",
-                     "--t-over-trabi", "0.8", "--seed", "3"]) == 3
-        record = json.loads((outdir / "smooth" / "run_record.json").read_text())
-        assert record["seed"] == 3 and record["config"]["seed"] == 3
+                     "--t-over-trabi", "0.8"]) == 3
+        for cmd in ("spectrum", "smooth"):
+            record = json.loads((outdir / cmd / "run_record.json").read_text())
+            assert "seed" not in record and "seed" not in record["config"]
 
     def test_state_prep_hit_before_first_coarse_step(self, outdir, capsys):
         # t_max = 0.2 < pi/4: the only coarse time hits, so the bisection

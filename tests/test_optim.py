@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from qoct.optim import (
-    OptimizerConfig,
     golden_section,
     lockstep_nelder_mead,
     nelder_mead,
@@ -25,18 +24,16 @@ def rosenbrock(x):
 
 class TestNelderMead:
     def test_convex_quadratic(self):
-        r = nelder_mead(quadratic, np.zeros(4), OptimizerConfig(tol=1e-14, max_iter=4000))
+        r = nelder_mead(quadratic, np.zeros(4), 4000, 1e-14)
         assert np.max(np.abs(r.x - 1.0)) < 1e-6
 
     def test_rosenbrock(self):
-        cfg = OptimizerConfig(max_iter=8000, tol=1e-16)
-        r = nelder_mead(rosenbrock, np.array([-1.2, 1.0]), cfg)
+        r = nelder_mead(rosenbrock, np.array([-1.2, 1.0]), 8000, 1e-16)
         assert r.fun < 1e-8
         assert np.max(np.abs(r.x - 1.0)) < 1e-3
 
     def test_bound_active_optimum_respects_bounds(self):
-        cfg = OptimizerConfig(bounds=((-1.0, 0.5), (-1.0, 0.5)), tol=1e-14)
-        r = nelder_mead(quadratic, np.zeros(2), cfg)
+        r = nelder_mead(quadratic, np.zeros(2), 2000, 1e-14, bounds=((-1.0, 0.5), (-1.0, 0.5)))
         assert np.all(r.x <= 0.5) and np.all(r.x >= -1.0)
         assert np.max(np.abs(r.x - 0.5)) < 1e-6
 
@@ -44,17 +41,20 @@ class TestNelderMead:
         def bad(x):
             return np.nan
         with pytest.raises(RuntimeError):
-            nelder_mead(bad, np.zeros(2))
+            nelder_mead(bad, np.zeros(2), 2000, 1e-10)
 
     def test_deterministic_restarts(self):
-        cfg = OptimizerConfig(restarts=5, seed=7, bounds=((-2.0, 2.0),) * 3)
-        r1 = nelder_mead_restarts(rosenbrock_3, np.zeros(3), cfg)
-        r2 = nelder_mead_restarts(rosenbrock_3, np.zeros(3), cfg)
+        def draw(rng):
+            return rng.uniform(-2.0, 2.0, 3)
+        r1 = nelder_mead_restarts(rosenbrock_3, np.zeros(3), draw, 5, 2000, 1e-10,
+                                  bounds=((-2.0, 2.0),) * 3)
+        r2 = nelder_mead_restarts(rosenbrock_3, np.zeros(3), draw, 5, 2000, 1e-10,
+                                  bounds=((-2.0, 2.0),) * 3)
         assert np.array_equal(r1.x, r2.x)
         assert r1.fun == r2.fun
 
     def test_status_reported(self):
-        r = nelder_mead(quadratic, np.zeros(2), OptimizerConfig(max_iter=3))
+        r = nelder_mead(quadratic, np.zeros(2), 3, 1e-10)
         assert r.status == "max-iter"
 
 
@@ -100,9 +100,7 @@ class TestLockstep:
         runs = lockstep_nelder_mead(f, starts, lo, hi, max_iter, 1e-10)
         assert {r.status for r in runs} == {"converged", "max-iter"}
         for b, r in enumerate(runs):
-            cfg = OptimizerConfig(max_iter=max_iter, tol=1e-10,
-                                  bounds=tuple(zip(lo[b], hi[b])))
-            alone = nelder_mead(fs[b], starts[b], cfg)
+            alone = nelder_mead(fs[b], starts[b], max_iter, 1e-10, bounds=tuple(zip(lo[b], hi[b])))
             assert np.array_equal(r.x, alone.x)
             assert r.fun == alone.fun
             assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
@@ -114,7 +112,7 @@ class TestLockstep:
         runs = lockstep_nelder_mead(lambda X, lanes: [fs[b](x) for x, b in zip(X, lanes)],
                                     starts, None, None, 200, 1e-12)
         for b, r in enumerate(runs):
-            alone = nelder_mead(fs[b], starts[b], OptimizerConfig(max_iter=200, tol=1e-12))
+            alone = nelder_mead(fs[b], starts[b], 200, 1e-12)
             assert np.array_equal(r.x, alone.x) and r.fun == alone.fun
             assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
 
@@ -133,11 +131,13 @@ class TestLockstep:
         # every restart ends on the flat floor |x| <= 0.5, each at its own x
         def f(x):
             return float(max(abs(x[0]) - 0.5, 0.0))
-        cfg = OptimizerConfig(restarts=5, seed=2, bounds=((-3.0, 3.0),))
-        best = nelder_mead_restarts(f, np.array([2.5]), cfg)
-        rng = np.random.default_rng(2)
-        starts = [np.array([2.5])] + [np.array([rng.uniform(-3.0, 3.0)]) for _ in range(4)]
-        runs = [nelder_mead(f, s, cfg) for s in starts]
+        def draw(rng):
+            return np.array([rng.uniform(-3.0, 3.0)])
+        bounds = ((-3.0, 3.0),)
+        best = nelder_mead_restarts(f, np.array([2.5]), draw, 5, 2000, 1e-10, bounds=bounds)
+        rng = np.random.default_rng(0)
+        starts = [np.array([2.5])] + [draw(rng) for _ in range(4)]
+        runs = [nelder_mead(f, s, 2000, 1e-10, bounds=bounds) for s in starts]
         assert len({float(r.x[0]) for r in runs}) > 1 and {r.fun for r in runs} == {0.0}
         assert np.array_equal(best.x, runs[0].x)
 
@@ -189,8 +189,7 @@ class TestProjectedGradient:
         def g(x):
             return A @ x - b
 
-        r = projected_gradient(f, g, np.zeros(3), (-1.0, 1.0),
-                               OptimizerConfig(max_iter=4000, tol=1e-14))
+        r = projected_gradient(f, g, np.zeros(3), (-1.0, 1.0), 4000, 1e-14)
         # unconstrained optimum (2, 0.5, 2/9) clipped at the box in dim 0
         np.testing.assert_allclose(r.x, [1.0, 0.5, 2.0 / 9.0], atol=1e-8)
 
@@ -198,17 +197,21 @@ class TestProjectedGradient:
         A = np.diag([1.0, 10.0])
         f = lambda x: float(0.5 * x @ A @ x)
         g = lambda x: A @ x
-        r = projected_gradient(f, g, np.array([1.0, 1.0]), (-2.0, 2.0),
-                               OptimizerConfig(max_iter=200, tol=1e-12),
-                               keep_trace=True)
-        diffs = np.diff(r.trace)
-        assert np.all(diffs <= 0.0)
+        accepted = []
+
+        def g_watch(x):
+            # the gradient is taken once per iteration, at the accepted iterate
+            accepted.append(f(x))
+            return g(x)
+
+        r = projected_gradient(f, g_watch, np.array([1.0, 1.0]), (-2.0, 2.0), 200, 1e-12)
+        diffs = np.diff(accepted + [r.fun])
+        assert len(diffs) > 1 and np.all(diffs <= 0.0)
 
     def test_target_stop(self):
         f = lambda x: float(np.sum(x ** 2))
         g = lambda x: 2.0 * x
-        r = projected_gradient(f, g, np.full(4, 3.0), (-5.0, 5.0),
-                               OptimizerConfig(max_iter=2000), target=1e-10)
+        r = projected_gradient(f, g, np.full(4, 3.0), (-5.0, 5.0), 2000, 1e-10, target=1e-10)
         assert r.fun <= 1e-10
         assert r.status == "converged"
 
@@ -221,13 +224,7 @@ class TestProjectedGradient:
             trace.append(np.array(x))
             return f(x)
 
-        projected_gradient(f_watch, g, trace[0], (-5.0, 5.0),
-                           OptimizerConfig(max_iter=50), step0=100.0, max_step=0.1)
+        projected_gradient(f_watch, g, trace[0], (-5.0, 5.0), 50, 1e-10,
+                           step0=100.0, max_step=0.1)
         moves = [np.max(np.abs(b - a)) for a, b in zip(trace[1:], trace[2:])]
         assert max(moves) <= 0.1 + 1e-12
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(bounds=((1.0, 0.0),))

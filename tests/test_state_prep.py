@@ -135,7 +135,7 @@ class TestScanLanes:
             if warm:
                 start = np.array([0.3]) if s.n_switch == 1 else np.array([0.2, 0.9])
             seen.clear()
-            _scan_optima([s], [T], [start], p, seed=0)
+            _scan_optima([s], [T], [start], p)
             (starts,) = seen
             assert len(np.unique(starts, axis=0)) == len(starts), str(s)
 
