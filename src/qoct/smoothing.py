@@ -118,11 +118,11 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     seed_times = _tanh_seed(n_pairs, T, params)
     start = np.asarray(x0, dtype=float) if x0 is not None else seed_times
 
-    def draw(rng):
+    def sampler(rng):
         jitter = 0.15 * (np.pi / params.omega0) * rng.standard_normal(n_pairs)
         return np.sort(np.clip(seed_times + jitter, 1e-6 * T, half * (1 - 1e-9)))
 
-    r = optim.nelder_mead_restarts(obj, start, draw, seeds, 2000, 1e-12,
+    r = optim.nelder_mead_restarts(obj, start, sampler, seeds, 2000, 1e-12,
                                    bounds=[(0.0, half)] * n_pairs)
     times = _free_tanh_times(r.x, T)
     proto = tanh_protocol(times, beta, T, params)
@@ -193,10 +193,10 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
 
     start = to_free(x0 if x0 is not None else (w0, -0.05))
 
-    def draw(rng):
+    def sampler(rng):
         return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(-0.125, 0.4)))
 
-    r = optim.nelder_mead_restarts(obj, start, draw, seeds, 1500, 1e-12)
+    r = optim.nelder_mead_restarts(obj, start, sampler, seeds, 1500, 1e-12)
     w, R = (float(v) for v in to_physical(r.x))
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
     cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol

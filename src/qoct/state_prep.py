@@ -298,7 +298,8 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
-                 problem: StatePrepProblem) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
+                 problem: StatePrepProblem
+                 ) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
     """Best reduced coordinates, cost, lane status and segment values of each structure.
 
     Each structure is searched at its own T.  Its Nelder-Mead runs start
@@ -330,14 +331,14 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
             s, T, k = structures[j], Ts[j], structures[j].n_switch
             if dim == 1:
                 box = ((0.0,), (T,))
-                draw = lambda rng, T=T: rng.uniform(0.0, T, 1)
+                sampler = lambda rng, T=T: rng.uniform(0.0, T, 1)
             else:
                 box = ((0.0, 1e-9), (T, T / (k - 1)))
-                draw = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
-                                                       rng.uniform(0.3, 1.0) * T / (k - 1)])
+                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
+                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
             rng = np.random.default_rng(0)
             mine = [] if warms[j] is None else [warms[j]]
-            mine += [draw(rng) for _ in range(_SCAN_DRAWS)]
+            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
             for vals in _segment_values(s, params.u_max):
                 starts += mine
                 counts.append(len(mine))
