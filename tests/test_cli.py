@@ -175,6 +175,12 @@ class TestCli:
         assert main(["sweep", "--umax", "0.45:0.5:2", "--jobs", "64"]) == 0
         assert pools == [2]
 
+    def test_sweep_small_amplitudes_find_every_root(self, outdir, capsys):
+        assert main(["sweep", "--umax", "0.015:0.025:3"]) == 0
+        assert json.loads(capsys.readouterr().out.strip()) == {"points": 3}
+        lines = (outdir / "sweep" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 4
+
     def test_xgate_sweep_flag_removed(self, outdir):
         with pytest.raises(SystemExit) as exc:
             main(["xgate", "--umax", "0.5", "--sweep", "0.45:0.5:2"])
@@ -414,6 +420,15 @@ class TestCli:
                    "--initial", "rabi", "--nt", "100"])
         assert rc == 2
         assert "--t-over-trabi" in capsys.readouterr().err
+        assert not (outdir / "smooth").exists()
+
+    @pytest.mark.parametrize("nt", ["0", "2", "-1"])
+    def test_smooth_constrained_too_few_cells_exits_2_without_artifacts(self, outdir, capsys,
+                                                                        nt):
+        rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2",
+                   "--t-over-trabi", "0.9", f"--nt={nt}"])
+        assert rc == 2
+        assert "n_t" in capsys.readouterr().err
         assert not (outdir / "smooth").exists()
 
     def test_spectrum_negative_nmax_exits_2_without_artifacts(self, outdir, tmp_path, capsys):

@@ -215,6 +215,24 @@ class TestFirstRootAndOracle:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+class TestSmallAmplitudesAndParities:
+    """Every parity's first root is found, and population transfer takes the earlier."""
+
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    @pytest.mark.parametrize("u_max", [0.011, 0.02, 0.026])
+    def test_small_amplitude_root_confirmed_by_eigh_oracle(self, kind, u_max):
+        res = min_gate_time(GateProblem(kind, ModelParams(u_max=u_max)), with_report=False)
+        assert res.residual <= 1e-20
+        assert oracle_gap(res, kind, u_max) <= 1e-20
+
+    @pytest.mark.parametrize("u_max", [0.01, 0.05, 0.1])
+    def test_population_transfer_time_is_the_earlier_parity(self, u_max):
+        # C_PT + 1 = |U00|^2 on either wave, so T*_PT = min(T*_X, T*_Y)
+        t = {kind: min_gate_time(GateProblem(kind, ModelParams(u_max=u_max)),
+                                 with_report=False).t_star for kind in ("x", "y", "pt")}
+        assert abs(t["pt"] - min(t["x"], t["y"])) <= 1e-12 * t["pt"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.6, 1.2), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
 def test_square_wave_parity_reduces_gate_costs_to_u00(u_max, t_frac, w_frac, sign):
