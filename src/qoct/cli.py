@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gate", choices=["x", "y", "pt"], default="x")
     common(sp)
 
-    sp = sub.add_parser("sweep", help="parallel u_max sweep of the gate search")
+    sp = sub.add_parser("sweep", help="u_max sweep of the gate search")
     sp.add_argument("--umax", type=_parse_sweep, required=True, metavar="lo:hi:n")
     sp.add_argument("--gate", choices=["x", "y", "pt"], default="x")
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("smooth", help="fidelity-preserving pulse smoothing")
@@ -213,27 +211,14 @@ def _gate_result_payload(res) -> dict:
     }
 
 
-def _sweep_point(task) -> dict:
-    u, gate = task
-    res = xgate.min_gate_time(GateProblem(gate, ModelParams(u_max=u)), with_report=False)
-    return {"u_max": u, "t_star": res.t_star, "ratio": res.ratio,
-            "omega_eff": res.omega_eff, "n_switch": res.n_switch}
-
-
-def _run_sweep(rec: _Record, grid, gate: str, jobs: int) -> int:
-    """Minimum gate time at every u_max of the grid, written to sweep.csv."""
-    tasks = [(float(u), gate) for u in grid]
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r["u_max"])
+def _run_sweep(rec: _Record, grid, gate: str) -> int:
+    """Minimum gate time at every u_max of the grid, in increasing u_max, to sweep.csv."""
+    rows = []
+    for u in sorted(float(u) for u in grid):
+        res = xgate.min_gate_time(GateProblem(gate, ModelParams(u_max=u)), with_report=False)
+        rows.append((u, res.t_star, res.ratio, res.omega_eff, res.n_switch))
     fileio.write_csv(rec.path("sweep.csv"),
-                     ["u_max", "t_star", "ratio", "omega_eff", "n_switch"],
-                     [(r["u_max"], r["t_star"], r["ratio"], r["omega_eff"], r["n_switch"])
-                      for r in rows])
+                     ["u_max", "t_star", "ratio", "omega_eff", "n_switch"], rows)
     return len(rows)
 
 
@@ -254,10 +239,8 @@ def cmd_xgate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     rec = _Record("sweep", args)
-    n = _run_sweep(rec, args.umax, args.gate, args.jobs)
+    n = _run_sweep(rec, args.umax, args.gate)
     rec.finish()
     print(json.dumps({"points": n}))
     return 0
@@ -355,7 +338,7 @@ def _repro_rabi(rec: _Record):
 
 def _repro_ratio(rec: _Record):
     grid = np.linspace(0.05, 0.5, 10)
-    _run_sweep(rec, grid, "x", 1)
+    _run_sweep(rec, grid, "x")
 
 
 def _repro_gate_point(rec: _Record, umax: float):

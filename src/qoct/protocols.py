@@ -145,36 +145,24 @@ class OneParamBB:
         return BangSequence(self.T, self.u_max, tuple(bounds[1:-1]), tuple(vals))
 
 
-def square_wave(omega_eff, T: float, u_max: float, sign: float, parity: str):
+def square_wave(omega_eff: float, T: float, u_max: float, sign: float, parity: str):
     """Segments of sign * u_max * Sgn[carrier(omega_eff (t - T/2))] on [0, T].
 
     The carrier is cos for 'even' parity and sin for 'odd'; its zero
     crossings are the switching times.  Returns (bounds, values): the n+1
-    segment boundaries from 0 to T and the n segment values.  It builds bare
-    arrays rather than a ``BangSequence`` because the gate search evaluates
-    it hundreds of thousands of times per run.
-
-    ``omega_eff`` may also be a 1-D array of M frequencies.  Bounds and values
-    then have M rows, each the single-frequency segments followed by
-    zero-duration segments at T, which pad the rows to one length.
+    segment boundaries from 0 to T and the n segment values.
     """
-    w = np.asarray(omega_eff, dtype=float)[..., None]
+    w = float(omega_eff)
     half = T / 2.0
-    k = np.arange(int(w.max() * half / np.pi) + 2)
+    k = np.arange(int(w * half / np.pi) + 2)
     if parity == "even":
         pos = (np.pi / 2.0 + np.pi * k) / w
-        offs = np.concatenate([-pos[..., ::-1], pos], axis=-1)
+        offs = np.concatenate([-pos[::-1], pos])
     else:
         pos = np.pi * (k + 1) / w
-        offs = np.concatenate([-pos[..., ::-1], np.zeros_like(w), pos], axis=-1)
-    inside = np.abs(offs) < half
-    if w.ndim == 1:  # one frequency: drop the crossings outside (0, T)
-        switches = offs[inside] + half
-    else:  # move them to T, so the padding comes after every real segment
-        switches = np.sort(np.where(inside, offs + half, T), axis=-1)
-    edge = np.zeros(switches.shape[:-1] + (1,))
-    bounds = np.concatenate([edge, switches, edge + T], axis=-1)
-    mids = 0.5 * (bounds[..., :-1] + bounds[..., 1:]) - half
+        offs = np.concatenate([-pos[::-1], [0.0], pos])
+    bounds = np.concatenate([[0.0], offs[np.abs(offs) < half] + half, [T]])
+    mids = 0.5 * (bounds[:-1] + bounds[1:]) - half
     carrier = np.cos(w * mids) if parity == "even" else np.sin(w * mids)
     return bounds, sign * u_max * np.sign(carrier)
 

@@ -30,7 +30,7 @@ from .dynamics import (
 )
 from .optim import refine_basins
 from .pmp import CostSpec, OptimalityReport
-from .protocols import OneParamBB, square_wave
+from .protocols import OneParamBB
 
 __all__ = [
     "GateProblem",
@@ -43,10 +43,6 @@ __all__ = [
     "rabi_fidelity_curve",
 ]
 
-# frequencies per batched call in the omega scan: the whole 400-point scan
-# at once raised the peak memory of a gate search by ~4 MB for a ~1% faster
-# scan, and blocks of 25 made the scan ~9% slower
-_SCAN_BLOCK = 100
 # a root of U00(T, omega) is accepted when |U00|^2 is at most this
 ROOT_TOL = 1e-20
 # Newton steps on one dip before the T scan moves on
@@ -102,45 +98,85 @@ def one_param_protocol(omega_eff: float, T: float, problem: GateProblem,
 
 def one_param_cost(omega_eff, T: float, problem: GateProblem,
                    sign: float = 1.0, parity: str = "even"):
-    """Gate cost of the square-wave protocol (exact segment propagators).
+    """Gate cost of the square-wave protocol, from the power of its period.
 
-    ``omega_eff`` may be a 1-D array of frequencies, giving one cost each.
-    The zero-duration padding of ``square_wave`` contributes exact identity
-    factors after the real segments, so every cost has the bits of the
-    single-frequency call.
+    ``omega_eff`` may be a 1-D array of frequencies, giving one cost each;
+    every cost has the bits of the single-frequency call.
     """
     return gate_cost(_square_wave_unitary(omega_eff, T, problem, sign, parity), problem.kind)
 
 
+def _su2_power(P: np.ndarray, m) -> np.ndarray:
+    """P^m for SU(2) matrices P (..., 2, 2) and integer powers m >= 0 (...).
+
+    The eigenvalues of P are exp(+-i a), with cos a = Re P00 and
+    sin a = sqrt((Im P00)^2 + |P10|^2), so by Cayley-Hamilton (Chebyshev
+    polynomials of the second kind)
+
+        P^m = [sin(m a)/sin a] P - [sin((m-1) a)/sin a] 1.
+
+    a is taken by atan2, which stays accurate where P is close to -1, the
+    resonant period at small u_max.
+    """
+    a, b = P[..., 0, 0], P[..., 1, 0]
+    sin_a = np.sqrt(a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+    alpha = np.arctan2(sin_a, a.real)
+    out = (np.sin(m * alpha) / sin_a)[..., None, None] * P
+    c0 = np.sin((m - 1) * alpha) / sin_a
+    out[..., 0, 0] -= c0
+    out[..., 1, 1] -= c0
+    return out
+
+
 def _square_wave_unitary(omega_eff, T: float, problem: GateProblem, sign: float, parity: str):
-    bounds, vals = square_wave(omega_eff, T, problem.params.u_max, sign, parity)
-    durs = bounds[..., 1:] - bounds[..., :-1]
-    return ordered_product(segment_propagators(durs.T, vals.T, problem.params))
+    """Propagator of ``square_wave``'s protocol as U = E_last Q P^m E_first.
+
+    With tau = pi/omega the switches sit at (k + 1/2) tau (even) or k tau
+    (odd) from T/2, strictly inside (0, T).  For n switches the wave is an
+    edge bang of length e = (T - (n - 1) tau)/2 and value v0, n - 1 middle
+    bangs of length tau alternating from -v0, and an edge bang of length e
+    and value v0 (-1)^n.  So the middle bangs are m = (n - 1) // 2 periods
+    P = U(tau, v0) U(tau, -v0), followed by Q = U(tau, -v0) when n - 1 is
+    odd.  A single frequency is evaluated as a one-element array, so it has
+    the bits of the same frequency in a batch.
+    """
+    w = np.asarray(omega_eff, dtype=float)
+    tau = np.pi / w.reshape(-1)
+    cycles = 0.5 * T / tau  # omega T / (2 pi)
+    if parity == "even":  # n_right switches right of T/2, mirrored left of it
+        n_right = np.maximum(np.ceil(cycles - 0.5), 0.0)
+        n_switch, v_first = 2.0 * n_right, 1.0
+    else:  # the crossing at T/2 is a switch of its own
+        n_right = np.ceil(cycles) - 1.0
+        n_switch, v_first = 2.0 * n_right + 1.0, -1.0
+    v0 = sign * problem.params.u_max * v_first * (1.0 - 2.0 * (n_right % 2))
+    n_mid = np.maximum(n_switch - 1.0, 0.0)
+    edge = 0.5 * (T - n_mid * tau)
+    v_last = v0 * (1.0 - 2.0 * (n_switch % 2))
+    cells = segment_propagators(np.stack([edge, tau, tau, (n_mid % 2) * tau, edge]),
+                                np.stack([v0, -v0, v0, -v0, v_last]), problem.params)
+    power = _su2_power(ordered_product(cells[1:3]), n_mid // 2)
+    U = ordered_product(np.stack([cells[0], power, cells[3], cells[4]]))
+    return U.reshape(w.shape + (2, 2))
 
 
 def _frequency_grid(problem: GateProblem, n_scan: int) -> np.ndarray:
     return np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, n_scan)
 
 
-def _grid_costs(ws: np.ndarray, T: float, problem: GateProblem, parity: str) -> np.ndarray:
-    """Costs at the frequencies ``ws``, evaluated in batched blocks."""
-    return np.concatenate([one_param_cost(ws[i:i + _SCAN_BLOCK], T, problem, 1.0, parity)
-                           for i in range(0, len(ws), _SCAN_BLOCK)])
-
-
 def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
     """Globally minimize the gate cost over the switching frequency at fixed T.
 
-    Dense coarse scan over [0.8 omega0, 1.1 Omega], evaluated in batched
-    blocks of frequencies, plus golden-section refinement around every
-    basin, for each admissible parity; both overall protocol signs are
-    degenerate (checked in the tests), so only the canonical +1 sign is
-    scanned.  Returns (omega_eff, cost, parity).
+    Dense coarse scan over [0.8 omega0, 1.1 Omega], all frequencies in one
+    call, plus golden-section refinement around every basin, for each
+    admissible parity; both overall protocol signs are degenerate (checked
+    in the tests), so only the canonical +1 sign is scanned.  Returns
+    (omega_eff, cost, parity).
     """
     ws = _frequency_grid(problem, n_scan)
     best = (np.inf, None, None)
     for parity in problem.parities():
-        cs = _grid_costs(ws, T, problem, parity)
+        cs = one_param_cost(ws, T, problem, 1.0, parity)
         w, c = refine_basins(lambda w: one_param_cost(w, T, problem, 1.0, parity), ws, cs)
         if c < best[0]:
             best = (c, w, parity)
@@ -217,7 +253,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     for j, T in enumerate(ts):
         best = (np.inf, None, None)
         for p in problem.parities():
-            cs = _grid_costs(ws, T, problem, p)
+            cs = one_param_cost(ws, T, problem, 1.0, p)
             k = int(np.argmin(cs))
             if cs[k] < best[0]:
                 best = (float(cs[k]), float(ws[k]), p)
@@ -274,22 +310,13 @@ def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:
         durs = np.array([t0 / 2.0, t0 / 2.0])
         vals = np.array([-u_max, u_max])
     block = ordered_product(segment_propagators(durs, vals, params))
-    n_max = int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 4
-    P = np.eye(2, dtype=complex)
-    best = (np.inf, 0)
-    met = False
-    for n in range(1, n_max + 1):
-        P = block @ P
-        c = gate_cost(P, kind)
-        if c + 1.0 <= 1e-3 * u_max:
-            met = True
-            break
-        if c < best[0]:
-            best = (c, n)
-    if not met:
-        c, n = best
+    ns = np.arange(1, int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 5)
+    costs = gate_cost(_su2_power(np.broadcast_to(block, ns.shape + (2, 2)), ns), kind)
+    hits = np.flatnonzero(costs + 1.0 <= 1e-3 * u_max)
+    met = hits.size > 0
+    k = int(hits[0]) if met else int(np.argmin(costs))
     t_rabi = np.pi / u_max
-    return {"n_periods": n, "ratio": n * t0 / t_rabi, "cost": float(c),
+    return {"n_periods": int(ns[k]), "ratio": ns[k] * t0 / t_rabi, "cost": float(costs[k]),
             "met_threshold": met, "block": block}
 
 

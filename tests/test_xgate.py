@@ -192,7 +192,7 @@ class TestFirstRootAndOracle:
         ws = xgate._frequency_grid(problem, 400)
         roots = []
         for j in (29, 31):
-            w_dip = ws[int(np.argmin(xgate._grid_costs(ws, ts[j], problem, "even")))]
+            w_dip = ws[int(np.argmin(one_param_cost(ws, ts[j], problem, 1.0, "even")))]
             roots.append(xgate._newton_root(ts[j], w_dip, problem, "even",
                                             (ts[27], ts[33]), (ws[0], ws[-1])))
         (t_a, _, r_a, _), (t_b, _, r_b, _) = roots
@@ -269,6 +269,24 @@ class TestOptimizeOmegaEff:
 
 
 class TestBatchedScan:
+    @pytest.mark.parametrize("u_max", [0.005, 0.02, 0.1, 0.5])
+    def test_period_power_matches_cell_product(self, u_max):
+        # the reference multiplies every cell of the scalar square wave
+        problem = GateProblem("pt", ModelParams(u_max=u_max))
+        ws = np.linspace(0.8 * problem.params.omega0, 1.1 * problem.params.big_omega, 400)
+        for frac in (0.6, 0.8):
+            T = frac * rabi_pi_time(problem.params)
+            for parity in ("even", "odd"):
+                for sign in (1.0, -1.0):
+                    ref = []
+                    for w in ws:
+                        bounds, vals = square_wave(w, T, u_max, sign, parity)
+                        cells = segment_propagators(np.diff(bounds), vals, problem.params)
+                        ref.append(gate_cost(ordered_product(cells), "pt"))
+                    power = one_param_cost(ws, T, problem, sign, parity)
+                    np.testing.assert_allclose(power + 1.0, np.array(ref) + 1.0,
+                                               rtol=0.0, atol=1e-11)
+
     @pytest.mark.parametrize("kind", ["x", "y", "pt"])
     @pytest.mark.parametrize("u_max", [0.48, 0.2, 0.0502, 0.3])
     def test_batched_costs_equal_scalar_loop_bitwise(self, kind, u_max):
