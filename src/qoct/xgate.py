@@ -228,17 +228,35 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
     return root
 
 
+def _vertex_cost(cs: np.ndarray, ws: np.ndarray) -> tuple[float, float]:
+    """(cost, omega) of the grid's best point, its cost lowered to the vertex of
+    the parabola through it and its two neighbours; omega stays the grid point.
+
+    Near a root U00 is linear in omega, so |U00|^2 is nearly quadratic there,
+    and the vertex follows the root between grid points.
+    """
+    k = int(np.argmin(cs))
+    c = float(cs[k])
+    if 0 < k < len(cs) - 1:
+        curv = cs[k - 1] - 2.0 * c + cs[k + 1]
+        if curv > 0.0:
+            c -= float((cs[k + 1] - cs[k - 1]) ** 2 / (8.0 * curv))
+    return c, float(ws[k])
+
+
 def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
     """Smallest T at which the square-wave protocol completes the gate exactly.
 
     T is scanned upward from 0.6 T_Rabi in steps of min(0.01 T_Rabi, an
-    eighth of the natural period 2 pi/omega0); at each T the cost is the
-    best point of the 400-point frequency grid of ``optimize_omega_eff``
-    over the admissible parities, without refinement.  At each local
-    minimum of the scanned cost, in increasing T, Newton's method solves
-    U00(T, omega) = 0 from the dip's grid point; the first root found
-    inside the dip's bracket of the scan, widened by one step to the right,
-    with |U00|^2 <= ROOT_TOL, is T*.
+    eighth of the natural period 2 pi/omega0).  Each admissible parity has
+    its own cost profile: at each T, the vertex of the parabola through the
+    best point of the 400-point frequency grid of ``optimize_omega_eff`` and
+    its two neighbours.  At each local minimum of a profile, in increasing
+    T, Newton's method solves U00(T, omega) = 0 from the dip's grid point;
+    the first root inside the dip's bracket of the scan, widened by one step
+    to the right, with |U00|^2 <= ROOT_TOL, is that parity's root.  Once a
+    root is found the other parity scans on while its dip candidate lies at
+    most one step past it, and the earliest root over the parities is T*.
     The scan stops at 1.2 T_Rabi.  The optimality report is produced at
     0.999 T*, where lambda0 is small but nonzero.
     """
@@ -249,27 +267,28 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     ts = np.arange(0.6 * t_rabi, 1.2 * t_rabi + 1e-12, step)
     ws = _frequency_grid(problem, 400)
 
-    scanned = []  # the grid's best (cost, omega, parity) at each scanned T
+    profiles = {p: [] for p in problem.parities()}  # (cost, omega) at each scanned T
+    roots = {}  # parity -> (T, omega, |U00|^2, Newton steps)
     for j, T in enumerate(ts):
-        best = (np.inf, None, None)
-        for p in problem.parities():
-            cs = one_param_cost(ws, T, problem, 1.0, p)
-            k = int(np.argmin(cs))
-            if cs[k] < best[0]:
-                best = (float(cs[k]), float(ws[k]), p)
-        scanned.append(best)
-        if j == 0 and best[0] <= -1.0 + TARGET_TOL:
-            raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
-        if j >= 2 and scanned[j - 2][0] >= scanned[j - 1][0] <= best[0]:
-            _, w_dip, parity = scanned[j - 1]
-            root = _newton_root(ts[j - 1], w_dip, problem, parity,
-                                (ts[j - 2], T + step), (ws[0], ws[-1]))
-            if root is not None:
-                break
-    else:
+        if len(roots) == len(profiles) or (
+                roots and ts[j - 1] > min(r[0] for r in roots.values()) + step):
+            break
+        for p, prof in profiles.items():
+            if p in roots:
+                continue
+            prof.append(_vertex_cost(one_param_cost(ws, T, problem, 1.0, p), ws))
+            if j == 0 and prof[0][0] <= -1.0 + TARGET_TOL:
+                raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
+            if j >= 2 and prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
+                root = _newton_root(ts[j - 1], prof[j - 1][1], problem, p,
+                                    (ts[j - 2], T + step), (ws[0], ws[-1]))
+                if root is not None:
+                    roots[p] = root
+    if not roots:
         raise RuntimeError(
             f"no T in [0.6, 1.2] * T_Rabi reaches the gate (|U00|^2 <= {ROOT_TOL})")
-    t_star, w_opt, residual, newton_steps = root
+    parity = min(roots, key=lambda p: roots[p][0])
+    t_star, w_opt, residual, newton_steps = roots[parity]
 
     # the +/-u* degeneracy lets us return the canonical orientation (middle
     # bang at -u_max), which matches the A > 0 form of the analytical
