@@ -339,8 +339,11 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
     removes it, so the kick is halved whenever the objective stagnates, and
     every 50 iterations, down to u_max/8000, which lets the iteration settle
     and reach the stopping tolerance.  The returned control is the projected
-    (constraint-satisfying) iterate.
+    (constraint-satisfying) iterate.  The smoothness cost needs ``n_t`` >= 3
+    cells; fewer raise ValueError.
     """
+    if n_t < 3:
+        raise ValueError(f"n_t must be at least 3 cells, got {n_t}")
     params = problem.params
     du_cap = params.u_max / 5.0
     obj_cost, obj_grad = _objective_funcs(objective)
