@@ -7,9 +7,12 @@ parities are legitimate for population transfer).  An even wave's
 propagator has U01 = U10 and an odd wave's U01 = -U10, so C_X + 1 on the
 even wave, C_Y + 1 on the odd wave and C_PT + 1 on either all equal
 |U00|^2, and a perfect gate is a root of U00(T, omega) = 0: two real
-equations in two unknowns.  The minimum gate time is located by scanning T
-upward until the frequency-optimized cost dips, then solving for the root
-in that dip by Newton's method.
+equations in two unknowns.  The middle bangs of the wave repeat one period,
+so its propagator is a power of that period's SU(2) matrix, taken in closed
+form.  The minimum gate time is located by scanning T upward, on each
+parity's frequency-optimized cost, until the cost dips, then solving for
+the root in that dip by Newton's method; the earliest root over the
+parities wins.
 """
 from __future__ import annotations
 
@@ -228,20 +231,21 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
     return root
 
 
-def _vertex_cost(cs: np.ndarray, ws: np.ndarray) -> tuple[float, float]:
-    """(cost, omega) of the grid's best point, its cost lowered to the vertex of
-    the parabola through it and its two neighbours; omega stays the grid point.
+def _vertex(cs: np.ndarray, ws: np.ndarray) -> tuple[float, float]:
+    """(cost, omega) at the vertex of the parabola through the grid's best
+    point and its two neighbours; the best point itself at the grid's ends.
 
     Near a root U00 is linear in omega, so |U00|^2 is nearly quadratic there,
     and the vertex follows the root between grid points.
     """
     k = int(np.argmin(cs))
-    c = float(cs[k])
     if 0 < k < len(cs) - 1:
-        curv = cs[k - 1] - 2.0 * c + cs[k + 1]
+        lo, mid, hi = (float(c) for c in cs[k - 1:k + 2])
+        curv = lo - 2.0 * mid + hi
         if curv > 0.0:
-            c -= float((cs[k + 1] - cs[k - 1]) ** 2 / (8.0 * curv))
-    return c, float(ws[k])
+            return (mid - (hi - lo) ** 2 / (8.0 * curv),
+                    float(ws[k] + (ws[k + 1] - ws[k]) * (lo - hi) / (2.0 * curv)))
+    return float(cs[k]), float(ws[k])
 
 
 def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
@@ -249,10 +253,10 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
 
     T is scanned upward from 0.6 T_Rabi in steps of min(0.01 T_Rabi, an
     eighth of the natural period 2 pi/omega0).  Each admissible parity has
-    its own cost profile: at each T, the vertex of the parabola through the
-    best point of the 400-point frequency grid of ``optimize_omega_eff`` and
-    its two neighbours.  At each local minimum of a profile, in increasing
-    T, Newton's method solves U00(T, omega) = 0 from the dip's grid point;
+    its own cost profile: at each T, the vertex (omega, cost) of the
+    parabola through the best point of the 400-point frequency grid of
+    ``optimize_omega_eff`` and its two neighbours.  At each local minimum of a profile, in increasing
+    T, Newton's method solves U00(T, omega) = 0 from the dip's vertex;
     the first root inside the dip's bracket of the scan, widened by one step
     to the right, with |U00|^2 <= ROOT_TOL, is that parity's root.  Once a
     root is found the other parity scans on while its dip candidate lies at
@@ -276,7 +280,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         for p, prof in profiles.items():
             if p in roots:
                 continue
-            prof.append(_vertex_cost(one_param_cost(ws, T, problem, 1.0, p), ws))
+            prof.append(_vertex(one_param_cost(ws, T, problem, 1.0, p), ws))
             if j == 0 and prof[0][0] <= -1.0 + TARGET_TOL:
                 raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
             if j >= 2 and prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
