@@ -156,10 +156,10 @@ def _square_wave_unitary(omega_eff, T: float, problem: GateProblem, sign: float,
     n_mid = np.maximum(n_switch - 1.0, 0.0)
     edge = 0.5 * (T - n_mid * tau)
     v_last = v0 * (1.0 - 2.0 * (n_switch % 2))
-    cells = segment_propagators(np.stack([edge, tau, tau, (n_mid % 2) * tau, edge]),
-                                np.stack([v0, -v0, v0, -v0, v_last]), problem.params)
-    power = _su2_power(ordered_product(cells[1:3]), n_mid // 2)
-    U = ordered_product(np.stack([cells[0], power, cells[3], cells[4]]))
+    cells = segment_propagators(np.array([edge, tau, tau, (n_mid % 2) * tau, edge]),
+                                np.array([v0, -v0, v0, -v0, v_last]), problem.params)
+    cells[2] = _su2_power(ordered_product(cells[1:3]), n_mid // 2)
+    U = ordered_product(cells[[0, 2, 3, 4]])  # E_first, P^m, Q, E_last
     return U.reshape(w.shape + (2, 2))
 
 
@@ -253,14 +253,15 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
 
     T is scanned upward from 0.6 T_Rabi in steps of min(0.01 T_Rabi, an
     eighth of the natural period 2 pi/omega0).  Each admissible parity has
-    its own cost profile: at each T, the vertex (omega, cost) of the
+    its own cost profile: at each T, the vertex (cost, omega) of the
     parabola through the best point of the 400-point frequency grid of
-    ``optimize_omega_eff`` and its two neighbours.  At each local minimum of a profile, in increasing
-    T, Newton's method solves U00(T, omega) = 0 from the dip's vertex;
-    the first root inside the dip's bracket of the scan, widened by one step
-    to the right, with |U00|^2 <= ROOT_TOL, is that parity's root.  Once a
-    root is found the other parity scans on while its dip candidate lies at
-    most one step past it, and the earliest root over the parities is T*.
+    ``optimize_omega_eff`` and its two neighbours.  At each local minimum
+    of a profile, in increasing T, Newton's method solves U00(T, omega) = 0
+    from the dip's vertex; the first root inside the dip's bracket of the
+    scan, widened by one step to the right, with |U00|^2 <= ROOT_TOL, is
+    that parity's root.  Once a root is found the other parity scans on
+    while its dip candidate lies at most one step past it, and the earliest
+    root over the parities is T*.
     The scan stops at 1.2 T_Rabi.  The optimality report is produced at
     0.999 T*, where lambda0 is small but nonzero.
     """
@@ -338,8 +339,9 @@ def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:
     hits = np.flatnonzero(costs + 1.0 <= 1e-3 * u_max)
     met = hits.size > 0
     k = int(hits[0]) if met else int(np.argmin(costs))
+    n = int(ns[k])
     t_rabi = np.pi / u_max
-    return {"n_periods": int(ns[k]), "ratio": ns[k] * t0 / t_rabi, "cost": float(costs[k]),
+    return {"n_periods": n, "ratio": n * t0 / t_rabi, "cost": float(costs[k]),
             "met_threshold": met, "block": block}
 
 

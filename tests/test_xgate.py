@@ -326,6 +326,21 @@ class TestAsymptoticModel:
         out = asymptotic_ratio_model(0.01, kind="y")
         assert abs(out["ratio"] - np.pi / 4.0) < 0.02
 
+    @pytest.mark.parametrize("u_max, kind", [(0.01, "x"), (0.01, "y"), (0.05, "x")])
+    def test_powers_match_repeated_product(self, u_max, kind):
+        # the reference multiplies the block once per power, as a loop
+        out = asymptotic_ratio_model(u_max, kind)
+        P, costs = np.eye(2, dtype=complex), []
+        for _ in range(int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 4):
+            P = out["block"] @ P
+            costs.append(gate_cost(P, kind))
+        costs = np.array(costs)
+        hits = np.flatnonzero(costs + 1.0 <= 1e-3 * u_max)
+        k = hits[0] if hits.size else np.argmin(costs)
+        assert out["n_periods"] == k + 1
+        assert out["met_threshold"] == bool(hits.size)
+        assert abs(out["cost"] - costs[k]) <= 1e-12
+
     def test_threshold_flag_reported(self):
         out = asymptotic_ratio_model(0.01)
         # the N-quantization residual is O(u^2) > 1e-3*u at this amplitude
