@@ -332,11 +332,20 @@ class TestCli:
     def test_state_prep_hit_before_first_coarse_step(self, outdir, capsys):
         # t_max = 0.2 < pi/4: the only coarse time hits, so the bisection
         # bracket must start at 0 rather than at 0.2 - pi/4
-        rc = main(["state-prep", "--theta-init=0", "--phi-init=0", "--theta-target=0.001",
+        rc = main(["state-prep", "--theta-init=0", "--phi-init=0", "--theta-target=0.003",
                    "--phi-target=0", "--umax=0.2", "--tmax=0.2"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["found"] and 0.0 < payload["t_star"] <= 0.2
+
+    @pytest.mark.parametrize("theta_target", ["1", "1.001"], ids=["equal", "within-tol"])
+    def test_state_prep_already_solved_exits_2_without_artifacts(self, outdir, capsys,
+                                                                theta_target):
+        rc = main(["state-prep", "--theta-init", "1", "--phi-init", "0",
+                   "--theta-target", theta_target, "--phi-target", "0", "--umax", "0.2"])
+        assert rc == 2
+        assert "already" in capsys.readouterr().err
+        assert not (outdir / "state-prep").exists()
 
     def test_smooth_missed_gate_not_reported_converged(self, outdir, capsys):
         rc = main(["smooth", "--scheme", "third", "--umax", "0.2", "--t-over-trabi", "0.8"])

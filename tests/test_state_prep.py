@@ -417,11 +417,19 @@ class TestFindTimeOptimal:
 
     def test_hit_before_first_coarse_step_bisects_from_zero(self):
         # the only coarse time, t_max = 0.2 < pi/4, hits; no time before it missed
-        p = StatePrepProblem(BlochPoint(0.0, 0.0), BlochPoint(0.001, 0.0),
+        p = StatePrepProblem(BlochPoint(0.0, 0.0), BlochPoint(0.003, 0.0),
                              ModelParams(u_max=0.2))
         res = find_time_optimal(p, t_max=0.2, with_report=False)
         assert res.found and 0.0 < res.t_star <= 0.2
         assert res.cost <= -1.0 + 1e-6
+
+    @pytest.mark.parametrize("dtheta", [0.0, 1e-3], ids=["equal", "within-tol"])
+    def test_already_solved_problem_refused(self, dtheta):
+        # 1 - cos^2(dtheta / 2) = 2.5e-7 <= TARGET_TOL: T = 0 already meets the target
+        p = StatePrepProblem(BlochPoint(1.0, 0.0), BlochPoint(1.0 + dtheta, 0.0),
+                             ModelParams(u_max=0.2))
+        with pytest.raises(ValueError, match="already"):
+            find_time_optimal(p, with_report=False)
 
     def test_phi_and_hoc_vanish_jointly_at_t_star(self):
         from qoct.state_prep import report_near_optimum
