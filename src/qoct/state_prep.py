@@ -377,12 +377,18 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     0.999 T* where the PMP quantities are small but nonzero.  Ties break
     toward fewer switchings.  ``diagnostics["stalled_misses"]`` counts the
     scan and bisection misses whose best Nelder-Mead lane ended 'max-iter'.
+
+    Raises ValueError if the initial state already meets the target, since
+    no T > 0 is then minimal.
     """
     params = problem.params
     if t_max is None:
         t_max = np.pi + np.pi / params.u_max
     elif not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    psi_i, psi_t = problem.states()
+    if state_prep_cost(np.eye(2), psi_i, psi_t) <= -1.0 + TARGET_TOL:
+        raise ValueError("the initial state already meets the target (T* = 0)")
     coarse_step = 0.25 * np.pi
     resolution = 1e-3 * np.pi
 
