@@ -388,15 +388,16 @@ def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
                     target: np.ndarray) -> float | np.ndarray:
     """Terminal cost -|<target| U |init>|^2, in [-1, 0].
 
-    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  Each
-    overlap is still one ``np.vdot``: the vectorized overlaps (einsum,
-    matmul, elementwise) differ from it in the last bit.
+    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  The
+    overlap is formed in real arithmetic, one rounding per operation, so a
+    matrix's cost has the same bits alone and in any stack.
     """
     final = U_total @ init
-    if final.ndim == 1:
-        return -abs(np.vdot(target, final)) ** 2
-    costs = [-abs(np.vdot(target, psi)) ** 2 for psi in final.reshape(-1, 2)]
-    return np.array(costs).reshape(final.shape[:-1])
+    p, q = final.real, final.imag
+    a, b = np.real(target), np.imag(target)
+    re = (a[0] * p[..., 0] + b[0] * q[..., 0]) + (a[1] * p[..., 1] + b[1] * q[..., 1])
+    im = (a[0] * q[..., 0] - b[0] * p[..., 0]) + (a[1] * q[..., 1] - b[1] * p[..., 1])
+    return -(re * re + im * im)
 
 
 def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:

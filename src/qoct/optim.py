@@ -33,12 +33,13 @@ class OptimResult:
 def nelder_mead(f, x0, max_iter: int, tol: float, bounds=None) -> OptimResult:
     """Reflect/expand/contract/shrink simplex minimization with bound clipping.
 
-    One lane of ``lockstep_nelder_mead``; ``bounds`` holds a (lo, hi) pair per
-    dimension, or is None.  Raises RuntimeError if the objective returns NaN.
+    One lane of ``lockstep_nelder_mead``'s engine, evaluating only the points
+    its steps use; ``bounds`` holds a (lo, hi) pair per dimension, or is None.
+    Raises RuntimeError if the objective returns NaN.
     """
     x0 = np.asarray(x0, dtype=float)
     lo, hi = _box(bounds)
-    return lockstep_nelder_mead(_by_rows(f), x0[None], lo, hi, max_iter, tol)[0]
+    return _simplex(_by_rows(f), x0[None], lo, hi, max_iter, tol, False)[0]
 
 
 def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
@@ -46,14 +47,14 @@ def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
     """Best of ``n_starts`` Nelder-Mead runs: from ``x0``, then from drawn points.
 
     ``draw(rng)`` returns one more start point; the draws come from
-    ``np.random.default_rng(0)``.  The runs are lanes of one
-    ``lockstep_nelder_mead`` call, and the first run reaching the lowest cost
-    wins.
+    ``np.random.default_rng(0)``.  The runs are lanes of one engine run that
+    evaluates only the points their steps use, as ``nelder_mead`` does, and
+    the first run reaching the lowest cost wins.
     """
     rng = np.random.default_rng(0)
     starts = [np.asarray(x0, dtype=float)] + [draw(rng) for _ in range(n_starts - 1)]
     lo, hi = _box(bounds)
-    runs = lockstep_nelder_mead(_by_rows(f), np.array(starts), lo, hi, max_iter, tol)
+    runs = _simplex(_by_rows(f), np.array(starts), lo, hi, max_iter, tol, False)
     return min(runs, key=lambda r: r.fun)
 
 
@@ -74,15 +75,33 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
     ``starts`` is (B, n); ``lo`` and ``hi`` are box bounds broadcastable to
     (B, n), or both None for an unbounded search.  ``f(X, lanes)`` returns
     the objective at the rows of X (m, n), row i belonging to lane
-    ``lanes[i]``.  Every reflect, expand, contract and shrink phase makes one
-    call over the lanes that need it, and each lane takes exactly the steps
-    (and gets exactly the bits) of a run on its own.  A lane stops when its
-    simplex's cost spread is at most ``tol * (1 + |best|)`` or after
-    ``max_iter`` iterations; the results come back in lane order.
+    ``lanes[i]``.  Each iteration evaluates the reflection, expansion and
+    contraction point of every active lane in one call, the speculative
+    form of parallel Nelder-Mead (Lee & Wiswall, Comput. Econ. 30, 171
+    (2007)); only an iteration in which some lane shrinks makes a second
+    call.  Each lane takes exactly the steps (and gets exactly the bits) of a
+    run on its own, and its ``n_eval`` counts only the points those steps
+    use.  A lane stops when its simplex's cost spread is at most
+    ``tol * (1 + |best|)`` or after ``max_iter`` iterations; the results
+    come back in lane order.
 
-    Raises RuntimeError if the objective returns NaN.
+    Raises RuntimeError if the objective returns NaN, also at an expansion
+    or contraction point that the lane's step then discards.
+    """
+    return _simplex(f, starts, lo, hi, max_iter, tol, True)
+
+
+def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
+    """The engine behind the Nelder-Mead entry points.
+
+    With ``speculate`` every iteration makes one call of ``f`` over the
+    reflection, expansion and contraction points of all active lanes;
+    without it, one call for the reflections and one for each of the
+    expansions and contractions the lanes then take.
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    # the reflection, expansion and contraction points are c + coef * (c - worst)
+    coef = np.array([alpha, gamma, -rho])[:, None, None]
     X0 = np.array(starts, dtype=float)
     B, n = X0.shape
     if lo is not None:
@@ -91,14 +110,15 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
         if np.any(lo > hi):
             raise ValueError("bound lo must not exceed hi")
 
-    def clip(x, lanes):
+    def clip(x, lo, hi):
+        # lo and hi are the active lanes' bounds, broadcast against x
         if lo is None:
             return x
-        return np.minimum(np.maximum(x, lo[lanes]), hi[lanes])
+        return np.minimum(np.maximum(x, lo), hi)
 
     def feval(X, lanes):
         v = np.asarray(f(X, lanes), dtype=float)
-        if np.any(np.isnan(v)):
+        if np.isnan(v).any():
             raise RuntimeError(f"objective returned NaN at x={X[np.argmax(np.isnan(v))]!r}")
         return v
 
@@ -109,10 +129,10 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
         steps = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
     else:
         steps = 0.05 * np.maximum(np.abs(X0), 1.0)
-    base = clip(X0, lanes)
+    base = clip(X0, lo, hi)
     S = np.repeat(base[:, None, :], n + 1, axis=1)
     diag = np.arange(n)
-    S[:, diag + 1, diag] = clip(base + np.where(base + steps != base, steps, 1e-8), lanes)
+    S[:, diag + 1, diag] = clip(base + np.where(base + steps != base, steps, 1e-8), lo, hi)
     F = feval(S.reshape(B * (n + 1), n), np.repeat(lanes, n + 1)).reshape(B, n + 1)
     n_eval = np.full(B, n + 1)
 
@@ -129,55 +149,52 @@ def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[O
         n_eval_out[lanes[done]] = n_eval[done]
         converged[lanes[done]] = conv
 
+    rows = np.arange(B)  # 0, 1, ... over the active lanes
     for _ in range(max_iter):
         order = np.argsort(F, axis=1)
-        rows = np.arange(len(F))[:, None]
-        F, S = F[rows, order], S[rows, order]
-        keep = np.abs(F[:, -1] - F[:, 0]) > tol * (1.0 + np.abs(F[:, 0]))
+        F, S = F[rows[:, None], order], S[rows[:, None], order]
+        # sorted, so the spread F[:, -1] - F[:, 0] is never negative
+        keep = F[:, -1] - F[:, 0] > tol * (1.0 + np.abs(F[:, 0]))
         if not keep.all():
             retire(~keep, True)
             S, F, n_eval, lanes = S[keep], F[keep], n_eval[keep], lanes[keep]
+            rows = rows[:len(lanes)]
+            if lo is not None:
+                lo, hi = lo[keep], hi[keep]
             if not lanes.size:
                 break
-        centroid = np.mean(S[:, :-1], axis=1)
-        worst = S[:, -1]
-        xr = clip(centroid + alpha * (centroid - worst), lanes)
-        fr = feval(xr, lanes)
-        n_eval += 1
-        # (xr, fr) becomes each lane's replacement for its worst vertex: the
-        # reflection when f0 <= fr < f[-2], else the better of expansion and
-        # reflection when fr < f0, else the contraction if it beats the worst;
-        # a lane whose contraction fails shrinks toward its best vertex instead
-        expand = np.flatnonzero(fr < F[:, 0])
-        contract = np.flatnonzero(fr >= F[:, -2])
-        if expand.size:
-            c, ln = centroid[expand], lanes[expand]
-            xe = clip(c + gamma * (c - worst[expand]), ln)
-            fe = feval(xe, ln)
-            n_eval[expand] += 1
-            better = fe < fr[expand]
-            xr[expand[better]] = xe[better]
-            fr[expand[better]] = fe[better]
-        shrink = contract[:0]
-        if contract.size:
-            c, ln = centroid[contract], lanes[contract]
-            xc = clip(c + rho * (worst[contract] - c), ln)
-            fc = feval(xc, ln)
-            n_eval[contract] += 1
-            ok = fc < F[contract, -1]
-            xr[contract[ok]] = xc[ok]
-            fr[contract[ok]] = fc[ok]
-            shrink = contract[~ok]
-        replace = np.ones(len(lanes), dtype=bool)
-        replace[shrink] = False
-        S[replace, -1] = xr[replace]
-        F[replace, -1] = fr[replace]
+        L = len(lanes)
+        centroid = S[:, :-1].sum(axis=1) / n
+        P = clip(centroid + coef * (centroid - S[:, -1]), lo, hi)
+        # V holds the costs at P; the step of each lane replaces its worst
+        # vertex: the reflection when f0 <= fr < f[-2], else the better of
+        # expansion and reflection when fr < f0, else the contraction if it
+        # beats the worst; a lane whose contraction fails shrinks toward its
+        # best vertex instead
+        if speculate:
+            V = feval(P.reshape(3 * L, n), np.concatenate([lanes] * 3)).reshape(3, L)
+            expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
+        else:
+            V = np.full((3, L), np.inf)
+            V[0] = feval(P[0], lanes)
+            expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
+            V[1, expand] = feval(P[1, expand], lanes[expand])
+            V[2, contract] = feval(P[2, contract], lanes[contract])
+        n_eval += 1 + expand + contract
+        use_e = expand & (V[1] < V[0])
+        use_c = contract & (V[2] < F[:, -1])
+        shrink = (contract & ~use_c).nonzero()[0]
         if shrink.size:
-            ln = np.repeat(lanes[shrink], n)
+            # toward the best vertex, from the simplex before the step
             b = S[shrink, :1]
-            P = clip((b + sigma * (S[shrink, 1:] - b)).reshape(-1, n), ln)
-            S[shrink, 1:] = P.reshape(-1, n, n)
-            F[shrink, 1:] = feval(P, ln).reshape(-1, n)
+            Q = b + sigma * (S[shrink, 1:] - b)
+            if lo is not None:
+                Q = clip(Q, lo[shrink, None], hi[shrink, None])
+        step = use_e + 2 * use_c
+        S[:, -1], F[:, -1] = P[step, rows], V[step, rows]
+        if shrink.size:
+            S[shrink, 1:] = Q
+            F[shrink, 1:] = feval(Q.reshape(-1, n), np.repeat(lanes[shrink], n)).reshape(-1, n)
             n_eval[shrink] += n
     if lanes.size:
         retire(np.ones(len(lanes), dtype=bool), False)

@@ -77,50 +77,201 @@ def lane_objectives(n):
     return out
 
 
-class TestLockstep:
-    """Lanes advanced together take the steps and bits of each lane run alone."""
+def reference_nelder_mead(f, x0, lo, hi, max_iter, tol):
+    """Sequential one-point Nelder-Mead, independent of ``optim``'s engine.
+
+    The rules it shares with the engine: coefficients 1, 2, 1/2, 1/2; an
+    axis-aligned start of 5% of each box side (0.05 on a flat side,
+    0.05 max(|x0|, 1) unbounded, 1e-8 where the step is lost in x0); every
+    point clipped into the box; vertices ordered by ``np.argsort`` (its
+    tie order); the centroid summed in vertex order; a stop once
+    |f_worst - f_best| <= tol (1 + |f_best|), then the first best vertex.
+    Returns (x, fun, status, n_eval, iterations stepped, shrinking iterations).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    if lo is None:
+        clip = lambda x: x
+        step = 0.05 * np.maximum(np.abs(x0), 1.0)
+    else:
+        lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+        clip = lambda x: np.minimum(np.maximum(x, lo), hi)
+        step = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
+    base = clip(x0)
+    simplex = [base]
+    for i in range(n):
+        v = base.copy()
+        v[i] += step[i] if base[i] + step[i] != base[i] else 1e-8
+        simplex.append(clip(v))
+    fs = [f(v) for v in simplex]
+    n_eval, shrinks, status = n + 1, [], "max-iter"
+    for it in range(max_iter):
+        order = np.argsort(fs)
+        simplex, fs = [simplex[i] for i in order], [fs[i] for i in order]
+        if abs(fs[-1] - fs[0]) <= tol * (1.0 + abs(fs[0])):
+            status = "converged"
+            break
+        c = sum(simplex[:-1]) / n
+        w = simplex[-1]
+        xr = clip(c + 1.0 * (c - w))
+        fr = f(xr)
+        n_eval += 1
+        if fr < fs[0]:
+            xe = clip(c + 2.0 * (c - w))
+            fe = f(xe)
+            n_eval += 1
+            simplex[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs[-2]:
+            simplex[-1], fs[-1] = xr, fr
+        else:
+            xc = clip(c + 0.5 * (w - c))
+            fc = f(xc)
+            n_eval += 1
+            if fc < fs[-1]:
+                simplex[-1], fs[-1] = xc, fc
+            else:
+                b = simplex[0]
+                simplex = [b] + [clip(b + 0.5 * (v - b)) for v in simplex[1:]]
+                fs = [fs[0]] + [f(v) for v in simplex[1:]]
+                n_eval += n
+                shrinks.append(it)
+    else:
+        it = max_iter
+    best = int(np.argmin(fs))
+    return simplex[best], fs[best], status, n_eval, it, shrinks
+
+
+def assert_matches_reference(r, ref):
+    assert np.array_equal(r.x, ref[0])
+    assert r.fun == ref[1]
+    assert (r.status, r.n_eval) == ref[2:4]
+
+
+def lane_problem(n):
+    """Mixed lanes on boxes with a flat side, the rugged lanes twice so that
+    lanes shrink in the same iteration, and an iteration cap at which some
+    lanes have converged and the others have not."""
+    fs = lane_objectives(n)
+    rng = np.random.default_rng(10 + n)
+    starts = rng.uniform(-1.0, 1.0, (len(fs), n))
+    lo = np.repeat(rng.uniform(-2.0, -0.5, (len(fs), 1)), n, axis=1)
+    hi = rng.uniform(0.2, 2.0, (len(fs), n))
+    hi[1, 0] = lo[1, 0]  # a degenerate box side
+    twins = np.arange(3, len(fs), 4)
+    fs += [fs[b] for b in twins]
+    starts, lo, hi = (np.vstack([a, a[twins]]) for a in (starts, lo, hi))
+    return fs, starts, lo, hi, {1: 15, 2: 40, 3: 60}[n]
+
+
+def by_lane(fs, calls=None):
+    """A lane objective over the scalar ``fs``, appending its row count per call."""
+    def f(X, lanes):
+        if calls is not None:
+            calls.append(len(X))
+        return [fs[b](x) for x, b in zip(X, lanes)]
+    return f
+
+
+class TestReference:
+    """Every simplex entry point against the sequential reference, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_mixed_lanes_equal_single_runs(self, n):
-        fs = lane_objectives(n)
-        rng = np.random.default_rng(10 + n)
-        starts = rng.uniform(-1.0, 1.0, (len(fs), n))
-        lo = np.repeat(rng.uniform(-2.0, -0.5, (len(fs), 1)), n, axis=1)
-        hi = rng.uniform(0.2, 2.0, (len(fs), n))
-        hi[1, 0] = lo[1, 0]  # a degenerate box side
-        # the rugged lanes twice, so that lanes shrink in the same iteration
-        twins = np.arange(3, len(fs), 4)
-        fs += [fs[b] for b in twins]
-        starts, lo, hi = (np.vstack([a, a[twins]]) for a in (starts, lo, hi))
-        max_iter = {1: 15, 2: 40, 3: 60}[n]  # some lanes converge, the others hit the cap
-
-        def f(X, lanes):
-            return [fs[b](x) for x, b in zip(X, lanes)]
-
-        runs = lockstep_nelder_mead(f, starts, lo, hi, max_iter, 1e-10)
+    def test_bounded_lanes(self, n):
+        fs, starts, lo, hi, max_iter = lane_problem(n)
+        runs = lockstep_nelder_mead(by_lane(fs), starts, lo, hi, max_iter, 1e-10)
         assert {r.status for r in runs} == {"converged", "max-iter"}
-        for b, r in enumerate(runs):
-            alone = nelder_mead(fs[b], starts[b], max_iter, 1e-10, bounds=tuple(zip(lo[b], hi[b])))
-            assert np.array_equal(r.x, alone.x)
-            assert r.fun == alone.fun
-            assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
+        refs = [reference_nelder_mead(f, x, a, b, max_iter, 1e-10)
+                for f, x, a, b in zip(fs, starts, lo, hi)]
+        assert any(ref[5] for ref in refs)
+        for b, (r, ref) in enumerate(zip(runs, refs)):
+            assert_matches_reference(r, ref)
             assert np.all(r.x >= lo[b]) and np.all(r.x <= hi[b])
+            alone = nelder_mead(fs[b], starts[b], max_iter, 1e-10,
+                                bounds=tuple(zip(lo[b], hi[b])))
+            assert_matches_reference(alone, ref)
 
-    def test_unbounded_lanes_equal_single_runs(self):
+    def test_unbounded_lanes(self):
         fs = lane_objectives(2)
         starts = np.random.default_rng(3).uniform(-1.0, 1.0, (len(fs), 2))
-        runs = lockstep_nelder_mead(lambda X, lanes: [fs[b](x) for x, b in zip(X, lanes)],
-                                    starts, None, None, 200, 1e-12)
-        for b, r in enumerate(runs):
-            alone = nelder_mead(fs[b], starts[b], 200, 1e-12)
-            assert np.array_equal(r.x, alone.x) and r.fun == alone.fun
-            assert (r.status, r.n_eval) == (alone.status, alone.n_eval)
+        runs = lockstep_nelder_mead(by_lane(fs), starts, None, None, 200, 1e-12)
+        for f, x, r in zip(fs, starts, runs):
+            ref = reference_nelder_mead(f, x, None, None, 200, 1e-12)
+            assert_matches_reference(r, ref)
+            assert_matches_reference(nelder_mead(f, x, 200, 1e-12), ref)
+
+    @pytest.mark.parametrize("bounds", [None, ((-2.0, 2.0),) * 3], ids=["free", "box"])
+    def test_restarts_pick_the_first_lowest_reference_run(self, bounds):
+        def draw(rng):
+            return rng.uniform(-2.0, 2.0, 3)
+        lo, hi = (None, None) if bounds is None else (-2.0, 2.0)
+        best = nelder_mead_restarts(rosenbrock_3, np.zeros(3), draw, 5, 300, 1e-10,
+                                    bounds=bounds)
+        rng = np.random.default_rng(0)
+        starts = [np.zeros(3)] + [draw(rng) for _ in range(4)]
+        refs = [reference_nelder_mead(rosenbrock_3, s, lo, hi, 300, 1e-10) for s in starts]
+        assert_matches_reference(best, min(refs, key=lambda ref: ref[1]))
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lockstep_one_call_per_iteration_plus_shrinks(self, n):
+        fs, starts, lo, hi, max_iter = lane_problem(n)
+        calls = []
+        lockstep_nelder_mead(by_lane(fs, calls), starts, lo, hi, max_iter, 1e-10)
+        refs = [reference_nelder_mead(f, x, a, b, max_iter, 1e-10)
+                for f, x, a, b in zip(fs, starts, lo, hi)]
+        iterations = max(ref[4] for ref in refs)
+        shrinking = set().union(*(ref[5] for ref in refs))
+        assert shrinking
+        # the start simplex, one call per iteration, one more per shrinking one
+        assert len(calls) == 1 + iterations + len(shrinking)
+
+    @pytest.mark.parametrize("bounds", [None, ((-2.0, 2.0),) * 3], ids=["free", "box"])
+    def test_scalar_objective_called_once_per_counted_point(self, bounds):
+        seen = []
+
+        def f(x):
+            seen.append(1)
+            return rosenbrock_3(x)
+
+        def draw(rng):
+            return rng.uniform(-2.0, 2.0, 3)
+        nelder_mead_restarts(f, np.zeros(3), draw, 5, 300, 1e-10, bounds=bounds)
+        lo, hi = (None, None) if bounds is None else (-2.0, 2.0)
+        rng = np.random.default_rng(0)
+        starts = [np.zeros(3)] + [draw(rng) for _ in range(4)]
+        assert len(seen) == sum(reference_nelder_mead(rosenbrock_3, s, lo, hi, 300, 1e-10)[3]
+                                for s in starts)
+        seen.clear()
+        r = nelder_mead(f, np.zeros(3), 300, 1e-10, bounds=bounds)
+        assert len(seen) == r.n_eval
+
+
+class TestLockstep:
+    """Lanes advanced together take the steps and bits of each lane run alone."""
 
     def test_nan_in_one_lane_aborts(self):
         def f(X, lanes):
             return [np.nan if b == 2 else float(np.sum(x ** 2)) for x, b in zip(X, lanes)]
         with pytest.raises(RuntimeError):
             lockstep_nelder_mead(f, np.ones((4, 2)), -3.0, 3.0, 100, 1e-10)
+
+        # NaN only at the points a step discards: lane 2's objective is NaN
+        # off the points its sequential run evaluates, which that run never sees
+        visited = set()
+
+        def record(x):
+            visited.add(tuple(x))
+            return quadratic(x)
+        alone = reference_nelder_mead(record, np.ones(2), -3.0, 3.0, 100, 1e-10)
+
+        def g(X, lanes):
+            return [np.nan if b == 2 and tuple(x) not in visited else quadratic(x)
+                    for x, b in zip(X, lanes)]
+        assert_matches_reference(nelder_mead(lambda x: g(x[None], [2])[0], np.ones(2), 100,
+                                             1e-10, bounds=((-3.0, 3.0),) * 2), alone)
+        with pytest.raises(RuntimeError, match="NaN"):
+            lockstep_nelder_mead(g, np.ones((4, 2)), -3.0, 3.0, 100, 1e-10)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
