@@ -104,16 +104,21 @@ def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
     coef = np.array([alpha, gamma, -rho])[:, None, None]
     X0 = np.array(starts, dtype=float)
     B, n = X0.shape
-    if lo is not None:
+    # axis-aligned initial simplex; steps of 5% of each bound range when
+    # bounded, otherwise scale-aware absolute steps (and a box of +-inf,
+    # which clipping leaves every point of)
+    if lo is None:
+        steps = 0.05 * np.maximum(np.abs(X0), 1.0)
+        lo, hi = np.full((B, n), -np.inf), np.full((B, n), np.inf)
+    else:
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (B, n))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (B, n))
         if np.any(lo > hi):
             raise ValueError("bound lo must not exceed hi")
+        steps = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
 
     def clip(x, lo, hi):
         # lo and hi are the active lanes' bounds, broadcast against x
-        if lo is None:
-            return x
         return np.minimum(np.maximum(x, lo), hi)
 
     def feval(X, lanes):
@@ -122,13 +127,7 @@ def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
             raise RuntimeError(f"objective returned NaN at x={X[np.argmax(np.isnan(v))]!r}")
         return v
 
-    # axis-aligned initial simplex; steps of 5% of each bound range when
-    # bounded, otherwise scale-aware absolute steps
     lanes = np.arange(B)
-    if lo is not None:
-        steps = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
-    else:
-        steps = 0.05 * np.maximum(np.abs(X0), 1.0)
     base = clip(X0, lo, hi)
     S = np.repeat(base[:, None, :], n + 1, axis=1)
     diag = np.arange(n)
@@ -158,9 +157,7 @@ def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
         if not keep.all():
             retire(~keep, True)
             S, F, n_eval, lanes = S[keep], F[keep], n_eval[keep], lanes[keep]
-            rows = rows[:len(lanes)]
-            if lo is not None:
-                lo, hi = lo[keep], hi[keep]
+            lo, hi, rows = lo[keep], hi[keep], rows[:len(lanes)]
             if not lanes.size:
                 break
         L = len(lanes)
@@ -187,9 +184,7 @@ def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
         if shrink.size:
             # toward the best vertex, from the simplex before the step
             b = S[shrink, :1]
-            Q = b + sigma * (S[shrink, 1:] - b)
-            if lo is not None:
-                Q = clip(Q, lo[shrink, None], hi[shrink, None])
+            Q = clip(b + sigma * (S[shrink, 1:] - b), lo[shrink, None], hi[shrink, None])
         step = use_e + 2 * use_c
         S[:, -1], F[:, -1] = P[step, rows], V[step, rows]
         if shrink.size:

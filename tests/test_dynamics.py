@@ -361,6 +361,19 @@ class TestCosts:
         assert batch.shape == (5000,)
         np.testing.assert_array_equal(batch.view(np.uint64), loop.view(np.uint64))
 
+    def test_state_prep_cost_matches_vdot_loop(self):
+        # the overlap was one np.vdot per matrix; the real-arithmetic form
+        # reorders the sums, so it agrees to a few units in the last place
+        rng = np.random.default_rng(4)
+        stack = segment_propagators(rng.uniform(0.0, 20.0, 5000), rng.uniform(-1.0, 1.0, 5000),
+                                    P05)
+        psi_i = state_from_bloch(BlochPoint(0.7 * np.pi, 0.0))
+        psi_t = state_from_bloch(BlochPoint(0.35 * np.pi, np.pi))
+        loop = np.array([-abs(np.vdot(psi_t, U @ psi_i)) ** 2 for U in stack])
+        batch = state_prep_cost(stack, psi_i, psi_t)
+        np.testing.assert_allclose(batch, loop, rtol=0.0, atol=8 * np.finfo(float).eps)
+        assert [state_prep_cost(U, psi_i, psi_t) for U in stack[:50]] == batch[:50].tolist()
+
     def test_identity_gives_zero(self):
         assert gate_cost(SIGMA_0, "x") == 0.0
         assert gate_cost(SIGMA_0, "pt") == 0.0
