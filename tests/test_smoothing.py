@@ -217,6 +217,14 @@ class TestConstrainedSmoothing:
         assert run.trace[-1][1] <= run.trace[0][1] * 1.005
         assert np.max(np.abs(run.protocol.values)) <= 0.2 + 1e-9
 
+    def test_bang_bang_start_meets_stopping_rule(self):
+        # the time-rescaled bang-bang start of `qoct repro fig6` must settle
+        # within the default budget, as the Rabi start does
+        run = constrained_smooth_optimize(0.9 * T_RABI_02, X02, n_t=1000, initial="bb")
+        assert run.converged
+        assert run.extras["n_outer"] < 400
+        assert run.cost_plus_1 <= 1e-6
+
     def test_descends_from_rough_initial(self):
         n_t = 250
         mids = (np.arange(n_t) + 0.5) * (T_RABI_02 / n_t)
