@@ -56,6 +56,8 @@ __all__ = [
     "switching_function",
     "control_hamiltonian",
     "cost_and_gradient",
+    "gate_residual",
+    "gate_jacobian",
     "omega_eff_from_ratio",
     "analytical_switching",
     "fit_switching_amplitude",
@@ -166,6 +168,41 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
     dpsi = matmul_2x2(segment_derivatives(durs, vals, params), psi[:-1])
     grad = np.real(lam[1:].conj() * dpsi).sum(axis=(-2, -1))
     return cost.value(finals), grad
+
+
+def _gate_rows(a, b, kind: str) -> np.ndarray:
+    """The real parts of (a, b) = (U00, U10) that a gate of this kind sends to zero."""
+    if kind == "pt":
+        return np.stack((a.real, a.imag))
+    return np.stack((a.real, a.imag, b.real if kind == "x" else b.imag))
+
+
+def gate_residual(U: np.ndarray, kind: str) -> np.ndarray:
+    """Residual F of the gate's equations, with C + 1 = |F|^2 for U in SU(2).
+
+    With U = [[a, -b*], [b, a*]], C_X + 1 = |a|^2 + (Re b)^2, C_Y + 1 =
+    |a|^2 + (Im b)^2 and C_PT + 1 = |a|^2, so F is (Re a, Im a, Re b) for X,
+    (Re a, Im a, Im b) for Y and (Re a, Im a) for population transfer.
+    """
+    return _gate_rows(U[0, 0], U[1, 0], kind)
+
+
+def gate_jacobian(protocol: Sampled, params: ModelParams, kind: str) -> np.ndarray:
+    """Exact Jacobian (m, n) of ``gate_residual`` in the n cell values of a Sampled control.
+
+    dU/du_k = U P_(k+1)^dag (dU_k/du) P_k, so row i of its first column is
+    conj(P_(k+1) U^dag e_i) . (dU_k/du) P_k e_0: one prefix pass and the
+    closed-form cell derivative, as in ``cost_and_gradient``, whose X-gate
+    gradient is 2 J^T F.
+    """
+    n, dt = protocol.n_t, protocol.dt
+    durs = np.full(n, dt)
+    vals = protocol.values
+    P = prefix_states(segment_propagators(durs, vals, params), SIGMA_0)
+    rows = matmul_2x2(P[1:], P[-1].conj().T)  # column i: P_(k+1) U^dag e_i
+    dpsi = matmul_2x2(segment_derivatives(durs, vals, params), P[:-1, :, :1])
+    dab = (rows.conj() * dpsi).sum(axis=-2)  # (n, 2): da/du_k, db/du_k
+    return _gate_rows(dab[:, 0], dab[:, 1], kind)
 
 
 def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:

@@ -6,9 +6,10 @@ Three schemes, all meaningful only for T above the bang-bang minimum time:
   switching times;
 * third harmonic: a two-harmonic cosine pulse with mixing ratio R in
   [-1/8, 1], optimized over (omega, R);
-* constrained smoothing: alternate projection onto the perfect-gate set
-  (gradient steps driven by the switching function) with explicit descent on
-  a smoothness objective, on a free piecewise-constant grid.
+* constrained smoothing: on a free piecewise-constant grid, alternate a
+  descent step on a smoothness objective with a projection back onto the
+  perfect-gate set, by Gauss-Newton on the gate's two or three real
+  equations with the amplitude bound kept as an active set.
 
 A discrete Fourier diagnostic and the small-time perturbative amplitude used
 to explain the odd-harmonic structure round out the module.
@@ -280,31 +281,61 @@ def _objective_funcs(objective):
 
 def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
                     tol: float = 1e-10, max_iter: int = 5000):
-    """Project a sampled control onto the perfect-gate set C = -1.
+    """Project a sampled control onto the perfect-gate set C = -1 in the box |u| <= u_max.
 
-    Projected gradient descent on the gate cost with the switching-function
-    gradient and amplitude clipping; stops at C + 1 <= tol.  Steps are capped
-    at u_max/20 per iteration so the iterate follows the steepest-descent
-    path and lands near the closest feasible control.
+    Active-set Gauss-Newton on the gate's two or three real equations
+    F(u) = 0 (``pmp.gate_residual``; C + 1 = |F|^2).  Each step takes the
+    minimum-norm step -J_f^+ F on the free cells, drops the cells at
+    +/-u_max that this step would push out of the box and solves again, and
+    clips the result into the box.  The minimum-norm step is the first-order
+    nearest point of the constraint set (Rosen, J. SIAM 9, 514 (1961);
+    Nocedal & Wright, Numerical Optimization, ch. 15).  C + 1 comes from
+    ``total_unitary``, and the Jacobian (``pmp.gate_jacobian``) is formed only
+    while C + 1 > ``tol``.  Raises RuntimeError when no step lowers C + 1,
+    no cell is left free, or ``max_iter`` steps do not reach ``tol``: below
+    the bang-bang minimum T* every cell saturates.  ``n_eval`` of the
+    returned result counts the evaluations of C.
     """
     params = problem.params
-    cost = problem.cost_spec()
+    u_max = params.u_max
+    kind = problem.kind
+    u = np.clip(np.asarray(values, dtype=float), -u_max, u_max)
+    best = np.inf
+    for n_eval in range(1, max_iter + 2):
+        proto = Sampled(T, u_max, u)
+        U = total_unitary(proto, params)
+        c = float(gate_cost(U, kind))
+        if c + 1.0 <= tol:
+            return proto, optim.OptimResult(x=u, fun=c, status="converged", n_eval=n_eval)
+        if c >= best or n_eval > max_iter:
+            break
+        best = c
+        step = _active_set_step(u, pmp.gate_residual(U, kind),
+                                pmp.gate_jacobian(proto, params, kind), u_max)
+        if step is None:
+            break
+        u = np.clip(u + step, -u_max, u_max)
+    raise RuntimeError(
+        f"projection onto the perfect-gate set stalled at C+1 = {c + 1.0:.3e}; "
+        "the evolution time is probably below the bang-bang minimum T*")
 
-    def f(u):
-        return _gate_cost_of(Sampled(T, params.u_max, np.asarray(u, dtype=float)), problem)
 
-    def g(u):
-        proto = Sampled(T, params.u_max, np.asarray(u, dtype=float))
-        return pmp.cost_and_gradient(proto, params, cost)[1]
+def _active_set_step(u: np.ndarray, F: np.ndarray, J: np.ndarray, u_max: float):
+    """Minimum-norm solution of J du = -F on the cells free to move, or None if none is.
 
-    r = optim.projected_gradient(f, g, values, (-params.u_max, params.u_max), max_iter, 1e-15,
-                                 target=-1.0 + tol, step0=1e6,
-                                 max_step=params.u_max / 20.0)
-    if r.fun > -1.0 + tol:
-        raise RuntimeError(
-            f"projection onto the perfect-gate set stalled at C+1 = {r.fun + 1.0:.3e}; "
-            "the evolution time is probably below the bang-bang minimum T*")
-    return Sampled(T, params.u_max, r.x), r
+    A cell at +/-u_max is held fixed once the step would push it out of the
+    box; the step is solved again on the remaining cells until no cell at a
+    bound points outward.
+    """
+    free = np.ones(u.size, dtype=bool)
+    while free.any():
+        step = np.zeros_like(u)
+        step[free] = np.linalg.lstsq(J[:, free], -F, rcond=None)[0]
+        leaving = ((u >= u_max) & (step > 0.0)) | ((u <= -u_max) & (step < 0.0))
+        if not leaving.any():
+            return step
+        free &= ~leaving
+    return None
 
 
 def _initial_control(initial, T: float, n_t: int, problem: GateProblem) -> np.ndarray:
@@ -331,16 +362,18 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
                                 max_outer: int = 400) -> SmoothingRun:
     """Minimize a smoothness objective subject to a perfect gate and |u| <= u_max.
 
-    Alternates (a) projection onto C = -1 by switching-function gradient
-    descent with amplitude clipping, and (b) a descent step on the objective
+    Alternates (a) projection onto C = -1 (``project_to_gate``, active-set
+    Gauss-Newton to C + 1 <= 1e-10), and (b) a descent step on the objective
     scaled so its largest component is ``du_cap`` (u_max/5 initially), until
     consecutive projected iterates differ by at most u_max/4000 everywhere.
     A fixed u_max/5 kick re-injects structure faster than the projection
     removes it, so the kick is halved whenever the objective stagnates, and
     every 50 iterations, down to u_max/8000, which lets the iteration settle
     and reach the stopping tolerance.  The returned control is the projected
-    (constraint-satisfying) iterate.  The smoothness cost needs ``n_t`` >= 3
-    cells; fewer raise ValueError.
+    (constraint-satisfying) iterate.  ``extras`` counts the outer iterations
+    (``n_outer``) and the Gauss-Newton steps of all projections
+    (``projection_steps``).  The smoothness cost needs ``n_t`` >= 3 cells;
+    fewer raise ValueError.
     """
     if n_t < 3:
         raise ValueError(f"n_t must be at least 3 cells, got {n_t}")
@@ -356,8 +389,10 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
     best_obj = np.inf
     stall = 0
     cap_floor = params.u_max / 8000.0
+    steps = 0
     for it in range(max_outer):
         proto, proj = project_to_gate(u_tilde, T, problem)
+        steps += proj.n_eval - 1  # every evaluation but the last is followed by a step
         u_n = proto.values
         c_gate1 = proj.fun + 1.0  # the projection's own C at its returned control
         c_obj = obj_cost(proto)
@@ -383,7 +418,7 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
                         cost_plus_1=trace[-1][2], converged=converged,
                         extras={"objective": objective, "n_t": n_t,
                                 "c_smooth": trace[-1][1], "n_outer": len(trace),
-                                "final_du_cap": du_cap},
+                                "projection_steps": steps, "final_du_cap": du_cap},
                         trace=trace)
 
 

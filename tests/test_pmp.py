@@ -26,6 +26,8 @@ from qoct.pmp import (
     bloch_velocity,
     control_hamiltonian,
     cost_and_gradient,
+    gate_jacobian,
+    gate_residual,
     omega_eff_from_ratio,
     switching_function,
     terminal_adjoints,
@@ -126,6 +128,40 @@ class TestGradientOracle:
         ref = terminal_cost(U, cost.kind, cost.init, cost.target)
         assert abs(c0 - ref) < 1e-12
         assert abs(cost.value(U @ cost.initial_states()) - ref) < 1e-12
+
+
+class TestGateJacobian:
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    def test_residual_squared_is_cost_plus_one(self, kind):
+        U = total_unitary(random_sampled(), ModelParams(u_max=0.3))
+        F = gate_residual(U, kind)
+        assert F.shape == ((2,) if kind == "pt" else (3,))
+        assert abs(F @ F - (gate_cost(U, kind) + 1.0)) < 1e-14
+
+    def test_x_gradient_is_twice_jt_f(self):
+        # C_X + 1 = |a|^2 + (Re b)^2 = |F|^2 on SU(2), so grad C_X = 2 J^T F
+        proto = random_sampled(n=400)
+        params = ModelParams(u_max=0.3)
+        _, grad = cost_and_gradient(proto, params, CostSpec("x"))
+        F = gate_residual(total_unitary(proto, params), "x")
+        jtf = 2.0 * gate_jacobian(proto, params, "x").T @ F
+        np.testing.assert_allclose(jtf, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    def test_matches_central_differences(self, kind):
+        proto = random_sampled()
+        params = ModelParams(u_max=0.3)
+        J = gate_jacobian(proto, params, kind)
+        assert J.shape == ((2 if kind == "pt" else 3), proto.n_t)
+        h = 1e-5
+        for i in np.random.default_rng(12).choice(proto.n_t, 20, replace=False):
+            vp, vm = proto.values.copy(), proto.values.copy()
+            vp[i] += h
+            vm[i] -= h
+            Fp = gate_residual(total_unitary(Sampled(proto.T, 0.3 + h, vp), params), kind)
+            Fm = gate_residual(total_unitary(Sampled(proto.T, 0.3 + h, vm), params), kind)
+            # the differences carry about 1e-11 of rounding and h^2 of truncation
+            np.testing.assert_allclose((Fp - Fm) / (2 * h), J[:, i], rtol=0.0, atol=1e-9)
 
 
 class TestControlHamiltonian:

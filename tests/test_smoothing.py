@@ -225,6 +225,28 @@ class TestConstrainedSmoothing:
         assert run.extras["n_outer"] < 400
         assert run.cost_plus_1 <= 1e-6
 
+    @pytest.mark.parametrize("frac, initial",
+                             [(0.8, "rabi"), (0.9, "rabi"), (1.0, "rabi"), (0.9, "bb")])
+    def test_acceptance_pulses_are_gates_under_ode_oracle(self, frac, initial):
+        # the pulses of acceptance criterion 8, each cell integrated by an
+        # adaptive solver that shares no code with the closed-form cells
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        run = constrained_smooth_optimize(frac * T_RABI_02, X02, n_t=1000, initial=initial)
+        vals, dt = run.protocol.values, run.protocol.dt
+        n = vals.size
+        H = SIGMA_Z[None] + vals[:, None, None] * SIGMA_X[None]  # omega0 / 2 = 1
+
+        def rhs(t, y):
+            return (-1j * H @ y.reshape(n, 2, 2)).ravel()
+
+        start = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).ravel()
+        sol = solve_ivp(rhs, (0.0, dt), start, method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.success
+        U = np.eye(2, dtype=complex)
+        for cell in sol.y[:, -1].reshape(n, 2, 2):
+            U = cell @ U
+        assert gate_cost(U, "x") + 1.0 <= 1e-10
+
     def test_descends_from_rough_initial(self):
         n_t = 250
         mids = (np.arange(n_t) + 0.5) * (T_RABI_02 / n_t)
