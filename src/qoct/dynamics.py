@@ -390,14 +390,15 @@ def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
 
     ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  The
     overlap is formed in real arithmetic, one rounding per operation, so a
-    matrix's cost has the same bits alone and in any stack.
+    matrix's cost has the same bits alone and in any stack.  A perfect
+    overlap can round one ulp above 1, so the cost is clamped at -1.
     """
     final = U_total @ init
     p, q = final.real, final.imag
     a, b = np.real(target), np.imag(target)
     re = (a[0] * p[..., 0] + b[0] * q[..., 0]) + (a[1] * p[..., 1] + b[1] * q[..., 1])
     im = (a[0] * q[..., 0] - b[0] * p[..., 0]) + (a[1] * q[..., 1] - b[1] * p[..., 1])
-    return -(re * re + im * im)
+    return np.maximum(-(re * re + im * im), -1.0)
 
 
 def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:

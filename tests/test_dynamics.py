@@ -374,6 +374,15 @@ class TestCosts:
         np.testing.assert_allclose(batch, loop, rtol=0.0, atol=8 * np.finfo(float).eps)
         assert [state_prep_cost(U, psi_i, psi_t) for U in stack[:50]] == batch[:50].tolist()
 
+    def test_state_prep_cost_not_below_minus_one(self):
+        # |<psi| e^(-i phi) |psi>|^2 is 1, but the summed overlap rounds one
+        # ulp above it for some phases
+        psi = state_from_bloch(BlochPoint(0.3 * np.pi, 1.0))
+        stack = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 256))[:, None, None] * SIGMA_0
+        costs = state_prep_cost(stack, psi, psi)
+        assert np.min(costs) == -1.0
+        assert [state_prep_cost(U, psi, psi) for U in stack] == costs.tolist()
+
     def test_identity_gives_zero(self):
         assert gate_cost(SIGMA_0, "x") == 0.0
         assert gate_cost(SIGMA_0, "pt") == 0.0
