@@ -108,19 +108,24 @@ def write_pulse_csv(path, protocol_or_times, values=None, n_samples: int | None 
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read and validate a `t,u` pulse file.
 
-    Requires the exact header, finite values, and strictly increasing uniform
-    times starting at zero; raises ValueError on malformed input.
+    Requires the exact header, two columns in every row, finite values, and
+    strictly increasing uniform times starting at zero; raises ValueError on
+    malformed input.  All cells are converted in one numpy call, which reads
+    each cell as ``float`` does.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines or lines[0].strip().replace(" ", "") != "t,u":
         raise ValueError(f"{path}: expected header 't,u'")
+    rows = lines[1:]
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least two 't,u' rows")
+    if not all(ln.count(",") == 1 for ln in rows):
+        raise ValueError(f"{path}: malformed row, expected two columns 't,u'")
     try:
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 2)
     except ValueError:
         raise ValueError(f"{path}: malformed numeric row") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least two 't,u' rows")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value in 't,u' rows")
     t, u = data[:, 0], data[:, 1]

@@ -89,6 +89,15 @@ class TestFileIO:
             with pytest.raises(ValueError, match="non-finite"):
                 read_pulse_csv(p)
 
+    @pytest.mark.parametrize("body", ["0,0.1\n0.1\n0.2,0.1\n", "0,0.1\n0.1,0.1,7\n0.2,0.1\n",
+                                      "0,0.1\n0.1,abc\n0.2,0.1\n"],
+                             ids=["one column", "three columns", "non-numeric"])
+    def test_reader_rejects_malformed_row(self, tmp_path, body):
+        p = tmp_path / "x.csv"
+        p.write_text("t,u\n" + body)
+        with pytest.raises(ValueError, match="malformed"):
+            read_pulse_csv(p)
+
     def test_json_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "r.json", {"lambda0": float("nan")})
@@ -226,6 +235,14 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense\n")
         assert main(["verify", "--pulse", str(bad), "--umax", "0.2"]) == 2
+
+    @pytest.mark.parametrize("row", ["0.1", "0.1,0.1,7", "0.1,abc"],
+                             ids=["one column", "three columns", "non-numeric"])
+    def test_malformed_row_exits_2_without_report(self, outdir, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,u\n0,0.1\n{row}\n0.2,0.1\n")
+        assert main(["verify", "--pulse", str(bad), "--umax", "0.2"]) == 2
+        assert not (outdir / "verify" / "report.json").exists()
 
     def test_overamplitude_pulse_exits_2(self, outdir, tmp_path):
         p = tmp_path / "big.csv"
