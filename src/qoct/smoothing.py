@@ -291,9 +291,9 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     nearest point of the constraint set (Rosen, J. SIAM 9, 514 (1961);
     Nocedal & Wright, Numerical Optimization, ch. 15).  C + 1 comes from
     ``total_unitary``, and the Jacobian (``pmp.gate_jacobian``) is formed only
-    while C + 1 > ``tol``.  Raises RuntimeError when no step lowers C + 1,
-    no cell is left free, or ``max_iter`` steps do not reach ``tol``: below
-    the bang-bang minimum T* every cell saturates.  ``n_eval`` of the
+    while C + 1 > ``tol``.  Raises RuntimeError when a step does not lower
+    C + 1, as below the bang-bang minimum T*, when no cell is left free, or
+    when ``max_iter`` steps do not reach ``tol``.  ``n_eval`` of the
     returned result counts the evaluations of C.
     """
     params = problem.params
