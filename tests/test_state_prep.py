@@ -449,3 +449,47 @@ class TestFindTimeOptimal:
         assert rep.hoc_seg_max_dev < 1e-8
         assert rep.lambda0 > 0.0  # H_oc constant and negative below T*
         assert np.all(rep.hoc < 0.0)
+
+
+class TestBenchmarkCentres:
+    """The stateprep-search band centres, pinned bit for bit.
+
+    theta 0.7 pi, phi 0 -> theta 0.35 pi, phi pi at the centres of the BB-6,
+    BB-4 and BSB bands.  The search's T*, structure and switch times, and
+    the calls and rows of its lockstep Nelder-Mead objective, are pinned as
+    they are, so that a change of kernel shows any last-bit move of the
+    search and any change in the work it does.
+    """
+
+    PINS = {
+        0.104: (10.799224746714913, "BB-6",
+                (0.8037110477061538, 2.5441407725200005, 4.284570497333847,
+                 6.025000222147694, 7.765429946961541, 9.505859671775388),
+                1928, 134646),
+        0.16: (7.608544707912779, "BB-4",
+               (0.7165346360545704, 2.5234128937726874, 4.330291151490805,
+                6.137169409208922),
+               1611, 92565),
+        0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
+               799, 26280),
+    }
+
+    @pytest.mark.parametrize("u", sorted(PINS))
+    def test_search_pinned(self, u, monkeypatch):
+        calls, rows = [], []
+        lockstep = optim.lockstep_nelder_mead
+
+        def spy(f, *args):
+            def counted(X, lanes):
+                calls.append(1)
+                rows.append(len(lanes))
+                return f(X, lanes)
+            return lockstep(counted, *args)
+
+        monkeypatch.setattr(optim, "lockstep_nelder_mead", spy)
+        res = find_time_optimal(problem_at(u), with_report=False)
+        t_star, label, times, n_calls, n_rows = self.PINS[u]
+        assert res.t_star == t_star
+        assert str(res.structure) == label
+        assert res.switch_times == times
+        assert (len(calls), sum(rows)) == (n_calls, n_rows)
