@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, pmp, smoothing, state_prep, xgate
-from .dynamics import TARGET_TOL, BlochPoint, ModelParams, bloch_from_state, propagate
+from .dynamics import TARGET_TOL, BlochPoint, ModelParams, bloch_angles, propagate
 from .pmp import CostSpec
 from .protocols import protocol_to_dict
 from .state_prep import StatePrepProblem, StructureLabel
@@ -186,11 +186,8 @@ def cmd_state_prep(args) -> int:
         proto = res.protocol()
         fileio.write_pulse_csv(rec.path("pulse.csv"), proto)
         traj = propagate(proto, params, problem.states()[0], n_samples=2001)
-        rows = []
-        for t, psi in zip(traj.times, traj.states):
-            b = bloch_from_state(psi)
-            rows.append((t, b.theta, b.phi))
-        fileio.write_csv(rec.path("trajectory.csv"), ["t", "theta", "phi"], np.array(rows))
+        fileio.write_csv(rec.path("trajectory.csv"), ["t", "theta", "phi"],
+                         np.column_stack([traj.times, *bloch_angles(traj.states)]))
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("found", "t_star", "structure", "cost")}))
     return 0 if res.found else 3

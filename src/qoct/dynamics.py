@@ -11,8 +11,11 @@ form as well.  Smooth protocols propagate by the fourth-order
 commutator-free Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)), which is a
 product of two such constant-control cells per step.  Every cell lies in
-SU(2), [[a, -b*], [b, a*]], so ``ordered_product`` multiplies the
-Cayley-Klein pairs (a, b) alone, at half the arithmetic of 2x2 products.
+SU(2), [[a, -b*], [b, a*]], so one kernel carries the Cayley-Klein pairs
+(a, b) alone, at half the arithmetic of 2x2 products: ``cell_pairs`` builds
+them, ``pair_product`` multiplies them, and ``pair_state_prep_cost`` reads a
+cost from the product's pair.  ``segment_propagators`` and
+``ordered_product`` are that kernel with its pairs written out as matrices.
 """
 from __future__ import annotations
 
@@ -41,16 +44,20 @@ __all__ = [
     "BlochPoint",
     "Trajectory",
     "constant_propagator",
+    "cell_pairs",
     "segment_propagators",
     "segment_derivatives",
     "matmul_2x2",
+    "pair_product",
     "prefix_states",
     "propagation_cells",
     "total_unitary",
     "propagate",
     "state_from_bloch",
+    "bloch_angles",
     "bloch_from_state",
     "state_prep_cost",
+    "pair_state_prep_cost",
     "gate_cost",
     "terminal_cost",
     "rabi_protocol",
@@ -146,24 +153,60 @@ def constant_propagator(t: float, u: float, params: ModelParams) -> np.ndarray:
                      [-1j * s * u, c + 1j * s * h]], dtype=complex)
 
 
-def _cell_terms(durations, values, params: ModelParams):
-    """(values, h, W, cos(W d), sin(W d)/W) of the closed-form cell propagator."""
-    durations = np.asarray(durations, dtype=float)
-    values = np.asarray(values, dtype=float)
+def _cell_terms(durations, values, params: ModelParams, w=None):
+    """(values, h, W, cos(W d), sin(W d)/W) of the closed-form cell propagator.
+
+    ``w``, if given, is W = hypot(h, values), computed once by a caller that
+    evaluates the same values many times.  The arrays are made C-contiguous,
+    so that a stack (cells, lanes) runs its inner loops along the lanes and
+    every caller's cells see one memory layout.
+    """
+    durations = np.asarray(durations, dtype=float, order="C")
+    values = np.asarray(values, dtype=float, order="C")
     h = 0.5 * params.omega0
-    w = np.hypot(h, values)
+    if w is None:
+        w = np.hypot(h, values)
+    else:
+        w = np.asarray(w, order="C")
     th = w * durations
     return values, h, w, np.cos(th), np.sin(th) / w
 
 
+def cell_pairs(durations, values, params: ModelParams, w=None):
+    """Cayley-Klein pairs (a, b) = (U00, U10) of the closed-form cells.
+
+    One pair per (duration, value) segment, a = cos(W d) - i h sin(W d)/W
+    and b = -i u sin(W d)/W; the cell is [[a, -b*], [b, a*]].  ``w`` is as
+    in ``_cell_terms``.
+    """
+    values, h, _, c, s = _cell_terms(durations, values, params, w)
+    return c - (1j * h) * s, -1j * s * values
+
+
+def _su2(a, b) -> np.ndarray:
+    """The matrices [[a, -b*], [b, a*]] of Cayley-Klein pairs."""
+    U = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    U[..., 0, 0] = a
+    U[..., 1, 0] = b
+    np.conjugate(b, out=U[..., 0, 1])
+    np.negative(U[..., 0, 1], out=U[..., 0, 1])
+    np.conjugate(a, out=U[..., 1, 1])
+    return U
+
+
 def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
-    """Batched closed-form propagators, one per (duration, value) segment."""
-    values, h, _, c, s = _cell_terms(durations, values, params)
-    U = np.empty(c.shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = c - 1j * s * h
-    U[..., 1, 1] = c + 1j * s * h
-    U[..., 0, 1] = -1j * s * values
-    U[..., 1, 0] = -1j * s * values
+    """Batched closed-form propagators, one per (duration, value) segment.
+
+    The matrices of ``cell_pairs``.  A closed-form cell is symmetric, so U01
+    is b itself; U11 is a* + 0, whose added zero gives a zero-duration cell
+    the +0 imaginary part of cos(W d) + i h sin(W d)/W rather than -0.
+    """
+    a, b = cell_pairs(durations, values, params)
+    U = np.empty(a.shape + (2, 2), dtype=complex)
+    U[..., 0, 0] = a
+    U[..., 1, 0] = b
+    U[..., 0, 1] = b
+    U[..., 1, 1] = np.conjugate(a) + 0.0
     return U
 
 
@@ -199,30 +242,29 @@ def matmul_2x2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[..., :, :1] * B[..., None, 0, :] + A[..., :, 1:] * B[..., None, 1, :]
 
 
-def _carry(level: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """A reduction level, with the unpaired last element of an odd ``prev`` appended."""
-    return np.concatenate([level, prev[-1:]]) if len(prev) % 2 else level
+def _next_level(prev: np.ndarray) -> np.ndarray:
+    """An empty reduction level for ``prev``, ending in an odd ``prev``'s unpaired last element."""
+    m = len(prev)
+    level = np.empty(((m + 1) // 2,) + prev.shape[1:], dtype=complex)
+    if m % 2:
+        level[-1] = prev[-1]
+    return level
 
 
-def ordered_product(units: np.ndarray) -> np.ndarray:
-    """Product U[n-1] @ ... @ U[0] (index 0 acts first) by pairwise reduction.
+def pair_product(a, b):
+    """Cayley-Klein pair of the product of cells (a[k], b[k]), k = 0 acting first.
 
-    ``units`` is (n, ..., 2, 2), a stack of n cells for every lane of the
-    trailing axes, or one 2x2 matrix, which is returned as it is.
-
-    Precondition: every cell has the SU(2) form [[a, -b*], [b, a*]], as the
-    ``segment_propagators`` cells, their zero-duration identity pads and the
-    Magnus cells of ``propagation_cells`` all have.  Only the Cayley-Klein
-    pair (a, b) = (U00, U10) is read; U01 and U11 are not.  Products of the
-    form keep it, so each level of the pairwise tree multiplies pairs,
+    ``a`` and ``b`` are (n, ...): n cells for every lane of the trailing
+    axes, each cell the SU(2) matrix [[a, -b*], [b, a*]].  Products of the
+    form keep it, so each level of a pairwise tree multiplies pairs,
 
         a' = a1 a0 - b1* b0,   b' = b1 a0 + a1* b0   (cell 0 acting first),
 
-    written elementwise over the whole stack, and the result is rebuilt once
-    as [[a, -b*], [b, a*]] (Pauly et al., IEEE Trans. Med. Imaging 10, 53
-    (1991)).  That is half the arithmetic of a 2x2 product, and it avoids
-    numpy's stacked ``matmul``, which costs about 0.5 us per 2x2 matrix.  An
-    odd level carries its last element to the next one unchanged.
+    written elementwise over the whole stack (Pauly et al., IEEE Trans. Med.
+    Imaging 10, 53 (1991)).  That is half the arithmetic of a 2x2 product,
+    and it avoids numpy's stacked ``matmul``, which costs about 0.5 us per
+    2x2 matrix.  An odd level carries its last element to the next one
+    unchanged.  Returns the pair (a, b) of the whole product, one per lane.
 
     Stacks of at most ``_PAIR_AXIS_MAX_CELLS`` cells (n times the lanes)
     keep a and b side by side on a last axis of length 2, which takes fewer
@@ -230,34 +272,45 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     whose longer inner loops run faster.  Both evaluate the same expressions
     elementwise, so their results agree bit for bit.
     """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.size > _PAIR_AXIS_MAX_CELLS:
+        while (m := len(a)) > 1:
+            a0, a1, b0, b1 = a[0:m - 1:2], a[1::2], b[0:m - 1:2], b[1::2]
+            a, b = _next_level(a), _next_level(b)
+            new_a, new_b = a[:m // 2], b[:m // 2]
+            np.multiply(a1, a0, out=new_a)
+            new_a -= np.conjugate(b1) * b0
+            np.multiply(b1, a0, out=new_b)
+            new_b += np.conjugate(a1) * b0
+        return a[0], b[0]
+    ab = np.empty(a.shape + (2,), dtype=complex)
+    ab[..., 0], ab[..., 1] = a, b
+    while (m := len(ab)) > 1:
+        ab0, ab1 = ab[0:m - 1:2], ab[1::2]
+        ab = _next_level(ab)
+        new = ab[:m // 2]
+        np.multiply(ab1, ab0[..., :1], out=new)
+        # (-b1*, a1*) times b0
+        new += np.conjugate(ab1[..., ::-1]) * (ab0[..., 1:] * _NEG_FIRST)
+    return ab[0, ..., 0], ab[0, ..., 1]
+
+
+def ordered_product(units: np.ndarray) -> np.ndarray:
+    """Product U[n-1] @ ... @ U[0] (index 0 acts first) by ``pair_product``.
+
+    ``units`` is (n, ..., 2, 2), a stack of n cells for every lane of the
+    trailing axes, or one 2x2 matrix, which is returned as it is.
+
+    Precondition: every cell has the SU(2) form [[a, -b*], [b, a*]], as the
+    ``segment_propagators`` cells, their zero-duration identity pads and the
+    Magnus cells of ``propagation_cells`` all have.  Only the Cayley-Klein
+    pair (a, b) = (U00, U10) is read; U01 and U11 are not.  The product's
+    pair is rebuilt once as [[a, -b*], [b, a*]].
+    """
     units = np.asarray(units)
     if units.ndim == 2:
         return units
-    ab = units[..., :, 0]  # (n, ..., 2): the pairs (a, b)
-    if ab.size > 2 * _PAIR_AXIS_MAX_CELLS:
-        a, b = ab[..., 0], ab[..., 1]
-        while (m := len(a)) > 1:
-            a0, a1, b0, b1 = a[0:m - 1:2], a[1::2], b[0:m - 1:2], b[1::2]
-            new_a = a1 * a0
-            new_a -= np.conjugate(b1) * b0
-            new_b = b1 * a0
-            new_b += np.conjugate(a1) * b0
-            a, b = _carry(new_a, a), _carry(new_b, b)
-        ab = np.stack((a[0], b[0]), axis=-1)
-    else:
-        while (m := len(ab)) > 1:
-            ab0, ab1 = ab[0:m - 1:2], ab[1::2]
-            new = ab1 * ab0[..., :1]
-            # (-b1*, a1*) times b0
-            new += np.conjugate(ab1[..., ::-1]) * (ab0[..., 1:] * _NEG_FIRST)
-            ab = _carry(new, ab)
-        ab = ab[0]
-    U = np.empty(ab.shape[:-1] + (2, 2), dtype=complex)
-    U[..., :, 0] = ab
-    col = U[..., :, 1]
-    np.conjugate(ab[..., ::-1], out=col)
-    np.negative(col[..., 0], out=col[..., 0])
-    return U
+    return _su2(*pair_product(units[..., 0, 0], units[..., 1, 0]))
 
 
 def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -360,45 +413,74 @@ def state_from_bloch(b: BlochPoint) -> np.ndarray:
                      np.sin(b.theta / 2.0) * np.exp(1j * b.phi)], dtype=complex)
 
 
-def bloch_from_state(psi: np.ndarray) -> BlochPoint:
-    """Bloch angles of a state, after removing the global phase.
+def bloch_angles(states) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch angles (theta, phi) of a stack of states (n, 2), after removing global phases.
 
-    The phase is fixed so the first amplitude is real and nonnegative; at the
-    south pole (c0 = 0) the second amplitude is rotated real positive and
-    phi = 0 is returned.
+    Each state is normalized, and its phase fixed so the first amplitude is
+    real and nonnegative; at either pole (an amplitude below 1e-14) phi = 0.
+    theta lies in [0, pi] and phi in (-pi, pi].  Every ufunc runs on
+    contiguous real rows, so a state has the same angles alone (as
+    ``bloch_from_state`` takes them) as in any stack: numpy rounds some
+    functions differently in its loops over contiguous and strided input.
     """
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm < 1e-14:
+    psi = np.ascontiguousarray(states, dtype=complex).reshape(-1, 2)
+    re0, im0, re1, im1 = psi.view(float).T.copy()
+    # the sums in np.linalg.norm's order (whose BLAS dot may fuse a multiply
+    # and an add), and the division as numpy divides complex by real numbers:
+    # a product with the reciprocal
+    norm = np.sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
+    if np.any(norm < 1e-14):
         raise ValueError("zero vector has no Bloch representation")
-    psi = psi / norm
-    a0, a1 = abs(psi[0]), abs(psi[1])
-    theta = 2.0 * np.arctan2(a1, a0)
-    if a0 < 1e-14 or a1 < 1e-14:
-        phi = 0.0
-    else:
-        phi = float(np.angle(psi[1]) - np.angle(psi[0]))
-        phi = (phi + np.pi) % (2.0 * np.pi) - np.pi
-        if phi <= -np.pi + 1e-15:
-            phi = np.pi
-    return BlochPoint(theta=float(np.clip(theta, 0.0, np.pi)), phi=phi)
+    scale = 1.0 / norm
+    for part in (re0, im0, re1, im1):
+        part *= scale
+    a0, a1 = np.hypot(re0, im0), np.hypot(re1, im1)
+    theta = (2.0 * np.arctan2(a1, a0)).clip(0.0, np.pi)
+    phi = np.arctan2(im1, re1) - np.arctan2(im0, re0)
+    phi = (phi + np.pi) % (2.0 * np.pi) - np.pi
+    phi[phi <= -np.pi + 1e-15] = np.pi
+    phi[(a0 < 1e-14) | (a1 < 1e-14)] = 0.0
+    return theta, phi
+
+
+def bloch_from_state(psi: np.ndarray) -> BlochPoint:
+    """Bloch angles of one state: the one-row case of ``bloch_angles``."""
+    theta, phi = bloch_angles(np.asarray(psi)[None])
+    return BlochPoint(theta=float(theta[0]), phi=float(phi[0]))
+
+
+def _overlap_cost(f0, f1, target: np.ndarray):
+    """-|<target|f>|^2 of final states f = (f0, f1), clamped at -1.
+
+    The overlap is formed in real arithmetic, one rounding per operation,
+    so a state's cost has the same bits alone and in any stack.  A perfect
+    overlap can round one ulp above 1, hence the clamp.
+    """
+    p0, q0, p1, q1 = f0.real, f0.imag, f1.real, f1.imag
+    a, b = np.real(target), np.imag(target)
+    re = (a[0] * p0 + b[0] * q0) + (a[1] * p1 + b[1] * q1)
+    im = (a[0] * q0 - b[0] * p0) + (a[1] * q1 - b[1] * p1)
+    return np.maximum(-(re * re + im * im), -1.0)
 
 
 def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
                     target: np.ndarray) -> float | np.ndarray:
     """Terminal cost -|<target| U |init>|^2, in [-1, 0].
 
-    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  The
-    overlap is formed in real arithmetic, one rounding per operation, so a
-    matrix's cost has the same bits alone and in any stack.  A perfect
-    overlap can round one ulp above 1, so the cost is clamped at -1.
+    ``U_total`` may be any 2x2 matrix or a stack (..., 2, 2), giving one
+    cost per matrix.  U |init> is written out by rows, which has the bits of
+    ``U @ init``; on a matrix [[a, -b*], [b, a*]] it also has those of
+    ``pair_state_prep_cost`` on (a, b).
     """
-    final = U_total @ init
-    p, q = final.real, final.imag
-    a, b = np.real(target), np.imag(target)
-    re = (a[0] * p[..., 0] + b[0] * q[..., 0]) + (a[1] * p[..., 1] + b[1] * q[..., 1])
-    im = (a[0] * q[..., 0] - b[0] * p[..., 0]) + (a[1] * q[..., 1] - b[1] * p[..., 1])
-    return np.maximum(-(re * re + im * im), -1.0)
+    U = np.asarray(U_total)
+    return _overlap_cost(U[..., 0, 0] * init[0] + U[..., 0, 1] * init[1],
+                         U[..., 1, 0] * init[0] + U[..., 1, 1] * init[1], target)
+
+
+def pair_state_prep_cost(a, b, init: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """``state_prep_cost`` of the matrices [[a, -b*], [b, a*]], from their pairs."""
+    return _overlap_cost(a * init[0] - np.conjugate(b) * init[1],
+                         b * init[0] + np.conjugate(a) * init[1], target)
 
 
 def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:

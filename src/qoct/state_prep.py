@@ -21,8 +21,9 @@ from .dynamics import (
     TARGET_TOL,
     BlochPoint,
     ModelParams,
-    ordered_product,
-    segment_propagators,
+    cell_pairs,
+    pair_product,
+    pair_state_prep_cost,
     state_from_bloch,
     state_prep_cost,
 )
@@ -136,7 +137,9 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     clipped) rather than penalized, so simplex optimizers see a continuous
     landscape.  A row with fewer switchings is padded at the end with times
     at T[b]: its padded segments last zero time, are exact identities, and
-    leave the row's cost bit for bit as it is unpadded.
+    leave the row's cost bit for bit as it is unpadded.  The durations go
+    through the Cayley-Klein pair kernel, cells first, as in
+    ``_reduced_costs``.
     """
     T = np.asarray(T, dtype=float)[:, None]
     # ndarray.clip and the slice difference: np.clip's and np.diff's dispatch
@@ -145,8 +148,8 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     bounds = np.concatenate([np.zeros_like(T), times, T], axis=1)
     durs = bounds[:, 1:] - bounds[:, :-1]
     values = np.asarray(values, dtype=float)
-    return state_prep_cost(ordered_product(segment_propagators(durs.T, values.T, params)),
-                           psi_i, psi_t)
+    return pair_state_prep_cost(*pair_product(*cell_pairs(durs.T, values.T, params)),
+                                psi_i, psi_t)
 
 
 def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> float:
@@ -276,25 +279,53 @@ def _segment_values(structure: StructureLabel, u_max: float) -> list[np.ndarray]
     return [_bb_values(structure.n_switch, structure.lead_sign, u_max)]
 
 
-def _reduced_times(X, ks, T) -> np.ndarray:
+def _equal_bangs(X, k: int) -> np.ndarray:
     """Switch times of reduced coordinates, one row per row of X.
 
-    One column is the single switch time of BB-1; two are (t0, tbar), the
-    equal-middle-bang form t0 + j tbar (j < k), exact for BB extremals and,
-    at k = 2, the (t1, t2 - t1) of BSB.  Rows are padded with T to the
-    largest k.  The times are neither sorted nor clipped: ``_bang_costs``
-    does both.
+    One column is the single switch time of BB-1; two are (t0, tbar), whose
+    k switch times t0 + j tbar (j < k) are the equal-middle-bang form, exact
+    for BB extremals and, at k = 2, the (t1, t2 - t1) of BSB.  The times are
+    neither clipped nor, for tbar < 0, ordered.
     """
-    if X.shape[1] < 2:
-        return X
-    j = np.arange(np.max(ks))
-    return np.where(j < ks[:, None], X[:, :1] + X[:, 1:] * j, T[:, None])
+    return X if X.shape[1] < 2 else X[:, :1] + X[:, 1:] * np.arange(k)
 
 
 def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
-    times = _reduced_times(np.asarray(x, dtype=float)[None], np.array([structure.n_switch]),
-                           np.array([T]))[0]
+    times = _equal_bangs(np.asarray(x, dtype=float)[None], structure.n_switch)[0]
     return np.sort(times.clip(0.0, T))
+
+
+def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams):
+    """The scan's objective f(X, lanes): costs of reduced coordinates, row by row.
+
+    Lane l has time ``lane_T[l]``, ``lane_k[l]`` switchings and segment
+    values ``lane_values[l]``, padded at the end to one more than the
+    largest k.  A row's cost has the bits of ``_bang_costs`` on its
+    ``_equal_bangs`` times padded with T: the scan's box keeps t0 >= 0 and
+    tbar >= 1e-9, so t0 + j tbar already rises with j and clipping at T
+    keeps it rising, and the durations need no sort.  The values and W are
+    lane constants made once here, stored cells first like the durations,
+    the layout ``cell_pairs`` runs on.
+    """
+    kmax = lane_values.shape[1] - 1
+    values = lane_values.T
+    # per lane, cells first: the values, W, and the floor of each switch time
+    # (0, or T for padding, which pins it to T) followed by T itself
+    floor_T = np.where(np.arange(kmax + 1)[:, None] < lane_k, 0.0, lane_T)
+    lane_consts = np.stack([values, np.hypot(0.5 * params.omega0, values), floor_T])
+
+    def costs(X, lanes):
+        values, W, floor_T = lane_consts[:, :, lanes]
+        durs = np.empty((kmax + 1, len(lanes)))
+        times, T = durs[:-1], floor_T[-1]
+        np.maximum(_equal_bangs(X, kmax).T, floor_T[:-1], out=times)
+        np.minimum(times, T, out=times)
+        durs[-1] = T
+        durs[1:] -= times  # numpy buffers the overlapping operand
+        pairs = cell_pairs(durs, values, params, W)
+        return pair_state_prep_cost(*pair_product(*pairs), psi_i, psi_t)
+
+    return costs
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
@@ -351,12 +382,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                                 counts, axis=0)
         lane_T = np.repeat([Ts[j] for j in owners], counts)
         lane_k = np.repeat([structures[j].n_switch for j in owners], counts)
-
-        def obj(X, lanes):
-            times = _reduced_times(X, lane_k[lanes], lane_T[lanes])
-            return _bang_costs(times, lane_T[lanes], lane_values[lanes, :times.shape[1] + 1],
-                               psi_i, psi_t, params)
-
+        obj = _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params)
         runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
         for j, vals, end, count in zip(owners, values, np.cumsum(counts), counts):
             r = min(runs[end - count:end], key=lambda r: r.fun)

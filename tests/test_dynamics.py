@@ -13,11 +13,15 @@ from qoct.dynamics import (
     SIGMA_Z,
     BlochPoint,
     ModelParams,
+    bloch_angles,
     bloch_from_state,
+    cell_pairs,
     constant_propagator,
     gate_cost,
     matmul_2x2,
     ordered_product,
+    pair_product,
+    pair_state_prep_cost,
     prefix_states,
     propagate,
     rabi_pi_time,
@@ -281,6 +285,75 @@ class TestOrderedProduct:
         assert separate.tobytes() == side_by_side.tobytes()
 
 
+class TestPairKernel:
+    """cell_pairs and pair_product are the kernel under segment_propagators and ordered_product."""
+
+    # cells times lanes: 9 and 140 below _PAIR_AXIS_MAX_CELLS = 256, 540 and
+    # 1000 above it
+    @pytest.mark.parametrize("shape", [(9,), (7, 20), (9, 60), (1000,), (5, 4, 7)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pairs_equal_ordered_product_of_cells_bitwise(self, shape, order):
+        rng = np.random.default_rng(sum(shape))
+        durs = np.asarray(rng.uniform(0.0, 4.0, shape), order=order)
+        vals = np.asarray(rng.choice([0.48, -0.48, 0.0, 0.3], shape), order=order)
+        durs[-1] = 0.0  # zero-duration pads, as the scan's rows end
+        a, b = pair_product(*cell_pairs(durs, vals, P05))
+        U = ordered_product(segment_propagators(durs, vals, P05))
+        assert a.shape == b.shape == shape[1:]
+        assert a.tobytes() == U[..., 0, 0].tobytes()
+        assert b.tobytes() == U[..., 1, 0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 60), (3, 5), (17,)])
+    def test_both_layouts_agree_bitwise(self, shape, monkeypatch):
+        rng = np.random.default_rng(len(shape))
+        pairs = cell_pairs(rng.uniform(0.0, 3.0, shape), rng.uniform(-0.6, 0.6, shape), P05)
+        monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 0)
+        separate = pair_product(*pairs)
+        monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 10**9)
+        side_by_side = pair_product(*pairs)
+        for x, y in zip(separate, side_by_side):
+            assert x.tobytes() == y.tobytes()
+
+    def test_cells_keep_the_closed_form_bits(self):
+        # [[c - i h s, -i u s], [-i u s, c + i h s]], c = cos(W d), s = sin(W d)/W,
+        # written out; the zero durations give exact identities with +0 parts
+        rng = np.random.default_rng(8)
+        durs = np.r_[rng.uniform(0.0, 20.0, 500), np.zeros(6), -np.zeros(2)]
+        vals = np.r_[rng.uniform(-1.0, 1.0, 500), [0.5, -0.5, 0.0, -0.0, 0.3, 0.0, 0.5, 0.0]]
+        w = np.hypot(1.0, vals)
+        c, s = np.cos(w * durs), np.sin(w * durs) / w
+        U = segment_propagators(durs, vals, P05)
+        assert U[:, 0, 0].tobytes() == (c - 1j * s * 1.0).tobytes()
+        assert U[:, 1, 1].tobytes() == (c + 1j * s * 1.0).tobytes()
+        assert U[:, 0, 1].tobytes() == U[:, 1, 0].tobytes() == (-1j * s * vals).tobytes()
+
+    def test_given_w_changes_nothing(self):
+        rng = np.random.default_rng(9)
+        durs, vals = rng.uniform(0.0, 5.0, (6, 11)), rng.choice([0.2, -0.2, 0.0], (6, 11))
+        own = cell_pairs(durs, vals, P05)
+        given_w = cell_pairs(durs, vals, P05, np.hypot(1.0, vals))
+        for x, y in zip(own, given_w):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("lanes", [(), (1,), (60,), (3, 4)])
+    def test_pair_cost_equals_matrix_cost_bitwise(self, lanes):
+        rng = np.random.default_rng(len(lanes))
+        shape = (9,) + lanes
+        pairs = cell_pairs(rng.uniform(0.0, 6.0, shape), rng.uniform(-0.5, 0.5, shape), P05)
+        a, b = pair_product(*pairs)
+        psi_i = state_from_bloch(BlochPoint(0.7 * np.pi, 0.0))
+        psi_t = state_from_bloch(BlochPoint(0.35 * np.pi, np.pi))
+        U = np.empty(lanes + (2, 2), dtype=complex)
+        U[..., 0, 0], U[..., 1, 0] = a, b
+        U[..., 0, 1], U[..., 1, 1] = -np.conjugate(b), np.conjugate(a)
+        pair = pair_state_prep_cost(a, b, psi_i, psi_t)
+        assert np.shape(pair) == lanes
+        assert np.asarray(pair).tobytes() == np.asarray(state_prep_cost(U, psi_i, psi_t)).tobytes()
+        matmul = U @ psi_i  # the overlap as state_prep_cost once formed it
+        ref = -np.abs(np.sum(np.conjugate(psi_t) * matmul, axis=-1)) ** 2
+        np.testing.assert_allclose(pair, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+
 class TestSegmentDerivatives:
     @pytest.mark.parametrize("u", [0.0, 0.1, -0.25, 0.5, -0.5, 0.6, -0.6])
     def test_matches_central_differences_in_u(self, u):
@@ -322,6 +395,39 @@ class TestBlochMaps:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             bloch_from_state(np.zeros(2, dtype=complex))
+        with pytest.raises(ValueError):
+            bloch_angles(np.array([KET_0, np.zeros(2)]))
+
+    def test_stack_equals_per_row_loop_bitwise(self):
+        # the poles (with global phases and a 1e-15 residue), the equator,
+        # both sides of the phi = +-pi wrap, and scaled random states
+        rng = np.random.default_rng(11)
+        rows = [KET_0, KET_1, 1j * KET_0, -1j * KET_1, [1.0, 1e-15], [1e-15j, 1.0]]
+        for phi in (0.0, 0.5, np.pi / 2, -2.0, np.pi, -np.pi + 1e-9, np.pi - 1e-9):
+            rows.append(state_from_bloch(BlochPoint(np.pi / 2, phi)))
+        rows += [[1.0, -1.0 - 1e-17j], [1.0, -1.0 + 1e-17j], [2.0, -2.0], [-1.0, 1.0 + 1e-16j]]
+        rows += list(rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)))
+        states = np.array(rows, dtype=complex)
+        theta, phi = bloch_angles(states)
+        assert theta.shape == phi.shape == (len(states),)
+        loop = [bloch_from_state(psi) for psi in states]
+        assert [b.theta for b in loop] == theta.tolist()
+        assert [b.phi for b in loop] == phi.tolist()
+        assert np.all((0.0 <= theta) & (theta <= np.pi))
+        assert np.all((-np.pi < phi) & (phi <= np.pi))
+        np.testing.assert_array_equal(theta[:4], [0.0, np.pi, 0.0, np.pi])
+        np.testing.assert_array_equal(phi[:6], 0.0)
+        np.testing.assert_allclose(theta[6:13], np.pi / 2, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(phi[6:13], [0.0, 0.5, np.pi / 2, -2.0, np.pi,
+                                               -np.pi + 1e-9, np.pi - 1e-9], rtol=0.0, atol=1e-15)
+        # phi just below -pi wraps to pi, and -pi itself is stored as pi
+        assert phi[13] == phi[15] == np.pi
+        assert np.pi - 1e-15 < phi[14] <= np.pi
+        # against the polar form: |psi0| = cos(theta/2), psi1 psi0* ~ e^(i phi)
+        norm = np.linalg.norm(states, axis=1)
+        np.testing.assert_allclose(np.cos(theta / 2.0), np.abs(states[:, 0]) / norm, atol=1e-14)
+        rel = states[17:, 1] * np.conjugate(states[17:, 0])
+        np.testing.assert_allclose(np.exp(1j * phi[17:]), rel / np.abs(rel), atol=1e-13)
 
     def test_phi_minus_pi_is_stored_as_pi(self):
         b = BlochPoint(0.3, -np.pi)

@@ -1,7 +1,7 @@
 """State-preparation search: switching-time costs, structures, BSB geometry."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoct.dynamics import (
@@ -83,6 +83,14 @@ lane = st.tuples(
     st.lists(st.sampled_from([1.0, -1.0, 0.0]), min_size=10, max_size=10),
 )
 
+reduced_lane = st.tuples(
+    st.integers(1, 8),                        # switch count; BB-1 is searched alone
+    st.booleans(),                            # BSB values, when the count is 2
+    st.floats(0.05, 12.0),                    # T
+    st.floats(0.0, 1.0),                      # t0 / T
+    st.floats(0.0, 1.0),                      # tbar, as a share of its box
+)
+
 
 class TestBangKernel:
     """Batched costs equal the per-lane scalar path bit for bit."""
@@ -113,6 +121,47 @@ class TestBangKernel:
         assert costs.tolist() == refs
         stacked = state_prep_cost(np.array(units), psi_i, psi_t)
         assert stacked.shape == (len(lanes),) and stacked.tolist() == refs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(reduced_lane, min_size=1, max_size=9), st.booleans(),
+           st.floats(0.05, 1.5), st.floats(0.0, np.pi), st.floats(0.0, np.pi),
+           st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+    @example(lanes=[(6, False, 10.0, 0.9, 1.0), (3, False, 4.0, 0.0, 0.0)], one_dim=False,
+             u_max=0.104, th_i=0.7 * np.pi, th_t=0.35 * np.pi, ph=np.pi, seed=0)
+    def test_reduced_rows_equal_bang_costs_on_padded_times(self, lanes, one_dim, u_max,
+                                                           th_i, th_t, ph, seed):
+        # rows in the scan's box: t0 in [0, T], tbar in [1e-9, T/(k-1)], so
+        # t0 + (k-1) tbar runs up to 2T and the clip at T is exercised
+        params = ModelParams(u_max=u_max)
+        psi_i = state_from_bloch(BlochPoint(th_i, 0.0))
+        psi_t = state_from_bloch(BlochPoint(th_t, ph))
+        if one_dim:
+            lanes = [(1, False, *rest) for _, _, *rest in lanes]
+        else:
+            lanes = [(max(k, 2), bsb, *rest) for k, bsb, *rest in lanes]
+        kmax = max(k for k, *_ in lanes)
+        lane_T, lane_k, lane_values, X = [], [], [], []
+        for k, bsb, T, f0, f1 in lanes:
+            if bsb and k == 2:
+                v = np.array([u_max, 0.0, -u_max])
+            else:
+                v = state_prep._bb_values(k, 1, u_max)
+            lane_T.append(T)
+            lane_k.append(k)
+            lane_values.append(np.pad(v, (0, kmax - k), mode="edge"))
+            X.append([f0 * T] if k == 1 else [f0 * T, 1e-9 + f1 * (T / (k - 1) - 1e-9)])
+        lane_T, lane_k, lane_values = np.array(lane_T), np.array(lane_k), np.array(lane_values)
+        # rows in any order, lanes repeated, as the lockstep search asks for them
+        rows = np.random.default_rng(seed).integers(0, len(lanes), 3 * len(lanes))
+        X = np.array(X)[rows]
+        costs = state_prep._reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t,
+                                          params)(X, rows)
+        times = np.full((len(rows), kmax), lane_T[rows, None])
+        for r, lane in enumerate(rows):
+            k = lane_k[lane]
+            times[r, :k] = X[r, 0] + X[r, 1] * np.arange(k) if k > 1 else X[r, 0]
+        ref = _bang_costs(times, lane_T[rows], lane_values[rows], psi_i, psi_t, params)
+        assert costs.tolist() == ref.tolist()
 
 
 class TestScanLanes:
@@ -281,16 +330,17 @@ class TestSingleSearch:
         last = set()
         scans = []
 
-        def bang_costs(times, T, values, *args):
-            last.update(np.asarray(values)[:, -1].tolist())
-            return bang_costs_of(times, T, values, *args)
+        def pairs(durations, values, *args):
+            # cells first: the last row holds every row's trailing value
+            last.update(np.asarray(values)[-1].tolist())
+            return pairs_of(durations, values, *args)
 
         def spy(*args, **kwargs):
             scans.append(args[0])
             return scan(*args, **kwargs)
 
-        bang_costs_of, scan = state_prep._bang_costs, state_prep._scan_optima
-        monkeypatch.setattr(state_prep, "_bang_costs", bang_costs)
+        pairs_of, scan = state_prep.cell_pairs, state_prep._scan_optima
+        monkeypatch.setattr(state_prep, "cell_pairs", pairs)
         monkeypatch.setattr(state_prep, "_scan_optima", spy)
         _, _, values = optimize_structure(StructureLabel("bsb", 2, 1), 3.0, problem_at(0.85))
         assert scans == [[StructureLabel("bsb", 2, 1)]]
