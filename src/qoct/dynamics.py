@@ -172,26 +172,18 @@ def _cell_terms(durations, values, params: ModelParams, w=None):
     return values, h, w, np.cos(th), np.sin(th) / w
 
 
-def cell_pairs(durations, values, params: ModelParams, w=None):
-    """Cayley-Klein pairs (a, b) = (U00, U10) of the closed-form cells.
+def cell_pairs(durations, values, params: ModelParams, w=None) -> np.ndarray:
+    """Cayley-Klein pairs (a, b) = (U00, U10) of the closed-form cells, on a last axis.
 
     One pair per (duration, value) segment, a = cos(W d) - i h sin(W d)/W
     and b = -i u sin(W d)/W; the cell is [[a, -b*], [b, a*]].  ``w`` is as
     in ``_cell_terms``.
     """
     values, h, _, c, s = _cell_terms(durations, values, params, w)
-    return c - (1j * h) * s, -1j * s * values
-
-
-def _su2(a, b) -> np.ndarray:
-    """The matrices [[a, -b*], [b, a*]] of Cayley-Klein pairs."""
-    U = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    U[..., 0, 0] = a
-    U[..., 1, 0] = b
-    np.conjugate(b, out=U[..., 0, 1])
-    np.negative(U[..., 0, 1], out=U[..., 0, 1])
-    np.conjugate(a, out=U[..., 1, 1])
-    return U
+    ab = np.empty(c.shape + (2,), dtype=complex)
+    np.subtract(c, (1j * h) * s, out=ab[..., 0])
+    np.multiply(-1j * s, values, out=ab[..., 1])
+    return ab
 
 
 def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
@@ -201,12 +193,11 @@ def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
     is b itself; U11 is a* + 0, whose added zero gives a zero-duration cell
     the +0 imaginary part of cos(W d) + i h sin(W d)/W rather than -0.
     """
-    a, b = cell_pairs(durations, values, params)
-    U = np.empty(a.shape + (2, 2), dtype=complex)
-    U[..., 0, 0] = a
-    U[..., 1, 0] = b
-    U[..., 0, 1] = b
-    U[..., 1, 1] = np.conjugate(a) + 0.0
+    ab = cell_pairs(durations, values, params)
+    U = np.empty(ab.shape + (2,), dtype=complex)
+    U[..., :, 0] = ab
+    U[..., 0, 1] = ab[..., 1]
+    U[..., 1, 1] = np.conjugate(ab[..., 0]) + 0.0
     return U
 
 
@@ -251,12 +242,13 @@ def _next_level(prev: np.ndarray) -> np.ndarray:
     return level
 
 
-def pair_product(a, b):
-    """Cayley-Klein pair of the product of cells (a[k], b[k]), k = 0 acting first.
+def pair_product(ab: np.ndarray) -> np.ndarray:
+    """Cayley-Klein pair of the product of cells ab[k], k = 0 acting first.
 
-    ``a`` and ``b`` are (n, ...): n cells for every lane of the trailing
-    axes, each cell the SU(2) matrix [[a, -b*], [b, a*]].  Products of the
-    form keep it, so each level of a pairwise tree multiplies pairs,
+    ``ab`` is (n, ..., 2): n cells for every lane of the middle axes, each
+    cell the pair (a, b) of the SU(2) matrix [[a, -b*], [b, a*]] on the last
+    axis.  Products of the form keep it, so each level of a pairwise tree
+    multiplies pairs,
 
         a' = a1 a0 - b1* b0,   b' = b1 a0 + a1* b0   (cell 0 acting first),
 
@@ -264,16 +256,17 @@ def pair_product(a, b):
     Imaging 10, 53 (1991)).  That is half the arithmetic of a 2x2 product,
     and it avoids numpy's stacked ``matmul``, which costs about 0.5 us per
     2x2 matrix.  An odd level carries its last element to the next one
-    unchanged.  Returns the pair (a, b) of the whole product, one per lane.
+    unchanged.  Returns the pair (..., 2) of the whole product.
 
     Stacks of at most ``_PAIR_AXIS_MAX_CELLS`` cells (n times the lanes)
-    keep a and b side by side on a last axis of length 2, which takes fewer
-    numpy calls per level; larger stacks reduce a and b as separate arrays,
-    whose longer inner loops run faster.  Both evaluate the same expressions
+    keep a and b side by side on the last axis, which takes fewer numpy
+    calls per level; larger stacks reduce a and b as separate arrays, whose
+    longer inner loops run faster.  Both evaluate the same expressions
     elementwise, so their results agree bit for bit.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.size > _PAIR_AXIS_MAX_CELLS:
+    ab = np.asarray(ab)
+    if ab.size > 2 * _PAIR_AXIS_MAX_CELLS:
+        a, b = ab[..., 0], ab[..., 1]
         while (m := len(a)) > 1:
             a0, a1, b0, b1 = a[0:m - 1:2], a[1::2], b[0:m - 1:2], b[1::2]
             a, b = _next_level(a), _next_level(b)
@@ -282,9 +275,7 @@ def pair_product(a, b):
             new_a -= np.conjugate(b1) * b0
             np.multiply(b1, a0, out=new_b)
             new_b += np.conjugate(a1) * b0
-        return a[0], b[0]
-    ab = np.empty(a.shape + (2,), dtype=complex)
-    ab[..., 0], ab[..., 1] = a, b
+        return np.stack((a[0], b[0]), axis=-1)
     while (m := len(ab)) > 1:
         ab0, ab1 = ab[0:m - 1:2], ab[1::2]
         ab = _next_level(ab)
@@ -292,7 +283,7 @@ def pair_product(a, b):
         np.multiply(ab1, ab0[..., :1], out=new)
         # (-b1*, a1*) times b0
         new += np.conjugate(ab1[..., ::-1]) * (ab0[..., 1:] * _NEG_FIRST)
-    return ab[0, ..., 0], ab[0, ..., 1]
+    return ab[0]
 
 
 def ordered_product(units: np.ndarray) -> np.ndarray:
@@ -310,7 +301,13 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     units = np.asarray(units)
     if units.ndim == 2:
         return units
-    return _su2(*pair_product(units[..., 0, 0], units[..., 1, 0]))
+    ab = pair_product(units[..., :, 0])
+    U = np.empty(ab.shape + (2,), dtype=complex)
+    U[..., :, 0] = ab
+    col = U[..., :, 1]
+    np.conjugate(ab[..., ::-1], out=col)
+    np.negative(col[..., 0], out=col[..., 0])
+    return U
 
 
 def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -470,15 +467,17 @@ def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
     ``U_total`` may be any 2x2 matrix or a stack (..., 2, 2), giving one
     cost per matrix.  U |init> is written out by rows, which has the bits of
     ``U @ init``; on a matrix [[a, -b*], [b, a*]] it also has those of
-    ``pair_state_prep_cost`` on (a, b).
+    ``pair_state_prep_cost`` on its pair (a, b).
     """
     U = np.asarray(U_total)
     return _overlap_cost(U[..., 0, 0] * init[0] + U[..., 0, 1] * init[1],
                          U[..., 1, 0] * init[0] + U[..., 1, 1] * init[1], target)
 
 
-def pair_state_prep_cost(a, b, init: np.ndarray, target: np.ndarray) -> float | np.ndarray:
-    """``state_prep_cost`` of the matrices [[a, -b*], [b, a*]], from their pairs."""
+def pair_state_prep_cost(ab: np.ndarray, init: np.ndarray,
+                         target: np.ndarray) -> float | np.ndarray:
+    """``state_prep_cost`` of the matrices [[a, -b*], [b, a*]], from their pairs (..., 2)."""
+    a, b = ab[..., 0], ab[..., 1]
     return _overlap_cost(a * init[0] - np.conjugate(b) * init[1],
                          b * init[0] + np.conjugate(a) * init[1], target)
 

@@ -148,7 +148,7 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     bounds = np.concatenate([np.zeros_like(T), times, T], axis=1)
     durs = bounds[:, 1:] - bounds[:, :-1]
     values = np.asarray(values, dtype=float)
-    return pair_state_prep_cost(*pair_product(*cell_pairs(durs.T, values.T, params)),
+    return pair_state_prep_cost(pair_product(cell_pairs(durs.T, values.T, params)),
                                 psi_i, psi_t)
 
 
@@ -323,7 +323,7 @@ def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParam
         durs[-1] = T
         durs[1:] -= times  # numpy buffers the overlapping operand
         pairs = cell_pairs(durs, values, params, W)
-        return pair_state_prep_cost(*pair_product(*pairs), psi_i, psi_t)
+        return pair_state_prep_cost(pair_product(pairs), psi_i, psi_t)
 
     return costs
 

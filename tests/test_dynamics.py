@@ -297,22 +297,20 @@ class TestPairKernel:
         durs = np.asarray(rng.uniform(0.0, 4.0, shape), order=order)
         vals = np.asarray(rng.choice([0.48, -0.48, 0.0, 0.3], shape), order=order)
         durs[-1] = 0.0  # zero-duration pads, as the scan's rows end
-        a, b = pair_product(*cell_pairs(durs, vals, P05))
+        ab = pair_product(cell_pairs(durs, vals, P05))
         U = ordered_product(segment_propagators(durs, vals, P05))
-        assert a.shape == b.shape == shape[1:]
-        assert a.tobytes() == U[..., 0, 0].tobytes()
-        assert b.tobytes() == U[..., 1, 0].tobytes()
+        assert ab.shape == shape[1:] + (2,)
+        assert ab.tobytes() == np.ascontiguousarray(U[..., :, 0]).tobytes()
 
     @pytest.mark.parametrize("shape", [(9, 60), (3, 5), (17,)])
     def test_both_layouts_agree_bitwise(self, shape, monkeypatch):
         rng = np.random.default_rng(len(shape))
         pairs = cell_pairs(rng.uniform(0.0, 3.0, shape), rng.uniform(-0.6, 0.6, shape), P05)
         monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 0)
-        separate = pair_product(*pairs)
+        separate = pair_product(pairs)
         monkeypatch.setattr(dynamics, "_PAIR_AXIS_MAX_CELLS", 10**9)
-        side_by_side = pair_product(*pairs)
-        for x, y in zip(separate, side_by_side):
-            assert x.tobytes() == y.tobytes()
+        side_by_side = pair_product(pairs)
+        assert separate.tobytes() == side_by_side.tobytes()
 
     def test_cells_keep_the_closed_form_bits(self):
         # [[c - i h s, -i u s], [-i u s, c + i h s]], c = cos(W d), s = sin(W d)/W,
@@ -331,22 +329,21 @@ class TestPairKernel:
         rng = np.random.default_rng(9)
         durs, vals = rng.uniform(0.0, 5.0, (6, 11)), rng.choice([0.2, -0.2, 0.0], (6, 11))
         own = cell_pairs(durs, vals, P05)
-        given_w = cell_pairs(durs, vals, P05, np.hypot(1.0, vals))
-        for x, y in zip(own, given_w):
-            assert x.tobytes() == y.tobytes()
+        assert own.tobytes() == cell_pairs(durs, vals, P05, np.hypot(1.0, vals)).tobytes()
 
     @pytest.mark.parametrize("lanes", [(), (1,), (60,), (3, 4)])
     def test_pair_cost_equals_matrix_cost_bitwise(self, lanes):
         rng = np.random.default_rng(len(lanes))
         shape = (9,) + lanes
         pairs = cell_pairs(rng.uniform(0.0, 6.0, shape), rng.uniform(-0.5, 0.5, shape), P05)
-        a, b = pair_product(*pairs)
+        ab = pair_product(pairs)
+        a, b = ab[..., 0], ab[..., 1]
         psi_i = state_from_bloch(BlochPoint(0.7 * np.pi, 0.0))
         psi_t = state_from_bloch(BlochPoint(0.35 * np.pi, np.pi))
         U = np.empty(lanes + (2, 2), dtype=complex)
         U[..., 0, 0], U[..., 1, 0] = a, b
         U[..., 0, 1], U[..., 1, 1] = -np.conjugate(b), np.conjugate(a)
-        pair = pair_state_prep_cost(a, b, psi_i, psi_t)
+        pair = pair_state_prep_cost(ab, psi_i, psi_t)
         assert np.shape(pair) == lanes
         assert np.asarray(pair).tobytes() == np.asarray(state_prep_cost(U, psi_i, psi_t)).tobytes()
         matmul = U @ psi_i  # the overlap as state_prep_cost once formed it
