@@ -85,8 +85,8 @@ MAGNUS_STEPS_PER_PI = 100
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _CF4_WEIGHTS = 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * math.sqrt(3.0) / 3.0
 
-# ordered_product keeps (U00, U10) side by side up to this many cells (cells
-# times lanes) and reduces them as separate arrays above it.  On a 2-vCPU
+# pair_product keeps a and b side by side up to this many cells (cells times
+# lanes) and reduces them as separate arrays above it.  On a 2-vCPU
 # guest the side-by-side layout took half the time on state-prep stacks such
 # as (7, 1) and the separate one half the time on a (160, 100) gate-scan
 # block; the two cross between 64 and 512 cells.
@@ -153,33 +153,23 @@ def constant_propagator(t: float, u: float, params: ModelParams) -> np.ndarray:
                      [-1j * s * u, c + 1j * s * h]], dtype=complex)
 
 
-def _cell_terms(durations, values, params: ModelParams, w=None):
-    """(values, h, W, cos(W d), sin(W d)/W) of the closed-form cell propagator.
-
-    ``w``, if given, is W = hypot(h, values), computed once by a caller that
-    evaluates the same values many times.  The arrays are made C-contiguous,
-    so that a stack (cells, lanes) runs its inner loops along the lanes and
-    every caller's cells see one memory layout.
-    """
-    durations = np.asarray(durations, dtype=float, order="C")
-    values = np.asarray(values, dtype=float, order="C")
+def _cell_terms(durations, values, params: ModelParams):
+    """(values, h, W, cos(W d), sin(W d)/W) of the closed-form cell propagator."""
+    durations = np.asarray(durations, dtype=float)
+    values = np.asarray(values, dtype=float)
     h = 0.5 * params.omega0
-    if w is None:
-        w = np.hypot(h, values)
-    else:
-        w = np.asarray(w, order="C")
+    w = np.hypot(h, values)
     th = w * durations
     return values, h, w, np.cos(th), np.sin(th) / w
 
 
-def cell_pairs(durations, values, params: ModelParams, w=None) -> np.ndarray:
+def cell_pairs(durations, values, params: ModelParams) -> np.ndarray:
     """Cayley-Klein pairs (a, b) = (U00, U10) of the closed-form cells, on a last axis.
 
     One pair per (duration, value) segment, a = cos(W d) - i h sin(W d)/W
-    and b = -i u sin(W d)/W; the cell is [[a, -b*], [b, a*]].  ``w`` is as
-    in ``_cell_terms``.
+    and b = -i u sin(W d)/W; the cell is [[a, -b*], [b, a*]].
     """
-    values, h, _, c, s = _cell_terms(durations, values, params, w)
+    values, h, _, c, s = _cell_terms(durations, values, params)
     ab = np.empty(c.shape + (2,), dtype=complex)
     np.subtract(c, (1j * h) * s, out=ab[..., 0])
     np.multiply(-1j * s, values, out=ab[..., 1])
@@ -233,13 +223,9 @@ def matmul_2x2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[..., :, :1] * B[..., None, 0, :] + A[..., :, 1:] * B[..., None, 1, :]
 
 
-def _next_level(prev: np.ndarray) -> np.ndarray:
-    """An empty reduction level for ``prev``, ending in an odd ``prev``'s unpaired last element."""
-    m = len(prev)
-    level = np.empty(((m + 1) // 2,) + prev.shape[1:], dtype=complex)
-    if m % 2:
-        level[-1] = prev[-1]
-    return level
+def _carry(level: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """A reduction level, with the unpaired last element of an odd ``prev`` appended."""
+    return np.concatenate([level, prev[-1:]]) if len(prev) % 2 else level
 
 
 def pair_product(ab: np.ndarray) -> np.ndarray:
@@ -269,20 +255,18 @@ def pair_product(ab: np.ndarray) -> np.ndarray:
         a, b = ab[..., 0], ab[..., 1]
         while (m := len(a)) > 1:
             a0, a1, b0, b1 = a[0:m - 1:2], a[1::2], b[0:m - 1:2], b[1::2]
-            a, b = _next_level(a), _next_level(b)
-            new_a, new_b = a[:m // 2], b[:m // 2]
-            np.multiply(a1, a0, out=new_a)
+            new_a = a1 * a0
             new_a -= np.conjugate(b1) * b0
-            np.multiply(b1, a0, out=new_b)
+            new_b = b1 * a0
             new_b += np.conjugate(a1) * b0
+            a, b = _carry(new_a, a), _carry(new_b, b)
         return np.stack((a[0], b[0]), axis=-1)
     while (m := len(ab)) > 1:
         ab0, ab1 = ab[0:m - 1:2], ab[1::2]
-        ab = _next_level(ab)
-        new = ab[:m // 2]
-        np.multiply(ab1, ab0[..., :1], out=new)
+        new = ab1 * ab0[..., :1]
         # (-b1*, a1*) times b0
         new += np.conjugate(ab1[..., ::-1]) * (ab0[..., 1:] * _NEG_FIRST)
+        ab = _carry(new, ab)
     return ab[0]
 
 

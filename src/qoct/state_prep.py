@@ -141,14 +141,14 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     through the Cayley-Klein pair kernel, cells first, as in
     ``_reduced_costs``.
     """
-    T = np.asarray(T, dtype=float)[:, None]
-    # ndarray.clip and the slice difference: np.clip's and np.diff's dispatch
-    # cost as much as the arithmetic here
-    times = np.sort(np.asarray(times, dtype=float).clip(0.0, T), axis=1)
-    bounds = np.concatenate([np.zeros_like(T), times, T], axis=1)
-    durs = bounds[:, 1:] - bounds[:, :-1]
-    values = np.asarray(values, dtype=float)
-    return pair_state_prep_cost(pair_product(cell_pairs(durs.T, values.T, params)),
+    T = np.asarray(T, dtype=float)[None]
+    # cells first; ndarray.clip and the slice difference: np.clip's and
+    # np.diff's dispatch cost as much as the arithmetic here
+    times = np.sort(np.asarray(times, dtype=float).T.clip(0.0, T), axis=0)
+    bounds = np.concatenate([np.zeros_like(T), times, T])
+    durs = bounds[1:] - bounds[:-1]
+    values = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    return pair_state_prep_cost(pair_product(cell_pairs(durs, values, params)),
                                 psi_i, psi_t)
 
 
@@ -303,26 +303,25 @@ def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParam
     largest k.  A row's cost has the bits of ``_bang_costs`` on its
     ``_equal_bangs`` times padded with T: the scan's box keeps t0 >= 0 and
     tbar >= 1e-9, so t0 + j tbar already rises with j and clipping at T
-    keeps it rising, and the durations need no sort.  The values and W are
-    lane constants made once here, stored cells first like the durations,
-    the layout ``cell_pairs`` runs on.
+    keeps it rising, and the durations need no sort.  The values are lane
+    constants made once here, stored cells first like the durations and
+    like ``_bang_costs``'s cells.
     """
     kmax = lane_values.shape[1] - 1
-    values = lane_values.T
-    # per lane, cells first: the values, W, and the floor of each switch time
+    # per lane, cells first: the values, and the floor of each switch time
     # (0, or T for padding, which pins it to T) followed by T itself
     floor_T = np.where(np.arange(kmax + 1)[:, None] < lane_k, 0.0, lane_T)
-    lane_consts = np.stack([values, np.hypot(0.5 * params.omega0, values), floor_T])
+    lane_consts = np.stack([lane_values.T, floor_T])
 
     def costs(X, lanes):
-        values, W, floor_T = lane_consts[:, :, lanes]
+        values, floor_T = lane_consts[:, :, lanes]
         durs = np.empty((kmax + 1, len(lanes)))
         times, T = durs[:-1], floor_T[-1]
         np.maximum(_equal_bangs(X, kmax).T, floor_T[:-1], out=times)
         np.minimum(times, T, out=times)
         durs[-1] = T
         durs[1:] -= times  # numpy buffers the overlapping operand
-        pairs = cell_pairs(durs, values, params, W)
+        pairs = cell_pairs(durs, values, params)
         return pair_state_prep_cost(pair_product(pairs), psi_i, psi_t)
 
     return costs

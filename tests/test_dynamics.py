@@ -315,12 +315,6 @@ class TestPairKernel:
         assert U[:, 1, 1].tobytes() == (c + 1j * s * 1.0).tobytes()
         assert U[:, 0, 1].tobytes() == U[:, 1, 0].tobytes() == (-1j * s * vals).tobytes()
 
-    def test_given_w_changes_nothing(self):
-        rng = np.random.default_rng(9)
-        durs, vals = rng.uniform(0.0, 5.0, (6, 11)), rng.choice([0.2, -0.2, 0.0], (6, 11))
-        own = cell_pairs(durs, vals, P05)
-        assert own.tobytes() == cell_pairs(durs, vals, P05, np.hypot(1.0, vals)).tobytes()
-
     @pytest.mark.parametrize("lanes", [(), (1,), (60,), (3, 4)])
     def test_pair_cost_equals_matrix_cost_bitwise(self, lanes):
         rng = np.random.default_rng(len(lanes))
