@@ -8,6 +8,9 @@ bisection, and picks the structure with the smallest T*, breaking ties
 toward fewer switchings.  At a fixed T every structure is searched in at
 most two reduced coordinates: the equal-middle-bang form (t0, tbar) of a
 BB-k extremal, the single switch time of BB-1, and (t1, t2 - t1) of BSB.
+The scan searches no time that a speed limit rules out: in the frame
+rotating with the drift the Bloch vector turns at angular speed at most
+2 u_max, so no control reaches a target farther than 2 u_max T away there.
 """
 from __future__ import annotations
 
@@ -193,6 +196,29 @@ def _bloch_vec(psi: np.ndarray) -> np.ndarray:
     return np.array([2.0 * (psi[0].conjugate() * psi[1]).real,
                      2.0 * (psi[0].conjugate() * psi[1]).imag,
                      abs(psi[0]) ** 2 - abs(psi[1]) ** 2])
+
+
+# the largest Bloch angle between a hit's final state and the target:
+# 1 - F = sin^2(angle / 2) <= TARGET_TOL
+_HIT_ANGLE = 2.0 * math.asin(math.sqrt(TARGET_TOL))
+
+
+def _speed_limit_excludes(problem: StatePrepProblem, T: float) -> bool:
+    """Whether no control with |u| <= u_max can reach the target by time T.
+
+    In the frame rotating with the drift, q(t) = R_z(-omega0 t) r(t), a
+    control only turns the Bloch vector about an axis in the xy-plane, at
+    angular speed 2|u| <= 2 u_max.  So a hit at T needs the angle between
+    r_i and R_z(-omega0 T) r_t to be at most 2 u_max T + _HIT_ANGLE; the
+    angle comes from atan2 and the test keeps a 1e-9 rounding margin.
+    """
+    psi_i, psi_t = problem.states()
+    r_i, r_t = _bloch_vec(psi_i), _bloch_vec(psi_t)
+    a = problem.params.omega0 * T
+    c, s = math.cos(a), math.sin(a)
+    q = np.array([c * r_t[0] + s * r_t[1], c * r_t[1] - s * r_t[0], r_t[2]])
+    angle = math.atan2(np.linalg.norm(np.cross(r_i, q)), np.dot(r_i, q))
+    return angle > 2.0 * problem.params.u_max * T + _HIT_ANGLE + 1e-9
 
 
 def _axis_rate(u: float, params: ModelParams):
@@ -403,6 +429,14 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     toward fewer switchings.  ``diagnostics["stalled_misses"]`` counts the
     scan and bisection misses whose best Nelder-Mead lane ended 'max-iter'.
 
+    A grid time that the speed limit rules out counts as a miss without a
+    search, and ``diagnostics["speed_limit_skips"]`` counts them.  In the
+    frame rotating with the drift the Bloch vector moves at angular speed
+    2|u| <= 2 u_max, so a hit at T needs angle(r_i, R_z(-omega0 T) r_t) <=
+    2 u_max T + 2 asin(sqrt(TARGET_TOL)), the last term being how far a
+    hit's final state may lie from the target.  A ruled-out time at or
+    above the BSB time still ends the scan.
+
     Raises ValueError if the initial state already meets the target, since
     no T > 0 is then minimal.
     """
@@ -437,18 +471,23 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     # misses decided by a best lane that ran out of Nelder-Mead iterations:
     # such a miss may be a stall rather than a time too short
     stalled = 0
+    skips = 0  # coarse times the speed limit rules out, missed without a search
     for j in range(1, int(np.ceil(t_max / coarse_step)) + 1):
         T = min(j * coarse_step, t_max)
-        kmax_here = math.ceil(params.omega0 * T / np.pi) + 2
-        scan = [s for s in bb_structs if s.n_switch <= kmax_here]
-        keys = [(s.n_switch, s.lead_sign) for s in scan]
-        optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys], problem)
-        for s, key, (x, c, status, _) in zip(scan, keys, optima):
-            warm[key] = x
-            if c <= -1.0 + TARGET_TOL:
-                hits[key] = (s, x)
-            else:
-                stalled += status == "max-iter"
+        if _speed_limit_excludes(problem, T):
+            skips += 1
+        else:
+            kmax_here = math.ceil(params.omega0 * T / np.pi) + 2
+            scan = [s for s in bb_structs if s.n_switch <= kmax_here]
+            keys = [(s.n_switch, s.lead_sign) for s in scan]
+            optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
+                                  problem)
+            for s, key, (x, c, status, _) in zip(scan, keys, optima):
+                warm[key] = x
+                if c <= -1.0 + TARGET_TOL:
+                    hits[key] = (s, x)
+                else:
+                    stalled += status == "max-iter"
         if hits or bsb_T <= T:
             T_hit = T
             break
@@ -485,7 +524,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     if not candidates:
         return SearchResult(False, None, None, (), (), None, None,
                             {"t_max": t_max, "reason": "no structure reached fidelity",
-                             "stalled_misses": stalled})
+                             "stalled_misses": stalled, "speed_limit_skips": skips})
 
     # smallest refined T wins; within the refinement resolution ties break
     # toward fewer switchings, then toward the singular structure (the exact
@@ -513,6 +552,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         diag = {"singular_duration": 0.0}
     diag["t_max"] = t_max
     diag["stalled_misses"] = stalled
+    diag["speed_limit_skips"] = skips
     diag["candidates"] = [(c[0], "BSB" if c[3] is None else str(c[3])) for c in candidates]
 
     report = None

@@ -9,7 +9,9 @@ from qoct.dynamics import (
     BlochPoint,
     ModelParams,
     bloch_from_state,
+    cell_pairs,
     ordered_product,
+    pair_product,
     propagate,
     segment_propagators,
     state_from_bloch,
@@ -501,6 +503,107 @@ class TestFindTimeOptimal:
         assert np.all(rep.hoc < 0.0)
 
 
+def _turn(r, angle):
+    """R_z(angle) r, for Bloch vectors on the first axis."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([c * r[0] - s * r[1], s * r[0] + c * r[1], r[2]])
+
+
+def _bloch_angle(r, q):
+    return np.arctan2(np.linalg.norm(np.cross(r, q, axis=0), axis=0), np.sum(r * q, axis=0))
+
+
+class TestSpeedLimit:
+    @pytest.mark.parametrize("omega0", [1.0, 2.0, 3.3])
+    def test_rotating_frame_bound_and_its_sign(self, omega0):
+        # random piecewise-constant controls: the Bloch vector seen in the
+        # frame rotating with the drift travels at most 2 u_max T
+        rng = np.random.default_rng(7)
+        params = ModelParams(u_max=1.0, omega0=omega0)
+        right, wrong = [], []
+        for n_cells in (1, 2, 3, 5, 8, 13, 21, 34):
+            lanes = 250
+            u_max = rng.uniform(0.02, 1.5, lanes)
+            durs = rng.exponential(rng.uniform(0.05, 2.0, lanes), (n_cells, lanes))
+            values = u_max * np.where(rng.random((n_cells, lanes)) < 0.5,
+                                      rng.choice([-1.0, 1.0], (n_cells, lanes)),
+                                      rng.uniform(-1.0, 1.0, (n_cells, lanes)))
+            T = durs.sum(axis=0)
+            theta, phi = np.arccos(rng.uniform(-1.0, 1.0, lanes)), rng.uniform(-np.pi, np.pi, lanes)
+            psi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+            a, b = np.moveaxis(pair_product(cell_pairs(durs, values, params)), -1, 0)
+            final = np.array([a * psi[0] - np.conj(b) * psi[1], b * psi[0] + np.conj(a) * psi[1]])
+            r_i, r_T = _bloch_vec(psi), _bloch_vec(final)
+            right.append(_bloch_angle(r_i, _turn(r_T, -omega0 * T)) - 2.0 * u_max * T)
+            wrong.append(_bloch_angle(r_i, _turn(r_T, omega0 * T)) - 2.0 * u_max * T)
+        assert np.max(right) <= 1e-12
+        assert np.max(wrong) > 0.1
+
+    @pytest.mark.parametrize("omega0, u_max, T", [(2.0, 0.104, 3.0), (1.0, 0.5, 1.3),
+                                                  (3.3, 1.2, 0.4), (2.0, 0.3, 5.1)])
+    def test_predicate_threshold_in_the_rotating_frame(self, omega0, u_max, T):
+        # targets whose rotating-frame angle from the initial state lies just
+        # inside or just outside 2 u_max T plus the angle a hit may miss by
+        rng = np.random.default_rng(3)
+        hit_angle = 2.0 * np.arcsin(np.sqrt(TARGET_TOL))
+        for _ in range(5):
+            r_i = rng.normal(size=3)
+            r_i /= np.linalg.norm(r_i)
+            e = np.cross(r_i, rng.normal(size=3))
+            e /= np.linalg.norm(e)
+            for share, excluded in ((0.99, False), (1.01, True)):
+                d = 2.0 * u_max * T + share * hit_angle
+                r_t = _turn(np.cos(d) * r_i + np.sin(d) * e, omega0 * T)
+                p = StatePrepProblem(
+                    *(BlochPoint(np.arccos(r[2]), np.arctan2(r[1], r[0])) for r in (r_i, r_t)),
+                    ModelParams(u_max=u_max, omega0=omega0))
+                assert state_prep._speed_limit_excludes(p, T) is excluded
+
+    @pytest.mark.parametrize("u", [0.104, 0.16, 0.85])
+    def test_excluded_grid_times_miss_at_benchmark_centres(self, u):
+        p = problem_at(u)
+        excluded = [T for T in 0.25 * np.pi * np.arange(1, 20)
+                    if state_prep._speed_limit_excludes(p, T)]
+        assert excluded
+        for T in excluded:
+            kmax = int(np.ceil(2.0 * T / np.pi)) + 2
+            structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
+            structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
+            optima = _scan_optima(structures, [T] * len(structures), [None] * len(structures), p)
+            assert all(c > -1.0 + TARGET_TOL for _, c, _, _ in optima), T
+
+    def test_speed_limit_skip_at_bsb_time_ends_scan(self, monkeypatch):
+        # a grid time at or above the BSB time ends the scan whether it is
+        # searched and misses or the speed limit rules it out
+        p = problem_at(0.85)
+        bsb_T = best_bsb(p)["T"]
+        T_end = 0.5 * np.pi
+        assert 0.25 * np.pi < bsb_T <= T_end
+        scan, excludes = state_prep._scan_optima, state_prep._speed_limit_excludes
+        scanned = []
+
+        def missing_scan(structures, Ts, *args):
+            scanned.extend(Ts)
+            if Ts[0] == T_end:  # the coarse scan at T_end: every structure misses
+                return [(x, 0.0, "converged", v) for x, _, _, v in scan(structures, Ts, *args)]
+            return scan(structures, Ts, *args)
+
+        monkeypatch.setattr(state_prep, "_scan_optima", missing_scan)
+        searched = find_time_optimal(p, with_report=False)
+        assert T_end in scanned
+        scanned.clear()
+        monkeypatch.setattr(state_prep, "_speed_limit_excludes",
+                            lambda problem, T: T == T_end or excludes(problem, T))
+        skipped = find_time_optimal(p, with_report=False)
+        assert max(scanned, default=0.0) < T_end
+        assert skipped.diagnostics["candidates"] == searched.diagnostics["candidates"]
+        assert skipped.diagnostics["candidates"] == [(bsb_T, "BSB")]
+        assert (skipped.t_star, skipped.structure, skipped.switch_times) == \
+            (searched.t_star, searched.structure, searched.switch_times)
+        assert skipped.diagnostics["speed_limit_skips"] == \
+            searched.diagnostics["speed_limit_skips"] + 1
+
+
 class TestBenchmarkCentres:
     """The stateprep-search band centres, pinned bit for bit.
 
@@ -515,13 +618,13 @@ class TestBenchmarkCentres:
         0.104: (10.799224746714913, "BB-6",
                 (0.8037110477061538, 2.5441407725200005, 4.284570497333847,
                  6.025000222147694, 7.765429946961541, 9.505859671775388),
-                1928, 134646),
+                810, 54985),
         0.16: (7.608544707912779, "BB-4",
                (0.7165346360545704, 2.5234128937726874, 4.330291151490805,
                 6.137169409208922),
-               1611, 92565),
+               950, 52147),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               799, 26280),
+               661, 22028),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
