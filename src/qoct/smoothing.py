@@ -434,16 +434,16 @@ def fourier_spectrum(protocol: Protocol, n_max: int = 40):
     T = protocol.T
     edges = np.concatenate([[0.0], np.cumsum(durs)])
     edges[-1] = T
-    a, b = edges[:-1], edges[1:]
     rel = vals / protocol.u_max
     n = np.arange(n_max + 1)
     freqs = n / T
     omega = 2.0 * np.pi * freqs
     amps = np.empty(n_max + 1, dtype=complex)
-    amps[0] = np.sum(rel * (b - a))
+    amps[0] = np.sum(rel * (edges[1:] - edges[:-1]))
     w = omega[1:, None]
-    cell = (np.exp(-1j * w * a[None, :]) - np.exp(-1j * w * b[None, :])) / (1j * w)
-    amps[1:] = cell @ rel
+    # one exponential per edge, shared by the two cells that meet there
+    E = np.exp(-1j * w * edges[None, :])
+    amps[1:] = ((E[:, :-1] - E[:, 1:]) / (1j * w)) @ rel
     return freqs, amps
 
 

@@ -4,7 +4,15 @@ import pytest
 
 from qoct import smoothing
 from qoct.dynamics import SIGMA_X, SIGMA_Z, ModelParams, gate_cost, total_unitary
-from qoct.protocols import BangSequence, Sampled, ThirdHarmonic
+from qoct.protocols import (
+    BangSequence,
+    OneParamBB,
+    RabiProtocol,
+    Sampled,
+    TanhProtocol,
+    ThirdHarmonic,
+    segment_durations_values,
+)
 from qoct.smoothing import (
     constrained_smooth_optimize,
     fourier_spectrum,
@@ -306,6 +314,28 @@ class TestFourierSpectrum:
     def test_negative_line_count_rejected(self):
         with pytest.raises(ValueError, match="n_max"):
             fourier_spectrum(Sampled(3.0, 0.5, np.full(8, 0.25)), n_max=-1)
+
+    @pytest.mark.parametrize("proto", [
+        ThirdHarmonic(0.2, 14.0, 0.45, 0.1),
+        RabiProtocol(0.2, np.pi / 0.2),
+        TanhProtocol(0.2, 12.0, 4.0, (1.5, 3.0, 9.0, 10.5)),
+        BangSequence(5.0, 0.4, (0.7, 2.2, 4.1), (0.4, -0.4, 0.4, -0.4)),
+        Sampled(3.0, 0.5, np.linspace(-0.5, 0.5, 97)),
+        OneParamBB(1.9, 9.0, 0.3),
+    ], ids=["third", "rabi", "tanh", "bang", "sampled", "one-param"])
+    def test_cells_have_the_bits_of_two_exponentials_per_cell(self, proto):
+        # each cell's integral written with its own two exponentials
+        durs, vals = segment_durations_values(proto)
+        edges = np.concatenate([[0.0], np.cumsum(durs)])
+        edges[-1] = proto.T
+        a, b = edges[:-1], edges[1:]
+        rel = vals / proto.u_max
+        n_max = 40
+        w = 2.0 * np.pi * (np.arange(n_max + 1) / proto.T)[1:, None]
+        cell = (np.exp(-1j * w * a[None, :]) - np.exp(-1j * w * b[None, :])) / (1j * w)
+        freqs, amps = fourier_spectrum(proto, n_max=n_max)
+        assert amps[1:].tolist() == (cell @ rel).tolist()
+        assert amps[0] == np.sum(rel * (b - a))
 
 
 class TestPerturbativeAmplitude:
