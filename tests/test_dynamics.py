@@ -254,8 +254,10 @@ class TestOrderedProduct:
             lanes = ()
         rng = np.random.default_rng(seed)
         units = random_cells(rng, (n,) + lanes, u_max, d_max)
-        ref = np.broadcast_to(SIGMA_0, lanes + (2, 2))
-        for U in units:
+        # the loop multiplies in extended precision: in float64 its own
+        # rounding reaches 1.2e-13 over 100,003 cells of d_max = 1e-11
+        ref = np.broadcast_to(SIGMA_0, lanes + (2, 2)).astype(np.clongdouble)
+        for U in units.astype(np.clongdouble):
             ref = np.matmul(U, ref)
         out = ordered_product(units)
         assert out.shape == lanes + (2, 2)
