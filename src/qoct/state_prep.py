@@ -209,8 +209,9 @@ def _speed_limit_excludes(problem: StatePrepProblem, T: float) -> bool:
     In the frame rotating with the drift, q(t) = R_z(-omega0 t) r(t), a
     control only turns the Bloch vector about an axis in the xy-plane, at
     angular speed 2|u| <= 2 u_max.  So a hit at T needs the angle between
-    r_i and R_z(-omega0 T) r_t to be at most 2 u_max T + _HIT_ANGLE; the
-    angle comes from atan2 and the test keeps a 1e-9 rounding margin.
+    r_i and R_z(-omega0 T) r_t to be at most 2 u_max T + _HIT_ANGLE, up to
+    a 1e-9 rounding margin.  atan2 keeps the angle accurate near 0 and pi,
+    where acos loses digits.
     """
     psi_i, psi_t = problem.states()
     r_i, r_t = _bloch_vec(psi_i), _bloch_vec(psi_t)

@@ -44,7 +44,7 @@ def run_ops(tree: Path, ops, pass_dir: Path, env: dict) -> list[int]:
     for op in ops:
         argv = op.argv(pass_dir) + [f"--out={pass_dir / op.name}"]
         proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *argv],
-                              env=env, capture_output=True, text=True)
+                              env=env, capture_output=True)
         codes.append(proc.returncode)
     return codes
 
@@ -61,16 +61,6 @@ def keys_that_differ(a, b, prefix: str = "") -> list[str]:
     return out
 
 
-def json_keys_that_differ(a: Path, b: Path) -> list[str] | None:
-    try:
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-    except ValueError:
-        return None
-    if not (isinstance(da, dict) and isinstance(db, dict)):
-        return None
-    return keys_that_differ(da, db)
-
-
 def compare(dir_a: Path, dir_b: Path) -> tuple[int, list[str]]:
     """Number of files compared, and one line per file that is not identical."""
     def files(d):
@@ -82,7 +72,14 @@ def compare(dir_a: Path, dir_b: Path) -> tuple[int, list[str]]:
         a, b = dir_a / rel, dir_b / rel
         if a.read_bytes() == b.read_bytes():
             continue
-        keys = json_keys_that_differ(a, b) if rel.suffix == ".json" else None
+        keys = []
+        if rel.suffix == ".json":
+            try:
+                da, db = json.loads(a.read_bytes()), json.loads(b.read_bytes())
+            except ValueError:
+                da = db = None
+            if isinstance(da, dict) and isinstance(db, dict):
+                keys = keys_that_differ(da, db)
         lines.append(f"{rel}: differs" + (f" in {', '.join(keys)}" if keys else ""))
     return len(fa | fb), lines
 
