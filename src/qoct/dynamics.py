@@ -471,18 +471,21 @@ def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:
 
     C_X = -|<1|U|0> + <0|U|1>|^2 / 4 demands equal transfer phases in both
     directions; C_Y uses the difference; C_PT ignores phases entirely.
-    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.
+    ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  A
+    perfect gate's sums can round a few ulp above 1, hence the clamp at -1.
     """
     u10 = U_total[..., 1, 0]
     u01 = U_total[..., 0, 1]
     kind = kind.lower()
     if kind == "x":
-        return -0.25 * _abs2(u10 + u01)
-    if kind == "y":
-        return -0.25 * _abs2(u10 - u01)
-    if kind == "pt":
-        return -0.5 * (_abs2(u10) + _abs2(u01))
-    raise ValueError(f"unknown gate kind {kind!r}")
+        c = -0.25 * _abs2(u10 + u01)
+    elif kind == "y":
+        c = -0.25 * _abs2(u10 - u01)
+    elif kind == "pt":
+        c = -0.5 * (_abs2(u10) + _abs2(u01))
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return np.maximum(c, -1.0)
 
 
 def _abs2(z):

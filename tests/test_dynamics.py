@@ -472,6 +472,17 @@ class TestCosts:
         assert np.min(costs) == -1.0
         assert [state_prep_cost(U, psi, psi) for U in stack] == costs.tolist()
 
+    @pytest.mark.parametrize("kind", ["x", "pt"])
+    def test_gate_cost_not_below_minus_one(self, kind):
+        # a perfect third-harmonic gate on the face R = -1/8, whose summed
+        # |U10 + U01|^2 / 4 rounds to about 7e-15 above 1
+        from qoct.protocols import ThirdHarmonic
+        proto = ThirdHarmonic(u_max=0.1, T=28.083255197870233, omega=1.9984826847617694,
+                              ratio=-0.125)
+        U = total_unitary(proto, ModelParams(u_max=0.1))
+        assert gate_cost(U, kind) >= -1.0
+        assert gate_cost(np.stack([U, U]), kind).tolist() == [gate_cost(U, kind)] * 2
+
     def test_identity_gives_zero(self):
         assert gate_cost(SIGMA_0, "x") == 0.0
         assert gate_cost(SIGMA_0, "pt") == 0.0
