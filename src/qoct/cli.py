@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, pmp, smoothing, state_prep, xgate
-from .dynamics import TARGET_TOL, BlochPoint, ModelParams, bloch_angles, propagate
+from .dynamics import BlochPoint, ModelParams, bloch_angles, propagate
 from .pmp import CostSpec
 from .protocols import protocol_to_dict
 from .state_prep import StatePrepProblem, StructureLabel
@@ -283,7 +283,7 @@ def cmd_smooth(args) -> int:
     fileio.write_json(rec.path("smoothing_run.json"), payload)
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("scheme", "t_over_trabi", "cost_plus_1")}))
-    return 0 if run.cost_plus_1 <= TARGET_TOL or args.scheme == "constrained" else 3
+    return 0 if run.converged or args.scheme == "constrained" else 3
 
 
 def _cost_spec_from_args(args) -> CostSpec:

@@ -15,7 +15,8 @@ SU(2), [[a, -b*], [b, a*]], so one kernel carries the Cayley-Klein pairs
 (a, b) alone, at half the arithmetic of 2x2 products: ``cell_pairs`` builds
 them, ``pair_product`` multiplies them, and ``pair_state_prep_cost`` reads a
 cost from the product's pair.  ``segment_propagators`` and
-``ordered_product`` are that kernel with its pairs written out as matrices.
+``ordered_product`` are that kernel with its pairs written out as matrices,
+and ``total_pairs`` runs it over a stack of protocols, one row each.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ __all__ = [
     "prefix_states",
     "propagation_cells",
     "total_unitary",
+    "total_pairs",
     "propagate",
     "state_from_bloch",
     "bloch_angles",
@@ -355,6 +357,25 @@ def total_unitary(protocol: Protocol, params: ModelParams) -> np.ndarray:
     """Total evolution operator of a protocol over [0, T]."""
     durs, vals = propagation_cells(protocol)
     return ordered_product(segment_propagators(durs, vals, params))
+
+
+def total_pairs(protocols, params: ModelParams) -> np.ndarray:
+    """Cayley-Klein pairs (U00, U10) of the total unitaries of many protocols, (rows, 2).
+
+    Each protocol's ``propagation_cells`` fill one row of a (cells, rows)
+    stack, shorter rows padded at the end with zero-duration identity
+    cells, and one ``pair_product`` multiplies every row.  The padding
+    leaves the bits of each row's product alone, so row k has the bits of
+    ``total_unitary(protocols[k], params)[:, 0]``.
+    """
+    cells = [propagation_cells(p) for p in protocols]
+    n = max(len(d) for d, _ in cells)
+    durs = np.zeros((n, len(cells)))
+    vals = np.zeros((n, len(cells)))
+    for k, (d, v) in enumerate(cells):
+        durs[:len(d), k] = d
+        vals[:len(v), k] = v
+    return pair_product(cell_pairs(durs, vals, params))
 
 
 def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,

@@ -1,4 +1,4 @@
-"""Derivative-free and gradient-based optimizers shared by the search modules.
+"""Derivative-free, gradient-based and root-finding optimizers shared by the search modules.
 
 All routines are deterministic (restart draws come from one fixed generator),
 respect box bounds exactly (iterates are clipped, never merely penalized),
@@ -17,8 +17,10 @@ __all__ = [
     "lockstep_nelder_mead",
     "scalar_minimize",
     "refine_basins",
+    "grid_vertex",
     "golden_section",
     "projected_gradient",
+    "gauss_newton",
 ]
 
 
@@ -26,8 +28,9 @@ __all__ = [
 class OptimResult:
     x: np.ndarray
     fun: float
-    status: str  # 'converged' | 'max-iter' | 'line-search-failed'
+    status: str  # 'converged' | 'max-iter' | 'line-search-failed' | 'stalled'
     n_eval: int = 0
+    n_iter: int = 0  # steps taken, where the routine counts them
 
 
 def nelder_mead(f, x0, max_iter: int, tol: float, bounds=None) -> OptimResult:
@@ -246,6 +249,24 @@ def refine_basins(f, xs, fs, tol: float = 1e-12) -> tuple[float, float]:
     return best
 
 
+def grid_vertex(fs: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
+    """(f, x) at the vertex of the parabola through a scan's best point and
+    its two neighbours; the best point itself at the scan's ends.
+
+    ``fs`` holds f at the equally spaced points ``xs``.  Near a simple root
+    of a function whose square is scanned, the square is nearly quadratic,
+    so the vertex follows the root between grid points.
+    """
+    k = int(np.argmin(fs))
+    if 0 < k < len(fs) - 1:
+        lo, mid, hi = (float(c) for c in fs[k - 1:k + 2])
+        curv = lo - 2.0 * mid + hi
+        if curv > 0.0:
+            return (mid - (hi - lo) ** 2 / (8.0 * curv),
+                    float(xs[k] + (xs[k + 1] - xs[k]) * (lo - hi) / (2.0 * curv)))
+    return float(fs[k]), float(xs[k])
+
+
 def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
                        target: float | None = None, step0: float = 1.0,
                        max_step: float | None = None) -> OptimResult:
@@ -292,3 +313,67 @@ def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
         if status == "converged":
             break
     return OptimResult(x=x, fun=fx, status=status, n_eval=n_eval)
+
+
+# Levenberg-Marquardt damping factors that ``gauss_newton`` tries, in units
+# of the squared Frobenius norm of J, and the relative decrease of |F|^2
+# below which its step counts as stalled
+_DAMPING = (0.0,) + tuple(10.0 ** k for k in range(-8, 1))
+_MIN_DECREASE = 0.01
+
+
+def gauss_newton(f_rows, x0, h: float, tol: float, max_steps: int, repair) -> OptimResult:
+    """Damped Gauss-Newton root solve of F(x) = 0, F with m real components, x with n.
+
+    ``f_rows(X)`` returns F at the rows of X (k, n) as a (k, m) array, so
+    each iterate x and its forward-difference neighbours x + h e_j are one
+    call of n + 1 rows.  Each step solves min |J s + F|^2 + lam |J|^2 |s|^2
+    by least squares (``np.linalg.lstsq``); lam = 0 gives the
+    minimum-norm Gauss-Newton step -J^+ F.  The damping lam runs up the
+    ladder ``_DAMPING`` until |F|^2 decreases, starting one rung below the
+    last accepted one, so steps return to Gauss-Newton near a root
+    (Levenberg-Marquardt; Nocedal & Wright, Numerical Optimization, ch. 10).
+    ``repair`` maps ``x0`` and each trial point back into the domain (the
+    identity where every x is admissible).  A trial's rows are those of its
+    own Jacobian, so an accepted step costs one call.  Stops with
+    'converged' at |F|^2 <= ``tol``, 'stalled' when no damping decreases
+    |F|^2 or a step decreases it by less than 1%, and 'max-iter' after
+    ``max_steps`` steps.  ``fun`` is |F(x)|^2, ``n_eval`` counts the rows
+    evaluated and ``n_iter`` the steps taken.  Raises RuntimeError if F is
+    not finite at the start; a trial where it is not counts as no decrease.
+    """
+    def rows(x):
+        X = np.repeat(x[None], len(x) + 1, axis=0)
+        X[1:] += h * np.eye(len(x))
+        F = np.asarray(f_rows(X), dtype=float)
+        return F[0], (F[1:] - F[0]).T / h, float(F[0] @ F[0])
+
+    x = repair(np.asarray(x0, dtype=float))
+    n = len(x)
+    F, J, r = rows(x)
+    if not np.isfinite(r):
+        raise RuntimeError(f"residual is not finite at x0={x!r}")
+    n_eval, steps, rung = n + 1, 0, 0
+    status = "converged"
+    while r > tol:
+        if steps == max_steps:
+            status = "max-iter"
+            break
+        scale = float(np.sum(J * J))
+        for k in range(rung, len(_DAMPING)):
+            A = np.vstack([J, np.sqrt(_DAMPING[k] * scale) * np.eye(n)])
+            xt = repair(x + np.linalg.lstsq(A, np.r_[-F, np.zeros(n)], rcond=None)[0])
+            Ft, Jt, rt = rows(xt)
+            n_eval += n + 1
+            if rt < r:
+                break
+        else:
+            status = "stalled"
+            break
+        steps += 1
+        slow = rt > (1.0 - _MIN_DECREASE) * r
+        x, F, J, r, rung = xt, Ft, Jt, rt, max(k - 1, 0)
+        if slow and r > tol:
+            status = "stalled"
+            break
+    return OptimResult(x=x, fun=r, status=status, n_eval=n_eval, n_iter=steps)

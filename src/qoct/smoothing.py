@@ -2,10 +2,11 @@
 
 Three schemes, all meaningful only for T above the bang-bang minimum time:
 
-* tanh: replace each step by tanh(beta (t - t_i)) and optimize the (mirrored)
-  switching times;
+* tanh: replace each step by tanh(beta (t - t_i)) and solve for the
+  (mirrored) switching times of a perfect gate;
 * third harmonic: a two-harmonic cosine pulse with mixing ratio R in
-  [-1/8, 1], optimized over (omega, R);
+  [-1/8, 1]; its earliest perfect gate is a root in (T, omega) on the face
+  R = -1/8;
 * constrained smoothing: on a free piecewise-constant grid, alternate a
   descent step on a smoothness objective with a projection back onto the
   perfect-gate set, by Gauss-Newton on the gate's two or three real
@@ -22,7 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim, pmp
-from .dynamics import TARGET_TOL, ModelParams, gate_cost, rabi_pi_time, total_unitary
+from .dynamics import (
+    TARGET_TOL,
+    ModelParams,
+    gate_cost,
+    rabi_pi_time,
+    total_pairs,
+    total_unitary,
+)
 from .protocols import (
     Protocol,
     Sampled,
@@ -58,7 +66,9 @@ class SmoothingRun:
     params: ModelParams
     protocol: Protocol
     cost_plus_1: float
-    converged: bool  # the optimizer converged and, for tanh and third, C + 1 <= TARGET_TOL
+    # the optimizer converged and, for tanh and third, C + 1 <= TARGET_TOL;
+    # for the third harmonic's minimum time also dT/dR > 0 at its face root
+    converged: bool
     extras: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)  # (iter, c_smooth, c_gate_plus_1)
 
@@ -74,7 +84,23 @@ def tanh_protocol(times, beta: float, T: float, params: ModelParams) -> TanhProt
 
 
 def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
-    return gate_cost(total_unitary(protocol, problem.params), problem.kind)
+    return float(gate_cost(total_unitary(protocol, problem.params), problem.kind))
+
+
+# The tanh and third-harmonic pulses are even about T/2, so their U10 is
+# imaginary and C_X + 1 = |U00|^2: a perfect X gate is a root of the two real
+# equations F = (Re U00, Im U00).  Their minimum-time searches solve F = 0 by
+# ``optim.gauss_newton`` to |F|^2 <= _SOLVE_TOL in at most _SOLVE_STEPS steps,
+# with forward-difference Jacobians of step _FD_STEP.
+_SOLVE_TOL = 1e-20
+_SOLVE_STEPS = 25
+_FD_STEP = 1e-7
+
+
+def _u00_rows(protocols, params: ModelParams) -> np.ndarray:
+    """(Re U00, Im U00) of each protocol, one row each, from one batched propagation."""
+    a = total_pairs(protocols, params)[:, 0]
+    return np.column_stack([a.real, a.imag])
 
 
 def _free_tanh_times(x, T: float) -> np.ndarray:
@@ -104,35 +130,35 @@ def _tanh_seed(n_pairs: int, T: float, params: ModelParams) -> np.ndarray:
 
 
 def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
-                  seeds: int = 6, x0=None) -> SmoothingRun:
-    """Minimize the gate cost over the N free tanh switching times.
+                  x0=None) -> SmoothingRun:
+    """Solve for a perfect X gate in the N free tanh switching times at fixed T.
 
-    The number of switchings 2N should follow the resonance estimate of
-    ``resonance_pairs``, which the scan and the command line use.
+    Damped Gauss-Newton on F = (Re U00, Im U00) (``optim.gauss_newton``)
+    from ``x0``, or from equal middle bangs of about pi/omega0; every
+    iterate's times are repaired by ``_free_tanh_times``.  ``extras`` holds the
+    solve's |U00|^2 (``residual``) and step count (``solver_steps``);
+    ``converged`` means the solve reached |U00|^2 <= 1e-20 and C + 1 <=
+    TARGET_TOL.  The number of switchings 2N should follow the resonance
+    estimate of ``resonance_pairs``, which the scan and the command line use.
     """
     params = problem.params
-    half = T / 2.0
 
-    def obj(x):
-        return _gate_cost_of(tanh_protocol(_free_tanh_times(x, T), beta, T, params), problem)
+    def repair(x):
+        return _free_tanh_times(x, T)
 
-    seed_times = _tanh_seed(n_pairs, T, params)
-    start = np.asarray(x0, dtype=float) if x0 is not None else seed_times
+    def f_rows(X):
+        return _u00_rows([tanh_protocol(repair(x), beta, T, params) for x in X], params)
 
-    def sampler(rng):
-        jitter = 0.15 * (np.pi / params.omega0) * rng.standard_normal(n_pairs)
-        return np.sort(np.clip(seed_times + jitter, 1e-6 * T, half * (1 - 1e-9)))
-
-    r = optim.nelder_mead_restarts(obj, start, sampler, seeds, 2000, 1e-12,
-                                   bounds=[(0.0, half)] * n_pairs)
-    times = _free_tanh_times(r.x, T)
-    proto = tanh_protocol(times, beta, T, params)
-    cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
+    start = x0 if x0 is not None else _tanh_seed(n_pairs, T, params)
+    r = optim.gauss_newton(f_rows, start, _FD_STEP, _SOLVE_TOL, _SOLVE_STEPS, repair)
+    proto = tanh_protocol(r.x, beta, T, params)
+    cost1 = _gate_cost_of(proto, problem) + 1.0
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
-                        extras={"beta": beta, "times": tuple(float(t) for t in times),
-                                "n_pairs": n_pairs})
+                        extras={"beta": beta, "times": tuple(float(t) for t in r.x),
+                                "n_pairs": n_pairs, "residual": r.fun,
+                                "solver_steps": r.n_iter})
 
 
 def resonance_pairs(T: float, params: ModelParams) -> int:
@@ -149,7 +175,7 @@ def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, Smoot
     Each scan point runs ``optimize_tanh`` at the resonance count
     ``resonance_pairs``, warm-started from the previous point's free times
     while the count is unchanged and cold after it steps.  The first point
-    in steps of 0.01 T_Rabi with C + 1 <= TARGET_TOL is returned, so the
+    in steps of 0.01 T_Rabi whose solve converges is returned, so the
     measurement resolution is 0.01 T_Rabi.
     """
     t_rabi = rabi_pi_time(problem.params)
@@ -161,25 +187,32 @@ def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, Smoot
         if prev is not None and prev.extras["n_pairs"] == n:
             x0 = np.clip(prev.extras["times"], 1e-9, T / 2 * (1 - 1e-9))
         prev = optimize_tanh(n, beta, T, problem, x0=x0)
-        if prev.cost_plus_1 <= TARGET_TOL:
+        if prev.converged:
             return T, prev
     raise RuntimeError("tanh scheme did not reach the gate fidelity in the scan range")
 
 
-def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
-                            x0=None) -> SmoothingRun:
-    """Minimize the gate cost over frequency and third-harmonic mixing ratio.
+# the face R = -1/8 of the third-harmonic pulse, where its earliest perfect
+# gate lies, and the frequency grid of the face scan, in units of omega0
+_R_FACE = -0.125
+_FACE_GRID = np.linspace(0.96, 1.04, 17)
+_FACE_CHUNK = 4  # scan times propagated per batched call
 
-    ``x0`` is a physical start point ``(omega, R)``.  The simplex works in
-    bound-free coordinates (y, z) with omega = omega0 (3/4 + (1/2) sin^2 y)
-    and R = -1/8 + (9/8) sin^2 z, so every vertex is feasible and none is ever
-    clipped: the optimum sits on or next to the face R = -1/8, and a simplex
-    clipped flat against that face stalls there short of a perfect gate.
+
+def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6) -> SmoothingRun:
+    """Minimize the gate cost over frequency and third-harmonic mixing ratio at fixed T.
+
+    Restarted Nelder-Mead from (omega0, -0.05) and ``seeds`` - 1 drawn
+    points.  The simplex works in bound-free coordinates (y, z) with
+    omega = omega0 (3/4 + (1/2) sin^2 y) and R = -1/8 + (9/8) sin^2 z, so
+    every vertex is feasible and none is ever clipped: the optimum sits on or
+    next to the face R = -1/8, and a simplex clipped flat against that face
+    stalls there short of a perfect gate.
     """
     params = problem.params
     w0 = params.omega0
-    lo = np.array([0.75 * w0, -0.125])
-    span = np.array([0.5 * w0, 1.125])
+    lo = np.array([0.75 * w0, _R_FACE])
+    span = np.array([0.5 * w0, 1.0 - _R_FACE])
 
     def to_physical(x):
         return lo + span * np.sin(np.asarray(x, dtype=float)) ** 2
@@ -192,12 +225,10 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
         w, R = to_physical(x)
         return _gate_cost_of(ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R), problem)
 
-    start = to_free(x0 if x0 is not None else (w0, -0.05))
-
     def sampler(rng):
-        return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(-0.125, 0.4)))
+        return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(_R_FACE, 0.4)))
 
-    r = optim.nelder_mead_restarts(obj, start, sampler, seeds, 1500, 1e-12)
+    r = optim.nelder_mead_restarts(obj, to_free((w0, -0.05)), sampler, seeds, 1500, 1e-12)
     w, R = (float(v) for v in to_physical(r.x))
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
     cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
@@ -207,21 +238,86 @@ def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6,
                         extras={"omega": w, "ratio": R})
 
 
-def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
-    """Smallest perfect-gate time of the two-harmonic pulse.
+def _face_rows(X, params: ModelParams) -> np.ndarray:
+    """F = (Re U00, Im U00) of the pulses (T, omega) on the face R = -1/8 in the rows of X."""
+    return _u00_rows([ThirdHarmonic(params.u_max, T, w, _R_FACE) for T, w in X], params)
 
-    Deterministic upward scan of [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
-    with a warm-started two-restart inner optimization; the first grid point
-    with C + 1 <= TARGET_TOL is returned, so the measurement resolution is
-    0.005 T_Rabi.
+
+def _face_slope(T: float, w: float, params: ModelParams) -> float:
+    """dT/dR along the perfect-gate curve F(T, omega, R) = 0 at a face root.
+
+    By the implicit-function theorem d(T, omega)/dR = -J^-1 dF/dR, with J
+    the 2x2 Jacobian in (T, omega); all three columns are forward
+    differences (step 1e-7, R stepping into the box) from one batched call.
+    dT/dR > 0 says that moving off the face into R > -1/8 costs time, so
+    the face root is a local minimum of T over the pulse family.  NaN when
+    J is singular.
     """
-    t_rabi = rabi_pi_time(problem.params)
-    warm = None
-    for frac in np.arange(0.84, 1.02 + 1e-12, 0.005):
-        run = optimize_third_harmonic(frac * t_rabi, problem, seeds=2, x0=warm)
-        warm = np.array([run.extras["omega"], run.extras["ratio"]])
-        if run.cost_plus_1 <= TARGET_TOL:
-            return frac * t_rabi, run
+    X = np.array([T, w, _R_FACE]) + np.vstack([np.zeros(3), _FD_STEP * np.eye(3)])
+    F = _u00_rows([ThirdHarmonic(params.u_max, *x) for x in X], params)
+    D = (F[1:] - F[0]).T / _FD_STEP
+    try:
+        return float(np.linalg.solve(D[:, :2], -D[:, 2])[0])
+    except np.linalg.LinAlgError:
+        return math.nan
+
+
+def _face_root(T0: float, w0: float, t_bracket, w_bracket, problem: GateProblem):
+    """Newton in (T, omega) on the face R = -1/8 from a scan dip, or None.
+
+    ``optim.gauss_newton`` with every iterate clipped into the brackets;
+    None unless it reaches |U00|^2 <= 1e-20 there.
+    """
+    params = problem.params
+    lo = np.array([t_bracket[0], w_bracket[0]])
+    hi = np.array([t_bracket[1], w_bracket[1]])
+    r = optim.gauss_newton(lambda X: _face_rows(X, params), [T0, w0], _FD_STEP,
+                           _SOLVE_TOL, _SOLVE_STEPS, lambda x: np.clip(x, lo, hi))
+    if r.status != "converged":
+        return None
+    T, w = (float(v) for v in r.x)
+    slope = _face_slope(T, w, params)
+    proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=_R_FACE)
+    cost1 = _gate_cost_of(proto, problem) + 1.0
+    return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
+                        cost_plus_1=cost1, converged=cost1 <= TARGET_TOL and slope > 0.0,
+                        extras={"omega": w, "ratio": _R_FACE, "residual": r.fun,
+                                "solver_steps": r.n_iter, "dT_dR": slope})
+
+
+def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
+    """Earliest perfect X gate of the two-harmonic pulse, a root on the face R = -1/8.
+
+    Scans T upward over [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
+    ``_FACE_CHUNK`` times per batched propagation.  At each T the profile
+    is the vertex (|U00|^2, omega) of the parabola through the best point
+    of a 17-point frequency grid over omega0 [0.96, 1.04] at R = -1/8 and
+    its two neighbours (``optim.grid_vertex``).  At each local minimum of
+    the profile, in increasing T, Newton in (T, omega) solves U00 = 0 from
+    the dip's vertex (``_face_root``), held to the dip's bracket of the scan,
+    widened by one step to the right, and to the grid's frequencies; the
+    first root is returned, at the precision of the solve rather than of
+    the grid.  ``extras`` holds its |U00|^2 (``residual``), the Newton steps
+    (``solver_steps``) and dT/dR along the perfect-gate curve (``dT_dR``,
+    ``_face_slope``); ``converged`` means C + 1 <= TARGET_TOL and dT/dR > 0.
+    Raises RuntimeError when no dip of the scan holds a root.
+    """
+    params = problem.params
+    t_rabi = rabi_pi_time(params)
+    step = 0.005 * t_rabi
+    ts = np.arange(0.84, 1.02 + 1e-12, 0.005) * t_rabi
+    ws = params.omega0 * _FACE_GRID
+    prof = []  # (|U00|^2, omega) at each scanned T
+    for start in range(0, len(ts), _FACE_CHUNK):
+        chunk = ts[start:start + _FACE_CHUNK]
+        F = _face_rows([(T, w) for T in chunk for w in ws], params)
+        prof += [optim.grid_vertex(c, ws) for c in (F ** 2).sum(axis=1).reshape(len(chunk), -1)]
+        for j in range(max(start, 2), len(prof)):
+            if prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
+                run = _face_root(ts[j - 1], prof[j - 1][1], (ts[j - 2], ts[j] + step),
+                                 (ws[0], ws[-1]), problem)
+                if run is not None:
+                    return run.T, run
     raise RuntimeError("third-harmonic scheme did not reach the gate fidelity in the scan range")
 
 

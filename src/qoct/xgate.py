@@ -31,7 +31,7 @@ from .dynamics import (
     segment_propagators,
     total_unitary,
 )
-from .optim import refine_basins
+from .optim import grid_vertex, refine_basins
 from .pmp import CostSpec, OptimalityReport
 from .protocols import OneParamBB
 
@@ -231,23 +231,6 @@ def _newton_root(T0: float, w0: float, problem: GateProblem, parity: str,
     return root
 
 
-def _vertex(cs: np.ndarray, ws: np.ndarray) -> tuple[float, float]:
-    """(cost, omega) at the vertex of the parabola through the grid's best
-    point and its two neighbours; the best point itself at the grid's ends.
-
-    Near a root U00 is linear in omega, so |U00|^2 is nearly quadratic there,
-    and the vertex follows the root between grid points.
-    """
-    k = int(np.argmin(cs))
-    if 0 < k < len(cs) - 1:
-        lo, mid, hi = (float(c) for c in cs[k - 1:k + 2])
-        curv = lo - 2.0 * mid + hi
-        if curv > 0.0:
-            return (mid - (hi - lo) ** 2 / (8.0 * curv),
-                    float(ws[k] + (ws[k + 1] - ws[k]) * (lo - hi) / (2.0 * curv)))
-    return float(cs[k]), float(ws[k])
-
-
 def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchResult:
     """Smallest T at which the square-wave protocol completes the gate exactly.
 
@@ -281,7 +264,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         for p, prof in profiles.items():
             if p in roots:
                 continue
-            prof.append(_vertex(one_param_cost(ws, T, problem, 1.0, p), ws))
+            prof.append(grid_vertex(one_param_cost(ws, T, problem, 1.0, p), ws))
             if j == 0 and prof[0][0] <= -1.0 + TARGET_TOL:
                 raise RuntimeError("gate already complete at 0.6 T_Rabi, the scan start")
             if j >= 2 and prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import xgate
+from qoct import smoothing, xgate
 from qoct.cli import _angle, main
 from qoct.dynamics import ModelParams, rabi_protocol
 from qoct.fileio import (
@@ -371,12 +371,33 @@ class TestCli:
         assert run["cost_plus_1"] > 1e-6
         assert run["converged"] is False
 
+    def test_smooth_third_reports_solver_status(self, outdir):
+        rc = main(["smooth", "--scheme", "third", "--umax", "0.4"])
+        run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
+        assert rc == 0 and run["converged"] is True
+        assert 0.0 <= run["extras"]["residual"] <= 1e-20
+        assert run["extras"]["solver_steps"] > 0
+        assert run["extras"]["dT_dR"] > 0.0
+        assert run["t_over_trabi"] == pytest.approx(0.853729372711, abs=1e-11)
+
+    def test_smooth_nonfinite_solver_status_exits_2_without_run(self, outdir, monkeypatch):
+        search = smoothing.min_third_harmonic_time
+
+        def nan_slope(problem):
+            T, run = search(problem)
+            return T, dataclasses.replace(run, extras={**run.extras, "dT_dR": float("nan")})
+
+        monkeypatch.setattr(smoothing, "min_third_harmonic_time", nan_slope)
+        assert main(["smooth", "--scheme", "third", "--umax", "0.4"]) == 2
+        assert not (outdir / "smooth" / "smoothing_run.json").exists()
+
     def test_smooth_tanh_fixed_time_runs_resonance_count(self, outdir):
         rc = main(["smooth", "--scheme", "tanh", "--umax", "0.4", "--t-over-trabi", "0.86"])
         run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
         assert rc == 0
         assert run["extras"]["n_pairs"] == 2
         assert run["cost_plus_1"] <= 1e-6
+        assert run["converged"] is True and run["extras"]["residual"] <= 1e-20
 
     def test_smooth_constrained_requires_time(self, outdir):
         rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2"])

@@ -31,6 +31,7 @@ from qoct.dynamics import (
     state_from_bloch,
     state_prep_cost,
     terminal_cost,
+    total_pairs,
     total_unitary,
 )
 from qoct.protocols import (
@@ -304,6 +305,20 @@ class TestPairKernel:
         assert ab.shape == shape[1:] + (2,)
         assert ab.tobytes() == np.ascontiguousarray(U[..., :, 0]).tobytes()
 
+    def test_total_pairs_rows_have_the_bits_of_total_unitary(self):
+        # smooth protocols of different lengths, so most rows are padded,
+        # and a bang sequence, whose exact segments are its cells
+        params = ModelParams(u_max=0.2)
+        protos = [ThirdHarmonic(u_max=0.2, T=T, omega=w, ratio=R)
+                  for T, w, R in [(13.6, 1.99, -0.125), (14.9, 2.02, 0.3), (2.1, 1.5, 1.0)]]
+        protos += [TanhProtocol(u_max=0.2, T=9.0, beta=4.0,
+                                times=mirrored_tanh_times([1.2, 3.0], 9.0)),
+                   BangSequence(4.0, 0.2, (1.0, 2.5), (0.2, -0.2, 0.2))]
+        ab = total_pairs(protos, params)
+        ref = np.array([total_unitary(p, params)[:, 0] for p in protos])
+        assert ab.shape == (len(protos), 2)
+        assert ab.tobytes() == ref.tobytes()
+
     def test_cells_keep_the_closed_form_bits(self):
         # [[c - i h s, -i u s], [-i u s, c + i h s]], c = cos(W d), s = sin(W d)/W,
         # written out; the zero durations give exact identities with +0 parts
@@ -476,7 +491,6 @@ class TestCosts:
     def test_gate_cost_not_below_minus_one(self, kind):
         # a perfect third-harmonic gate on the face R = -1/8, whose summed
         # |U10 + U01|^2 / 4 rounds to about 7e-15 above 1
-        from qoct.protocols import ThirdHarmonic
         proto = ThirdHarmonic(u_max=0.1, T=28.083255197870233, omega=1.9984826847617694,
                               ratio=-0.125)
         U = total_unitary(proto, ModelParams(u_max=0.1))

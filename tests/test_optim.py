@@ -1,9 +1,11 @@
-"""Optimizer kit: simplex, scalar scan, projected gradient."""
+"""Optimizer kit: simplex, scalar scan, projected gradient, Gauss-Newton root solves."""
 import numpy as np
 import pytest
 
 from qoct.optim import (
+    gauss_newton,
     golden_section,
+    grid_vertex,
     lockstep_nelder_mead,
     nelder_mead,
     nelder_mead_restarts,
@@ -379,3 +381,94 @@ class TestProjectedGradient:
                            step0=100.0, max_step=0.1)
         moves = [np.max(np.abs(b - a)) for a, b in zip(trace[1:], trace[2:])]
         assert max(moves) <= 0.1 + 1e-12
+
+
+def same(x):
+    return x
+
+
+class TestGaussNewton:
+    @staticmethod
+    def circle_and_line(X):
+        # x0^2 + x1^2 = 2 and x0 = x1: roots (1, 1) and (-1, -1)
+        X = np.asarray(X)
+        return np.column_stack([X[:, 0] ** 2 + X[:, 1] ** 2 - 2.0, X[:, 0] - X[:, 1]])
+
+    def test_square_system_converges_to_root(self):
+        r = gauss_newton(self.circle_and_line, [2.0, 0.5], 1e-7, 1e-20, 25, same)
+        assert r.status == "converged" and r.fun <= 1e-20
+        np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-10)
+        assert 0 < r.n_iter <= 25
+
+    def test_one_call_of_n_plus_1_rows_per_accepted_step(self):
+        calls = []
+
+        def f(X):
+            calls.append(len(X))
+            return self.circle_and_line(X)
+
+        r = gauss_newton(f, [2.0, 0.5], 1e-7, 1e-20, 25, same)
+        assert set(calls) == {3}
+        assert r.n_eval == sum(calls)
+        # no step of this solve needed damping
+        assert len(calls) == r.n_iter + 1
+
+    def test_underdetermined_step_is_minimum_norm(self):
+        # one equation a.x = 1 in three unknowns: the first step from 0 lands
+        # on the nearest root a / |a|^2
+        a = np.array([1.0, 2.0, -2.0])
+        r = gauss_newton(lambda X: (np.asarray(X) @ a - 1.0)[:, None], np.zeros(3),
+                         1e-7, 1e-20, 25, same)
+        np.testing.assert_allclose(r.x, a / (a @ a), atol=1e-8)
+        assert r.n_iter <= 2
+
+    def test_rank_one_start_is_damped_not_thrown_away(self):
+        # at the start both equations have the gradient (1, 1), so J has
+        # rank one and the undamped step is very long; damped steps reach a
+        # root, x0 = 0.5 or 0.1 on the line x0 + x1 = 1
+        def f(X):
+            X = np.asarray(X)
+            s = X[:, 0] + X[:, 1] - 1.0
+            return np.column_stack([s, s + (X[:, 0] - 0.3) ** 2 - 0.04])
+
+        r = gauss_newton(f, [0.3, 0.2], 1e-7, 1e-20, 25, same)
+        assert r.status == "converged"
+        assert min(abs(r.x[0] - 0.5), abs(r.x[0] - 0.1)) < 1e-9
+        assert r.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_root_stalls_early(self):
+        # |F|^2 >= 1 everywhere: the solve stops when steps stop paying
+        r = gauss_newton(lambda X: np.column_stack([np.asarray(X)[:, 0] ** 2 + 1.0]),
+                         [3.0], 1e-7, 1e-20, 25, same)
+        assert r.status == "stalled" and r.n_iter < 25
+        assert r.fun >= 1.0
+
+    def test_repair_keeps_every_evaluated_iterate_in_the_domain(self):
+        seen = []
+
+        def f(X):
+            seen.append(np.array(X[0]))
+            return self.circle_and_line(X)
+
+        r = gauss_newton(f, [2.0, 0.5], 1e-7, 1e-20, 25, lambda x: np.clip(x, 0.2, 1.5))
+        assert all(np.all((0.2 <= x) & (x <= 1.5)) for x in seen)
+        np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-10)
+
+    def test_nonfinite_start_raises(self):
+        with pytest.raises(RuntimeError, match="not finite"):
+            gauss_newton(lambda X: np.full((len(X), 2), np.nan), [1.0], 1e-7, 1e-20, 25, same)
+
+    def test_step_cap_reports_max_iter(self):
+        r = gauss_newton(self.circle_and_line, [2.0, 0.5], 1e-7, 1e-20, 1, same)
+        assert r.status == "max-iter" and r.n_iter == 1 and r.fun > 1e-20
+
+
+class TestGridVertex:
+    def test_follows_a_root_between_grid_points(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        f, x = grid_vertex((xs - 0.537) ** 2, xs)
+        assert x == pytest.approx(0.537, abs=1e-12) and f == pytest.approx(0.0, abs=1e-12)
+
+    def test_grid_end_returns_the_end_point(self):
+        xs = np.linspace(0.0, 1.0, 11)
+        assert grid_vertex((xs - 1.3) ** 2, xs) == (pytest.approx(0.09), 1.0)

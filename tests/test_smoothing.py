@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 from qoct import smoothing
-from qoct.dynamics import SIGMA_X, SIGMA_Z, ModelParams, gate_cost, total_unitary
+from qoct.dynamics import (
+    SIGMA_X,
+    SIGMA_Z,
+    TARGET_TOL,
+    ModelParams,
+    gate_cost,
+    total_unitary,
+)
 from qoct.protocols import (
     BangSequence,
     OneParamBB,
@@ -41,7 +48,7 @@ class TestTanhScheme:
         assert proto.times == (0.5, 1.1, 2.9, 3.5)
 
     def test_optimize_reports_feasible_protocol(self):
-        run = optimize_tanh(4, 4.0, 0.90 * T_RABI_02, X02, seeds=2)
+        run = optimize_tanh(4, 4.0, 0.90 * T_RABI_02, X02)
         t = np.linspace(0.0, run.T, 8001)
         assert np.max(np.abs(run.protocol.u(t))) <= 0.2 + 1e-9
         s = np.linspace(0.0, run.T / 2, 301)
@@ -49,18 +56,18 @@ class TestTanhScheme:
                                    run.protocol.u(run.T / 2 - s), atol=1e-12)
 
     def test_perfect_gate_achievable_below_rabi_time(self):
-        run = optimize_tanh(4, 4.0, 0.90 * T_RABI_02, X02, seeds=4)
+        run = optimize_tanh(4, 4.0, 0.90 * T_RABI_02, X02)
         assert run.cost_plus_1 <= 1e-6
 
     @pytest.mark.parametrize("gap", ["equal", "one ulp"])
     def test_colliding_free_times_are_repaired(self, gap):
-        # Nelder-Mead drives two free times together; T - t then rounds to
-        # one float for both and the mirrored times stop increasing strictly
+        # two free times driven together make T - t round to one float for
+        # both, and the mirrored times would stop increasing strictly
         a = 1.68322712
         b = a if gap == "equal" else np.nextafter(a, 2.0)
         problem = GateProblem("x", ModelParams(u_max=0.1))
         T = 0.79 * np.pi / 0.1
-        run = optimize_tanh(2, 4.0, T, problem, seeds=1, x0=[a, b])
+        run = optimize_tanh(2, 4.0, T, problem, x0=[a, b])
         times = run.protocol.times
         assert len(times) == 4
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
@@ -95,6 +102,36 @@ class TestTanhScheme:
             np.testing.assert_array_equal(
                 x0, np.clip(prev.extras["times"], 1e-9, T_k / 2 * (1 - 1e-9)))
 
+    def test_min_time_run_is_a_root(self):
+        problem = GateProblem("x", ModelParams(u_max=0.4))
+        _, run = min_tanh_time(problem)
+        assert run.converged and run.extras["residual"] <= 1e-20
+        assert 0 < run.extras["solver_steps"] <= 25
+
+    @pytest.mark.parametrize("u_max", [0.1, 0.4])
+    def test_min_time_pulse_matches_ode_oracle(self, u_max):
+        problem = GateProblem("x", ModelParams(u_max=u_max))
+        _, run = min_tanh_time(problem)
+        assert_gate_under_ode_oracle(run.protocol, problem.params)
+
+
+def assert_gate_under_ode_oracle(proto, params):
+    """The pulse is a perfect X gate under an adaptive integrator that shares
+    no code with the Magnus propagation, and C agrees with ``total_unitary``."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def rhs(t, y):
+        H = 0.5 * params.omega0 * SIGMA_Z + proto.u(t) * SIGMA_X
+        return (-1j * H @ y.reshape(2, 2)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, proto.T), np.eye(2, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success
+    c_ode = gate_cost(sol.y[:, -1].reshape(2, 2), "x")
+    c_grid = gate_cost(total_unitary(proto, params), "x")
+    assert c_ode + 1.0 <= 1e-8
+    assert abs(c_ode - c_grid) <= 1e-9
+
 
 class TestThirdHarmonic:
     def test_optimize_single_point(self):
@@ -110,34 +147,43 @@ class TestThirdHarmonic:
         assert run.cost_plus_1 <= 1e-8
         assert -0.125 <= run.extras["ratio"] < 0.0
 
-    def test_min_time_run_meets_tolerance(self):
-        # u = 0.35 is the grid amplitude whose returned run lies closest to
-        # the default 1e-6 tolerance
+    def test_min_time_run_is_a_face_root(self):
+        # u = 0.35 is the grid amplitude whose root solve ends closest to its
+        # 1e-20 tolerance
         problem = GateProblem("x", ModelParams(u_max=0.35))
         T, run = min_third_harmonic_time(problem)
-        assert run.T == T
-        assert run.cost_plus_1 <= 1e-6
+        assert run.T == T and run.converged
+        assert run.extras["residual"] <= 1e-20
+        assert 0 < run.extras["solver_steps"] <= 25
+        assert run.extras["ratio"] == -0.125 and run.extras["dT_dR"] > 0.0
+        # the reported residual is |U00|^2 of the returned pulse itself
+        u00 = total_unitary(run.protocol, problem.params)[0, 0]
+        assert abs(u00) ** 2 == pytest.approx(run.extras["residual"], rel=1e-6, abs=1e-28)
+        assert 0.0 <= run.cost_plus_1 <= 1e-13
+
+    @pytest.mark.parametrize("u_max", [0.2, 0.4])
+    def test_no_perfect_gate_one_scan_step_before_the_root(self, u_max):
+        # The root is the earliest on the face R = -1/8; fixed-T Nelder-Mead
+        # over the whole (omega, R) box, interior included, misses the gate
+        # 0.005 T_Rabi earlier (C+1 of 1.9e-5 at 0.2 and 2.3e-4 at 0.4).
+        problem = GateProblem("x", ModelParams(u_max=u_max))
+        T, run = min_third_harmonic_time(problem)
+        early = optimize_third_harmonic(T - 0.005 * np.pi / u_max, problem)
+        assert early.cost_plus_1 > TARGET_TOL
+
+    @pytest.mark.parametrize("u_max", [0.1, 0.4])
+    def test_min_time_pulse_matches_ode_oracle(self, u_max):
+        problem = GateProblem("x", ModelParams(u_max=u_max))
+        _, run = min_third_harmonic_time(problem)
+        assert_gate_under_ode_oracle(run.protocol, problem.params)
 
     def test_witness_beyond_rwa_limit_matches_ode_oracle(self):
         # A perfect gate at 0.855 T_Rabi (14.5% reduction, above the RWA
         # limit 1/9 of this pulse family) checked by an adaptive integrator
         # that shares no code with the piecewise-constant propagators.
-        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        params = ModelParams(u_max=0.4)
         proto = ThirdHarmonic(u_max=0.4, T=0.855 * np.pi / 0.4,
                               omega=1.98438740146, ratio=-0.121988495268)
-
-        def rhs(t, y):
-            H = 0.5 * params.omega0 * SIGMA_Z + proto.u(t) * SIGMA_X
-            return (-1j * H @ y.reshape(2, 2)).ravel()
-
-        sol = solve_ivp(rhs, (0.0, proto.T), np.eye(2, dtype=complex).ravel(),
-                        method="DOP853", rtol=1e-13, atol=1e-13)
-        assert sol.success
-        c_ode = gate_cost(sol.y[:, -1].reshape(2, 2), "x")
-        c_grid = gate_cost(total_unitary(proto, params), "x")
-        assert c_ode + 1.0 <= 1e-8
-        assert abs(c_ode - c_grid) <= 1e-9
+        assert_gate_under_ode_oracle(proto, ModelParams(u_max=0.4))
 
     def test_flatter_profile_than_pure_cosine(self):
         run = optimize_third_harmonic(0.92 * T_RABI_02, X02, seeds=4)
