@@ -16,7 +16,10 @@ SU(2), [[a, -b*], [b, a*]], so one kernel carries the Cayley-Klein pairs
 them, ``pair_product`` multiplies them, and ``pair_state_prep_cost`` reads a
 cost from the product's pair.  ``segment_propagators`` and
 ``ordered_product`` are that kernel with its pairs written out as matrices,
-and ``total_pairs`` runs it over a stack of protocols, one row each.
+and ``total_pairs`` runs it over a stack of protocols, one row each.  The
+levels of its pairwise tree (``pair_levels``) give every prefix product by a
+down-sweep (``pair_prefixes``): that one scan serves ``prefix_states`` and
+the adjoints, gradients and Jacobians of ``pmp``.
 """
 from __future__ import annotations
 
@@ -48,8 +51,12 @@ __all__ = [
     "cell_pairs",
     "segment_propagators",
     "segment_derivatives",
-    "matmul_2x2",
+    "pair_mul",
+    "pair_apply",
+    "pair_matrix",
     "pair_product",
+    "pair_levels",
+    "pair_prefixes",
     "prefix_states",
     "propagation_cells",
     "total_unitary",
@@ -147,22 +154,27 @@ def constant_propagator(t: float, u: float, params: ModelParams) -> np.ndarray:
     """Closed-form evolution operator for a constant control over duration t."""
     if t < 0:
         raise ValueError("duration must be nonnegative")
-    h = 0.5 * params.omega0
-    w = np.hypot(h, u)
-    c = np.cos(w * t)
-    s = np.sin(w * t) / w
-    return np.array([[c - 1j * s * h, -1j * s * u],
-                     [-1j * s * u, c + 1j * s * h]], dtype=complex)
+    return segment_propagators(t, u, params)
 
 
-def _cell_terms(durations, values, params: ModelParams):
-    """(values, h, W, cos(W d), sin(W d)/W) of the closed-form cell propagator."""
-    durations = np.asarray(durations, dtype=float)
+def _cells(durations, values, params: ModelParams):
+    """``cell_pairs``, and a function giving ``segment_derivatives`` from the same terms."""
+    d = np.asarray(durations, dtype=float)
     values = np.asarray(values, dtype=float)
     h = 0.5 * params.omega0
     w = np.hypot(h, values)
-    th = w * durations
-    return values, h, w, np.cos(th), np.sin(th) / w
+    th = w * d
+    c, s = np.cos(th), np.sin(th) / w
+    ab = np.empty(c.shape + (2,), dtype=complex)
+    np.subtract(c, (1j * h) * s, out=ab[..., 0])
+    np.multiply(-1j * s, values, out=ab[..., 1])
+
+    def derivatives():
+        dc = -values * d * s
+        ds = values * (d * c - s) / w ** 2
+        return np.stack((dc - (1j * h) * ds, -1j * (values * ds + s)), axis=-1)
+
+    return ab, derivatives
 
 
 def cell_pairs(durations, values, params: ModelParams) -> np.ndarray:
@@ -171,11 +183,7 @@ def cell_pairs(durations, values, params: ModelParams) -> np.ndarray:
     One pair per (duration, value) segment, a = cos(W d) - i h sin(W d)/W
     and b = -i u sin(W d)/W; the cell is [[a, -b*], [b, a*]].
     """
-    values, h, _, c, s = _cell_terms(durations, values, params)
-    ab = np.empty(c.shape + (2,), dtype=complex)
-    np.subtract(c, (1j * h) * s, out=ab[..., 0])
-    np.multiply(-1j * s, values, out=ab[..., 1])
-    return ab
+    return _cells(durations, values, params)[0]
 
 
 def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
@@ -194,35 +202,47 @@ def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
 
 
 def segment_derivatives(durations, values, params: ModelParams) -> np.ndarray:
-    """Closed-form dU/du of ``segment_propagators``, one per (duration, value) segment.
+    """Pairs (alpha, beta) of the closed-form dU/du, one per (duration, value) segment.
 
-    With c = cos(W d) and s = sin(W d)/W, dW/du = u/W gives dc/du = -u d s and
-    ds/du = u (d c - s)/W^2, so
-
-        dU/du = -u d s 1 - i (ds/du) (h sigma_z + u sigma_x) - i s sigma_x,
-
-    which is regular at u = 0 (W >= h > 0).
+    u is real, so dU/du = [[alpha, -beta*], [beta, alpha*]] like the cell.
+    With c = cos(W d), s = sin(W d)/W and dW/du = u/W, dc/du = -u d s and
+    ds/du = u (d c - s)/W^2, so alpha = dc/du - i h ds/du and
+    beta = -i (u ds/du + s), regular at u = 0 (W >= h > 0).
     """
-    d = np.asarray(durations, dtype=float)
-    values, h, w, c, s = _cell_terms(d, values, params)
-    dc = -values * d * s
-    ds = values * (d * c - s) / w ** 2
-    dU = np.empty(c.shape + (2, 2), dtype=complex)
-    dU[..., 0, 0] = dc - 1j * h * ds
-    dU[..., 1, 1] = dc + 1j * h * ds
-    dU[..., 0, 1] = -1j * (values * ds + s)
-    dU[..., 1, 0] = dU[..., 0, 1]
-    return dU
+    return _cells(durations, values, params)[1]()
 
 
-def matmul_2x2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for stacked 2x2 matrices A (..., 2, 2) and 2-row blocks B (..., 2, m).
+def pair_mul(a1, b1, a0, b0):
+    """Pair of [[a1, -b1*], [b1, a1*]] @ [[a0, -b0*], [b0, a0*]], elementwise over stacks.
 
-    Written out componentwise, which on stacks of tiny matrices is several
-    times faster than ``np.matmul``; it differs from the BLAS product in the
-    last bits.
+    Real combinations of SU(2) matrices, such as dU/du, keep the form.
     """
-    return A[..., :, :1] * B[..., None, 0, :] + A[..., :, 1:] * B[..., None, 1, :]
+    a = a1 * a0
+    a -= np.conjugate(b1) * b0  # in place: one temporary fewer on long stacks
+    b = b1 * a0
+    b += np.conjugate(a1) * b0
+    return a, b
+
+
+def pair_apply(ab: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """[[a, -b*], [b, a*]] @ block for pairs (..., 2) and blocks (..., 2, m), column by column."""
+    a, b = ab[..., 0], ab[..., 1]
+    out = np.empty(np.broadcast_shapes(a.shape, block.shape[:-2]) + block.shape[-2:], complex)
+    for j in range(block.shape[-1]):  # loops along the stack, not along m <= 2
+        x0, x1 = block[..., 0, j], block[..., 1, j]
+        out[..., 0, j] = a * x0 - np.conjugate(b) * x1
+        out[..., 1, j] = b * x0 + np.conjugate(a) * x1
+    return out
+
+
+def pair_matrix(ab: np.ndarray) -> np.ndarray:
+    """The matrices [[a, -b*], [b, a*]] of pairs ab (..., 2), as (..., 2, 2)."""
+    U = np.empty(ab.shape + (2,), dtype=complex)
+    U[..., :, 0] = ab
+    col = U[..., :, 1]
+    np.conjugate(ab[..., ::-1], out=col)
+    np.negative(col[..., 0], out=col[..., 0])
+    return U
 
 
 def _carry(level: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -233,18 +253,14 @@ def _carry(level: np.ndarray, prev: np.ndarray) -> np.ndarray:
 def pair_product(ab: np.ndarray) -> np.ndarray:
     """Cayley-Klein pair of the product of cells ab[k], k = 0 acting first.
 
-    ``ab`` is (n, ..., 2): n cells for every lane of the middle axes, each
-    cell the pair (a, b) of the SU(2) matrix [[a, -b*], [b, a*]] on the last
-    axis.  Products of the form keep it, so each level of a pairwise tree
-    multiplies pairs,
-
-        a' = a1 a0 - b1* b0,   b' = b1 a0 + a1* b0   (cell 0 acting first),
-
-    written elementwise over the whole stack (Pauly et al., IEEE Trans. Med.
-    Imaging 10, 53 (1991)).  That is half the arithmetic of a 2x2 product,
-    and it avoids numpy's stacked ``matmul``, which costs about 0.5 us per
-    2x2 matrix.  An odd level carries its last element to the next one
-    unchanged.  Returns the pair (..., 2) of the whole product.
+    ``ab`` is (n, ..., 2), n >= 1: n cells for every lane of the middle
+    axes, each cell the pair (a, b) of the SU(2) matrix [[a, -b*], [b, a*]]
+    on the last axis.  Products of the form keep it, so each level of a
+    pairwise tree (``pair_levels``) multiplies pairs by ``pair_mul`` over the
+    whole stack (Pauly et al., IEEE Trans. Med. Imaging 10, 53 (1991)).
+    That is half the arithmetic of a 2x2 product, and it avoids numpy's
+    stacked ``matmul``, which costs about 0.5 us per 2x2 matrix.  Returns
+    the pair (..., 2) of the whole product.
 
     Stacks of at most ``_PAIR_AXIS_MAX_CELLS`` cells (n times the lanes)
     keep a and b side by side on the last axis, which takes fewer numpy
@@ -254,14 +270,8 @@ def pair_product(ab: np.ndarray) -> np.ndarray:
     """
     ab = np.asarray(ab)
     if ab.size > 2 * _PAIR_AXIS_MAX_CELLS:
-        a, b = ab[..., 0], ab[..., 1]
-        while (m := len(a)) > 1:
-            a0, a1, b0, b1 = a[0:m - 1:2], a[1::2], b[0:m - 1:2], b[1::2]
-            new_a = a1 * a0
-            new_a -= np.conjugate(b1) * b0
-            new_b = b1 * a0
-            new_b += np.conjugate(a1) * b0
-            a, b = _carry(new_a, a), _carry(new_b, b)
+        for a, b in pair_levels(ab):
+            pass
         return np.stack((a[0], b[0]), axis=-1)
     while (m := len(ab)) > 1:
         ab0, ab1 = ab[0:m - 1:2], ab[1::2]
@@ -270,6 +280,43 @@ def pair_product(ab: np.ndarray) -> np.ndarray:
         new += np.conjugate(ab1[..., ::-1]) * (ab0[..., 1:] * _NEG_FIRST)
         ab = _carry(new, ab)
     return ab[0]
+
+
+def pair_levels(ab: np.ndarray):
+    """Up-sweep of the prefix scan: the levels (a, b) of ``pair_product``'s tree.
+
+    Yields the cells of ``ab`` (n, ..., 2), n >= 1, then each level:
+    neighbours 2i (acting first) and 2i + 1 multiplied by ``pair_mul``, an
+    odd level's last element carried unchanged, up to the whole product.
+    """
+    a, b = ab[..., 0], ab[..., 1]
+    yield a, b
+    while (m := len(a)) > 1:
+        new_a, new_b = pair_mul(a[1::2], b[1::2], a[0:m - 1:2], b[0:m - 1:2])
+        a, b = _carry(new_a, a), _carry(new_b, b)
+        yield a, b
+
+
+def pair_prefixes(levels) -> np.ndarray:
+    """Down-sweep of the prefix scan: pairs (n + 1, ..., 2) of P_k = U[k-1] ... U[0].
+
+    From the ``pair_levels`` of n cells, down the tree (Blelloch, "Prefix sums
+    and their applications", 1990): an even element's prefix is its
+    parent's, an odd one's is its even neighbour times that.  P_0 is the
+    identity and P_n the top of the tree.
+    """
+    *lower, top = levels
+    top = np.stack(top, axis=-1)[0]
+    P = np.stack((np.ones_like(top), top))  # the prefixes of the top level
+    P[0, ..., 1] = 0.0
+    for a, b in reversed(lower):
+        m = len(a)
+        E, P = P, np.empty((m + 1,) + top.shape, complex)
+        P[0:m:2] = E[:-1]
+        P[1:m:2, ..., 0], P[1:m:2, ..., 1] = pair_mul(a[0:m - 1:2], b[0:m - 1:2],
+                                                    E[:m // 2, ..., 0], E[:m // 2, ..., 1])
+    P[-1] = top
+    return P
 
 
 def ordered_product(units: np.ndarray) -> np.ndarray:
@@ -287,13 +334,7 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     units = np.asarray(units)
     if units.ndim == 2:
         return units
-    ab = pair_product(units[..., :, 0])
-    U = np.empty(ab.shape + (2,), dtype=complex)
-    U[..., :, 0] = ab
-    col = U[..., :, 1]
-    np.conjugate(ab[..., ::-1], out=col)
-    np.negative(col[..., 0], out=col[..., 0])
-    return U
+    return pair_matrix(pair_product(units[..., :, 0]))
 
 
 def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
@@ -301,37 +342,18 @@ def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
 
     ``initial`` is one state (2,) or a block of states (2, m); the 2x2
     identity gives the prefix unitaries P_k themselves.  Returns n+1 rows
-    for n segments, the last being the final state or block.
-
-    The scan is blocked (Blelloch, "Prefix sums and their applications",
-    1990): the n segments are cut into about sqrt(n) blocks of about sqrt(n)
-    cells, the prefix products inside every block are formed in one pass
-    vectorized across the blocks, a loop over the blocks carries the state
-    from each block into the next, and one vectorized product applies every
-    local prefix to its block's entry state.  So Python loops over about
-    2 sqrt(n) steps instead of n.  The rows agree with the sequential
+    for n cells (n, 2, 2), the last being the final state or block.  Like
+    ``ordered_product``, it reads only the cells' pairs: one prefix scan
+    (``pair_levels``, ``pair_prefixes``), log2(n) vectorized levels each
+    way, then one ``pair_apply``.  The rows agree with the sequential
     product to rounding (about 1e-14), not bit for bit.
     """
     initial = np.asarray(initial, dtype=complex)
     block = initial.reshape(2, -1)
     n = len(units)
-    states = np.empty((n + 1,) + block.shape, dtype=complex)
-    states[0] = block
+    states = block[None].copy()
     if n:
-        width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-        n_blocks = -(-n // width)
-        # local[i, j] = U[i w + j] @ ... @ U[i w]; the padding cells are identities
-        local = np.empty((n_blocks, width, 2, 2), dtype=complex)
-        cells = local.reshape(n_blocks * width, 2, 2)
-        cells[:n] = units
-        cells[n:] = SIGMA_0
-        for j in range(1, width):
-            local[:, j] = matmul_2x2(local[:, j], local[:, j - 1])
-        entry = np.empty((n_blocks,) + block.shape, dtype=complex)
-        entry[0] = block
-        for i in range(1, n_blocks):
-            entry[i] = local[i - 1, -1] @ entry[i - 1]
-        states[1:] = matmul_2x2(local, entry[:, None]).reshape((-1,) + block.shape)[:n]
+        states = pair_apply(pair_prefixes(pair_levels(np.asarray(units)[:, :, 0])), block)
     return states.reshape((n + 1,) + initial.shape)
 
 

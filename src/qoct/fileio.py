@@ -110,17 +110,29 @@ def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Requires the exact header, two columns in every row, finite values, and
     strictly increasing uniform times starting at zero; raises ValueError on
-    malformed input.  All cells are converted in one numpy call, which reads
-    each cell as ``float`` does.
+    malformed input; blank lines are skipped.  The checks run on the lines
+    as one byte array (in UTF-8 an ASCII character is one byte), and only a
+    line that starts with a byte <= 32 or >= 127 is tested by ``str.strip``.
+    All cells are converted in one numpy call, which reads each cell as
+    ``float`` does.
     """
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = path.read_text().splitlines() or [""]
+    text = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.bincount(np.searchsorted(ends, np.flatnonzero(text == ord(","))),
+                         minlength=len(lines))
+    first = text[np.r_[0, ends[:-1] + 1]]
+    blank = [i for i in np.flatnonzero((first <= 32) | (first >= 127)) if not lines[i].strip()]
+    if blank:
+        lines = np.delete(np.array(lines, dtype=object), blank).tolist()
+        commas = np.delete(commas, blank)
     if not lines or lines[0].strip().replace(" ", "") != "t,u":
         raise ValueError(f"{path}: expected header 't,u'")
     rows = lines[1:]
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two 't,u' rows")
-    if not all(ln.count(",") == 1 for ln in rows):
+    if np.any(commas[1:] != 1):
         raise ValueError(f"{path}: malformed row, expected two columns 't,u'")
     try:
         data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 2)

@@ -19,11 +19,12 @@ cost has the two from |0> and |1>, handled as the columns of a (2, 2) block,
 and their switching functions and control-Hamiltonians add, because the cost
 gradient is additive over trajectories.
 
-The prefix unitaries come from one blocked scan (``dynamics.prefix_states``,
-Python loops over about 2 sqrt(n) steps for n cells), and the (2, m) blocks
-are applied to them componentwise.  For a piecewise-constant control the
-cost gradient is exact, not a quadrature of Phi: it pairs the adjoint at
-the end of each cell with the closed-form cell derivative dU/du
+The P_k are Cayley-Klein pairs from one prefix scan over the cells
+(``dynamics.pair_levels`` up the pairwise tree and ``dynamics.pair_prefixes``
+down it, log2(n) vectorized levels each way), applied to the (2, m) blocks
+by ``dynamics.pair_apply``.  For a piecewise-constant control the cost
+gradient and the gate Jacobian are exact, not a quadrature of Phi: they pair
+the prefixes with the closed-form cell derivative dU/du, itself a pair
 (``dynamics.segment_derivatives``), as in GRAPE (Khaneja et al., J. Magn.
 Reson. 172, 296 (2005); de Fouquieres et al., J. Magn. Reson. 212, 412
 (2011)).
@@ -41,11 +42,13 @@ from .dynamics import (
     SIGMA_0,
     BlochPoint,
     ModelParams,
-    matmul_2x2,
-    prefix_states,
+    _cells,
+    pair_apply,
+    pair_levels,
+    pair_matrix,
+    pair_mul,
+    pair_prefixes,
     propagate,
-    segment_derivatives,
-    segment_propagators,
 )
 from .protocols import Protocol, Sampled, segment_durations_values
 
@@ -58,6 +61,7 @@ __all__ = [
     "cost_and_gradient",
     "gate_residual",
     "gate_jacobian",
+    "gate_unitary_and_jacobian",
     "omega_eff_from_ratio",
     "analytical_switching",
     "fit_switching_amplitude",
@@ -121,15 +125,16 @@ def terminal_adjoints(cost: CostSpec, finals: np.ndarray) -> np.ndarray:
 
 
 def _forward_and_adjoint(P: np.ndarray, cost: CostSpec):
-    """Forward and adjoint state blocks (..., 2, m) from prefix unitaries P (..., 2, 2).
+    """Forward and adjoint state blocks (..., 2, m) from prefix pairs P (..., 2).
 
-    The last row of P is the total evolution operator.  Also returns the
-    (2, m) block of final forward states.
+    The last row of P is the pair (a, b) of the total evolution operator U,
+    and (a*, -b) that of U^dag.  Also returns the (2, m) block of finals.
     """
     psi0 = cost.initial_states()
-    finals = P[-1] @ psi0
-    lam0 = P[-1].conj().T @ terminal_adjoints(cost, finals)
-    return matmul_2x2(P, psi0), matmul_2x2(P, lam0), finals
+    a, b = P[-1]
+    finals = pair_apply(P[-1], psi0)
+    lam0 = pair_apply(np.array([np.conjugate(a), -b]), terminal_adjoints(cost, finals))
+    return pair_apply(P, psi0), pair_apply(P, lam0), finals
 
 
 def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -156,16 +161,13 @@ def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
     With psi_k the forward block entering cell k and lambda_(k+1) the adjoint
     block leaving it, dC/du_k = Re sum conj(lambda_(k+1)) . (dU_k/du) psi_k
     over the state columns: the exact derivative of the piecewise-constant
-    propagation, from one prefix pass and the closed-form dU/du.  By
+    propagation, from one prefix scan and the closed-form dU/du.  By
     Duhamel's formula for dU/du it equals the integral of Phi over the cell,
     with no quadrature error.
     """
-    n, dt = protocol.n_t, protocol.dt
-    durs = np.full(n, dt)
-    vals = protocol.values
-    psi, lam, finals = _forward_and_adjoint(
-        prefix_states(segment_propagators(durs, vals, params), SIGMA_0), cost)
-    dpsi = matmul_2x2(segment_derivatives(durs, vals, params), psi[:-1])
+    ab, derivatives = _cells(np.full(protocol.n_t, protocol.dt), protocol.values, params)
+    psi, lam, finals = _forward_and_adjoint(pair_prefixes(pair_levels(ab)), cost)
+    dpsi = pair_apply(derivatives(), psi[:-1])
     grad = np.real(lam[1:].conj() * dpsi).sum(axis=(-2, -1))
     return cost.value(finals), grad
 
@@ -188,21 +190,27 @@ def gate_residual(U: np.ndarray, kind: str) -> np.ndarray:
 
 
 def gate_jacobian(protocol: Sampled, params: ModelParams, kind: str) -> np.ndarray:
-    """Exact Jacobian (m, n) of ``gate_residual`` in the n cell values of a Sampled control.
+    """Exact Jacobian (m, n) of ``gate_residual`` in the n cell values of a Sampled control."""
+    return gate_unitary_and_jacobian(protocol, params, kind)[1]()
 
-    dU/du_k = U P_(k+1)^dag (dU_k/du) P_k, so row i of its first column is
-    conj(P_(k+1) U^dag e_i) . (dU_k/du) P_k e_0: one prefix pass and the
-    closed-form cell derivative, as in ``cost_and_gradient``, whose X-gate
-    gradient is 2 J^T F.
+
+def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str):
+    """Total unitary of a Sampled control, and a function giving ``gate_jacobian``.
+
+    One set of cell terms and one up-sweep (``pair_levels``) give U with the
+    bits of ``total_unitary``; the down-sweep and the cell derivatives run
+    only when the function is called.  On pairs, dU/du_k = S_k (dU_k/du) P_k
+    with S_k = U P_(k+1)^dag; the X-gate gradient is 2 J^T F.
     """
-    n, dt = protocol.n_t, protocol.dt
-    durs = np.full(n, dt)
-    vals = protocol.values
-    P = prefix_states(segment_propagators(durs, vals, params), SIGMA_0)
-    rows = matmul_2x2(P[1:], P[-1].conj().T)  # column i: P_(k+1) U^dag e_i
-    dpsi = matmul_2x2(segment_derivatives(durs, vals, params), P[:-1, :, :1])
-    dab = (rows.conj() * dpsi).sum(axis=-2)  # (n, 2): da/du_k, db/du_k
-    return _gate_rows(dab[:, 0], dab[:, 1], kind)
+    ab, derivatives = _cells(np.full(protocol.n_t, protocol.dt), protocol.values, params)
+    levels = list(pair_levels(ab))
+
+    def jacobian():
+        a, b = pair_prefixes(levels).T
+        s = pair_mul(a[-1], b[-1], np.conjugate(a[1:]), -b[1:])
+        return _gate_rows(*pair_mul(*s, *pair_mul(*derivatives().T, a[:-1], b[:-1])), kind)
+
+    return pair_matrix(np.concatenate(levels[-1])), jacobian
 
 
 def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:
@@ -339,7 +347,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     |theta - pi/2| < 1e-3.
     """
     traj = propagate(protocol, params, SIGMA_0, n_samples)
-    psi, lam, _ = _forward_and_adjoint(traj.states, cost)
+    psi, lam, _ = _forward_and_adjoint(traj.states[..., :, 0], cost)
     times = traj.times
     phi = switching_function(lam, psi)
 

@@ -193,9 +193,14 @@ class TanhProtocol:
 
     def u(self, t):
         t = np.asarray(t, dtype=float)
+        # one in-place np.tanh over a C-ordered (times, t) array, rows added in order
+        th = np.subtract(t, np.reshape(self.times, (-1,) + (1,) * t.ndim))
+        th *= self.beta
+        np.tanh(th, out=th)
+        th[1::2] *= -1.0
         acc = -np.ones_like(t)
-        for i, ti in enumerate(self.times):
-            acc = acc + (-1.0) ** i * np.tanh(self.beta * (t - ti))
+        for row in th:
+            acc += row
         return self.u_max * acc
 
 

@@ -385,9 +385,11 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     +/-u_max that this step would push out of the box and solves again, and
     clips the result into the box.  The minimum-norm step is the first-order
     nearest point of the constraint set (Rosen, J. SIAM 9, 514 (1961);
-    Nocedal & Wright, Numerical Optimization, ch. 15).  C + 1 comes from
-    ``total_unitary``, and the Jacobian (``pmp.gate_jacobian``) is formed only
-    while C + 1 > ``tol``.  Raises RuntimeError when a step does not lower
+    Nocedal & Wright, Numerical Optimization, ch. 15).  Each iterate is
+    propagated once (``pmp.gate_unitary_and_jacobian``): C + 1 comes from
+    the prefix scan's up-sweep through ``gate_cost``, with the bits of
+    ``total_unitary``, and the down-sweep and the Jacobian only while
+    C + 1 > ``tol``.  Raises RuntimeError when a step does not lower
     C + 1, as below the bang-bang minimum T*, when no cell is left free, or
     when ``max_iter`` steps do not reach ``tol``.  ``n_eval`` of the
     returned result counts the evaluations of C.
@@ -399,15 +401,14 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     best = np.inf
     for n_eval in range(1, max_iter + 2):
         proto = Sampled(T, u_max, u)
-        U = total_unitary(proto, params)
+        U, jacobian = pmp.gate_unitary_and_jacobian(proto, params, kind)
         c = float(gate_cost(U, kind))
         if c + 1.0 <= tol:
             return proto, optim.OptimResult(x=u, fun=c, status="converged", n_eval=n_eval)
         if c >= best or n_eval > max_iter:
             break
         best = c
-        step = _active_set_step(u, pmp.gate_residual(U, kind),
-                                pmp.gate_jacobian(proto, params, kind), u_max)
+        step = _active_set_step(u, pmp.gate_residual(U, kind), jacobian(), u_max)
         if step is None:
             break
         u = np.clip(u + step, -u_max, u_max)

@@ -89,14 +89,28 @@ class TestFileIO:
             with pytest.raises(ValueError, match="non-finite"):
                 read_pulse_csv(p)
 
+    # one- and three-column rows in one file have as many commas as rows and
+    # split into an even number of cells, so only a per-row count refuses them
     @pytest.mark.parametrize("body", ["0,0.1\n0.1\n0.2,0.1\n", "0,0.1\n0.1,0.1,7\n0.2,0.1\n",
-                                      "0,0.1\n0.1,abc\n0.2,0.1\n"],
-                             ids=["one column", "three columns", "non-numeric"])
+                                      "0,0.1\n0.1,abc\n0.2,0.1\n",
+                                      "0,0.1\n0.1\n0.2,0.1,7\n0.3,0.1\n"],
+                             ids=["one column", "three columns", "non-numeric",
+                                  "one and three columns"])
     def test_reader_rejects_malformed_row(self, tmp_path, body):
         p = tmp_path / "x.csv"
         p.write_text("t,u\n" + body)
         with pytest.raises(ValueError, match="malformed"):
             read_pulse_csv(p)
+
+    def test_reader_skips_blank_and_whitespace_lines(self, tmp_path):
+        # empty, ASCII and Unicode whitespace lines are dropped anywhere, CRLF
+        # ends are lines, and rows may start or end with spaces
+        p = tmp_path / "x.csv"
+        p.write_text("\n \t\nt,u\r\n0,0.1\n\xa0\n 0.1, 0.2 \n\u3000\n\x1f\n0.2,0.3\n\n",
+                     encoding="utf-8", newline="")
+        t, u = read_pulse_csv(p)
+        np.testing.assert_array_equal(t, [0.0, 0.1, 0.2])
+        np.testing.assert_array_equal(u, [0.1, 0.2, 0.3])
 
     def test_json_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):

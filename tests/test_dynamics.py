@@ -18,8 +18,10 @@ from qoct.dynamics import (
     cell_pairs,
     constant_propagator,
     gate_cost,
-    matmul_2x2,
     ordered_product,
+    pair_levels,
+    pair_matrix,
+    pair_prefixes,
     pair_product,
     pair_state_prep_cost,
     prefix_states,
@@ -168,8 +170,8 @@ class TestPropagate:
             propagate(BangSequence(1.0, 0.5, (), (0.5,)), P05, KET_0, n_samples=1)
 
 
-# cell counts for the blocked scan: the edges, squares (exact blocks), primes
-# (a short last block) and one 10^4 + 1 (one cell past a square)
+# cell counts for the prefix scan: the edges, squares, primes (carried odd
+# levels) and one 10^4 + 1 (one cell past a power-of-ten square)
 SCAN_SIZES = st.one_of(st.integers(0, 3), st.integers(2, 40).map(lambda k: k * k),
                        st.sampled_from([5, 7, 13, 31, 101, 997, 4099]), st.just(10_001))
 
@@ -223,11 +225,22 @@ class TestPrefixStates:
         np.testing.assert_array_equal(states[0], initial)
         assert np.abs(states - np.array(ref)).max() <= 1e-13
 
-    def test_matmul_2x2_matches_matmul(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((7, 3, 2, 2)) + 1j * rng.standard_normal((7, 3, 2, 2))
-        for B in (rng.standard_normal((7, 3, 2, 2)), rng.standard_normal((2, 1)) + 0.5j):
-            np.testing.assert_allclose(matmul_2x2(A, B), A @ B, rtol=0, atol=1e-14)
+    @settings(max_examples=40, deadline=None)
+    @given(n=SCAN_SIZES, seed=st.integers(0, 2**32 - 1))
+    @example(n=0, seed=0)
+    @example(n=1, seed=0)
+    @example(n=10_001, seed=1)
+    def test_scan_last_row_has_the_bits_of_pair_product(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
+        if n == 0:  # no cells: the one row of prefix_states is the initial block
+            np.testing.assert_array_equal(prefix_states(segment_propagators([], [], P05),
+                                                        SIGMA_0), [SIGMA_0])
+            return
+        P = pair_prefixes(pair_levels(ab))
+        assert P.shape == (n + 1, 2)
+        assert P[0].tobytes() == np.array([1.0, 0.0], dtype=complex).tobytes()
+        assert P[-1].tobytes() == pair_product(ab).tobytes()
 
 
 # cell counts for the pairwise tree: the smallest, odd counts (a carried last
@@ -361,13 +374,14 @@ class TestSegmentDerivatives:
         h = 1e-6
         fd = (segment_propagators(durs, vals + h, P05)
               - segment_propagators(durs, vals - h, P05)) / (2.0 * h)
-        dU = segment_derivatives(durs, vals, P05)
-        assert dU.shape == (len(durs), 2, 2)
-        assert np.abs(dU - fd).max() <= 1e-8
+        dab = segment_derivatives(durs, vals, P05)
+        assert dab.shape == (len(durs), 2)
+        # dU/du = [[alpha, -beta*], [beta, alpha*]], the matrix of the pair
+        assert np.abs(pair_matrix(dab) - fd).max() <= 1e-8
 
     def test_zero_duration_cell_has_zero_derivative(self):
-        dU = segment_derivatives(np.zeros(3), [0.0, 0.3, -0.5], P05)
-        np.testing.assert_array_equal(dU, np.zeros((3, 2, 2)))
+        dab = segment_derivatives(np.zeros(3), [0.0, 0.3, -0.5], P05)
+        np.testing.assert_array_equal(dab, np.zeros((3, 2)))
 
 
 class TestBlochMaps:

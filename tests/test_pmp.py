@@ -27,6 +27,7 @@ from qoct.pmp import (
     control_hamiltonian,
     cost_and_gradient,
     gate_jacobian,
+    gate_unitary_and_jacobian,
     gate_residual,
     omega_eff_from_ratio,
     switching_function,
@@ -146,6 +147,14 @@ class TestGateJacobian:
         F = gate_residual(total_unitary(proto, params), "x")
         jtf = 2.0 * gate_jacobian(proto, params, "x").T @ F
         np.testing.assert_allclose(jtf, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(grad)))
+
+    @pytest.mark.parametrize("n", [1, 7, 999, 1000])
+    def test_scan_unitary_has_the_bits_of_total_unitary(self, n):
+        proto = random_sampled(n=n)
+        params = ModelParams(u_max=0.3)
+        U, jacobian = gate_unitary_and_jacobian(proto, params, "x")
+        assert U.tobytes() == total_unitary(proto, params).tobytes()
+        assert jacobian().tobytes() == gate_jacobian(proto, params, "x").tobytes()
 
     @pytest.mark.parametrize("kind", ["x", "y", "pt"])
     def test_matches_central_differences(self, kind):

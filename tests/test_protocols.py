@@ -129,6 +129,21 @@ class TestTanh:
                             0.5 * (times[1:] + times[:-1])])
         assert np.max(np.abs(p.u(t))) <= u_max * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (1000,), (1800, 2), (3, 5, 4)])
+    def test_u_has_the_bits_of_one_tanh_per_switching_time(self, shape):
+        # the reference loop takes one np.tanh per switching time and adds
+        # the terms in order; u takes one np.tanh over all of them
+        rng = np.random.default_rng(len(shape))
+        T = 28.0
+        p = TanhProtocol(u_max=0.2, T=T, beta=4.0,
+                         times=mirrored_tanh_times(np.sort(rng.uniform(0.5, 13.5, 5)), T))
+        t = rng.uniform(0.0, T, shape)
+        acc = -np.ones_like(t)
+        for i, ti in enumerate(p.times):
+            acc = acc + (-1.0) ** i * np.tanh(p.beta * (t - ti))
+        assert np.shape(p.u(t)) == shape
+        assert np.asarray(p.u(t)).tobytes() == np.asarray(p.u_max * acc).tobytes()
+
     @pytest.mark.parametrize("field, bad", [("u_max", -0.2), ("beta", -3.0), ("beta", 0.0),
                                             ("beta", float("nan")), ("T", float("inf"))])
     def test_rejects_nonpositive_or_nonfinite_parameters(self, field, bad):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qoct import smoothing
+from qoct import pmp, smoothing
 from qoct.dynamics import (
     SIGMA_X,
     SIGMA_Z,
@@ -249,6 +249,33 @@ class TestProjection:
         c = gate_cost(total_unitary(projected, X02.params), "x")
         assert c + 1.0 <= 1e-8
         assert np.max(np.abs(projected.values)) <= 0.2 + 1e-9
+
+    @pytest.mark.parametrize("n_t", [401, 1000])
+    def test_every_iterate_cost_has_the_bits_of_total_unitary(self, n_t, monkeypatch):
+        # C comes from the prefix scan's up-sweep; on every iterate it must be
+        # C of total_unitary bit for bit, so no stop or stall decision moves
+        seen = []
+        scan = pmp.gate_unitary_and_jacobian
+
+        def spy(proto, params, kind):
+            U, jacobian = scan(proto, params, kind)
+            seen.append((proto, U))
+            return U, jacobian
+
+        monkeypatch.setattr(pmp, "gate_unitary_and_jacobian", spy)
+        res = min_gate_time(X02, with_report=False)
+        T = 1.02 * res.t_star
+        mids = (np.arange(n_t) + 0.5) * (T / n_t)
+        vals = np.asarray(one_param_protocol(res.omega_eff, T, X02, sign=-1).u(mids))
+        vals += 0.02 * np.random.default_rng(n_t).standard_normal(n_t)
+        projected, info = project_to_gate(vals, T, X02, tol=1e-8)
+        assert len(seen) == info.n_eval >= 3
+        assert seen[-1][0] is projected
+        for proto, U in seen:
+            ref = total_unitary(proto, X02.params)
+            assert U.tobytes() == ref.tobytes()
+            assert float(gate_cost(U, "x")).hex() == float(gate_cost(ref, "x")).hex()
+        assert info.fun == float(gate_cost(total_unitary(projected, X02.params), "x"))
 
     def test_fails_below_minimum_time(self):
         res = min_gate_time(X02, with_report=False)
