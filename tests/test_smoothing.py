@@ -161,6 +161,17 @@ class TestThirdHarmonic:
         assert abs(u00) ** 2 == pytest.approx(run.extras["residual"], rel=1e-6, abs=1e-28)
         assert 0.0 <= run.cost_plus_1 <= 1e-13
 
+    def test_root_digits_independent_of_solve_start(self):
+        # 15 starts in the dip at u_max = 0.2: a solve stopped at the first
+        # iterate within 1e-20 returned 4 different 12-digit T*
+        params = X02.params
+        bracket = ((13.4, params.omega0 * 0.96), (13.8, params.omega0 * 1.04))
+        roots = [smoothing._face_root(T0, w0, (bracket[0][0], bracket[1][0]),
+                                      (bracket[0][1], bracket[1][1]), X02).T
+                 for T0 in np.linspace(13.55, 13.65, 5) for w0 in (2.01, 2.015, 2.02)]
+        assert {f"{T:.12g}" for T in roots} == {f"{roots[0]:.12g}"}
+        assert max(roots) - min(roots) <= 1e-13 * roots[0]
+
     @pytest.mark.parametrize("u_max", [0.2, 0.4])
     def test_no_perfect_gate_one_scan_step_before_the_root(self, u_max):
         # The root is the earliest on the face R = -1/8; fixed-T Nelder-Mead
