@@ -18,8 +18,9 @@ cost from the product's pair.  ``segment_propagators`` and
 ``ordered_product`` are that kernel with its pairs written out as matrices,
 and ``total_pairs`` runs it over a stack of protocols, one row each.  The
 levels of its pairwise tree (``pair_levels``) give every prefix product by a
-down-sweep (``pair_prefixes``): that one scan serves ``prefix_states`` and
-the adjoints, gradients and Jacobians of ``pmp``.
+down-sweep (``pair_prefixes``): that one scan serves ``prefix_states``
+(and through it ``propagate``) and the adjoints, gradients and Jacobians of
+``pmp``.
 """
 from __future__ import annotations
 
@@ -337,23 +338,23 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     return pair_matrix(pair_product(units[..., :, 0]))
 
 
-def prefix_states(units: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """States entering each segment: row k is U[k-1] @ ... @ U[0] @ initial.
+def prefix_states(ab: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """States entering each cell: row k is U[k-1] @ ... @ U[0] @ initial.
 
-    ``initial`` is one state (2,) or a block of states (2, m); the 2x2
-    identity gives the prefix unitaries P_k themselves.  Returns n+1 rows
-    for n cells (n, 2, 2), the last being the final state or block.  Like
-    ``ordered_product``, it reads only the cells' pairs: one prefix scan
+    ``ab`` holds the Cayley-Klein pairs (n, 2) of n cells (``cell_pairs``),
+    and ``initial`` is one state (2,) or a block of states (2, m); the 2x2
+    identity gives the prefix unitaries P_k themselves.  Returns n+1 rows,
+    the last being the final state or block: one prefix scan
     (``pair_levels``, ``pair_prefixes``), log2(n) vectorized levels each
     way, then one ``pair_apply``.  The rows agree with the sequential
     product to rounding (about 1e-14), not bit for bit.
     """
     initial = np.asarray(initial, dtype=complex)
     block = initial.reshape(2, -1)
-    n = len(units)
+    n = len(ab)
     states = block[None].copy()
     if n:
-        states = pair_apply(pair_prefixes(pair_levels(np.asarray(units)[:, :, 0])), block)
+        states = pair_apply(pair_prefixes(pair_levels(np.asarray(ab))), block)
     return states.reshape((n + 1,) + initial.shape)
 
 
@@ -406,7 +407,9 @@ def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
 
     Piecewise-constant protocols are integrated exactly; within each segment
     the sampled states are U(t - t_seg, u_seg) applied to the segment-entry
-    state, so there is no time-stepping error anywhere.  The identity as
+    state, so there is no time-stepping error anywhere.  Every cell and
+    sample is a Cayley-Klein pair (``cell_pairs``), the entry states come
+    from ``prefix_states`` and the samples from ``pair_apply``.  The identity as
     ``initial`` samples the evolution operator U(t) itself.
 
     A smooth protocol is propagated through its Magnus cells
@@ -418,16 +421,15 @@ def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
     if n_samples < 2:
         raise ValueError("need at least two samples")
     durs, vals = propagation_cells(protocol)
-    units = segment_propagators(durs, vals, params)
-
     bounds = np.concatenate([[0.0], np.cumsum(durs)])
     bounds[-1] = protocol.T
-    entry = prefix_states(units, initial)
+    initial = np.asarray(initial, dtype=complex)
+    entry = prefix_states(cell_pairs(durs, vals, params), initial.reshape(2, -1))
 
     times = np.linspace(0.0, protocol.T, n_samples)
     seg = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(durs) - 1)
-    local = segment_propagators(times - bounds[seg], vals[seg], params)
-    states = np.einsum("nij,nj...->ni...", local, entry[seg])
+    local = cell_pairs(times - bounds[seg], vals[seg], params)
+    states = pair_apply(local, entry[seg]).reshape((n_samples,) + initial.shape)
     return Trajectory(times=times, states=states)
 
 

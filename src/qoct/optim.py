@@ -2,13 +2,19 @@
 
 All routines are deterministic (restart draws come from one fixed generator),
 respect box bounds exactly (iterates are clipped, never merely penalized),
-and report a status instead of raising on slow convergence.
+and report a status instead of raising on slow convergence.  The minimum
+times of the square-wave gate and of the third-harmonic pulse are both the
+first root of U00(T, omega) = 0 along a scan in T: ``dip_roots`` scans for
+the dips and solves each by ``box_root``, damped Gauss-Newton
+(``gauss_newton``) held to the dip's box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dynamics import TARGET_TOL
 
 __all__ = [
     "OptimResult",
@@ -21,7 +27,15 @@ __all__ = [
     "golden_section",
     "projected_gradient",
     "gauss_newton",
+    "box_root",
+    "dip_roots",
 ]
+
+# The root solves stop at |F|^2 <= ROOT_TOL, after at most ROOT_STEPS steps,
+# with forward-difference Jacobians of step FD_STEP.
+ROOT_TOL = 1e-20
+ROOT_STEPS = 25
+FD_STEP = 1e-7
 
 
 @dataclass
@@ -342,15 +356,9 @@ def gauss_newton(f_rows, x0, h: float, tol: float, max_steps: int, repair) -> Op
     evaluated and ``n_iter`` the steps taken.  Raises RuntimeError if F is
     not finite at the start; a trial where it is not counts as no decrease.
     """
-    def rows(x):
-        X = np.repeat(x[None], len(x) + 1, axis=0)
-        X[1:] += h * np.eye(len(x))
-        F = np.asarray(f_rows(X), dtype=float)
-        return F[0], (F[1:] - F[0]).T / h, float(F[0] @ F[0])
-
     x = repair(np.asarray(x0, dtype=float))
     n = len(x)
-    F, J, r = rows(x)
+    F, J, r = _fd_rows(f_rows, x, h)
     if not np.isfinite(r):
         raise RuntimeError(f"residual is not finite at x0={x!r}")
     n_eval, steps, rung = n + 1, 0, 0
@@ -363,7 +371,7 @@ def gauss_newton(f_rows, x0, h: float, tol: float, max_steps: int, repair) -> Op
         for k in range(rung, len(_DAMPING)):
             A = np.vstack([J, np.sqrt(_DAMPING[k] * scale) * np.eye(n)])
             xt = repair(x + np.linalg.lstsq(A, np.r_[-F, np.zeros(n)], rcond=None)[0])
-            Ft, Jt, rt = rows(xt)
+            Ft, Jt, rt = _fd_rows(f_rows, xt, h)
             n_eval += n + 1
             if rt < r:
                 break
@@ -377,3 +385,67 @@ def gauss_newton(f_rows, x0, h: float, tol: float, max_steps: int, repair) -> Op
             status = "stalled"
             break
     return OptimResult(x=x, fun=r, status=status, n_eval=n_eval, n_iter=steps)
+
+
+def _fd_rows(f_rows, x, h: float):
+    """F(x), its forward-difference Jacobian of step h and |F(x)|^2, from one call."""
+    X = np.repeat(x[None], len(x) + 1, axis=0)
+    X[1:] += h * np.eye(len(x))
+    F = np.asarray(f_rows(X), dtype=float)
+    return F[0], (F[1:] - F[0]).T / h, float(F[0] @ F[0])
+
+
+def box_root(f_rows, x0, lo, hi) -> OptimResult:
+    """Root of F in the box [lo, hi] by ``gauss_newton``, every iterate clipped into it.
+
+    The solve stops at |F|^2 <= ``ROOT_TOL``, which fixes x only to about
+    |F| / |J|, so the last digits of its x would depend on ``x0``.  A
+    converged solve therefore takes one more Gauss-Newton step, -J^+ F
+    clipped into the box, kept if |F|^2 is no larger.  The result is
+    ``gauss_newton``'s, with the kept step counted in ``n_iter`` and its
+    rows in ``n_eval``.
+    """
+    def clip(x):
+        return np.minimum(np.maximum(x, lo), hi)
+
+    r = gauss_newton(f_rows, x0, FD_STEP, ROOT_TOL, ROOT_STEPS, clip)
+    if r.status != "converged":
+        return r
+    F, J, _ = _fd_rows(f_rows, r.x, FD_STEP)
+    xt = clip(r.x + np.linalg.lstsq(J, -F, rcond=None)[0])
+    Ft = np.asarray(f_rows(xt[None]), dtype=float)[0]
+    rt = float(Ft @ Ft)
+    r.n_eval += len(xt) + 2
+    if rt <= r.fun:
+        r.x, r.fun, r.n_iter = xt, rt, r.n_iter + 1
+    return r
+
+
+def dip_roots(f_rows, ts, step: float, ws, chunk: int):
+    """Roots of F(T, omega) = 0 at the dips of a scan upward in T, in increasing T.
+
+    ``f_rows(X)`` returns F at the rows (T, omega) of X as a (k, m) array.
+    The scan evaluates the grid ``ws`` (equally spaced) at ``chunk`` times
+    of ``ts`` per call; its profile at each T is the ``grid_vertex``
+    (|F|^2, omega) of that grid.  At each local minimum of the profile, at
+    ts[j - 1], ``box_root`` solves F = 0 from the vertex in the box
+    [ts[j - 2], ts[j] + step] x [ws[0], ws[-1]]; every converged solve is
+    yielded as its ``OptimResult``, x = (T, omega).  Raises RuntimeError
+    when the first profile point already has |F|^2 <= ``TARGET_TOL``: the
+    scan starts too late to see the first root.
+    """
+    ws = np.asarray(ws, dtype=float)
+    prof = []  # (|F|^2, omega) at each scanned T
+    for start in range(0, len(ts), chunk):
+        block = ts[start:start + chunk]
+        F = np.asarray(f_rows(np.column_stack([np.repeat(block, len(ws)),
+                                               np.tile(ws, len(block))])))
+        prof += [grid_vertex(r, ws) for r in (F ** 2).sum(axis=1).reshape(len(block), -1)]
+        if start == 0 and prof[0][0] <= TARGET_TOL:
+            raise RuntimeError(f"|F|^2 <= {TARGET_TOL} already at T = {ts[0]}, the scan start")
+        for j in range(max(start, 2), len(prof)):
+            if prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
+                r = box_root(f_rows, [ts[j - 1], prof[j - 1][1]],
+                             [ts[j - 2], ws[0]], [ts[j] + step, ws[-1]])
+                if r.status == "converged":
+                    yield r

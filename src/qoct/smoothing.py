@@ -89,12 +89,8 @@ def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
 
 # The tanh and third-harmonic pulses are even about T/2, so their U10 is
 # imaginary and C_X + 1 = |U00|^2: a perfect X gate is a root of the two real
-# equations F = (Re U00, Im U00).  Their minimum-time searches solve F = 0 by
-# ``optim.gauss_newton`` to |F|^2 <= _SOLVE_TOL in at most _SOLVE_STEPS steps,
-# with forward-difference Jacobians of step _FD_STEP.
-_SOLVE_TOL = 1e-20
-_SOLVE_STEPS = 25
-_FD_STEP = 1e-7
+# equations F = (Re U00, Im U00), which their minimum-time searches solve
+# with the tolerance, step budget and difference step of ``optim``'s roots.
 
 
 def _u00_rows(protocols, params: ModelParams) -> np.ndarray:
@@ -150,7 +146,8 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
         return _u00_rows([tanh_protocol(repair(x), beta, T, params) for x in X], params)
 
     start = x0 if x0 is not None else _tanh_seed(n_pairs, T, params)
-    r = optim.gauss_newton(f_rows, start, _FD_STEP, _SOLVE_TOL, _SOLVE_STEPS, repair)
+    r = optim.gauss_newton(f_rows, start, optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
+                           repair)
     proto = tanh_protocol(r.x, beta, T, params)
     cost1 = _gate_cost_of(proto, problem) + 1.0
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
@@ -196,7 +193,6 @@ def min_tanh_time(problem: GateProblem, beta: float = 4.0) -> tuple[float, Smoot
 # gate lies, and the frequency grid of the face scan, in units of omega0
 _R_FACE = -0.125
 _FACE_GRID = np.linspace(0.96, 1.04, 17)
-_FACE_CHUNK = 4  # scan times propagated per batched call
 
 
 def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6) -> SmoothingRun:
@@ -253,72 +249,46 @@ def _face_slope(T: float, w: float, params: ModelParams) -> float:
     the face root is a local minimum of T over the pulse family.  NaN when
     J is singular.
     """
-    X = np.array([T, w, _R_FACE]) + np.vstack([np.zeros(3), _FD_STEP * np.eye(3)])
+    X = np.array([T, w, _R_FACE]) + np.vstack([np.zeros(3), optim.FD_STEP * np.eye(3)])
     F = _u00_rows([ThirdHarmonic(params.u_max, *x) for x in X], params)
-    D = (F[1:] - F[0]).T / _FD_STEP
+    D = (F[1:] - F[0]).T / optim.FD_STEP
     try:
         return float(np.linalg.solve(D[:, :2], -D[:, 2])[0])
     except np.linalg.LinAlgError:
         return math.nan
 
 
-def _face_root(T0: float, w0: float, t_bracket, w_bracket, problem: GateProblem):
-    """Newton in (T, omega) on the face R = -1/8 from a scan dip, or None.
-
-    ``optim.gauss_newton`` with every iterate clipped into the brackets;
-    None unless it reaches |U00|^2 <= 1e-20 there.
-    """
-    params = problem.params
-    lo = np.array([t_bracket[0], w_bracket[0]])
-    hi = np.array([t_bracket[1], w_bracket[1]])
-    r = optim.gauss_newton(lambda X: _face_rows(X, params), [T0, w0], _FD_STEP,
-                           _SOLVE_TOL, _SOLVE_STEPS, lambda x: np.clip(x, lo, hi))
-    if r.status != "converged":
-        return None
-    T, w = (float(v) for v in r.x)
-    slope = _face_slope(T, w, params)
-    proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=_R_FACE)
-    cost1 = _gate_cost_of(proto, problem) + 1.0
-    return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
-                        cost_plus_1=cost1, converged=cost1 <= TARGET_TOL and slope > 0.0,
-                        extras={"omega": w, "ratio": _R_FACE, "residual": r.fun,
-                                "solver_steps": r.n_iter, "dT_dR": slope})
-
-
 def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
     """Earliest perfect X gate of the two-harmonic pulse, a root on the face R = -1/8.
 
-    Scans T upward over [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
-    ``_FACE_CHUNK`` times per batched propagation.  At each T the profile
-    is the vertex (|U00|^2, omega) of the parabola through the best point
-    of a 17-point frequency grid over omega0 [0.96, 1.04] at R = -1/8 and
-    its two neighbours (``optim.grid_vertex``).  At each local minimum of
-    the profile, in increasing T, Newton in (T, omega) solves U00 = 0 from
-    the dip's vertex (``_face_root``), held to the dip's bracket of the scan,
-    widened by one step to the right, and to the grid's frequencies; the
-    first root is returned, at the precision of the solve rather than of
-    the grid.  ``extras`` holds its |U00|^2 (``residual``), the Newton steps
+    The first root of U00(T, omega) = 0 that ``optim.dip_roots`` finds
+    scanning T upward over [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
+    four times per batched propagation, over a 17-point frequency grid over
+    omega0 [0.96, 1.04] at R = -1/8.  Each dip of |U00|^2 is solved by
+    damped Gauss-Newton in (T, omega), held to the dip's bracket of the scan,
+    widened by one step to the right, and to the grid's frequencies, so the
+    root has the precision of the solve rather than of the grid.  ``extras``
+    holds its |U00|^2 (``residual``), the Gauss-Newton steps
     (``solver_steps``) and dT/dR along the perfect-gate curve (``dT_dR``,
     ``_face_slope``); ``converged`` means C + 1 <= TARGET_TOL and dT/dR > 0.
     Raises RuntimeError when no dip of the scan holds a root.
     """
     params = problem.params
     t_rabi = rabi_pi_time(params)
-    step = 0.005 * t_rabi
     ts = np.arange(0.84, 1.02 + 1e-12, 0.005) * t_rabi
-    ws = params.omega0 * _FACE_GRID
-    prof = []  # (|U00|^2, omega) at each scanned T
-    for start in range(0, len(ts), _FACE_CHUNK):
-        chunk = ts[start:start + _FACE_CHUNK]
-        F = _face_rows([(T, w) for T in chunk for w in ws], params)
-        prof += [optim.grid_vertex(c, ws) for c in (F ** 2).sum(axis=1).reshape(len(chunk), -1)]
-        for j in range(max(start, 2), len(prof)):
-            if prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
-                run = _face_root(ts[j - 1], prof[j - 1][1], (ts[j - 2], ts[j] + step),
-                                 (ws[0], ws[-1]), problem)
-                if run is not None:
-                    return run.T, run
-    raise RuntimeError("third-harmonic scheme did not reach the gate fidelity in the scan range")
+    root = next(optim.dip_roots(lambda X: _face_rows(X, params), ts, 0.005 * t_rabi,
+                                params.omega0 * _FACE_GRID, 4), None)
+    if root is None:
+        raise RuntimeError(
+            "third-harmonic scheme did not reach the gate fidelity in the scan range")
+    T, w = (float(v) for v in root.x)
+    slope = _face_slope(T, w, params)
+    proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=_R_FACE)
+    cost1 = _gate_cost_of(proto, problem) + 1.0
+    return T, SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
+                           cost_plus_1=cost1, converged=cost1 <= TARGET_TOL and slope > 0.0,
+                           extras={"omega": w, "ratio": _R_FACE, "residual": root.fun,
+                                   "solver_steps": root.n_iter, "dT_dR": slope})
 
 
 def smoothness_cost(protocol: Sampled) -> float:

@@ -180,9 +180,10 @@ class TestPrefixStates:
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_rows_match_prefix_products(self, n):
         rng = np.random.default_rng(n)
-        units = segment_propagators(rng.uniform(0.0, 0.5, n), rng.uniform(-0.5, 0.5, n), P05)
+        ab = cell_pairs(rng.uniform(0.0, 0.5, n), rng.uniform(-0.5, 0.5, n), P05)
+        units = pair_matrix(ab)
         psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
-        states = prefix_states(units, psi0)
+        states = prefix_states(ab, psi0)
         assert states.shape == (n + 1, 2)
         np.testing.assert_array_equal(states[0], psi0)
         for k in range(1, n + 1):
@@ -195,16 +196,15 @@ class TestPrefixStates:
     def test_prefix_unitaries_unitary(self, n, seed, u_max):
         rng = np.random.default_rng(seed)
         params = ModelParams(u_max=u_max)
-        units = segment_propagators(rng.uniform(0.0, 1.0, n),
-                                    rng.uniform(-u_max, u_max, n), params)
-        P = prefix_states(units, SIGMA_0)
+        ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-u_max, u_max, n), params)
+        P = prefix_states(ab, SIGMA_0)
         assert P.shape == (n + 1, 2, 2)
         np.testing.assert_array_equal(P[0], SIGMA_0)
         defect = np.abs(P.conj().transpose(0, 2, 1) @ P - SIGMA_0).max()
         assert defect < 1e-12
         # a block of states is the prefix unitaries applied to it
         psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
-        np.testing.assert_allclose(prefix_states(units, psi0), P @ psi0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(prefix_states(ab, psi0), P @ psi0, rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(n=SCAN_SIZES, m=st.sampled_from([None, 1, 2, 3]),
@@ -213,14 +213,14 @@ class TestPrefixStates:
     @example(n=10_001, m=2, seed=1)
     def test_matches_sequential_loop(self, n, m, seed):
         rng = np.random.default_rng(seed)
-        units = segment_propagators(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
+        ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
         shape = (2,) if m is None else (2, m)
         initial = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         initial /= np.linalg.norm(initial, axis=0)
         ref = [initial]
-        for U in units:
+        for U in pair_matrix(ab):
             ref.append(U @ ref[-1])
-        states = prefix_states(units, initial)
+        states = prefix_states(ab, initial)
         assert states.shape == (n + 1,) + shape
         np.testing.assert_array_equal(states[0], initial)
         assert np.abs(states - np.array(ref)).max() <= 1e-13
@@ -234,8 +234,7 @@ class TestPrefixStates:
         rng = np.random.default_rng(seed)
         ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
         if n == 0:  # no cells: the one row of prefix_states is the initial block
-            np.testing.assert_array_equal(prefix_states(segment_propagators([], [], P05),
-                                                        SIGMA_0), [SIGMA_0])
+            np.testing.assert_array_equal(prefix_states(ab, SIGMA_0), [SIGMA_0])
             return
         P = pair_prefixes(pair_levels(ab))
         assert P.shape == (n + 1, 2)

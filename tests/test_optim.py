@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from qoct.optim import (
+    ROOT_TOL,
+    box_root,
+    dip_roots,
     gauss_newton,
     golden_section,
     grid_vertex,
@@ -461,6 +464,59 @@ class TestGaussNewton:
     def test_step_cap_reports_max_iter(self):
         r = gauss_newton(self.circle_and_line, [2.0, 0.5], 1e-7, 1e-20, 1, same)
         assert r.status == "max-iter" and r.n_iter == 1 and r.fun > 1e-20
+
+
+def synthetic(g):
+    """F(T, omega) = (g(T), omega - 1) at the rows of X: roots where g(T) = 0."""
+    def f_rows(X):
+        X = np.asarray(X)
+        return np.column_stack([g(X[:, 0]), X[:, 1] - 1.0])
+    return f_rows
+
+
+SCAN_TS = np.arange(2.0, 12.0, 0.1)
+SCAN_WS = np.linspace(0.5, 1.5, 11)
+
+
+class TestDipRoots:
+    def test_roots_come_in_increasing_t(self):
+        roots = list(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 1))
+        assert [r.status for r in roots] == ["converged"] * 3
+        np.testing.assert_allclose([r.x[0] for r in roots], np.pi * np.arange(1, 4), atol=1e-12)
+        assert all(r.fun <= ROOT_TOL for r in roots)
+        # the first root is the one a search takes, whatever the chunk size
+        first = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 4))
+        assert first.x.tobytes() == roots[0].x.tobytes()
+
+    def test_root_is_held_to_its_box(self):
+        # the only root, T = 5, lies outside the box: every iterate stays in
+        # it, and the solve ends there without converging
+        seen = []
+
+        def f(X):
+            seen.append(np.array(X[0]))
+            return synthetic(lambda T: T - 5.0)(X)
+
+        r = box_root(f, [3.0, 1.2], [2.0, 0.0], [4.0, 2.0])
+        assert r.status != "converged"
+        assert all(2.0 <= x[0] <= 4.0 and 0.0 <= x[1] <= 2.0 for x in seen)
+        assert r.x[0] == 4.0
+
+    def test_refuses_when_target_met_at_scan_start(self):
+        with pytest.raises(RuntimeError, match="scan start"):
+            next(dip_roots(synthetic(lambda T: T - 2.0), SCAN_TS, 0.1, SCAN_WS, 1))
+
+    def test_yields_nothing_when_no_dip_converges(self):
+        # cos(T) + 1.01 dips at pi and 3 pi without reaching zero
+        solves = []
+
+        def f(X):
+            if len(X) <= 3:
+                solves.append(len(X))
+            return synthetic(lambda T: np.cos(T) + 1.01)(X)
+
+        assert list(dip_roots(f, SCAN_TS, 0.1, SCAN_WS, 4)) == []
+        assert solves
 
 
 class TestGridVertex:

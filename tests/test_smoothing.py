@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qoct import pmp, smoothing
+from qoct import optim, pmp, smoothing
 from qoct.dynamics import (
     SIGMA_X,
     SIGMA_Z,
@@ -165,10 +165,13 @@ class TestThirdHarmonic:
         # 15 starts in the dip at u_max = 0.2: a solve stopped at the first
         # iterate within 1e-20 returned 4 different 12-digit T*
         params = X02.params
-        bracket = ((13.4, params.omega0 * 0.96), (13.8, params.omega0 * 1.04))
-        roots = [smoothing._face_root(T0, w0, (bracket[0][0], bracket[1][0]),
-                                      (bracket[0][1], bracket[1][1]), X02).T
-                 for T0 in np.linspace(13.55, 13.65, 5) for w0 in (2.01, 2.015, 2.02)]
+        lo, hi = (13.4, params.omega0 * 0.96), (13.8, params.omega0 * 1.04)
+        roots = []
+        for T0 in np.linspace(13.55, 13.65, 5):
+            for w0 in (2.01, 2.015, 2.02):
+                r = optim.box_root(lambda X: smoothing._face_rows(X, params), [T0, w0], lo, hi)
+                assert r.status == "converged"
+                roots.append(r.x[0])
         assert {f"{T:.12g}" for T in roots} == {f"{roots[0]:.12g}"}
         assert max(roots) - min(roots) <= 1e-13 * roots[0]
 

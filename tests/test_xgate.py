@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import xgate
+from qoct import optim, xgate
 from qoct.dynamics import (
     ModelParams,
     gate_cost,
@@ -95,10 +95,11 @@ class TestMinGateTime:
     def test_no_converged_dip_raises(self, monkeypatch):
         tried = []
 
-        def never(T0, *args):
-            tried.append(T0)
+        def never(f_rows, x0, *args):
+            tried.append(x0[0])
+            return optim.OptimResult(x=np.asarray(x0, dtype=float), fun=1.0, status="stalled")
 
-        monkeypatch.setattr(xgate, "_newton_root", never)
+        monkeypatch.setattr(optim, "gauss_newton", never)
         with pytest.raises(RuntimeError, match="reaches the gate"):
             min_gate_time(X05, with_report=False)
         assert tried
@@ -170,9 +171,8 @@ class TestFirstRootAndOracle:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_root_past_the_dip_bracket_confirmed_by_eigh_oracle(self):
-        # Newton's first step from the dip at T = 48.80 lands at T = 49.70,
-        # outside the dip's bracket [48.41, 49.19]; it still converges to the
-        # first root, T* = 49.3038, just past the dip's right neighbour
+        # the scan's dip is at T = 49.19 (index 30) and the first root,
+        # T* = 49.3038, lies past it, toward the dip's right neighbour
         problem = GateProblem("x", ModelParams(u_max=0.0503845))
         res = min_gate_time(problem, with_report=False)
         assert res.residual <= 1e-20
@@ -183,7 +183,7 @@ class TestFirstRootAndOracle:
         assert c + 1.0 > 1e-6
 
     def test_root_digits_independent_of_newton_start(self):
-        # the scan at u_max = 0.0505 dips at indices 29 and 31; Newton stopped
+        # the scan at u_max = 0.0505 dips at indices 29 and 31; a solve stopped
         # at the first iterate within ROOT_TOL returned roots 5.5e-11 apart
         problem = GateProblem("x", ModelParams(u_max=0.0505))
         t_rabi = rabi_pi_time(problem.params)
@@ -193,10 +193,11 @@ class TestFirstRootAndOracle:
         roots = []
         for j in (29, 31):
             w_dip = ws[int(np.argmin(one_param_cost(ws, ts[j], problem, 1.0, "even")))]
-            roots.append(xgate._newton_root(ts[j], w_dip, problem, "even",
-                                            (ts[27], ts[33]), (ws[0], ws[-1])))
+            r = optim.box_root(lambda X: xgate._u00_rows(X, problem, "even"), [ts[j], w_dip],
+                               [ts[27], ws[0]], [ts[33], ws[-1]])
+            roots.append((r.x[0], r.x[1], r.fun, r.n_iter))
         (t_a, _, r_a, _), (t_b, _, r_b, _) = roots
-        assert max(r_a, r_b) <= xgate.ROOT_TOL
+        assert max(r_a, r_b) <= optim.ROOT_TOL
         assert abs(t_a - t_b) <= 1e-13 * t_a
         assert f"{t_a:.12g}" == f"{t_b:.12g}"
 
