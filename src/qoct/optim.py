@@ -434,7 +434,6 @@ def dip_roots(f_rows, ts, step: float, ws, chunk: int):
     when the first profile point already has |F|^2 <= ``TARGET_TOL``: the
     scan starts too late to see the first root.
     """
-    ws = np.asarray(ws, dtype=float)
     prof = []  # (|F|^2, omega) at each scanned T
     for start in range(0, len(ts), chunk):
         block = ts[start:start + chunk]

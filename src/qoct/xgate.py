@@ -210,7 +210,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
 
     roots = {}  # parity -> the OptimResult of its first root, x = (T, omega)
     for p in problem.parities():
-        if roots:  # one step past the earliest root so far, as far as ts[j - 1]
+        if roots:  # scan on while ts[j - 1] is at most one step past the earliest root
             t_first = min(r.x[0] for r in roots.values())
             ts = ts[:np.searchsorted(ts, t_first + step, side="right") + 1]
         root = next(dip_roots(lambda X: _u00_rows(X, problem, p), ts, step, ws, 1), None)

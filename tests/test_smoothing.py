@@ -148,8 +148,8 @@ class TestThirdHarmonic:
         assert -0.125 <= run.extras["ratio"] < 0.0
 
     def test_min_time_run_is_a_face_root(self):
-        # u = 0.35 is the grid amplitude whose root solve ends closest to its
-        # 1e-20 tolerance
+        # u = 0.35 is the grid amplitude whose Gauss-Newton solve stops
+        # closest to its 1e-20 tolerance (6.2e-21, before its extra step)
         problem = GateProblem("x", ModelParams(u_max=0.35))
         T, run = min_third_harmonic_time(problem)
         assert run.T == T and run.converged
