@@ -175,6 +175,17 @@ class TestThirdHarmonic:
         assert {f"{T:.12g}" for T in roots} == {f"{roots[0]:.12g}"}
         assert max(roots) - min(roots) <= 1e-13 * roots[0]
 
+    def test_slow_damped_trial_does_not_end_a_solve_in_a_dip_with_a_root(self):
+        # from (13.575, 2.025) the undamped second step overshoots T by
+        # -0.249 and the first damped trial that lowers |U00|^2 gains 0.2%:
+        # a solve stopped there as stalled at |U00|^2 = 1.7e-5, while the
+        # next rung gains 36% and the solve goes on to the dip's root
+        params = X02.params
+        lo, hi = (13.4, params.omega0 * 0.96), (13.8, params.omega0 * 1.04)
+        r = optim.box_root(lambda X: smoothing._face_rows(X, params), [13.575, 2.025], lo, hi)
+        assert r.status == "converged" and r.fun <= optim.ROOT_TOL
+        assert r.x[0] == pytest.approx(13.5993679169, abs=1e-10)
+
     @pytest.mark.parametrize("u_max", [0.2, 0.4])
     def test_no_perfect_gate_one_scan_step_before_the_root(self, u_max):
         # The root is the earliest on the face R = -1/8; fixed-T Nelder-Mead

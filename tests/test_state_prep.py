@@ -604,6 +604,21 @@ class TestSpeedLimit:
             searched.diagnostics["speed_limit_skips"] + 1
 
 
+class TestSearchPath:
+    def test_winner_does_not_depend_on_the_skipped_scan_times(self, monkeypatch):
+        # searching the grid times that the speed limit rules out changes
+        # the scan's warm starts; the winner at T* must not move with them
+        p = problem_at(0.35)
+        normal = find_time_optimal(p, with_report=False)
+        monkeypatch.setattr(state_prep, "_speed_limit_excludes", lambda problem, T: False)
+        searched = find_time_optimal(p, with_report=False)
+        assert searched.diagnostics["speed_limit_skips"] == 0
+        assert normal.diagnostics["speed_limit_skips"] > 0
+        assert searched.t_star == normal.t_star
+        assert searched.structure == normal.structure
+        assert searched.switch_times == normal.switch_times
+
+
 class TestBenchmarkCentres:
     """The stateprep-search band centres, pinned bit for bit.
 
