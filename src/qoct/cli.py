@@ -178,6 +178,8 @@ def cmd_state_prep(args) -> int:
         "switch_times": list(res.switch_times),
         "values": list(res.values),
         "cost": res.cost,
+        "residual": res.residual,
+        "solver_steps": res.solver_steps,
         "diagnostics": {k: v for k, v in res.diagnostics.items() if k != "bsb"},
         "report": res.report.summary() if res.report else None,
     }

@@ -2,11 +2,15 @@
 
 All routines are deterministic (restart draws come from one fixed generator),
 respect box bounds exactly (iterates are clipped, never merely penalized),
-and report a status instead of raising on slow convergence.  The minimum
-times of the square-wave gate and of the third-harmonic pulse are both the
-first root of U00(T, omega) = 0 along a scan in T: ``dip_roots`` scans for
-the dips and solves each by ``box_root``, damped Gauss-Newton
-(``gauss_newton``) held to the dip's box.
+and report a status instead of raising on slow convergence.  Every minimum
+time is decided by root solves of one complex equation, written as two real
+residuals, through one damped Gauss-Newton engine, ``gauss_newton``, which
+advances many independent lanes with one residual call per round.  The state
+preparation's hit-or-miss solves run every structure's starts as its lanes;
+the minimum times of the square-wave gate and of the third-harmonic pulse
+are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
+scans for the dips and solves each by ``box_root``, one lane held to the
+dip's box.  Nelder-Mead serves the fixed-T third-harmonic search.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ __all__ = [
     "OptimResult",
     "nelder_mead",
     "nelder_mead_restarts",
-    "lockstep_nelder_mead",
     "scalar_minimize",
     "refine_basins",
     "grid_vertex",
@@ -45,18 +48,21 @@ class OptimResult:
     status: str  # 'converged' | 'max-iter' | 'line-search-failed' | 'stalled'
     n_eval: int = 0
     n_iter: int = 0  # steps taken, where the routine counts them
+    # gauss_newton only: F and its forward-difference Jacobian at x
+    F: np.ndarray | None = None
+    J: np.ndarray | None = None
 
 
 def nelder_mead(f, x0, max_iter: int, tol: float, bounds=None) -> OptimResult:
     """Reflect/expand/contract/shrink simplex minimization with bound clipping.
 
-    One lane of ``lockstep_nelder_mead``'s engine, evaluating only the points
-    its steps use; ``bounds`` holds a (lo, hi) pair per dimension, or is None.
+    One lane of the simplex engine, evaluating only the points its steps
+    use; ``bounds`` holds a (lo, hi) pair per dimension, or is None.
     Raises RuntimeError if the objective returns NaN.
     """
     x0 = np.asarray(x0, dtype=float)
     lo, hi = _box(bounds)
-    return _simplex(_by_rows(f), x0[None], lo, hi, max_iter, tol, False)[0]
+    return _simplex(_by_rows(f), x0[None], lo, hi, max_iter, tol)[0]
 
 
 def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
@@ -71,7 +77,7 @@ def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
     rng = np.random.default_rng(0)
     starts = [np.asarray(x0, dtype=float)] + [draw(rng) for _ in range(n_starts - 1)]
     lo, hi = _box(bounds)
-    runs = _simplex(_by_rows(f), np.array(starts), lo, hi, max_iter, tol, False)
+    runs = _simplex(_by_rows(f), np.array(starts), lo, hi, max_iter, tol)
     return min(runs, key=lambda r: r.fun)
 
 
@@ -86,35 +92,19 @@ def _by_rows(f):
     return lambda X, lanes: [float(f(x)) for x in X]
 
 
-def lockstep_nelder_mead(f, starts, lo, hi, max_iter: int, tol: float) -> list[OptimResult]:
+def _simplex(f, starts, lo, hi, max_iter, tol):
     """Nelder-Mead on B independent lanes, advanced together.
 
     ``starts`` is (B, n); ``lo`` and ``hi`` are box bounds broadcastable to
     (B, n), or both None for an unbounded search.  ``f(X, lanes)`` returns
-    the objective at the rows of X (m, n), row i belonging to lane
-    ``lanes[i]``.  Each iteration evaluates the reflection, expansion and
-    contraction point of every active lane in one call, the speculative
-    form of parallel Nelder-Mead (Lee & Wiswall, Comput. Econ. 30, 171
-    (2007)); only an iteration in which some lane shrinks makes a second
-    call.  Each lane takes exactly the steps (and gets exactly the bits) of a
-    run on its own, and its ``n_eval`` counts only the points those steps
-    use.  A lane stops when its simplex's cost spread is at most
-    ``tol * (1 + |best|)`` or after ``max_iter`` iterations; the results
-    come back in lane order.
-
-    Raises RuntimeError if the objective returns NaN, also at an expansion
-    or contraction point that the lane's step then discards.
-    """
-    return _simplex(f, starts, lo, hi, max_iter, tol, True)
-
-
-def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
-    """The engine behind the Nelder-Mead entry points.
-
-    With ``speculate`` every iteration makes one call of ``f`` over the
-    reflection, expansion and contraction points of all active lanes;
-    without it, one call for the reflections and one for each of the
-    expansions and contractions the lanes then take.
+    the objective at the rows of X, row i belonging to lane ``lanes[i]``.
+    Each iteration makes one call for the reflections of all active lanes
+    and one for each of the expansions and contractions the lanes then
+    take, so every lane evaluates only the points its steps use and gets
+    the bits of a run on its own.  A lane stops when its simplex's cost
+    spread is at most ``tol * (1 + |best|)`` or after ``max_iter``
+    iterations; the results come back in lane order.  Raises RuntimeError
+    if the objective returns NaN.
     """
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     # the reflection, expansion and contraction points are c + coef * (c - worst)
@@ -185,15 +175,11 @@ def _simplex(f, starts, lo, hi, max_iter, tol, speculate):
         # expansion and reflection when fr < f0, else the contraction if it
         # beats the worst; a lane whose contraction fails shrinks toward its
         # best vertex instead
-        if speculate:
-            V = feval(P.reshape(3 * L, n), np.concatenate([lanes] * 3)).reshape(3, L)
-            expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
-        else:
-            V = np.full((3, L), np.inf)
-            V[0] = feval(P[0], lanes)
-            expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
-            V[1, expand] = feval(P[1, expand], lanes[expand])
-            V[2, contract] = feval(P[2, contract], lanes[contract])
+        V = np.full((3, L), np.inf)
+        V[0] = feval(P[0], lanes)
+        expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
+        V[1, expand] = feval(P[1, expand], lanes[expand])
+        V[2, contract] = feval(P[2, contract], lanes[contract])
         n_eval += 1 + expand + contract
         use_e = expand & (V[1] < V[0])
         use_c = contract & (V[2] < F[:, -1])
@@ -331,93 +317,150 @@ def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
 
 # Levenberg-Marquardt damping factors that ``gauss_newton`` tries, in units
 # of the squared Frobenius norm of J, and the relative decrease of |F|^2
-# below which its step counts as stalled
-_DAMPING = (0.0,) + tuple(10.0 ** k for k in range(-8, 1))
+# that takes a trial
+_DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
 _MIN_DECREASE = 0.01
 
 
-def gauss_newton(f_rows, x0, h: float, tol: float, max_steps: int, repair) -> OptimResult:
-    """Damped Gauss-Newton root solve of F(x) = 0, F with m real components, x with n.
+def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
+                 repair) -> list[OptimResult]:
+    """Damped Gauss-Newton root solves of F(x) = 0 on B lanes at once, F with 2 real components.
 
-    ``f_rows(X)`` returns F at the rows of X (k, n) as a (k, m) array, so
-    each iterate x and its forward-difference neighbours x + h e_j are one
-    call of n + 1 rows.  Each step solves min |J s + F|^2 + lam |J|^2 |s|^2
-    by least squares (``np.linalg.lstsq``); lam = 0 gives the
-    minimum-norm Gauss-Newton step -J^+ F.  The damping lam runs up the
-    ladder ``_DAMPING`` until |F|^2 decreases, starting one rung below the
-    last accepted one, so steps return to Gauss-Newton near a root
-    (Levenberg-Marquardt; Nocedal & Wright, Numerical Optimization, ch. 10).
-    ``repair`` maps ``x0`` and each trial point back into the domain (the
-    identity where every x is admissible).  A trial's rows are those of its
-    own Jacobian, so an accepted step costs one call.  Stops with
-    'converged' at |F|^2 <= ``tol``, 'stalled' when no damping decreases
-    |F|^2 or a step decreases it by less than 1%, and 'max-iter' after
-    ``max_steps`` steps.  ``fun`` is |F(x)|^2, ``n_eval`` counts the rows
-    evaluated and ``n_iter`` the steps taken.  Raises RuntimeError if F is
-    not finite at the start; a trial where it is not counts as no decrease.
+    ``starts`` is (B, n).  ``f_rows(X, lanes)`` returns F at the rows of X
+    (k, n) as a (k, 2) array, row i belonging to lane ``lanes[i]``;
+    ``repair(X, lanes)`` maps rows back into their lanes' domains (the
+    identity where every x is admissible) and is applied to the starts and
+    to every trial point.  A trial is a point and its forward-difference
+    neighbours x + h e_j, n + 1 rows, and each round makes one call over the
+    trials of all active lanes.  A trial step solves min |J s + F|^2 +
+    lam |J|^2 |s|^2 (``_lm_steps``); lam = 0 gives the minimum-norm
+    Gauss-Newton step -J^+ F.
+
+    A lane takes its trial when |F|^2 falls by at least 1% or to ``tol``,
+    and otherwise climbs the damping ladder ``_DAMPING``; each step starts
+    one rung below the last one taken, so steps return to Gauss-Newton near
+    a root (Levenberg-Marquardt; Nocedal & Wright, Numerical Optimization,
+    ch. 10).  A trial that lowers |F|^2 by less than 1% is a stall only
+    where the linear model predicted no more (it gained at least half the
+    model's decrease): that trial is taken and the lane ends 'stalled'.
+    Where the model overshot, the lane climbs on.  A lane ends 'converged'
+    at |F|^2 <= ``tol``, 'stalled' also when no rung lowers |F|^2, and
+    'max-iter' after ``max_steps`` steps.  Each result's ``fun`` is |F(x)|^2,
+    ``n_eval`` counts its lane's rows, ``n_iter`` its steps, and ``F`` and
+    ``J`` hold F and its Jacobian at x.  Raises RuntimeError if F is not
+    finite at a start; a trial where it is not counts as no decrease.
     """
-    x = repair(np.asarray(x0, dtype=float))
-    n = len(x)
-    F, J, r = _fd_rows(f_rows, x, h)
-    if not np.isfinite(r):
-        raise RuntimeError(f"residual is not finite at x0={x!r}")
-    n_eval, steps, rung = n + 1, 0, 0
-    status = "converged"
-    while r > tol:
-        if steps == max_steps:
-            status = "max-iter"
-            break
-        scale = float(np.sum(J * J))
-        for k in range(rung, len(_DAMPING)):
-            A = np.vstack([J, np.sqrt(_DAMPING[k] * scale) * np.eye(n)])
-            xt = repair(x + np.linalg.lstsq(A, np.r_[-F, np.zeros(n)], rcond=None)[0])
-            Ft, Jt, rt = _fd_rows(f_rows, xt, h)
-            n_eval += n + 1
-            if rt < r:
-                break
-        else:
-            status = "stalled"
-            break
-        steps += 1
-        slow = rt > (1.0 - _MIN_DECREASE) * r
-        x, F, J, r, rung = xt, Ft, Jt, rt, max(k - 1, 0)
-        if slow and r > tol:
-            status = "stalled"
-            break
-    return OptimResult(x=x, fun=r, status=status, n_eval=n_eval, n_iter=steps)
+    X = np.array(starts, dtype=float)
+    B, n = X.shape
+    lanes = np.arange(B)
+    X = repair(X, lanes)
+    # a point and its forward-difference neighbours x + h e_j
+    offsets = np.vstack([np.zeros(n), h * np.eye(n)])
+    F, J, r = _fd_rows(f_rows, X, lanes, offsets)
+    if not np.isfinite(r).all():
+        raise RuntimeError(f"residual is not finite at x0={X[~np.isfinite(r)][0]!r}")
+    n_eval = np.full(B, n + 1)
+    steps = np.zeros(B, dtype=int)
+    rung = np.zeros(B, dtype=int)
+    out = [None] * B
+
+    def retire(done, status):
+        for i in np.flatnonzero(done):
+            out[lanes[i]] = OptimResult(x=X[i], fun=float(r[i]), status=str(status[i]),
+                                        n_eval=int(n_eval[i]), n_iter=int(steps[i]),
+                                        F=F[i], J=J[i])
+        return ~done
+
+    # the state arrays hold the lanes still running, in lane order
+    end = (r <= tol) | (max_steps == 0)
+    keep = retire(end, np.where(r <= tol, "converged", "max-iter"))
+    X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
+    n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
+    while lanes.size:
+        xt = repair(X + _lm_steps(J, F, _DAMPING[rung]), lanes)
+        Ft, Jt, rt = _fd_rows(f_rows, xt, lanes, offsets)
+        n_eval += n + 1
+        model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
+        gain = r - rt  # NaN where F is not finite at the trial
+        take = (rt <= tol) | (gain >= _MIN_DECREASE * r)
+        stall = ~take & (gain > 0.0) & (gain >= 0.5 * (r - (model * model).sum(axis=1)))
+        moved = take | stall
+        X[moved], F[moved], J[moved], r[moved] = xt[moved], Ft[moved], Jt[moved], rt[moved]
+        steps += moved
+        rung = np.where(moved, np.maximum(rung - 1, 0), rung + 1)
+        conv = moved & (r <= tol)
+        stall |= rung == len(_DAMPING)
+        end = conv | stall | (steps == max_steps)
+        if end.any():
+            keep = retire(end, np.where(conv, "converged", np.where(stall, "stalled", "max-iter")))
+            X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
+            n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
+    return out
 
 
-def _fd_rows(f_rows, x, h: float):
-    """F(x), its forward-difference Jacobian of step h and |F(x)|^2, from one call."""
-    X = np.repeat(x[None], len(x) + 1, axis=0)
-    X[1:] += h * np.eye(len(x))
-    F = np.asarray(f_rows(X), dtype=float)
-    return F[0], (F[1:] - F[0]).T / h, float(F[0] @ F[0])
+def _lm_steps(J, F, lam) -> np.ndarray:
+    """Minimum-norm minimizers s of |J s + F|^2 + lam |J|^2 |s|^2, one per lane.
+
+    J is (L, 2, n), F (L, 2) and lam (L,).  With the 2 x 2 Gram matrix
+    G = J J^T, its larger eigenvalue g and mu = lam tr G, s = -J^T (G + mu I)^+ F,
+    closed-form over all lanes.  det G is the sum of J's squared 2 x 2
+    minors (Cauchy-Binet), accurate also where J is nearly singular.  A G
+    whose smaller eigenvalue is at most (eps max(2, n))^2 g, the cutoff of
+    ``np.linalg.pinv`` on J's singular values, counts as rank one: then
+    J^T (G + mu I)^+ F = J^T G F / (g (g + mu)), which keeps F's part in the
+    null space of J^T out of the step also when mu > 0.
+    """
+    J0, J1 = J[:, 0], J[:, 1]
+    F0, F1 = F[:, 0], F[:, 1]
+    p, q, t = (J0 * J0).sum(axis=1), (J0 * J1).sum(axis=1), (J1 * J1).sum(axis=1)
+    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+    det = 0.5 * (minors * minors).sum(axis=(1, 2))
+    tr = p + t
+    mu = lam * tr
+    g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
+    one = det <= (np.finfo(float).eps * max(2, J.shape[2]) * g) ** 2
+    d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), det + mu * (tr + mu))
+    w0 = np.where(one, p * F0 + q * F1, (t + mu) * F0 - q * F1) / d
+    w1 = np.where(one, q * F0 + t * F1, (p + mu) * F1 - q * F0) / d
+    return -(J0 * w0[:, None] + J1 * w1[:, None])
+
+
+def _fd_rows(f_rows, X, lanes, offsets):
+    """F at the rows of X, their forward-difference Jacobians and |F|^2, from one call.
+
+    ``offsets`` is (n + 1, n): a zero row, then h times the identity.
+    """
+    L, n = X.shape
+    rows = np.asarray(f_rows((X[:, None] + offsets).reshape(-1, n), np.repeat(lanes, n + 1)),
+                      dtype=float).reshape(L, n + 1, -1)
+    F = rows[:, 0]
+    J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / offsets[1, 0]
+    return F, J, (F * F).sum(axis=1)
 
 
 def box_root(f_rows, x0, lo, hi) -> OptimResult:
-    """Root of F in the box [lo, hi] by ``gauss_newton``, every iterate clipped into it.
+    """Root of F in the box [lo, hi] by one lane of ``gauss_newton``, every iterate clipped into it.
 
-    The solve stops at |F|^2 <= ``ROOT_TOL``, which fixes x only to about
-    |F| / |J|, so the last digits of its x would depend on ``x0``.  A
-    converged solve therefore takes one more Gauss-Newton step, -J^+ F
-    clipped into the box, kept if |F|^2 is no larger.  The result is
-    ``gauss_newton``'s, with the kept step counted in ``n_iter`` and its
-    rows in ``n_eval``.
+    ``f_rows(X)`` returns F at the rows of X.  The solve stops at
+    |F|^2 <= ``ROOT_TOL``, which fixes x only to about |F| / |J|, so the
+    last digits of its x would depend on ``x0``.  A converged solve
+    therefore takes one more Gauss-Newton step, -J^+ F from the F and J the
+    solve ended with, clipped into the box and kept if |F|^2 is no larger.
+    The result is ``gauss_newton``'s, with the kept step counted in
+    ``n_iter`` and its row in ``n_eval``.
     """
-    def clip(x):
-        return np.minimum(np.maximum(x, lo), hi)
+    def clip(X, lanes):
+        return np.minimum(np.maximum(X, lo), hi)
 
-    r = gauss_newton(f_rows, x0, FD_STEP, ROOT_TOL, ROOT_STEPS, clip)
+    (r,) = gauss_newton(lambda X, lanes: f_rows(X), [x0], FD_STEP, ROOT_TOL, ROOT_STEPS, clip)
     if r.status != "converged":
         return r
-    F, J, _ = _fd_rows(f_rows, r.x, FD_STEP)
-    xt = clip(r.x + np.linalg.lstsq(J, -F, rcond=None)[0])
+    xt = clip(r.x + _lm_steps(r.J[None], r.F[None], np.zeros(1))[0], None)
     Ft = np.asarray(f_rows(xt[None]), dtype=float)[0]
     rt = float(Ft @ Ft)
-    r.n_eval += len(xt) + 2
+    r.n_eval += 1
     if rt <= r.fun:
-        r.x, r.fun, r.n_iter = xt, rt, r.n_iter + 1
+        r.x, r.fun, r.F, r.J, r.n_iter = xt, rt, Ft, None, r.n_iter + 1
     return r
 
 

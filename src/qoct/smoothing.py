@@ -129,25 +129,27 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
                   x0=None) -> SmoothingRun:
     """Solve for a perfect X gate in the N free tanh switching times at fixed T.
 
-    Damped Gauss-Newton on F = (Re U00, Im U00) (``optim.gauss_newton``)
-    from ``x0``, or from equal middle bangs of about pi/omega0; every
-    iterate's times are repaired by ``_free_tanh_times``.  ``extras`` holds the
-    solve's |U00|^2 (``residual``) and step count (``solver_steps``);
-    ``converged`` means the solve reached |U00|^2 <= 1e-20 and C + 1 <=
-    TARGET_TOL.  The number of switchings 2N should follow the resonance
-    estimate of ``resonance_pairs``, which the scan and the command line use.
+    Damped Gauss-Newton on F = (Re U00, Im U00), one lane of
+    ``optim.gauss_newton``, from ``x0``, or from equal middle bangs of about
+    pi/omega0; every iterate's times are repaired by ``_free_tanh_times``.
+    ``extras`` holds the solve's |U00|^2 (``residual``) and step count
+    (``solver_steps``); ``converged`` means the solve reached |U00|^2 <=
+    1e-20 and C + 1 <= TARGET_TOL.  The number of switchings 2N should
+    follow the resonance estimate of ``resonance_pairs``, which the scan and
+    the command line use.
     """
     params = problem.params
 
-    def repair(x):
-        return _free_tanh_times(x, T)
+    def repair(X, lanes):
+        return np.array([_free_tanh_times(x, T) for x in X])
 
-    def f_rows(X):
-        return _u00_rows([tanh_protocol(repair(x), beta, T, params) for x in X], params)
+    def f_rows(X, lanes):
+        return _u00_rows([tanh_protocol(_free_tanh_times(x, T), beta, T, params) for x in X],
+                         params)
 
     start = x0 if x0 is not None else _tanh_seed(n_pairs, T, params)
-    r = optim.gauss_newton(f_rows, start, optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
-                           repair)
+    (r,) = optim.gauss_newton(f_rows, [start], optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
+                              repair)
     proto = tanh_protocol(r.x, beta, T, params)
     cost1 = _gate_cost_of(proto, problem) + 1.0
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,

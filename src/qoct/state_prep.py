@@ -8,6 +8,10 @@ bisection, and picks the structure with the smallest T*, breaking ties
 toward fewer switchings.  At a fixed T every structure is searched in at
 most two reduced coordinates: the equal-middle-bang form (t0, tbar) of a
 BB-k extremal, the single switch time of BB-1, and (t1, t2 - t1) of BSB.
+Hit or miss at (structure, T) is a root solve of G = <t_perp| U |psi_i>
+= 0 in those coordinates, t_perp the state orthogonal to the target, for
+which |G|^2 = 1 - F: every structure's starts are lanes of one damped
+Gauss-Newton call, and a hit is a lane ending at |G|^2 <= TARGET_TOL.
 The scan searches no time that a speed limit rules out: in the frame
 rotating with the drift the Bloch vector turns at angular speed at most
 2 u_max, so no control reaches a target farther than 2 u_max T away there.
@@ -91,6 +95,10 @@ class SearchResult:
     values: tuple[float, ...]
     cost: float | None
     report: OptimalityReport | None
+    # |G|^2 of the winner at T* (cost + 1 for the closed-form BSB) and the
+    # Gauss-Newton steps of the lane that found it (0 for BSB)
+    residual: float | None
+    solver_steps: int | None
     diagnostics: dict = field(default_factory=dict)
 
     def protocol(self) -> BangSequence:
@@ -142,7 +150,7 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     at T[b]: its padded segments last zero time, are exact identities, and
     leave the row's cost bit for bit as it is unpadded.  The durations go
     through the Cayley-Klein pair kernel, cells first, as in
-    ``_reduced_costs``.
+    ``_reduced_rows``.
     """
     T = np.asarray(T, dtype=float)[None]
     # cells first; ndarray.clip and the slice difference: np.clip's and
@@ -170,14 +178,23 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     BB-1 is searched in its switch time, BB-k (k >= 2) in (t0, tbar) and BSB
     in (t1, t2 - t1), once per trailing-bang sign; see ``_scan_optima``.  The
     switch times ``x0``, if given, warm-start the search as (x0[0], their
-    mean spacing).  Returns (times, cost, segment values), deterministic.
+    mean spacing).  Where the target is out of reach at T, the best lane's
+    solve stops near a minimum of the cost without reaching it, and
+    Nelder-Mead finishes the minimization from there, in the same box.
+    Returns (times, cost, segment values), deterministic.
     """
     warm = None
     if x0 is not None and structure.n_switch > 0:
         t = np.sort(np.asarray(x0, dtype=float))
-        warm = t[:1] if len(t) == 1 else np.array([t[0], (t[-1] - t[0]) / (len(t) - 1)])
-    ((x, cost, _, values),) = _scan_optima([structure], [T], [warm], problem)
-    return _reduced_to_times(x, structure, T), cost, values
+        warm = np.array([t[0], (t[-1] - t[0]) / max(len(t) - 1, 1)])
+    ((r, values),) = _scan_optima([structure], [T], [warm], problem)
+    x = r.x
+    if r.status not in ("converged", "exact"):
+        def cost(x):
+            return cost_of_switchings(_reduced_to_times(x, structure, T), values, T, problem)
+        x = optim.nelder_mead(cost, x, 1500, 1e-12, bounds=tuple(zip(*_box(structure, T)))).x
+    times = _reduced_to_times(x, structure, T)
+    return times, cost_of_switchings(times, values, T, problem), values
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +310,7 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
     return out
 
 
-# drawn Nelder-Mead starts per structure at each time of the T* scan, the
+# drawn Gauss-Newton starts per structure at each time of the T* scan, the
 # bisection and the report, run besides the structure's warm start when it
 # has one; every structure draws them from np.random.default_rng(0)
 _SCAN_DRAWS = 5
@@ -306,15 +323,25 @@ def _segment_values(structure: StructureLabel, u_max: float) -> list[np.ndarray]
     return [_bb_values(structure.n_switch, structure.lead_sign, u_max)]
 
 
-def _equal_bangs(X, k: int) -> np.ndarray:
-    """Switch times of reduced coordinates, one row per row of X.
+def _box(structure: StructureLabel, T: float):
+    """The (lo, hi) corners of a structure's box in (t0, tbar) at T.
 
-    One column is the single switch time of BB-1; two are (t0, tbar), whose
-    k switch times t0 + j tbar (j < k) are the equal-middle-bang form, exact
-    for BB extremals and, at k = 2, the (t1, t2 - t1) of BSB.  The times are
-    neither clipped nor, for tbar < 0, ordered.
+    t0 lies in [0, T]; BB-1's tbar is fixed at 0 (its one switch time is
+    t0), and the k switch times of the others keep tbar in [1e-9, T/(k-1)].
     """
-    return X if X.shape[1] < 2 else X[:, :1] + X[:, 1:] * np.arange(k)
+    k = structure.n_switch
+    return ((0.0, 0.0), (T, 0.0)) if k == 1 else ((0.0, 1e-9), (T, T / (k - 1)))
+
+
+def _equal_bangs(X, k: int) -> np.ndarray:
+    """Switch times of reduced coordinates (t0, tbar), one row per row of X.
+
+    The k switch times t0 + j tbar (j < k) are the equal-middle-bang form,
+    exact for BB extremals and, at k = 2, the (t1, t2 - t1) of BSB; BB-1's
+    one switch time is t0, whatever tbar.  The times are neither clipped
+    nor, for tbar < 0, ordered.
+    """
+    return X[:, :1] + X[:, 1:] * np.arange(k)
 
 
 def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
@@ -322,17 +349,29 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
     return np.sort(times.clip(0.0, T))
 
 
-def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams):
-    """The scan's objective f(X, lanes): costs of reduced coordinates, row by row.
+def _target_residual(ab, init, target):
+    """G = <t_perp| U |init> of the matrices U = [[a, -b*], [b, a*]], from their pairs (..., 2).
+
+    t_perp = (-t1*, t0*) is the state orthogonal to ``target``, so |G|^2 =
+    1 - |<target| U |init>|^2, the state-preparation cost plus one.
+    """
+    a, b = ab[..., 0], ab[..., 1]
+    return (target[0] * (b * init[0] + np.conjugate(a) * init[1])
+            - target[1] * (a * init[0] - np.conjugate(b) * init[1]))
+
+
+def _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams):
+    """The scan's residual rows f(X, lanes): (Re G, Im G) of reduced coordinates, row by row.
 
     Lane l has time ``lane_T[l]``, ``lane_k[l]`` switchings and segment
     values ``lane_values[l]``, padded at the end to one more than the
-    largest k.  A row's cost has the bits of ``_bang_costs`` on its
-    ``_equal_bangs`` times padded with T: the scan's box keeps t0 >= 0 and
-    tbar >= 1e-9, so t0 + j tbar already rises with j and clipping at T
-    keeps it rising, and the durations need no sort.  The values are lane
-    constants made once here, stored cells first like the durations and
-    like ``_bang_costs``'s cells.
+    largest k.  A row's switch times are its ``_equal_bangs`` times padded
+    with T, and the durations go through the pair kernel of ``_bang_costs``,
+    so |G|^2 agrees with that cost plus one to rounding.  The scan's box
+    keeps t0 >= 0 and tbar >= 1e-9, so t0 + j tbar already rises with j and
+    clipping at T keeps it rising, and the durations need no sort.  The
+    values are lane constants made once here, stored cells first like the
+    durations and like ``_bang_costs``'s cells.
     """
     kmax = lane_values.shape[1] - 1
     # per lane, cells first: the values, and the floor of each switch time
@@ -340,7 +379,7 @@ def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParam
     floor_T = np.where(np.arange(kmax + 1)[:, None] < lane_k, 0.0, lane_T)
     lane_consts = np.stack([lane_values.T, floor_T])
 
-    def costs(X, lanes):
+    def rows(X, lanes):
         values, floor_T = lane_consts[:, :, lanes]
         durs = np.empty((kmax + 1, len(lanes)))
         times, T = durs[:-1], floor_T[-1]
@@ -348,72 +387,76 @@ def _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParam
         np.minimum(times, T, out=times)
         durs[-1] = T
         durs[1:] -= times  # numpy buffers the overlapping operand
-        pairs = cell_pairs(durs, values, params)
-        return pair_state_prep_cost(pair_product(pairs), psi_i, psi_t)
+        G = _target_residual(pair_product(cell_pairs(durs, values, params)), psi_i, psi_t)
+        return G.view(float).reshape(-1, 2)
 
-    return costs
+    return rows
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
                  problem: StatePrepProblem
-                 ) -> list[tuple[np.ndarray, float, str, tuple[float, ...]]]:
-    """Best reduced coordinates, cost, lane status and segment values of each structure.
+                 ) -> list[tuple[optim.OptimResult, tuple[float, ...]]]:
+    """The best Gauss-Newton lane of each structure and its segment values.
 
-    Each structure is searched at its own T.  Its Nelder-Mead runs start
-    from its warm start, if it has one, and from _SCAN_DRAWS drawn points;
-    BSB runs them once per trailing-bang sign.  The runs of all structures
-    are lanes of one lockstep call per coordinate count: BB-1 in its switch
-    time, BB-k (k >= 2) in (t0, tbar) and BSB in (t1, t2 - t1).  The first
-    lane reaching a structure's lowest cost wins, and the status is that
-    lane's, 'converged' or 'max-iter'.  BB-0 has nothing to optimize and
-    reports 'exact'.
+    Each structure is searched at its own T, in (t0, tbar) and in its
+    ``_box``.  Its lanes start from its
+    warm start, if it has one, and from _SCAN_DRAWS drawn points; BSB runs
+    them once per trailing-bang sign.  The lanes of all structures solve
+    G = 0 (``_reduced_rows``) in one ``optim.gauss_newton`` call, every
+    trial clipped into its lane's box.  A structure's best lane is the first
+    with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its result
+    is |G|^2 of its one protocol, status 'exact'.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
-    out = [None] * len(structures)
-    zero = [j for j, s in enumerate(structures) if s.n_switch == 0]
-    if zero:
-        zero_values = [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero]
-        costs = _bang_costs(np.empty((len(zero), 0)), [Ts[j] for j in zero], zero_values,
-                            psi_i, psi_t, params)
-        for j, vals, c in zip(zero, zero_values, costs):
-            out[j] = (np.empty(0), float(c), "exact", tuple(float(v) for v in vals))
-    for dim in (1, 2):
-        group = [j for j, s in enumerate(structures) if min(s.n_switch, 2) == dim]
-        if not group:
+    kmax = max(s.n_switch for s in structures)
+    starts, lo, hi, values, counts, owners = [], [], [], [], [], []
+    for j, s in enumerate(structures):
+        T, k = Ts[j], s.n_switch
+        if k == 0:
             continue
-        kmax = max(structures[j].n_switch for j in group)
-        starts, boxes, values, counts, owners = [], [], [], [], []
-        for j in group:
-            s, T, k = structures[j], Ts[j], structures[j].n_switch
-            if dim == 1:
-                box = ((0.0,), (T,))
-                sampler = lambda rng, T=T: rng.uniform(0.0, T, 1)
-            else:
-                box = ((0.0, 1e-9), (T, T / (k - 1)))
-                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
-                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
-            rng = np.random.default_rng(0)
-            mine = [] if warms[j] is None else [warms[j]]
-            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
-            for vals in _segment_values(s, params.u_max):
-                starts += mine
-                counts.append(len(mine))
-                boxes.append(box)
-                values.append(vals)
-                owners.append(j)
-        lo = np.repeat([b[0] for b in boxes], counts, axis=0)
-        hi = np.repeat([b[1] for b in boxes], counts, axis=0)
-        lane_values = np.repeat([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for v in values],
-                                counts, axis=0)
-        lane_T = np.repeat([Ts[j] for j in owners], counts)
-        lane_k = np.repeat([structures[j].n_switch for j in owners], counts)
-        obj = _reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t, params)
-        runs = optim.lockstep_nelder_mead(obj, starts, lo, hi, 1500, 1e-12)
-        for j, vals, end, count in zip(owners, values, np.cumsum(counts), counts):
-            r = min(runs[end - count:end], key=lambda r: r.fun)
-            if out[j] is None or r.fun < out[j][1]:
-                out[j] = (r.x, r.fun, r.status, tuple(float(v) for v in vals))
+        box = _box(s, T)
+        if k == 1:
+            sampler = lambda rng, T=T: np.array([rng.uniform(0.0, T), 0.0])
+        else:
+            sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
+                                                      rng.uniform(0.3, 1.0) * T / (k - 1)])
+        rng = np.random.default_rng(0)
+        mine = [] if warms[j] is None else [warms[j]]
+        mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
+        for vals in _segment_values(s, params.u_max):
+            starts += mine
+            lo.append(box[0])
+            hi.append(box[1])
+            values.append(vals)
+            counts.append(len(mine))
+            owners.append(j)
+    # one lane per BB-0 structure, after the solved ones
+    zero = [j for j, s in enumerate(structures) if s.n_switch == 0]
+    values += [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero]
+    counts += [1] * len(zero)
+    owners += zero
+    lane_values = np.repeat([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for v in values],
+                            counts, axis=0)
+    lane_T = np.repeat([Ts[j] for j in owners], counts)
+    lane_k = np.repeat([structures[j].n_switch for j in owners], counts)
+    rows = _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params)
+    runs = []
+    if starts:
+        lo = np.repeat(lo, counts[:len(lo)], axis=0)
+        hi = np.repeat(hi, counts[:len(hi)], axis=0)
+        runs = optim.gauss_newton(
+            rows, starts, optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
+            lambda X, lanes: np.minimum(np.maximum(X, lo[lanes]), hi[lanes]))
+    if zero:
+        F = rows(np.zeros((len(zero), 2)), np.arange(len(starts), len(lane_T)))
+        runs += [optim.OptimResult(x=np.zeros(2), fun=float(f @ f), status="exact") for f in F]
+    out = [None] * len(structures)
+    ends = np.cumsum(counts)
+    for j, vals, end, count in zip(owners, values, ends, counts):
+        r = min(runs[end - count:end], key=lambda r: r.fun)
+        if out[j] is None or r.fun < out[j][0].fun:
+            out[j] = (r, tuple(float(v) for v in vals))
     return out
 
 
@@ -425,10 +468,13 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     equal-middle-bang form, both leading signs) and refined by bisection to
     1e-3 pi; the minimal BSB time comes from the closed-form equator
     construction, validated by propagation.  A BB winner is the bisection's
-    best lane at T* as it is, and its optimality report is evaluated at
-    0.999 T* where the PMP quantities are small but nonzero.  Ties break
-    toward fewer switchings.  ``diagnostics["stalled_misses"]`` counts the
-    scan and bisection misses whose best Nelder-Mead lane ended 'max-iter'.
+    best Gauss-Newton lane at T* as it is, and its optimality report is
+    evaluated at 0.999 T* where the PMP quantities are small but nonzero.
+    Ties break toward fewer switchings.  ``residual`` is the winner's |G|^2
+    at T* and ``solver_steps`` its lane's steps (cost + 1 and 0 for BSB).
+    ``diagnostics["stalled_misses"]`` counts the scan and bisection misses
+    whose best lane used up its Gauss-Newton steps ('max-iter') rather than
+    stalling: such a miss may be a slow solve rather than a time too short.
 
     A grid time that the speed limit rules out counts as a miss without a
     search, and ``diagnostics["speed_limit_skips"]`` counts them.  In the
@@ -469,8 +515,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     hits: dict = {}
     T_hit = None
     T_miss = 0.0  # the last coarse time that missed
-    # misses decided by a best lane that ran out of Nelder-Mead iterations:
-    # such a miss may be a stall rather than a time too short
+    # misses decided by a best lane that ran out of Gauss-Newton steps
     stalled = 0
     skips = 0  # coarse times the speed limit rules out, missed without a search
     for j in range(1, int(np.ceil(t_max / coarse_step)) + 1):
@@ -483,12 +528,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             keys = [(s.n_switch, s.lead_sign) for s in scan]
             optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
                                   problem)
-            for s, key, (x, c, status, _) in zip(scan, keys, optima):
-                warm[key] = x
-                if c <= -1.0 + TARGET_TOL:
-                    hits[key] = (s, x)
+            for s, key, (r, _) in zip(scan, keys, optima):
+                warm[key] = r.x
+                if r.fun <= TARGET_TOL:
+                    hits[key] = (s, r)
                 else:
-                    stalled += status == "max-iter"
+                    stalled += r.status == "max-iter"
         if hits or bsb_T <= T:
             T_hit = T
             break
@@ -502,28 +547,28 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         found = list(hits.values())
         lo = [T_hit - coarse_step if T_hit == j * coarse_step else T_miss] * len(found)
         hi = [T_hit] * len(found)
-        x_best = [np.asarray(x, dtype=float) for _, x in found]
+        best = [r for _, r in found]
         while steps := [i for i in range(len(found)) if hi[i] - lo[i] > resolution]:
             mids = [0.5 * (lo[i] + hi[i]) for i in steps]
             optima = _scan_optima([found[i][0] for i in steps], mids,
-                                  [x_best[i] * (mid / hi[i]) for i, mid in zip(steps, mids)],
+                                  [best[i].x * (mid / hi[i]) for i, mid in zip(steps, mids)],
                                   problem)
-            for i, mid, (x, c, status, _) in zip(steps, mids, optima):
-                if c <= -1.0 + TARGET_TOL:
-                    hi[i], x_best[i] = mid, np.asarray(x, dtype=float)
+            for i, mid, (r, _) in zip(steps, mids, optima):
+                if r.fun <= TARGET_TOL:
+                    hi[i], best[i] = mid, r
                 else:
                     lo[i] = mid
-                    stalled += status == "max-iter"
-        for (s, _), t_hi, x in zip(found, hi, x_best):
-            _, _, eff = canonicalize_bangs(_reduced_to_times(x, s, t_hi),
+                    stalled += r.status == "max-iter"
+        for (s, _), t_hi, r in zip(found, hi, best):
+            _, _, eff = canonicalize_bangs(_reduced_to_times(r.x, s, t_hi),
                                            _bb_values(s.n_switch, s.lead_sign, params.u_max),
                                            t_hi)
-            candidates.append((t_hi, eff.n_switch, 1, s, x))
+            candidates.append((t_hi, eff.n_switch, 1, s, r))
     if bsb is not None and bsb_T <= t_max:
         candidates.append((bsb_T, 2, 0, None, bsb))
 
     if not candidates:
-        return SearchResult(False, None, None, (), (), None, None,
+        return SearchResult(False, None, None, (), (), None, None, None, None,
                             {"t_max": t_max, "reason": "no structure reached fidelity",
                              "stalled_misses": stalled, "speed_limit_skips": skips})
 
@@ -534,20 +579,22 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     best_T = candidates[0][0]
     near = sorted((c for c in candidates if c[0] <= best_T + resolution),
                   key=lambda c: (c[1], c[2], c[0]))
-    t_star, _, _, s_win, x_win = near[0]
+    t_star, _, _, s_win, win = near[0]
 
     if s_win is None:  # BSB wins
-        cand = x_win
+        cand = win
         structure = StructureLabel("bsb", 2, cand["s1"])
         proto = _bsb_protocol(cand, params)
         times = np.asarray(proto.switch_times)
         values = proto.values
         cost = cost_of_switchings(times, values, t_star, problem)
+        residual, solver_steps = cost + 1.0, 0
         diag = {"singular_duration": cand["coast"], "bsb": dict(cand)}
     else:
-        times = _reduced_to_times(x_win, s_win, t_star)
+        times = _reduced_to_times(win.x, s_win, t_star)
         values = _bb_values(s_win.n_switch, s_win.lead_sign, params.u_max)
         cost = cost_of_switchings(times, values, t_star, problem)
+        residual, solver_steps = win.fun, win.n_iter
         times, values, structure = canonicalize_bangs(times, values, t_star)
         values = tuple(float(v) for v in values)
         diag = {"singular_duration": 0.0}
@@ -560,7 +607,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     if with_report:
         report = report_near_optimum(structure, t_star, times, problem)
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
-                        tuple(float(v) for v in values), float(cost), report, diag)
+                        tuple(float(v) for v in values), float(cost), report,
+                        float(residual), int(solver_steps), diag)
 
 
 def report_near_optimum(structure: StructureLabel, t_star: float, times,

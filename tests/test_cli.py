@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import smoothing, xgate
+from qoct import optim, smoothing, xgate
 from qoct.cli import _angle, main
-from qoct.dynamics import ModelParams, rabi_protocol
+from qoct.dynamics import TARGET_TOL, ModelParams, rabi_protocol
 from qoct.fileio import (
     fmt,
     read_pulse_csv,
@@ -292,6 +292,10 @@ class TestCli:
         # before T* must not turn it into BB-3
         res = json.loads((outdir / "state-prep" / "search_result.json").read_text())
         assert res["structure"] == "BB-2"
+        # the winner's residual is |G|^2 = cost + 1 of the written protocol
+        assert 0 < res["solver_steps"] <= optim.ROOT_STEPS
+        assert res["residual"] <= TARGET_TOL
+        assert res["residual"] == pytest.approx(res["cost"] + 1.0, abs=1e-14)
         T = res["t_star"]
         durs = np.diff(np.concatenate([[0.0], res["switch_times"], [T]]))
         assert np.min(durs) >= 1e-3 * T

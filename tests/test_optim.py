@@ -4,12 +4,13 @@ import pytest
 
 from qoct.optim import (
     ROOT_TOL,
+    _DAMPING,
+    _lm_steps,
     box_root,
     dip_roots,
     gauss_newton,
     golden_section,
     grid_vertex,
-    lockstep_nelder_mead,
     nelder_mead,
     nelder_mead_restarts,
     projected_gradient,
@@ -168,22 +169,14 @@ def lane_problem(n):
     return fs, starts, lo, hi, {1: 15, 2: 40, 3: 60}[n]
 
 
-def by_lane(fs, calls=None):
-    """A lane objective over the scalar ``fs``, appending its row count per call."""
-    def f(X, lanes):
-        if calls is not None:
-            calls.append(len(X))
-        return [fs[b](x) for x, b in zip(X, lanes)]
-    return f
-
-
 class TestReference:
     """Every simplex entry point against the sequential reference, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bounded_lanes(self, n):
         fs, starts, lo, hi, max_iter = lane_problem(n)
-        runs = lockstep_nelder_mead(by_lane(fs), starts, lo, hi, max_iter, 1e-10)
+        runs = [nelder_mead(f, x, max_iter, 1e-10, bounds=tuple(zip(a, b)))
+                for f, x, a, b in zip(fs, starts, lo, hi)]
         assert {r.status for r in runs} == {"converged", "max-iter"}
         refs = [reference_nelder_mead(f, x, a, b, max_iter, 1e-10)
                 for f, x, a, b in zip(fs, starts, lo, hi)]
@@ -191,17 +184,12 @@ class TestReference:
         for b, (r, ref) in enumerate(zip(runs, refs)):
             assert_matches_reference(r, ref)
             assert np.all(r.x >= lo[b]) and np.all(r.x <= hi[b])
-            alone = nelder_mead(fs[b], starts[b], max_iter, 1e-10,
-                                bounds=tuple(zip(lo[b], hi[b])))
-            assert_matches_reference(alone, ref)
 
     def test_unbounded_lanes(self):
         fs = lane_objectives(2)
         starts = np.random.default_rng(3).uniform(-1.0, 1.0, (len(fs), 2))
-        runs = lockstep_nelder_mead(by_lane(fs), starts, None, None, 200, 1e-12)
-        for f, x, r in zip(fs, starts, runs):
+        for f, x in zip(fs, starts):
             ref = reference_nelder_mead(f, x, None, None, 200, 1e-12)
-            assert_matches_reference(r, ref)
             assert_matches_reference(nelder_mead(f, x, 200, 1e-12), ref)
 
     @pytest.mark.parametrize("bounds", [None, ((-2.0, 2.0),) * 3], ids=["free", "box"])
@@ -218,19 +206,6 @@ class TestReference:
 
 
 class TestCallCounts:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_lockstep_one_call_per_iteration_plus_shrinks(self, n):
-        fs, starts, lo, hi, max_iter = lane_problem(n)
-        calls = []
-        lockstep_nelder_mead(by_lane(fs, calls), starts, lo, hi, max_iter, 1e-10)
-        refs = [reference_nelder_mead(f, x, a, b, max_iter, 1e-10)
-                for f, x, a, b in zip(fs, starts, lo, hi)]
-        iterations = max(ref[4] for ref in refs)
-        shrinking = set().union(*(ref[5] for ref in refs))
-        assert shrinking
-        # the start simplex, one call per iteration, one more per shrinking one
-        assert len(calls) == 1 + iterations + len(shrinking)
-
     @pytest.mark.parametrize("bounds", [None, ((-2.0, 2.0),) * 3], ids=["free", "box"])
     def test_scalar_objective_called_once_per_counted_point(self, bounds):
         seen = []
@@ -253,13 +228,17 @@ class TestCallCounts:
 
 
 class TestLockstep:
-    """Lanes advanced together take the steps and bits of each lane run alone."""
+    """Restarts advanced together as lanes take the steps and bits of each run alone."""
 
     def test_nan_in_one_lane_aborts(self):
-        def f(X, lanes):
-            return [np.nan if b == 2 else float(np.sum(x ** 2)) for x, b in zip(X, lanes)]
-        with pytest.raises(RuntimeError):
-            lockstep_nelder_mead(f, np.ones((4, 2)), -3.0, 3.0, 100, 1e-10)
+        # the third restart starts where the objective is NaN
+        def f(x):
+            return np.nan if x[0] < -2.0 else float(np.sum(x ** 2))
+
+        starts = iter([np.array([1.0, 1.0]), np.array([-2.5, 1.0]), np.array([2.0, 2.0])])
+        with pytest.raises(RuntimeError, match="NaN"):
+            nelder_mead_restarts(f, np.ones(2), lambda rng: next(starts), 4, 100, 1e-10,
+                                 bounds=((-3.0, 3.0),) * 2)
 
         # NaN only at the points a step discards: lane 2's objective is NaN
         # off the points its sequential run evaluates, which that run never sees
@@ -275,13 +254,10 @@ class TestLockstep:
                     for x, b in zip(X, lanes)]
         assert_matches_reference(nelder_mead(lambda x: g(x[None], [2])[0], np.ones(2), 100,
                                              1e-10, bounds=((-3.0, 3.0),) * 2), alone)
-        with pytest.raises(RuntimeError, match="NaN"):
-            lockstep_nelder_mead(g, np.ones((4, 2)), -3.0, 3.0, 100, 1e-10)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
-            lockstep_nelder_mead(lambda X, lanes: [0.0] * len(X), np.zeros((2, 1)),
-                                 [[0.0], [0.5]], [[1.0], [0.4]], 10, 1e-10)
+            nelder_mead(lambda x: 0.0, np.zeros(2), 10, 1e-10, bounds=((0.0, 1.0), (0.5, 0.4)))
 
     def test_restarts_return_first_lane_at_the_minimum(self):
         # every restart ends on the flat floor |x| <= 0.5, each at its own x
@@ -386,8 +362,14 @@ class TestProjectedGradient:
         assert max(moves) <= 0.1 + 1e-12
 
 
-def same(x):
-    return x
+def same(X, lanes):
+    return X
+
+
+def one_lane(f, x0, max_steps=25, repair=same):
+    """``gauss_newton`` on one lane of the row function ``f(X)``."""
+    (r,) = gauss_newton(lambda X, lanes: f(X), [x0], 1e-7, 1e-20, max_steps, repair)
+    return r
 
 
 class TestGaussNewton:
@@ -398,7 +380,7 @@ class TestGaussNewton:
         return np.column_stack([X[:, 0] ** 2 + X[:, 1] ** 2 - 2.0, X[:, 0] - X[:, 1]])
 
     def test_square_system_converges_to_root(self):
-        r = gauss_newton(self.circle_and_line, [2.0, 0.5], 1e-7, 1e-20, 25, same)
+        r = one_lane(self.circle_and_line, [2.0, 0.5])
         assert r.status == "converged" and r.fun <= 1e-20
         np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-10)
         assert 0 < r.n_iter <= 25
@@ -410,19 +392,18 @@ class TestGaussNewton:
             calls.append(len(X))
             return self.circle_and_line(X)
 
-        r = gauss_newton(f, [2.0, 0.5], 1e-7, 1e-20, 25, same)
+        r = one_lane(f, [2.0, 0.5])
         assert set(calls) == {3}
         assert r.n_eval == sum(calls)
         # no step of this solve needed damping
         assert len(calls) == r.n_iter + 1
 
     def test_underdetermined_step_is_minimum_norm(self):
-        # one equation a.x = 1 in three unknowns: the first step from 0 lands
-        # on the nearest root a / |a|^2
-        a = np.array([1.0, 2.0, -2.0])
-        r = gauss_newton(lambda X: (np.asarray(X) @ a - 1.0)[:, None], np.zeros(3),
-                         1e-7, 1e-20, 25, same)
-        np.testing.assert_allclose(r.x, a / (a @ a), atol=1e-8)
+        # two equations a.x = 1 and b.x = 0 in three unknowns: the first step
+        # from 0 lands on the nearest root, the minimum-norm solution
+        A = np.array([[1.0, 2.0, -2.0], [0.5, -1.0, 3.0]])
+        r = one_lane(lambda X: np.asarray(X) @ A.T - [1.0, 0.0], np.zeros(3))
+        np.testing.assert_allclose(r.x, np.linalg.pinv(A) @ [1.0, 0.0], atol=1e-8)
         assert r.n_iter <= 2
 
     def test_rank_one_start_is_damped_not_thrown_away(self):
@@ -434,15 +415,16 @@ class TestGaussNewton:
             s = X[:, 0] + X[:, 1] - 1.0
             return np.column_stack([s, s + (X[:, 0] - 0.3) ** 2 - 0.04])
 
-        r = gauss_newton(f, [0.3, 0.2], 1e-7, 1e-20, 25, same)
+        r = one_lane(f, [0.3, 0.2])
         assert r.status == "converged"
         assert min(abs(r.x[0] - 0.5), abs(r.x[0] - 0.1)) < 1e-9
         assert r.x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_no_root_stalls_early(self):
-        # |F|^2 >= 1 everywhere: the solve stops when steps stop paying
-        r = gauss_newton(lambda X: np.column_stack([np.asarray(X)[:, 0] ** 2 + 1.0]),
-                         [3.0], 1e-7, 1e-20, 25, same)
+        # |F|^2 = (x^2 + 1)^2 + x^2 >= 1 everywhere: the solve stops when
+        # steps stop paying
+        r = one_lane(lambda X: np.column_stack([np.asarray(X)[:, 0] ** 2 + 1.0,
+                                                np.asarray(X)[:, 0]]), [3.0])
         assert r.status == "stalled" and r.n_iter < 25
         assert r.fun >= 1.0
 
@@ -453,17 +435,66 @@ class TestGaussNewton:
             seen.append(np.array(X[0]))
             return self.circle_and_line(X)
 
-        r = gauss_newton(f, [2.0, 0.5], 1e-7, 1e-20, 25, lambda x: np.clip(x, 0.2, 1.5))
+        r = one_lane(f, [2.0, 0.5], repair=lambda X, lanes: np.clip(X, 0.2, 1.5))
         assert all(np.all((0.2 <= x) & (x <= 1.5)) for x in seen)
         np.testing.assert_allclose(r.x, [1.0, 1.0], atol=1e-10)
 
     def test_nonfinite_start_raises(self):
         with pytest.raises(RuntimeError, match="not finite"):
-            gauss_newton(lambda X: np.full((len(X), 2), np.nan), [1.0], 1e-7, 1e-20, 25, same)
+            one_lane(lambda X: np.full((len(X), 2), np.nan), [1.0])
 
     def test_step_cap_reports_max_iter(self):
-        r = gauss_newton(self.circle_and_line, [2.0, 0.5], 1e-7, 1e-20, 1, same)
+        r = one_lane(self.circle_and_line, [2.0, 0.5], max_steps=1)
         assert r.status == "max-iter" and r.n_iter == 1 and r.fun > 1e-20
+
+    def test_lanes_take_the_steps_and_bits_of_each_lane_alone(self):
+        # lanes of four problems, one of them twice, and a lane converged at
+        # its start: each result has the bits of the lane solved alone, and
+        # each round is one call over the active lanes
+        problems = [
+            (self.circle_and_line, [2.0, 0.5]),
+            (lambda X: np.column_stack([np.sin(X[:, 0]) + X[:, 1] ** 2 - 0.5,
+                                        X[:, 0] * X[:, 1] - 0.1]), [0.3, 0.9]),
+            (lambda X: np.column_stack([X[:, 0] ** 2 + 1.0, X[:, 1]]), [3.0, 0.2]),
+            (self.circle_and_line, [-3.0, -0.5]),
+            (self.circle_and_line, [1.0, 1.0]),
+            (self.circle_and_line, [2.0, 0.5]),
+        ]
+        calls = []
+
+        def f(X, lanes):
+            calls.append(len(X))
+            return np.vstack([problems[b][0](x[None]) for x, b in zip(X, lanes)])
+
+        def box(X, lanes):
+            return np.clip(X, -2.5, 2.5)
+
+        runs = gauss_newton(f, [x0 for _, x0 in problems], 1e-7, 1e-20, 25, box)
+        alone = [one_lane(g, x0, repair=box) for g, x0 in problems]
+        assert {r.status for r in runs} == {"converged", "stalled"}
+        for r, a in zip(runs, alone):
+            assert (r.x.tobytes(), r.fun, r.status, r.n_iter, r.n_eval) == \
+                (a.x.tobytes(), a.fun, a.status, a.n_iter, a.n_eval)
+        assert len(calls) == max(a.n_eval for a in alone) // 3
+        assert sum(calls) == sum(a.n_eval for a in alone)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_damped_steps_solve_the_stacked_least_squares_system(self, n):
+        # against lstsq on [J; sqrt(lam |J|^2) I] s = [-F; 0], rank-deficient
+        # and zero Jacobians included; lstsq itself loses up to 4e-9 of the
+        # damped steps of a rank-one J, which the closed form keeps exact
+        rng = np.random.default_rng(n)
+        J = rng.normal(size=(40, 2, n))
+        J[5:15, 1] = 2.0 * J[5:15, 0]  # rank one
+        J[15:17] = 0.0
+        F = rng.normal(size=(40, 2))
+        lam = rng.choice(_DAMPING, 40)
+        lam[:10] = 0.0
+        S = _lm_steps(J, F, lam)
+        for j, f, l, s in zip(J, F, lam, S):
+            A = np.vstack([j, np.sqrt(l * np.sum(j * j)) * np.eye(n)])
+            ref = np.linalg.lstsq(A, np.r_[-f, np.zeros(n)], rcond=None)[0]
+            np.testing.assert_allclose(s, ref, rtol=0.0, atol=1e-8 * np.abs(ref).max())
 
 
 def synthetic(g):

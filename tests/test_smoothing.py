@@ -186,6 +186,23 @@ class TestThirdHarmonic:
         assert r.status == "converged" and r.fun <= optim.ROOT_TOL
         assert r.x[0] == pytest.approx(13.5993679169, abs=1e-10)
 
+    def test_converged_box_root_evaluates_no_point_twice(self):
+        # from (13.575, 2.03) the solve takes 5 Gauss-Newton steps, one call
+        # each after the start's, and the extra step costs one row from the
+        # F and J the solve ended with: 7 calls, none at a point seen before
+        params = X02.params
+        lo, hi = (13.4, params.omega0 * 0.96), (13.8, params.omega0 * 1.04)
+        points = []
+
+        def f_rows(X):
+            points.append(tuple(X[0]))
+            return smoothing._face_rows(X, params)
+
+        r = optim.box_root(f_rows, [13.575, 2.03], lo, hi)
+        assert r.status == "converged" and r.n_iter == 6
+        assert len(points) == 7 and len(set(points)) == 7
+        assert r.n_eval == 6 * 3 + 1
+
     @pytest.mark.parametrize("u_max", [0.2, 0.4])
     def test_no_perfect_gate_one_scan_step_before_the_root(self, u_max):
         # The root is the earliest on the face R = -1/8; fixed-T Nelder-Mead

@@ -151,40 +151,42 @@ class TestBangKernel:
             lane_T.append(T)
             lane_k.append(k)
             lane_values.append(np.pad(v, (0, kmax - k), mode="edge"))
-            X.append([f0 * T] if k == 1 else [f0 * T, 1e-9 + f1 * (T / (k - 1) - 1e-9)])
+            X.append([f0 * T, 0.0] if k == 1 else [f0 * T, 1e-9 + f1 * (T / (k - 1) - 1e-9)])
         lane_T, lane_k, lane_values = np.array(lane_T), np.array(lane_k), np.array(lane_values)
-        # rows in any order, lanes repeated, as the lockstep search asks for them
+        # rows in any order, lanes repeated, as the lane search asks for them
         rows = np.random.default_rng(seed).integers(0, len(lanes), 3 * len(lanes))
         X = np.array(X)[rows]
-        costs = state_prep._reduced_costs(lane_T, lane_k, lane_values, psi_i, psi_t,
-                                          params)(X, rows)
+        G = state_prep._reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t,
+                                     params)(X, rows)
+        assert G.shape == (len(rows), 2)
         times = np.full((len(rows), kmax), lane_T[rows, None])
         for r, lane in enumerate(rows):
             k = lane_k[lane]
             times[r, :k] = X[r, 0] + X[r, 1] * np.arange(k) if k > 1 else X[r, 0]
         ref = _bang_costs(times, lane_T[rows], lane_values[rows], psi_i, psi_t, params)
-        assert costs.tolist() == ref.tolist()
+        # |G|^2 = 1 - F is the cost plus one, up to the few ulp by which the
+        # cells' product drifts from unit norm: |G|^2 + F is that norm
+        np.testing.assert_allclose((G * G).sum(axis=1), ref + 1.0, rtol=0.0, atol=2e-15)
 
 
 class TestScanLanes:
     @pytest.mark.parametrize("warm", [False, True], ids=["seeded", "warm"])
     def test_no_two_lanes_of_a_structure_share_a_start(self, warm, monkeypatch):
-        from qoct import optim
         seen = []
-        lockstep = optim.lockstep_nelder_mead
+        solve = optim.gauss_newton
 
-        def spy(f, starts, lo, hi, max_iter, tol):
+        def spy(f_rows, starts, *args):
             seen.append(np.array(starts, dtype=float))
-            return lockstep(f, starts, lo, hi, max_iter, tol)
+            return solve(f_rows, starts, *args)
 
-        monkeypatch.setattr(optim, "lockstep_nelder_mead", spy)
+        monkeypatch.setattr(optim, "gauss_newton", spy)
         p = problem_at(0.3)
         T = 2.0 * np.pi
         for s in (StructureLabel("bb", 1, 1), StructureLabel("bb", 2, -1),
                   StructureLabel("bb", 4, 1)):
             start = None
             if warm:
-                start = np.array([0.3]) if s.n_switch == 1 else np.array([0.2, 0.9])
+                start = np.array([0.3, 0.0]) if s.n_switch == 1 else np.array([0.2, 0.9])
             seen.clear()
             _scan_optima([s], [T], [start], p)
             (starts,) = seen
@@ -251,27 +253,19 @@ def free_time_optimum(structure, T, problem, x0, restarts=12):
     and clipped by the cost), the restarts start from x0 and from stratified
     draws, and BSB runs them once per trailing-bang sign.
     """
-    psi_i, psi_t = problem.states()
     u = problem.params.u_max
     k = structure.n_switch
     if structure.kind == "bsb":
         value_sets = [[structure.lead_sign * u, 0.0, s2 * u] for s2 in (1.0, -1.0)]
     else:
         value_sets = [structure.lead_sign * u * (-1.0) ** np.arange(k + 1)]
-    starts = []
-    for _ in value_sets:
-        rng = np.random.default_rng(0)
-        starts += [np.asarray(x0, dtype=float)]
-        starts += [np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
-                   for _ in range(restarts - 1)]
-    lane_values = np.repeat(np.array(value_sets, dtype=float), restarts, axis=0)
-    lane_T = np.full(len(starts), T)
 
-    def obj(X, lanes):
-        return _bang_costs(X, lane_T[lanes], lane_values[lanes], psi_i, psi_t, problem.params)
+    def draw(rng):
+        return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
 
-    runs = optim.lockstep_nelder_mead(obj, starts, 0.0, T, 2000, 1e-10)
-    return min(r.fun for r in runs)
+    return min(optim.nelder_mead_restarts(
+        lambda x, v=v: cost_of_switchings(x, v, T, problem), x0, draw, restarts, 2000, 1e-10,
+        bounds=((0.0, T),) * k).fun for v in value_sets)
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +281,8 @@ class TestSingleSearch:
 
         def spy(structures, Ts, *args):
             out = scan(structures, Ts, *args)
-            hits.extend((s, T, x, c) for s, T, (x, c, _, _) in zip(structures, Ts, out)
-                        if c <= -1.0 + TARGET_TOL)
+            hits.extend((s, T, r.x, r.fun) for s, T, (r, _) in zip(structures, Ts, out)
+                        if r.fun <= TARGET_TOL)
             return out
 
         scan = state_prep._scan_optima
@@ -432,16 +426,15 @@ class TestFindTimeOptimal:
               for u in (0.3, 0.5, 0.8, 1.0)]
         assert all(a >= b for a, b in zip(ts, ts[1:]))
 
-    @pytest.mark.parametrize("forced", ["max-iter", "converged"])
+    @pytest.mark.parametrize("forced", ["max-iter", "stalled"])
     def test_stalled_misses_counted(self, forced, monkeypatch):
         # every lane is made to end with the forced status; a miss is a
-        # structure whose best scan or bisection cost stays above the target
-        from qoct import optim, state_prep
-        lockstep, scan = optim.lockstep_nelder_mead, state_prep._scan_optima
+        # structure whose best scan or bisection residual stays above the target
+        solve, scan = optim.gauss_newton, state_prep._scan_optima
         misses = []
 
-        def forced_lockstep(*args):
-            runs = lockstep(*args)
+        def forced_solve(*args):
+            runs = solve(*args)
             for r in runs:
                 r.status = forced
             return runs
@@ -449,11 +442,11 @@ class TestFindTimeOptimal:
         def spy(structures, *args):
             optima = scan(structures, *args)
             # BB-0 has no lanes: nothing of it can stall
-            misses.extend(s.n_switch > 0 and c > -1.0 + TARGET_TOL
-                          for s, (_, c, _, _) in zip(structures, optima))
+            misses.extend(s.n_switch > 0 and r.fun > TARGET_TOL
+                          for s, (r, _) in zip(structures, optima))
             return optima
 
-        monkeypatch.setattr(optim, "lockstep_nelder_mead", forced_lockstep)
+        monkeypatch.setattr(optim, "gauss_newton", forced_solve)
         monkeypatch.setattr(state_prep, "_scan_optima", spy)
         res = find_time_optimal(problem_at(0.5), with_report=False)
         assert res.found and sum(misses) > 0
@@ -570,7 +563,7 @@ class TestSpeedLimit:
             structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
             structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
             optima = _scan_optima(structures, [T] * len(structures), [None] * len(structures), p)
-            assert all(c > -1.0 + TARGET_TOL for _, c, _, _ in optima), T
+            assert all(r.fun > TARGET_TOL for r, _ in optima), T
 
     def test_speed_limit_skip_at_bsb_time_ends_scan(self, monkeypatch):
         # a grid time at or above the BSB time ends the scan whether it is
@@ -585,7 +578,8 @@ class TestSpeedLimit:
         def missing_scan(structures, Ts, *args):
             scanned.extend(Ts)
             if Ts[0] == T_end:  # the coarse scan at T_end: every structure misses
-                return [(x, 0.0, "converged", v) for x, _, _, v in scan(structures, Ts, *args)]
+                return [(optim.OptimResult(x=r.x, fun=1.0, status="stalled"), v)
+                        for r, v in scan(structures, Ts, *args)]
             return scan(structures, Ts, *args)
 
         monkeypatch.setattr(state_prep, "_scan_optima", missing_scan)
@@ -602,6 +596,61 @@ class TestSpeedLimit:
             (searched.t_star, searched.structure, searched.switch_times)
         assert skipped.diagnostics["speed_limit_skips"] == \
             searched.diagnostics["speed_limit_skips"] + 1
+
+
+def grid_oracle(problem, T):
+    """Lowest |G|^2 at T of every structure the scan searches there, by label.
+
+    BSB and BB-0 to BB-(ceil(omega0 T / pi) + 2), both leading signs (BSB
+    both trailing signs too), each in its (t0, tbar) box: a 64 x 64 grid
+    (256 points of t0 for BB-1) in one pair-kernel call per segment-value
+    set, then Gauss-Newton from its 8 best grid points, all sets' lanes in
+    one solve.  The grid's starts are the scan's independent check.
+    """
+    params = problem.params
+    psi_i, psi_t = problem.states()
+    kmax = int(np.ceil(params.omega0 * T / np.pi)) + 2
+    structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
+    structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
+    sets = [(s, v) for s in structures for v in state_prep._segment_values(s, params.u_max)]
+    lane_values = np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for _, v in sets])
+    rows = state_prep._reduced_rows(np.full(len(sets), T), np.array([s.n_switch for s, _ in sets]),
+                                    lane_values, psi_i, psi_t, params)
+    best, starts, owners = {}, [], []
+    for i, (s, _) in enumerate(sets):
+        lo, hi = state_prep._box(s, T) if s.n_switch else ((0.0, 0.0), (0.0, 0.0))
+        if s.n_switch == 1:
+            X = np.column_stack([np.linspace(lo[0], hi[0], 256), np.zeros(256)])
+        else:
+            X = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 64),
+                                     np.linspace(lo[1], hi[1], 64)), axis=-1).reshape(-1, 2)
+        r2 = (rows(X, np.full(len(X), i)) ** 2).sum(axis=1)
+        best[str(s)] = min(best.get(str(s), np.inf), r2.min())
+        if s.n_switch:
+            starts += list(X[np.argsort(r2, kind="stable")[:8]])
+            owners += [i] * 8
+    owners = np.array(owners)
+    boxes = np.array([state_prep._box(sets[i][0], T) for i in owners])
+    runs = optim.gauss_newton(lambda X, lanes: rows(X, owners[lanes]), starts, optim.FD_STEP,
+                              optim.ROOT_TOL, optim.ROOT_STEPS,
+                              lambda X, lanes: X.clip(boxes[lanes, 0], boxes[lanes, 1]))
+    for i, r in zip(owners, runs):
+        label = str(sets[i][0])
+        best[label] = min(best[label], r.fun)
+    return best
+
+
+class TestGridOracle:
+    """No structure reaches the target 2e-3 pi before T*, twice the bisection's resolution."""
+
+    @pytest.mark.parametrize("u", [0.104, 0.16, 0.85, 0.35, 0.11])
+    def test_every_structure_misses_just_before_t_star(self, u, optima):
+        res = optima[u] if u in optima else find_time_optimal(problem_at(u), with_report=False)
+        p = problem_at(u)
+        early = grid_oracle(p, res.t_star - 2e-3 * np.pi)
+        assert min(early.values()) > TARGET_TOL, early
+        # and the oracle sees the winner's hit at T* itself
+        assert grid_oracle(p, res.t_star)[str(res.structure)] <= TARGET_TOL
 
 
 class TestSearchPath:
@@ -624,37 +673,37 @@ class TestBenchmarkCentres:
 
     theta 0.7 pi, phi 0 -> theta 0.35 pi, phi pi at the centres of the BB-6,
     BB-4 and BSB bands.  The search's T*, structure and switch times, and
-    the calls and rows of its lockstep Nelder-Mead objective, are pinned as
-    they are, so that a change of kernel shows any last-bit move of the
-    search and any change in the work it does.
+    the calls and rows of its Gauss-Newton residual rows, are pinned as they
+    are, so that a change of kernel shows any last-bit move of the search
+    and any change in the work it does.
     """
 
     PINS = {
         0.104: (10.799224746714913, "BB-6",
-                (0.8037110477061538, 2.5441407725200005, 4.284570497333847,
-                 6.025000222147694, 7.765429946961541, 9.505859671775388),
-                810, 54985),
+                (0.8037015275211913, 2.5440999187668916, 4.284498310012592,
+                 6.024896701258292, 7.765295092503992, 9.505693483749692),
+                486, 22122),
         0.16: (7.608544707912779, "BB-4",
-               (0.7165346360545704, 2.5234128937726874, 4.330291151490805,
-                6.137169409208922),
-               950, 52147),
+               (0.7043792619342689, 2.5721246342983037, 4.439870006662339,
+                6.307615379026374),
+               383, 18252),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               661, 22028),
+               224, 5940),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
     def test_search_pinned(self, u, monkeypatch):
         calls, rows = [], []
-        lockstep = optim.lockstep_nelder_mead
+        solve = optim.gauss_newton
 
-        def spy(f, *args):
+        def spy(f_rows, *args):
             def counted(X, lanes):
                 calls.append(1)
                 rows.append(len(lanes))
-                return f(X, lanes)
-            return lockstep(counted, *args)
+                return f_rows(X, lanes)
+            return solve(counted, *args)
 
-        monkeypatch.setattr(optim, "lockstep_nelder_mead", spy)
+        monkeypatch.setattr(optim, "gauss_newton", spy)
         res = find_time_optimal(problem_at(u), with_report=False)
         t_star, label, times, n_calls, n_rows = self.PINS[u]
         assert res.t_star == t_star

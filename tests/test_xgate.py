@@ -95,9 +95,10 @@ class TestMinGateTime:
     def test_no_converged_dip_raises(self, monkeypatch):
         tried = []
 
-        def never(f_rows, x0, *args):
-            tried.append(x0[0])
-            return optim.OptimResult(x=np.asarray(x0, dtype=float), fun=1.0, status="stalled")
+        def never(f_rows, starts, *args):
+            tried.append(starts[0][0])
+            return [optim.OptimResult(x=np.asarray(x, dtype=float), fun=1.0, status="stalled")
+                    for x in starts]
 
         monkeypatch.setattr(optim, "gauss_newton", never)
         with pytest.raises(RuntimeError, match="reaches the gate"):
