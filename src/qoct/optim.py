@@ -10,7 +10,8 @@ preparation's hit-or-miss solves run every structure's starts as its lanes;
 the minimum times of the square-wave gate and of the third-harmonic pulse
 are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
 scans for the dips and solves each by ``box_root``, one lane held to the
-dip's box.  Nelder-Mead serves the fixed-T third-harmonic search.
+dip's box.  Nelder-Mead serves the fixed-T third-harmonic search and the
+minimization behind the state-prep report at 0.999 T*, where no root exists.
 """
 from __future__ import annotations
 
@@ -337,10 +338,11 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
     Gauss-Newton step -J^+ F.
 
     A lane takes its trial when |F|^2 falls by at least 1% or to ``tol``,
-    and otherwise climbs the damping ladder ``_DAMPING``; each step starts
-    one rung below the last one taken, so steps return to Gauss-Newton near
-    a root (Levenberg-Marquardt; Nocedal & Wright, Numerical Optimization,
-    ch. 10).  A trial that lowers |F|^2 by less than 1% is a stall only
+    and otherwise climbs the damping ladder ``_DAMPING``.  A step taken at
+    the first rung it tried lets the next step start one rung lower, so
+    steps return to Gauss-Newton near a root (Levenberg-Marquardt; Nocedal
+    & Wright, Numerical Optimization, ch. 10); a step that needed a climb
+    keeps its rung for the next one.  A trial that lowers |F|^2 by less than 1% is a stall only
     where the linear model predicted no more (it gained at least half the
     model's decrease): that trial is taken and the lane ends 'stalled'.
     Where the model overshot, the lane climbs on.  A lane ends 'converged'
@@ -376,6 +378,7 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
     keep = retire(end, np.where(r <= tol, "converged", "max-iter"))
     X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
     n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
+    climbed = np.zeros(len(lanes), dtype=bool)
     while lanes.size:
         xt = repair(X + _lm_steps(J, F, _DAMPING[rung]), lanes)
         Ft, Jt, rt = _fd_rows(f_rows, xt, lanes, offsets)
@@ -385,16 +388,20 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
         take = (rt <= tol) | (gain >= _MIN_DECREASE * r)
         stall = ~take & (gain > 0.0) & (gain >= 0.5 * (r - (model * model).sum(axis=1)))
         moved = take | stall
-        X[moved], F[moved], J[moved], r[moved] = xt[moved], Ft[moved], Jt[moved], rt[moved]
+        X = np.where(moved[:, None], xt, X)
+        F = np.where(moved[:, None], Ft, F)
+        J = np.where(moved[:, None, None], Jt, J)
+        r = np.where(moved, rt, r)
         steps += moved
-        rung = np.where(moved, np.maximum(rung - 1, 0), rung + 1)
+        rung = np.where(moved, np.where(climbed, rung, np.maximum(rung - 1, 0)), rung + 1)
+        climbed = ~moved  # the lane's last trial failed
         conv = moved & (r <= tol)
         stall |= rung == len(_DAMPING)
         end = conv | stall | (steps == max_steps)
         if end.any():
             keep = retire(end, np.where(conv, "converged", np.where(stall, "stalled", "max-iter")))
             X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
-            n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
+            n_eval, steps, rung, climbed = n_eval[keep], steps[keep], rung[keep], climbed[keep]
     return out
 
 
@@ -412,9 +419,12 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     """
     J0, J1 = J[:, 0], J[:, 1]
     F0, F1 = F[:, 0], F[:, 1]
-    p, q, t = (J0 * J0).sum(axis=1), (J0 * J1).sum(axis=1), (J1 * J1).sum(axis=1)
-    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
-    det = 0.5 * (minors * minors).sum(axis=(1, 2))
+    p, q, t = (np.einsum("ln,ln->l", a, b) for a, b in ((J0, J0), (J0, J1), (J1, J1)))
+    if J.shape[2] == 2:
+        det = (J0[:, 0] * J1[:, 1] - J0[:, 1] * J1[:, 0]) ** 2
+    else:
+        minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+        det = 0.5 * np.einsum("lij,lij->l", minors, minors)
     tr = p + t
     mu = lam * tr
     g = 0.5 * tr + np.hypot(0.5 * (p - t), q)

@@ -190,9 +190,15 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     ((r, values),) = _scan_optima([structure], [T], [warm], problem)
     x = r.x
     if r.status not in ("converged", "exact"):
-        def cost(x):
-            return cost_of_switchings(_reduced_to_times(x, structure, T), values, T, problem)
-        x = optim.nelder_mead(cost, x, 1500, 1e-12, bounds=tuple(zip(*_box(structure, T)))).x
+        k = structure.n_switch
+        rows = _reduced_rows(np.array([T]), np.array([k]), np.array([values]),
+                             *problem.states(), problem.params)
+
+        def residual(x):
+            F = rows(x[None], [0])[0]
+            return float(F @ F)
+
+        x = optim.nelder_mead(residual, x, 1500, 1e-15, bounds=tuple(zip(*_box(structure, T)))).x
     times = _reduced_to_times(x, structure, T)
     return times, cost_of_switchings(times, values, T, problem), values
 
@@ -312,8 +318,12 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 
 # drawn Gauss-Newton starts per structure at each time of the T* scan, the
 # bisection and the report, run besides the structure's warm start when it
-# has one; every structure draws them from np.random.default_rng(0)
+# has one; every structure draws them from np.random.default_rng(0).  The
+# _GRID_SEEDS best points of a _GRID_SIDE x _GRID_SIDE grid over the box
+# start lanes too.
 _SCAN_DRAWS = 5
+_GRID_SIDE = 8
+_GRID_SEEDS = 2
 
 
 def _segment_values(structure: StructureLabel, u_max: float) -> list[np.ndarray]:
@@ -399,62 +409,74 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     """The best Gauss-Newton lane of each structure and its segment values.
 
     Each structure is searched at its own T, in (t0, tbar) and in its
-    ``_box``.  Its lanes start from its
-    warm start, if it has one, and from _SCAN_DRAWS drawn points; BSB runs
-    them once per trailing-bang sign.  The lanes of all structures solve
-    G = 0 (``_reduced_rows``) in one ``optim.gauss_newton`` call, every
-    trial clipped into its lane's box.  A structure's best lane is the first
-    with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its result
-    is |G|^2 of its one protocol, status 'exact'.
+    ``_box``, once per segment-value set (BSB once per trailing-bang sign).
+    A set's lanes start from the structure's warm start, if it has one,
+    from _SCAN_DRAWS drawn points, and from the _GRID_SEEDS best points of
+    a _GRID_SIDE x _GRID_SIDE grid over its box (_GRID_SIDE^2 points of t0
+    for BB-1), every set's grid in one call: a solve only finds the root of
+    the basin it starts in, and the grid sees basins the draws miss.  The
+    lanes of all structures solve G = 0 (``_reduced_rows``) in one
+    ``optim.gauss_newton`` call, every trial clipped into its lane's box.
+    A structure's best lane is the first with its lowest |G|^2 (``fun``).
+    BB-0 has nothing to solve: its result is |G|^2 of its one protocol,
+    status 'exact'.
     """
     psi_i, psi_t = problem.states()
     params = problem.params
     kmax = max(s.n_switch for s in structures)
-    starts, lo, hi, values, counts, owners = [], [], [], [], [], []
-    for j, s in enumerate(structures):
+    owners, values, starts = [], [], []  # per segment-value set, BB-0 last
+    for j, s in sorted(enumerate(structures), key=lambda js: js[1].n_switch == 0):
         T, k = Ts[j], s.n_switch
-        if k == 0:
-            continue
-        box = _box(s, T)
-        if k == 1:
-            sampler = lambda rng, T=T: np.array([rng.uniform(0.0, T), 0.0])
-        else:
-            sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
-                                                      rng.uniform(0.3, 1.0) * T / (k - 1)])
-        rng = np.random.default_rng(0)
-        mine = [] if warms[j] is None else [warms[j]]
-        mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
+        mine = [] if warms[j] is None or k == 0 else [warms[j]]
+        if k:
+            if k == 1:
+                sampler = lambda rng, T=T: np.array([rng.uniform(0.0, T), 0.0])
+            else:
+                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
+                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
+            rng = np.random.default_rng(0)
+            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
         for vals in _segment_values(s, params.u_max):
-            starts += mine
-            lo.append(box[0])
-            hi.append(box[1])
-            values.append(vals)
-            counts.append(len(mine))
             owners.append(j)
-    # one lane per BB-0 structure, after the solved ones
-    zero = [j for j, s in enumerate(structures) if s.n_switch == 0]
-    values += [_bb_values(0, structures[j].lead_sign, params.u_max) for j in zero]
-    counts += [1] * len(zero)
-    owners += zero
-    lane_values = np.repeat([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for v in values],
-                            counts, axis=0)
-    lane_T = np.repeat([Ts[j] for j in owners], counts)
-    lane_k = np.repeat([structures[j].n_switch for j in owners], counts)
-    rows = _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params)
-    runs = []
-    if starts:
-        lo = np.repeat(lo, counts[:len(lo)], axis=0)
-        hi = np.repeat(hi, counts[:len(hi)], axis=0)
+            values.append(vals)
+            starts.append(mine)
+    set_k = np.array([structures[j].n_switch for j in owners])
+    rows = _reduced_rows(np.array([Ts[j] for j in owners]), set_k,
+                         np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge")
+                                   for v in values]), psi_i, psi_t, params)
+    solved = np.flatnonzero(set_k)
+    if solved.size:
+        lo, hi = np.array([_box(structures[owners[i]], Ts[owners[i]]) for i in solved]
+                          ).transpose(1, 0, 2)
+        # the unit grid, and BB-1's line of as many t0
+        side = np.linspace(0.0, 1.0, _GRID_SIDE)
+        square = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
+        line = np.column_stack([np.linspace(0.0, 1.0, _GRID_SIDE ** 2), np.zeros(_GRID_SIDE ** 2)])
+        unit = np.where((set_k[solved] == 1)[:, None, None], line, square)
+        grid = lo[:, None] + (hi - lo)[:, None] * unit
+        F = rows(grid.reshape(-1, 2), np.repeat(solved, _GRID_SIDE ** 2))
+        r2 = (F * F).sum(axis=1).reshape(len(solved), -1)
+        seeds = grid[np.arange(len(solved))[:, None],
+                     np.argsort(r2, axis=1, kind="stable")[:, :_GRID_SEEDS]]
+        for i, x in zip(solved, seeds):
+            starts[i] = starts[i] + list(x)
+        counts = [len(starts[i]) for i in solved]
+        lane_set = np.repeat(solved, counts)
+        lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
-            rows, starts, optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
-            lambda X, lanes: np.minimum(np.maximum(X, lo[lanes]), hi[lanes]))
-    if zero:
-        F = rows(np.zeros((len(zero), 2)), np.arange(len(starts), len(lane_T)))
-        runs += [optim.OptimResult(x=np.zeros(2), fun=float(f @ f), status="exact") for f in F]
+            lambda X, lanes: rows(X, lane_set[lanes]), [x for i in solved for x in starts[i]],
+            optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
+            lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
+        ends = np.cumsum(counts)
+        best = [min(runs[end - count:end], key=lambda r: r.fun) for end, count in zip(ends, counts)]
+    else:
+        best = []
+    zero = np.flatnonzero(set_k == 0)
+    if zero.size:
+        F = rows(np.zeros((len(zero), 2)), zero)
+        best += [optim.OptimResult(x=np.zeros(2), fun=float(f @ f), status="exact") for f in F]
     out = [None] * len(structures)
-    ends = np.cumsum(counts)
-    for j, vals, end, count in zip(owners, values, ends, counts):
-        r = min(runs[end - count:end], key=lambda r: r.fun)
+    for j, vals, r in zip(owners, values, best):
         if out[j] is None or r.fun < out[j][0].fun:
             out[j] = (r, tuple(float(v) for v in vals))
     return out

@@ -680,15 +680,15 @@ class TestBenchmarkCentres:
 
     PINS = {
         0.104: (10.799224746714913, "BB-6",
-                (0.8037015275211913, 2.5440999187668916, 4.284498310012592,
-                 6.024896701258292, 7.765295092503992, 9.505693483749692),
-                486, 22122),
+                (0.8037164405702797, 2.5441584484232482, 4.284600456276217,
+                 6.025042464129186, 7.7654844719821545, 9.505926479835125),
+                399, 26913),
         0.16: (7.608544707912779, "BB-4",
-               (0.7043792619342689, 2.5721246342983037, 4.439870006662339,
-                6.307615379026374),
-               383, 18252),
+               (0.7165341385901809, 2.5234153018298464, 4.330296465069512,
+                6.137177628309177),
+               336, 22413),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               224, 5940),
+               190, 7179),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
