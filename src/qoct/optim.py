@@ -342,12 +342,12 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
     the first rung it tried lets the next step start one rung lower, so
     steps return to Gauss-Newton near a root (Levenberg-Marquardt; Nocedal
     & Wright, Numerical Optimization, ch. 10); a step that needed a climb
-    keeps its rung for the next one.  A trial that lowers |F|^2 by less than 1% is a stall only
-    where the linear model predicted no more (it gained at least half the
-    model's decrease): that trial is taken and the lane ends 'stalled'.
-    Where the model overshot, the lane climbs on.  A lane ends 'converged'
-    at |F|^2 <= ``tol``, 'stalled' also when no rung lowers |F|^2, and
-    'max-iter' after ``max_steps`` steps.  Each result's ``fun`` is |F(x)|^2,
+    keeps its rung for the next one.  A trial that lowers |F|^2 by less
+    than 1% is a stall only where the linear model predicted no more (it
+    gained at least half the model's decrease): that trial is taken and the
+    lane ends 'stalled'.  Where the model overshot, the lane climbs on.  A
+    lane ends 'converged' at |F|^2 <= ``tol``, 'stalled' also when no rung
+    lowers |F|^2, and 'max-iter' after ``max_steps`` steps.  Each result's ``fun`` is |F(x)|^2,
     ``n_eval`` counts its lane's rows, ``n_iter`` its steps, and ``F`` and
     ``J`` hold F and its Jacobian at x.  Raises RuntimeError if F is not
     finite at a start; a trial where it is not counts as no decrease.
@@ -420,11 +420,8 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     J0, J1 = J[:, 0], J[:, 1]
     F0, F1 = F[:, 0], F[:, 1]
     p, q, t = (np.einsum("ln,ln->l", a, b) for a, b in ((J0, J0), (J0, J1), (J1, J1)))
-    if J.shape[2] == 2:
-        det = (J0[:, 0] * J1[:, 1] - J0[:, 1] * J1[:, 0]) ** 2
-    else:
-        minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
-        det = 0.5 * np.einsum("lij,lij->l", minors, minors)
+    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+    det = 0.5 * np.einsum("lij,lij->l", minors, minors)
     tr = p + t
     mu = lam * tr
     g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
@@ -449,7 +446,7 @@ def _fd_rows(f_rows, X, lanes, offsets):
 
 
 def box_root(f_rows, x0, lo, hi) -> OptimResult:
-    """Root of F in the box [lo, hi] by one lane of ``gauss_newton``, every iterate clipped into it.
+    """Root of F in the box [lo, hi] by one lane of ``gauss_newton``, every iterate in the box.
 
     ``f_rows(X)`` returns F at the rows of X.  The solve stops at
     |F|^2 <= ``ROOT_TOL``, which fixes x only to about |F| / |J|, so the

@@ -190,8 +190,8 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     ((r, values),) = _scan_optima([structure], [T], [warm], problem)
     x = r.x
     if r.status not in ("converged", "exact"):
-        k = structure.n_switch
-        rows = _reduced_rows(np.array([T]), np.array([k]), np.array([values]),
+        # minimized on |G|^2 rather than the cost, which rounds near -1
+        rows = _reduced_rows(np.array([T]), np.array([structure.n_switch]), np.array([values]),
                              *problem.states(), problem.params)
 
         def residual(x):
@@ -468,7 +468,8 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
             optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
             lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
         ends = np.cumsum(counts)
-        best = [min(runs[end - count:end], key=lambda r: r.fun) for end, count in zip(ends, counts)]
+        best = [min(runs[end - count:end], key=lambda r: r.fun)
+                for end, count in zip(ends, counts)]
     else:
         best = []
     zero = np.flatnonzero(set_k == 0)

@@ -614,8 +614,9 @@ def grid_oracle(problem, T):
     structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
     sets = [(s, v) for s in structures for v in state_prep._segment_values(s, params.u_max)]
     lane_values = np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for _, v in sets])
-    rows = state_prep._reduced_rows(np.full(len(sets), T), np.array([s.n_switch for s, _ in sets]),
-                                    lane_values, psi_i, psi_t, params)
+    rows = state_prep._reduced_rows(np.full(len(sets), T),
+                                    np.array([s.n_switch for s, _ in sets]), lane_values,
+                                    psi_i, psi_t, params)
     best, starts, owners = {}, [], []
     for i, (s, _) in enumerate(sets):
         lo, hi = state_prep._box(s, T) if s.n_switch else ((0.0, 0.0), (0.0, 0.0))
