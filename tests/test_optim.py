@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qoct import optim
 from qoct.optim import (
     ROOT_TOL,
     _DAMPING,
@@ -225,6 +226,23 @@ class TestCallCounts:
         seen.clear()
         r = nelder_mead(f, np.zeros(3), 300, 1e-10, bounds=bounds)
         assert len(seen) == r.n_eval
+
+    def test_restarts_are_runs_of_the_module_nelder_mead(self, monkeypatch):
+        # the benchmark tracer counts restart runs by wrapping optim.nelder_mead;
+        # every restart ends on the flat floor |x| <= 0.5, so the first run wins
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(nelder_mead(*args, **kwargs))
+            return runs[-1]
+
+        def f(x):
+            return float(max(abs(x[0]) - 0.5, 0.0))
+        monkeypatch.setattr(optim, "nelder_mead", spy)
+        best = nelder_mead_restarts(f, np.array([2.5]), lambda rng: rng.uniform(-3.0, 3.0, 1),
+                                    5, 2000, 1e-10, bounds=((-3.0, 3.0),))
+        assert len(runs) == 5 and {r.fun for r in runs} == {0.0}
+        assert best is runs[0]
 
 
 class TestLockstep:

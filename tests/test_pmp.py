@@ -130,6 +130,18 @@ class TestGradientOracle:
         assert abs(c0 - ref) < 1e-12
         assert abs(cost.value(U @ cost.initial_states()) - ref) < 1e-12
 
+    def test_state_prep_value_not_below_minus_one(self):
+        # a final state e^(ig) |target> overlaps the target perfectly, and the
+        # summed |<target|f>|^2 can round one ulp above 1
+        rng = np.random.default_rng(18)
+        values = []
+        for theta, phi, g in rng.uniform((0.0, -np.pi, 0.0), np.pi, (400, 3)):
+            target = state_from_bloch(BlochPoint(theta, phi))
+            cost = CostSpec("sp", init=KET_0, target=target)
+            values.append(cost.value((np.exp(1j * g) * target)[:, None]))
+        assert min(values) == -1.0
+        assert max(values) <= -1.0 + 1e-15
+
 
 class TestGateJacobian:
     @pytest.mark.parametrize("kind", ["x", "y", "pt"])
