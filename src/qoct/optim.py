@@ -10,8 +10,9 @@ preparation's hit-or-miss solves run every structure's starts as its lanes;
 the minimum times of the square-wave gate and of the third-harmonic pulse
 are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
 scans for the dips and solves each by ``box_root``, one lane held to the
-dip's box.  Nelder-Mead serves the fixed-T third-harmonic search and the
-minimization behind the state-prep report at 0.999 T*, where no root exists.
+dip's box.  Nelder-Mead, one sequential simplex per run, serves the fixed-T
+third-harmonic search and the minimization behind the state-prep report at
+0.999 T*, where no root exists.
 """
 from __future__ import annotations
 
@@ -57,149 +58,88 @@ class OptimResult:
 def nelder_mead(f, x0, max_iter: int, tol: float, bounds=None) -> OptimResult:
     """Reflect/expand/contract/shrink simplex minimization with bound clipping.
 
-    One lane of the simplex engine, evaluating only the points its steps
-    use; ``bounds`` holds a (lo, hi) pair per dimension, or is None.
-    Raises RuntimeError if the objective returns NaN.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    lo, hi = _box(bounds)
-    return _simplex(_by_rows(f), x0[None], lo, hi, max_iter, tol)[0]
-
-
-def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
-                         bounds=None) -> OptimResult:
-    """Best of ``n_starts`` Nelder-Mead runs: from ``x0``, then from drawn points.
-
-    ``draw(rng)`` returns one more start point; the draws come from
-    ``np.random.default_rng(0)``.  The runs are lanes of one engine run that
-    evaluates only the points their steps use, as ``nelder_mead`` does, and
-    the first run reaching the lowest cost wins.
-    """
-    rng = np.random.default_rng(0)
-    starts = [np.asarray(x0, dtype=float)] + [draw(rng) for _ in range(n_starts - 1)]
-    lo, hi = _box(bounds)
-    runs = _simplex(_by_rows(f), np.array(starts), lo, hi, max_iter, tol)
-    return min(runs, key=lambda r: r.fun)
-
-
-def _box(bounds):
-    if bounds is None:
-        return None, None
-    return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
-
-
-def _by_rows(f):
-    """A lane objective that calls the scalar objective ``f`` on each row."""
-    return lambda X, lanes: [float(f(x)) for x in X]
-
-
-def _simplex(f, starts, lo, hi, max_iter, tol):
-    """Nelder-Mead on B independent lanes, advanced together.
-
-    ``starts`` is (B, n); ``lo`` and ``hi`` are box bounds broadcastable to
-    (B, n), or both None for an unbounded search.  ``f(X, lanes)`` returns
-    the objective at the rows of X, row i belonging to lane ``lanes[i]``.
-    Each iteration makes one call for the reflections of all active lanes
-    and one for each of the expansions and contractions the lanes then
-    take, so every lane evaluates only the points its steps use and gets
-    the bits of a run on its own.  A lane stops when its simplex's cost
-    spread is at most ``tol * (1 + |best|)`` or after ``max_iter``
-    iterations; the results come back in lane order.  Raises RuntimeError
+    ``bounds`` holds a (lo, hi) pair per dimension, or is None.  The
+    coefficients are 1, 2, 1/2 and 1/2.  The start is axis-aligned, with
+    steps of 5% of each bound range when bounded (0.05 on a flat side) and
+    0.05 max(|x0|, 1) otherwise (1e-8 where a step is lost in x0).  Every
+    point is clipped into the box.  The search stops 'converged' when the
+    simplex's cost spread is at most ``tol * (1 + |best|)``, or 'max-iter'
+    after ``max_iter`` iterations, and returns its best vertex, the first on
+    ties.  Raises ValueError if a bound's lo exceeds its hi and RuntimeError
     if the objective returns NaN.
     """
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    # the reflection, expansion and contraction points are c + coef * (c - worst)
-    coef = np.array([alpha, gamma, -rho])[:, None, None]
-    X0 = np.array(starts, dtype=float)
-    B, n = X0.shape
-    # axis-aligned initial simplex; steps of 5% of each bound range when
-    # bounded, otherwise scale-aware absolute steps (and a box of +-inf,
-    # which clipping leaves every point of)
-    if lo is None:
-        steps = 0.05 * np.maximum(np.abs(X0), 1.0)
-        lo, hi = np.full((B, n), -np.inf), np.full((B, n), np.inf)
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    if bounds is None:
+        # a box of +-inf, which clipping leaves every point of
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        steps = 0.05 * np.maximum(np.abs(x0), 1.0)
     else:
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (B, n))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (B, n))
+        lo, hi = np.array(bounds, dtype=float).T
         if np.any(lo > hi):
             raise ValueError("bound lo must not exceed hi")
         steps = np.where(hi > lo, 0.05 * (hi - lo), 0.05)
 
-    def clip(x, lo, hi):
-        # lo and hi are the active lanes' bounds, broadcast against x
+    def clip(x):
         return np.minimum(np.maximum(x, lo), hi)
 
-    def feval(X, lanes):
-        v = np.asarray(f(X, lanes), dtype=float)
-        if np.isnan(v).any():
-            raise RuntimeError(f"objective returned NaN at x={X[np.argmax(np.isnan(v))]!r}")
+    def feval(x):
+        v = float(f(x))
+        if np.isnan(v):
+            raise RuntimeError(f"objective returned NaN at x={x!r}")
         return v
 
-    lanes = np.arange(B)
-    base = clip(X0, lo, hi)
-    S = np.repeat(base[:, None, :], n + 1, axis=1)
+    base = clip(x0)
+    S = np.repeat(base[None], n + 1, axis=0)
     diag = np.arange(n)
-    S[:, diag + 1, diag] = clip(base + np.where(base + steps != base, steps, 1e-8), lo, hi)
-    F = feval(S.reshape(B * (n + 1), n), np.repeat(lanes, n + 1)).reshape(B, n + 1)
-    n_eval = np.full(B, n + 1)
-
-    x_out = np.empty((B, n))
-    f_out = np.empty(B)
-    n_eval_out = np.empty(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-
-    def retire(done, conv):
-        # a finished lane reports its best vertex, the first on ties
-        best = np.argmin(F[done], axis=1)
-        x_out[lanes[done]] = S[done, best]
-        f_out[lanes[done]] = F[done, best]
-        n_eval_out[lanes[done]] = n_eval[done]
-        converged[lanes[done]] = conv
-
-    rows = np.arange(B)  # 0, 1, ... over the active lanes
+    S[diag + 1, diag] = clip(base + np.where(base + steps != base, steps, 1e-8))
+    F = np.array([feval(x) for x in S])
+    n_eval, status = n + 1, "max-iter"
     for _ in range(max_iter):
-        order = np.argsort(F, axis=1)
-        F, S = F[rows[:, None], order], S[rows[:, None], order]
-        # sorted, so the spread F[:, -1] - F[:, 0] is never negative
-        keep = F[:, -1] - F[:, 0] > tol * (1.0 + np.abs(F[:, 0]))
-        if not keep.all():
-            retire(~keep, True)
-            S, F, n_eval, lanes = S[keep], F[keep], n_eval[keep], lanes[keep]
-            lo, hi, rows = lo[keep], hi[keep], rows[:len(lanes)]
-            if not lanes.size:
-                break
-        L = len(lanes)
-        centroid = S[:, :-1].sum(axis=1) / n
-        P = clip(centroid + coef * (centroid - S[:, -1]), lo, hi)
-        # V holds the costs at P; the step of each lane replaces its worst
-        # vertex: the reflection when f0 <= fr < f[-2], else the better of
-        # expansion and reflection when fr < f0, else the contraction if it
-        # beats the worst; a lane whose contraction fails shrinks toward its
-        # best vertex instead
-        V = np.full((3, L), np.inf)
-        V[0] = feval(P[0], lanes)
-        expand, contract = V[0] < F[:, 0], V[0] >= F[:, -2]
-        V[1, expand] = feval(P[1, expand], lanes[expand])
-        V[2, contract] = feval(P[2, contract], lanes[contract])
-        n_eval += 1 + expand + contract
-        use_e = expand & (V[1] < V[0])
-        use_c = contract & (V[2] < F[:, -1])
-        shrink = (contract & ~use_c).nonzero()[0]
-        if shrink.size:
-            # toward the best vertex, from the simplex before the step
-            b = S[shrink, :1]
-            Q = clip(b + sigma * (S[shrink, 1:] - b), lo[shrink, None], hi[shrink, None])
-        step = use_e + 2 * use_c
-        S[:, -1], F[:, -1] = P[step, rows], V[step, rows]
-        if shrink.size:
-            S[shrink, 1:] = Q
-            F[shrink, 1:] = feval(Q.reshape(-1, n), np.repeat(lanes[shrink], n)).reshape(-1, n)
-            n_eval[shrink] += n
-    if lanes.size:
-        retire(np.ones(len(lanes), dtype=bool), False)
-    return [OptimResult(x=x_out[b], fun=float(f_out[b]),
-                        status="converged" if converged[b] else "max-iter",
-                        n_eval=int(n_eval_out[b])) for b in range(B)]
+        order = np.argsort(F)
+        S, F = S[order], F[order]
+        if F[-1] - F[0] <= tol * (1.0 + abs(F[0])):
+            status = "converged"
+            break
+        centroid = S[:-1].sum(axis=0) / n
+        # reflection, expansion and contraction lie at c + coef * (c - worst)
+        d = centroid - S[-1]
+        reflect = clip(centroid + d)
+        fr = feval(reflect)
+        n_eval += 1
+        if fr < F[0]:
+            expand = clip(centroid + 2.0 * d)
+            fe = feval(expand)
+            n_eval += 1
+            S[-1], F[-1] = (expand, fe) if fe < fr else (reflect, fr)
+        elif fr < F[-2]:
+            S[-1], F[-1] = reflect, fr
+        else:
+            contract = clip(centroid - 0.5 * d)
+            fc = feval(contract)
+            n_eval += 1
+            if fc < F[-1]:
+                S[-1], F[-1] = contract, fc
+            else:
+                # shrink toward the best vertex
+                S[1:] = clip(S[0] + 0.5 * (S[1:] - S[0]))
+                F[1:] = [feval(x) for x in S[1:]]
+                n_eval += n
+    best = int(np.argmin(F))
+    return OptimResult(x=S[best], fun=float(F[best]), status=status, n_eval=n_eval)
+
+
+def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
+                         bounds=None) -> OptimResult:
+    """Best of ``n_starts`` ``nelder_mead`` runs: from ``x0``, then from drawn points.
+
+    ``draw(rng)`` returns one more start point; the draws come from
+    ``np.random.default_rng(0)``, all before the first run.  The first run
+    reaching the lowest cost wins.
+    """
+    rng = np.random.default_rng(0)
+    starts = [x0] + [draw(rng) for _ in range(n_starts - 1)]
+    return min((nelder_mead(f, x, max_iter, tol, bounds) for x in starts), key=lambda r: r.fun)
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:

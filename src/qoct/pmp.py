@@ -96,7 +96,7 @@ class CostSpec:
     def value(self, finals: np.ndarray) -> float:
         """Terminal cost from ``initial_states()`` evolved to T, a (2, m) block."""
         if self.kind == "sp":
-            return -abs(np.vdot(self.target, finals[:, 0])) ** 2
+            return float(dynamics._overlap_cost(finals[0, 0], finals[1, 0], self.target))
         return dynamics.gate_cost(finals, self.kind)
 
 

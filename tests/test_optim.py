@@ -66,8 +66,8 @@ class TestNelderMead:
 
 
 def lane_objectives(n):
-    """Per-lane scalar objectives: shifted quadratics, Rosenbrock-like valleys,
-    sines and rugged bowls (whose simplexes shrink, several lanes at once)."""
+    """Eight scalar objectives, one per problem: shifted quadratics,
+    Rosenbrock-like valleys, sines and rugged bowls (whose simplexes shrink)."""
     rng = np.random.default_rng(n)
     out = []
     for i in range(8):
@@ -85,9 +85,9 @@ def lane_objectives(n):
 
 
 def reference_nelder_mead(f, x0, lo, hi, max_iter, tol):
-    """Sequential one-point Nelder-Mead, independent of ``optim``'s engine.
+    """Sequential one-point Nelder-Mead, written apart from ``optim.nelder_mead``.
 
-    The rules it shares with the engine: coefficients 1, 2, 1/2, 1/2; an
+    The rules it shares with ``nelder_mead``: coefficients 1, 2, 1/2, 1/2; an
     axis-aligned start of 5% of each box side (0.05 on a flat side,
     0.05 max(|x0|, 1) unbounded, 1e-8 where the step is lost in x0); every
     point clipped into the box; vertices ordered by ``np.argsort`` (its
@@ -155,9 +155,9 @@ def assert_matches_reference(r, ref):
 
 
 def lane_problem(n):
-    """Mixed lanes on boxes with a flat side, the rugged lanes twice so that
-    lanes shrink in the same iteration, and an iteration cap at which some
-    lanes have converged and the others have not."""
+    """Mixed problems on boxes with a flat side, the rugged ones twice, and an
+    iteration cap at which some runs have converged and the others have
+    not."""
     fs = lane_objectives(n)
     rng = np.random.default_rng(10 + n)
     starts = rng.uniform(-1.0, 1.0, (len(fs), n))
@@ -246,7 +246,8 @@ class TestCallCounts:
 
 
 class TestLockstep:
-    """Restarts advanced together as lanes take the steps and bits of each run alone."""
+    """Restarts and bounds: a NaN in any run aborts, inverted bounds are
+    rejected, and the first run at the lowest cost wins."""
 
     def test_nan_in_one_lane_aborts(self):
         # the third restart starts where the objective is NaN
