@@ -165,6 +165,21 @@ class TestCli:
         np.testing.assert_allclose(rows[:, 0], [0.45, 0.5])
         assert np.all((rows[:, 2] >= 0.75) & (rows[:, 2] <= 0.85))
 
+    def test_sweep_writes_failed_rows_and_exits_3(self, outdir, capsys):
+        # Y has no square-wave root in [0.6, 1.2] T_Rabi from u_max = 1.2 up
+        assert main(["sweep", "--gate", "y", "--umax", "1.0:1.4:3"]) == 3
+        assert "2 of 3" in capsys.readouterr().err
+        text = (outdir / "sweep" / "sweep.csv").read_text()
+        assert "nan" not in text.lower()
+        lines = text.splitlines()
+        assert lines[0] == "u_max,t_star,ratio,omega_eff,n_switch,status"
+        cells = [ln.split(",") for ln in lines[1:]]
+        assert [c[0] for c in cells] == ["1", "1.2", "1.4"]
+        assert [c[-1] for c in cells] == ["ok", "failed", "failed"]
+        assert all(float(x) > 0 for x in cells[0][1:5])
+        assert cells[1][1:5] == cells[2][1:5] == ["", "", "", ""]
+        assert (outdir / "sweep" / "run_record.json").exists()
+
     @pytest.mark.parametrize("grid", ["0.45:0.5:0", "0.45:0.5:-2"])
     def test_sweep_empty_grid_exits_2(self, outdir, grid):
         with pytest.raises(SystemExit) as exc:

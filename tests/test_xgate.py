@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import optim, xgate
+from qoct import optim, pmp, xgate
 from qoct.dynamics import (
     ModelParams,
     gate_cost,
@@ -104,6 +104,22 @@ class TestMinGateTime:
         with pytest.raises(RuntimeError, match="reaches the gate"):
             min_gate_time(X05, with_report=False)
         assert tried
+
+    def test_report_audits_the_root_without_a_second_search(self, monkeypatch):
+        def second_search(*args, **kwargs):
+            raise AssertionError("a frequency search besides the root's")
+
+        audited = []
+        audit = pmp.audit
+
+        def spy(protocol, *args, **kwargs):
+            audited.append(protocol)
+            return audit(protocol, *args, **kwargs)
+
+        monkeypatch.setattr(xgate, "optimize_omega_eff", second_search)
+        monkeypatch.setattr(pmp, "audit", spy)
+        res = min_gate_time(X05)
+        assert audited == [res.protocol]
 
 
 GRID = [float(round(u, 10)) for u in np.linspace(0.05, 0.5, 10)]
