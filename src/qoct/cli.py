@@ -210,15 +210,30 @@ def _gate_result_payload(res) -> dict:
     }
 
 
-def _run_sweep(rec: _Record, grid, gate: str) -> int:
-    """Minimum gate time at every u_max of the grid, in increasing u_max, to sweep.csv."""
-    rows = []
+def _run_sweep(rec: _Record, grid, gate: str) -> tuple[int, list[float]]:
+    """Minimum gate time at every u_max of the grid, in increasing u_max, to sweep.csv.
+
+    A search that fails leaves its row with empty cells and status 'failed'.
+    Returns the number of rows and the amplitudes that failed.
+    """
+    rows, failed = [], []
     for u in sorted(float(u) for u in grid):
-        res = xgate.min_gate_time(GateProblem(gate, ModelParams(u_max=u)), with_report=False)
-        rows.append((u, res.t_star, res.ratio, res.omega_eff, res.n_switch))
+        try:
+            res = xgate.min_gate_time(GateProblem(gate, ModelParams(u_max=u)),
+                                      with_report=False)
+        except RuntimeError as exc:
+            print(f"u_max = {u:g}: {exc}", file=sys.stderr)
+            rows.append((u, "", "", "", "", "failed"))
+            failed.append(u)
+            continue
+        rows.append((u, res.t_star, res.ratio, res.omega_eff, res.n_switch, "ok"))
     fileio.write_csv(rec.path("sweep.csv"),
-                     ["u_max", "t_star", "ratio", "omega_eff", "n_switch"], rows)
-    return len(rows)
+                     ["u_max", "t_star", "ratio", "omega_eff", "n_switch", "status"], rows)
+    return len(rows), failed
+
+
+def _sweep_failure(n: int, failed: list[float]) -> str:
+    return f"{len(failed)} of {n} amplitudes failed: u_max = {', '.join(f'{u:g}' for u in failed)}"
 
 
 def cmd_xgate(args) -> int:
@@ -239,9 +254,12 @@ def cmd_xgate(args) -> int:
 
 def cmd_sweep(args) -> int:
     rec = _Record("sweep", args)
-    n = _run_sweep(rec, args.umax, args.gate)
+    n, failed = _run_sweep(rec, args.umax, args.gate)
     rec.finish()
     print(json.dumps({"points": n}))
+    if failed:
+        print(f"optimization failed: {_sweep_failure(n, failed)}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -337,7 +355,9 @@ def _repro_rabi(rec: _Record):
 
 def _repro_ratio(rec: _Record):
     grid = np.linspace(0.05, 0.5, 10)
-    _run_sweep(rec, grid, "x")
+    n, failed = _run_sweep(rec, grid, "x")
+    if failed:
+        raise RuntimeError(_sweep_failure(n, failed))
 
 
 def _repro_gate_point(rec: _Record, umax: float):

@@ -6,7 +6,11 @@ The first-order optimality conditions used throughout:
   density of the terminal cost with respect to the control, and an optimal
   bang control obeys u* = -u_max Sgn[Phi];
 * the control-Hamiltonian H_oc(t) = Re[-i <lambda|H(t)|psi>] is constant
-  along an extremal, negative for T < T*, and zero at the time-optimal T*;
+  along an extremal.  For the cost's costate lambda(T) = 2 dC/d<psi(T)|
+  it is negative for T < T*, and at a perfect gate that costate, Phi and
+  H_oc all vanish.  At a minimum time T* the costate comes instead from
+  the multipliers of the endpoint equations (``endpoint_costate``), and
+  Phi and H_oc are nonzero there;
 * along each bang segment Phi obeys Phi'' = -W^2 Phi - 4 u |lambda0| with
   W^2 = omega0^2 + 4 u_max^2, which makes Phi a piecewise cosine whose zeros
   are spaced by pi/omega_eff.
@@ -43,6 +47,7 @@ from .dynamics import (
     BlochPoint,
     ModelParams,
     _cells,
+    cell_pairs,
     pair_apply,
     pair_levels,
     pair_matrix,
@@ -50,7 +55,7 @@ from .dynamics import (
     pair_prefixes,
     propagate,
 )
-from .protocols import Protocol, Sampled, segment_durations_values
+from .protocols import BangSequence, Protocol, Sampled, segment_durations_values
 
 __all__ = [
     "CostSpec",
@@ -62,6 +67,7 @@ __all__ = [
     "gate_residual",
     "gate_jacobian",
     "gate_unitary_and_jacobian",
+    "endpoint_costate",
     "omega_eff_from_ratio",
     "analytical_switching",
     "fit_switching_amplitude",
@@ -124,16 +130,20 @@ def terminal_adjoints(cost: CostSpec, finals: np.ndarray) -> np.ndarray:
     return np.array([[0.0, a1], [a0, 0.0]], dtype=complex)
 
 
-def _forward_and_adjoint(P: np.ndarray, cost: CostSpec):
+def _forward_and_adjoint(P: np.ndarray, cost: CostSpec, final_adjoints=None):
     """Forward and adjoint state blocks (..., 2, m) from prefix pairs P (..., 2).
 
     The last row of P is the pair (a, b) of the total evolution operator U,
-    and (a*, -b) that of U^dag.  Also returns the (2, m) block of finals.
+    and (a*, -b) that of U^dag.  The adjoints end at ``final_adjoints``, or
+    at the cost's ``terminal_adjoints`` when it is None.  Also returns the
+    (2, m) block of finals.
     """
     psi0 = cost.initial_states()
     a, b = P[-1]
     finals = pair_apply(P[-1], psi0)
-    lam0 = pair_apply(np.array([np.conjugate(a), -b]), terminal_adjoints(cost, finals))
+    if final_adjoints is None:
+        final_adjoints = terminal_adjoints(cost, finals)
+    lam0 = pair_apply(np.array([np.conjugate(a), -b]), final_adjoints)
     return pair_apply(P, psi0), pair_apply(P, lam0), finals
 
 
@@ -211,6 +221,59 @@ def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str)
         return _gate_rows(*pair_mul(*s, *pair_mul(*derivatives().T, a[:-1], b[:-1])), kind)
 
     return pair_matrix(np.concatenate(levels[-1])), jacobian
+
+
+def _gate_row_states(kind: str) -> np.ndarray:
+    """The states e_i, as the columns of a (2, m) block, with ``_gate_rows`` = Re<e_i|U|0>.
+
+    Re<0|U|0> = Re a and Re<i0|U|0> = Im a; the third row is <1| (X, Re b)
+    or <i1| (Y, Im b).
+    """
+    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if kind == "x" else 1j]])
+    return E[:, :2] if kind == "pt" else E
+
+
+def endpoint_costate(seq: BangSequence, params: ModelParams, kind: str):
+    """Costate at T of a minimum-time gate, from the multipliers of its endpoint rows.
+
+    A minimum-time gate minimizes T subject to the m rows
+    F_i = Re<e_i|U|0> = 0 of ``_gate_rows`` (``_gate_row_states``).
+    Transversality gives lambda(T) = sum_i mu_i e_i (Pontryagin et al.,
+    1962; Bryson & Ho, *Applied Optimal Control*, 1975, ch. 3), and the
+    maximum principle asks the switching function Phi_mu = sum_i mu_i Phi_i
+    of that costate to vanish at every switch s_j.  So mu is the null
+    vector of the switch matrix M[j, i] = Phi_i(s_j), the last right
+    singular vector of M, with |mu| = 1.  M comes from the prefix pairs at
+    the switches of one prefix scan.  The residual is sigma_min / sigma_max
+    of M, or 0 with fewer switches than rows, where a null vector always
+    exists.  It certifies a PMP extremal, not a minimum time: a symmetric
+    square wave passes at any frequency.
+
+    mu's sign makes u = -u_max Sgn[Phi_mu] on the bang after the first
+    switch.  Phi_mu is zero at that switch and leaves it with the slope
+    Phi' = omega0 Re(lam0* psi1 - lam1* psi0), the same on either side.
+
+    Returns the (2, 2) block of final adjoints for ``audit`` (lambda(T) in
+    the |0> column, zero in the |1> column), the residual and mu.
+    """
+    vals = np.asarray(seq.values)
+    if len(vals) < 2:
+        raise ValueError("the endpoint costate needs at least one switch")
+    P = pair_prefixes(pair_levels(cell_pairs(seq.durations, vals, params)))
+    a, b = P[-1]
+    E = _gate_row_states(kind)
+    lam = pair_apply(P[1:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
+    psi0, psi1 = P[1:-1, 0, None], P[1:-1, 1, None]  # P_j |0> at the switches
+    M = np.imag(lam[:, 0] * psi1 + lam[:, 1] * psi0)
+    _, s, vt = np.linalg.svd(M)
+    residual = float(s[-1] / s[0]) if len(s) == E.shape[1] else 0.0
+    mu = vt[-1]
+    slope = params.omega0 * np.real(lam[0, 0] * psi1[0] - lam[0, 1] * psi0[0])
+    if vals[1] * (slope @ mu) > 0.0:
+        mu = -mu
+    final_adjoints = np.zeros((2, 2), dtype=complex)
+    final_adjoints[:, 0] = E @ mu
+    return final_adjoints, residual, mu
 
 
 def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:
@@ -305,7 +368,9 @@ class OptimalityReport:
     """Sampled PMP diagnostics for one protocol/cost pair.
 
     ``summary`` is what the result files carry; it writes a rounding-level
-    ``hoc_seg_max_dev`` as 0.0, which the field itself keeps raw.
+    ``hoc_seg_max_dev`` as 0.0, which the field itself keeps raw.  A report
+    on the costate of ``endpoint_costate`` also carries that costate's
+    ``certificate_residual`` and multipliers ``mu``, and writes them.
     """
 
     times: np.ndarray
@@ -321,9 +386,11 @@ class OptimalityReport:
     sign_fraction: float
     singular_residence: float
     max_abs_phi: float
+    certificate_residual: float | None = None
+    mu: np.ndarray | None = None
 
     def summary(self) -> dict:
-        return {
+        out = {
             "lambda0": self.lambda0,
             "A": self.A,
             "omega_eff": self.omega_eff,
@@ -332,13 +399,17 @@ class OptimalityReport:
             "sign_fraction": self.sign_fraction,
             "singular_residence": self.singular_residence,
         }
+        if self.mu is not None:
+            out["certificate_residual"] = self.certificate_residual
+            out["mu"] = [float(m) for m in self.mu]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.summary(), sort_keys=True)
 
 
 def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
-          n_samples: int = 4001) -> OptimalityReport:
+          n_samples: int = 4001, final_adjoints=None) -> OptimalityReport:
     """Evaluate the PMP diagnostics of a protocol against a terminal cost.
 
     Sign consistency counts samples with u * Phi <= 1e-6 * max|Phi| * u_max,
@@ -347,7 +418,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     |theta - pi/2| < 1e-3.
     """
     traj = propagate(protocol, params, SIGMA_0, n_samples)
-    psi, lam, _ = _forward_and_adjoint(traj.states[..., :, 0], cost)
+    psi, lam, _ = _forward_and_adjoint(traj.states[..., :, 0], cost, final_adjoints)
     times = traj.times
     phi = switching_function(lam, psi)
 

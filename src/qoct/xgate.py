@@ -16,6 +16,7 @@ root over the parities wins.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,8 @@ def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
     call, plus golden-section refinement around every basin, for each
     admissible parity; both overall protocol signs are degenerate (checked
     in the tests), so only the canonical +1 sign is scanned.  Returns
-    (omega_eff, cost, parity).
+    (omega_eff, cost, parity).  No search calls it: ``min_gate_time`` solves
+    for the root, and its report needs no second search.
     """
     ws = _frequency_grid(problem, n_scan)
     best = (np.inf, None, None)
@@ -198,8 +200,9 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     ``optim.ROOT_TOL``.  The second parity (population transfer) scans only
     up to one step past the first parity's root, and the earliest root over
     the parities is T*.  ``newton_steps`` counts the Gauss-Newton steps of
-    its solve.  The optimality report is produced at 0.999 T*, where lambda0
-    is small but nonzero.
+    its solve.  The optimality report audits the returned protocol at T*
+    with the costate of ``pmp.endpoint_costate``, whose residual and
+    multipliers it carries; no second frequency search is run.
     """
     t_rabi = rabi_pi_time(problem.params)
     # at small u_max a dip of the scanned cost is about one natural period
@@ -227,16 +230,16 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     # switching function
     cost = one_param_cost(w_opt, t_star, problem, -1.0, parity)
     proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
-    n_switch = len(proto.to_bang_sequence().switch_times)
+    seq = proto.to_bang_sequence()
 
     report = None
     if with_report:
-        T_r = 0.999 * t_star
-        w_r, _, parity_r = optimize_omega_eff(T_r, problem)
-        proto_r = one_param_protocol(w_r, T_r, problem, sign=-1, parity=parity_r)
-        report = pmp.audit(proto_r, problem.params, problem.cost_spec())
+        adjoints, residual, mu = pmp.endpoint_costate(seq, problem.params, problem.kind)
+        report = dataclasses.replace(
+            pmp.audit(proto, problem.params, problem.cost_spec(), final_adjoints=adjoints),
+            certificate_residual=residual, mu=mu)
     return GateSearchResult(t_star=t_star, omega_eff=w_opt, parity=parity, sign=-1,
-                            n_switch=int(n_switch), ratio=float(t_star / t_rabi),
+                            n_switch=len(seq.switch_times), ratio=float(t_star / t_rabi),
                             cost=float(cost), residual=roots[parity].fun,
                             newton_steps=roots[parity].n_iter, protocol=proto, report=report)
 

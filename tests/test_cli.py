@@ -159,8 +159,9 @@ class TestCli:
         assert rc == 0
         assert json.loads(capsys.readouterr().out.strip()) == {"points": 2}
         lines = (outdir / "sweep" / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "u_max,t_star,ratio,omega_eff,n_switch"
-        rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        assert lines[0] == "u_max,t_star,ratio,omega_eff,n_switch,status"
+        assert all(ln.endswith(",ok") for ln in lines[1:])
+        rows = np.array([[float(c) for c in ln.split(",")[:-1]] for ln in lines[1:]])
         assert rows.shape == (2, 5)
         np.testing.assert_allclose(rows[:, 0], [0.45, 0.5])
         assert np.all((rows[:, 2] >= 0.75) & (rows[:, 2] <= 0.85))

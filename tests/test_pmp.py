@@ -26,6 +26,7 @@ from qoct.pmp import (
     bloch_velocity,
     control_hamiltonian,
     cost_and_gradient,
+    endpoint_costate,
     gate_jacobian,
     gate_unitary_and_jacobian,
     gate_residual,
@@ -272,9 +273,10 @@ class TestOmegaEff:
         assert omega_eff_from_ratio(ratio, p) <= p.big_omega + 1e-12
 
     def test_fitted_values_reproduce_gate_frequency(self, gate_results):
-        rep = gate_results[0.5].report
+        res = gate_results[0.5]
+        rep = res.report
         w_formula = omega_eff_from_ratio(rep.lambda0 / rep.A, ModelParams(u_max=0.5))
-        assert abs(w_formula - 2.0435) / 2.0435 < 5e-3
+        assert abs(w_formula - res.omega_eff) / res.omega_eff < 1e-12
 
 
 class TestAnalyticalSwitching:
@@ -301,8 +303,7 @@ class TestAnalyticalSwitching:
     def test_overlays_computed_phi_at_gate_optimum(self, gate_results):
         res = gate_results[0.2]
         rep = res.report
-        T = 0.999 * res.t_star
-        model = analytical_switching(rep.A, rep.lambda0, rep.omega_eff, T,
+        model = analytical_switching(rep.A, rep.lambda0, rep.omega_eff, res.t_star,
                                      ModelParams(u_max=0.2), rep.times)
         assert np.max(np.abs(model - rep.phi)) < 1e-3 * rep.max_abs_phi
 
@@ -402,3 +403,98 @@ class TestAuditInvariants:
         proto = _bsb_protocol(cand, problem.params)
         rep = audit(proto, problem.params, problem.cost_spec(), n_samples=4001)
         assert abs(rep.singular_residence - cand["coast"]) < 0.02 * proto.T
+
+
+# the gate-search centres: X with 4, 8 and 32 switches, Y and population transfer
+GATE_CENTRES = [("x", 0.48), ("x", 0.20), ("x", 0.0502), ("y", 0.30), ("pt", 0.30)]
+
+
+def _gate_problem(kind, u):
+    from qoct.xgate import GateProblem
+    return GateProblem(kind, ModelParams(u_max=u))
+
+
+@pytest.fixture(scope="module")
+def centre_roots():
+    from qoct.xgate import min_gate_time
+    return {(kind, u): min_gate_time(_gate_problem(kind, u)) for kind, u in GATE_CENTRES}
+
+
+def certified_audit(seq, problem):
+    adjoints, residual, mu = endpoint_costate(seq, problem.params, problem.kind)
+    rep = audit(seq, problem.params, problem.cost_spec(), final_adjoints=adjoints)
+    return rep, residual, mu
+
+
+class TestEndpointCostate:
+    """The costate at T* from the multipliers of the gate's endpoint rows."""
+
+    @pytest.mark.parametrize("kind,u", GATE_CENTRES)
+    def test_report_at_t_star_certifies_the_root(self, centre_roots, kind, u):
+        res = centre_roots[kind, u]
+        rep = res.report
+        assert rep.certificate_residual <= 1e-13
+        assert rep.sign_fraction == 1.0
+        assert rep.hoc_seg_max_dev < 1e-8
+        assert abs(np.linalg.norm(rep.mu) - 1.0) < 1e-14
+        # the audited protocol is the root's own square wave at T*
+        assert rep.times[-1] == res.t_star
+        w = omega_eff_from_ratio(rep.lambda0 / rep.A, ModelParams(u_max=u))
+        assert abs(w - res.omega_eff) / res.omega_eff < 1e-12
+        summary = rep.summary()
+        assert summary["certificate_residual"] == rep.certificate_residual
+        assert summary["mu"] == [float(m) for m in rep.mu]
+
+    @pytest.mark.parametrize("kind,u", GATE_CENTRES)
+    def test_moving_one_switch_breaks_the_certificate(self, centre_roots, kind, u):
+        res = centre_roots[kind, u]
+        seq = res.protocol.to_bang_sequence()
+        ts = list(seq.switch_times)
+        ts[0] += 0.01 * (ts[1] - ts[0])  # 1% of the first middle bang
+        moved = BangSequence(seq.T, seq.u_max, tuple(ts), seq.values)
+        problem = _gate_problem(kind, u)
+        rep, residual, _ = certified_audit(moved, problem)
+        assert residual >= 1e-3
+        assert rep.hoc_global_dev >= 1e-3
+
+    @pytest.mark.parametrize("factor", [1.001, 1.01, 1.05])
+    @pytest.mark.parametrize("kind,u", GATE_CENTRES)
+    def test_any_symmetric_wave_is_an_extremal(self, centre_roots, kind, u, factor):
+        # the certificate tells a PMP extremal, not a minimum time: a
+        # symmetric square wave off the root frequency passes it too
+        from qoct.xgate import one_param_protocol
+        res = centre_roots[kind, u]
+        problem = _gate_problem(kind, u)
+        proto = one_param_protocol(factor * res.omega_eff, res.t_star, problem,
+                                   sign=-1, parity=res.parity)
+        rep, residual, _ = certified_audit(proto.to_bang_sequence(), problem)
+        assert residual <= 1e-13
+        assert rep.sign_fraction == 1.0
+
+    def test_lambda0_over_a_is_well_conditioned_in_t_star(self):
+        # at 0.999 T* a move of T* by 8e-15 relative moved lambda0 by 8e-4
+        from qoct.xgate import min_gate_time, one_param_protocol
+        problem = _gate_problem("x", 0.03)
+        res = min_gate_time(problem, with_report=False)
+        ratios = []
+        T = res.t_star
+        for _ in range(5):
+            proto = one_param_protocol(res.omega_eff, T, problem, sign=-1, parity=res.parity)
+            rep, _, _ = certified_audit(proto.to_bang_sequence(), problem)
+            ratios.append(rep.lambda0 / rep.A)
+            T = np.nextafter(T, np.inf)
+        assert np.max(np.abs(np.array(ratios) / ratios[0] - 1.0)) <= 1e-12
+
+    def test_cost_costate_unchanged_without_final_adjoints(self):
+        proto = BangSequence(3.0, 0.5, (0.9, 2.0), (0.5, -0.5, 0.5))
+        cost = CostSpec("x")
+        finals = total_unitary(proto, P05) @ cost.initial_states()
+        a = audit(proto, P05, cost, n_samples=801)
+        b = audit(proto, P05, cost, n_samples=801,
+                  final_adjoints=terminal_adjoints(cost, finals))
+        assert np.array_equal(a.phi, b.phi) and np.array_equal(a.hoc, b.hoc)
+        assert "mu" not in a.summary() and "certificate_residual" not in a.summary()
+
+    def test_needs_a_switch(self):
+        with pytest.raises(ValueError, match="switch"):
+            endpoint_costate(BangSequence(2.0, 0.5, (), (0.5,)), P05, "x")

@@ -130,6 +130,10 @@ class TestBangKernel:
            st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
     @example(lanes=[(6, False, 10.0, 0.9, 1.0), (3, False, 4.0, 0.0, 0.0)], one_dim=False,
              u_max=0.104, th_i=0.7 * np.pi, th_t=0.35 * np.pi, ph=np.pi, seed=0)
+    # |G|^2 - (cost + 1) reached 2.1e-15 here, the norm's own drift from 1
+    @example(lanes=[(1, False, 1.0, 0.0, 0.0)] * 8
+             + [(8, False, 7.840786318715502, 0.96875, 5.960464477539063e-08)],
+             one_dim=False, u_max=1.05, th_i=1.0, th_t=1.0, ph=0.0, seed=0)
     def test_reduced_rows_equal_bang_costs_on_padded_times(self, lanes, one_dim, u_max,
                                                            th_i, th_t, ph, seed):
         # rows in the scan's box: t0 in [0, T], tbar in [1e-9, T/(k-1)], so
@@ -164,9 +168,14 @@ class TestBangKernel:
             k = lane_k[lane]
             times[r, :k] = X[r, 0] + X[r, 1] * np.arange(k) if k > 1 else X[r, 0]
         ref = _bang_costs(times, lane_T[rows], lane_values[rows], psi_i, psi_t, params)
-        # |G|^2 = 1 - F is the cost plus one, up to the few ulp by which the
-        # cells' product drifts from unit norm: |G|^2 + F is that norm
-        np.testing.assert_allclose((G * G).sum(axis=1), ref + 1.0, rtol=0.0, atol=2e-15)
+        # with F = -cost, |G|^2 + F is the squared norm of U psi_i, which is
+        # |a|^2 + |b|^2 of the product pair: the product drifts a few ulp
+        # from unit norm as cells are added, and F and |G|^2 share that drift
+        T = lane_T[rows][None]
+        bounds = np.concatenate([np.zeros_like(T), np.sort(times.T.clip(0.0, T), axis=0), T])
+        ab = pair_product(cell_pairs(bounds[1:] - bounds[:-1], lane_values[rows].T, params))
+        norm = (ab.real ** 2 + ab.imag ** 2).sum(axis=-1)
+        np.testing.assert_allclose((G * G).sum(axis=1) - ref, norm, rtol=0.0, atol=2e-15)
 
 
 class TestScanLanes:
