@@ -223,21 +223,12 @@ def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str)
     return pair_matrix(np.concatenate(levels[-1])), jacobian
 
 
-def _gate_row_states(kind: str) -> np.ndarray:
-    """The states e_i, as the columns of a (2, m) block, with ``_gate_rows`` = Re<e_i|U|0>.
-
-    Re<0|U|0> = Re a and Re<i0|U|0> = Im a; the third row is <1| (X, Re b)
-    or <i1| (Y, Im b).
-    """
-    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if kind == "x" else 1j]])
-    return E[:, :2] if kind == "pt" else E
-
-
 def endpoint_costate(seq: BangSequence, params: ModelParams, kind: str):
     """Costate at T of a minimum-time gate, from the multipliers of its endpoint rows.
 
     A minimum-time gate minimizes T subject to the m rows
-    F_i = Re<e_i|U|0> = 0 of ``_gate_rows`` (``_gate_row_states``).
+    F_i = Re<e_i|U|0> = 0 of ``_gate_rows``: e_i = |0>, i|0> (Re a, Im a)
+    and, for X, |1> (Re b) or, for Y, i|1> (Im b).
     Transversality gives lambda(T) = sum_i mu_i e_i (Pontryagin et al.,
     1962; Bryson & Ho, *Applied Optimal Control*, 1975, ch. 3), and the
     maximum principle asks the switching function Phi_mu = sum_i mu_i Phi_i
@@ -261,7 +252,9 @@ def endpoint_costate(seq: BangSequence, params: ModelParams, kind: str):
         raise ValueError("the endpoint costate needs at least one switch")
     P = pair_prefixes(pair_levels(cell_pairs(seq.durations, vals, params)))
     a, b = P[-1]
-    E = _gate_row_states(kind)
+    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if kind == "x" else 1j]])
+    E = E[:, :2] if kind == "pt" else E  # the states e_i as columns
+    # conj(lambda_i) at the switches, lambda_i(T) = e_i carried back by U^dag
     lam = pair_apply(P[1:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
     psi0, psi1 = P[1:-1, 0, None], P[1:-1, 1, None]  # P_j |0> at the switches
     M = np.imag(lam[:, 0] * psi1 + lam[:, 1] * psi0)

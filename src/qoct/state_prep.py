@@ -640,8 +640,9 @@ def report_near_optimum(structure: StructureLabel, t_star: float, times,
 
     The audit takes its costate from the cost, and at T* that costate, Phi
     and H_oc all vanish and the sign test is vacuous, so the diagnostics
-    are evaluated at shrink * T* where lambda0 is small but finite.  The protocol there is ``optimize_structure``'s, warm-started
-    from the switch times at T* scaled by ``shrink``.
+    are evaluated at shrink * T* where lambda0 is small but finite.  The
+    protocol there is ``optimize_structure``'s, warm-started from the
+    switch times at T* scaled by ``shrink``.
     """
     T = shrink * t_star
     x0 = np.asarray(times, dtype=float) * shrink

@@ -16,8 +16,7 @@ root over the parities wins.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,8 +173,8 @@ def optimize_omega_eff(T: float, problem: GateProblem, n_scan: int = 400):
     call, plus golden-section refinement around every basin, for each
     admissible parity; both overall protocol signs are degenerate (checked
     in the tests), so only the canonical +1 sign is scanned.  Returns
-    (omega_eff, cost, parity).  No search calls it: ``min_gate_time`` solves
-    for the root, and its report needs no second search.
+    (omega_eff, cost, parity).  No search calls it; the tests use it as the
+    oracle that no gate lies below T*.
     """
     ws = _frequency_grid(problem, n_scan)
     best = (np.inf, None, None)
@@ -202,7 +201,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     the parities is T*.  ``newton_steps`` counts the Gauss-Newton steps of
     its solve.  The optimality report audits the returned protocol at T*
     with the costate of ``pmp.endpoint_costate``, whose residual and
-    multipliers it carries; no second frequency search is run.
+    multipliers it carries.
     """
     t_rabi = rabi_pi_time(problem.params)
     # at small u_max a dip of the scanned cost is about one natural period
@@ -235,7 +234,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     report = None
     if with_report:
         adjoints, residual, mu = pmp.endpoint_costate(seq, problem.params, problem.kind)
-        report = dataclasses.replace(
+        report = replace(
             pmp.audit(proto, problem.params, problem.cost_spec(), final_adjoints=adjoints),
             certificate_residual=residual, mu=mu)
     return GateSearchResult(t_star=t_star, omega_eff=w_opt, parity=parity, sign=-1,
