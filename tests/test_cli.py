@@ -316,6 +316,19 @@ class TestCli:
         durs = np.diff(np.concatenate([[0.0], res["switch_times"], [T]]))
         assert np.min(durs) >= 1e-3 * T
 
+    def test_state_prep_bsb_only_runs_the_closed_form(self, tmp_path):
+        # asked for BSB alone, the search has no lane structure to scan and
+        # returns the closed-form BSB that the default search also picks
+        args = ["state-prep", "--theta-init=0.7pi", "--phi-init=0", "--theta-target=0.35pi",
+                "--phi-target=1pi", "--umax=0.85"]
+        assert main(args + [f"--out={tmp_path / 'all'}"]) == 0
+        assert main(args + ["--structures", "BSB", f"--out={tmp_path / 'bsb'}"]) == 0
+        default, bsb = (json.loads((tmp_path / side / "state-prep" / "search_result.json")
+                                   .read_text()) for side in ("all", "bsb"))
+        assert bsb["structure"] == default["structure"] == "BSB"
+        assert bsb["t_star"] == default["t_star"]
+        assert bsb["switch_times"] == default["switch_times"]
+
     def test_unknown_structure_exits_2(self, outdir):
         rc = main(["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
                    "--theta-target", "0.35pi", "--phi-target", "1pi",

@@ -248,6 +248,11 @@ class TestOptimizeStructure:
         tbar = np.mean(mids)
         assert np.max(np.abs(mids - tbar)) < 1e-3 * tbar
 
+    def test_bsb_refused(self):
+        # BSB is the closed-form construction; the reduced search is BB's alone
+        with pytest.raises(ValueError, match="BSB"):
+            optimize_structure(StructureLabel("bsb", 2, 1), 3.0, problem_at(0.85))
+
     def test_deterministic(self):
         p = problem_at(0.5)
         a = optimize_structure(StructureLabel("bb", 2, 1), 1.3 * np.pi, p)
@@ -314,6 +319,17 @@ class TestSingleSearch:
             canonical, canonical_values, _ = canonicalize_bangs(times, values, res.t_star)
             assert np.array(res.switch_times).tobytes() == canonical.tobytes()
             assert res.values == tuple(canonical_values)
+
+    def test_bsb_alone_runs_no_lane_search(self, optima, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a lane search ran")
+
+        monkeypatch.setattr(state_prep, "_scan_optima", no_scan)
+        res = find_time_optimal(problem_at(0.85), structures=[StructureLabel("bsb", 2, 1)],
+                                with_report=False)
+        default = optima[0.85]
+        assert (res.t_star, res.structure, res.switch_times) == \
+            (default.t_star, default.structure, default.switch_times)
 
     @pytest.mark.parametrize("u, label", [(0.11, "BB-6"), (0.16, "BB-4"), (0.5, "BB-2"),
                                           (0.85, "BSB")])
