@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fileio, pmp, smoothing, state_prep, xgate
-from .dynamics import BlochPoint, ModelParams, bloch_angles, propagate
+from .dynamics import BlochPoint, ModelParams, bloch_angles, propagate, state_from_bloch
 from .pmp import CostSpec
 from .protocols import protocol_to_dict
 from .state_prep import StatePrepProblem, StructureLabel
@@ -195,8 +195,12 @@ def cmd_state_prep(args) -> int:
     return 0 if res.found else 3
 
 
-def _gate_result_payload(res) -> dict:
-    return {
+def _write_gate(rec: _Record, res) -> dict:
+    """gate_result.json, pulse.csv and phi_hoc.csv of a gate search and its report.
+
+    Returns the gate_result.json payload.
+    """
+    payload = {
         "t_star": res.t_star,
         "omega_eff": res.omega_eff,
         "ratio": res.ratio,
@@ -206,8 +210,19 @@ def _gate_result_payload(res) -> dict:
         "residual": res.residual,
         "newton_steps": res.newton_steps,
         "protocol": protocol_to_dict(res.protocol),
-        "report": res.report.summary() if res.report else None,
+        "report": res.report.summary(),
     }
+    fileio.write_json(rec.path("gate_result.json"), payload)
+    fileio.write_pulse_csv(rec.path("pulse.csv"), res.protocol.to_bang_sequence())
+    fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
+                     np.column_stack((res.report.times, res.report.phi, res.report.hoc)))
+    return payload
+
+
+def _write_spectrum(rec: _Record, freqs, amps) -> None:
+    """spectrum.csv: the lines (f, re, im, abs) of ``smoothing.fourier_spectrum``."""
+    fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
+                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
 
 
 def _run_sweep(rec: _Record, grid, gate: str) -> tuple[int, list[float]]:
@@ -240,13 +255,8 @@ def cmd_xgate(args) -> int:
     rec = _Record("xgate", args)
     problem = GateProblem(args.gate, ModelParams(u_max=args.umax))
     res = xgate.min_gate_time(problem)
-    payload = _gate_result_payload(res)
-    fileio.write_json(rec.path("gate_result.json"), payload)
-    fileio.write_pulse_csv(rec.path("pulse.csv"), res.protocol.to_bang_sequence())
-    if res.report is not None:
-        fileio.write_json(rec.path("report.json"), res.report.summary())
-        fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
-                         np.column_stack((res.report.times, res.report.phi, res.report.hoc)))
+    payload = _write_gate(rec, res)
+    fileio.write_json(rec.path("report.json"), res.report.summary())
     rec.finish()
     print(json.dumps({k: payload[k] for k in ("t_star", "ratio", "omega_eff", "n_switch")}))
     return 0
@@ -294,9 +304,7 @@ def cmd_smooth(args) -> int:
         fileio.write_csv(rec.path("trace.csv"), ["iter", "c_smooth", "c_x_plus_1"],
                          run.trace)
     fileio.write_pulse_csv(rec.path("pulse.csv"), run.protocol)
-    freqs, amps = smoothing.fourier_spectrum(run.protocol)
-    fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
+    _write_spectrum(rec, *smoothing.fourier_spectrum(run.protocol))
     payload = {"scheme": run.scheme, "T": run.T, "t_over_trabi": run.T / t_rabi,
                "cost_plus_1": run.cost_plus_1, "converged": run.converged,
                "extras": {k: v for k, v in run.extras.items()}}
@@ -311,7 +319,6 @@ def _cost_spec_from_args(args) -> CostSpec:
         needed = (args.theta_init, args.phi_init, args.theta_target, args.phi_target)
         if any(v is None for v in needed):
             raise ValueError("state-prep verification needs --theta/phi-init/target")
-        from .dynamics import state_from_bloch
         return CostSpec("sp", init=state_from_bloch(BlochPoint(args.theta_init, args.phi_init)),
                         target=state_from_bloch(BlochPoint(args.theta_target, args.phi_target)))
     return CostSpec(args.cost)
@@ -337,8 +344,7 @@ def cmd_spectrum(args) -> int:
     umax = args.umax if args.umax is not None else float(np.max(np.abs(u))) or 1.0
     protocol = fileio.sampled_from_pulse(t, u, umax)
     freqs, amps = smoothing.fourier_spectrum(protocol, n_max=args.nmax)
-    fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
+    _write_spectrum(rec, freqs, amps)
     rec.finish()
     print(json.dumps({"n_lines": len(freqs)}))
     return 0
@@ -361,11 +367,7 @@ def _repro_ratio(rec: _Record):
 
 
 def _repro_gate_point(rec: _Record, umax: float):
-    res = xgate.min_gate_time(GateProblem("x", ModelParams(u_max=umax)))
-    fileio.write_json(rec.path("gate_result.json"), _gate_result_payload(res))
-    fileio.write_pulse_csv(rec.path("pulse.csv"), res.protocol.to_bang_sequence())
-    fileio.write_csv(rec.path("phi_hoc.csv"), ["t", "phi", "hoc"],
-                     np.column_stack((res.report.times, res.report.phi, res.report.hoc)))
+    _write_gate(rec, xgate.min_gate_time(GateProblem("x", ModelParams(u_max=umax))))
 
 
 def _repro_stateprep(rec: _Record):
@@ -398,9 +400,7 @@ def _repro_spectra(rec: _Record, smoothed: bool):
         proto = run.protocol
     else:
         proto = xgate.min_gate_time(problem, with_report=False).protocol.to_bang_sequence()
-    freqs, amps = smoothing.fourier_spectrum(proto, n_max=60)
-    fileio.write_csv(rec.path("spectrum.csv"), ["f", "re", "im", "abs"],
-                     np.array([(f, a.real, a.imag, abs(a)) for f, a in zip(freqs, amps)]))
+    _write_spectrum(rec, *smoothing.fourier_spectrum(proto, n_max=60))
 
 
 def _repro_third(rec: _Record):

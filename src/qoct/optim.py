@@ -11,8 +11,9 @@ the minimum times of the square-wave gate and of the third-harmonic pulse
 are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
 scans for the dips and solves each by ``box_root``, one lane held to the
 dip's box.  Nelder-Mead, one sequential simplex per run, serves the fixed-T
-third-harmonic search and the minimization behind the state-prep report at
-0.999 T*, where no root exists.
+third-harmonic search and the minimization behind a BB state-prep winner's
+report at 0.999 T*, where no root exists; the BSB winner's report is at T*
+and needs no search.
 """
 from __future__ import annotations
 

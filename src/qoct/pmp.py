@@ -55,7 +55,7 @@ from .dynamics import (
     pair_prefixes,
     propagate,
 )
-from .protocols import BangSequence, Protocol, Sampled, segment_durations_values
+from .protocols import BangSequence, OneParamBB, Protocol, Sampled, segment_durations_values
 
 __all__ = [
     "CostSpec",
@@ -68,6 +68,7 @@ __all__ = [
     "gate_jacobian",
     "gate_unitary_and_jacobian",
     "endpoint_costate",
+    "certified_audit",
     "omega_eff_from_ratio",
     "analytical_switching",
     "fit_switching_amplitude",
@@ -223,12 +224,27 @@ def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str)
     return pair_matrix(np.concatenate(levels[-1])), jacobian
 
 
-def endpoint_costate(seq: BangSequence, params: ModelParams, kind: str):
-    """Costate at T of a minimum-time gate, from the multipliers of its endpoint rows.
+def _endpoint_states(cost: CostSpec) -> np.ndarray:
+    """The states e_i, as columns, of a minimum time's endpoint rows F_i = Re<e_i|psi(T)>.
 
-    A minimum-time gate minimizes T subject to the m rows
-    F_i = Re<e_i|U|0> = 0 of ``_gate_rows``: e_i = |0>, i|0> (Re a, Im a)
-    and, for X, |1> (Re b) or, for Y, i|1> (Im b).
+    A gate's rows are ``_gate_rows`` on psi(T) = U|0>: e_i = |0>, i|0>
+    (Re a, Im a) and, for X, |1> (Re b) or, for Y, i|1> (Im b).  State
+    preparation's are (Re G, Im G) of G = <t_perp|U|psi_i>, t_perp the state
+    orthogonal to the target: e_i = t_perp, i t_perp.
+    """
+    if cost.kind == "sp":
+        t0, t1 = np.conjugate(np.asarray(cost.target, dtype=complex))
+        t_perp = np.array([-t1, t0])
+        return np.column_stack([t_perp, 1j * t_perp])
+    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if cost.kind == "x" else 1j]])
+    return E[:, :2] if cost.kind == "pt" else E
+
+
+def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, cost: CostSpec):
+    """Costate at T of a minimum-time bang protocol, from the multipliers of its endpoint rows.
+
+    A minimum time minimizes T subject to the m rows F_i = Re<e_i|psi(T)> = 0
+    of ``_endpoint_states`` on the first state of ``cost.initial_states()``.
     Transversality gives lambda(T) = sum_i mu_i e_i (Pontryagin et al.,
     1962; Bryson & Ho, *Applied Optimal Control*, 1975, ch. 3), and the
     maximum principle asks the switching function Phi_mu = sum_i mu_i Phi_i
@@ -240,33 +256,43 @@ def endpoint_costate(seq: BangSequence, params: ModelParams, kind: str):
     exists.  It certifies a PMP extremal, not a minimum time: a symmetric
     square wave passes at any frequency.
 
-    mu's sign makes u = -u_max Sgn[Phi_mu] on the bang after the first
-    switch.  Phi_mu is zero at that switch and leaves it with the slope
-    Phi' = omega0 Re(lam0* psi1 - lam1* psi0), the same on either side.
+    mu's sign makes the first bang obey u = -u_max Sgn[Phi_mu], read from
+    Phi_mu(0).
 
-    Returns the (2, 2) block of final adjoints for ``audit`` (lambda(T) in
-    the |0> column, zero in the |1> column), the residual and mu.
+    Returns the (2, m) block of final adjoints for ``audit`` (lambda(T) in
+    the first column, zero in a gate's |1> column), the residual and mu.
     """
-    vals = np.asarray(seq.values)
+    durs, vals = segment_durations_values(protocol)
     if len(vals) < 2:
         raise ValueError("the endpoint costate needs at least one switch")
-    P = pair_prefixes(pair_levels(cell_pairs(seq.durations, vals, params)))
+    P = pair_prefixes(pair_levels(cell_pairs(durs, vals, params)))
     a, b = P[-1]
-    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if kind == "x" else 1j]])
-    E = E[:, :2] if kind == "pt" else E  # the states e_i as columns
-    # conj(lambda_i) at the switches, lambda_i(T) = e_i carried back by U^dag
-    lam = pair_apply(P[1:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
-    psi0, psi1 = P[1:-1, 0, None], P[1:-1, 1, None]  # P_j |0> at the switches
-    M = np.imag(lam[:, 0] * psi1 + lam[:, 1] * psi0)
-    _, s, vt = np.linalg.svd(M)
+    E = _endpoint_states(cost)
+    # conj(lambda_i) and psi at 0 and at the switches, lambda_i(T) = e_i
+    # carried back by U^dag and psi(0) the first initial state
+    lam = pair_apply(P[:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
+    psi = pair_apply(P[:-1], cost.initial_states()[:, :1])
+    M = np.imag(lam[:, 0] * psi[:, 1] + lam[:, 1] * psi[:, 0])
+    _, s, vt = np.linalg.svd(M[1:])
     residual = float(s[-1] / s[0]) if len(s) == E.shape[1] else 0.0
     mu = vt[-1]
-    slope = params.omega0 * np.real(lam[0, 0] * psi1[0] - lam[0, 1] * psi0[0])
-    if vals[1] * (slope @ mu) > 0.0:
+    if vals[0] * (M[0] @ mu) > 0.0:
         mu = -mu
-    final_adjoints = np.zeros((2, 2), dtype=complex)
+    final_adjoints = np.zeros_like(cost.initial_states())
     final_adjoints[:, 0] = E @ mu
     return final_adjoints, residual, mu
+
+
+def certified_audit(protocol: BangSequence | OneParamBB, params: ModelParams,
+                    cost: CostSpec) -> OptimalityReport:
+    """``audit`` of a minimum-time bang protocol at T* on its ``endpoint_costate``.
+
+    The report carries the costate's ``certificate_residual`` and ``mu``.
+    """
+    adjoints, residual, mu = endpoint_costate(protocol, params, cost)
+    report = audit(protocol, params, cost, final_adjoints=adjoints)
+    report.certificate_residual, report.mu = residual, mu
+    return report
 
 
 def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:

@@ -5,13 +5,14 @@ between +/-u_max) and bang-singular-bang (BSB), whose singular segment must
 ride the Bloch equator with u = 0.  The search scans the evolution time
 upward per structure until the terminal cost reaches -1, refines by
 bisection, and picks the structure with the smallest T*, breaking ties
-toward fewer switchings.  At a fixed T every structure is searched in at
-most two reduced coordinates: the equal-middle-bang form (t0, tbar) of a
-BB-k extremal, the single switch time of BB-1, and (t1, t2 - t1) of BSB.
-Hit or miss at (structure, T) is a root solve of G = <t_perp| U |psi_i>
-= 0 in those coordinates, t_perp the state orthogonal to the target, for
-which |G|^2 = 1 - F: every structure's starts are lanes of one damped
+toward fewer switchings.  At a fixed T every BB structure is searched in
+at most two reduced coordinates: the equal-middle-bang form (t0, tbar) of
+a BB-k extremal, or the single switch time of BB-1.  Hit or miss at
+(structure, T) is a root solve of G = <t_perp| U |psi_i> = 0 in those
+coordinates, t_perp the state orthogonal to the target, for which
+|G|^2 = 1 - F: every structure's starts are lanes of one damped
 Gauss-Newton call, and a hit is a lane ending at |G|^2 <= TARGET_TOL.
+The minimum-time BSB is a closed-form construction with no search.
 The scan searches no time that a speed limit rules out: in the frame
 rotating with the drift the Bloch vector turns at angular speed at most
 2 u_max, so no control reaches a target farther than 2 u_max T away there.
@@ -173,21 +174,26 @@ def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> fl
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
                        x0=None) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """Best switch times for a structure at fixed T, by the scan's reduced search.
+    """Best switch times for a BB structure at fixed T, by the scan's reduced search.
 
-    BB-1 is searched in its switch time, BB-k (k >= 2) in (t0, tbar) and BSB
-    in (t1, t2 - t1), once per trailing-bang sign; see ``_scan_optima``.  The
+    BB-1 is searched in its switch time and BB-k (k >= 2) in (t0, tbar); see
+    ``_scan_optima``.  BSB has no search: its minimum time is the closed
+    form of ``bsb_candidates``, and a BSB label raises ValueError.  The
     switch times ``x0``, if given, warm-start the search as (x0[0], their
     mean spacing).  Where the target is out of reach at T, the best lane's
     solve stops near a minimum of the cost without reaching it, and
     Nelder-Mead finishes the minimization from there, in the same box.
     Returns (times, cost, segment values), deterministic.
     """
+    if structure.kind == "bsb":
+        raise ValueError("BSB is the closed-form construction of bsb_candidates, not a search")
     warm = None
     if x0 is not None and structure.n_switch > 0:
         t = np.sort(np.asarray(x0, dtype=float))
         warm = np.array([t[0], (t[-1] - t[0]) / max(len(t) - 1, 1)])
-    ((r, values),) = _scan_optima([structure], [T], [warm], problem)
+    (r,) = _scan_optima([structure], [T], [warm], problem)
+    values = tuple(float(v) for v in _bb_values(structure.n_switch, structure.lead_sign,
+                                                problem.params.u_max))
     x = r.x
     if r.status not in ("converged", "exact"):
         # minimized on |G|^2 rather than the cost, which rounds near -1
@@ -326,13 +332,6 @@ _GRID_SIDE = 8
 _GRID_SEEDS = 2
 
 
-def _segment_values(structure: StructureLabel, u_max: float) -> list[np.ndarray]:
-    """The segment values searched for a structure: one set, or one per BSB trailing sign."""
-    if structure.kind == "bsb":
-        return [np.array([structure.lead_sign * u_max, 0.0, s2 * u_max]) for s2 in (1.0, -1.0)]
-    return [_bb_values(structure.n_switch, structure.lead_sign, u_max)]
-
-
 def _box(structure: StructureLabel, T: float):
     """The (lo, hi) corners of a structure's box in (t0, tbar) at T.
 
@@ -347,9 +346,8 @@ def _equal_bangs(X, k: int) -> np.ndarray:
     """Switch times of reduced coordinates (t0, tbar), one row per row of X.
 
     The k switch times t0 + j tbar (j < k) are the equal-middle-bang form,
-    exact for BB extremals and, at k = 2, the (t1, t2 - t1) of BSB; BB-1's
-    one switch time is t0, whatever tbar.  The times are neither clipped
-    nor, for tbar < 0, ordered.
+    exact for BB extremals; BB-1's one switch time is t0, whatever tbar.
+    The times are neither clipped nor, for tbar < 0, ordered.
     """
     return X[:, :1] + X[:, 1:] * np.arange(k)
 
@@ -404,82 +402,66 @@ def _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams
 
 
 def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
-                 problem: StatePrepProblem
-                 ) -> list[tuple[optim.OptimResult, tuple[float, ...]]]:
-    """The best Gauss-Newton lane of each structure and its segment values.
+                 problem: StatePrepProblem) -> list[optim.OptimResult]:
+    """The best Gauss-Newton lane of each BB structure.
 
     Each structure is searched at its own T, in (t0, tbar) and in its
-    ``_box``, once per segment-value set (BSB once per trailing-bang sign).
-    A set's lanes start from the structure's warm start, if it has one,
-    from _SCAN_DRAWS drawn points, and from the _GRID_SEEDS best points of
-    a _GRID_SIDE x _GRID_SIDE grid over its box (_GRID_SIDE^2 points of t0
-    for BB-1), every set's grid in one call: a solve only finds the root of
-    the basin it starts in, and the grid sees basins the draws miss.  The
-    lanes of all structures solve G = 0 (``_reduced_rows``) in one
-    ``optim.gauss_newton`` call, every trial clipped into its lane's box.
-    A structure's best lane is the first with its lowest |G|^2 (``fun``).
-    BB-0 has nothing to solve: its result is |G|^2 of its one protocol,
-    status 'exact'.
+    ``_box``, on its ``_bb_values``.  Its lanes start from its warm start,
+    if it has one, from _SCAN_DRAWS drawn points, and from the _GRID_SEEDS
+    best points of a _GRID_SIDE x _GRID_SIDE grid over its box
+    (_GRID_SIDE^2 points of t0 for BB-1), every structure's grid in one
+    call: a solve only finds the root of the basin it starts in, and the
+    grid sees basins the draws miss.  The lanes of all structures solve
+    G = 0 (``_reduced_rows``) in one ``optim.gauss_newton`` call, every
+    trial clipped into its lane's box.  A structure's best lane is the
+    first with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its
+    result is |G|^2 of its one protocol, status 'exact'.
     """
-    psi_i, psi_t = problem.states()
     params = problem.params
-    kmax = max(s.n_switch for s in structures)
-    owners, values, starts = [], [], []  # per segment-value set, BB-0 last
-    for j, s in sorted(enumerate(structures), key=lambda js: js[1].n_switch == 0):
-        T, k = Ts[j], s.n_switch
-        mine = [] if warms[j] is None or k == 0 else [warms[j]]
-        if k:
-            if k == 1:
-                sampler = lambda rng, T=T: np.array([rng.uniform(0.0, T), 0.0])
-            else:
-                sampler = lambda rng, T=T, k=k: np.array([rng.uniform(0.0, T / (k + 1)),
-                                                          rng.uniform(0.3, 1.0) * T / (k - 1)])
-            rng = np.random.default_rng(0)
-            mine += [sampler(rng) for _ in range(_SCAN_DRAWS)]
-        for vals in _segment_values(s, params.u_max):
-            owners.append(j)
-            values.append(vals)
-            starts.append(mine)
-    set_k = np.array([structures[j].n_switch for j in owners])
-    rows = _reduced_rows(np.array([Ts[j] for j in owners]), set_k,
-                         np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge")
-                                   for v in values]), psi_i, psi_t, params)
-    solved = np.flatnonzero(set_k)
+    ks = np.array([s.n_switch for s in structures])
+    kmax = ks.max()
+    rows = _reduced_rows(np.array(Ts, dtype=float), ks,
+                         np.array([np.pad(_bb_values(s.n_switch, s.lead_sign, params.u_max),
+                                          (0, kmax - s.n_switch), mode="edge")
+                                   for s in structures]), *problem.states(), params)
+    out = [None] * len(structures)
+    solved = np.flatnonzero(ks)
     if solved.size:
-        lo, hi = np.array([_box(structures[owners[i]], Ts[owners[i]]) for i in solved]
-                          ).transpose(1, 0, 2)
+        starts = []
+        for j in solved:
+            T, k, rng = Ts[j], structures[j].n_switch, np.random.default_rng(0)
+            mine = [] if warms[j] is None else [warms[j]]
+            for _ in range(_SCAN_DRAWS):
+                mine.append(np.array([rng.uniform(0.0, T), 0.0]) if k == 1 else
+                            np.array([rng.uniform(0.0, T / (k + 1)),
+                                      rng.uniform(0.3, 1.0) * T / (k - 1)]))
+            starts.append(mine)
+        lo, hi = np.array([_box(structures[j], Ts[j]) for j in solved]).transpose(1, 0, 2)
         # the unit grid, and BB-1's line of as many t0
         side = np.linspace(0.0, 1.0, _GRID_SIDE)
         square = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
         line = np.column_stack([np.linspace(0.0, 1.0, _GRID_SIDE ** 2), np.zeros(_GRID_SIDE ** 2)])
-        unit = np.where((set_k[solved] == 1)[:, None, None], line, square)
+        unit = np.where((ks[solved] == 1)[:, None, None], line, square)
         grid = lo[:, None] + (hi - lo)[:, None] * unit
         F = rows(grid.reshape(-1, 2), np.repeat(solved, _GRID_SIDE ** 2))
         r2 = (F * F).sum(axis=1).reshape(len(solved), -1)
         seeds = grid[np.arange(len(solved))[:, None],
                      np.argsort(r2, axis=1, kind="stable")[:, :_GRID_SEEDS]]
-        for i, x in zip(solved, seeds):
-            starts[i] = starts[i] + list(x)
-        counts = [len(starts[i]) for i in solved]
+        starts = [mine + list(x) for mine, x in zip(starts, seeds)]
+        counts = [len(mine) for mine in starts]
         lane_set = np.repeat(solved, counts)
         lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
-            lambda X, lanes: rows(X, lane_set[lanes]), [x for i in solved for x in starts[i]],
+            lambda X, lanes: rows(X, lane_set[lanes]), [x for mine in starts for x in mine],
             optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
             lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
-        ends = np.cumsum(counts)
-        best = [min(runs[end - count:end], key=lambda r: r.fun)
-                for end, count in zip(ends, counts)]
-    else:
-        best = []
-    zero = np.flatnonzero(set_k == 0)
+        for j, end, count in zip(solved, np.cumsum(counts), counts):
+            out[j] = min(runs[end - count:end], key=lambda r: r.fun)
+    zero = np.flatnonzero(ks == 0)
     if zero.size:
         F = rows(np.zeros((len(zero), 2)), zero)
-        best += [optim.OptimResult(x=np.zeros(2), fun=float(f @ f), status="exact") for f in F]
-    out = [None] * len(structures)
-    for j, vals, r in zip(owners, values, best):
-        if out[j] is None or r.fun < out[j][0].fun:
-            out[j] = (r, tuple(float(v) for v in vals))
+        for j, f in zip(zero, F):
+            out[j] = optim.OptimResult(x=np.zeros(2), fun=float(f @ f), status="exact")
     return out
 
 
@@ -490,11 +472,15 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     BB structures are scanned on a shared T grid of step pi/4 (in the fast
     equal-middle-bang form, both leading signs) and refined by bisection to
     1e-3 pi; the minimal BSB time comes from the closed-form equator
-    construction, validated by propagation.  A BB winner is the bisection's
-    best Gauss-Newton lane at T* as it is, and its optimality report is
-    evaluated at 0.999 T* where the PMP quantities are small but nonzero.
-    Ties break toward fewer switchings.  ``residual`` is the winner's |G|^2
-    at T* and ``solver_steps`` its lane's steps (cost + 1 and 0 for BSB).
+    construction, validated by propagation; only BB structures are lane
+    searches, and with none asked for the scan runs no search.  A BB winner
+    is the bisection's best Gauss-Newton lane at T* as it is, and its
+    optimality report is ``report_near_optimum``'s at 0.999 T*: a BB winner
+    is a root above the fold, not an extremal.  The BSB winner's report
+    audits its own protocol at T* (``pmp.certified_audit``), on the costate
+    of the endpoint rows (Re G, Im G).  Ties break toward fewer switchings.
+    ``residual`` is the winner's |G|^2 at T* and ``solver_steps`` its lane's
+    steps (cost + 1 and 0 for BSB).
     ``diagnostics["stalled_misses"]`` counts the scan and bisection misses
     whose best lane used up its Gauss-Newton steps ('max-iter') rather than
     stalling: such a miss may be a slow solve rather than a time too short.
@@ -550,8 +536,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             scan = [s for s in bb_structs if s.n_switch <= kmax_here]
             keys = [(s.n_switch, s.lead_sign) for s in scan]
             optima = _scan_optima(scan, [T] * len(scan), [warm.get(key) for key in keys],
-                                  problem)
-            for s, key, (r, _) in zip(scan, keys, optima):
+                                  problem) if scan else []
+            for s, key, r in zip(scan, keys, optima):
                 warm[key] = r.x
                 if r.fun <= TARGET_TOL:
                     hits[key] = (s, r)
@@ -576,7 +562,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             optima = _scan_optima([found[i][0] for i in steps], mids,
                                   [best[i].x * (mid / hi[i]) for i, mid in zip(steps, mids)],
                                   problem)
-            for i, mid, (r, _) in zip(steps, mids, optima):
+            for i, mid, r in zip(steps, mids, optima):
                 if r.fun <= TARGET_TOL:
                     hi[i], best[i] = mid, r
                 else:
@@ -628,7 +614,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     report = None
     if with_report:
-        report = report_near_optimum(structure, t_star, times, problem)
+        report = (pmp.certified_audit(proto, params, problem.cost_spec()) if s_win is None
+                  else report_near_optimum(structure, t_star, times, problem))
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
                         tuple(float(v) for v in values), float(cost), report,
                         float(residual), int(solver_steps), diag)
@@ -636,13 +623,15 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
 def report_near_optimum(structure: StructureLabel, t_star: float, times,
                         problem: StatePrepProblem, shrink: float = 0.999) -> OptimalityReport:
-    """Audit the structure's optimum at T slightly below T*.
+    """Audit a BB structure's optimum at T slightly below T*.
 
-    The audit takes its costate from the cost, and at T* that costate, Phi
-    and H_oc all vanish and the sign test is vacuous, so the diagnostics
-    are evaluated at shrink * T* where lambda0 is small but finite.  The
-    protocol there is ``optimize_structure``'s, warm-started from the
-    switch times at T* scaled by ``shrink``.
+    A BB winner is a root of G above the fold, not a PMP extremal, so the
+    endpoint costate does not certify it.  The audit takes its costate from
+    the cost, and at T* that costate, Phi and H_oc all vanish and the sign
+    test is vacuous, so the diagnostics are evaluated at shrink * T* where
+    lambda0 is small but finite.  The protocol there is
+    ``optimize_structure``'s, warm-started from the switch times at T*
+    scaled by ``shrink``.
     """
     T = shrink * t_star
     x0 = np.asarray(times, dtype=float) * shrink

@@ -16,7 +16,7 @@ root over the parities wins.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,8 +200,8 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     up to one step past the first parity's root, and the earliest root over
     the parities is T*.  ``newton_steps`` counts the Gauss-Newton steps of
     its solve.  The optimality report audits the returned protocol at T*
-    with the costate of ``pmp.endpoint_costate``, whose residual and
-    multipliers it carries.
+    with the costate of ``pmp.endpoint_costate`` (``pmp.certified_audit``),
+    whose residual and multipliers it carries.
     """
     t_rabi = rabi_pi_time(problem.params)
     # at small u_max a dip of the scanned cost is about one natural period
@@ -231,12 +231,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
     seq = proto.to_bang_sequence()
 
-    report = None
-    if with_report:
-        adjoints, residual, mu = pmp.endpoint_costate(seq, problem.params, problem.kind)
-        report = replace(
-            pmp.audit(proto, problem.params, problem.cost_spec(), final_adjoints=adjoints),
-            certificate_residual=residual, mu=mu)
+    report = pmp.certified_audit(proto, problem.params, problem.cost_spec()) if with_report else None
     return GateSearchResult(t_star=t_star, omega_eff=w_opt, parity=parity, sign=-1,
                             n_switch=len(seq.switch_times), ratio=float(t_star / t_rabi),
                             cost=float(cost), residual=roots[parity].fun,

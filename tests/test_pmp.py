@@ -26,6 +26,7 @@ from qoct.pmp import (
     bloch_velocity,
     control_hamiltonian,
     cost_and_gradient,
+    certified_audit,
     endpoint_costate,
     gate_jacobian,
     gate_unitary_and_jacobian,
@@ -420,14 +421,21 @@ def centre_roots():
     return {(kind, u): min_gate_time(_gate_problem(kind, u)) for kind, u in GATE_CENTRES}
 
 
-def certified_audit(seq, problem):
-    adjoints, residual, mu = endpoint_costate(seq, problem.params, problem.kind)
-    rep = audit(seq, problem.params, problem.cost_spec(), final_adjoints=adjoints)
-    return rep, residual, mu
+def _sp_problem(u):
+    from qoct.state_prep import StatePrepProblem
+    return StatePrepProblem(BlochPoint(0.7 * np.pi, 0.0), BlochPoint(0.35 * np.pi, np.pi),
+                            ModelParams(u_max=u))
+
+
+@pytest.fixture(scope="module")
+def bsb_winners():
+    """find_time_optimal, with its report, at three amplitudes of the BSB plateau."""
+    from qoct.state_prep import find_time_optimal
+    return {u: find_time_optimal(_sp_problem(u)) for u in (0.7, 0.85, 1.0)}
 
 
 class TestEndpointCostate:
-    """The costate at T* from the multipliers of the gate's endpoint rows."""
+    """The costate at T* from the multipliers of a minimum time's endpoint rows."""
 
     @pytest.mark.parametrize("kind,u", GATE_CENTRES)
     def test_report_at_t_star_certifies_the_root(self, centre_roots, kind, u):
@@ -453,8 +461,8 @@ class TestEndpointCostate:
         ts[0] += 0.01 * (ts[1] - ts[0])  # 1% of the first middle bang
         moved = BangSequence(seq.T, seq.u_max, tuple(ts), seq.values)
         problem = _gate_problem(kind, u)
-        rep, residual, _ = certified_audit(moved, problem)
-        assert residual >= 1e-3
+        rep = certified_audit(moved, problem.params, problem.cost_spec())
+        assert rep.certificate_residual >= 1e-3
         assert rep.hoc_global_dev >= 1e-3
 
     @pytest.mark.parametrize("factor", [1.001, 1.01, 1.05])
@@ -467,8 +475,8 @@ class TestEndpointCostate:
         problem = _gate_problem(kind, u)
         proto = one_param_protocol(factor * res.omega_eff, res.t_star, problem,
                                    sign=-1, parity=res.parity)
-        rep, residual, _ = certified_audit(proto.to_bang_sequence(), problem)
-        assert residual <= 1e-13
+        rep = certified_audit(proto, problem.params, problem.cost_spec())
+        assert rep.certificate_residual <= 1e-13
         assert rep.sign_fraction == 1.0
 
     def test_lambda0_over_a_is_well_conditioned_in_t_star(self):
@@ -481,7 +489,7 @@ class TestEndpointCostate:
         T = res.t_star
         for _ in range(5):
             proto = one_param_protocol(res.omega_eff, T, problem, sign=-1, parity=res.parity)
-            rep, _, _ = certified_audit(proto.to_bang_sequence(), problem)
+            rep = certified_audit(proto, problem.params, problem.cost_spec())
             ratios.append(rep.lambda0 / rep.A)
             T = np.nextafter(T, np.inf)
         assert np.max(np.abs(np.array(ratios) / ratios[0] - 1.0)) <= 1e-12
@@ -496,6 +504,60 @@ class TestEndpointCostate:
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.hoc, b.hoc)
         assert "mu" not in a.summary() and "certificate_residual" not in a.summary()
 
+    @pytest.mark.parametrize("u", [0.7, 0.85, 1.0])
+    def test_bsb_report_at_t_star_certifies_the_winner(self, bsb_winners, u):
+        res = bsb_winners[u]
+        assert str(res.structure) == "BSB"
+        rep = res.report
+        assert rep.certificate_residual <= 1e-13
+        assert rep.sign_fraction == 1.0
+        assert rep.hoc_seg_max_dev < 1e-8
+        assert abs(np.linalg.norm(rep.mu) - 1.0) < 1e-14
+        assert rep.times[-1] == res.t_star
+        assert rep.summary()["mu"] == [float(m) for m in rep.mu]
+
+    def test_moving_the_first_bsb_switch_breaks_the_certificate(self, bsb_winners):
+        seq = bsb_winners[0.85].protocol()
+        t1, t2 = seq.switch_times
+        moved = BangSequence(seq.T, seq.u_max, (t1 + 0.01 * (t2 - t1), t2), seq.values)
+        problem = _sp_problem(0.85)
+        rep = certified_audit(moved, problem.params, problem.cost_spec())
+        assert rep.certificate_residual >= 1e-4
+
+    def test_state_prep_rows_are_re_and_im_of_g(self, bsb_winners):
+        # the endpoint rows Re<e_i|U|psi_i> of the state-prep cost are
+        # (Re G, Im G) of the scan's G = <t_perp|U|psi_i>
+        from qoct.dynamics import cell_pairs, pair_product
+        from qoct.pmp import _endpoint_states
+        from qoct.state_prep import _target_residual
+        seq = bsb_winners[0.85].protocol()
+        problem = _sp_problem(0.85)
+        psi_i, psi_t = problem.states()
+        ab = pair_product(cell_pairs(seq.durations, np.array(seq.values), problem.params))
+        final = total_unitary(seq, problem.params) @ psi_i
+        rows = np.real(_endpoint_states(problem.cost_spec()).conj().T @ final)
+        G = _target_residual(ab, psi_i, psi_t)
+        np.testing.assert_allclose(rows, [G.real, G.imag], atol=1e-15)
+
+    def test_bsb_winner_is_audited_once_without_a_second_search(self, monkeypatch):
+        from qoct import pmp, state_prep
+
+        def second_search(*args, **kwargs):
+            raise AssertionError("a structure search besides the closed form")
+
+        audited = []
+        real_audit = pmp.audit
+
+        def spy(protocol, *args, **kwargs):
+            audited.append(protocol)
+            return real_audit(protocol, *args, **kwargs)
+
+        monkeypatch.setattr(state_prep, "optimize_structure", second_search)
+        monkeypatch.setattr(pmp, "audit", spy)
+        res = state_prep.find_time_optimal(_sp_problem(0.85))
+        assert str(res.structure) == "BSB"
+        assert audited == [res.protocol()]
+
     def test_needs_a_switch(self):
         with pytest.raises(ValueError, match="switch"):
-            endpoint_costate(BangSequence(2.0, 0.5, (), (0.5,)), P05, "x")
+            endpoint_costate(BangSequence(2.0, 0.5, (), (0.5,)), P05, CostSpec("x"))

@@ -261,25 +261,21 @@ class TestOptimizeStructure:
 
 
 def free_time_optimum(structure, T, problem, x0, restarts=12):
-    """Lowest cost of a restarted Nelder-Mead over all k switch times, free.
+    """Lowest cost of a restarted Nelder-Mead over all k switch times of a BB structure, free.
 
     The reference search: every switch time is its own coordinate (sorted
-    and clipped by the cost), the restarts start from x0 and from stratified
-    draws, and BSB runs them once per trailing-bang sign.
+    and clipped by the cost), and the restarts start from x0 and from
+    stratified draws.
     """
-    u = problem.params.u_max
     k = structure.n_switch
-    if structure.kind == "bsb":
-        value_sets = [[structure.lead_sign * u, 0.0, s2 * u] for s2 in (1.0, -1.0)]
-    else:
-        value_sets = [structure.lead_sign * u * (-1.0) ** np.arange(k + 1)]
+    values = structure.lead_sign * problem.params.u_max * (-1.0) ** np.arange(k + 1)
 
     def draw(rng):
         return np.sort(T * (np.arange(k) + rng.uniform(0.0, 1.0, k)) / k)
 
-    return min(optim.nelder_mead_restarts(
-        lambda x, v=v: cost_of_switchings(x, v, T, problem), x0, draw, restarts, 2000, 1e-10,
-        bounds=((0.0, T),) * k).fun for v in value_sets)
+    return optim.nelder_mead_restarts(
+        lambda x: cost_of_switchings(x, values, T, problem), x0, draw, restarts, 2000, 1e-10,
+        bounds=((0.0, T),) * k).fun
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +291,7 @@ class TestSingleSearch:
 
         def spy(structures, Ts, *args):
             out = scan(structures, Ts, *args)
-            hits.extend((s, T, r.x, r.fun) for s, T, (r, _) in zip(structures, Ts, out)
+            hits.extend((s, T, r.x, r.fun) for s, T, r in zip(structures, Ts, out)
                         if r.fun <= TARGET_TOL)
             return out
 
@@ -331,8 +327,7 @@ class TestSingleSearch:
         assert (res.t_star, res.structure, res.switch_times) == \
             (default.t_star, default.structure, default.switch_times)
 
-    @pytest.mark.parametrize("u, label", [(0.11, "BB-6"), (0.16, "BB-4"), (0.5, "BB-2"),
-                                          (0.85, "BSB")])
+    @pytest.mark.parametrize("u, label", [(0.11, "BB-6"), (0.16, "BB-4"), (0.5, "BB-2")])
     def test_no_worse_than_free_times_below_t_star(self, optima, u, label):
         res = optima[u]
         assert str(res.structure) == label
@@ -342,31 +337,9 @@ class TestSingleSearch:
         times, cost, values = optimize_structure(res.structure, T, p, x0=x0)
         assert cost <= free_time_optimum(res.structure, T, p, x0) + 1e-12
         assert cost == cost_of_switchings(times, values, T, p)
-        if res.structure.kind == "bb":
-            durs = np.diff(np.concatenate([[0.0], times, [T]]))
-            mids = durs[1:-1]
-            assert np.max(np.abs(mids - mids[0])) <= 1e-12 * mids[0]
-
-    def test_bsb_searches_both_trailing_signs(self, monkeypatch):
-        last = set()
-        scans = []
-
-        def pairs(durations, values, *args):
-            # cells first: the last row holds every row's trailing value
-            last.update(np.asarray(values)[-1].tolist())
-            return pairs_of(durations, values, *args)
-
-        def spy(*args, **kwargs):
-            scans.append(args[0])
-            return scan(*args, **kwargs)
-
-        pairs_of, scan = state_prep.cell_pairs, state_prep._scan_optima
-        monkeypatch.setattr(state_prep, "cell_pairs", pairs)
-        monkeypatch.setattr(state_prep, "_scan_optima", spy)
-        _, _, values = optimize_structure(StructureLabel("bsb", 2, 1), 3.0, problem_at(0.85))
-        assert scans == [[StructureLabel("bsb", 2, 1)]]
-        assert last == {0.85, -0.85}
-        assert values[0] == 0.85 and values[1] == 0.0 and abs(values[2]) == 0.85
+        durs = np.diff(np.concatenate([[0.0], times, [T]]))
+        mids = durs[1:-1]
+        assert np.max(np.abs(mids - mids[0])) <= 1e-12 * mids[0]
 
 
 class TestBsbConstruction:
@@ -468,7 +441,7 @@ class TestFindTimeOptimal:
             optima = scan(structures, *args)
             # BB-0 has no lanes: nothing of it can stall
             misses.extend(s.n_switch > 0 and r.fun > TARGET_TOL
-                          for s, (r, _) in zip(structures, optima))
+                          for s, r in zip(structures, optima))
             return optima
 
         monkeypatch.setattr(optim, "gauss_newton", forced_solve)
@@ -584,11 +557,14 @@ class TestSpeedLimit:
                     if state_prep._speed_limit_excludes(p, T)]
         assert excluded
         for T in excluded:
+            # the scan's own lanes for every BB structure, and the grid
+            # oracle's for BSB (both trailing signs) and BB alike
             kmax = int(np.ceil(2.0 * T / np.pi)) + 2
-            structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
-            structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
+            structures = [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
             optima = _scan_optima(structures, [T] * len(structures), [None] * len(structures), p)
-            assert all(r.fun > TARGET_TOL for r, _ in optima), T
+            assert all(r.fun > TARGET_TOL for r in optima), T
+            oracle = grid_oracle(p, T)
+            assert "BSB" in oracle and min(oracle.values()) > TARGET_TOL, T
 
     def test_speed_limit_skip_at_bsb_time_ends_scan(self, monkeypatch):
         # a grid time at or above the BSB time ends the scan whether it is
@@ -603,8 +579,8 @@ class TestSpeedLimit:
         def missing_scan(structures, Ts, *args):
             scanned.extend(Ts)
             if Ts[0] == T_end:  # the coarse scan at T_end: every structure misses
-                return [(optim.OptimResult(x=r.x, fun=1.0, status="stalled"), v)
-                        for r, v in scan(structures, Ts, *args)]
+                return [optim.OptimResult(x=r.x, fun=1.0, status="stalled")
+                        for r in scan(structures, Ts, *args)]
             return scan(structures, Ts, *args)
 
         monkeypatch.setattr(state_prep, "_scan_optima", missing_scan)
@@ -637,7 +613,10 @@ def grid_oracle(problem, T):
     kmax = int(np.ceil(params.omega0 * T / np.pi)) + 2
     structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
     structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
-    sets = [(s, v) for s in structures for v in state_prep._segment_values(s, params.u_max)]
+    u = params.u_max
+    sets = [(s, np.array([s.lead_sign * u, 0.0, s2 * u])) for s in structures[:2]
+            for s2 in (1.0, -1.0)]
+    sets += [(s, state_prep._bb_values(s.n_switch, s.lead_sign, u)) for s in structures[2:]]
     lane_values = np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for _, v in sets])
     rows = state_prep._reduced_rows(np.full(len(sets), T),
                                     np.array([s.n_switch for s, _ in sets]), lane_values,
