@@ -231,7 +231,9 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
     seq = proto.to_bang_sequence()
 
-    report = pmp.certified_audit(proto, problem.params, problem.cost_spec()) if with_report else None
+    report = None
+    if with_report:
+        report = pmp.certified_audit(proto, problem.params, problem.cost_spec())
     return GateSearchResult(t_star=t_star, omega_eff=w_opt, parity=parity, sign=-1,
                             n_switch=len(seq.switch_times), ratio=float(t_star / t_rabi),
                             cost=float(cost), residual=roots[parity].fun,
