@@ -545,6 +545,7 @@ def _abs2(z):
 def terminal_cost(U_total: np.ndarray, kind: str,
                   init: np.ndarray | None = None,
                   target: np.ndarray | None = None) -> float:
+    """``state_prep_cost`` for kind 'sp', with ``init`` and ``target``; else ``gate_cost``."""
     if kind.lower() in ("sp", "state_prep"):
         return state_prep_cost(U_total, init, target)
     return gate_cost(U_total, kind)

@@ -18,20 +18,19 @@ The first-order optimality conditions used throughout:
 Forward and adjoint states are both taken from the prefix unitaries
 P_k = U_(k-1) ... U_0 of one propagation: the forward states are P_k psi(0)
 and, since the adjoint obeys the same Schroedinger equation, the adjoints
-are P_k P_n^dag lambda(T).  A state-prep cost has one trajectory; a gate
-cost has the two from |0> and |1>, handled as the columns of a (2, 2) block,
-and their switching functions and control-Hamiltonians add, because the cost
-gradient is additive over trajectories.
+are P_k P_n^dag lambda(T).  Every cost has one trajectory, from
+``CostSpec.initial_state()``, and its own costate comes from its real
+endpoint rows F: lambda(T) = 2 sum_i F_i e_i (``CostSpec``).
 
 The P_k are Cayley-Klein pairs from one prefix scan over the cells
 (``dynamics.pair_levels`` up the pairwise tree and ``dynamics.pair_prefixes``
-down it, log2(n) vectorized levels each way), applied to the (2, m) blocks
-by ``dynamics.pair_apply``.  For a piecewise-constant control the cost
-gradient and the gate Jacobian are exact, not a quadrature of Phi: they pair
-the prefixes with the closed-form cell derivative dU/du, itself a pair
-(``dynamics.segment_derivatives``), as in GRAPE (Khaneja et al., J. Magn.
-Reson. 172, 296 (2005); de Fouquieres et al., J. Magn. Reson. 212, 412
-(2011)).
+down it, log2(n) vectorized levels each way), applied to states by
+``dynamics.pair_apply``.  For a piecewise-constant control the Jacobian of
+the rows, and with it the cost gradient 2 J^T F, is exact, not a quadrature
+of Phi: it pairs the prefixes with the closed-form cell derivative dU/du,
+itself a pair (``dynamics.segment_derivatives``), as in GRAPE (Khaneja et
+al., J. Magn. Reson. 172, 296 (2005); de Fouquieres et al., J. Magn. Reson.
+212, 412 (2011)).
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import (
+    KET_0,
     SIGMA_0,
     BlochPoint,
     ModelParams,
@@ -60,13 +60,10 @@ from .protocols import BangSequence, OneParamBB, Protocol, Sampled, segment_dura
 __all__ = [
     "CostSpec",
     "OptimalityReport",
-    "terminal_adjoints",
     "switching_function",
     "control_hamiltonian",
     "cost_and_gradient",
-    "gate_residual",
-    "gate_jacobian",
-    "gate_unitary_and_jacobian",
+    "unitary_and_jacobian",
     "endpoint_costate",
     "certified_audit",
     "omega_eff_from_ratio",
@@ -80,7 +77,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Terminal cost selector: 'sp' with init/target states, or a gate kind."""
+    """A terminal cost, written as real endpoint rows on one trajectory.
+
+    The trajectory starts at ``initial_state()``: |0> for a gate kind
+    ('x', 'y', 'pt'), ``init`` for state preparation ('sp', which also needs
+    ``target``).  On U in SU(2) the cost is C = |F|^2 - 1, with the rows
+    F_i = Re<e_i|U psi(0)> of the states e_i of ``endpoint_states()``, so
+    its costate is lambda(T) = 2 dC/d<psi(T)| = 2 sum_i F_i e_i
+    (transversality; Bryson & Ho, *Applied Optimal Control*, 1975, ch. 3).
+    """
 
     kind: str  # 'sp' | 'x' | 'y' | 'pt'
     init: np.ndarray | None = None
@@ -94,124 +99,85 @@ class CostSpec:
         if kind == "sp" and (self.init is None or self.target is None):
             raise ValueError("state-prep cost needs init and target states")
 
-    def initial_states(self) -> np.ndarray:
-        """Initial states of the forward trajectories as the columns of a (2, m) block."""
+    def initial_state(self) -> np.ndarray:
+        """The state psi(0) that the rows read at T: |0> for a gate, ``init`` for state prep."""
+        return np.asarray(self.init, dtype=complex) if self.kind == "sp" else KET_0
+
+    def endpoint_states(self) -> np.ndarray:
+        """The states e_i, as the columns of a (2, m) block, of the rows F_i = Re<e_i|psi(T)>.
+
+        A gate's rows are read on psi(T) = U|0> = (a, b): e_i = |0>, i|0>
+        (Re a, Im a) and, for X, |1> (Re b) or, for Y, i|1> (Im b); with
+        C_X + 1 = |a|^2 + (Re b)^2, C_Y + 1 = |a|^2 + (Im b)^2 and C_PT + 1 =
+        |a|^2.  State preparation's are (Re G, Im G) of G = <t_perp|U|psi_i>,
+        t_perp the state orthogonal to the target: e_i = t_perp, i t_perp,
+        with |G|^2 = 1 - |<target|U|psi_i>|^2.
+        """
         if self.kind == "sp":
-            return np.asarray(self.init, dtype=complex)[:, None]
-        return np.eye(2, dtype=complex)  # |0> and |1>
+            t0, t1 = np.conjugate(np.asarray(self.target, dtype=complex))
+            t_perp = np.array([-t1, t0])
+            return np.column_stack([t_perp, 1j * t_perp])
+        E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if self.kind == "x" else 1j]])
+        return E[:, :2] if self.kind == "pt" else E
 
-    def value(self, finals: np.ndarray) -> float:
-        """Terminal cost from ``initial_states()`` evolved to T, a (2, m) block."""
+    def rows(self, a, b) -> np.ndarray:
+        """The rows F of the matrices U = [[a, -b*], [b, a*]], elementwise over stacks of pairs.
+
+        F is on a last axis of length m, the columns of ``endpoint_states()``.
+        F is real-linear in (a, b), so on the pairs of dU/du it gives the
+        rows' derivatives.  The rows are written out rather than taken as
+        Re(E^H U psi(0)), which costs time and bits on the scans' stacks.
+        """
         if self.kind == "sp":
-            return float(dynamics._overlap_cost(finals[0, 0], finals[1, 0], self.target))
-        return dynamics.gate_cost(finals, self.kind)
+            init, target = self.init, self.target
+            G = (target[0] * (b * init[0] + np.conjugate(a) * init[1])
+                 - target[1] * (a * init[0] - np.conjugate(b) * init[1]))
+            return np.asarray(G)[..., None].view(float)
+        if self.kind == "pt":
+            return np.stack((a.real, a.imag), axis=-1)
+        return np.stack((a.real, a.imag, b.real if self.kind == "x" else b.imag), axis=-1)
 
-
-def terminal_adjoints(cost: CostSpec, finals: np.ndarray) -> np.ndarray:
-    """Adjoint terminal conditions |lambda(T)> = 2 dC/d<psi(T)|, one column per state.
-
-    ``finals`` is the (2, m) block of final forward states.  For the
-    state-prep cost the condition is -2 <target|psi(T)> |target>.  For the
-    gate costs the analogous Wirtinger derivative gives, with
-    m = <1|U|0> +/- <0|U|1>, the terminal adjoints -(m/2)|1> and -+(m/2)|0>
-    for the |0>- and |1>-trajectories; all are validated against the
-    finite-difference oracle in the test suite.
-    """
-    if cost.kind == "sp":
-        target = np.asarray(cost.target, dtype=complex)
-        return (-2.0 * np.vdot(target, finals[:, 0]) * target)[:, None]
-    u10 = finals[1, 0]  # <1|U|0>
-    u01 = finals[0, 1]  # <0|U|1>
-    if cost.kind == "x":
-        a0 = a1 = -(u10 + u01) / 2.0
-    elif cost.kind == "y":
-        a0, a1 = -(u10 - u01) / 2.0, (u10 - u01) / 2.0
-    else:  # population transfer
-        a0, a1 = -u10, -u01
-    return np.array([[0.0, a1], [a0, 0.0]], dtype=complex)
-
-
-def _forward_and_adjoint(P: np.ndarray, cost: CostSpec, final_adjoints=None):
-    """Forward and adjoint state blocks (..., 2, m) from prefix pairs P (..., 2).
-
-    The last row of P is the pair (a, b) of the total evolution operator U,
-    and (a*, -b) that of U^dag.  The adjoints end at ``final_adjoints``, or
-    at the cost's ``terminal_adjoints`` when it is None.  Also returns the
-    (2, m) block of finals.
-    """
-    psi0 = cost.initial_states()
-    a, b = P[-1]
-    finals = pair_apply(P[-1], psi0)
-    if final_adjoints is None:
-        final_adjoints = terminal_adjoints(cost, finals)
-    lam0 = pair_apply(np.array([np.conjugate(a), -b]), final_adjoints)
-    return pair_apply(P, psi0), pair_apply(P, lam0), finals
+    def value(self, U: np.ndarray) -> float:
+        """Terminal cost of the total evolution operator U."""
+        return float(dynamics.terminal_cost(U, self.kind, self.init, self.target))
 
 
 def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phi = Re[-i <lambda|sigma_x|psi>] summed over the state columns.
+    """Phi = Re[-i <lambda|sigma_x|psi>] of adjoint and forward states (..., 2).
 
-    ``lam`` and ``psi`` are adjoint and forward blocks (..., 2, m);
     dC/du(t) = Phi(t) dt.
     """
-    return np.imag(lam[..., 0, :].conj() * psi[..., 1, :]
-                   + lam[..., 1, :].conj() * psi[..., 0, :]).sum(axis=-1)
+    return np.imag(lam[..., 0].conj() * psi[..., 1] + lam[..., 1].conj() * psi[..., 0])
 
 
 def control_hamiltonian(lam: np.ndarray, psi: np.ndarray, u: np.ndarray,
                         params: ModelParams) -> np.ndarray:
-    """H_oc = Re[-i <lambda|H|psi>] summed over the state columns, u the control per row."""
-    phi_z = np.imag(lam[..., 0, :].conj() * psi[..., 0, :]
-                    - lam[..., 1, :].conj() * psi[..., 1, :]).sum(axis=-1)
+    """H_oc = Re[-i <lambda|H|psi>] of states (..., 2), u the control per row."""
+    phi_z = np.imag(lam[..., 0].conj() * psi[..., 0] - lam[..., 1].conj() * psi[..., 1])
     return 0.5 * params.omega0 * phi_z + u * switching_function(lam, psi)
 
 
 def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
     """Terminal cost and its exact gradient in the cell values of a Sampled control.
 
-    With psi_k the forward block entering cell k and lambda_(k+1) the adjoint
-    block leaving it, dC/du_k = Re sum conj(lambda_(k+1)) . (dU_k/du) psi_k
-    over the state columns: the exact derivative of the piecewise-constant
-    propagation, from one prefix scan and the closed-form dU/du.  By
-    Duhamel's formula for dU/du it equals the integral of Phi over the cell,
-    with no quadrature error.
+    C + 1 = |F|^2 on SU(2), so dC/du = 2 J^T F with the rows F and their
+    Jacobian J from ``unitary_and_jacobian``: the exact derivative of the
+    piecewise-constant propagation, from one prefix scan and the closed-form
+    dU/du.  By Duhamel's formula for dU/du it equals the integral of Phi
+    over each cell, with no quadrature error.
     """
-    ab, derivatives = _cells(np.full(protocol.n_t, protocol.dt), protocol.values, params)
-    psi, lam, finals = _forward_and_adjoint(pair_prefixes(pair_levels(ab)), cost)
-    dpsi = pair_apply(derivatives(), psi[:-1])
-    grad = np.real(lam[1:].conj() * dpsi).sum(axis=(-2, -1))
-    return cost.value(finals), grad
+    U, jacobian = unitary_and_jacobian(protocol, params, cost)
+    return cost.value(U), 2.0 * (cost.rows(U[0, 0], U[1, 0]) @ jacobian())
 
 
-def _gate_rows(a, b, kind: str) -> np.ndarray:
-    """The real parts of (a, b) = (U00, U10) that a gate of this kind sends to zero."""
-    if kind == "pt":
-        return np.stack((a.real, a.imag))
-    return np.stack((a.real, a.imag, b.real if kind == "x" else b.imag))
+def unitary_and_jacobian(protocol: Sampled, params: ModelParams, cost: CostSpec):
+    """Total unitary of a Sampled control, and a function giving the Jacobian of the cost's rows.
 
-
-def gate_residual(U: np.ndarray, kind: str) -> np.ndarray:
-    """Residual F of the gate's equations, with C + 1 = |F|^2 for U in SU(2).
-
-    With U = [[a, -b*], [b, a*]], C_X + 1 = |a|^2 + (Re b)^2, C_Y + 1 =
-    |a|^2 + (Im b)^2 and C_PT + 1 = |a|^2, so F is (Re a, Im a, Re b) for X,
-    (Re a, Im a, Im b) for Y and (Re a, Im a) for population transfer.
-    """
-    return _gate_rows(U[0, 0], U[1, 0], kind)
-
-
-def gate_jacobian(protocol: Sampled, params: ModelParams, kind: str) -> np.ndarray:
-    """Exact Jacobian (m, n) of ``gate_residual`` in the n cell values of a Sampled control."""
-    return gate_unitary_and_jacobian(protocol, params, kind)[1]()
-
-
-def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str):
-    """Total unitary of a Sampled control, and a function giving ``gate_jacobian``.
-
+    The Jacobian (m, n) is exact, of ``cost.rows`` in the n cell values.
     One set of cell terms and one up-sweep (``pair_levels``) give U with the
     bits of ``total_unitary``; the down-sweep and the cell derivatives run
     only when the function is called.  On pairs, dU/du_k = S_k (dU_k/du) P_k
-    with S_k = U P_(k+1)^dag; the X-gate gradient is 2 J^T F.
+    with S_k = U P_(k+1)^dag.
     """
     ab, derivatives = _cells(np.full(protocol.n_t, protocol.dt), protocol.values, params)
     levels = list(pair_levels(ab))
@@ -219,32 +185,16 @@ def gate_unitary_and_jacobian(protocol: Sampled, params: ModelParams, kind: str)
     def jacobian():
         a, b = pair_prefixes(levels).T
         s = pair_mul(a[-1], b[-1], np.conjugate(a[1:]), -b[1:])
-        return _gate_rows(*pair_mul(*s, *pair_mul(*derivatives().T, a[:-1], b[:-1])), kind)
+        return cost.rows(*pair_mul(*s, *pair_mul(*derivatives().T, a[:-1], b[:-1]))).T
 
     return pair_matrix(np.concatenate(levels[-1])), jacobian
-
-
-def _endpoint_states(cost: CostSpec) -> np.ndarray:
-    """The states e_i, as columns, of a minimum time's endpoint rows F_i = Re<e_i|psi(T)>.
-
-    A gate's rows are ``_gate_rows`` on psi(T) = U|0>: e_i = |0>, i|0>
-    (Re a, Im a) and, for X, |1> (Re b) or, for Y, i|1> (Im b).  State
-    preparation's are (Re G, Im G) of G = <t_perp|U|psi_i>, t_perp the state
-    orthogonal to the target: e_i = t_perp, i t_perp.
-    """
-    if cost.kind == "sp":
-        t0, t1 = np.conjugate(np.asarray(cost.target, dtype=complex))
-        t_perp = np.array([-t1, t0])
-        return np.column_stack([t_perp, 1j * t_perp])
-    E = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0 if cost.kind == "x" else 1j]])
-    return E[:, :2] if cost.kind == "pt" else E
 
 
 def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, cost: CostSpec):
     """Costate at T of a minimum-time bang protocol, from the multipliers of its endpoint rows.
 
     A minimum time minimizes T subject to the m rows F_i = Re<e_i|psi(T)> = 0
-    of ``_endpoint_states`` on the first state of ``cost.initial_states()``.
+    of ``cost.endpoint_states()`` on psi(0) = ``cost.initial_state()``.
     Transversality gives lambda(T) = sum_i mu_i e_i (Pontryagin et al.,
     1962; Bryson & Ho, *Applied Optimal Control*, 1975, ch. 3), and the
     maximum principle asks the switching function Phi_mu = sum_i mu_i Phi_i
@@ -259,28 +209,25 @@ def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, c
     mu's sign makes the first bang obey u = -u_max Sgn[Phi_mu], read from
     Phi_mu(0).
 
-    Returns the (2, m) block of final adjoints for ``audit`` (lambda(T) in
-    the first column, zero in a gate's |1> column), the residual and mu.
+    Returns lambda(T) (2,) for ``audit``, the residual and mu.
     """
     durs, vals = segment_durations_values(protocol)
     if len(vals) < 2:
         raise ValueError("the endpoint costate needs at least one switch")
     P = pair_prefixes(pair_levels(cell_pairs(durs, vals, params)))
     a, b = P[-1]
-    E = _endpoint_states(cost)
+    E = cost.endpoint_states()
     # conj(lambda_i) and psi at 0 and at the switches, lambda_i(T) = e_i
-    # carried back by U^dag and psi(0) the first initial state
+    # carried back by U^dag
     lam = pair_apply(P[:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
-    psi = pair_apply(P[:-1], cost.initial_states()[:, :1])
+    psi = pair_apply(P[:-1], cost.initial_state()[:, None])
     M = np.imag(lam[:, 0] * psi[:, 1] + lam[:, 1] * psi[:, 0])
     _, s, vt = np.linalg.svd(M[1:])
     residual = float(s[-1] / s[0]) if len(s) == E.shape[1] else 0.0
     mu = vt[-1]
     if vals[0] * (M[0] @ mu) > 0.0:
         mu = -mu
-    final_adjoints = np.zeros_like(cost.initial_states())
-    final_adjoints[:, 0] = E @ mu
-    return final_adjoints, residual, mu
+    return E @ mu, residual, mu
 
 
 def certified_audit(protocol: BangSequence | OneParamBB, params: ModelParams,
@@ -289,8 +236,8 @@ def certified_audit(protocol: BangSequence | OneParamBB, params: ModelParams,
 
     The report carries the costate's ``certificate_residual`` and ``mu``.
     """
-    adjoints, residual, mu = endpoint_costate(protocol, params, cost)
-    report = audit(protocol, params, cost, final_adjoints=adjoints)
+    final_adjoint, residual, mu = endpoint_costate(protocol, params, cost)
+    report = audit(protocol, params, cost, final_adjoint=final_adjoint)
     report.certificate_residual, report.mu = residual, mu
     return report
 
@@ -367,7 +314,7 @@ def alpha(b: BlochPoint) -> float:
     return 2.0 / (np.tan(b.theta) * np.sin(b.phi))
 
 
-def bloch_velocity(b: BlochPoint, u: float, params: ModelParams = ModelParams(u_max=1.0)) -> tuple[float, float]:
+def bloch_velocity(b: BlochPoint, u: float, params: ModelParams) -> tuple[float, float]:
     """(theta_dot, phi_dot) = (-2 u sin(phi), omega0 - 2 u cos(phi) cot(theta))."""
     if min(b.theta, np.pi - b.theta) < 1e-12:
         raise ValueError("Bloch velocity is undefined at the poles")
@@ -428,8 +375,11 @@ class OptimalityReport:
 
 
 def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
-          n_samples: int = 4001, final_adjoints=None) -> OptimalityReport:
+          n_samples: int = 4001, final_adjoint=None) -> OptimalityReport:
     """Evaluate the PMP diagnostics of a protocol against a terminal cost.
+
+    The costate ends at ``final_adjoint`` (2,), or at the cost's own
+    costate lambda(T) = 2 sum_i F_i e_i (``CostSpec``) when it is None.
 
     Sign consistency counts samples with u * Phi <= 1e-6 * max|Phi| * u_max,
     excluding samples within two grid steps of a switching instant.
@@ -437,7 +387,13 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     |theta - pi/2| < 1e-3.
     """
     traj = propagate(protocol, params, SIGMA_0, n_samples)
-    psi, lam, _ = _forward_and_adjoint(traj.states[..., :, 0], cost, final_adjoints)
+    P = traj.states[..., :, 0]
+    a, b = P[-1]
+    if final_adjoint is None:
+        final_adjoint = 2.0 * (cost.endpoint_states() @ cost.rows(a, b))
+    lam0 = pair_apply(np.array([np.conjugate(a), -b]), final_adjoint[:, None])[:, 0]
+    states = pair_apply(P, np.column_stack([cost.initial_state(), lam0]))
+    psi, lam = states[..., 0], states[..., 1]
     times = traj.times
     phi = switching_function(lam, psi)
 
@@ -486,7 +442,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
         sign_fraction = 1.0
 
     # singular-arc residence
-    z = np.abs(psi[:, 0, 0]) ** 2 - np.abs(psi[:, 1, 0]) ** 2
+    z = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
     on_arc = (np.abs(u) < 1e-12) & (np.abs(np.arccos(np.clip(z, -1, 1)) - np.pi / 2) < 1e-3)
     singular_residence = float(on_arc.sum() * dt_grid)
 

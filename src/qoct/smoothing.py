@@ -31,6 +31,7 @@ from .dynamics import (
     total_pairs,
     total_unitary,
 )
+from .pmp import CostSpec
 from .protocols import (
     Protocol,
     Sampled,
@@ -91,12 +92,12 @@ def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
 # imaginary and C_X + 1 = |U00|^2: a perfect X gate is a root of the two real
 # equations F = (Re U00, Im U00), which their minimum-time searches solve
 # with the tolerance, step budget and difference step of ``optim``'s roots.
+# Those are population transfer's rows.
 
 
 def _u00_rows(protocols, params: ModelParams) -> np.ndarray:
     """(Re U00, Im U00) of each protocol, one row each, from one batched propagation."""
-    a = total_pairs(protocols, params)[:, 0]
-    return np.column_stack([a.real, a.imag])
+    return CostSpec("pt").rows(*total_pairs(protocols, params).T)
 
 
 def _free_tanh_times(x, T: float) -> np.ndarray:
@@ -352,14 +353,14 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     """Project a sampled control onto the perfect-gate set C = -1 in the box |u| <= u_max.
 
     Active-set Gauss-Newton on the gate's two or three real equations
-    F(u) = 0 (``pmp.gate_residual``; C + 1 = |F|^2).  Each step takes the
+    F(u) = 0 (``CostSpec.rows``; C + 1 = |F|^2).  Each step takes the
     minimum-norm step -J_f^+ F on the free cells, drops the cells at
     +/-u_max that this step would push out of the box and solves again, and
     clips the result into the box.  The minimum-norm step is the first-order
     nearest point of the constraint set (Rosen, J. SIAM 9, 514 (1961);
     Nocedal & Wright, Numerical Optimization, ch. 15).  Each iterate is
-    propagated once (``pmp.gate_unitary_and_jacobian``): C + 1 comes from
-    the prefix scan's up-sweep through ``gate_cost``, with the bits of
+    propagated once (``pmp.unitary_and_jacobian``): C + 1 comes from
+    the prefix scan's up-sweep through ``CostSpec.value``, with the bits of
     ``total_unitary``, and the down-sweep and the Jacobian only while
     C + 1 > ``tol``.  Raises RuntimeError when a step does not lower
     C + 1, as below the bang-bang minimum T*, when no cell is left free, or
@@ -368,19 +369,19 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     """
     params = problem.params
     u_max = params.u_max
-    kind = problem.kind
+    cost = problem.cost_spec()
     u = np.clip(np.asarray(values, dtype=float), -u_max, u_max)
     best = np.inf
     for n_eval in range(1, max_iter + 2):
         proto = Sampled(T, u_max, u)
-        U, jacobian = pmp.gate_unitary_and_jacobian(proto, params, kind)
-        c = float(gate_cost(U, kind))
+        U, jacobian = pmp.unitary_and_jacobian(proto, params, cost)
+        c = cost.value(U)
         if c + 1.0 <= tol:
             return proto, optim.OptimResult(x=u, fun=c, status="converged", n_eval=n_eval)
         if c >= best or n_eval > max_iter:
             break
         best = c
-        step = _active_set_step(u, pmp.gate_residual(U, kind), jacobian(), u_max)
+        step = _active_set_step(u, cost.rows(U[0, 0], U[1, 0]), jacobian(), u_max)
         if step is None:
             break
         u = np.clip(u + step, -u_max, u_max)

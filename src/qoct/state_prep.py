@@ -198,7 +198,7 @@ def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepPr
     if r.status not in ("converged", "exact"):
         # minimized on |G|^2 rather than the cost, which rounds near -1
         rows = _reduced_rows(np.array([T]), np.array([structure.n_switch]), np.array([values]),
-                             *problem.states(), problem.params)
+                             problem.cost_spec(), problem.params)
 
         def residual(x):
             F = rows(x[None], [0])[0]
@@ -357,25 +357,14 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
     return np.sort(times.clip(0.0, T))
 
 
-def _target_residual(ab, init, target):
-    """G = <t_perp| U |init> of the matrices U = [[a, -b*], [b, a*]], from their pairs (..., 2).
-
-    t_perp = (-t1*, t0*) is the state orthogonal to ``target``, so |G|^2 =
-    1 - |<target| U |init>|^2, the state-preparation cost plus one.
-    """
-    a, b = ab[..., 0], ab[..., 1]
-    return (target[0] * (b * init[0] + np.conjugate(a) * init[1])
-            - target[1] * (a * init[0] - np.conjugate(b) * init[1]))
-
-
-def _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams):
-    """The scan's residual rows f(X, lanes): (Re G, Im G) of reduced coordinates, row by row.
+def _reduced_rows(lane_T, lane_k, lane_values, cost: CostSpec, params: ModelParams):
+    """The scan's residual rows f(X, lanes): ``cost.rows`` of reduced coordinates, row by row.
 
     Lane l has time ``lane_T[l]``, ``lane_k[l]`` switchings and segment
     values ``lane_values[l]``, padded at the end to one more than the
     largest k.  A row's switch times are its ``_equal_bangs`` times padded
     with T, and the durations go through the pair kernel of ``_bang_costs``,
-    so |G|^2 agrees with that cost plus one to rounding.  The scan's box
+    so |F|^2 agrees with that cost plus one to rounding.  The scan's box
     keeps t0 >= 0 and tbar >= 1e-9, so t0 + j tbar already rises with j and
     clipping at T keeps it rising, and the durations need no sort.  The
     values are lane constants made once here, stored cells first like the
@@ -395,8 +384,7 @@ def _reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t, params: ModelParams
         np.minimum(times, T, out=times)
         durs[-1] = T
         durs[1:] -= times  # numpy buffers the overlapping operand
-        G = _target_residual(pair_product(cell_pairs(durs, values, params)), psi_i, psi_t)
-        return G.view(float).reshape(-1, 2)
+        return cost.rows(*pair_product(cell_pairs(durs, values, params)).T)
 
     return rows
 
@@ -423,7 +411,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     rows = _reduced_rows(np.array(Ts, dtype=float), ks,
                          np.array([np.pad(_bb_values(s.n_switch, s.lead_sign, params.u_max),
                                           (0, kmax - s.n_switch), mode="edge")
-                                   for s in structures]), *problem.states(), params)
+                                   for s in structures]), problem.cost_spec(), params)
     out = [None] * len(structures)
     solved = np.flatnonzero(ks)
     if solved.size:

@@ -156,10 +156,13 @@ def _square_wave_pairs(X, problem: GateProblem, sign: float, parity: str) -> np.
     return pair_product(cells[[0, 2, 3, 4]])  # E_first, P^m, Q, E_last
 
 
+# U00 = 0 on either wave is population transfer's rows, (Re U00, Im U00)
+_PT_COST = CostSpec("pt")
+
+
 def _u00_rows(X, problem: GateProblem, parity: str) -> np.ndarray:
     """(Re U00, Im U00) of the square wave at the rows (T, omega) of X, one row each."""
-    a = _square_wave_pairs(X, problem, -1.0, parity)[:, 0]
-    return np.column_stack([a.real, a.imag])
+    return _PT_COST.rows(*_square_wave_pairs(X, problem, -1.0, parity).T)
 
 
 def _frequency_grid(problem: GateProblem, n_scan: int) -> np.ndarray:

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from qoct.dynamics import (
     KET_0,
-    KET_1,
     SIGMA_0,
     BlochPoint,
     ModelParams,
     gate_cost,
+    pair_apply,
     propagate,
     state_from_bloch,
     state_prep_cost,
@@ -28,14 +28,11 @@ from qoct.pmp import (
     cost_and_gradient,
     certified_audit,
     endpoint_costate,
-    gate_jacobian,
-    gate_unitary_and_jacobian,
-    gate_residual,
     omega_eff_from_ratio,
     switching_function,
-    terminal_adjoints,
+    unitary_and_jacobian,
 )
-from qoct.protocols import BangSequence, Sampled
+from qoct.protocols import BangSequence, Sampled, segment_durations_values
 
 P02 = ModelParams(u_max=0.2)
 P05 = ModelParams(u_max=0.5)
@@ -50,22 +47,71 @@ def random_sampled(seed=3, n=160, T=4.0, u_max=0.3):
     return Sampled(T, u_max, vals)
 
 
-class TestTerminalAdjoints:
-    def test_state_prep_perfect_overlap_norm_two(self):
-        proto = BangSequence(1.0, 0.2, (), (0.0,))
-        cost = CostSpec("sp", init=KET_0,
-                        target=np.exp(-1j * 1.0) * KET_0)  # evolved |0> itself
-        finals = total_unitary(proto, P02) @ cost.initial_states()
-        lam = terminal_adjoints(cost, finals)
-        assert lam.shape == (2, 1)
-        assert abs(np.linalg.norm(lam[:, 0]) - 2.0) < 1e-12
+def _two_trajectory_terminal_adjoints(cost, finals):
+    """The Wirtinger costate 2 dC/d<psi(T)| of the two-trajectory form, one column per state.
 
-    def test_state_prep_orthogonal_zero_gradient(self):
-        proto = BangSequence(1e-9, 0.2, (), (0.0,))
-        cost = CostSpec("sp", init=KET_0, target=KET_1)
-        finals = total_unitary(proto, P02) @ cost.initial_states()
-        lam = terminal_adjoints(cost, finals)
-        assert np.linalg.norm(lam[:, 0]) < 1e-8
+    ``finals`` is the (2, m) block of final states: psi_i evolved for state
+    preparation, U|0> and U|1> for a gate.  The reference that the one-
+    trajectory costate 2 E F of ``CostSpec`` must reproduce in Phi and H_oc.
+    """
+    if cost.kind == "sp":
+        target = np.asarray(cost.target, dtype=complex)
+        return (-2.0 * np.vdot(target, finals[:, 0]) * target)[:, None]
+    u10, u01 = finals[1, 0], finals[0, 1]
+    if cost.kind == "x":
+        a0 = a1 = -(u10 + u01) / 2.0
+    elif cost.kind == "y":
+        a0, a1 = -(u10 - u01) / 2.0, (u10 - u01) / 2.0
+    else:
+        a0, a1 = -u10, -u01
+    return np.array([[0.0, a1], [a0, 0.0]], dtype=complex)
+
+
+def _two_trajectory_phi_hoc(protocol, params, cost, n_samples):
+    """Phi and H_oc summed over the columns of the two-trajectory costate block, and a size.
+
+    The size is the larger norm at T of that block's columns and of the
+    one-trajectory costate 2 E F, |2 F|: both Phi's round on that scale.
+    """
+    traj = propagate(protocol, params, SIGMA_0, n_samples)
+    P = traj.states[..., :, 0]
+    a, b = P[-1]
+    psi0 = cost.initial_state()[:, None] if cost.kind == "sp" else np.eye(2, dtype=complex)
+    lam_T = _two_trajectory_terminal_adjoints(cost, pair_apply(P[-1], psi0))
+    size = max(np.linalg.norm(lam_T, axis=0).max(), 2.0 * np.linalg.norm(cost.rows(a, b)))
+    psi = pair_apply(P, psi0)
+    lam = pair_apply(P, pair_apply(np.array([np.conjugate(a), -b]), lam_T))
+    phi = np.imag(lam[:, 0].conj() * psi[:, 1] + lam[:, 1].conj() * psi[:, 0]).sum(axis=-1)
+    phi_z = np.imag(lam[:, 0].conj() * psi[:, 0] - lam[:, 1].conj() * psi[:, 1]).sum(axis=-1)
+    durs, vals = segment_durations_values(protocol)
+    bounds = np.concatenate([[0.0], np.cumsum(durs)])
+    u = vals[np.clip(np.searchsorted(bounds, traj.times, side="right") - 1, 0, len(vals) - 1)]
+    return phi, 0.5 * params.omega0 * phi_z + u * phi, size
+
+
+class TestCostCostate:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["sp", "x", "y", "pt"]), T=st.floats(0.5, 8.0),
+           u_max=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1),
+           angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi),
+                            st.floats(-np.pi, np.pi)))
+    def test_phi_and_hoc_match_the_two_trajectory_costate(self, kind, T, u_max, seed, angles):
+        # the two costates differ by a real multiple of psi along the
+        # trajectory, which adds Re[-i <psi|A|psi>] = 0 for Hermitian A; a
+        # costate much larger than Phi, as near the top of the cost (C ~ 0),
+        # rounds on its own scale
+        rng = np.random.default_rng(seed)
+        n = int(np.ceil(T / rng.uniform(0.02, 0.05)))
+        proto = Sampled(T, u_max, rng.uniform(-u_max, u_max, n))
+        params = ModelParams(u_max=u_max)
+        cost = CostSpec(kind) if kind != "sp" else CostSpec(
+            "sp", init=state_from_bloch(BlochPoint(angles[0], 0.0)),
+            target=state_from_bloch(BlochPoint(angles[1], angles[2])))
+        rep = audit(proto, params, cost, n_samples=401)
+        phi, hoc, size = _two_trajectory_phi_hoc(proto, params, cost, 401)
+        scale = max(np.max(np.abs(phi)), size)
+        assert np.max(np.abs(rep.phi - phi)) <= 1e-12 * scale
+        assert np.max(np.abs(rep.hoc - hoc)) <= 1e-12 * scale
 
 
 class TestGradientOracle:
@@ -115,10 +161,8 @@ class TestGradientOracle:
             vp, vm = proto.values.copy(), proto.values.copy()
             vp[i] += h
             vm[i] -= h
-            cp = cost.value(total_unitary(Sampled(T, u_max + h, vp), params)
-                            @ cost.initial_states())
-            cm = cost.value(total_unitary(Sampled(T, u_max + h, vm), params)
-                            @ cost.initial_states())
+            cp = cost.value(total_unitary(Sampled(T, u_max + h, vp), params))
+            cm = cost.value(total_unitary(Sampled(T, u_max + h, vm), params))
             assert abs((cp - cm) / (2 * h) - grad[i]) <= 1e-5 * scale
 
     @pytest.mark.parametrize("cost", [SP_COST, CostSpec("x"), CostSpec("y"), CostSpec("pt")],
@@ -130,7 +174,7 @@ class TestGradientOracle:
         U = total_unitary(proto, params)
         ref = terminal_cost(U, cost.kind, cost.init, cost.target)
         assert abs(c0 - ref) < 1e-12
-        assert abs(cost.value(U @ cost.initial_states()) - ref) < 1e-12
+        assert abs(cost.value(U) - ref) < 1e-12
 
     def test_state_prep_value_not_below_minus_one(self):
         # a final state e^(ig) |target> overlaps the target perfectly, and the
@@ -140,57 +184,58 @@ class TestGradientOracle:
         for theta, phi, g in rng.uniform((0.0, -np.pi, 0.0), np.pi, (400, 3)):
             target = state_from_bloch(BlochPoint(theta, phi))
             cost = CostSpec("sp", init=KET_0, target=target)
-            values.append(cost.value((np.exp(1j * g) * target)[:, None]))
+            f0, f1 = np.exp(1j * g) * target  # the first column of U = [[f0, -f1*], [f1, f0*]]
+            values.append(cost.value(np.array([[f0, -np.conj(f1)], [f1, np.conj(f0)]])))
         assert min(values) == -1.0
         assert max(values) <= -1.0 + 1e-15
 
 
 class TestGateJacobian:
-    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
-    def test_residual_squared_is_cost_plus_one(self, kind):
-        U = total_unitary(random_sampled(), ModelParams(u_max=0.3))
-        F = gate_residual(U, kind)
-        assert F.shape == ((2,) if kind == "pt" else (3,))
-        assert abs(F @ F - (gate_cost(U, kind) + 1.0)) < 1e-14
-
     def test_x_gradient_is_twice_jt_f(self):
         # C_X + 1 = |a|^2 + (Re b)^2 = |F|^2 on SU(2), so grad C_X = 2 J^T F
         proto = random_sampled(n=400)
         params = ModelParams(u_max=0.3)
-        _, grad = cost_and_gradient(proto, params, CostSpec("x"))
-        F = gate_residual(total_unitary(proto, params), "x")
-        jtf = 2.0 * gate_jacobian(proto, params, "x").T @ F
+        cost = CostSpec("x")
+        _, grad = cost_and_gradient(proto, params, cost)
+        U, jacobian = unitary_and_jacobian(proto, params, cost)
+        jtf = 2.0 * jacobian().T @ cost.rows(U[0, 0], U[1, 0])
         np.testing.assert_allclose(jtf, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(grad)))
 
     @pytest.mark.parametrize("n", [1, 7, 999, 1000])
     def test_scan_unitary_has_the_bits_of_total_unitary(self, n):
         proto = random_sampled(n=n)
         params = ModelParams(u_max=0.3)
-        U, jacobian = gate_unitary_and_jacobian(proto, params, "x")
+        U, jacobian = unitary_and_jacobian(proto, params, CostSpec("x"))
         assert U.tobytes() == total_unitary(proto, params).tobytes()
-        assert jacobian().tobytes() == gate_jacobian(proto, params, "x").tobytes()
+        again = unitary_and_jacobian(proto, params, CostSpec("x"))[1]()
+        assert jacobian().tobytes() == again.tobytes()
 
-    @pytest.mark.parametrize("kind", ["x", "y", "pt"])
+    @pytest.mark.parametrize("kind", ["sp", "x", "y", "pt"])
     def test_matches_central_differences(self, kind):
         proto = random_sampled()
         params = ModelParams(u_max=0.3)
-        J = gate_jacobian(proto, params, kind)
-        assert J.shape == ((2 if kind == "pt" else 3), proto.n_t)
+        cost = SP_COST if kind == "sp" else CostSpec(kind)
+        J = unitary_and_jacobian(proto, params, cost)[1]()
+        assert J.shape == ((2 if kind in ("sp", "pt") else 3), proto.n_t)
         h = 1e-5
+
+        def rows(values):
+            U = total_unitary(Sampled(proto.T, 0.3 + h, values), params)
+            return cost.rows(U[0, 0], U[1, 0])
+
         for i in np.random.default_rng(12).choice(proto.n_t, 20, replace=False):
             vp, vm = proto.values.copy(), proto.values.copy()
             vp[i] += h
             vm[i] -= h
-            Fp = gate_residual(total_unitary(Sampled(proto.T, 0.3 + h, vp), params), kind)
-            Fm = gate_residual(total_unitary(Sampled(proto.T, 0.3 + h, vm), params), kind)
             # the differences carry about 1e-11 of rounding and h^2 of truncation
-            np.testing.assert_allclose((Fp - Fm) / (2 * h), J[:, i], rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose((rows(vp) - rows(vm)) / (2 * h), J[:, i],
+                                       rtol=0.0, atol=1e-9)
 
 
 class TestControlHamiltonian:
     def test_zero_control_self_adjoint_pair_gives_zero(self):
         proto = BangSequence(2.0, 0.2, (), (0.0,))
-        traj = propagate(proto, P02, SIGMA_0, n_samples=51)
+        traj = propagate(proto, P02, state_from_bloch(BlochPoint(0.3, 1.1)), n_samples=51)
         # adjoint equal to the forward state: expectation of H is real,
         # so Re[-i <psi|H|psi>] vanishes
         hoc = control_hamiltonian(traj.states, traj.states, proto.u(traj.times), P02)
@@ -224,7 +269,7 @@ class TestControlHamiltonian:
 class TestSwitchingFunction:
     def test_zero_adjoint_gives_zero_phi(self):
         proto = BangSequence(2.0, 0.2, (), (0.2,))
-        psi = propagate(proto, P02, SIGMA_0, n_samples=41).states
+        psi = propagate(proto, P02, KET_0, n_samples=41).states
         phi = switching_function(np.zeros_like(psi), psi)
         assert phi.shape == (41,)
         assert np.max(np.abs(phi)) == 0.0
@@ -434,6 +479,31 @@ def bsb_winners():
     return {u: find_time_optimal(_sp_problem(u)) for u in (0.7, 0.85, 1.0)}
 
 
+class TestCostRows:
+    @pytest.mark.parametrize("source", ["random", "bsb"])
+    @pytest.mark.parametrize("kind", ["sp", "x", "y", "pt"])
+    def test_rows_are_the_endpoint_states_read_on_the_final_state(self, bsb_winners,
+                                                                 kind, source):
+        # F_i = Re<e_i|U psi(0)>, and C + 1 = |F|^2 on SU(2); the inputs are a
+        # random control and the BSB winner at u = 0.85
+        problem = _sp_problem(0.85)
+        if source == "bsb":
+            proto, params = bsb_winners[0.85].protocol(), problem.params
+        else:
+            proto, params = random_sampled(), ModelParams(u_max=0.3)
+        cost = problem.cost_spec() if kind == "sp" else CostSpec(kind)
+        U = total_unitary(proto, params)
+        F = cost.rows(U[0, 0], U[1, 0])
+        E = cost.endpoint_states()
+        assert F.shape == (E.shape[1],) == ((3,) if kind in ("x", "y") else (2,))
+        np.testing.assert_allclose(F, np.real(E.conj().T @ (U @ cost.initial_state())),
+                                   rtol=0.0, atol=1e-15)
+        assert abs(F @ F - (cost.value(U) + 1.0)) < 1e-14
+        # elementwise over stacks of pairs, with the rows on the last axis
+        stack = np.stack([U[:, 0], U[:, 0].conj()])
+        assert np.array_equal(cost.rows(stack[:, 0], stack[:, 1])[0], F)
+
+
 class TestEndpointCostate:
     """The costate at T* from the multipliers of a minimum time's endpoint rows."""
 
@@ -495,12 +565,14 @@ class TestEndpointCostate:
         assert np.max(np.abs(np.array(ratios) / ratios[0] - 1.0)) <= 1e-12
 
     def test_cost_costate_unchanged_without_final_adjoints(self):
+        # without a final adjoint the costate is the cost's own, 2 E F on the
+        # pair that audit's propagation ends at
         proto = BangSequence(3.0, 0.5, (0.9, 2.0), (0.5, -0.5, 0.5))
         cost = CostSpec("x")
-        finals = total_unitary(proto, P05) @ cost.initial_states()
+        a_T, b_T = propagate(proto, P05, SIGMA_0, 801).states[-1, :, 0]
         a = audit(proto, P05, cost, n_samples=801)
         b = audit(proto, P05, cost, n_samples=801,
-                  final_adjoints=terminal_adjoints(cost, finals))
+                  final_adjoint=2.0 * (cost.endpoint_states() @ cost.rows(a_T, b_T)))
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.hoc, b.hoc)
         assert "mu" not in a.summary() and "certificate_residual" not in a.summary()
 
@@ -523,21 +595,6 @@ class TestEndpointCostate:
         problem = _sp_problem(0.85)
         rep = certified_audit(moved, problem.params, problem.cost_spec())
         assert rep.certificate_residual >= 1e-4
-
-    def test_state_prep_rows_are_re_and_im_of_g(self, bsb_winners):
-        # the endpoint rows Re<e_i|U|psi_i> of the state-prep cost are
-        # (Re G, Im G) of the scan's G = <t_perp|U|psi_i>
-        from qoct.dynamics import cell_pairs, pair_product
-        from qoct.pmp import _endpoint_states
-        from qoct.state_prep import _target_residual
-        seq = bsb_winners[0.85].protocol()
-        problem = _sp_problem(0.85)
-        psi_i, psi_t = problem.states()
-        ab = pair_product(cell_pairs(seq.durations, np.array(seq.values), problem.params))
-        final = total_unitary(seq, problem.params) @ psi_i
-        rows = np.real(_endpoint_states(problem.cost_spec()).conj().T @ final)
-        G = _target_residual(ab, psi_i, psi_t)
-        np.testing.assert_allclose(rows, [G.real, G.imag], atol=1e-15)
 
     def test_bsb_winner_is_audited_once_without_a_second_search(self, monkeypatch):
         from qoct import pmp, state_prep

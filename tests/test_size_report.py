@@ -1,4 +1,5 @@
-"""``tools/size_report.py``'s count of code lines."""
+"""``tools/size_report.py``'s counts of code lines and public names."""
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +13,9 @@ def load_tool():
     return module
 
 
-code_lines = load_tool().code_lines
+TOOL_MODULE = load_tool()
+code_lines = TOOL_MODULE.code_lines
+public_names = TOOL_MODULE.public_names
 
 SOURCE = '''"""Module docstring,
 two lines."""
@@ -47,3 +50,16 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
 def test_empty_and_docstring_only_sources_have_no_code():
     assert code_lines("") == 0
     assert code_lines('"""Only a docstring."""\n# and a comment\n') == 0
+
+
+def test_public_names_count_the_module_level_all():
+    source = '''__all__ = ["a", "b",
+           "c"]
+
+
+def f():
+    __all__ = ["not", "the", "module's"]
+'''
+    assert public_names(ast.parse(source)) == 3
+    assert public_names(ast.parse("__all__ = ('x',)\n")) == 1
+    assert public_names(ast.parse("x = 1\n")) == 0

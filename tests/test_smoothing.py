@@ -297,14 +297,14 @@ class TestProjection:
         # C comes from the prefix scan's up-sweep; on every iterate it must be
         # C of total_unitary bit for bit, so no stop or stall decision moves
         seen = []
-        scan = pmp.gate_unitary_and_jacobian
+        scan = pmp.unitary_and_jacobian
 
-        def spy(proto, params, kind):
-            U, jacobian = scan(proto, params, kind)
+        def spy(proto, params, cost):
+            U, jacobian = scan(proto, params, cost)
             seen.append((proto, U))
             return U, jacobian
 
-        monkeypatch.setattr(pmp, "gate_unitary_and_jacobian", spy)
+        monkeypatch.setattr(pmp, "unitary_and_jacobian", spy)
         res = min_gate_time(X02, with_report=False)
         T = 1.02 * res.t_star
         mids = (np.arange(n_t) + 0.5) * (T / n_t)

@@ -19,6 +19,7 @@ from qoct.dynamics import (
 )
 from qoct import optim, state_prep
 from qoct.optim import golden_section
+from qoct.pmp import CostSpec
 from qoct.state_prep import (
     StatePrepProblem,
     StructureLabel,
@@ -160,8 +161,8 @@ class TestBangKernel:
         # rows in any order, lanes repeated, as the lane search asks for them
         rows = np.random.default_rng(seed).integers(0, len(lanes), 3 * len(lanes))
         X = np.array(X)[rows]
-        G = state_prep._reduced_rows(lane_T, lane_k, lane_values, psi_i, psi_t,
-                                     params)(X, rows)
+        cost = CostSpec("sp", init=psi_i, target=psi_t)
+        G = state_prep._reduced_rows(lane_T, lane_k, lane_values, cost, params)(X, rows)
         assert G.shape == (len(rows), 2)
         times = np.full((len(rows), kmax), lane_T[rows, None])
         for r, lane in enumerate(rows):
@@ -609,7 +610,6 @@ def grid_oracle(problem, T):
     one solve.  The grid's starts are the scan's independent check.
     """
     params = problem.params
-    psi_i, psi_t = problem.states()
     kmax = int(np.ceil(params.omega0 * T / np.pi)) + 2
     structures = [StructureLabel("bsb", 2, s) for s in (1, -1)]
     structures += [StructureLabel("bb", k, s) for k in range(kmax + 1) for s in (1, -1)]
@@ -620,7 +620,7 @@ def grid_oracle(problem, T):
     lane_values = np.array([np.pad(v, (0, kmax + 1 - len(v)), mode="edge") for _, v in sets])
     rows = state_prep._reduced_rows(np.full(len(sets), T),
                                     np.array([s.n_switch for s, _ in sets]), lane_values,
-                                    psi_i, psi_t, params)
+                                    problem.cost_spec(), params)
     best, starts, owners = {}, [], []
     for i, (s, _) in enumerate(sets):
         lo, hi = state_prep._box(s, T) if s.n_switch else ((0.0, 0.0), (0.0, 0.0))

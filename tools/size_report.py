@@ -8,7 +8,9 @@ the number of parameters with a default value over all ``def`` and
 ``async def`` statements (positional plus keyword-only defaults; lambdas
 are not counted), then the number of ``add_argument`` call sites
 (command-line options and positionals, each site counted once however many
-subcommands it serves).
+subcommands it serves), then the number of public names: the entries of
+every module's ``__all__``, counted per module, so a name that the package
+re-exports counts again there.
 
     python tools/size_report.py
 """
@@ -53,8 +55,17 @@ def add_argument_sites(tree: ast.AST) -> int:
                and node.func.attr == "add_argument" for node in ast.walk(tree))
 
 
+def public_names(tree: ast.AST) -> int:
+    """Entries of the module-level ``__all__`` list or tuple, 0 without one."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return len(node.value.elts)
+    return 0
+
+
 def main() -> int:
-    total = code = defaults = options = 0
+    total = code = defaults = options = public = 0
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         data = path.read_bytes()
         lines = data.count(b"\n")
@@ -64,11 +75,13 @@ def main() -> int:
         code += code_lines(source)
         defaults += defaulted_parameters(tree)
         options += add_argument_sites(tree)
+        public += public_names(tree)
         print(f"{lines:6d} {path.name}")
     print(f"{total:6d} total")
     print(f"{code:6d} code lines")
     print(f"{defaults:6d} defaulted parameters")
     print(f"{options:6d} add_argument sites")
+    print(f"{public:6d} public names")
     return 0
 
 
