@@ -51,8 +51,9 @@ def _two_trajectory_terminal_adjoints(cost, finals):
     """The Wirtinger costate 2 dC/d<psi(T)| of the two-trajectory form, one column per state.
 
     ``finals`` is the (2, m) block of final states: psi_i evolved for state
-    preparation, U|0> and U|1> for a gate.  The reference that the one-
-    trajectory costate 2 E F of ``CostSpec`` must reproduce in Phi and H_oc.
+    preparation, U|0> and U|1> for a gate.  It is the reference whose Phi
+    and H_oc the costate 2 E F of ``CostSpec``, on one trajectory, must
+    reproduce.
     """
     if cost.kind == "sp":
         target = np.asarray(cost.target, dtype=complex)
