@@ -22,7 +22,6 @@ from .protocols import (
     BangSequence,
     OneParamBB,
     Protocol,
-    RabiProtocol,
     Sampled,
     TanhProtocol,
     ThirdHarmonic,
@@ -43,7 +42,6 @@ __all__ = [
     "OneParamBB",
     "OptimalityReport",
     "Protocol",
-    "RabiProtocol",
     "Sampled",
     "StatePrepProblem",
     "StructureLabel",

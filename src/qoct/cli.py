@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio, pmp, smoothing, state_prep, xgate
+from . import __version__, dynamics, fileio, pmp, smoothing, state_prep, xgate
 from .dynamics import BlochPoint, ModelParams, bloch_angles, propagate, state_from_bloch
 from .pmp import CostSpec
 from .protocols import protocol_to_dict
@@ -280,7 +280,7 @@ def cmd_smooth(args) -> int:
     rec = _Record("smooth", args)
     params = ModelParams(u_max=args.umax)
     problem = GateProblem("x", params)
-    t_rabi = np.pi / args.umax
+    t_rabi = dynamics.rabi_pi_time(params)
     if args.scheme == "tanh":
         if args.t_over_trabi is None:
             T, run = smoothing.min_tanh_time(problem, beta=args.beta)
@@ -388,7 +388,7 @@ def _repro_tanh(rec: _Record):
     for u in (0.1, 0.2, 0.3, 0.4, 0.5):
         problem = GateProblem("x", ModelParams(u_max=u))
         T, run = smoothing.min_tanh_time(problem, beta=4.0)
-        rows.append((u, T / (np.pi / u), run.cost_plus_1))
+        rows.append((u, T / dynamics.rabi_pi_time(problem.params), run.cost_plus_1))
     fileio.write_csv(rec.path("tanh_min_times.csv"),
                      ["u_max", "t_over_trabi", "c_x_plus_1"], rows)
 
@@ -408,14 +408,15 @@ def _repro_third(rec: _Record):
     for u in np.linspace(0.05, 0.5, 10):
         problem = GateProblem("x", ModelParams(u_max=float(u)))
         T, run = smoothing.min_third_harmonic_time(problem)
-        rows.append((u, T / (np.pi / u), run.extras["omega"], run.extras["ratio"]))
+        t_rabi = dynamics.rabi_pi_time(problem.params)
+        rows.append((u, T / t_rabi, run.extras["omega"], run.extras["ratio"]))
     fileio.write_csv(rec.path("third_harmonic.csv"),
                      ["u_max", "t_over_trabi", "omega", "ratio"], rows)
 
 
 def _repro_csmooth(rec: _Record):
     problem = GateProblem("x", ModelParams(u_max=0.2))
-    t_rabi = np.pi / 0.2
+    t_rabi = dynamics.rabi_pi_time(problem.params)
     rows = []
     for frac in (0.8, 0.9, 1.0):
         run = smoothing.constrained_smooth_optimize(frac * t_rabi, problem, n_t=1000)

@@ -32,7 +32,7 @@ import numpy as np
 from .protocols import (
     _SMOOTH,
     Protocol,
-    RabiProtocol,
+    ThirdHarmonic,
     _require_finite_positive,
     segment_durations_values,
 )
@@ -556,6 +556,10 @@ def rabi_pi_time(params: ModelParams) -> float:
     return np.pi / params.u_max
 
 
-def rabi_protocol(params: ModelParams) -> RabiProtocol:
-    """Resonant Rabi pi-pulse, even about T/2, with T = pi/u_max."""
-    return RabiProtocol(u_max=params.u_max, T=rabi_pi_time(params), omega0=params.omega0)
+def rabi_protocol(params: ModelParams) -> ThirdHarmonic:
+    """Resonant Rabi pi-pulse u_max cos(omega0 (t - T/2)) with T = pi/u_max.
+
+    It is the two-harmonic pulse at omega0 with mixing ratio R = 0.
+    """
+    return ThirdHarmonic(u_max=params.u_max, T=rabi_pi_time(params), omega=params.omega0,
+                         ratio=0.0)

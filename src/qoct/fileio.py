@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import Sampled
+from .protocols import Protocol, Sampled
 
 __all__ = [
     "fmt",
@@ -88,20 +88,19 @@ def write_json(path, obj: dict) -> Path:
     return path
 
 
-def write_pulse_csv(path, protocol_or_times, values=None, n_samples: int | None = None) -> Path:
-    """Write a `t,u` pulse file, one row per uniform grid point (left edges)."""
-    if values is None:
-        protocol = protocol_or_times
-        if isinstance(protocol, Sampled):
-            times = np.arange(protocol.n_t) * protocol.dt
-            vals = protocol.values
-        else:
-            n = n_samples or 2001
-            times = np.linspace(0.0, protocol.T, n, endpoint=False)
-            vals = np.asarray(protocol.u(times + 0.5 * (protocol.T / n)), dtype=float)
+def write_pulse_csv(path, protocol: Protocol) -> Path:
+    """Write a `t,u` pulse file, one row per uniform grid point (left edges).
+
+    A ``Sampled`` protocol gives one row per cell; any other is sampled at
+    the midpoints of 2001 equal cells.
+    """
+    if isinstance(protocol, Sampled):
+        times = np.arange(protocol.n_t) * protocol.dt
+        vals = protocol.values
     else:
-        times = np.asarray(protocol_or_times, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        n = 2001
+        times = np.linspace(0.0, protocol.T, n, endpoint=False)
+        vals = np.asarray(protocol.u(times + 0.5 * (protocol.T / n)), dtype=float)
     return write_csv(path, ["t", "u"], np.column_stack((times, vals)))
 
 

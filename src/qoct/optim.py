@@ -3,17 +3,18 @@
 All routines are deterministic (restart draws come from one fixed generator),
 respect box bounds exactly (iterates are clipped, never merely penalized),
 and report a status instead of raising on slow convergence.  Every minimum
-time is decided by root solves of one complex equation, written as two real
+time, and every fixed-T gate of the tanh and third-harmonic pulses, is
+decided by root solves of one complex equation, written as two real
 residuals, through one damped Gauss-Newton engine, ``gauss_newton``, which
 advances many independent lanes with one residual call per round.  The state
 preparation's hit-or-miss solves run every structure's starts as its lanes;
 the minimum times of the square-wave gate and of the third-harmonic pulse
 are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
 scans for the dips and solves each by ``box_root``, one lane held to the
-dip's box.  Nelder-Mead, one sequential simplex per run, serves the fixed-T
-third-harmonic search and the minimization behind a BB state-prep winner's
-report at 0.999 T*, where no root exists; the BSB winner's report is at T*
-and needs no search.
+dip's box; the third harmonic's fixed-T gate is one ``box_root`` lane in
+(omega, R).  Nelder-Mead, one sequential simplex per run, serves only the
+minimization behind a BB state-prep winner's report at 0.999 T*, where no
+root exists; the BSB winner's report is at T* and needs no search.
 """
 from __future__ import annotations
 
@@ -136,7 +137,8 @@ def nelder_mead_restarts(f, x0, draw, n_starts: int, max_iter: int, tol: float,
 
     ``draw(rng)`` returns one more start point; the draws come from
     ``np.random.default_rng(0)``, all before the first run.  The first run
-    reaching the lowest cost wins.
+    reaching the lowest cost wins.  No search calls it; the tests use it as
+    a reference global search, and the benchmark's tracer wraps it.
     """
     rng = np.random.default_rng(0)
     starts = [x0] + [draw(rng) for _ in range(n_starts - 1)]

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "BangSequence",
-    "RabiProtocol",
     "OneParamBB",
     "TanhProtocol",
     "ThirdHarmonic",
@@ -92,22 +91,6 @@ class BangSequence:
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(np.asarray(self.switch_times), t, side="right")
         return np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
-
-
-@dataclass(frozen=True)
-class RabiProtocol:
-    """Resonant cosine pulse u(t) = u_max cos(omega0 (t - T/2)) with T = pi/u_max."""
-
-    u_max: float
-    T: float
-    omega0: float = 2.0
-
-    def __post_init__(self):
-        _require_finite_positive(self, "u_max", "T", "omega0")
-
-    def u(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.u_max * np.cos(self.omega0 * (t - self.T / 2.0))
 
 
 @dataclass(frozen=True)
@@ -216,7 +199,8 @@ def mirrored_tanh_times(first_half, T: float) -> tuple[float, ...]:
 class ThirdHarmonic:
     """Two-harmonic pulse u_max[(1-R) cos(w s) + R cos(3 w s)], s = t - T/2.
 
-    R in [-1/8, 1] keeps the peak amplitude at u_max.
+    R in [-1/8, 1] keeps the peak amplitude at u_max.  R = 0 at w = omega0
+    is the resonant Rabi pulse (``dynamics.rabi_protocol``).
     """
 
     u_max: float
@@ -267,9 +251,9 @@ class Sampled:
         return self.values[idx]
 
 
-Protocol = Union[BangSequence, RabiProtocol, OneParamBB, TanhProtocol, ThirdHarmonic, Sampled]
+Protocol = Union[BangSequence, OneParamBB, TanhProtocol, ThirdHarmonic, Sampled]
 
-_SMOOTH = (RabiProtocol, TanhProtocol, ThirdHarmonic)
+_SMOOTH = (TanhProtocol, ThirdHarmonic)
 
 
 def as_sampled(protocol: Protocol, points_per_pi: int = DEFAULT_POINTS_PER_PI) -> Sampled:
@@ -311,7 +295,6 @@ def segment_durations_values(protocol: Protocol):
 
 _VARIANTS = {
     "BangSequence": BangSequence,
-    "Rabi": RabiProtocol,
     "OneParamBB": OneParamBB,
     "Tanh": TanhProtocol,
     "ThirdHarmonic": ThirdHarmonic,

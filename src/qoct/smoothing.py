@@ -5,8 +5,9 @@ Three schemes, all meaningful only for T above the bang-bang minimum time:
 * tanh: replace each step by tanh(beta (t - t_i)) and solve for the
   (mirrored) switching times of a perfect gate;
 * third harmonic: a two-harmonic cosine pulse with mixing ratio R in
-  [-1/8, 1]; its earliest perfect gate is a root in (T, omega) on the face
-  R = -1/8;
+  [-1/8, 1], whose R = 0 member at omega0 is the resonant Rabi pulse; at
+  fixed T a perfect gate is a root in (omega, R), and the earliest one is a
+  root in (T, omega) on the face R = -1/8;
 * constrained smoothing: on a free piecewise-constant grid, alternate a
   descent step on a smoothness objective with a projection back onto the
   perfect-gate set, by Gauss-Newton on the gate's two or three real
@@ -90,9 +91,9 @@ def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
 
 # The tanh and third-harmonic pulses are even about T/2, so their U10 is
 # imaginary and C_X + 1 = |U00|^2: a perfect X gate is a root of the two real
-# equations F = (Re U00, Im U00), which their minimum-time searches solve
-# with the tolerance, step budget and difference step of ``optim``'s roots.
-# Those are population transfer's rows.
+# equations F = (Re U00, Im U00), which their fixed-T and minimum-time solves
+# find with the tolerance, step budget and difference step of ``optim``'s
+# roots.  Those are population transfer's rows.
 
 
 def _u00_rows(protocols, params: ModelParams) -> np.ndarray:
@@ -198,48 +199,42 @@ _R_FACE = -0.125
 _FACE_GRID = np.linspace(0.96, 1.04, 17)
 
 
-def optimize_third_harmonic(T: float, problem: GateProblem, seeds: int = 6) -> SmoothingRun:
-    """Minimize the gate cost over frequency and third-harmonic mixing ratio at fixed T.
-
-    Restarted Nelder-Mead from (omega0, -0.05) and ``seeds`` - 1 drawn
-    points.  The simplex works in bound-free coordinates (y, z) with
-    omega = omega0 (3/4 + (1/2) sin^2 y) and R = -1/8 + (9/8) sin^2 z, so
-    every vertex is feasible and none is ever clipped: the optimum sits on or
-    next to the face R = -1/8, and a simplex clipped flat against that face
-    stalls there short of a perfect gate.
-    """
-    params = problem.params
-    w0 = params.omega0
-    lo = np.array([0.75 * w0, _R_FACE])
-    span = np.array([0.5 * w0, 1.0 - _R_FACE])
-
-    def to_physical(x):
-        return lo + span * np.sin(np.asarray(x, dtype=float)) ** 2
-
-    def to_free(p):
-        frac = np.clip((np.asarray(p, dtype=float) - lo) / span, 0.0, 1.0)
-        return np.arcsin(np.sqrt(frac))
-
-    def obj(x):
-        w, R = to_physical(x)
-        return _gate_cost_of(ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R), problem)
-
-    def sampler(rng):
-        return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(_R_FACE, 0.4)))
-
-    r = optim.nelder_mead_restarts(obj, to_free((w0, -0.05)), sampler, seeds, 1500, 1e-12)
-    w, R = (float(v) for v in to_physical(r.x))
-    proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
-    cost1 = r.fun + 1.0  # r.fun is the cost of this very protocol
-    return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
-                        cost_plus_1=cost1,
-                        converged=r.status == "converged" and cost1 <= TARGET_TOL,
-                        extras={"omega": w, "ratio": R})
+def _third_rows(X, params: ModelParams) -> np.ndarray:
+    """F = (Re U00, Im U00) of the two-harmonic pulses (T, omega, R) in the rows of X."""
+    return _u00_rows([ThirdHarmonic(params.u_max, *x) for x in X], params)
 
 
 def _face_rows(X, params: ModelParams) -> np.ndarray:
-    """F = (Re U00, Im U00) of the pulses (T, omega) on the face R = -1/8 in the rows of X."""
-    return _u00_rows([ThirdHarmonic(params.u_max, T, w, _R_FACE) for T, w in X], params)
+    """``_third_rows`` of the pulses (T, omega) on the face R = -1/8 in the rows of X."""
+    return _third_rows(np.column_stack([X, np.full(len(X), _R_FACE)]), params)
+
+
+def optimize_third_harmonic(T: float, problem: GateProblem) -> SmoothingRun:
+    """Solve for a perfect X gate in frequency and third-harmonic mixing ratio at fixed T.
+
+    Damped Gauss-Newton on F = (Re U00, Im U00) in (omega, R), one lane of
+    ``optim.gauss_newton`` through ``optim.box_root`` and its one extra
+    step, from (omega0, -1/8) on the face where the earliest gate lies.
+    Every iterate is clipped into
+    omega in [3/4, 5/4] omega0 and R in [-1/8, 1 - ``optim.FD_STEP``], so
+    that the forward-difference neighbour of R stays a ratio ``ThirdHarmonic``
+    admits.  ``extras`` holds the solve's |U00|^2 (``residual``) and step
+    count (``solver_steps``); ``converged`` means the solve reached
+    |U00|^2 <= 1e-20 and C + 1 <= TARGET_TOL.  Below the face root's T
+    there is no gate and the solve stalls.
+    """
+    params = problem.params
+    w0 = params.omega0
+    r = optim.box_root(lambda X: _third_rows(np.column_stack([np.full(len(X), T), X]), params),
+                       [w0, _R_FACE], [0.75 * w0, _R_FACE], [1.25 * w0, 1.0 - optim.FD_STEP])
+    w, R = (float(v) for v in r.x)
+    proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
+    cost1 = _gate_cost_of(proto, problem) + 1.0
+    return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
+                        cost_plus_1=cost1,
+                        converged=r.status == "converged" and cost1 <= TARGET_TOL,
+                        extras={"omega": w, "ratio": R, "residual": r.fun,
+                                "solver_steps": r.n_iter})
 
 
 def _face_slope(T: float, w: float, params: ModelParams) -> float:
@@ -253,7 +248,7 @@ def _face_slope(T: float, w: float, params: ModelParams) -> float:
     J is singular.
     """
     X = np.array([T, w, _R_FACE]) + np.vstack([np.zeros(3), optim.FD_STEP * np.eye(3)])
-    F = _u00_rows([ThirdHarmonic(params.u_max, *x) for x in X], params)
+    F = _third_rows(X, params)
     D = (F[1:] - F[0]).T / optim.FD_STEP
     try:
         return float(np.linalg.solve(D[:, :2], -D[:, 2])[0])
@@ -420,7 +415,8 @@ def _initial_control(initial, T: float, n_t: int, problem: GateProblem) -> np.nd
         res = min_gate_time(problem, with_report=False)
         return np.asarray(res.protocol.u(mids * (res.t_star / T)), dtype=float)
     if initial == "rabi":
-        return params.u_max * np.cos(params.omega0 * (mids - T / 2.0))
+        # the resonant cosine: the two-harmonic pulse at omega0 with R = 0
+        initial = ThirdHarmonic(params.u_max, T, params.omega0, 0.0)
     if hasattr(initial, "u"):
         return np.clip(np.asarray(initial.u(mids), dtype=float),
                        -params.u_max, params.u_max)

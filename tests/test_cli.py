@@ -29,10 +29,21 @@ def outdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def write_rows(path, t, u):
+    """A `t,u` pulse file with the given rows."""
+    return write_csv(path, ["t", "u"], np.column_stack((t, u)))
+
+
+def write_midpoints(path, proto, n):
+    """A `t,u` pulse file of ``proto`` sampled at the midpoints of n equal cells."""
+    t = np.linspace(0.0, proto.T, n, endpoint=False)
+    return write_rows(path, t, proto.u(t + 0.5 * (proto.T / n)))
+
+
 @pytest.fixture(scope="module")
 def rabi_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("pulses") / "rabi.csv"
-    write_pulse_csv(path, rabi_protocol(ModelParams(u_max=0.2)), n_samples=4000)
+    write_midpoints(path, rabi_protocol(ModelParams(u_max=0.2)), 4000)
     return path
 
 
@@ -46,7 +57,7 @@ class TestFileIO:
         path = tmp_path / "p.csv"
         t = np.arange(50) * 0.02
         u = 0.3 * np.sin(t)
-        write_pulse_csv(path, t, u)
+        write_rows(path, t, u)
         t2, u2 = read_pulse_csv(path)
         np.testing.assert_allclose(t2, t, atol=1e-12)
         np.testing.assert_allclose(u2, u, atol=1e-12)
@@ -253,7 +264,7 @@ class TestCli:
     def test_spectrum_constant_pulse_single_line(self, outdir, tmp_path, capsys):
         pulse = tmp_path / "const.csv"
         t = np.arange(64) * (3.0 / 64)
-        write_pulse_csv(pulse, t, np.full(64, 0.5))
+        write_rows(pulse, t, np.full(64, 0.5))
         rc = main(["spectrum", "--pulse", str(pulse), "--umax", "0.5"])
         assert rc == 0
         rows = (outdir / "spectrum" / "spectrum.csv").read_text().splitlines()[1:]
@@ -277,7 +288,7 @@ class TestCli:
     def test_overamplitude_pulse_exits_2(self, outdir, tmp_path):
         p = tmp_path / "big.csv"
         t = np.arange(10) * 0.1
-        write_pulse_csv(p, t, np.full(10, 0.9))
+        write_rows(p, t, np.full(10, 0.9))
         assert main(["verify", "--pulse", str(p), "--umax", "0.2"]) == 2
 
     def test_nan_pulse_exits_2_without_report(self, outdir, tmp_path):
@@ -285,7 +296,7 @@ class TestCli:
         t = np.arange(10) * 0.1
         u = np.full(10, 0.1)
         u[5] = np.nan
-        write_pulse_csv(p, t, u)
+        write_rows(p, t, u)
         assert main(["verify", "--pulse", str(p), "--umax", "0.2"]) == 2
         assert not (outdir / "verify" / "report.json").exists()
 
@@ -338,7 +349,7 @@ class TestCli:
     def test_spectrum_reruns_byte_identical(self, outdir, tmp_path):
         pulse = tmp_path / "p.csv"
         t = np.arange(64) * (3.0 / 64)
-        write_pulse_csv(pulse, t, 0.4 * np.sin(t))
+        write_rows(pulse, t, 0.4 * np.sin(t))
         main(["spectrum", "--pulse", str(pulse), "--umax", "0.5"])
         first = (outdir / "spectrum" / "spectrum.csv").read_bytes()
         main(["spectrum", "--pulse", str(pulse), "--umax", "0.5"])
@@ -350,7 +361,7 @@ class TestCli:
         cfg.write_text(json.dumps({"nmax": 4}))
         pulse = tmp_path / "p.csv"
         t = np.arange(32) * 0.05
-        write_pulse_csv(pulse, t, np.full(32, 0.1))
+        write_rows(pulse, t, np.full(32, 0.1))
         rc = main(["spectrum", "--pulse", str(pulse), "--config", str(cfg)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
@@ -360,7 +371,7 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nmax": 4, "umax": 0.5}))
         pulse = tmp_path / "p.csv"
-        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
         rc = main(["spectrum", "--pulse", str(pulse), "--nmax", "6",
                    "--config", str(cfg)])
         assert rc == 0
@@ -385,7 +396,7 @@ class TestCli:
 
     def test_no_seed_recorded(self, outdir, tmp_path):
         pulse = tmp_path / "p.csv"
-        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
         assert main(["spectrum", "--pulse", str(pulse)]) == 0
         assert main(["smooth", "--scheme", "third", "--umax", "0.2",
                      "--t-over-trabi", "0.8"]) == 3
@@ -459,7 +470,7 @@ class TestCli:
                                    ModelParams(u_max=0.8))
         proto = _bsb_protocol(best_bsb(problem), problem.params)
         pulse = tmp_path / "bsb.csv"
-        write_pulse_csv(pulse, proto, n_samples=3000)
+        write_midpoints(pulse, proto, 3000)
         rc = main(["verify", "--pulse", str(pulse), "--umax", "0.8",
                    "--cost", "sp", "--theta-init", "0.7pi", "--phi-init", "0",
                    "--theta-target", "0.35pi", "--phi-target", "1pi"])
@@ -503,7 +514,7 @@ class TestCli:
 
     def test_spectrum_negative_nmax_exits_2_without_artifacts(self, outdir, tmp_path, capsys):
         pulse = tmp_path / "p.csv"
-        write_pulse_csv(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
         assert main(["spectrum", "--pulse", str(pulse), "--nmax", "-1"]) == 2
         assert "n_max" in capsys.readouterr().err
         assert not (outdir / "spectrum").exists()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qoct.protocols import (
     BangSequence,
     OneParamBB,
-    RabiProtocol,
     Sampled,
     TanhProtocol,
     ThirdHarmonic,
@@ -153,17 +152,6 @@ class TestTanh:
             TanhProtocol(**kw)
 
 
-class TestRabi:
-    @pytest.mark.parametrize("field, bad", [("u_max", float("nan")), ("u_max", -0.2),
-                                            ("T", -1.0), ("T", float("inf")),
-                                            ("omega0", 0.0)])
-    def test_rejects_nonpositive_or_nonfinite_parameters(self, field, bad):
-        kw = {"u_max": 0.2, "T": np.pi / 0.2, "omega0": 2.0}
-        kw[field] = bad
-        with pytest.raises(ValueError):
-            RabiProtocol(**kw)
-
-
 class TestThirdHarmonic:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
@@ -214,7 +202,7 @@ class TestSampledAndReduction:
             p.values[0] = 9.0
 
     def test_as_sampled_respects_amplitude(self):
-        p = RabiProtocol(u_max=0.3, T=np.pi / 0.3)
+        p = ThirdHarmonic(u_max=0.3, T=np.pi / 0.3, omega=2.0, ratio=0.0)
         s = as_sampled(p)
         assert np.max(np.abs(s.values)) <= 0.3 + 1e-12
 
@@ -228,7 +216,6 @@ class TestSampledAndReduction:
 class TestSerialization:
     @pytest.mark.parametrize("proto", [
         BangSequence(2.0, 0.5, (0.5, 1.2), (0.5, -0.5, 0.0)),
-        RabiProtocol(u_max=0.2, T=np.pi / 0.2),
         OneParamBB(omega_eff=2.04, T=5.3, u_max=0.5, sign=-1, parity="odd"),
         TanhProtocol(u_max=0.2, T=4.0, beta=4.0,
                      times=mirrored_tanh_times([0.5, 1.1], 4.0)),
@@ -247,7 +234,8 @@ class TestSerialization:
             protocol_from_dict({"variant": "Nope", "T": 1.0, "u_max": 1.0, "params": {}})
 
     @pytest.mark.parametrize("d", [
-        {"variant": "Rabi", "T": -1.0, "u_max": float("nan")},
+        {"variant": "ThirdHarmonic", "T": -1.0, "u_max": float("nan"),
+         "params": {"omega": 2.0, "ratio": 0.0}},
         {"variant": "Tanh", "T": 4.0, "u_max": -0.2,
          "params": {"beta": -3.0, "times": [0.5, 3.5]}},
     ])
@@ -262,16 +250,14 @@ def _spans(draw):
 
 @st.composite
 def protocols(draw):
-    """One valid protocol of any of the six variants."""
+    """One valid protocol of any of the five variants."""
     T, u_max = _spans(draw)
-    variant = draw(st.sampled_from(["bang", "rabi", "bb1", "tanh", "third", "sampled"]))
+    variant = draw(st.sampled_from(["bang", "bb1", "tanh", "third", "sampled"]))
     if variant == "bang":
         ks = sorted(draw(st.lists(st.integers(1, 999), max_size=6, unique=True)))
         vals = draw(st.lists(st.sampled_from([u_max, -u_max, 0.0]),
                              min_size=len(ks) + 1, max_size=len(ks) + 1))
         return BangSequence(T, u_max, tuple(T * k / 1000 for k in ks), tuple(vals))
-    if variant == "rabi":
-        return RabiProtocol(u_max=u_max, T=T, omega0=draw(st.floats(0.5, 4.0)))
     if variant == "bb1":
         return OneParamBB(omega_eff=draw(st.floats(0.5, 4.0)), T=T, u_max=u_max,
                           sign=draw(st.sampled_from([1, -1])),
@@ -301,7 +287,6 @@ def test_dict_round_trip_is_exact(proto):
 VALID = [
     (BangSequence, {"T": 2.0, "u_max": 0.5, "switch_times": (0.5, 1.2),
                     "values": (0.5, -0.5, 0.0)}),
-    (RabiProtocol, {"u_max": 0.2, "T": np.pi / 0.2, "omega0": 2.0}),
     (OneParamBB, {"omega_eff": 2.0, "T": 5.0, "u_max": 0.2}),
     (TanhProtocol, {"u_max": 0.2, "T": 4.0, "beta": 4.0, "times": (0.5, 1.1, 2.9, 3.5)}),
     (ThirdHarmonic, {"u_max": 0.2, "T": 5.0, "omega": 2.0, "ratio": -0.1}),

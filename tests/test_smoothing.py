@@ -1,4 +1,6 @@
 """Smoothing schemes, smoothness objectives, spectra, perturbative amplitude."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from qoct.dynamics import (
 from qoct.protocols import (
     BangSequence,
     OneParamBB,
-    RabiProtocol,
     Sampled,
     TanhProtocol,
     ThirdHarmonic,
@@ -133,19 +134,80 @@ def assert_gate_under_ode_oracle(proto, params):
     assert abs(c_ode - c_grid) <= 1e-9
 
 
+def restarted_third_harmonic_search(T, problem):
+    """Fixed-T minimum of the gate cost over the whole (omega, R) box, as (C + 1, omega, R).
+
+    The search ``optimize_third_harmonic`` ran before it became a root solve:
+    restarted Nelder-Mead from (omega0, -0.05) and five drawn points, in the
+    bound-free coordinates omega = omega0 (3/4 + (1/2) sin^2 y) and
+    R = -1/8 + (9/8) sin^2 z, so every vertex is feasible and the search
+    covers the interior of the box as well as its faces.
+    """
+    params = problem.params
+    w0 = params.omega0
+    lo = np.array([0.75 * w0, -0.125])
+    span = np.array([0.5 * w0, 1.125])
+
+    def to_physical(x):
+        return lo + span * np.sin(np.asarray(x, dtype=float)) ** 2
+
+    def to_free(p):
+        return np.arcsin(np.sqrt(np.clip((np.asarray(p, dtype=float) - lo) / span, 0.0, 1.0)))
+
+    def cost(x):
+        proto = ThirdHarmonic(params.u_max, T, *to_physical(x))
+        return gate_cost(total_unitary(proto, params), "x")
+
+    def draw(rng):
+        return to_free((rng.uniform(0.9 * w0, 1.1 * w0), rng.uniform(-0.125, 0.4)))
+
+    r = optim.nelder_mead_restarts(cost, to_free((w0, -0.05)), draw, 6, 1500, 1e-12)
+    return (r.fun + 1.0, *(float(v) for v in to_physical(r.x)))
+
+
+@functools.lru_cache(maxsize=None)
+def face_root_time(u_max):
+    """T of the earliest perfect third-harmonic gate at ``u_max``."""
+    return min_third_harmonic_time(GateProblem("x", ModelParams(u_max=u_max)))[0]
+
+
 class TestThirdHarmonic:
     def test_optimize_single_point(self):
-        run = optimize_third_harmonic(0.92 * T_RABI_02, X02, seeds=4)
+        run = optimize_third_harmonic(0.92 * T_RABI_02, X02)
         assert run.cost_plus_1 <= 1e-6
         assert run.extras["ratio"] < 0.0
         assert -0.125 - 1e-12 <= run.extras["ratio"] <= 1.0
 
     def test_search_moves_along_ratio_bound(self):
-        # the optimum at 0.88 T_Rabi lies next to R = -1/8; a search whose
-        # simplex is clipped flat against that face stalls at C+1 ~ 2e-5
-        run = optimize_third_harmonic(0.88 * T_RABI_02, X02, seeds=2)
+        # the root at 0.88 T_Rabi lies next to R = -1/8, where the solve
+        # starts; it must move off that face into the box to reach it
+        run = optimize_third_harmonic(0.88 * T_RABI_02, X02)
         assert run.cost_plus_1 <= 1e-8
-        assert -0.125 <= run.extras["ratio"] < 0.0
+        assert -0.125 < run.extras["ratio"] < 0.0
+
+    @pytest.mark.parametrize("u_max", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("at", ["T*", "T*+0.005", "0.95", "1.0", "1.05"])
+    def test_root_solve_finds_the_restarted_search_minimum(self, u_max, at):
+        # at and above the face root's T the root solve from the face finds
+        # the perfect gate that restarted Nelder-Mead over the box finds
+        problem = GateProblem("x", ModelParams(u_max=u_max))
+        t_rabi = np.pi / u_max
+        T = {"T*": face_root_time(u_max), "T*+0.005": face_root_time(u_max) + 0.005 * t_rabi,
+             "0.95": 0.95 * t_rabi, "1.0": t_rabi, "1.05": 1.05 * t_rabi}[at]
+        run = optimize_third_harmonic(T, problem)
+        assert run.converged and run.cost_plus_1 <= 1e-13
+        assert run.extras["residual"] <= optim.ROOT_TOL
+        assert 0 < run.extras["solver_steps"] <= optim.ROOT_STEPS
+        _, w, R = restarted_third_harmonic_search(T, problem)
+        assert abs(run.extras["omega"] - w) <= 1e-6
+        assert abs(run.extras["ratio"] - R) <= 1e-6
+
+    @pytest.mark.parametrize("u_max", [0.05, 0.2, 0.5])
+    def test_root_solve_does_not_converge_before_the_face_root(self, u_max):
+        problem = GateProblem("x", ModelParams(u_max=u_max))
+        run = optimize_third_harmonic(face_root_time(u_max) - 0.005 * np.pi / u_max, problem)
+        assert not run.converged
+        assert run.cost_plus_1 > TARGET_TOL
 
     def test_min_time_run_is_a_face_root(self):
         # u = 0.35 is the grid amplitude whose Gauss-Newton solve stops
@@ -207,11 +269,13 @@ class TestThirdHarmonic:
     def test_no_perfect_gate_one_scan_step_before_the_root(self, u_max):
         # The root is the earliest on the face R = -1/8; fixed-T Nelder-Mead
         # over the whole (omega, R) box, interior included, misses the gate
-        # 0.005 T_Rabi earlier (C+1 of 1.9e-5 at 0.2 and 2.3e-4 at 0.4).
+        # 0.005 T_Rabi earlier (C+1 of 1.9e-5 at 0.2 and 2.3e-4 at 0.4), and
+        # so does the fixed-T root solve.
         problem = GateProblem("x", ModelParams(u_max=u_max))
         T, run = min_third_harmonic_time(problem)
-        early = optimize_third_harmonic(T - 0.005 * np.pi / u_max, problem)
-        assert early.cost_plus_1 > TARGET_TOL
+        early = T - 0.005 * np.pi / u_max
+        assert restarted_third_harmonic_search(early, problem)[0] > TARGET_TOL
+        assert not optimize_third_harmonic(early, problem).converged
 
     @pytest.mark.parametrize("u_max", [0.1, 0.4])
     def test_min_time_pulse_matches_ode_oracle(self, u_max):
@@ -228,7 +292,7 @@ class TestThirdHarmonic:
         assert_gate_under_ode_oracle(proto, ModelParams(u_max=0.4))
 
     def test_flatter_profile_than_pure_cosine(self):
-        run = optimize_third_harmonic(0.92 * T_RABI_02, X02, seeds=4)
+        run = optimize_third_harmonic(0.92 * T_RABI_02, X02)
         T = run.T
         w, R = run.extras["omega"], run.extras["ratio"]
         t = np.linspace(T / 2 - 0.3, T / 2 + 0.3, 101)
@@ -432,7 +496,7 @@ class TestFourierSpectrum:
 
     @pytest.mark.parametrize("proto", [
         ThirdHarmonic(0.2, 14.0, 0.45, 0.1),
-        RabiProtocol(0.2, np.pi / 0.2),
+        ThirdHarmonic(0.2, np.pi / 0.2, 2.0, 0.0),
         TanhProtocol(0.2, 12.0, 4.0, (1.5, 3.0, 9.0, 10.5)),
         BangSequence(5.0, 0.4, (0.7, 2.2, 4.1), (0.4, -0.4, 0.4, -0.4)),
         Sampled(3.0, 0.5, np.linspace(-0.5, 0.5, 97)),
