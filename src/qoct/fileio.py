@@ -107,36 +107,27 @@ def write_pulse_csv(path, protocol: Protocol) -> Path:
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read and validate a `t,u` pulse file.
 
-    Requires the exact header, two columns in every row, finite values, and
-    strictly increasing uniform times starting at zero; raises ValueError on
-    malformed input; blank lines are skipped.  The checks run on the lines
-    as one byte array (in UTF-8 an ASCII character is one byte), and only a
-    line that starts with a byte <= 32 or >= 127 is tested by ``str.strip``.
-    All cells are converted in one numpy call, which reads each cell as
-    ``float`` does.
+    Blank and whitespace-only lines are skipped wherever they are.  The
+    first line left must be the header `t,u` (spaces ignored), and at least
+    two rows must follow, each of exactly two numeric cells as ``np.loadtxt``
+    reads them: comment lines, underscore digit groups and non-ASCII digits
+    are malformed.  The values must be finite and the times strictly
+    increasing and uniform from zero.  Raises ValueError on malformed input.
     """
     path = Path(path)
-    lines = path.read_text().splitlines() or [""]
-    text = np.frombuffer(("\n".join(lines) + "\n").encode(), dtype=np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    commas = np.bincount(np.searchsorted(ends, np.flatnonzero(text == ord(","))),
-                         minlength=len(lines))
-    first = text[np.r_[0, ends[:-1] + 1]]
-    blank = [i for i in np.flatnonzero((first <= 32) | (first >= 127)) if not lines[i].strip()]
-    if blank:
-        lines = np.delete(np.array(lines, dtype=object), blank).tolist()
-        commas = np.delete(commas, blank)
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
     if not lines or lines[0].strip().replace(" ", "") != "t,u":
         raise ValueError(f"{path}: expected header 't,u'")
     rows = lines[1:]
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two 't,u' rows")
-    if np.any(commas[1:] != 1):
-        raise ValueError(f"{path}: malformed row, expected two columns 't,u'")
     try:
-        data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 2)
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        # np.loadtxt strips U+001F around a cell as whitespace; float refuses it
+        if data.shape[1] != 2 or "\x1f" in "".join(rows):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"{path}: malformed numeric row") from None
+        raise ValueError(f"{path}: malformed row, expected two numeric columns 't,u'") from None
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value in 't,u' rows")
     t, u = data[:, 0], data[:, 1]
@@ -156,10 +147,12 @@ def sampled_from_pulse(times: np.ndarray, values: np.ndarray, u_max: float) -> S
     """Interpret pulse rows as cell values on a uniform grid of step t[1]-t[0].
 
     The amplitude bound allows the rounding of 12-significant-digit rows, so
-    a file written at |u| = u_max reads back within the bound.
+    a file written at |u| = u_max reads back within the bound.  ``Sampled``
+    refuses a u_max that is not finite and positive before the bound is
+    tested.
     """
     dt = times[1] - times[0]
-    if np.max(np.abs(values)) > u_max + max(1e-12, 1e-11 * u_max):
+    pulse = Sampled(T=float(times[-1] + dt), u_max=float(u_max), values=values)
+    if np.max(np.abs(pulse.values)) > u_max + max(1e-12, 1e-11 * u_max):
         raise ValueError("pulse exceeds the amplitude bound u_max")
-    return Sampled(T=float(times[-1] + dt), u_max=float(u_max),
-                   values=np.asarray(values, dtype=float))
+    return pulse

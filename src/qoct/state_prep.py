@@ -145,13 +145,12 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     """State-prep costs of B bang sequences, one per row.
 
     Row b switches at ``times[b]`` between the segment values ``values[b]``
-    over [0, T[b]].  Unordered or out-of-range times are repaired (sorted and
-    clipped) rather than penalized, so simplex optimizers see a continuous
-    landscape.  A row with fewer switchings is padded at the end with times
-    at T[b]: its padded segments last zero time, are exact identities, and
-    leave the row's cost bit for bit as it is unpadded.  The durations go
-    through the Cayley-Klein pair kernel, cells first, as in
-    ``_reduced_rows``.
+    over [0, T[b]].  Unordered or out-of-range times are sorted and clipped
+    into [0, T[b]] before the durations are taken.  A row with fewer
+    switchings is padded at the end with times at T[b]: its padded segments
+    last zero time, are exact identities, and leave the row's cost bit for
+    bit as it is unpadded.  The durations go through the Cayley-Klein pair
+    kernel, cells first, as in ``_reduced_rows``.
     """
     T = np.asarray(T, dtype=float)[None]
     # cells first; ndarray.clip and the slice difference: np.clip's and

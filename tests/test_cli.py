@@ -101,15 +101,26 @@ class TestFileIO:
                 read_pulse_csv(p)
 
     # one- and three-column rows in one file have as many commas as rows and
-    # split into an even number of cells, so only a per-row count refuses them
+    # split into an even number of cells, so only a per-row count refuses them;
+    # a file of three-column rows parses to an (n, 3) array without an error;
+    # comment rows and trailing comments are cells, not skipped lines; float
+    # refuses a U+001F before a number, which str.strip and np.loadtxt drop
     @pytest.mark.parametrize("body", ["0,0.1\n0.1\n0.2,0.1\n", "0,0.1\n0.1,0.1,7\n0.2,0.1\n",
                                       "0,0.1\n0.1,abc\n0.2,0.1\n",
-                                      "0,0.1\n0.1\n0.2,0.1,7\n0.3,0.1\n"],
+                                      "0,0.1\n0.1\n0.2,0.1,7\n0.3,0.1\n",
+                                      "0,0.1,7\n0.1,0.1,7\n0.2,0.1,7\n",
+                                      "0,0.1\n0.1,1_0\n0.2,0.1\n",
+                                      "0,0.1\n0.1,\uff11\n0.2,0.1\n",
+                                      "0,0.1\n#c\n0.1,0.2\n0.2,0.1\n",
+                                      "0,0.1\n0.1,0.2 # c\n0.2,0.1\n",
+                                      "0,0.1\n\x1f0.1,0.2\n0.2,0.1\n"],
                              ids=["one column", "three columns", "non-numeric",
-                                  "one and three columns"])
+                                  "one and three columns", "three columns everywhere",
+                                  "underscore digit group", "non-ASCII digit",
+                                  "comment row", "trailing comment", "unit separator padding"])
     def test_reader_rejects_malformed_row(self, tmp_path, body):
         p = tmp_path / "x.csv"
-        p.write_text("t,u\n" + body)
+        p.write_text("t,u\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match="malformed"):
             read_pulse_csv(p)
 
@@ -277,8 +288,10 @@ class TestCli:
         bad.write_text("nonsense\n")
         assert main(["verify", "--pulse", str(bad), "--umax", "0.2"]) == 2
 
-    @pytest.mark.parametrize("row", ["0.1", "0.1,0.1,7", "0.1,abc"],
-                             ids=["one column", "three columns", "non-numeric"])
+    # "0.1_0" is 0.1 to Python's float, so only the parse refuses that row
+    @pytest.mark.parametrize("row", ["0.1", "0.1,0.1,7", "0.1,abc", "0.1_0,0.1"],
+                             ids=["one column", "three columns", "non-numeric",
+                                  "underscore digit group"])
     def test_malformed_row_exits_2_without_report(self, outdir, tmp_path, row):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"t,u\n0,0.1\n{row}\n0.2,0.1\n")
@@ -303,6 +316,16 @@ class TestCli:
     def test_infinite_umax_verify_exits_2_without_report(self, outdir, rabi_csv):
         assert main(["verify", "--pulse", str(rabi_csv), "--umax", "inf"]) == 2
         assert not (outdir / "verify" / "report.json").exists()
+
+    @pytest.mark.parametrize("cmd,umax,artifact", [("verify", "-0.2", "report.json"),
+                                                   ("verify", "0", "report.json"),
+                                                   ("spectrum", "-1", "spectrum.csv")])
+    def test_nonpositive_umax_exits_2_naming_u_max(self, outdir, rabi_csv, capsys,
+                                                   cmd, umax, artifact):
+        # refused as a bound, not read as a pulse that exceeds it
+        assert main([cmd, "--pulse", str(rabi_csv), f"--umax={umax}"]) == 2
+        assert f"u_max must be finite and positive, got {float(umax)!r}" in capsys.readouterr().err
+        assert not (outdir / cmd / artifact).exists()
 
     def test_nan_umax_xgate_exits_2_naming_u_max(self, outdir, capsys):
         assert main(["xgate", "--umax", "nan"]) == 2
