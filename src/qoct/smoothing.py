@@ -34,6 +34,8 @@ from .dynamics import (
 )
 from .pmp import CostSpec
 from .protocols import (
+    BangSequence,
+    OneParamBB,
     Protocol,
     Sampled,
     TanhProtocol,
@@ -218,10 +220,12 @@ def optimize_third_harmonic(T: float, problem: GateProblem) -> SmoothingRun:
     Every iterate is clipped into
     omega in [3/4, 5/4] omega0 and R in [-1/8, 1 - ``optim.FD_STEP``], so
     that the forward-difference neighbour of R stays a ratio ``ThirdHarmonic``
-    admits.  ``extras`` holds the solve's |U00|^2 (``residual``) and step
-    count (``solver_steps``); ``converged`` means the solve reached
+    admits.  ``extras`` holds the solve's |U00|^2 (``residual``), step
+    count (``solver_steps``) and ``optim.OptimResult`` status
+    (``solver_status``); ``converged`` means the solve reached
     |U00|^2 <= 1e-20 and C + 1 <= TARGET_TOL.  Below the face root's T
-    there is no gate and the solve stalls.
+    there is no gate and the solve stalls: the returned pulse is where it
+    stopped, not the family's closest gate, and ``solver_status`` says so.
     """
     params = problem.params
     w0 = params.omega0
@@ -234,7 +238,7 @@ def optimize_third_harmonic(T: float, problem: GateProblem) -> SmoothingRun:
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
                         extras={"omega": w, "ratio": R, "residual": r.fun,
-                                "solver_steps": r.n_iter})
+                                "solver_steps": r.n_iter, "solver_status": r.status})
 
 
 def _face_slope(T: float, w: float, params: ModelParams) -> float:
@@ -491,8 +495,14 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
 def fourier_spectrum(protocol: Protocol, n_max: int = 40):
     """Normalized pulse spectrum u~(f_n) = int u/u_max e^(-2 pi i f_n t) dt, f_n = n/T.
 
-    Uses the closed-form integral on every piecewise-constant cell, so bang
+    Integrates every piecewise-constant cell in closed form, so bang
     protocols are exact and smooth protocols use their midpoint samples.
+    Bang protocols (``BangSequence``, ``OneParamBB``) sum the cell integrals
+    with one exponential per edge.  On the uniform grid of ``Sampled`` and
+    the smooth protocols, with N cells of width dt = T/N, edge k's
+    exponential is the DFT kernel e^(-2 pi i n k / N), so line n is
+    (1 - e^(-i w_n dt)) / (i w_n) times one FFT of the cell values at
+    n mod N: lines n >= N are DFT aliases.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -506,10 +516,15 @@ def fourier_spectrum(protocol: Protocol, n_max: int = 40):
     omega = 2.0 * np.pi * freqs
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = np.sum(rel * (edges[1:] - edges[:-1]))
-    w = omega[1:, None]
-    # one exponential per edge, shared by the two cells that meet there
-    E = np.exp(-1j * w * edges[None, :])
-    amps[1:] = ((E[:, :-1] - E[:, 1:]) / (1j * w)) @ rel
+    if isinstance(protocol, (BangSequence, OneParamBB)):
+        w = omega[1:, None]
+        # one exponential per edge, shared by the two cells that meet there
+        E = np.exp(-1j * w * edges[None, :])
+        amps[1:] = ((E[:, :-1] - E[:, 1:]) / (1j * w)) @ rel
+    else:
+        w = omega[1:]
+        dt = T / rel.size
+        amps[1:] = (1.0 - np.exp(-1j * w * dt)) / (1j * w) * np.fft.fft(rel)[n[1:] % rel.size]
     return freqs, amps
 
 

@@ -1,9 +1,17 @@
 """Shared fixtures and the acceptance-summary reporter."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qoct import ModelParams
 from qoct.xgate import GateProblem, min_gate_time
+
+# Every @given test draws the same examples on every run and in every
+# checkout: a seed derived from the test itself, and no example database
+# replaying what an earlier run in this directory found.  Each test keeps its
+# own max_examples.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 ACCEPTANCE_LOG: list[tuple[int, str, bool, str]] = []
 

@@ -451,6 +451,7 @@ class TestCli:
         assert rc == 3
         assert run["cost_plus_1"] > 1e-6
         assert run["converged"] is False
+        assert run["extras"]["solver_status"] == "stalled"
 
     def test_smooth_third_reports_solver_status(self, outdir):
         rc = main(["smooth", "--scheme", "third", "--umax", "0.4"])

@@ -1,5 +1,6 @@
 """Smoothing schemes, smoothness objectives, spectra, perturbative amplitude."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,13 +496,9 @@ class TestFourierSpectrum:
             fourier_spectrum(Sampled(3.0, 0.5, np.full(8, 0.25)), n_max=-1)
 
     @pytest.mark.parametrize("proto", [
-        ThirdHarmonic(0.2, 14.0, 0.45, 0.1),
-        ThirdHarmonic(0.2, np.pi / 0.2, 2.0, 0.0),
-        TanhProtocol(0.2, 12.0, 4.0, (1.5, 3.0, 9.0, 10.5)),
         BangSequence(5.0, 0.4, (0.7, 2.2, 4.1), (0.4, -0.4, 0.4, -0.4)),
-        Sampled(3.0, 0.5, np.linspace(-0.5, 0.5, 97)),
         OneParamBB(1.9, 9.0, 0.3),
-    ], ids=["third", "rabi", "tanh", "bang", "sampled", "one-param"])
+    ], ids=["bang", "one-param"])
     def test_cells_have_the_bits_of_two_exponentials_per_cell(self, proto):
         # each cell's integral written with its own two exponentials
         durs, vals = segment_durations_values(proto)
@@ -515,6 +512,64 @@ class TestFourierSpectrum:
         freqs, amps = fourier_spectrum(proto, n_max=n_max)
         assert amps[1:].tolist() == (cell @ rel).tolist()
         assert amps[0] == np.sum(rel * (b - a))
+
+    @pytest.mark.parametrize("proto", [
+        ThirdHarmonic(0.2, 14.0, 0.45, 0.1),
+        ThirdHarmonic(0.2, np.pi / 0.2, 2.0, 0.0),
+        TanhProtocol(0.2, 12.0, 4.0, (1.5, 3.0, 9.0, 10.5)),
+        Sampled(3.0, 0.5, np.linspace(-0.5, 0.5, 97)),
+    ], ids=["third", "rabi", "tanh", "sampled"])
+    def test_uniform_grid_lines_match_the_cell_sum_in_long_double(self, proto):
+        durs, vals = segment_durations_values(proto)
+        edges = np.concatenate([[0.0], np.cumsum(durs)])
+        edges[-1] = proto.T
+        rel = vals / proto.u_max
+        freqs, amps = fourier_spectrum(proto, n_max=40)
+        assert amps[0] == np.sum(rel * (edges[1:] - edges[:-1]))
+        err = np.abs(amps[1:] - _long_double_lines(rel, proto.T, 40))
+        assert np.max(err) <= 2e-13 * np.max(np.abs(amps))
+
+    def test_lines_past_the_grid_are_dft_aliases(self):
+        # a piecewise-constant pulse on N cells has no line at nonzero multiples of N/T
+        p = Sampled(3.0, 0.5, [0.5, -0.2, 0.1, 0.4, -0.5, 0.3, 0.0, -0.1])
+        freqs, amps = fourier_spectrum(p, n_max=20)
+        err = np.abs(amps[1:] - _long_double_lines(p.values / p.u_max, p.T, 20))
+        assert np.max(err) <= 2e-13 * np.max(np.abs(amps))
+        assert abs(amps[8]) < 1e-15 and abs(amps[16]) < 1e-15
+
+    def test_uniform_grid_builds_no_table_of_exponentials(self):
+        # the R = 0 Rabi pulse, sampled on 40,000 cells; a 40 x 40,001
+        # complex table alone would take 26 MB
+        proto = ThirdHarmonic(0.2, np.pi / 0.2, 2.0, 0.0)
+        tracemalloc.start()
+        try:
+            fourier_spectrum(proto)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+def _long_double_lines(rel, T: float, n_max: int) -> np.ndarray:
+    """Lines 1..n_max of the per-cell sum on edges k T / N, in np.longdouble.
+
+    Cell k adds rel_k (e^(-i w k T/N) - e^(-i w (k+1) T/N)) / (i w) at
+    w = 2 pi n / T, whose phases 2 pi (n k mod N) / N are reduced in integers.
+    """
+    rel = np.asarray(rel, dtype=np.longdouble)
+    N = rel.size
+    k = np.arange(N + 1)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    cos, sin = np.cos(two_pi * np.arange(N) / N), np.sin(two_pi * np.arange(N) / N)
+    out = np.empty(n_max, dtype=complex)
+    for n in range(1, n_max + 1):
+        c, s = cos[(n * k) % N], sin[(n * k) % N]
+        w = two_pi * n / np.longdouble(T)
+        # (E_k - E_(k+1)) / (i w) with E = c - i s
+        re = -np.sum(rel * (s[:-1] - s[1:])) / w
+        im = -np.sum(rel * (c[:-1] - c[1:])) / w
+        out[n - 1] = complex(float(re), float(im))
+    return out
 
 
 class TestPerturbativeAmplitude:
