@@ -453,6 +453,13 @@ class TestCli:
         assert run["converged"] is False
         assert run["extras"]["solver_status"] == "stalled"
 
+    def test_smooth_tanh_missed_gate_reports_solver_status(self, outdir):
+        rc = main(["smooth", "--scheme", "tanh", "--umax", "0.2", "--t-over-trabi", "0.8"])
+        run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
+        assert rc == 3
+        assert run["converged"] is False
+        assert run["extras"]["solver_status"] == "stalled"
+
     def test_smooth_third_reports_solver_status(self, outdir):
         rc = main(["smooth", "--scheme", "third", "--umax", "0.4"])
         run = json.loads((outdir / "smooth" / "smoothing_run.json").read_text())
@@ -480,6 +487,7 @@ class TestCli:
         assert run["extras"]["n_pairs"] == 2
         assert run["cost_plus_1"] <= 1e-6
         assert run["converged"] is True and run["extras"]["residual"] <= 1e-20
+        assert run["extras"]["solver_status"] == "converged"
 
     def test_smooth_constrained_requires_time(self, outdir):
         rc = main(["smooth", "--scheme", "constrained", "--umax", "0.2"])
