@@ -18,9 +18,10 @@ cost from the product's pair.  ``segment_propagators`` and
 ``ordered_product`` are that kernel with its pairs written out as matrices,
 and ``total_pairs`` runs it over a stack of protocols, one row each.  The
 levels of its pairwise tree (``pair_levels``) give every prefix product by a
-down-sweep (``pair_prefixes``): that one scan serves ``prefix_states``
-(and through it ``propagate``) and the adjoints, gradients and Jacobians of
-``pmp``.
+down-sweep (``pair_prefixes``), which serves the adjoints, gradients and
+Jacobians of ``pmp``.  ``prefix_states``, and through it ``propagate``,
+walks the same tree down for the cells it is asked for alone, with the bits
+of the full down-sweep at a cost of log2(n) products per cell.
 """
 from __future__ import annotations
 
@@ -304,20 +305,20 @@ def pair_prefixes(levels) -> np.ndarray:
     From the ``pair_levels`` of n cells, down the tree (Blelloch, "Prefix sums
     and their applications", 1990): an even element's prefix is its
     parent's, an odd one's is its even neighbour times that.  P_0 is the
-    identity and P_n the top of the tree.
+    identity and P_n the top of the tree.  Each level holds its a and b as
+    two contiguous arrays, which the returned pairs view along the last axis.
     """
     *lower, top = levels
-    top = np.stack(top, axis=-1)[0]
-    P = np.stack((np.ones_like(top), top))  # the prefixes of the top level
-    P[0, ..., 1] = 0.0
+    top = np.stack(top)[:, 0]  # (a, b) of the whole product
+    P = np.stack((np.ones_like(top), top), axis=1)  # the prefixes of the top level
+    P[1, 0] = 0.0
     for a, b in reversed(lower):
         m = len(a)
-        E, P = P, np.empty((m + 1,) + top.shape, complex)
-        P[0:m:2] = E[:-1]
-        P[1:m:2, ..., 0], P[1:m:2, ..., 1] = pair_mul(a[0:m - 1:2], b[0:m - 1:2],
-                                                    E[:m // 2, ..., 0], E[:m // 2, ..., 1])
-    P[-1] = top
-    return P
+        E, P = P, np.empty((2, m + 1) + top.shape[1:], complex)
+        P[:, 0:m:2] = E[:, :-1]
+        P[0, 1:m:2], P[1, 1:m:2] = pair_mul(a[0:m - 1:2], b[0:m - 1:2], *E[:, :m // 2])
+    P[:, -1] = top
+    return np.moveaxis(P, 0, -1)
 
 
 def ordered_product(units: np.ndarray) -> np.ndarray:
@@ -338,24 +339,41 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     return pair_matrix(pair_product(units[..., :, 0]))
 
 
-def prefix_states(ab: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """States entering each cell: row k is U[k-1] @ ... @ U[0] @ initial.
+def prefix_states(ab: np.ndarray, initial: np.ndarray, k) -> np.ndarray:
+    """States entering the cells k: row i is U[k_i - 1] @ ... @ U[0] @ initial.
 
     ``ab`` holds the Cayley-Klein pairs (n, 2) of n cells (``cell_pairs``),
-    and ``initial`` is one state (2,) or a block of states (2, m); the 2x2
-    identity gives the prefix unitaries P_k themselves.  Returns n+1 rows,
-    the last being the final state or block: one prefix scan
-    (``pair_levels``, ``pair_prefixes``), log2(n) vectorized levels each
-    way, then one ``pair_apply``.  The rows agree with the sequential
-    product to rounding (about 1e-14), not bit for bit.
+    ``initial`` is one state (2,) or a block of states (2, m), whose 2x2
+    identity gives the prefix unitaries P_k themselves, and ``k`` is a 1-D
+    array of indices in [0, n], in any order and repeated at will; k = n
+    gives the final state or block.  One up-sweep (``pair_levels``), then
+    each index walks down the tree alone, through the ``pair_mul`` steps
+    that ``pair_prefixes`` takes for it, in the same order, so row i has the
+    bits of ``pair_apply(pair_prefixes(levels)[k_i], initial)``.  The cost
+    is n for the up-sweep and log2(n) per index: an audit that samples
+    4,001 times builds no prefix of the other cells.  The rows agree with
+    the sequential product to rounding (about 1e-14), not bit for bit.
     """
     initial = np.asarray(initial, dtype=complex)
-    block = initial.reshape(2, -1)
+    k = np.asarray(k)
     n = len(ab)
-    states = block[None].copy()
+    if k.size and (k.min() < 0 or k.max() > n):
+        raise ValueError(f"prefix indices must lie in [0, {n}]")
+    levels = list(pair_levels(np.asarray(ab)))
+    P = np.zeros(k.shape + (2,), complex)
+    P[..., 0] = 1.0
     if n:
-        states = pair_apply(pair_prefixes(pair_levels(np.asarray(ab))), block)
-    return states.reshape((n + 1,) + initial.shape)
+        P[k == n] = np.stack(levels[-1], axis=-1)[0]
+    inner = np.flatnonzero(k < n)
+    j = k[inner]
+    a, b = P[inner].T
+    for depth in range(len(levels) - 2, -1, -1):
+        odd = np.flatnonzero((j >> depth) & 1)
+        i = (j[odd] >> depth) - 1
+        la, lb = levels[depth]
+        a[odd], b[odd] = pair_mul(la[i], lb[i], a[odd], b[odd])
+    P[inner, 0], P[inner, 1] = a, b
+    return pair_apply(P, initial.reshape(2, -1)).reshape(k.shape + initial.shape)
 
 
 def propagation_cells(protocol: Protocol):
@@ -408,9 +426,11 @@ def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
     Piecewise-constant protocols are integrated exactly; within each segment
     the sampled states are U(t - t_seg, u_seg) applied to the segment-entry
     state, so there is no time-stepping error anywhere.  Every cell and
-    sample is a Cayley-Klein pair (``cell_pairs``), the entry states come
-    from ``prefix_states`` and the samples from ``pair_apply``.  The identity as
-    ``initial`` samples the evolution operator U(t) itself.
+    sample is a Cayley-Klein pair (``cell_pairs``), the entry states of the
+    cells that hold a sample come from ``prefix_states`` and the samples from
+    ``pair_apply``, so a pulse of many more cells than samples builds only
+    the prefixes it samples.  The identity as ``initial`` samples the
+    evolution operator U(t) itself.
 
     A smooth protocol is propagated through its Magnus cells
     (``propagation_cells``), which are fourth order at step boundaries and
@@ -424,12 +444,11 @@ def propagate(protocol: Protocol, params: ModelParams, initial: np.ndarray,
     bounds = np.concatenate([[0.0], np.cumsum(durs)])
     bounds[-1] = protocol.T
     initial = np.asarray(initial, dtype=complex)
-    entry = prefix_states(cell_pairs(durs, vals, params), initial.reshape(2, -1))
-
     times = np.linspace(0.0, protocol.T, n_samples)
     seg = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(durs) - 1)
+    entry = prefix_states(cell_pairs(durs, vals, params), initial.reshape(2, -1), seg)
     local = cell_pairs(times - bounds[seg], vals[seg], params)
-    states = pair_apply(local, entry[seg]).reshape((n_samples,) + initial.shape)
+    states = pair_apply(local, entry).reshape((n_samples,) + initial.shape)
     return Trajectory(times=times, states=states)
 
 

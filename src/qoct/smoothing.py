@@ -136,11 +136,11 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     Damped Gauss-Newton on F = (Re U00, Im U00), one lane of
     ``optim.gauss_newton``, from ``x0``, or from equal middle bangs of about
     pi/omega0; every iterate's times are repaired by ``_free_tanh_times``.
-    ``extras`` holds the solve's |U00|^2 (``residual``) and step count
-    (``solver_steps``); ``converged`` means the solve reached |U00|^2 <=
-    1e-20 and C + 1 <= TARGET_TOL.  The number of switchings 2N should
-    follow the resonance estimate of ``resonance_pairs``, which the scan and
-    the command line use.
+    ``extras`` holds the solve's |U00|^2 (``residual``), step count
+    (``solver_steps``) and ``optim.OptimResult`` status (``solver_status``);
+    ``converged`` means the solve reached |U00|^2 <= 1e-20 and C + 1 <=
+    TARGET_TOL.  The number of switchings 2N should follow the resonance
+    estimate of ``resonance_pairs``, which the scan and the command line use.
     """
     params = problem.params
 
@@ -161,7 +161,7 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
                         extras={"beta": beta, "times": tuple(float(t) for t in r.x),
                                 "n_pairs": n_pairs, "residual": r.fun,
-                                "solver_steps": r.n_iter})
+                                "solver_steps": r.n_iter, "solver_status": r.status})
 
 
 def resonance_pairs(T: float, params: ModelParams) -> int:
@@ -357,7 +357,9 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     +/-u_max that this step would push out of the box and solves again, and
     clips the result into the box.  The minimum-norm step is the first-order
     nearest point of the constraint set (Rosen, J. SIAM 9, 514 (1961);
-    Nocedal & Wright, Numerical Optimization, ch. 15).  Each iterate is
+    Nocedal & Wright, Numerical Optimization, ch. 15), and it is taken from
+    the 2x2 or 3x3 Gram matrix of the free columns (``_active_set_step``),
+    not from an SVD of the m x n Jacobian.  Each iterate is
     propagated once (``pmp.unitary_and_jacobian``): C + 1 comes from
     the prefix scan's up-sweep through ``CostSpec.value``, with the bits of
     ``total_unitary``, and the down-sweep and the Jacobian only while
@@ -392,14 +394,28 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
 def _active_set_step(u: np.ndarray, F: np.ndarray, J: np.ndarray, u_max: float):
     """Minimum-norm solution of J du = -F on the cells free to move, or None if none is.
 
+    With J_f the Jacobian (m, n) with the fixed cells' columns zeroed, the
+    step is -J_f^T G^+ F from the m x m Gram matrix G = J_f J_f^T, since
+    J_f^+ = J_f^T (J_f J_f^T)^+.  G^+ comes from ``np.linalg.eigh``, keeping
+    at most min(m, free cells) eigenvalues, and of those only the ones above
+    m eps lambda_max.  G squares the condition number of J_f, so the step
+    agrees with the SVD's (``np.linalg.lstsq``) to rounding only while
+    cond(J_f) stays below about 1e7; a numerically singular J_f loses its
+    smallest direction here, where the SVD would step along it.
+
     A cell at +/-u_max is held fixed once the step would push it out of the
     box; the step is solved again on the remaining cells until no cell at a
     bound points outward.
     """
+    m = len(F)
     free = np.ones(u.size, dtype=bool)
-    while free.any():
-        step = np.zeros_like(u)
-        step[free] = np.linalg.lstsq(J[:, free], -F, rcond=None)[0]
+    while n_free := np.count_nonzero(free):
+        Jf = J * free
+        w, V = np.linalg.eigh(Jf @ Jf.T)
+        keep = w > m * np.finfo(float).eps * w[-1]
+        keep[:m - min(m, n_free)] = False  # eigh sorts w ascending
+        Vk = V[:, keep]
+        step = (Vk @ ((Vk.T @ -F) / w[keep])) @ Jf
         leaving = ((u >= u_max) & (step > 0.0)) | ((u <= -u_max) & (step < 0.0))
         if not leaving.any():
             return step

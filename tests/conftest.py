@@ -11,7 +11,33 @@ from qoct.xgate import GateProblem, min_gate_time
 # replaying what an earlier run in this directory found.  Each test keeps its
 # own max_examples.
 settings.register_profile("repeatable", derandomize=True, database=None)
+# `pytest --hypothesis-profile=explore` looks for new counterexamples instead:
+# fresh random draws, EXPLORE_SCALE times each test's own max_examples, and the
+# example database in .hypothesis/, which replays what earlier explore runs
+# found.  A counterexample it reports is pinned with @example on its test, so
+# that the repeatable profile runs it too.
+settings.register_profile("explore", derandomize=False)
 settings.load_profile("repeatable")
+EXPLORE_SCALE = 10
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under the explore profile, scale every @given test's max_examples by EXPLORE_SCALE.
+
+    A test's own @settings outrank any profile, so the scaled settings are
+    set on each test function once, however many parametrized items share it.
+    """
+    if settings.get_current_profile_name() != "explore":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        if not getattr(test, "is_hypothesis_test", False) or id(test) in scaled:
+            continue
+        scaled.add(id(test))
+        own = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=EXPLORE_SCALE * own.max_examples)
 
 ACCEPTANCE_LOG: list[tuple[int, str, bool, str]] = []
 

@@ -19,6 +19,7 @@ from qoct.dynamics import (
     constant_propagator,
     gate_cost,
     ordered_product,
+    pair_apply,
     pair_levels,
     pair_matrix,
     pair_prefixes,
@@ -183,7 +184,7 @@ class TestPrefixStates:
         ab = cell_pairs(rng.uniform(0.0, 0.5, n), rng.uniform(-0.5, 0.5, n), P05)
         units = pair_matrix(ab)
         psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
-        states = prefix_states(ab, psi0)
+        states = prefix_states(ab, psi0, np.arange(n + 1))
         assert states.shape == (n + 1, 2)
         np.testing.assert_array_equal(states[0], psi0)
         for k in range(1, n + 1):
@@ -197,14 +198,14 @@ class TestPrefixStates:
         rng = np.random.default_rng(seed)
         params = ModelParams(u_max=u_max)
         ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-u_max, u_max, n), params)
-        P = prefix_states(ab, SIGMA_0)
+        P = prefix_states(ab, SIGMA_0, np.arange(n + 1))
         assert P.shape == (n + 1, 2, 2)
         np.testing.assert_array_equal(P[0], SIGMA_0)
         defect = np.abs(P.conj().transpose(0, 2, 1) @ P - SIGMA_0).max()
         assert defect < 1e-12
         # a block of states is the prefix unitaries applied to it
         psi0 = state_from_bloch(BlochPoint(1.1, 0.4))
-        np.testing.assert_allclose(prefix_states(ab, psi0), P @ psi0, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(prefix_states(ab, psi0, np.arange(n + 1)), P @ psi0, rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(n=SCAN_SIZES, m=st.sampled_from([None, 1, 2, 3]),
@@ -220,7 +221,7 @@ class TestPrefixStates:
         ref = [initial]
         for U in pair_matrix(ab):
             ref.append(U @ ref[-1])
-        states = prefix_states(ab, initial)
+        states = prefix_states(ab, initial, np.arange(n + 1))
         assert states.shape == (n + 1,) + shape
         np.testing.assert_array_equal(states[0], initial)
         assert np.abs(states - np.array(ref)).max() <= 1e-13
@@ -234,12 +235,33 @@ class TestPrefixStates:
         rng = np.random.default_rng(seed)
         ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
         if n == 0:  # no cells: the one row of prefix_states is the initial block
-            np.testing.assert_array_equal(prefix_states(ab, SIGMA_0), [SIGMA_0])
+            np.testing.assert_array_equal(prefix_states(ab, SIGMA_0, [0]), [SIGMA_0])
             return
         P = pair_prefixes(pair_levels(ab))
         assert P.shape == (n + 1, 2)
         assert P[0].tobytes() == np.array([1.0, 0.0], dtype=complex).tobytes()
         assert P[-1].tobytes() == pair_product(ab).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 999, 10_001])
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_chosen_rows_have_the_bits_of_the_full_down_sweep(self, n, m):
+        # each index walks down the tree alone; its row must have the bits of
+        # the down-sweep's prefix applied to the block, in any order, with
+        # repeats, and at both ends
+        rng = np.random.default_rng(n)
+        ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
+        initial = SIGMA_0 if m == 2 else state_from_bloch(BlochPoint(1.1, 0.4))
+        k = np.concatenate([[n, 0, n // 2, n // 2, 0, n], rng.integers(0, n + 1, 40)])
+        ref = pair_apply(pair_prefixes(pair_levels(ab))[k], initial.reshape(2, -1))
+        states = prefix_states(ab, initial, k)
+        assert states.shape == (k.size,) + initial.shape
+        assert states.tobytes() == ref.reshape(states.shape).tobytes()
+
+    def test_indices_outside_the_cells_rejected(self):
+        ab = cell_pairs(np.full(3, 0.5), np.zeros(3), P05)
+        for k in ([4], [-1]):
+            with pytest.raises(ValueError, match="prefix indices"):
+                prefix_states(ab, KET_0, np.array(k))
 
 
 # cell counts for the pairwise tree: the smallest, odd counts (a carried last

@@ -1,5 +1,7 @@
 """Adjoint machinery, switching function, control-Hamiltonian, planar geometry."""
 import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +442,21 @@ class TestAuditInvariants:
         assert dataclasses.replace(rep, hoc_seg_max_dev=1e-12).summary()["hoc_max_dev"] == 0.0
         assert dataclasses.replace(rep, hoc_seg_max_dev=1e-6).summary()["hoc_max_dev"] == 1e-6
         assert a.hoc_seg_max_dev == 2.1e-16  # the in-memory figure stays raw
+
+    def test_long_pulse_audit_builds_only_the_sampled_prefixes(self):
+        # verify's 100,003-row pulse: the audit reads 4,001 entry states, so it
+        # must not hold a prefix pair and a state block for every cell
+        n = 100_003
+        T = np.pi / 0.2
+        proto = Sampled(T, 0.2, 0.2 * np.cos(2.0 * ((np.arange(n) + 0.5) * T / n - T / 2)))
+        cost = CostSpec("x")
+        tracemalloc.start()
+        try:
+            audit(proto, P02, cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
 
     def test_singular_residence_counts_equator_coast(self):
         from qoct.state_prep import StatePrepProblem, best_bsb, _bsb_protocol

@@ -342,6 +342,35 @@ class TestSmoothnessObjectives:
             smoothness_cost(Sampled(1.0, 0.5, np.array([0.1, 0.2])))
 
 
+def _lstsq_active_set_step(u, F, J, u_max):
+    """The active-set step with np.linalg.lstsq's SVD solve on the free columns."""
+    free = np.ones(u.size, dtype=bool)
+    while free.any():
+        step = np.zeros_like(u)
+        step[free] = np.linalg.lstsq(J[:, free], -F, rcond=None)[0]
+        leaving = ((u >= u_max) & (step > 0.0)) | ((u <= -u_max) & (step < 0.0))
+        if not leaving.any():
+            return step
+        free &= ~leaving
+    return None
+
+
+def _step_problem(kind: str, n: int, share: float):
+    """Cells u, rows F and exact Jacobian J of a random n-cell control at 0.9 T_Rabi.
+
+    u_max is 0.2, and about ``share`` of the cells sit at +-u_max.
+    """
+    problem = GateProblem(kind, ModelParams(u_max=0.2))
+    cost = problem.cost_spec()
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-0.15, 0.15, n)
+    bound = rng.random(n) < share
+    u[bound] = rng.choice([-0.2, 0.2], n)[bound]
+    U, jacobian = pmp.unitary_and_jacobian(Sampled(0.9 * T_RABI_02, 0.2, u), problem.params,
+                                           cost)
+    return u, cost.rows(U[0, 0], U[1, 0]), jacobian()
+
+
 class TestProjection:
     def test_recovers_perturbed_optimal_pulse(self):
         res = min_gate_time(X02, with_report=False)
@@ -384,6 +413,27 @@ class TestProjection:
             assert float(gate_cost(U, "x")).hex() == float(gate_cost(ref, "x")).hex()
         assert info.fun == float(gate_cost(total_unitary(projected, X02.params), "x"))
 
+    @pytest.mark.parametrize("kind, n, share", [
+        ("x", 1000, 0.0), ("pt", 1000, 0.0), ("x", 1000, 0.4), ("pt", 1000, 0.4),
+        ("x", 1, 0.0), ("x", 2, 0.0), ("pt", 1, 0.0)])
+    def test_active_set_step_is_the_svd_minimum_norm_step(self, kind, n, share):
+        # the Gram step against np.linalg.lstsq's on the same active set; n = 1
+        # and 2 leave fewer free cells than rows
+        u, F, J = _step_problem(kind, n, share)
+        step = smoothing._active_set_step(u, F, J, 0.2)
+        ref = _lstsq_active_set_step(u, F, J, 0.2)
+        assert np.array_equal(step == 0.0, ref == 0.0)
+        assert (ref == 0.0).any() == (share > 0.0)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["x", "pt"])
+    def test_active_set_step_none_when_no_cell_is_free(self, kind):
+        u, F, J = _step_problem(kind, 50, 0.0)
+        # every cell at the bound that its unconstrained step points past
+        u = 0.2 * np.sign(np.linalg.lstsq(J, -F, rcond=None)[0])
+        assert _lstsq_active_set_step(u, F, J, 0.2) is None
+        assert smoothing._active_set_step(u, F, J, 0.2) is None
+
     def test_fails_below_minimum_time(self):
         res = min_gate_time(X02, with_report=False)
         T = 0.9 * res.t_star
@@ -412,6 +462,24 @@ class TestConstrainedSmoothing:
         assert run.converged
         assert run.extras["n_outer"] < 400
         assert run.cost_plus_1 <= 1e-6
+
+    def test_bang_bang_start_at_the_rabi_time_leaves_two_free_cells(self, monkeypatch):
+        # from bb at 1.0 T_Rabi the active set leaves as few as two free cells
+        # for the three rows of X, where a Gram step needs its eigenvalue cutoff
+        free = []
+        step_of = smoothing._active_set_step
+
+        def spy(u, F, J, u_max):
+            step = step_of(u, F, J, u_max)
+            free.append(np.count_nonzero(step))
+            return step
+
+        monkeypatch.setattr(smoothing, "_active_set_step", spy)
+        run = constrained_smooth_optimize(T_RABI_02, X02, n_t=1000, initial="bb")
+        assert min(free) == 2
+        assert run.converged and run.cost_plus_1 <= 1e-10
+        assert run.extras["n_outer"] == 351
+        assert run.extras["c_smooth"] == pytest.approx(0.882030657965, abs=5e-13)
 
     @pytest.mark.parametrize("frac, initial",
                              [(0.8, "rabi"), (0.9, "rabi"), (1.0, "rabi"), (0.9, "bb")])
