@@ -245,9 +245,10 @@ class TestPrefixStates:
     @pytest.mark.parametrize("n", [1, 2, 5, 999, 10_001])
     @pytest.mark.parametrize("m", [None, 2])
     def test_chosen_rows_have_the_bits_of_the_full_down_sweep(self, n, m):
-        # each index walks down the tree alone; its row must have the bits of
-        # the down-sweep's prefix applied to the block, in any order, with
-        # repeats, and at both ends
+        # a row must have the bits of the down-sweep's prefix applied to the
+        # block, in any order, with repeats, and at both ends; 46 indices
+        # walk down the tree alone for n = 999 and 10,001, and take the full
+        # down-sweep for n <= 5
         rng = np.random.default_rng(n)
         ab = cell_pairs(rng.uniform(0.0, 1.0, n), rng.uniform(-0.5, 0.5, n), P05)
         initial = SIGMA_0 if m == 2 else state_from_bloch(BlochPoint(1.1, 0.4))
