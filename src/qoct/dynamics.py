@@ -20,8 +20,8 @@ and ``total_pairs`` runs it over a stack of protocols, one row each.  The
 levels of its pairwise tree (``pair_levels``) give every prefix product by a
 down-sweep (``pair_prefixes``), which serves the adjoints, gradients and
 Jacobians of ``pmp``.  ``prefix_states``, and through it ``propagate``,
-walks the same tree down for the cells it is asked for alone, with the bits
-of the full down-sweep at a cost of log2(n) products per cell.
+walks the same tree down for the cells it is asked for alone when they are
+few, at log2(n) products per cell, with the bits of the full down-sweep.
 """
 from __future__ import annotations
 

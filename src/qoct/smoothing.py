@@ -399,9 +399,9 @@ def _active_set_step(u: np.ndarray, F: np.ndarray, J: np.ndarray, u_max: float):
     J_f^+ = J_f^T (J_f J_f^T)^+.  G^+ comes from ``np.linalg.eigh``, keeping
     at most min(m, free cells) eigenvalues, and of those only the ones above
     m eps lambda_max.  G squares the condition number of J_f, so the step
-    agrees with the SVD's (``np.linalg.lstsq``) to rounding only while
-    cond(J_f) stays below about 1e7; a numerically singular J_f loses its
-    smallest direction here, where the SVD would step along it.
+    agrees with an SVD's minimum-norm step to rounding only while cond(J_f)
+    stays below about 1e7; a numerically singular J_f loses its smallest
+    direction here, where the SVD would step along it.
 
     A cell at +/-u_max is held fixed once the step would push it out of the
     box; the step is solved again on the remaining cells until no cell at a
