@@ -323,7 +323,8 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 
 # drawn Gauss-Newton starts per structure at each time of the T* scan, the
 # bisection and the report, run besides the structure's warm start when it
-# has one; every structure draws them from np.random.default_rng(0).  The
+# has one; every structure draws the same uniforms of
+# np.random.default_rng(0), scaled to its box.  The
 # _GRID_SEEDS best points of a _GRID_SIDE x _GRID_SIDE grid over the box
 # start lanes too.
 _SCAN_DRAWS = 5
@@ -398,7 +399,11 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     best points of a _GRID_SIDE x _GRID_SIDE grid over its box
     (_GRID_SIDE^2 points of t0 for BB-1), every structure's grid in one
     call: a solve only finds the root of the basin it starts in, and the
-    grid sees basins the draws miss.  The lanes of all structures solve
+    grid sees basins the draws miss.  The draws are those of a fresh
+    ``np.random.default_rng(0)`` per structure, taken for all structures
+    at once from the generator's first 2 _SCAN_DRAWS uniforms U, as
+    ``rng.uniform(a, b)`` makes them: a + (b - a) U.  The segment values
+    of all structures are built at once too, padded with their last value.  The lanes of all structures solve
     G = 0 (``_reduced_rows``) in one ``optim.gauss_newton`` call, every
     trial clipped into its lane's box.  A structure's best lane is the
     first with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its
@@ -406,44 +411,50 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     """
     params = problem.params
     ks = np.array([s.n_switch for s in structures])
-    kmax = ks.max()
-    rows = _reduced_rows(np.array(Ts, dtype=float), ks,
-                         np.array([np.pad(_bb_values(s.n_switch, s.lead_sign, params.u_max),
-                                          (0, kmax - s.n_switch), mode="edge")
-                                   for s in structures]), problem.cost_spec(), params)
+    Ts = np.array(Ts, dtype=float)
+    # every structure's _bb_values, padded at the end with its last value
+    signs = np.array([s.lead_sign for s in structures])
+    values = (signs * params.u_max)[:, None] * (-1.0) ** np.minimum(np.arange(ks.max() + 1),
+                                                                   ks[:, None])
+    rows = _reduced_rows(Ts, ks, values, problem.cost_spec(), params)
     out = [None] * len(structures)
     solved = np.flatnonzero(ks)
     if solved.size:
-        starts = []
-        for j in solved:
-            T, k, rng = Ts[j], structures[j].n_switch, np.random.default_rng(0)
-            mine = [] if warms[j] is None else [warms[j]]
-            for _ in range(_SCAN_DRAWS):
-                mine.append(np.array([rng.uniform(0.0, T), 0.0]) if k == 1 else
-                            np.array([rng.uniform(0.0, T / (k + 1)),
-                                      rng.uniform(0.3, 1.0) * T / (k - 1)]))
-            starts.append(mine)
+        T, k = Ts[solved, None], ks[solved, None]
+        one = k == 1
         lo, hi = np.array([_box(structures[j], Ts[j]) for j in solved]).transpose(1, 0, 2)
+        # the draws of np.random.default_rng(0) that each structure makes:
+        # rng.uniform(a, b) is a + (b - a) U, and BB-1 draws t0 alone
+        U = np.random.default_rng(0).random(2 * _SCAN_DRAWS)
+        draws = np.stack([np.where(one, T * U[:_SCAN_DRAWS], T / (k + 1) * U[0::2]),
+                          np.where(one, 0.0, (0.3 + (1.0 - 0.3) * U[1::2]) * T
+                                   / np.maximum(k - 1, 1))], axis=-1)
         # the unit grid, and BB-1's line of as many t0
         side = np.linspace(0.0, 1.0, _GRID_SIDE)
         square = np.stack(np.meshgrid(side, side), axis=-1).reshape(-1, 2)
         line = np.column_stack([np.linspace(0.0, 1.0, _GRID_SIDE ** 2), np.zeros(_GRID_SIDE ** 2)])
-        unit = np.where((ks[solved] == 1)[:, None, None], line, square)
+        unit = np.where(one[:, :, None], line, square)
         grid = lo[:, None] + (hi - lo)[:, None] * unit
         F = rows(grid.reshape(-1, 2), np.repeat(solved, _GRID_SIDE ** 2))
         r2 = (F * F).sum(axis=1).reshape(len(solved), -1)
         seeds = grid[np.arange(len(solved))[:, None],
                      np.argsort(r2, axis=1, kind="stable")[:, :_GRID_SEEDS]]
-        starts = [mine + list(x) for mine, x in zip(starts, seeds)]
-        counts = [len(mine) for mine in starts]
+        # per structure: its warm start, if any, then its draws and seeds
+        warm = np.array([warms[j] is not None for j in solved])
+        own = _SCAN_DRAWS + _GRID_SEEDS
+        starts = np.insert(np.concatenate([draws, seeds], axis=1).reshape(-1, 2),
+                           own * np.flatnonzero(warm),
+                           np.reshape([warms[j] for j in solved[warm]], (-1, 2)), axis=0)
+        counts = own + warm
+        first = np.cumsum(counts) - counts
         lane_set = np.repeat(solved, counts)
         lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
-            lambda X, lanes: rows(X, lane_set[lanes]), [x for mine in starts for x in mine],
+            lambda X, lanes: rows(X, lane_set[lanes]), starts,
             optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
             lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
-        for j, end, count in zip(solved, np.cumsum(counts), counts):
-            out[j] = min(runs[end - count:end], key=lambda r: r.fun)
+        for j, start, count in zip(solved, first, counts):
+            out[j] = min(runs[start:start + count], key=lambda r: r.fun)
     zero = np.flatnonzero(ks == 0)
     if zero.size:
         F = rows(np.zeros((len(zero), 2)), zero)
@@ -457,8 +468,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     """Smallest T reaching cost <= -1 + TARGET_TOL over candidate structures.
 
     BB structures are scanned on a shared T grid of step pi/4 (in the fast
-    equal-middle-bang form, both leading signs) and refined by bisection to
-    1e-3 pi; the minimal BSB time comes from the closed-form equator
+    equal-middle-bang form, both leading signs) and every hit at the first
+    grid time that hits is refined by bisection to 1e-3 pi, the resolution;
+    the minimal BSB time comes from the closed-form equator
     construction, validated by propagation; only BB structures are lane
     searches, and with none asked for the scan runs no search.  A BB winner
     is the bisection's best Gauss-Newton lane at T* as it is, and its
@@ -468,9 +480,20 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     of the endpoint rows (Re G, Im G).  Ties break toward fewer switchings.
     ``residual`` is the winner's |G|^2 at T* and ``solver_steps`` its lane's
     steps (cost + 1 and 0 for BSB).
+
+    A hit stops refining once its bracket's low end lies at least a
+    resolution above the earliest hit of any structure, or above the BSB
+    time when BSB is a candidate (the fathoming test of branch and bound):
+    its refined time would lie more than a resolution above the winner's,
+    outside the tie set.  Lanes are independent, so the winner keeps every
+    bit it has with all hits refined.  ``diagnostics["candidates"]`` holds
+    the (refined time, label) of each structure refined to the end and of
+    BSB, and ``diagnostics["pruned"]`` the (last hit time, label) of each
+    that stopped early, an upper bound on its minimum time.
     ``diagnostics["stalled_misses"]`` counts the scan and bisection misses
     whose best lane used up its Gauss-Newton steps ('max-iter') rather than
     stalling: such a miss may be a slow solve rather than a time too short.
+    It counts the bisection steps of the structures still refined alone.
 
     A grid time that the speed limit rules out counts as a miss without a
     search, and ``diagnostics["speed_limit_skips"]`` counts them.  In the
@@ -536,6 +559,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         T_miss = T
 
     candidates = []  # (t_star, effective n_switch, bsb_last, structure-or-None, payload)
+    pruned = []  # (last hit time, label) of the hits that stopped refining
     if T_hit is not None:
         # every hit bisects from the last coarse time that missed (on the
         # grid, T_hit - coarse_step is that time with the bits it always had);
@@ -544,7 +568,18 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         lo = [T_hit - coarse_step if T_hit == j * coarse_step else T_miss] * len(found)
         hi = [T_hit] * len(found)
         best = [r for _, r in found]
-        while steps := [i for i in range(len(found)) if hi[i] - lo[i] > resolution]:
+        steps, dropped = list(range(len(found))), []
+        while True:
+            # a hit whose bracket starts a resolution above the earliest hit
+            # or the BSB time (inf unless BSB is a candidate, which it is
+            # whenever it lies below T_hit) would refine to a time above
+            # best T + resolution, outside the tie set: it stops refining
+            # (the fathoming test of branch and bound)
+            bound = min([bsb_T, *hi]) + resolution
+            steps = [i for i in steps if hi[i] - lo[i] > resolution]
+            dropped += [i for i in steps if lo[i] >= bound]
+            if not (steps := [i for i in steps if lo[i] < bound]):
+                break
             mids = [0.5 * (lo[i] + hi[i]) for i in steps]
             optima = _scan_optima([found[i][0] for i in steps], mids,
                                   [best[i].x * (mid / hi[i]) for i, mid in zip(steps, mids)],
@@ -555,7 +590,10 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
                 else:
                     lo[i] = mid
                     stalled += r.status == "max-iter"
-        for (s, _), t_hi, r in zip(found, hi, best):
+        for i, ((s, _), t_hi, r) in enumerate(zip(found, hi, best)):
+            if i in dropped:
+                pruned.append((t_hi, str(s)))
+                continue
             _, _, eff = canonicalize_bangs(_reduced_to_times(r.x, s, t_hi),
                                            _bb_values(s.n_switch, s.lead_sign, params.u_max),
                                            t_hi)
@@ -598,6 +636,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     diag["stalled_misses"] = stalled
     diag["speed_limit_skips"] = skips
     diag["candidates"] = [(c[0], "BSB" if c[3] is None else str(c[3])) for c in candidates]
+    diag["pruned"] = pruned
 
     report = None
     if with_report:

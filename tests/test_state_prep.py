@@ -202,6 +202,40 @@ class TestScanLanes:
             (starts,) = seen
             assert len(np.unique(starts, axis=0)) == len(starts), str(s)
 
+    def test_drawn_starts_are_each_structures_own_generator_draws(self, monkeypatch):
+        # one call draws for all structures; each structure's drawn starts
+        # must keep the bits of a fresh default_rng(0)'s uniform draws at its T
+        seen = []
+        solve = optim.gauss_newton
+
+        def spy(f_rows, starts, *args):
+            seen.append(np.array(starts, dtype=float))
+            return solve(f_rows, starts, *args)
+
+        monkeypatch.setattr(optim, "gauss_newton", spy)
+        structures = [StructureLabel("bb", k, s) for k, s in
+                      ((1, 1), (2, -1), (0, 1), (5, 1), (1, -1), (8, -1))]
+        Ts = [0.7, 2.9, 1.0, 7.3, 4.4, 12.1]
+        warms = [None, np.array([0.2, 0.5]), None, None, np.array([1.5, 0.0]),
+                 np.array([0.3, 1.1])]
+        _scan_optima(structures, Ts, warms, problem_at(0.3))
+        (starts,) = seen
+        row = 0
+        for s, T, warm in zip(structures, Ts, warms):
+            k = s.n_switch
+            if k == 0:
+                continue
+            rng = np.random.default_rng(0)
+            drawn = [[rng.uniform(0.0, T), 0.0] if k == 1 else
+                     [rng.uniform(0.0, T / (k + 1)), rng.uniform(0.3, 1.0) * T / (k - 1)]
+                     for _ in range(state_prep._SCAN_DRAWS)]
+            if warm is not None:
+                assert starts[row].tobytes() == warm.tobytes()
+                row += 1
+            assert starts[row:row + len(drawn)].tobytes() == np.array(drawn).tobytes(), str(s)
+            row += len(drawn) + state_prep._GRID_SEEDS
+        assert row == len(starts)
+
 
 class TestOptimizeStructure:
     def test_single_bang_matches_golden_section_oracle(self):
@@ -657,6 +691,90 @@ class TestGridOracle:
         # and the oracle sees the winner's hit at T* itself
         assert grid_oracle(p, res.t_star)[str(res.structure)] <= TARGET_TOL
 
+    @pytest.mark.parametrize("u", [0.104, 0.16, 0.85, 0.35, 0.11])
+    def test_winner_searched_alone_keeps_every_bit(self, u, monkeypatch):
+        # a structure's lanes do not depend on the structures searched beside
+        # it, which is what lets the bisection stop refining the others
+        p = problem_at(u)
+        res, lane = winning_lane(p, monkeypatch)
+        alone = find_time_optimal(p, structures=[lane], with_report=False)
+        assert (alone.t_star, alone.structure) == (res.t_star, res.structure)
+        assert np.array(alone.switch_times).tobytes() == np.array(res.switch_times).tobytes()
+
+
+def winning_lane(problem, monkeypatch):
+    """find_time_optimal's result, and the structure whose lane it took (BSB for BSB).
+
+    The lane is a structure that hit at T* with the result's canonical
+    structure and switch times.
+    """
+    hits = []
+    scan = state_prep._scan_optima
+
+    def spy(structures, Ts, *args):
+        out = scan(structures, Ts, *args)
+        hits.extend((s, T, r.x) for s, T, r in zip(structures, Ts, out) if r.fun <= TARGET_TOL)
+        return out
+
+    monkeypatch.setattr(state_prep, "_scan_optima", spy)
+    res = find_time_optimal(problem, with_report=False)
+    monkeypatch.setattr(state_prep, "_scan_optima", scan)
+    if res.structure.kind == "bsb":
+        return res, StructureLabel("bsb", 2, 1)
+    u = problem.params.u_max
+    for s, T, x in hits:
+        times, _, label = canonicalize_bangs(_reduced_to_times(x, s, T),
+                                             state_prep._bb_values(s.n_switch, s.lead_sign, u), T)
+        if T == res.t_star and label == res.structure and \
+                times.tobytes() == np.array(res.switch_times).tobytes():
+            return res, s
+    raise AssertionError("no lane at T* gives the result")
+
+
+class TestPruning:
+    """The bisection stops refining a hit once its bracket starts a resolution above the best."""
+
+    @pytest.mark.parametrize("u", [0.104, 0.35, 0.5, 0.85])
+    def test_no_structure_refines_once_it_cannot_win(self, u, monkeypatch):
+        calls = []
+        scan = state_prep._scan_optima
+
+        def spy(structures, Ts, *args):
+            out = scan(structures, Ts, *args)
+            calls.append([(s, T, r.fun <= TARGET_TOL) for s, T, r in zip(structures, Ts, out)])
+            return out
+
+        monkeypatch.setattr(state_prep, "_scan_optima", spy)
+        p = problem_at(u)
+        res = find_time_optimal(p, with_report=False)
+        resolution = 1e-3 * np.pi
+        bsb_T = min([t for t, label in res.diagnostics["candidates"] if label == "BSB"],
+                    default=np.inf)
+        # the coarse scan ends at the first call with a hit; every later call bisects
+        first = next(i for i, call in enumerate(calls) if any(hit for *_, hit in call))
+        T_hit = calls[first][0][1]
+        lo = {s: T_hit - 0.25 * np.pi for s, _, hit in calls[first] if hit}
+        hits = {s: [T_hit] for s in lo}
+        for call in calls[first + 1:]:
+            best = min([bsb_T] + [min(h) for h in hits.values()])
+            for s, T, hit in call:
+                assert lo[s] < best + resolution, (str(s), T)
+                assert lo[s] < T < min(hits[s])
+                if hit:
+                    hits[s].append(T)
+                else:
+                    lo[s] = T
+        best_T = min(t for t, _ in res.diagnostics["candidates"])
+        assert res.diagnostics["pruned"]
+        for t, label in res.diagnostics["pruned"]:
+            # a hit of that label last hit at t (both leading signs may have);
+            # its refined time would lie above lo, outside the tie set
+            assert any(lo[s] >= best_T + resolution for s, h in hits.items()
+                       if str(s) == label and min(h) == t), (t, label)
+        # the candidates and the pruned hits are every hit structure, once
+        assert len(res.diagnostics["candidates"]) + len(res.diagnostics["pruned"]) == \
+            len(hits) + (bsb_T < np.inf)
+
 
 class TestSearchPath:
     def test_winner_does_not_depend_on_the_skipped_scan_times(self, monkeypatch):
@@ -687,13 +805,13 @@ class TestBenchmarkCentres:
         0.104: (10.799224746714913, "BB-6",
                 (0.8037164405702797, 2.5441584484232482, 4.284600456276217,
                  6.025042464129186, 7.7654844719821545, 9.505926479835125),
-                399, 26913),
+                368, 23994),
         0.16: (7.608544707912779, "BB-4",
                (0.7165341385901809, 2.5234153018298464, 4.330296465069512,
                 6.137177628309177),
-               336, 22413),
+               320, 19740),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               190, 7179),
+               164, 4560),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
