@@ -48,21 +48,20 @@ def write_csv(path, header: list[str], rows) -> Path:
     """Write a header line and one line per row.
 
     ``rows`` is either an iterable of rows, each value formatted by ``fmt``,
-    or a 2-D float array, whose rows are formatted with one "{:.12g}"
-    template from Python floats, taken column by column.  That is the text
-    ``fmt`` gives for the same floats, at about a third of the cost of its
-    type dispatch on numpy scalars; rows holding ints, bools or strings take
-    the iterable form.
+    or a 2-D float array, formatted by one ``%`` operation: its row template
+    of "%.12g" cells, repeated once per row, over the array's Python floats.
+    "%.12g" and ``fmt``'s "{:.12g}" are one conversion, so that is ``fmt``'s
+    text for the same floats, without its type dispatch on numpy scalars;
+    rows holding ints, bools or strings take the iterable form.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        template = ",".join(["{:.12g}"] * rows.shape[1])
-        body = list(map(template.format, *rows.T.tolist()))
+        row = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        body = row * len(rows) % tuple(rows.ravel().tolist())
     else:
-        body = [",".join(fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join([",".join(header)] + body) + "\n", encoding="ascii",
-                    newline="\n")
+        body = "".join(",".join(fmt(x) for x in row) + "\n" for row in rows)
+    path.write_text(",".join(header) + "\n" + body, encoding="ascii", newline="\n")
     return path
 
 

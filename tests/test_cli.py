@@ -149,6 +149,20 @@ class TestFileIO:
         raw = path.read_bytes()
         assert raw == b"a,b\n1.5,2.25\n"
 
+    def test_float_block_text_is_fmt_of_each_value(self, tmp_path):
+        rng = np.random.default_rng(3)
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072e-309, np.finfo(float).tiny, 1e300,
+                   -1e300, 3.0, -42.0, 1e15, 123456789012.0, 2.0 ** 60, 1 / 3]
+        values = np.concatenate([special, rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, 40),
+                                 np.round(rng.normal(size=7) * 1e4)])
+        block = values[:len(values) // 3 * 3].reshape(-1, 3)
+        path = write_csv(tmp_path / "b.csv", ["x", "y", "z"], block)
+        lines = ["x,y,z"] + [",".join(fmt(v) for v in row) for row in block.tolist()]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        # an empty block keeps the header line alone
+        empty = write_csv(tmp_path / "e.csv", ["x", "y"], np.empty((0, 2)))
+        assert empty.read_bytes() == b"x,y\n"
+
 
 class TestCli:
     def test_xgate_single_point(self, outdir, capsys):
