@@ -362,7 +362,8 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     """
     J0, J1 = J[:, 0], J[:, 1]
     F0, F1 = F[:, 0], F[:, 1]
-    p, q, t = (np.einsum("ln,ln->l", a, b) for a, b in ((J0, J0), (J0, J1), (J1, J1)))
+    G = np.einsum("lin,ljn->lij", J, J)
+    p, q, t = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
     minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
     det = 0.5 * np.einsum("lij,lij->l", minors, minors)
     tr = p + t

@@ -515,6 +515,36 @@ class TestGaussNewton:
             ref = np.linalg.lstsq(A, np.r_[-f, np.zeros(n)], rcond=None)[0]
             np.testing.assert_allclose(s, ref, rtol=0.0, atol=1e-8 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("lanes", [1, 8, 96])
+    def test_damped_steps_keep_the_bits_of_three_gram_dot_products(self, n, lanes):
+        # the Gram entries come from one batched product; the steps must be
+        # bit for bit those of taking p, q and t as three separate dot products
+        rng = np.random.default_rng(100 * n + lanes)
+        J = rng.normal(size=(lanes, 2, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (lanes, 1, 1))
+        J[1::3, 1] = -1.7 * J[1::3, 0]  # rank one
+        J[2::5] = 0.0
+        F = rng.normal(size=(lanes, 2))
+        for lam in (np.zeros(lanes), rng.choice(_DAMPING, lanes)):
+            assert _lm_steps(J, F, lam).tobytes() == dot_product_lm_steps(J, F, lam).tobytes()
+
+
+def dot_product_lm_steps(J, F, lam):
+    """``_lm_steps`` with the Gram entries p, q and t as three dot products per lane."""
+    J0, J1 = J[:, 0], J[:, 1]
+    F0, F1 = F[:, 0], F[:, 1]
+    p, q, t = (np.einsum("ln,ln->l", a, b) for a, b in ((J0, J0), (J0, J1), (J1, J1)))
+    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+    det = 0.5 * np.einsum("lij,lij->l", minors, minors)
+    tr = p + t
+    mu = lam * tr
+    g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
+    one = det <= (np.finfo(float).eps * max(2, J.shape[2]) * g) ** 2
+    d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), det + mu * (tr + mu))
+    w0 = np.where(one, p * F0 + q * F1, (t + mu) * F0 - q * F1) / d
+    w1 = np.where(one, q * F0 + t * F1, (p + mu) * F1 - q * F0) / d
+    return -(J0 * w0[:, None] + J1 * w1[:, None])
+
 
 def synthetic(g):
     """F(T, omega) = (g(T), omega - 1) at the rows of X: roots where g(T) = 0."""
