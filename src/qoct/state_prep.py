@@ -400,12 +400,10 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     (_GRID_SIDE^2 points of t0 for BB-1), every structure's grid in one
     call: a solve only finds the root of the basin it starts in, and the
     grid sees basins the draws miss.  The draws are those of a fresh
-    ``np.random.default_rng(0)`` per structure, taken for all structures
-    at once from the generator's first 2 _SCAN_DRAWS uniforms U, as
-    ``rng.uniform(a, b)`` makes them: a + (b - a) U.  The segment values
-    of all structures are built at once too, padded with their last value.  The lanes of all structures solve
-    G = 0 (``_reduced_rows``) in one ``optim.gauss_newton`` call, every
-    trial clipped into its lane's box.  A structure's best lane is the
+    ``np.random.default_rng(0)`` per structure, made for all structures at
+    once from the generator's first 2 _SCAN_DRAWS uniforms.  The lanes of
+    all structures solve G = 0 (``_reduced_rows``) in one
+    ``optim.gauss_newton`` call, every trial clipped into its lane's box.  A structure's best lane is the
     first with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its
     result is |G|^2 of its one protocol, status 'exact'.
     """
