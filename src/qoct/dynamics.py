@@ -13,15 +13,20 @@ commutator-free Magnus step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
 product of two such constant-control cells per step.  Every cell lies in
 SU(2), [[a, -b*], [b, a*]], so one kernel carries the Cayley-Klein pairs
 (a, b) alone, at half the arithmetic of 2x2 products: ``cell_pairs`` builds
-them, ``pair_product`` multiplies them, and ``pair_state_prep_cost`` reads a
-cost from the product's pair.  ``segment_propagators`` and
-``ordered_product`` are that kernel with its pairs written out as matrices,
-and ``total_pairs`` runs it over a stack of protocols, one row each.  The
-levels of its pairwise tree (``pair_levels``) give every prefix product by a
-down-sweep (``pair_prefixes``), which serves the adjoints, gradients and
-Jacobians of ``pmp``.  ``prefix_states``, and through it ``propagate``,
-walks the same tree down for the cells it is asked for alone when they are
-few, at log2(n) products per cell, with the bits of the full down-sweep.
+them, ``pair_product`` multiplies them, and ``total_pairs`` runs it over a
+stack of protocols, one row each.  A terminal cost is read from the
+product's pair by ``pmp.CostSpec``, as C + 1 = |F|^2 of its real endpoint
+rows F.  ``segment_propagators``, ``ordered_product`` and ``total_unitary``
+are the kernel with its pairs written out as matrices, and ``gate_cost``,
+``state_prep_cost`` and ``terminal_cost`` the costs of any 2x2 matrix.  No
+search or report calls these six: they are the reference formulas for
+arbitrary matrices, such as the ODE and ``expm`` results the tests compare
+against.  The levels of the kernel's pairwise tree (``pair_levels``) give
+every prefix product by a down-sweep (``pair_prefixes``), which serves the
+adjoints, gradients and Jacobians of ``pmp``.  ``prefix_states``, and
+through it ``propagate``, walks the same tree down for the cells it is
+asked for alone when they are few, at log2(n) products per cell, with the
+bits of the full down-sweep.
 """
 from __future__ import annotations
 
@@ -68,7 +73,6 @@ __all__ = [
     "bloch_angles",
     "bloch_from_state",
     "state_prep_cost",
-    "pair_state_prep_cost",
     "gate_cost",
     "terminal_cost",
     "rabi_protocol",
@@ -191,9 +195,10 @@ def cell_pairs(durations, values, params: ModelParams) -> np.ndarray:
 def segment_propagators(durations, values, params: ModelParams) -> np.ndarray:
     """Batched closed-form propagators, one per (duration, value) segment.
 
-    The matrices of ``cell_pairs``.  A closed-form cell is symmetric, so U01
-    is b itself; U11 is a* + 0, whose added zero gives a zero-duration cell
-    the +0 imaginary part of cos(W d) + i h sin(W d)/W rather than -0.
+    The matrices of ``cell_pairs``; no search or report calls this.  A
+    closed-form cell is symmetric, so U01 is b itself; U11 is a* + 0, whose
+    added zero gives a zero-duration cell the +0 imaginary part of
+    cos(W d) + i h sin(W d)/W rather than -0.
     """
     ab = cell_pairs(durations, values, params)
     U = np.empty(ab.shape + (2,), dtype=complex)
@@ -325,7 +330,8 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     """Product U[n-1] @ ... @ U[0] (index 0 acts first) by ``pair_product``.
 
     ``units`` is (n, ..., 2, 2), a stack of n cells for every lane of the
-    trailing axes, or one 2x2 matrix, which is returned as it is.
+    trailing axes, or one 2x2 matrix, which is returned as it is.  No search
+    or report calls this; it serves ``total_unitary``.
 
     Precondition: every cell has the SU(2) form [[a, -b*], [b, a*]], as the
     ``segment_propagators`` cells, their zero-duration identity pads and the
@@ -402,7 +408,11 @@ def propagation_cells(protocol: Protocol):
 
 
 def total_unitary(protocol: Protocol, params: ModelParams) -> np.ndarray:
-    """Total evolution operator of a protocol over [0, T]."""
+    """Total evolution operator of a protocol over [0, T], as a 2x2 matrix.
+
+    No search or report calls this: they read ``total_pairs``.  It is the
+    matrix reference that the tests compare the pair kernel against.
+    """
     durs, vals = propagation_cells(protocol)
     return ordered_product(segment_propagators(durs, vals, params))
 
@@ -521,20 +531,13 @@ def state_prep_cost(U_total: np.ndarray, init: np.ndarray,
 
     ``U_total`` may be any 2x2 matrix or a stack (..., 2, 2), giving one
     cost per matrix.  U |init> is written out by rows, which has the bits of
-    ``U @ init``; on a matrix [[a, -b*], [b, a*]] it also has those of
-    ``pair_state_prep_cost`` on its pair (a, b).
+    ``U @ init``.  No search or report calls this: they read C + 1 = |G|^2
+    from ``pmp.CostSpec``, which does not cancel near the target.  It is the
+    reference formula for any 2x2 matrix, such as an ODE or ``expm`` result.
     """
     U = np.asarray(U_total)
     return _overlap_cost(U[..., 0, 0] * init[0] + U[..., 0, 1] * init[1],
                          U[..., 1, 0] * init[0] + U[..., 1, 1] * init[1], target)
-
-
-def pair_state_prep_cost(ab: np.ndarray, init: np.ndarray,
-                         target: np.ndarray) -> float | np.ndarray:
-    """``state_prep_cost`` of the matrices [[a, -b*], [b, a*]], from their pairs (..., 2)."""
-    a, b = ab[..., 0], ab[..., 1]
-    return _overlap_cost(a * init[0] - np.conjugate(b) * init[1],
-                         b * init[0] + np.conjugate(a) * init[1], target)
 
 
 def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:
@@ -544,6 +547,9 @@ def gate_cost(U_total: np.ndarray, kind: str) -> float | np.ndarray:
     directions; C_Y uses the difference; C_PT ignores phases entirely.
     ``U_total`` may be a stack (..., 2, 2), giving one cost per matrix.  A
     perfect gate's sums can round a few ulp above 1, hence the clamp at -1.
+    No search or report calls this: they read C + 1 = |F|^2 from
+    ``pmp.CostSpec``.  It is the reference formula for any 2x2 matrix, such
+    as an ODE or ``expm`` result.
     """
     u10 = U_total[..., 1, 0]
     u01 = U_total[..., 0, 1]
@@ -571,7 +577,10 @@ def _abs2(z):
 def terminal_cost(U_total: np.ndarray, kind: str,
                   init: np.ndarray | None = None,
                   target: np.ndarray | None = None) -> float:
-    """``state_prep_cost`` for kind 'sp', with ``init`` and ``target``; else ``gate_cost``."""
+    """``state_prep_cost`` for kind 'sp', with ``init`` and ``target``; else ``gate_cost``.
+
+    A reference formula, like those two: no search or report calls it.
+    """
     if kind.lower() in ("sp", "state_prep"):
         return state_prep_cost(U_total, init, target)
     return gate_cost(U_total, kind)

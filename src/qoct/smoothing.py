@@ -27,10 +27,8 @@ from . import optim, pmp
 from .dynamics import (
     TARGET_TOL,
     ModelParams,
-    gate_cost,
     rabi_pi_time,
     total_pairs,
-    total_unitary,
 )
 from .pmp import CostSpec
 from .protocols import (
@@ -69,7 +67,7 @@ class SmoothingRun:
     T: float
     params: ModelParams
     protocol: Protocol
-    cost_plus_1: float
+    cost_plus_1: float  # C + 1 = |F|^2 of the protocol (``CostSpec.gap``)
     # the optimizer converged and, for tanh and third, C + 1 <= TARGET_TOL;
     # for the third harmonic's minimum time also dT/dR > 0 at its face root
     converged: bool
@@ -85,10 +83,6 @@ def tanh_protocol(times, beta: float, T: float, params: ModelParams) -> TanhProt
     """
     return TanhProtocol(u_max=params.u_max, T=T, beta=beta,
                         times=mirrored_tanh_times(times, T))
-
-
-def _gate_cost_of(protocol: Protocol, problem: GateProblem) -> float:
-    return float(gate_cost(total_unitary(protocol, problem.params), problem.kind))
 
 
 # The tanh and third-harmonic pulses are even about T/2, so their U10 is
@@ -155,7 +149,7 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
     (r,) = optim.gauss_newton(f_rows, [start], optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
                               repair)
     proto = tanh_protocol(r.x, beta, T, params)
-    cost1 = _gate_cost_of(proto, problem) + 1.0
+    cost1 = float(problem.cost_spec().gap(*total_pairs([proto], params)[0]))
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
@@ -233,7 +227,7 @@ def optimize_third_harmonic(T: float, problem: GateProblem) -> SmoothingRun:
                        [w0, _R_FACE], [0.75 * w0, _R_FACE], [1.25 * w0, 1.0 - optim.FD_STEP])
     w, R = (float(v) for v in r.x)
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=R)
-    cost1 = _gate_cost_of(proto, problem) + 1.0
+    cost1 = float(problem.cost_spec().gap(*total_pairs([proto], params)[0]))
     return SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
                         cost_plus_1=cost1,
                         converged=r.status == "converged" and cost1 <= TARGET_TOL,
@@ -286,7 +280,7 @@ def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
     T, w = (float(v) for v in root.x)
     slope = _face_slope(T, w, params)
     proto = ThirdHarmonic(u_max=params.u_max, T=T, omega=w, ratio=_R_FACE)
-    cost1 = _gate_cost_of(proto, problem) + 1.0
+    cost1 = float(problem.cost_spec().gap(*total_pairs([proto], params)[0]))
     return T, SmoothingRun(scheme="third", T=T, params=params, protocol=proto,
                            cost_plus_1=cost1, converged=cost1 <= TARGET_TOL and slope > 0.0,
                            extras={"omega": w, "ratio": _R_FACE, "residual": root.fun,
@@ -360,13 +354,14 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     Nocedal & Wright, Numerical Optimization, ch. 15), and it is taken from
     the 2x2 or 3x3 Gram matrix of the free columns (``_active_set_step``),
     not from an SVD of the m x n Jacobian.  Each iterate is
-    propagated once (``pmp.unitary_and_jacobian``): C + 1 comes from
-    the prefix scan's up-sweep through ``CostSpec.value``, with the bits of
-    ``total_unitary``, and the down-sweep and the Jacobian only while
-    C + 1 > ``tol``.  Raises RuntimeError when a step does not lower
-    C + 1, as below the bang-bang minimum T*, when no cell is left free, or
-    when ``max_iter`` steps do not reach ``tol``.  ``n_eval`` of the
-    returned result counts the evaluations of C.
+    propagated once (``pmp.unitary_and_jacobian``): C + 1 = |F|^2 comes
+    from the prefix scan's up-sweep through ``CostSpec.gap``, and the
+    down-sweep and the Jacobian only while |F|^2 > ``tol``.  The stop test,
+    the stall test and the returned ``fun`` all read |F|^2, as
+    ``optim.gauss_newton``'s ``fun`` does.  Raises RuntimeError when a step
+    does not lower |F|^2, as below the bang-bang minimum T*, when no cell is
+    left free, or when ``max_iter`` steps do not reach ``tol``.  ``n_eval``
+    of the returned result counts the evaluations of |F|^2.
     """
     params = problem.params
     u_max = params.u_max
@@ -376,18 +371,18 @@ def project_to_gate(values: np.ndarray, T: float, problem: GateProblem,
     for n_eval in range(1, max_iter + 2):
         proto = Sampled(T, u_max, u)
         U, jacobian = pmp.unitary_and_jacobian(proto, params, cost)
-        c = cost.value(U)
-        if c + 1.0 <= tol:
-            return proto, optim.OptimResult(x=u, fun=c, status="converged", n_eval=n_eval)
-        if c >= best or n_eval > max_iter:
+        gap = float(cost.gap(U[0, 0], U[1, 0]))
+        if gap <= tol:
+            return proto, optim.OptimResult(x=u, fun=gap, status="converged", n_eval=n_eval)
+        if gap >= best or n_eval > max_iter:
             break
-        best = c
+        best = gap
         step = _active_set_step(u, cost.rows(U[0, 0], U[1, 0]), jacobian(), u_max)
         if step is None:
             break
         u = np.clip(u + step, -u_max, u_max)
     raise RuntimeError(
-        f"projection onto the perfect-gate set stalled at C+1 = {c + 1.0:.3e}; "
+        f"projection onto the perfect-gate set stalled at C+1 = {gap:.3e}; "
         "the evolution time is probably below the bang-bang minimum T*")
 
 
@@ -480,9 +475,8 @@ def constrained_smooth_optimize(T: float, problem: GateProblem, n_t: int = 1000,
         proto, proj = project_to_gate(u_tilde, T, problem)
         steps += proj.n_eval - 1  # every evaluation but the last is followed by a step
         u_n = proto.values
-        c_gate1 = proj.fun + 1.0  # the projection's own C at its returned control
         c_obj = obj_cost(proto)
-        trace.append((it, c_obj, float(c_gate1)))
+        trace.append((it, c_obj, proj.fun))  # the projection's own C + 1 at its control
         if prev is not None and float(np.max(np.abs(u_n - prev))) <= params.u_max / 4000.0:
             converged = True
             break

@@ -31,9 +31,7 @@ from .dynamics import (
     ModelParams,
     cell_pairs,
     pair_product,
-    pair_state_prep_cost,
     state_from_bloch,
-    state_prep_cost,
 )
 from .pmp import CostSpec, OptimalityReport
 from .protocols import BangSequence
@@ -96,8 +94,8 @@ class SearchResult:
     values: tuple[float, ...]
     cost: float | None
     report: OptimalityReport | None
-    # |G|^2 of the winner at T* (cost + 1 for the closed-form BSB) and the
-    # Gauss-Newton steps of the lane that found it (0 for BSB)
+    # |G|^2 of the winner at T* (of its closed-form protocol for BSB) and
+    # the Gauss-Newton steps of the lane that found it (0 for BSB)
     residual: float | None
     solver_steps: int | None
     diagnostics: dict = field(default_factory=dict)
@@ -107,6 +105,11 @@ class SearchResult:
             raise ValueError("no protocol: search did not reach the target fidelity")
         return BangSequence(self.t_star, max(abs(v) for v in self.values),
                             self.switch_times, self.values)
+
+
+def _signed(structure: StructureLabel) -> str:
+    """A BB label with its leading sign, BB-k+ or BB-k-, as the diagnostics name it."""
+    return f"{structure}{'+' if structure.lead_sign > 0 else '-'}"
 
 
 def _bb_values(n_switch: int, lead_sign: int, u_max: float) -> np.ndarray:
@@ -141,14 +144,14 @@ def canonicalize_bangs(times, values, T: float):
     return switch_times, out_vals, label
 
 
-def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarray:
-    """State-prep costs of B bang sequences, one per row.
+def _bang_costs(times, T, values, cost: CostSpec, params: ModelParams) -> np.ndarray:
+    """C + 1 = |G|^2 (``cost.gap``) of B bang sequences, one per row.
 
     Row b switches at ``times[b]`` between the segment values ``values[b]``
     over [0, T[b]].  Unordered or out-of-range times are sorted and clipped
     into [0, T[b]] before the durations are taken.  A row with fewer
     switchings is padded at the end with times at T[b]: its padded segments
-    last zero time, are exact identities, and leave the row's cost bit for
+    last zero time, are exact identities, and leave the row's |G|^2 bit for
     bit as it is unpadded.  The durations go through the Cayley-Klein pair
     kernel, cells first, as in ``_reduced_rows``.
     """
@@ -159,16 +162,13 @@ def _bang_costs(times, T, values, psi_i, psi_t, params: ModelParams) -> np.ndarr
     bounds = np.concatenate([np.zeros_like(T), times, T])
     durs = bounds[1:] - bounds[:-1]
     values = np.ascontiguousarray(np.asarray(values, dtype=float).T)
-    return pair_state_prep_cost(pair_product(cell_pairs(durs, values, params)),
-                                psi_i, psi_t)
+    return cost.gap(*pair_product(cell_pairs(durs, values, params)).T)
 
 
 def cost_of_switchings(times, values, T: float, problem: StatePrepProblem) -> float:
     """Terminal cost of a piecewise-constant protocol given interior switch times."""
-    psi_i, psi_t = problem.states()
-    return float(_bang_costs(np.asarray(times, dtype=float)[None], [T],
-                             np.asarray(values, dtype=float)[None], psi_i, psi_t,
-                             problem.params)[0])
+    (gap,) = _bang_costs([times], [T], [values], problem.cost_spec(), problem.params)
+    return float(gap) - 1.0
 
 
 def optimize_structure(structure: StructureLabel, T: float, problem: StatePrepProblem,
@@ -364,7 +364,7 @@ def _reduced_rows(lane_T, lane_k, lane_values, cost: CostSpec, params: ModelPara
     values ``lane_values[l]``, padded at the end to one more than the
     largest k.  A row's switch times are its ``_equal_bangs`` times padded
     with T, and the durations go through the pair kernel of ``_bang_costs``,
-    so |F|^2 agrees with that cost plus one to rounding.  The scan's box
+    so |F|^2 agrees with its |G|^2 to rounding.  The scan's box
     keeps t0 >= 0 and tbar >= 1e-9, so t0 + j tbar already rises with j and
     clipping at T keeps it rising, and the durations need no sort.  The
     values are lane constants made once here, stored cells first like the
@@ -477,7 +477,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     audits its own protocol at T* (``pmp.certified_audit``), on the costate
     of the endpoint rows (Re G, Im G).  Ties break toward fewer switchings.
     ``residual`` is the winner's |G|^2 at T* and ``solver_steps`` its lane's
-    steps (cost + 1 and 0 for BSB).
+    steps (for BSB, |G|^2 of its closed-form protocol and 0); ``cost`` is
+    that protocol's |G|^2 - 1, from ``CostSpec.gap`` like every terminal
+    cost here.
 
     A hit stops refining once its bracket's low end lies at least a
     resolution above the earliest hit of any structure, or above the BSB
@@ -487,7 +489,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     bit it has with all hits refined.  ``diagnostics["candidates"]`` holds
     the (refined time, label) of each structure refined to the end and of
     BSB, and ``diagnostics["pruned"]`` the (last hit time, label) of each
-    that stopped early, an upper bound on its minimum time.
+    that stopped early, an upper bound on its minimum time.  Their BB labels
+    carry the leading sign, BB-k+ or BB-k-, since both signs of one k can
+    hit; ``structure`` and ``str(StructureLabel)`` stay BB-k.
     ``diagnostics["stalled_misses"]`` counts the scan and bisection misses
     whose best lane used up its Gauss-Newton steps ('max-iter') rather than
     stalling: such a miss may be a slow solve rather than a time too short.
@@ -509,8 +513,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         t_max = np.pi + np.pi / params.u_max
     elif not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    psi_i, psi_t = problem.states()
-    if state_prep_cost(np.eye(2), psi_i, psi_t) <= -1.0 + TARGET_TOL:
+    spec = problem.cost_spec()
+    if spec.gap(1.0, 0.0) <= TARGET_TOL:  # the identity's pair
         raise ValueError("the initial state already meets the target (T* = 0)")
     coarse_step = 0.25 * np.pi
     resolution = 1e-3 * np.pi
@@ -523,9 +527,10 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     bsb = best_bsb(problem) if want_bsb else None
     bsb_T = bsb["T"] if bsb is not None else np.inf
     if bsb is not None:
-        proto = _bsb_protocol(bsb, params)
-        c = cost_of_switchings(proto.switch_times, proto.values, proto.T, problem)
-        if c > -1.0 + TARGET_TOL:  # construction must be self-consistent
+        bsb_proto = _bsb_protocol(bsb, params)
+        (bsb_gap,) = _bang_costs([bsb_proto.switch_times], [bsb_T], [bsb_proto.values], spec,
+                                 params)
+        if bsb_gap > TARGET_TOL:  # construction must be self-consistent
             bsb, bsb_T = None, np.inf
 
     warm: dict = {}
@@ -590,7 +595,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
                     stalled += r.status == "max-iter"
         for i, ((s, _), t_hi, r) in enumerate(zip(found, hi, best)):
             if i in dropped:
-                pruned.append((t_hi, str(s)))
+                pruned.append((t_hi, _signed(s)))
                 continue
             _, _, eff = canonicalize_bangs(_reduced_to_times(r.x, s, t_hi),
                                            _bb_values(s.n_switch, s.lead_sign, params.u_max),
@@ -614,14 +619,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     t_star, _, _, s_win, win = near[0]
 
     if s_win is None:  # BSB wins
-        cand = win
-        structure = StructureLabel("bsb", 2, cand["s1"])
-        proto = _bsb_protocol(cand, params)
-        times = np.asarray(proto.switch_times)
-        values = proto.values
-        cost = cost_of_switchings(times, values, t_star, problem)
-        residual, solver_steps = cost + 1.0, 0
-        diag = {"singular_duration": cand["coast"], "bsb": dict(cand)}
+        structure = StructureLabel("bsb", 2, win["s1"])
+        proto = bsb_proto
+        times, values = np.asarray(proto.switch_times), proto.values
+        residual, solver_steps = bsb_gap, 0
+        cost = float(bsb_gap) - 1.0
+        diag = {"singular_duration": win["coast"], "bsb": dict(win)}
     else:
         times = _reduced_to_times(win.x, s_win, t_star)
         values = _bb_values(s_win.n_switch, s_win.lead_sign, params.u_max)
@@ -633,12 +636,12 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     diag["t_max"] = t_max
     diag["stalled_misses"] = stalled
     diag["speed_limit_skips"] = skips
-    diag["candidates"] = [(c[0], "BSB" if c[3] is None else str(c[3])) for c in candidates]
+    diag["candidates"] = [(c[0], "BSB" if c[3] is None else _signed(c[3])) for c in candidates]
     diag["pruned"] = pruned
 
     report = None
     if with_report:
-        report = (pmp.certified_audit(proto, params, problem.cost_spec()) if s_win is None
+        report = (pmp.certified_audit(proto, params, spec) if s_win is None
                   else report_near_optimum(structure, t_star, times, problem))
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
                         tuple(float(v) for v in values), float(cost), report,

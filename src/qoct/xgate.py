@@ -24,12 +24,11 @@ from . import pmp
 from .dynamics import (
     ModelParams,
     cell_pairs,
-    gate_cost,
     pair_matrix,
     pair_product,
     rabi_pi_time,
     rabi_protocol,
-    total_unitary,
+    total_pairs,
 )
 from .optim import ROOT_TOL, dip_roots, refine_basins
 from .pmp import CostSpec, OptimalityReport
@@ -101,8 +100,8 @@ def one_param_cost(omega_eff, T: float, problem: GateProblem,
     """
     w = np.asarray(omega_eff, dtype=float)
     X = np.column_stack(np.broadcast_arrays(T, w.reshape(-1)))
-    U = pair_matrix(_square_wave_pairs(X, problem, sign, parity))
-    return gate_cost(U.reshape(w.shape + (2, 2)), problem.kind)
+    ab = _square_wave_pairs(X, problem, sign, parity).reshape(w.shape + (2,))
+    return problem.cost_spec().gap(ab[..., 0], ab[..., 1]) - 1.0
 
 
 def _su2_power(ab: np.ndarray, m) -> np.ndarray:
@@ -264,21 +263,22 @@ def asymptotic_ratio_model(u_max: float, kind: str = "x") -> dict:
         vals = np.array([-u_max, u_max])
     block = pair_product(cell_pairs(durs, vals, params))
     ns = np.arange(1, int(np.ceil(np.pi / (4.0 * u_max) * 1.5)) + 5)
-    costs = gate_cost(pair_matrix(_su2_power(np.broadcast_to(block, ns.shape + (2,)), ns)), kind)
-    hits = np.flatnonzero(costs + 1.0 <= 1e-3 * u_max)
+    powers = _su2_power(np.broadcast_to(block, ns.shape + (2,)), ns)
+    gaps = CostSpec(kind).gap(powers[:, 0], powers[:, 1])
+    hits = np.flatnonzero(gaps <= 1e-3 * u_max)
     met = hits.size > 0
-    k = int(hits[0]) if met else int(np.argmin(costs))
+    k = int(hits[0]) if met else int(np.argmin(gaps))
     n = int(ns[k])
     t_rabi = np.pi / u_max
-    return {"n_periods": n, "ratio": n * t0 / t_rabi, "cost": float(costs[k]),
+    return {"n_periods": n, "ratio": n * t0 / t_rabi, "cost": float(gaps[k] - 1.0),
             "met_threshold": met, "block": pair_matrix(block)}
 
 
 def rabi_fidelity_curve(u_values) -> list[tuple[float, float]]:
-    """Full-dynamics C_X + 1 of the resonant Rabi pi-pulse over an amplitude grid."""
+    """Full-dynamics C_X + 1 = |F|^2 of the resonant Rabi pi-pulse over an amplitude grid."""
     out = []
     for u in np.asarray(u_values, dtype=float):
         params = ModelParams(u_max=float(u))
-        U = total_unitary(rabi_protocol(params), params)
-        out.append((float(u), float(gate_cost(U, "x") + 1.0)))
+        a, b = total_pairs([rabi_protocol(params)], params)[0]
+        out.append((float(u), float(CostSpec("x").gap(a, b))))
     return out

@@ -24,7 +24,6 @@ from qoct.dynamics import (
     pair_matrix,
     pair_prefixes,
     pair_product,
-    pair_state_prep_cost,
     prefix_states,
     propagate,
     rabi_pi_time,
@@ -37,6 +36,7 @@ from qoct.dynamics import (
     total_pairs,
     total_unitary,
 )
+from qoct.pmp import CostSpec
 from qoct.protocols import (
     BangSequence,
     TanhProtocol,
@@ -369,6 +369,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("lanes", [(), (1,), (60,), (3, 4)])
     def test_pair_cost_equals_matrix_cost_bitwise(self, lanes):
+        # the state-prep C + 1 = |G|^2 of a stack of product pairs has the bits
+        # of each pair's alone, as a one-pair stack (numpy's complex product of
+        # two 0-d scalars may round otherwise than its array loop), and C
+        # agrees with the matrix's overlap
         rng = np.random.default_rng(len(lanes))
         shape = (9,) + lanes
         pairs = cell_pairs(rng.uniform(0.0, 6.0, shape), rng.uniform(-0.5, 0.5, shape), P05)
@@ -376,15 +380,18 @@ class TestPairKernel:
         a, b = ab[..., 0], ab[..., 1]
         psi_i = state_from_bloch(BlochPoint(0.7 * np.pi, 0.0))
         psi_t = state_from_bloch(BlochPoint(0.35 * np.pi, np.pi))
+        cost = CostSpec("sp", init=psi_i, target=psi_t)
+        gap = cost.gap(a, b)
+        assert np.shape(gap) == lanes
+        a1, b1 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
+        alone = [cost.gap(x, y)[0] for x, y in zip(a1, b1)]
+        assert np.ravel(gap).tobytes() == np.array(alone).tobytes()
         U = np.empty(lanes + (2, 2), dtype=complex)
         U[..., 0, 0], U[..., 1, 0] = a, b
         U[..., 0, 1], U[..., 1, 1] = -np.conjugate(b), np.conjugate(a)
-        pair = pair_state_prep_cost(ab, psi_i, psi_t)
-        assert np.shape(pair) == lanes
-        assert np.asarray(pair).tobytes() == np.asarray(state_prep_cost(U, psi_i, psi_t)).tobytes()
         matmul = U @ psi_i  # an independent reference: the complex overlap
         ref = -np.abs(np.sum(np.conjugate(psi_t) * matmul, axis=-1)) ** 2
-        np.testing.assert_allclose(pair, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
+        np.testing.assert_allclose(gap - 1.0, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
 
 
 class TestSegmentDerivatives:

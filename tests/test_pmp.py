@@ -14,6 +14,7 @@ from qoct.dynamics import (
     ModelParams,
     gate_cost,
     pair_apply,
+    pair_matrix,
     propagate,
     state_from_bloch,
     state_prep_cost,
@@ -178,6 +179,13 @@ class TestGradientOracle:
         ref = terminal_cost(U, cost.kind, cost.init, cost.target)
         assert abs(c0 - ref) < 1e-12
         assert abs(cost.value(U) - ref) < 1e-12
+        # C + 1 = |F|^2 on random SU(2) pairs, against the matrix formula
+        x = np.random.default_rng(11).standard_normal((500, 4))
+        ab = (x / np.linalg.norm(x, axis=1, keepdims=True)).view(complex)
+        gap = cost.gap(ab[:, 0], ab[:, 1])
+        ref = terminal_cost(pair_matrix(ab), cost.kind, cost.init, cost.target) + 1.0
+        assert gap.shape == (500,)
+        np.testing.assert_allclose(gap, ref, rtol=0.0, atol=1e-15)
 
     def test_state_prep_value_not_below_minus_one(self):
         # a final state e^(ig) |target> overlaps the target perfectly, and the

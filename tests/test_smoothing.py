@@ -12,6 +12,9 @@ from qoct.dynamics import (
     TARGET_TOL,
     ModelParams,
     gate_cost,
+    propagation_cells,
+    rabi_protocol,
+    total_pairs,
     total_unitary,
 )
 from qoct.protocols import (
@@ -38,7 +41,7 @@ from qoct.smoothing import (
     smoothness_gradient,
     tanh_protocol,
 )
-from qoct.xgate import GateProblem, min_gate_time, one_param_protocol
+from qoct.xgate import GateProblem, min_gate_time, one_param_protocol, rabi_fidelity_curve
 
 X02 = GateProblem("x", ModelParams(u_max=0.2))
 T_RABI_02 = np.pi / 0.2
@@ -388,8 +391,9 @@ class TestProjection:
 
     @pytest.mark.parametrize("n_t", [401, 1000])
     def test_every_iterate_cost_has_the_bits_of_total_unitary(self, n_t, monkeypatch):
-        # C comes from the prefix scan's up-sweep; on every iterate it must be
-        # C of total_unitary bit for bit, so no stop or stall decision moves
+        # C + 1 = |F|^2 comes from the prefix scan's up-sweep; on every iterate
+        # it must be cost.gap of total_pairs bit for bit, so no stop or stall
+        # decision moves
         seen = []
         scan = pmp.unitary_and_jacobian
 
@@ -407,11 +411,12 @@ class TestProjection:
         projected, info = project_to_gate(vals, T, X02, tol=1e-8)
         assert len(seen) == info.n_eval >= 3
         assert seen[-1][0] is projected
+        cost = X02.cost_spec()
         for proto, U in seen:
-            ref = total_unitary(proto, X02.params)
-            assert U.tobytes() == ref.tobytes()
-            assert float(gate_cost(U, "x")).hex() == float(gate_cost(ref, "x")).hex()
-        assert info.fun == float(gate_cost(total_unitary(projected, X02.params), "x"))
+            (a, b), = total_pairs([proto], X02.params)
+            assert U[:, 0].tobytes() == np.array([a, b]).tobytes()
+            assert float(cost.gap(U[0, 0], U[1, 0])).hex() == float(cost.gap(a, b)).hex()
+        assert info.fun == float(cost.gap(*total_pairs([projected], X02.params)[0]))
 
     @pytest.mark.parametrize("kind, n, share", [
         ("x", 1000, 0.0), ("pt", 1000, 0.0), ("x", 1000, 0.4), ("pt", 1000, 0.4),
@@ -638,6 +643,49 @@ def _long_double_lines(rel, T: float, n_max: int) -> np.ndarray:
         im = -np.sum(rel * (c[:-1] - c[1:])) / w
         out[n - 1] = complex(float(re), float(im))
     return out
+
+
+def _long_double_x_gap(durs, vals, omega0: float = 2.0) -> float:
+    """C_X + 1 = |a|^2 + (Re b)^2 of the product of closed-form cells, in np.longdouble.
+
+    Cell k is [[a, -b*], [b, a*]] with a = cos(W d) - i h sin(W d)/W and
+    b = -i u sin(W d)/W, h = omega0/2 and W = sqrt(h^2 + u^2), formed from
+    the float64 inputs in extended precision and multiplied by a pairwise
+    tree, cell 0 acting first.
+    """
+    d = np.asarray(durs, dtype=np.longdouble)
+    u = np.asarray(vals, dtype=np.longdouble)
+    h = np.longdouble(omega0) / 2
+    w = np.sqrt(h * h + u * u)
+    c, s = np.cos(w * d), np.sin(w * d) / w
+    a = np.empty(d.shape, dtype=np.clongdouble)
+    b = np.empty(d.shape, dtype=np.clongdouble)
+    a.real, a.imag = c, -h * s
+    b.real, b.imag = 0, -u * s
+    while len(a) > 1:
+        m = len(a) - len(a) % 2
+        a0, b0, a1, b1 = a[0:m:2], b[0:m:2], a[1:m:2], b[1:m:2]
+        na, nb = a1 * a0 - np.conjugate(b1) * b0, b1 * a0 + np.conjugate(a1) * b0
+        a, b = np.concatenate([na, a[m:]]), np.concatenate([nb, b[m:]])
+    return float(a[0].real ** 2 + a[0].imag ** 2 + b[0].real ** 2)
+
+
+class TestCostAgainstLongDouble:
+    """A reported C + 1 agrees with an extended-precision product of the same cells."""
+
+    def test_constrained_pulse(self):
+        run = constrained_smooth_optimize(0.9 * T_RABI_02, X02, n_t=1000, initial="rabi")
+        p = run.protocol
+        ref = _long_double_x_gap(np.full(p.n_t, p.dt), p.values)
+        assert abs(run.cost_plus_1 - ref) <= 1e-5 * ref + 1e-18, (run.cost_plus_1, ref)
+
+    def test_rabi_pulse_at_small_amplitude(self):
+        # 20,000 Magnus cells
+        params = ModelParams(u_max=0.01)
+        durs, vals = propagation_cells(rabi_protocol(params))
+        ref = _long_double_x_gap(durs, vals)
+        ((u, value),) = rabi_fidelity_curve([0.01])
+        assert abs(value - ref) <= 1e-5 * ref + 1e-18, (value, ref)
 
 
 class TestPerturbativeAmplitude:

@@ -15,7 +15,6 @@ from qoct.dynamics import (
     propagate,
     segment_propagators,
     state_from_bloch,
-    state_prep_cost,
 )
 from qoct import optim, state_prep
 from qoct.optim import golden_section
@@ -104,8 +103,8 @@ class TestBangKernel:
            st.floats(-3.0, 3.0))
     def test_padded_lanes_equal_scalar_path(self, lanes, extra, u_max, th_i, th_t, ph):
         params = ModelParams(u_max=u_max)
-        psi_i = state_from_bloch(BlochPoint(th_i, 0.0))
-        psi_t = state_from_bloch(BlochPoint(th_t, ph))
+        cost = CostSpec("sp", init=state_from_bloch(BlochPoint(th_i, 0.0)),
+                        target=state_from_bloch(BlochPoint(th_t, ph)))
         K = max(k for k, *_ in lanes) + extra  # padding beyond the longest lane too
         times = np.empty((len(lanes), K))
         values = np.empty((len(lanes), K + 1))
@@ -118,11 +117,13 @@ class TestBangKernel:
             bounds = np.concatenate([[0.0], np.sort(t.clip(0.0, T)), [T]])
             U = ordered_product(segment_propagators(np.diff(bounds), v, params))
             units.append(U)
-            refs.append(state_prep_cost(U, psi_i, psi_t))
+            # the unpadded lane alone, as a one-pair stack
+            refs.append(cost.gap(U[None, 0, 0], U[None, 1, 0])[0])
         Ts = [T for _, T, _, _ in lanes]
-        costs = _bang_costs(times, Ts, values, psi_i, psi_t, params)
-        assert costs.tolist() == refs
-        stacked = state_prep_cost(np.array(units), psi_i, psi_t)
+        gaps = _bang_costs(times, Ts, values, cost, params)
+        assert gaps.tolist() == refs
+        units = np.array(units)
+        stacked = cost.gap(units[:, 0, 0], units[:, 1, 0])
         assert stacked.shape == (len(lanes),) and stacked.tolist() == refs
 
     @settings(max_examples=150, deadline=None)
@@ -131,7 +132,7 @@ class TestBangKernel:
            st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
     @example(lanes=[(6, False, 10.0, 0.9, 1.0), (3, False, 4.0, 0.0, 0.0)], one_dim=False,
              u_max=0.104, th_i=0.7 * np.pi, th_t=0.35 * np.pi, ph=np.pi, seed=0)
-    # |G|^2 - (cost + 1) reached 2.1e-15 here, the norm's own drift from 1
+    # the product of this lane's cells drifts 2.1e-15 from unit norm
     @example(lanes=[(1, False, 1.0, 0.0, 0.0)] * 8
              + [(8, False, 7.840786318715502, 0.96875, 5.960464477539063e-08)],
              one_dim=False, u_max=1.05, th_i=1.0, th_t=1.0, ph=0.0, seed=0)
@@ -168,15 +169,8 @@ class TestBangKernel:
         for r, lane in enumerate(rows):
             k = lane_k[lane]
             times[r, :k] = X[r, 0] + X[r, 1] * np.arange(k) if k > 1 else X[r, 0]
-        ref = _bang_costs(times, lane_T[rows], lane_values[rows], psi_i, psi_t, params)
-        # with F = -cost, |G|^2 + F is the squared norm of U psi_i, which is
-        # |a|^2 + |b|^2 of the product pair: the product drifts a few ulp
-        # from unit norm as cells are added, and F and |G|^2 share that drift
-        T = lane_T[rows][None]
-        bounds = np.concatenate([np.zeros_like(T), np.sort(times.T.clip(0.0, T), axis=0), T])
-        ab = pair_product(cell_pairs(bounds[1:] - bounds[:-1], lane_values[rows].T, params))
-        norm = (ab.real ** 2 + ab.imag ** 2).sum(axis=-1)
-        np.testing.assert_allclose((G * G).sum(axis=1) - ref, norm, rtol=0.0, atol=2e-15)
+        ref = _bang_costs(times, lane_T[rows], lane_values[rows], cost, params)
+        np.testing.assert_allclose((G * G).sum(axis=1), ref, rtol=0.0, atol=2e-15)
 
 
 class TestScanLanes:
@@ -734,7 +728,8 @@ def winning_lane(problem, monkeypatch):
 class TestPruning:
     """The bisection stops refining a hit once its bracket starts a resolution above the best."""
 
-    @pytest.mark.parametrize("u", [0.104, 0.35, 0.5, 0.85])
+    # at 0.852785 both leading signs of BB-3 stop refining, at different times
+    @pytest.mark.parametrize("u", [0.104, 0.35, 0.5, 0.85, 0.852785])
     def test_no_structure_refines_once_it_cannot_win(self, u, monkeypatch):
         calls = []
         scan = state_prep._scan_optima
@@ -766,11 +761,14 @@ class TestPruning:
                     lo[s] = T
         best_T = min(t for t, _ in res.diagnostics["candidates"])
         assert res.diagnostics["pruned"]
+        signed = {f"BB-{s.n_switch}{'+' if s.lead_sign > 0 else '-'}": s for s in hits}
+        labels = [label for _, label in res.diagnostics["pruned"]]
+        assert len(set(labels)) == len(labels)
         for t, label in res.diagnostics["pruned"]:
-            # a hit of that label last hit at t (both leading signs may have);
+            # the structure of that label and leading sign last hit at t;
             # its refined time would lie above lo, outside the tie set
-            assert any(lo[s] >= best_T + resolution for s, h in hits.items()
-                       if str(s) == label and min(h) == t), (t, label)
+            s = signed[label]
+            assert min(hits[s]) == t and lo[s] >= best_T + resolution, (t, label)
         # the candidates and the pruned hits are every hit structure, once
         assert len(res.diagnostics["candidates"]) + len(res.diagnostics["pruned"]) == \
             len(hits) + (bsb_T < np.inf)
