@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qoct import optim, smoothing, xgate
+from qoct import optim, pmp, smoothing, xgate
 from qoct.cli import _angle, main
 from qoct.dynamics import TARGET_TOL, ModelParams, rabi_protocol
 from qoct.fileio import (
@@ -113,11 +114,14 @@ class TestFileIO:
                                       "0,0.1\n0.1,\uff11\n0.2,0.1\n",
                                       "0,0.1\n#c\n0.1,0.2\n0.2,0.1\n",
                                       "0,0.1\n0.1,0.2 # c\n0.2,0.1\n",
-                                      "0,0.1\n\x1f0.1,0.2\n0.2,0.1\n"],
+                                      "0,0.1\n\x1f0.1,0.2\n0.2,0.1\n",
+                                      "0,0.1\n\x1e0.1,0.2\n0.2,0.1\n",
+                                      "0,0.1\n0.1,0.2\x1c\n0.2,0.1\n"],
                              ids=["one column", "three columns", "non-numeric",
                                   "one and three columns", "three columns everywhere",
                                   "underscore digit group", "non-ASCII digit",
-                                  "comment row", "trailing comment", "unit separator padding"])
+                                  "comment row", "trailing comment", "unit separator padding",
+                                  "record separator padding", "file separator padding"])
     def test_reader_rejects_malformed_row(self, tmp_path, body):
         p = tmp_path / "x.csv"
         p.write_text("t,u\n" + body, encoding="utf-8")
@@ -128,11 +132,45 @@ class TestFileIO:
         # empty, ASCII and Unicode whitespace lines are dropped anywhere, CRLF
         # ends are lines, and rows may start or end with spaces
         p = tmp_path / "x.csv"
-        p.write_text("\n \t\nt,u\r\n0,0.1\n\xa0\n 0.1, 0.2 \n\u3000\n\x1f\n0.2,0.3\n\n",
-                     encoding="utf-8", newline="")
+        p.write_text("\n \t\nt,u\r\n0,0.1\n\xa0\n 0.1, 0.2 \n\u3000\n\x1f\n\x0c\x1e\u2028\n"
+                     "0.2,0.3\n\n", encoding="utf-8", newline="")
         t, u = read_pulse_csv(p)
         np.testing.assert_array_equal(t, [0.0, 0.1, 0.2])
         np.testing.assert_array_equal(u, [0.1, 0.2, 0.3])
+
+    # str.splitlines ends a line at each of these; a pulse file's rows end
+    # only at LF or CRLF, so a row holding one is malformed, not two rows
+    @pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_reader_splits_rows_only_at_line_feeds(self, tmp_path, sep):
+        p = tmp_path / "x.csv"
+        p.write_text(f"t,u\n0,0.1{sep}0.5,0.1\n1,0.1\n", encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match="malformed"):
+            read_pulse_csv(p)
+
+    def test_reader_peaks_below_the_audit_of_its_pulse(self, tmp_path):
+        # qoct verify reads a pulse and audits it: reading must not set the
+        # command's memory peak, so it holds no per-line list of the file
+        n = 100_003
+        T = np.pi / 0.19
+        mids = (np.arange(n) + 0.5) * (T / n)
+        path = write_rows(tmp_path / "rabi.csv", np.arange(n) * (T / n),
+                          0.19 * np.cos(2.0 * (mids - T / 2.0)))
+        params = ModelParams(u_max=0.2)
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                out = f()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (t, u), read_peak = peak(lambda: read_pulse_csv(path))
+        assert len(t) == n
+        pulse = sampled_from_pulse(t, u, params.u_max)
+        _, audit_peak = peak(lambda: pmp.audit(pulse, params, pmp.CostSpec("x")))
+        assert read_peak < audit_peak, (read_peak, audit_peak)
 
     def test_json_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
