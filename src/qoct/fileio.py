@@ -6,6 +6,7 @@ configuration produce byte-identical files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -103,30 +104,50 @@ def write_pulse_csv(path, protocol: Protocol) -> Path:
     return write_csv(path, ["t", "u"], np.column_stack((times, vals)))
 
 
+def _rows(lines):
+    """The lines of ``lines`` that hold more than whitespace, each with its line end.
+
+    np.loadtxt strips U+001C-U+001F around a cell as whitespace, and float
+    refuses them: a line holding one raises ValueError.
+    """
+    for line in lines:
+        if line.isspace():
+            continue
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError
+        yield line
+
+
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read and validate a `t,u` pulse file.
 
-    Blank and whitespace-only lines are skipped wherever they are.  The
-    first line left must be the header `t,u` (spaces ignored), and at least
-    two rows must follow, each of exactly two numeric cells as ``np.loadtxt``
-    reads them: comment lines, underscore digit groups and non-ASCII digits
-    are malformed.  The values must be finite and the times strictly
-    increasing and uniform from zero.  Raises ValueError on malformed input.
+    Lines end only at LF or CRLF.  Blank and whitespace-only lines are
+    skipped wherever they are.  The first line left must be the header
+    `t,u` (spaces ignored), and at least two rows must follow, each of
+    exactly two numeric cells as ``np.loadtxt`` reads them: comment lines,
+    underscore digit groups, non-ASCII digits, the separators U+001C-U+001F
+    and any other line break within a row are malformed.  The values must be
+    finite and the times strictly increasing and uniform from zero.  The
+    file is read line by line into ``np.loadtxt``, never whole.  Raises
+    ValueError on malformed input.
     """
     path = Path(path)
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    if not lines or lines[0].strip().replace(" ", "") != "t,u":
-        raise ValueError(f"{path}: expected header 't,u'")
-    rows = lines[1:]
-    if len(rows) < 2:
+    with path.open(newline="\n") as lines:
+        header = next((line for line in lines if not line.isspace()), "")
+        if header.strip().replace(" ", "") != "t,u":
+            raise ValueError(f"{path}: expected header 't,u'")
+        rows = _rows(lines)
+        try:
+            first = list(itertools.islice(rows, 2))
+            if len(first) == 2:
+                data = np.loadtxt(itertools.chain(first, rows), delimiter=",", comments=None,
+                                  ndmin=2)
+                if data.shape[1] != 2:
+                    raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: malformed row, expected two numeric columns 't,u'") from None
+    if len(first) < 2:
         raise ValueError(f"{path}: need at least two 't,u' rows")
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        # np.loadtxt strips U+001F around a cell as whitespace; float refuses it
-        if data.shape[1] != 2 or "\x1f" in "".join(rows):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{path}: malformed row, expected two numeric columns 't,u'") from None
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value in 't,u' rows")
     t, u = data[:, 0], data[:, 1]
