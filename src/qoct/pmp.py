@@ -98,8 +98,16 @@ class CostSpec:
         object.__setattr__(self, "kind", kind)
         if kind not in ("sp", "x", "y", "pt"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if kind == "sp" and (self.init is None or self.target is None):
-            raise ValueError("state-prep cost needs init and target states")
+        if kind == "sp":
+            if self.init is None or self.target is None:
+                raise ValueError("state-prep cost needs init and target states")
+            # G = c_a a + c_a' a* + c_b b + c_b' b*, as the real coefficients of
+            # (Re a, Im a, Re b, Im b) in Re G and in Im G
+            (i0, i1), (t0, t1) = (np.asarray(v, dtype=complex) for v in (self.init, self.target))
+            ca, cac, cb, cbc = -t1 * i0, t0 * i1, t0 * i0, t1 * i1
+            object.__setattr__(self, "_sp_coefficients", tuple(float(c) for c in (
+                ca.real + cac.real, cac.imag - ca.imag, cb.real + cbc.real, cbc.imag - cb.imag,
+                ca.imag + cac.imag, ca.real - cac.real, cb.imag + cbc.imag, cb.real - cbc.real)))
 
     def initial_state(self) -> np.ndarray:
         """The state psi(0) that the rows read at T: |0> for a gate, ``init`` for state prep."""
@@ -129,12 +137,17 @@ class CostSpec:
         F is real-linear in (a, b), so on the pairs of dU/du it gives the
         rows' derivatives.  The rows are written out rather than taken as
         Re(E^H U psi(0)), which costs time and bits on the scans' stacks.
+        State preparation's (Re G, Im G) are real 4-term sums in (Re a,
+        Im a, Re b, Im b), one rounding per operation, so a pair has the same
+        rows alone, as numpy scalars, and in any stack.
         """
         if self.kind == "sp":
-            init, target = self.init, self.target
-            G = (target[0] * (b * init[0] + np.conjugate(a) * init[1])
-                 - target[1] * (a * init[0] - np.conjugate(b) * init[1]))
-            return np.asarray(G)[..., None].view(float)
+            p0, p1, p2, p3, q0, q1, q2, q3 = self._sp_coefficients
+            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+            F = np.empty(np.shape(a) + (2,))
+            F[..., 0] = (p0 * ar + p1 * ai) + (p2 * br + p3 * bi)
+            F[..., 1] = (q0 * ar + q1 * ai) + (q2 * br + q3 * bi)
+            return F
         if self.kind == "pt":
             return np.stack((a.real, a.imag), axis=-1)
         return np.stack((a.real, a.imag, b.real if self.kind == "x" else b.imag), axis=-1)

@@ -370,9 +370,10 @@ class TestPairKernel:
     @pytest.mark.parametrize("lanes", [(), (1,), (60,), (3, 4)])
     def test_pair_cost_equals_matrix_cost_bitwise(self, lanes):
         # the state-prep C + 1 = |G|^2 of a stack of product pairs has the bits
-        # of each pair's alone, as a one-pair stack (numpy's complex product of
-        # two 0-d scalars may round otherwise than its array loop), and C
-        # agrees with the matrix's overlap
+        # of each pair's alone, as a one-pair stack, as numpy scalars and as
+        # Python complex numbers (numpy's complex product of two 0-d scalars
+        # may round otherwise than its array loop, so G is formed in real
+        # arithmetic), and C agrees with the matrix's overlap
         rng = np.random.default_rng(len(lanes))
         shape = (9,) + lanes
         pairs = cell_pairs(rng.uniform(0.0, 6.0, shape), rng.uniform(-0.5, 0.5, shape), P05)
@@ -386,6 +387,10 @@ class TestPairKernel:
         a1, b1 = np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1))
         alone = [cost.gap(x, y)[0] for x, y in zip(a1, b1)]
         assert np.ravel(gap).tobytes() == np.array(alone).tobytes()
+        scalars = [cost.gap(x, y) for x, y in zip(np.ravel(a), np.ravel(b))]
+        assert np.ravel(gap).tobytes() == np.array(scalars).tobytes()
+        python = [cost.gap(complex(x), complex(y)) for x, y in zip(np.ravel(a), np.ravel(b))]
+        assert np.ravel(gap).tobytes() == np.array(python).tobytes()
         U = np.empty(lanes + (2, 2), dtype=complex)
         U[..., 0, 0], U[..., 1, 0] = a, b
         U[..., 0, 1], U[..., 1, 1] = -np.conjugate(b), np.conjugate(a)

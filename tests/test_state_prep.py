@@ -801,15 +801,15 @@ class TestBenchmarkCentres:
 
     PINS = {
         0.104: (10.799224746714913, "BB-6",
-                (0.8037164405702797, 2.5441584484232482, 4.284600456276217,
-                 6.025042464129186, 7.7654844719821545, 9.505926479835125),
+                (0.8037164407658515, 2.544158449224342, 4.284600457682833,
+                 6.025042466141324, 7.765484474599814, 9.505926483058305),
                 368, 23994),
         0.16: (7.608544707912779, "BB-4",
-               (0.7165341385901809, 2.5234153018298464, 4.330296465069512,
-                6.137177628309177),
-               320, 19740),
+               (0.7165341385901782, 2.523415301829848, 4.330296465069518,
+                6.137177628309189),
+               320, 19743),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               164, 4560),
+               164, 4566),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
