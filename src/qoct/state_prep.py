@@ -3,9 +3,10 @@
 Candidate protocol structures are multi-bang sequences (BB-k, k switchings
 between +/-u_max) and bang-singular-bang (BSB), whose singular segment must
 ride the Bloch equator with u = 0.  The search scans the evolution time
-upward per structure until the terminal cost reaches -1, refines by
-bisection, and picks the structure with the smallest T*, breaking ties
-toward fewer switchings.  At a fixed T every BB structure is searched in
+upward per structure until the terminal cost reaches -1, refines each
+hit's minimum time by probes placed where the miss residual extrapolates to
+zero, and picks the structure with the smallest T*, breaking ties toward
+fewer switchings.  At a fixed T every BB structure is searched in
 at most two reduced coordinates: the equal-middle-bang form (t0, tbar) of
 a BB-k extremal, or the single switch time of BB-1.  Hit or miss at
 (structure, T) is a root solve of G = <t_perp| U |psi_i> = 0 in those
@@ -229,6 +230,8 @@ def _bloch_vec(psi: np.ndarray) -> np.ndarray:
 # the largest Bloch angle between a hit's final state and the target:
 # 1 - F = sin^2(angle / 2) <= TARGET_TOL
 _HIT_ANGLE = 2.0 * math.asin(math.sqrt(TARGET_TOL))
+# |G| at the hit threshold, the zero of the refinement's miss line
+_SQRT_TOL = math.sqrt(TARGET_TOL)
 
 
 def _speed_limit_excludes(problem: StatePrepProblem, T: float) -> bool:
@@ -322,7 +325,7 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 
 
 # drawn Gauss-Newton starts per structure at each time of the T* scan, the
-# bisection and the report, run besides the structure's warm start when it
+# refinement and the report, run besides the structure's warm start when it
 # has one; every structure draws the same uniforms of
 # np.random.default_rng(0), scaled to its box.  The
 # _GRID_SEEDS best points of a _GRID_SIDE x _GRID_SIDE grid over the box
@@ -461,17 +464,54 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     return out
 
 
+def _line_zero(misses) -> float | None:
+    """Where the line through a structure's two latest misses falls to zero, if it falls.
+
+    ``misses`` lists the misses (T, g) in ascending T, g = |G| -
+    sqrt(TARGET_TOL) of the structure's best lane at T.  Below its first hit
+    the best |G| falls about linearly in T, since G = 0 has a fold there, so
+    the zero estimates the first hit.  None with fewer than two misses or a
+    line that does not fall.
+    """
+    if len(misses) < 2:
+        return None
+    (t1, g1), (t2, g2) = misses[-2:]
+    return t2 + g2 * (t2 - t1) / (g1 - g2) if t1 < t2 and g1 > g2 else None
+
+
+def _probe_cells(lo: int, hi: int, zero: float | None) -> list[int]:
+    """The grid points, ascending, that one refinement call probes in a bracket (lo, hi).
+
+    The bracket and the probes are in whole cells of the refinement grid,
+    ``zero`` is ``_line_zero``'s estimate in the same units (None for no
+    estimate).  The probes are the two ends of the cell holding the
+    estimate, moved inside [lo, hi], and kept where they lie strictly
+    inside (lo, hi).  The midpoint, rounded down to a grid point, is probed
+    too whenever those would leave a sub-bracket wider than half of (lo, hi)
+    rounded up, so that every call at least halves the bracket, as bisection
+    does: with no estimate it is the one probe.
+    """
+    probes = []
+    if zero is not None:
+        k = math.floor(min(max(zero, lo), hi - 1))
+        probes = [j for j in (k, k + 1) if lo < j < hi]
+    edges = [lo, *probes, hi]
+    if max(b - a for a, b in zip(edges, edges[1:])) > (hi - lo + 1) // 2:
+        probes = sorted({*probes, (lo + hi) // 2})
+    return probes
+
+
 def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel] | None = None,
                       t_max: float | None = None, with_report: bool = True) -> SearchResult:
     """Smallest T reaching cost <= -1 + TARGET_TOL over candidate structures.
 
     BB structures are scanned on a shared T grid of step pi/4 (in the fast
     equal-middle-bang form, both leading signs) and every hit at the first
-    grid time that hits is refined by bisection to 1e-3 pi, the resolution;
-    the minimal BSB time comes from the closed-form equator
-    construction, validated by propagation; only BB structures are lane
-    searches, and with none asked for the scan runs no search.  A BB winner
-    is the bisection's best Gauss-Newton lane at T* as it is, and its
+    grid time that hits is refined to 1e-3 pi, the resolution; the minimal
+    BSB time comes from the closed-form equator construction, validated by
+    propagation; only BB structures are lane searches, and with none asked
+    for the scan runs no search.  A BB winner is the refinement's best
+    Gauss-Newton lane at T* as it is, and its
     optimality report is ``report_near_optimum``'s at 0.999 T*: a BB winner
     is a root above the fold, not an extremal.  The BSB winner's report
     audits its own protocol at T* (``pmp.certified_audit``), on the costate
@@ -480,6 +520,20 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     steps (for BSB, |G|^2 of its closed-form protocol and 0); ``cost`` is
     that protocol's |G|^2 - 1, from ``CostSpec.gap`` like every terminal
     cost here.
+
+    The refinement brackets each hit between the last coarse time that
+    missed and the hit, on one grid of 2^m equal cells no wider than the
+    resolution (the points bisection would probe), and stops when a
+    bracket is one cell.  Each call probes the two ends of the cell where
+    the line through the structure's two latest misses, in |G| -
+    sqrt(TARGET_TOL), falls to zero (``_line_zero``; coarse misses count),
+    and the midpoint too wherever that pair alone would not halve the
+    bracket (``_probe_cells``), so no structure takes more calls than
+    bisection would.  Below a structure's first hit its best |G| falls about
+    linearly in T, as G = 0 has a fold there, so the pair often closes the
+    bracket at once.  All structures' probes go into one ``_scan_optima``
+    call, each warm-started from its best hit scaled.  hi becomes the
+    lowest hit probe and lo the highest miss below it.
 
     A hit stops refining once its bracket's low end lies at least a
     resolution above the earliest hit of any structure, or above the BSB
@@ -492,10 +546,10 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     that stopped early, an upper bound on its minimum time.  Their BB labels
     carry the leading sign, BB-k+ or BB-k-, since both signs of one k can
     hit; ``structure`` and ``str(StructureLabel)`` stay BB-k.
-    ``diagnostics["stalled_misses"]`` counts the scan and bisection misses
+    ``diagnostics["stalled_misses"]`` counts the scan and refinement misses
     whose best lane used up its Gauss-Newton steps ('max-iter') rather than
     stalling: such a miss may be a slow solve rather than a time too short.
-    It counts the bisection steps of the structures still refined alone.
+    It counts the probes of the structures still refined alone.
 
     A grid time that the speed limit rules out counts as a miss without a
     search, and ``diagnostics["speed_limit_skips"]`` counts them.  In the
@@ -535,6 +589,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     warm: dict = {}
     hits: dict = {}
+    misses: dict = {}  # per structure, (T, |G| - sqrt(TARGET_TOL)) of its misses
     T_hit = None
     T_miss = 0.0  # the last coarse time that missed
     # misses decided by a best lane that ran out of Gauss-Newton steps
@@ -555,6 +610,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
                 if r.fun <= TARGET_TOL:
                     hits[key] = (s, r)
                 else:
+                    misses.setdefault(key, []).append((T, math.sqrt(r.fun) - _SQRT_TOL))
                     stalled += r.status == "max-iter"
         if hits or bsb_T <= T:
             T_hit = T
@@ -564,13 +620,23 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     candidates = []  # (t_star, effective n_switch, bsb_last, structure-or-None, payload)
     pruned = []  # (last hit time, label) of the hits that stopped refining
     if T_hit is not None:
-        # every hit bisects from the last coarse time that missed (on the
-        # grid, T_hit - coarse_step is that time with the bits it always had);
-        # the hits step together, each at its own midpoint
-        found = list(hits.values())
-        lo = [T_hit - coarse_step if T_hit == j * coarse_step else T_miss] * len(found)
-        hi = [T_hit] * len(found)
-        best = [r for _, r in found]
+        # every hit refines from the last coarse time that missed (on the
+        # grid, T_hit - coarse_step is that time with the bits it always had)
+        # on one grid: the fewest equal cells of that bracket, a power of two,
+        # no wider than the resolution, whose points are bisection's
+        # midpoints.  A bracket of one cell is one no wider than the
+        # resolution, and wider ones refine.  Brackets are in cells from lo0.
+        lo0 = T_hit - coarse_step if T_hit == j * coarse_step else T_miss
+        n_cells = 2 ** max(math.ceil(math.log2((T_hit - lo0) / resolution)), 0)
+        cell = (T_hit - lo0) / n_cells
+
+        def at(k):
+            return lo0 + k * cell
+
+        found = list(hits.items())
+        lo, hi = [0] * len(found), [n_cells] * len(found)
+        best = [r for _, (_, r) in found]
+        seen = [misses.get(key, []) for key, _ in found]
         steps, dropped = list(range(len(found))), []
         while True:
             # a hit whose bracket starts a resolution above the earliest hit
@@ -578,22 +644,32 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             # whenever it lies below T_hit) would refine to a time above
             # best T + resolution, outside the tie set: it stops refining
             # (the fathoming test of branch and bound)
-            bound = min([bsb_T, *hi]) + resolution
-            steps = [i for i in steps if hi[i] - lo[i] > resolution]
-            dropped += [i for i in steps if lo[i] >= bound]
-            if not (steps := [i for i in steps if lo[i] < bound]):
+            bound = min([bsb_T, *map(at, hi)]) + resolution
+            steps = [i for i in steps if hi[i] - lo[i] > 1]
+            dropped += [i for i in steps if at(lo[i]) >= bound]
+            if not (steps := [i for i in steps if at(lo[i]) < bound]):
                 break
-            mids = [0.5 * (lo[i] + hi[i]) for i in steps]
-            optima = _scan_optima([found[i][0] for i in steps], mids,
-                                  [best[i].x * (mid / hi[i]) for i, mid in zip(steps, mids)],
-                                  problem)
-            for i, mid, r in zip(steps, mids, optima):
-                if r.fun <= TARGET_TOL:
-                    hi[i], best[i] = mid, r
-                else:
-                    lo[i] = mid
+            # all hits' probes in one call, each warm-started from its best hit
+            probes = []
+            for i in steps:
+                t_e = _line_zero(seen[i])
+                probes += [(i, k) for k in _probe_cells(lo[i], hi[i],
+                                                        None if t_e is None else (t_e - lo0) / cell)]
+            optima = _scan_optima([found[i][1][0] for i, _ in probes], [at(k) for _, k in probes],
+                                  [best[i].x * (at(k) / at(hi[i])) for i, k in probes], problem)
+            # hi becomes a structure's lowest hit probe and lo the highest
+            # miss below it; its misses above that hit are not on its line
+            for (i, k), r in zip(probes, optima):
+                if r.fun <= TARGET_TOL and k < hi[i]:
+                    hi[i], best[i] = k, r
+            for (i, k), r in zip(probes, optima):
+                if r.fun > TARGET_TOL:
                     stalled += r.status == "max-iter"
-        for i, ((s, _), t_hi, r) in enumerate(zip(found, hi, best)):
+                    if k < hi[i]:
+                        lo[i] = max(lo[i], k)
+                        seen[i] = sorted([*seen[i], (at(k), math.sqrt(r.fun) - _SQRT_TOL)])
+        for i, ((_, (s, _)), r) in enumerate(zip(found, best)):
+            t_hi = at(hi[i])
             if i in dropped:
                 pruned.append((t_hi, _signed(s)))
                 continue

@@ -480,7 +480,7 @@ class TestCli:
             assert "seed" not in record and "seed" not in record["config"]
 
     def test_state_prep_hit_before_first_coarse_step(self, outdir, capsys):
-        # t_max = 0.2 < pi/4: the only coarse time hits, so the bisection
+        # t_max = 0.2 < pi/4: the only coarse time hits, so the refinement
         # bracket must start at 0 rather than at 0.2 - pi/4
         rc = main(["state-prep", "--theta-init=0", "--phi-init=0", "--theta-target=0.003",
                    "--phi-target=0", "--umax=0.2", "--tmax=0.2"])

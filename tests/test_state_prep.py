@@ -456,7 +456,7 @@ class TestFindTimeOptimal:
     @pytest.mark.parametrize("forced", ["max-iter", "stalled"])
     def test_stalled_misses_counted(self, forced, monkeypatch):
         # every lane is made to end with the forced status; a miss is a
-        # structure whose best scan or bisection residual stays above the target
+        # structure whose best scan or refinement residual stays above the target
         solve, scan = optim.gauss_newton, state_prep._scan_optima
         misses = []
 
@@ -674,7 +674,7 @@ def grid_oracle(problem, T):
 
 
 class TestGridOracle:
-    """No structure reaches the target 2e-3 pi before T*, twice the bisection's resolution."""
+    """No structure reaches the target 2e-3 pi before T*, twice the refinement's resolution."""
 
     @pytest.mark.parametrize("u", [0.104, 0.16, 0.85, 0.35, 0.11])
     def test_every_structure_misses_just_before_t_star(self, u, optima):
@@ -688,7 +688,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("u", [0.104, 0.16, 0.85, 0.35, 0.11])
     def test_winner_searched_alone_keeps_every_bit(self, u, monkeypatch):
         # a structure's lanes do not depend on the structures searched beside
-        # it, which is what lets the bisection stop refining the others
+        # it, which is what lets the refinement stop refining the others
         p = problem_at(u)
         res, lane = winning_lane(p, monkeypatch)
         alone = find_time_optimal(p, structures=[lane], with_report=False)
@@ -726,7 +726,7 @@ def winning_lane(problem, monkeypatch):
 
 
 class TestPruning:
-    """The bisection stops refining a hit once its bracket starts a resolution above the best."""
+    """The refinement stops refining a hit once its bracket starts a resolution above the best."""
 
     # at 0.852785 both leading signs of BB-3 stop refining, at different times
     @pytest.mark.parametrize("u", [0.104, 0.35, 0.5, 0.85, 0.852785])
@@ -745,7 +745,8 @@ class TestPruning:
         resolution = 1e-3 * np.pi
         bsb_T = min([t for t, label in res.diagnostics["candidates"] if label == "BSB"],
                     default=np.inf)
-        # the coarse scan ends at the first call with a hit; every later call bisects
+        # the coarse scan ends at the first call with a hit; every later call
+        # refines, with one or more probes of each structure still refining
         first = next(i for i, call in enumerate(calls) if any(hit for *_, hit in call))
         T_hit = calls[first][0][1]
         lo = {s: T_hit - 0.25 * np.pi for s, _, hit in calls[first] if hit}
@@ -755,10 +756,13 @@ class TestPruning:
             for s, T, hit in call:
                 assert lo[s] < best + resolution, (str(s), T)
                 assert lo[s] < T < min(hits[s])
+            # hi becomes each structure's lowest hit probe, lo its highest miss below
+            for s, T, hit in call:
                 if hit:
                     hits[s].append(T)
-                else:
-                    lo[s] = T
+            for s, T, hit in call:
+                if not hit and T < min(hits[s]):
+                    lo[s] = max(lo[s], T)
         best_T = min(t for t, _ in res.diagnostics["candidates"])
         assert res.diagnostics["pruned"]
         signed = {f"BB-{s.n_switch}{'+' if s.lead_sign > 0 else '-'}": s for s in hits}
@@ -772,6 +776,85 @@ class TestPruning:
         # the candidates and the pruned hits are every hit structure, once
         assert len(res.diagnostics["candidates"]) + len(res.diagnostics["pruned"]) == \
             len(hits) + (bsb_T < np.inf)
+
+
+bracket = st.integers(0, 300).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo + 2, lo + 300)))
+
+
+class TestRefinement:
+    """The probe choice, and the calls it makes at the benchmark amplitudes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bracket, st.one_of(st.none(), st.floats(-50.0, 650.0), st.just(np.inf)))
+    @example(bracket=(0, 256), zero=100.5)
+    @example(bracket=(7, 9), zero=8.0)
+    @example(bracket=(0, 3), zero=None)
+    def test_probes_at_least_halve_the_bracket(self, bracket, zero):
+        lo, hi = bracket
+        probes = state_prep._probe_cells(lo, hi, zero)
+        assert probes and probes == sorted(set(probes))
+        assert all(lo < k < hi for k in probes)
+        edges = [lo, *probes, hi]
+        assert max(b - a for a, b in zip(edges, edges[1:])) <= -(-(hi - lo) // 2)
+        if zero is not None and lo <= zero < hi:
+            # the cell holding the estimate is a sub-bracket of its own
+            k = int(np.floor(zero))
+            assert k in edges and k + 1 in edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.5, 20.0), st.floats(1e-3, 10.0), st.floats(0.01, 2.0),
+           st.floats(0.01, 2.0), st.integers(2, 256))
+    def test_probes_pin_the_zero_of_a_linear_miss_line(self, z, slope, d2, d21, n):
+        # misses on g = slope (z - T) below z, and a bracket of n grid cells
+        # no wider than the resolution around z: the cell holding z is probed
+        # at both ends (or is bounded by the bracket), so one call can close it
+        resolution = 1e-3 * np.pi
+        t2 = z - d2
+        t1 = t2 - d21
+        misses = [(t1, slope * (z - t1)), (t2, slope * (z - t2))]
+        t_e = state_prep._line_zero(misses)
+        assert t_e == pytest.approx(z, rel=1e-12, abs=1e-12)
+        cell = resolution * (0.5 + 0.5 * (n % 7) / 7)
+        lo0 = t2
+        lo, hi = 0, int(np.ceil(d2 / cell)) + n
+        probes = state_prep._probe_cells(lo, hi, (t_e - lo0) / cell)
+        times = [lo0 + k * cell for k in [lo, *probes, hi]]
+        below = max(t for t in times if t <= t_e)
+        above = min(t for t in times if t > t_e)
+        assert above - below <= resolution * (1 + 1e-9)
+
+    def test_line_zero_needs_a_falling_line(self):
+        assert state_prep._line_zero([]) is None
+        assert state_prep._line_zero([(1.0, 0.3)]) is None
+        assert state_prep._line_zero([(1.0, 0.3), (2.0, 0.3)]) is None
+        assert state_prep._line_zero([(1.0, 0.2), (2.0, 0.3)]) is None
+        # the two latest misses make the line
+        assert state_prep._line_zero([(0.5, 0.1), (1.0, 0.3), (2.0, 0.1)]) == 2.5
+
+    @pytest.mark.parametrize("u", [0.104, 0.16, 0.35, 0.5, 0.85])
+    def test_no_structure_takes_more_calls_than_bisection(self, u, monkeypatch):
+        calls = []
+        scan = state_prep._scan_optima
+
+        def spy(structures, Ts, *args):
+            out = scan(structures, Ts, *args)
+            calls.append([(s, T, r.fun <= TARGET_TOL) for s, T, r in zip(structures, Ts, out)])
+            return out
+
+        monkeypatch.setattr(state_prep, "_scan_optima", spy)
+        find_time_optimal(problem_at(u), with_report=False)
+        first = next(i for i, call in enumerate(calls) if any(hit for *_, hit in call))
+        refined = calls[first + 1:]
+        assert refined
+        width = 0.25 * np.pi  # every centre's first hit lies on the coarse grid
+        most = int(np.ceil(np.log2(width / (1e-3 * np.pi))))
+        per_structure = {}
+        for call in refined:
+            for s in {s for s, _, _ in call}:
+                per_structure[s] = per_structure.get(s, 0) + 1
+        assert max(per_structure.values()) <= most, per_structure
+        assert len(refined) <= most
 
 
 class TestSearchPath:
@@ -800,16 +883,15 @@ class TestBenchmarkCentres:
     """
 
     PINS = {
-        0.104: (10.799224746714913, "BB-6",
-                (0.8037164407658515, 2.544158449224342, 4.284600457682833,
-                 6.025042466141324, 7.765484474599814, 9.505926483058305),
-                368, 23994),
-        0.16: (7.608544707912779, "BB-4",
-               (0.7165341385901782, 2.523415301829848, 4.330296465069518,
-                6.137177628309189),
-               320, 19743),
+        0.104: (10.799224746714915, "BB-6",
+                (0.8037164404971963, 2.5441584481302932, 4.28460045576339, 6.025042463396487,
+                 7.765484471029584, 9.50592647866268),
+                222, 23922),
+        0.16: (7.60854470791278, "BB-4",
+               (0.7165341385901854, 2.5234153018298424, 4.330296465069499, 6.137177628309156),
+               217, 20268),
         0.85: (1.2960387770314266, "BSB", (0.5641715699230018, 0.805533730316944),
-               164, 4566),
+               102, 4323),
     }
 
     @pytest.mark.parametrize("u", sorted(PINS))
