@@ -467,11 +467,11 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
 def _line_zero(misses) -> float | None:
     """Where the line through a structure's two latest misses falls to zero, if it falls.
 
-    ``misses`` lists the misses (T, g) in ascending T, g = |G| -
-    sqrt(TARGET_TOL) of the structure's best lane at T.  Below its first hit
-    the best |G| falls about linearly in T, since G = 0 has a fold there, so
-    the zero estimates the first hit.  None with fewer than two misses or a
-    line that does not fall.
+    ``misses`` lists the misses (t, g) in ascending t, g = |G| -
+    sqrt(TARGET_TOL) of the structure's best lane at time t (in any linear
+    unit of time).  Below its first hit the best |G| falls about linearly in
+    T, since G = 0 has a fold there, so the zero estimates the first hit.
+    None with fewer than two misses or a line that does not fall.
     """
     if len(misses) < 2:
         return None
@@ -483,8 +483,7 @@ def _probe_cells(lo: int, hi: int, zero: float | None) -> list[int]:
     """The grid points, ascending, that one refinement call probes in a bracket (lo, hi).
 
     The bracket and the probes are in whole cells of the refinement grid,
-    ``zero`` is ``_line_zero``'s estimate in the same units (None for no
-    estimate).  The probes are the two ends of the cell holding the
+    and ``zero`` is ``_line_zero``'s estimate in cells (None for none).  The probes are the two ends of the cell holding the
     estimate, moved inside [lo, hi], and kept where they lie strictly
     inside (lo, hi).  The midpoint, rounded down to a grid point, is probed
     too whenever those would leave a sub-bracket wider than half of (lo, hi)
@@ -524,13 +523,11 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     The refinement brackets each hit between the last coarse time that
     missed and the hit, on one grid of 2^m equal cells no wider than the
     resolution (the points bisection would probe), and stops when a
-    bracket is one cell.  Each call probes the two ends of the cell where
-    the line through the structure's two latest misses, in |G| -
-    sqrt(TARGET_TOL), falls to zero (``_line_zero``; coarse misses count),
-    and the midpoint too wherever that pair alone would not halve the
-    bracket (``_probe_cells``), so no structure takes more calls than
-    bisection would.  Below a structure's first hit its best |G| falls about
-    linearly in T, as G = 0 has a fold there, so the pair often closes the
+    bracket is one cell.  Each call probes the ends of the cell where the
+    line through the structure's two latest misses (coarse misses count)
+    falls to zero (``_line_zero``), and the midpoint too wherever that pair
+    alone would not halve the bracket (``_probe_cells``), so no structure
+    takes more calls than bisection would, and the pair often closes the
     bracket at once.  All structures' probes go into one ``_scan_optima``
     call, each warm-started from its best hit scaled.  hi becomes the
     lowest hit probe and lo the highest miss below it.
@@ -625,7 +622,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         # on one grid: the fewest equal cells of that bracket, a power of two,
         # no wider than the resolution, whose points are bisection's
         # midpoints.  A bracket of one cell is one no wider than the
-        # resolution, and wider ones refine.  Brackets are in cells from lo0.
+        # resolution, and wider ones refine.  Brackets, probes and the miss
+        # lines are in cells from lo0.
         lo0 = T_hit - coarse_step if T_hit == j * coarse_step else T_miss
         n_cells = 2 ** max(math.ceil(math.log2((T_hit - lo0) / resolution)), 0)
         cell = (T_hit - lo0) / n_cells
@@ -633,10 +631,11 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
         def at(k):
             return lo0 + k * cell
 
-        found = list(hits.items())
+        found = list(hits.values())
         lo, hi = [0] * len(found), [n_cells] * len(found)
-        best = [r for _, (_, r) in found]
-        seen = [misses.get(key, []) for key, _ in found]
+        best = [r for _, r in found]
+        seen = [[((T - lo0) / cell, g) for T, g in misses.get((s.n_switch, s.lead_sign), [])]
+                for s, _ in found]
         steps, dropped = list(range(len(found))), []
         while True:
             # a hit whose bracket starts a resolution above the earliest hit
@@ -650,12 +649,9 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
             if not (steps := [i for i in steps if at(lo[i]) < bound]):
                 break
             # all hits' probes in one call, each warm-started from its best hit
-            probes = []
-            for i in steps:
-                t_e = _line_zero(seen[i])
-                probes += [(i, k) for k in _probe_cells(lo[i], hi[i],
-                                                        None if t_e is None else (t_e - lo0) / cell)]
-            optima = _scan_optima([found[i][1][0] for i, _ in probes], [at(k) for _, k in probes],
+            probes = [(i, k) for i in steps
+                      for k in _probe_cells(lo[i], hi[i], _line_zero(seen[i]))]
+            optima = _scan_optima([found[i][0] for i, _ in probes], [at(k) for _, k in probes],
                                   [best[i].x * (at(k) / at(hi[i])) for i, k in probes], problem)
             # hi becomes a structure's lowest hit probe and lo the highest
             # miss below it; its misses above that hit are not on its line
@@ -667,8 +663,8 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
                     stalled += r.status == "max-iter"
                     if k < hi[i]:
                         lo[i] = max(lo[i], k)
-                        seen[i] = sorted([*seen[i], (at(k), math.sqrt(r.fun) - _SQRT_TOL)])
-        for i, ((_, (s, _)), r) in enumerate(zip(found, best)):
+                        seen[i] = sorted([*seen[i], (k, math.sqrt(r.fun) - _SQRT_TOL)])
+        for i, ((s, _), r) in enumerate(zip(found, best)):
             t_hi = at(hi[i])
             if i in dropped:
                 pruned.append((t_hi, _signed(s)))
