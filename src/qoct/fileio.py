@@ -104,18 +104,22 @@ def write_pulse_csv(path, protocol: Protocol) -> Path:
     return write_csv(path, ["t", "u"], np.column_stack((times, vals)))
 
 
-def _rows(lines):
-    """The lines of ``lines`` that hold more than whitespace, each with its line end.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
-    np.loadtxt strips U+001C-U+001F around a cell as whitespace, and float
-    refuses them: a line holding one raises ValueError.
+
+def _separator_in_a_row(path: Path) -> bool:
+    """Whether a line of the file that holds more than whitespace holds one of U+001C-U+001F.
+
+    np.loadtxt strips them around a cell as whitespace, and float refuses
+    them.  One pass over the raw bytes rules them out at C speed; only a
+    file that holds one is read again line by line.
     """
-    for line in lines:
-        if line.isspace():
-            continue
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            raise ValueError
-        yield line
+    with path.open("rb") as raw:
+        blocks = iter(lambda: raw.read(1 << 16), b"")
+        if not any(c.encode() in block for block in blocks for c in _SEPARATORS):
+            return False
+    with path.open(newline="\n") as lines:
+        return any(c in line for line in lines if not line.isspace() for c in _SEPARATORS)
 
 
 def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -128,21 +132,20 @@ def read_pulse_csv(path) -> tuple[np.ndarray, np.ndarray]:
     underscore digit groups, non-ASCII digits, the separators U+001C-U+001F
     and any other line break within a row are malformed.  The values must be
     finite and the times strictly increasing and uniform from zero.  The
-    file is read line by line into ``np.loadtxt``, never whole.  Raises
-    ValueError on malformed input.
+    file is streamed into ``np.loadtxt`` one stripped line at a time, never
+    held whole.  Raises ValueError on malformed input.
     """
     path = Path(path)
     with path.open(newline="\n") as lines:
-        header = next((line for line in lines if not line.isspace()), "")
-        if header.strip().replace(" ", "") != "t,u":
+        rows = filter(None, map(str.strip, lines))
+        if next(rows, "").replace(" ", "") != "t,u":
             raise ValueError(f"{path}: expected header 't,u'")
-        rows = _rows(lines)
         try:
             first = list(itertools.islice(rows, 2))
             if len(first) == 2:
                 data = np.loadtxt(itertools.chain(first, rows), delimiter=",", comments=None,
                                   ndmin=2)
-                if data.shape[1] != 2:
+                if data.shape[1] != 2 or _separator_in_a_row(path):
                     raise ValueError
         except ValueError:
             raise ValueError(f"{path}: malformed row, expected two numeric columns 't,u'") from None

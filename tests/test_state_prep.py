@@ -804,22 +804,22 @@ class TestRefinement:
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.5, 20.0), st.floats(1e-3, 10.0), st.floats(0.01, 2.0),
-           st.floats(0.01, 2.0), st.integers(2, 256))
-    def test_probes_pin_the_zero_of_a_linear_miss_line(self, z, slope, d2, d21, n):
-        # misses on g = slope (z - T) below z, and a bracket of n grid cells
-        # no wider than the resolution around z: the cell holding z is probed
-        # at both ends (or is bounded by the bracket), so one call can close it
+           st.floats(0.01, 2.0), st.floats(0.5, 1.0), st.integers(1, 256))
+    def test_probes_pin_the_zero_of_a_linear_miss_line(self, z, slope, d2, d21, share, above):
+        # misses on g = slope (z - T) below z, the bracket from the latest
+        # miss to `above` cells past z, in cells of `share` times the
+        # resolution: the cell holding z is probed at both ends (or bounded
+        # by the bracket), so one call can close the bracket
         resolution = 1e-3 * np.pi
         t2 = z - d2
         t1 = t2 - d21
         misses = [(t1, slope * (z - t1)), (t2, slope * (z - t2))]
         t_e = state_prep._line_zero(misses)
         assert t_e == pytest.approx(z, rel=1e-12, abs=1e-12)
-        cell = resolution * (0.5 + 0.5 * (n % 7) / 7)
-        lo0 = t2
-        lo, hi = 0, int(np.ceil(d2 / cell)) + n
-        probes = state_prep._probe_cells(lo, hi, (t_e - lo0) / cell)
-        times = [lo0 + k * cell for k in [lo, *probes, hi]]
+        cell = share * resolution
+        lo, hi = 0, int(np.ceil(d2 / cell)) + above
+        probes = state_prep._probe_cells(lo, hi, (t_e - t2) / cell)
+        times = [t2 + k * cell for k in [lo, *probes, hi]]
         below = max(t for t in times if t <= t_e)
         above = min(t for t in times if t > t_e)
         assert above - below <= resolution * (1 + 1e-9)
