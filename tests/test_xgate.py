@@ -251,6 +251,36 @@ class TestSmallAmplitudesAndParities:
         assert abs(t["pt"] - min(t["x"], t["y"])) <= 1e-12 * t["pt"]
 
 
+def expm_u00_squared(res, u_max, omega0=2.0):
+    """|U00|^2 of the returned square wave, propagated bang by bang through scipy's expm."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    bounds, vals = oracle_square_wave(res.omega_eff, res.t_star, u_max, res.sign, res.parity)
+    U = np.eye(2, dtype=complex)
+    for dt, u in zip(np.diff(bounds), vals):
+        U = expm(-1j * dt * np.array([[omega0 / 2.0, u], [u, -omega0 / 2.0]])) @ U
+    return abs(U[0, 0]) ** 2
+
+
+class TestRefusedDips:
+    """Amplitudes where the scan sees one dip and the solve from its vertex stalls off the root.
+
+    The root lies in the dip's box, and a start from the vertex of the scan
+    row before or after the dip reaches it.  T/T_Rabi is pinned where the
+    root was checked to be the earliest on a dense grid.
+    """
+
+    @pytest.mark.parametrize("kind, u_max, ratio", [
+        ("x", 0.02757, None), ("x", 0.03655, None), ("x", 0.0542, None),
+        ("x", 0.075, 0.7811752), ("x", 0.1214, 0.7862190), ("x", 0.17631, None),
+        ("x", 0.22829, 0.7759148), ("y", 0.07882, 0.7800068)])
+    def test_refused_amplitude_returns_a_root(self, kind, u_max, ratio):
+        res = min_gate_time(GateProblem(kind, ModelParams(u_max=u_max)), with_report=False)
+        assert res.residual <= optim.ROOT_TOL
+        assert expm_u00_squared(res, u_max) <= optim.ROOT_TOL
+        if ratio is not None:
+            assert abs(res.ratio - ratio) < 1e-6
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.6, 1.2), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
 def test_square_wave_parity_reduces_gate_costs_to_u00(u_max, t_frac, w_frac, sign):
