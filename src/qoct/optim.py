@@ -10,7 +10,7 @@ advances many independent lanes with one residual call per round.  The state
 preparation's hit-or-miss solves run every structure's starts as its lanes;
 the minimum times of the square-wave gate and of the third-harmonic pulse
 are the first root of U00(T, omega) = 0 along a scan in T: ``dip_roots``
-scans for the dips and solves each by ``box_root``, one lane held to the
+scans for the dips and solves each by ``box_root``, lanes held to the
 dip's box; the third harmonic's fixed-T gate is one ``box_root`` lane in
 (omega, R).  Nelder-Mead, one sequential simplex per run, serves only the
 minimization behind a BB state-prep winner's report at 0.999 T*, where no
@@ -390,20 +390,25 @@ def _fd_rows(f_rows, X, lanes, offsets):
 
 
 def box_root(f_rows, x0, lo, hi) -> OptimResult:
-    """Root of F in the box [lo, hi] by one lane of ``gauss_newton``, every iterate in the box.
+    """Root of F in the box [lo, hi] by ``gauss_newton``, every iterate in the box.
 
-    ``f_rows(X)`` returns F at the rows of X.  The solve stops at
-    |F|^2 <= ``ROOT_TOL``, which fixes x only to about |F| / |J|, so the
-    last digits of its x would depend on ``x0``.  A converged solve
-    therefore takes one more Gauss-Newton step, -J^+ F from the F and J the
-    solve ended with, clipped into the box and kept if |F|^2 is no larger.
-    The result is ``gauss_newton``'s, with the kept step counted in
-    ``n_iter`` and its row in ``n_eval``.
+    ``f_rows(X)`` returns F at the rows of X.  ``x0`` is one start (n,) or a
+    block of starts (k, n), solved as the lanes of one call; the result is
+    the converged lane whose root has the smallest first coordinate, or the
+    first lane's when none converges.  The solve stops at |F|^2 <=
+    ``ROOT_TOL``, which fixes x only to about |F| / |J|, so the last digits
+    of its x would depend on the start.  A converged solve therefore takes
+    one more Gauss-Newton step, -J^+ F from the F and J the solve ended
+    with, clipped into the box and kept if |F|^2 is no larger.  The result
+    is ``gauss_newton``'s, with the kept step counted in ``n_iter`` and its
+    row in ``n_eval``.
     """
     def clip(X, lanes):
         return np.minimum(np.maximum(X, lo), hi)
 
-    (r,) = gauss_newton(lambda X, lanes: f_rows(X), [x0], FD_STEP, ROOT_TOL, ROOT_STEPS, clip)
+    lanes = gauss_newton(lambda X, lanes: f_rows(X), np.atleast_2d(x0), FD_STEP, ROOT_TOL,
+                         ROOT_STEPS, clip)
+    r = min((r for r in lanes if r.status == "converged"), key=lambda r: r.x[0], default=lanes[0])
     if r.status != "converged":
         return r
     xt = clip(r.x + _lm_steps(r.J[None], r.F[None], np.zeros(1))[0], None)
@@ -423,10 +428,13 @@ def dip_roots(f_rows, ts, step: float, ws, chunk: int):
     of ``ts`` per call; its profile at each T is the ``grid_vertex``
     (|F|^2, omega) of that grid.  At each local minimum of the profile, at
     ts[j - 1], ``box_root`` solves F = 0 from the vertex in the box
-    [ts[j - 2], ts[j] + step] x [ws[0], ws[-1]]; every converged solve is
-    yielded as its ``OptimResult``, x = (T, omega).  Raises RuntimeError
-    when the first profile point already has |F|^2 <= ``TARGET_TOL``: the
-    scan starts too late to see the first root.
+    [ts[j - 2], ts[j] + step] x [ws[0], ws[-1]].  A solve from the vertex
+    can stall at a minimum of |F|^2 that is not a root while a root lies in
+    the same box, so a solve that does not converge is followed by one from
+    the vertices of the rows ts[j - 2] and ts[j], both starts in one call.
+    Every converged solve is yielded as its ``OptimResult``, x = (T, omega).
+    Raises RuntimeError when the first profile point already has |F|^2 <=
+    ``TARGET_TOL``: the scan starts too late to see the first root.
     """
     prof = []  # (|F|^2, omega) at each scanned T
     for start in range(0, len(ts), chunk):
@@ -438,7 +446,9 @@ def dip_roots(f_rows, ts, step: float, ws, chunk: int):
             raise RuntimeError(f"|F|^2 <= {TARGET_TOL} already at T = {ts[0]}, the scan start")
         for j in range(max(start, 2), len(prof)):
             if prof[j - 2][0] >= prof[j - 1][0] <= prof[j][0]:
-                r = box_root(f_rows, [ts[j - 1], prof[j - 1][1]],
-                             [ts[j - 2], ws[0]], [ts[j] + step, ws[-1]])
+                lo, hi = [ts[j - 2], ws[0]], [ts[j] + step, ws[-1]]
+                r = box_root(f_rows, [ts[j - 1], prof[j - 1][1]], lo, hi)
+                if r.status != "converged":
+                    r = box_root(f_rows, [[ts[i], prof[i][1]] for i in (j - 2, j)], lo, hi)
                 if r.status == "converged":
                     yield r

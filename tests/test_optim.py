@@ -582,6 +582,35 @@ class TestDipRoots:
         assert all(2.0 <= x[0] <= 4.0 and 0.0 <= x[1] <= 2.0 for x in seen)
         assert r.x[0] == 4.0
 
+    def test_box_root_takes_the_earliest_converged_start(self):
+        # starts near 2 pi and pi converge to their own roots, and the
+        # earlier is taken; a start held off its root does not count
+        f = synthetic(np.sin)
+        r = box_root(f, [[6.0, 1.2], [3.5, 0.8]], [2.0, 0.0], [8.0, 2.0])
+        assert r.status == "converged" and abs(r.x[0] - np.pi) < 1e-12
+        r = box_root(synthetic(lambda T: T - 5.0), [[3.0, 1.2], [4.5, 1.0]], [2.0, 0.0],
+                     [4.0, 2.0])
+        assert r.status != "converged" and r.x[0] == 4.0
+
+    def test_stalled_dip_is_solved_again_from_its_neighbouring_rows(self, monkeypatch):
+        # the solve from the dip's vertex is made to stall; the second call
+        # starts from the vertices of the rows on either side of the dip
+        real, calls = optim.gauss_newton, []
+
+        def first_stalls(f_rows, starts, *args):
+            calls.append(np.array(starts))
+            out = real(f_rows, starts, *args)
+            if len(calls) == 1:
+                out[0].status = "stalled"
+            return out
+
+        monkeypatch.setattr(optim, "gauss_newton", first_stalls)
+        r = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 1))
+        assert r.status == "converged" and abs(r.x[0] - np.pi) < 1e-12
+        j = int(np.flatnonzero(SCAN_TS == calls[0][0, 0])[0]) + 1
+        assert calls[0].shape == (1, 2) and calls[1].shape == (2, 2)
+        np.testing.assert_array_equal(calls[1][:, 0], SCAN_TS[[j - 2, j]])
+
     def test_refuses_when_target_met_at_scan_start(self):
         with pytest.raises(RuntimeError, match="scan start"):
             next(dip_roots(synthetic(lambda T: T - 2.0), SCAN_TS, 0.1, SCAN_WS, 1))
