@@ -281,6 +281,19 @@ class TestRefusedDips:
             assert abs(res.ratio - ratio) < 1e-6
 
 
+SWEEP = np.geomspace(0.02, 1.0, 80)
+
+
+@pytest.mark.parametrize("kind", ["x", "y", "pt"])
+def test_amplitude_sweep_refuses_nothing_and_t_star_never_rises(kind):
+    # a control admissible at u_max is admissible at every larger u_max, so
+    # the minimum time cannot rise with it; no reference solution is needed
+    t_star = [min_gate_time(GateProblem(kind, ModelParams(u_max=float(u))),
+                            with_report=False).t_star for u in SWEEP]
+    rises = [(float(u), a, b) for u, a, b in zip(SWEEP[1:], t_star, t_star[1:]) if b > a]
+    assert not rises
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.6, 1.2), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]))
 def test_square_wave_parity_reduces_gate_costs_to_u00(u_max, t_frac, w_frac, sign):
