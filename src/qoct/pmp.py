@@ -13,7 +13,10 @@ The first-order optimality conditions used throughout:
   Phi and H_oc are nonzero there;
 * along each bang segment Phi obeys Phi'' = -W^2 Phi - 4 u |lambda0| with
   W^2 = omega0^2 + 4 u_max^2, which makes Phi a piecewise cosine whose zeros
-  are spaced by pi/omega_eff.
+  are spaced by pi/omega_eff.  ``audit`` takes that sinusoid and the
+  constant H_oc of every bang in closed form from psi and lambda at the
+  bang's start, so a bang protocol's sign rule and singular coasts are
+  decided exactly, not on samples.
 
 Forward and adjoint states are both taken from the prefix unitaries
 P_k = U_(k-1) ... U_0 of one propagation: the forward states are P_k psi(0)
@@ -34,6 +37,7 @@ al., J. Magn. Reson. 172, 296 (2005); de Fouquieres et al., J. Magn. Reson.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -67,7 +71,6 @@ __all__ = [
     "certified_audit",
     "omega_eff_from_ratio",
     "analytical_switching",
-    "fit_switching_amplitude",
     "alpha",
     "bloch_velocity",
     "audit",
@@ -237,10 +240,9 @@ def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, c
 
     Returns lambda(T) (2,) for ``audit``, the residual and mu.
     """
-    durs, vals = segment_durations_values(protocol)
+    _, vals, P = _bang_prefixes(protocol, params)
     if len(vals) < 2:
         raise ValueError("the endpoint costate needs at least one switch")
-    P = pair_prefixes(pair_levels(cell_pairs(durs, vals, params)))
     a, b = P[-1]
     E = cost.endpoint_states()
     # conj(lambda_i) and psi at 0 and at the switches, lambda_i(T) = e_i
@@ -297,36 +299,6 @@ def analytical_switching(A: float, lambda0: float, omega_eff: float, T: float,
     return A * np.cos(W * s - 2.0 * chi * k) + parity * off
 
 
-def fit_switching_amplitude(times: np.ndarray, phi: np.ndarray,
-                            boundaries: np.ndarray, values: np.ndarray,
-                            lambda0: float, params: ModelParams) -> float | None:
-    """Least-squares amplitude A of the analytical switching form.
-
-    Fitted over middle bang segments only (first/last excluded); inside a
-    segment the extremum of Phi sits at the midpoint and the sign is
-    opposite to the control, so the model is linear in A.
-    """
-    W = params.big_omega
-    off = 4.0 * params.u_max * abs(lambda0) / W ** 2
-    num = 0.0
-    den = 0.0
-    for k in range(1, len(values) - 1):
-        if values[k] == 0.0:
-            continue
-        mask = (times >= boundaries[k]) & (times <= boundaries[k + 1])
-        if not np.any(mask):
-            continue
-        mid = 0.5 * (boundaries[k] + boundaries[k + 1])
-        sk = -np.sign(values[k])
-        basis = sk * np.cos(W * (times[mask] - mid))
-        resid = phi[mask] - sk * off
-        num += float(np.dot(basis, resid))
-        den += float(np.dot(basis, basis))
-    if den == 0.0:
-        return None
-    return num / den
-
-
 def alpha(b: BlochPoint) -> float:
     """Quadrant scalar alpha = 2 cot(theta) / sin(phi); zero on the equator.
 
@@ -349,20 +321,27 @@ def bloch_velocity(b: BlochPoint, u: float, params: ModelParams) -> tuple[float,
     return float(tdot), float(pdot)
 
 
-# H_oc is exactly constant on every bang, so a bang-bang or cell-wise
-# protocol leaves a relative spread of a few 1e-16, pure rounding; the
-# written summary gives a spread at or below this as 0.0
+# H_oc is exactly constant on every bang, so a cell-wise protocol leaves a
+# relative spread of a few 1e-16, pure rounding; the written summary gives a
+# spread at or below this as 0.0
 _HOC_DEV_ROUNDING = 1e-12
+
+# u Phi counts against the sign rule above this fraction of u_max max|Phi|,
+# and a bang protocol's coast is singular where |Phi| stays within this
+# fraction of max|Phi| of zero
+_SIGN_TOL = 1e-6
 
 
 @dataclass
 class OptimalityReport:
-    """Sampled PMP diagnostics for one protocol/cost pair.
+    """PMP diagnostics for one protocol/cost pair.
 
-    ``summary`` is what the result files carry; it writes a rounding-level
-    ``hoc_seg_max_dev`` as 0.0, which the field itself keeps raw.  A report
-    on the costate of ``endpoint_costate`` also carries that costate's
-    ``certificate_residual`` and multipliers ``mu``, and writes them.
+    ``times``, ``phi`` and ``hoc`` are the samples that ``phi_hoc.csv``
+    carries.  ``summary`` is what the result files carry; it writes a
+    rounding-level ``hoc_seg_max_dev`` as 0.0, which the field itself keeps
+    raw.  A report on the costate of ``endpoint_costate`` also carries that
+    costate's ``certificate_residual`` and multipliers ``mu``, and writes
+    them.
     """
 
     times: np.ndarray
@@ -374,6 +353,7 @@ class OptimalityReport:
     hoc_seg_max_dev: float  # relative, max over segments
     hoc_global_dev: float  # relative spread across the whole protocol
     sign_fraction: float
+    sign_margin: float
     singular_residence: float
     max_abs_phi: float
     certificate_residual: float | None = None
@@ -387,6 +367,7 @@ class OptimalityReport:
             "hoc_max_dev": (self.hoc_seg_max_dev
                             if self.hoc_seg_max_dev > _HOC_DEV_ROUNDING else 0.0),
             "sign_fraction": self.sign_fraction,
+            "sign_margin": self.sign_margin,
             "singular_residence": self.singular_residence,
         }
         if self.mu is not None:
@@ -404,18 +385,198 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
 
     The costate ends at ``final_adjoint`` (2,), or at the cost's own
     costate lambda(T) = 2 sum_i F_i e_i (``CostSpec``) when it is None.
+    Phi and H_oc are given at ``n_samples`` equally spaced times.
+
+    A ``BangSequence`` or ``OneParamBB`` is audited in closed form
+    (``_bang_audit``): on each bang Phi is a sinusoid and H_oc a constant,
+    from psi and lambda at the bang's start, so the sign rule, the sign
+    margin and the singular coasts are exact, not sampled.  Any other
+    protocol (``Sampled`` cells, smooth pulses) is propagated to the
+    samples (``_sampled_audit``).  Both read the segments with equal
+    neighbours merged, and ``omega_eff`` = pi / the mean middle-bang
+    duration and ``A``, the amplitude of Phi's sinusoid on the middle
+    bangs, are reported when every middle segment is a full bang.
+    """
+    if isinstance(protocol, (BangSequence, OneParamBB)):
+        return _bang_audit(protocol, params, cost, n_samples, final_adjoint)
+    return _sampled_audit(protocol, params, cost, n_samples, final_adjoint)
+
+
+def _initial_costate(a, b, cost: CostSpec, final_adjoint) -> np.ndarray:
+    """lambda(0) = U^dag lambda(T) for the total pair (a, b); lambda(T) as in ``audit``."""
+    if final_adjoint is None:
+        final_adjoint = 2.0 * (cost.endpoint_states() @ cost.rows(a, b))
+    return pair_apply(np.array([np.conjugate(a), -b]), final_adjoint[:, None])[:, 0]
+
+
+def _q_vectors(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Q_l = Im<lambda|sigma_l|psi>, l = x, y, z, on a last axis, of states (..., 2).
+
+    Q_x is Phi, and H_oc = (omega0/2) Q_z + u Q_x.
+    """
+    l0, l1 = np.conjugate(lam[..., 0]), np.conjugate(lam[..., 1])
+    p0, p1 = psi[..., 0], psi[..., 1]
+    return np.stack((np.imag(l0 * p1 + l1 * p0), np.real(l1 * p0 - l0 * p1),
+                     np.imag(l0 * p0 - l1 * p1)), axis=-1)
+
+
+def _arcs(Q: np.ndarray, vals: np.ndarray, params: ModelParams):
+    """Phi = c0 + c1 cos(w tau) + c2 sin(w tau) and H_oc on bangs of value vals entered at Q (k, 3).
+
+    On a bang of value v, H = W n.sigma with W = sqrt(h^2 + v^2), h =
+    omega0/2 and n = (v, 0, h)/W, and psi and lambda both evolve by
+    exp(-i H tau).  So Q rotates about n at the rate w = 2W, dQ/dtau =
+    w n x Q, and its x component is Phi: c0 = n_x (n.Q), c1 = Q_x - c0 and
+    c2 = (n x Q)_x = -(h/W) Q_y (the bang arcs of Boscain & Chitour, SIAM
+    J. Control Optim. 44, 111 (2005)).  H_oc = W n.Q = v Q_x + h Q_z is
+    constant on the bang.  Returns (c0, c1, c2, w, H_oc), one entry per bang.
+    """
+    h = 0.5 * params.omega0
+    W = np.hypot(h, vals)
+    hoc = vals * Q[:, 0] + h * Q[:, 2]
+    c0 = vals * hoc / W ** 2
+    return c0, Q[:, 0] - c0, -(h / W) * Q[:, 1], 2.0 * W, hoc
+
+
+def _merged(durs, vals, T: float):
+    """Boundaries and values of the segments (durs, vals) with equal neighbours merged, and their first cells."""
+    starts = np.flatnonzero(np.concatenate([[True], np.abs(np.diff(vals)) > 0.0]))
+    cum = np.concatenate([[0.0], np.cumsum(durs)])
+    return np.concatenate([cum[starts], [T]]), vals[starts], starts
+
+
+def _omega_eff(boundaries, vals, params: ModelParams) -> float | None:
+    """pi / the mean middle-segment duration, or None unless every middle segment is a full bang."""
+    if len(vals) >= 3 and np.all(np.abs(np.abs(vals[1:-1]) - params.u_max) < 1e-9 * params.u_max):
+        return float(np.pi / np.mean(np.diff(boundaries)[1:-1]))
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _bang_prefixes(protocol: BangSequence | OneParamBB, params: ModelParams):
+    """Segments (durations, values) of a bang protocol and the prefix pairs (K + 1, 2) of its K cells.
+
+    One prefix scan: ``cell_pairs``, ``pair_levels`` up the tree and
+    ``pair_prefixes`` down it; row k is P_k at the start of segment k, the
+    last row the whole product.  The last protocol's pass is kept, so that
+    ``certified_audit``'s ``endpoint_costate`` and ``audit`` share it.
+    """
+    durs, vals = segment_durations_values(protocol)
+    P = pair_prefixes(pair_levels(cell_pairs(durs, vals, params)))
+    for x in (durs, vals, P):
+        x.flags.writeable = False
+    return durs, vals, P
+
+
+def _extremes(c0, c1, c2, theta_end):
+    """Max and min of c0 + c1 cos(theta) + c2 sin(theta) over theta in [0, theta_end], elementwise.
+
+    The sinusoid is c0 + R cos(theta - phi); its extremes lie at the ends
+    or at the first theta >= 0 where theta - phi is a multiple of pi.
+    """
+    R = np.hypot(c1, c2)
+    phi = np.arctan2(c2, c1)
+    end = c0 + c1 * np.cos(theta_end) + c2 * np.sin(theta_end)
+    lo_end, hi_end = np.minimum(c0 + c1, end), np.maximum(c0 + c1, end)
+    hi = np.where(np.mod(phi, 2.0 * np.pi) <= theta_end, c0 + R, hi_end)
+    lo = np.where(np.mod(phi + np.pi, 2.0 * np.pi) <= theta_end, c0 - R, lo_end)
+    return hi, lo
+
+
+def _measure_above(c0, c1, c2, theta_end, level):
+    """Measure of theta in [0, theta_end] where c0 + c1 cos(theta) + c2 sin(theta) > level, elementwise.
+
+    With c0 + R cos(theta - phi), the set is cos(theta - phi) > g = (level -
+    c0)/R: the arcs theta - phi + delta in [0, 2 delta) mod 2 pi, delta =
+    arccos g.  The measure of those arcs on [0, y] is M(y) = floor(y / 2 pi)
+    2 delta + min(y mod 2 pi, 2 delta), and on [0, theta_end] it is
+    M(theta_end + s) - M(s) with s = delta - phi.
+    """
+    R = np.hypot(c1, c2)
+    num = level - c0
+    g = np.divide(num, R, out=np.where(num < 0.0, -1.0, 1.0), where=R > 0.0)
+    width = 2.0 * np.arccos(np.clip(g, -1.0, 1.0))
+    shift = 0.5 * width - np.arctan2(c2, c1)
+    two_pi = 2.0 * np.pi
+
+    def M(y):
+        return np.floor(y / two_pi) * width + np.minimum(np.mod(y, two_pi), width)
+
+    return M(theta_end + shift) - M(shift)
+
+
+def _bang_audit(protocol: BangSequence | OneParamBB, params: ModelParams, cost: CostSpec,
+                n_samples: int, final_adjoint) -> OptimalityReport:
+    """``audit`` of a bang protocol in closed form, from one prefix pass over its segments.
+
+    psi and lambda at each segment start give Q and with it each bang's
+    sinusoid and H_oc (``_arcs``), which are evaluated at the sample times.
+    H_oc is constant on each bang, so ``hoc_seg_max_dev`` is 0 and
+    ``lambda0`` is minus its time average.  With M = max|Phi|, exact from
+    each bang's extremes:
+    * ``sign_fraction`` is 1 - the measure of the time where
+      u Phi > 1e-6 M u_max, over T;
+    * ``sign_margin`` is the largest u Phi / (u_max M) on any bang, 0 or a
+      rounding-level value on an extremal;
+    * ``singular_residence`` is the duration of the coasts (u = 0) on which
+      |Phi| stays within 1e-6 M of zero;
+    * ``A`` is the mean amplitude sqrt(c1^2 + c2^2) of the middle bangs.
+    """
+    durs, vals, P = _bang_prefixes(protocol, params)
+    T = protocol.T
+    lam0 = _initial_costate(*P[-1], cost, final_adjoint)
+    states = pair_apply(P[:-1], np.column_stack([cost.initial_state(), lam0]))
+    c0, c1, c2, w, H = _arcs(_q_vectors(states[..., 1], states[..., 0]), vals, params)
+
+    starts = np.concatenate([[0.0], np.cumsum(durs)])
+    starts[-1] = T
+    times = np.linspace(0.0, T, n_samples)
+    seg = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(vals) - 1)
+    theta = w[seg] * (times - starts[seg])
+    phi = c0[seg] + c1[seg] * np.cos(theta) + c2[seg] * np.sin(theta)
+
+    theta_end = w * durs
+    hi, lo = _extremes(c0, c1, c2, theta_end)
+    peak = np.maximum(hi, -lo)
+    max_abs_phi = float(peak.max())
+    bang = np.abs(vals) >= 1e-12
+    worst = np.where(vals > 0.0, vals * hi, vals * lo)[bang] / params.u_max
+    sign_margin = float(worst.max() / max_abs_phi) if max_abs_phi > 0.0 and worst.size else 0.0
+    # u Phi > level reads s Phi > level / |u| with s = sign(u), on s times the sinusoid
+    sgn = np.sign(vals[bang])
+    level = _SIGN_TOL * max_abs_phi * params.u_max / np.abs(vals[bang])
+    bad = _measure_above(sgn * c0[bang], sgn * c1[bang], sgn * c2[bang], theta_end[bang], level)
+    sign_fraction = float(1.0 - (bad / w[bang]).sum() / T)
+    coast = ~bang & (peak <= _SIGN_TOL * max_abs_phi)
+
+    lambda0 = -float(H @ durs) / T
+    boundaries, merged_vals, first = _merged(durs, vals, T)
+    omega_eff = _omega_eff(boundaries, merged_vals, params)
+    A = None
+    if omega_eff is not None:
+        A = float(np.mean(np.hypot(c1, c2)[first[1:-1]]))
+    return OptimalityReport(
+        times=times, phi=phi, hoc=H[seg], lambda0=lambda0, A=A, omega_eff=omega_eff,
+        hoc_seg_max_dev=0.0, hoc_global_dev=float((H.max() - H.min()) / (1.0 + abs(lambda0))),
+        sign_fraction=sign_fraction, sign_margin=sign_margin,
+        singular_residence=float(durs[coast].sum()), max_abs_phi=max_abs_phi,
+    )
+
+
+def _sampled_audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
+                   n_samples: int, final_adjoint) -> OptimalityReport:
+    """``audit`` of any protocol on states propagated to the sample times.
 
     Sign consistency counts samples with u * Phi <= 1e-6 * max|Phi| * u_max,
-    excluding samples within two grid steps of a switching instant.
-    Singular residence accumulates time spent with u = 0 while
-    |theta - pi/2| < 1e-3.
+    excluding samples within two grid steps of a switching instant, and
+    ``sign_margin`` is the largest u Phi / (u_max max|Phi|) over the same
+    samples.  Singular residence accumulates time spent with u = 0 while
+    |theta - pi/2| < 1e-3.  ``A`` is the mean amplitude of Phi's sinusoid
+    on the middle bangs (``_arcs``), from Q at each one's first sample.
     """
     traj = propagate(protocol, params, SIGMA_0, n_samples)
     P = traj.states[..., :, 0]
-    a, b = P[-1]
-    if final_adjoint is None:
-        final_adjoint = 2.0 * (cost.endpoint_states() @ cost.rows(a, b))
-    lam0 = pair_apply(np.array([np.conjugate(a), -b]), final_adjoint[:, None])[:, 0]
+    lam0 = _initial_costate(*P[-1], cost, final_adjoint)
     states = pair_apply(P, np.column_stack([cost.initial_state(), lam0]))
     psi, lam = states[..., 0], states[..., 1]
     times = traj.times
@@ -423,14 +584,7 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
 
     # merge equal-value cells so dense Sampled grids recover their true
     # piecewise structure (bang segments); smooth pulses stay cell-resolved
-    raw_durs, raw_vals = segment_durations_values(protocol)
-    keep_seg = np.concatenate([[True], np.abs(np.diff(raw_vals)) > 0.0])
-    starts = np.flatnonzero(keep_seg)
-    vals = raw_vals[starts]
-    cum = np.concatenate([[0.0], np.cumsum(raw_durs)])
-    boundaries = np.concatenate([cum[starts], [protocol.T]])
-    durs = np.diff(boundaries)
-
+    boundaries, vals, _ = _merged(*segment_durations_values(protocol), protocol.T)
     seg_idx = np.clip(np.searchsorted(boundaries, times, side="right") - 1,
                       0, len(vals) - 1)
     # the control at each sample is taken from its segment, so that samples
@@ -459,30 +613,30 @@ def audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     keep = np.ones(len(times), dtype=bool)
     for sw in flips:
         keep &= np.abs(times - sw) > 2 * dt_grid
+    sign_fraction, sign_margin = 1.0, 0.0
     if max_abs_phi > 0.0 and np.any(keep):
-        viol = (u[keep] * phi[keep]) > 1e-6 * max_abs_phi * params.u_max
-        sign_fraction = float(1.0 - viol.mean())
-    else:
-        sign_fraction = 1.0
+        up = u[keep] * phi[keep]
+        sign_fraction = float(1.0 - (up > _SIGN_TOL * max_abs_phi * params.u_max).mean())
+        sign_margin = float(up.max() / (params.u_max * max_abs_phi))
 
     # singular-arc residence
     z = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
     on_arc = (np.abs(u) < 1e-12) & (np.abs(np.arccos(np.clip(z, -1, 1)) - np.pi / 2) < 1e-3)
     singular_residence = float(on_arc.sum() * dt_grid)
 
-    # middle-bang frequency and amplitude fit; only meaningful when the
-    # interior consists of full-amplitude bangs (not for singular segments
-    # or smooth pulses)
-    omega_eff = None
+    # the middle bangs' amplitude, from Q at the first sample of each
+    omega_eff = _omega_eff(boundaries, vals, params)
     A = None
-    if len(vals) >= 3 and np.all(np.abs(np.abs(vals[1:-1]) - params.u_max) < 1e-9 * params.u_max):
-        tbar = float(np.mean(durs[1:-1]))
-        omega_eff = float(np.pi / tbar)
-        A = fit_switching_amplitude(times, phi, boundaries, vals, lambda0, params)
+    if omega_eff is not None:
+        first = np.searchsorted(seg_idx, np.arange(1, len(vals) - 1))
+        first = first[seg_idx[first] == np.arange(1, len(vals) - 1)]
+        if first.size:
+            _, c1, c2, _, _ = _arcs(_q_vectors(lam[first], psi[first]), u[first], params)
+            A = float(np.mean(np.hypot(c1, c2)))
 
     return OptimalityReport(
         times=times, phi=phi, hoc=hoc, lambda0=lambda0, A=A, omega_eff=omega_eff,
         hoc_seg_max_dev=hoc_seg_max_dev, hoc_global_dev=hoc_global_dev,
-        sign_fraction=sign_fraction, singular_residence=singular_residence,
-        max_abs_phi=max_abs_phi,
+        sign_fraction=sign_fraction, sign_margin=sign_margin,
+        singular_residence=singular_residence, max_abs_phi=max_abs_phi,
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qoct import pmp
 from qoct.dynamics import (
     KET_0,
     SIGMA_0,
@@ -467,14 +468,17 @@ class TestAuditInvariants:
         assert peak < 13e6
 
     def test_singular_residence_counts_equator_coast(self):
+        # the coast is singular where Phi vanishes on it identically, which
+        # the endpoint costate at T* shows; the cost's own costate vanishes
+        # there with C + 1, and its Phi is rounding
         from qoct.state_prep import StatePrepProblem, best_bsb, _bsb_protocol
         problem = StatePrepProblem(BlochPoint(0.7 * np.pi, 0.0),
                                    BlochPoint(0.35 * np.pi, np.pi),
                                    ModelParams(u_max=0.8))
         cand = best_bsb(problem)
         proto = _bsb_protocol(cand, problem.params)
-        rep = audit(proto, problem.params, problem.cost_spec(), n_samples=4001)
-        assert abs(rep.singular_residence - cand["coast"]) < 0.02 * proto.T
+        rep = certified_audit(proto, problem.params, problem.cost_spec())
+        assert abs(rep.singular_residence - cand["coast"]) <= 1e-12 * proto.T
 
 
 # the gate-search centres: X with 4, 8 and 32 switches, Y and population transfer
@@ -539,6 +543,7 @@ class TestEndpointCostate:
         rep = res.report
         assert rep.certificate_residual <= 1e-13
         assert rep.sign_fraction == 1.0
+        assert rep.sign_margin <= 1e-13
         assert rep.hoc_seg_max_dev < 1e-8
         assert abs(np.linalg.norm(rep.mu) - 1.0) < 1e-14
         # the audited protocol is the root's own square wave at T*
@@ -560,6 +565,7 @@ class TestEndpointCostate:
         rep = certified_audit(moved, problem.params, problem.cost_spec())
         assert rep.certificate_residual >= 1e-3
         assert rep.hoc_global_dev >= 1e-3
+        assert rep.sign_margin >= 1e-4
 
     @pytest.mark.parametrize("factor", [1.001, 1.01, 1.05])
     @pytest.mark.parametrize("kind,u", GATE_CENTRES)
@@ -574,6 +580,7 @@ class TestEndpointCostate:
         rep = certified_audit(proto, problem.params, problem.cost_spec())
         assert rep.certificate_residual <= 1e-13
         assert rep.sign_fraction == 1.0
+        assert rep.sign_margin <= 1e-13
 
     def test_lambda0_over_a_is_well_conditioned_in_t_star(self):
         # lambda0 and A come from the protocol at T*, so a move of T* by a
@@ -609,10 +616,14 @@ class TestEndpointCostate:
         rep = res.report
         assert rep.certificate_residual <= 1e-13
         assert rep.sign_fraction == 1.0
+        assert rep.sign_margin <= 1e-13
         assert rep.hoc_seg_max_dev < 1e-8
         assert abs(np.linalg.norm(rep.mu) - 1.0) < 1e-14
         assert rep.times[-1] == res.t_star
         assert rep.summary()["mu"] == [float(m) for m in rep.mu]
+        # the coast is singular: Phi vanishes on it identically
+        t1, t2 = res.switch_times
+        assert rep.singular_residence == t2 - t1
 
     def test_moving_the_first_bsb_switch_breaks_the_certificate(self, bsb_winners):
         seq = bsb_winners[0.85].protocol()
@@ -621,6 +632,8 @@ class TestEndpointCostate:
         problem = _sp_problem(0.85)
         rep = certified_audit(moved, problem.params, problem.cost_spec())
         assert rep.certificate_residual >= 1e-4
+        assert rep.sign_margin >= 1e-4
+        assert rep.singular_residence == 0.0
 
     def test_bsb_winner_is_audited_once_without_a_second_search(self, monkeypatch):
         from qoct import pmp, state_prep
@@ -644,3 +657,117 @@ class TestEndpointCostate:
     def test_needs_a_switch(self):
         with pytest.raises(ValueError, match="switch"):
             endpoint_costate(BangSequence(2.0, 0.5, (), (0.5,)), P05, CostSpec("x"))
+
+
+class TestBangArcs:
+    """The sinusoid of Phi on a bang: exact extremes and exact measure of the sign rule's breach."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           st.floats(0.01, 30.0), st.floats(-1.5, 1.5))
+    def test_extremes_and_measure_match_a_dense_grid(self, c0, c1, c2, theta_end, level):
+        # a grid step of at most 1.5e-3: the grid's extremes lie within
+        # R step^2 / 8 of the true ones, and its share above the level
+        # within a step per crossing
+        theta = np.linspace(0.0, theta_end, 20_001)
+        f = c0 + c1 * np.cos(theta) + c2 * np.sin(theta)
+        coefficients = np.array([[c0], [c1], [c2], [theta_end]])
+        hi, lo = pmp._extremes(*coefficients)
+        assert f.max() <= hi[0] + 1e-12 and hi[0] - f.max() <= 1e-6
+        assert f.min() >= lo[0] - 1e-12 and f.min() - lo[0] <= 1e-6
+        # the grid's rounding cannot tell f from the level within 1e-9
+        measure = pmp._measure_above(*coefficients, level)[0]
+        assert measure >= theta_end * ((f > level + 1e-9).mean() - 1e-3)
+        assert measure <= theta_end * ((f > level - 1e-9).mean() + 1e-3)
+
+    def test_sign_fraction_is_the_measure_of_the_breach(self, centre_roots):
+        # a switch moved off the root: the exact fraction matches the share of
+        # a dense sampling of the closed form where u Phi breaks the rule
+        res = centre_roots["x", 0.20]
+        seq = res.protocol.to_bang_sequence()
+        ts = list(seq.switch_times)
+        ts[0] += 0.01 * (ts[1] - ts[0])
+        moved = BangSequence(seq.T, seq.u_max, tuple(ts), seq.values)
+        problem = _gate_problem("x", 0.20)
+        rep = certified_audit(moved, problem.params, problem.cost_spec())
+        lam_T, _, _ = endpoint_costate(moved, problem.params, problem.cost_spec())
+        dense = audit(moved, problem.params, problem.cost_spec(), n_samples=400_001,
+                      final_adjoint=lam_T)
+        breach = moved.u(dense.times) * dense.phi > 1e-6 * rep.max_abs_phi * 0.20
+        assert rep.sign_fraction < 1.0
+        assert abs(rep.sign_fraction - (1.0 - breach.mean())) <= 2e-5
+        assert abs(dense.max_abs_phi - np.abs(dense.phi).max()) <= 1e-9
+
+
+def _centre_protocols():
+    """The gate-search and stateprep-search centres: (name, bang protocol, params, cost)."""
+    from qoct.state_prep import find_time_optimal
+    from qoct.xgate import min_gate_time
+    out = []
+    for kind, u in GATE_CENTRES:
+        problem = _gate_problem(kind, u)
+        res = min_gate_time(problem, with_report=False)
+        out.append((f"{kind} {u}", res.protocol, problem.params, problem.cost_spec()))
+    for u in (0.104, 0.16, 0.85):
+        problem = _sp_problem(u)
+        res = find_time_optimal(problem, with_report=False)
+        out.append((f"sp {u}", res.protocol(), problem.params, problem.cost_spec()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def centre_protocols():
+    return _centre_protocols()
+
+
+class TestClosedFormMatchesPropagation:
+    """The closed-form audit of a bang protocol and the propagated audit agree.
+
+    On the same protocol the two differ by rounding.  ``as_sampled`` puts
+    each switch on the edge of its cell, up to half a cell (pi/16000) away,
+    which moves Phi and H_oc by about 1e-4 of max|Phi|.  Both sides read the
+    endpoint costate of the bang protocol.
+    """
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_same_protocol_agrees_to_rounding(self, centre_protocols, index):
+        name, proto, params, cost = centre_protocols[index]
+        lam_T, _, _ = endpoint_costate(proto, params, cost)
+        exact = audit(proto, params, cost, final_adjoint=lam_T)
+        sampled = pmp._sampled_audit(proto, params, cost, 4001, lam_T)
+        scale = exact.max_abs_phi
+        assert np.array_equal(exact.times, sampled.times)
+        assert np.max(np.abs(exact.phi - sampled.phi)) <= 1e-12 * scale, name
+        assert np.max(np.abs(exact.hoc - sampled.hoc)) <= 1e-12 * scale, name
+        # lambda0 is minus H_oc's mean over time, exact or over the samples:
+        # where H_oc differs between bangs, off an extremal, the two differ
+        # by its spread times about a sample step per switch
+        n_switch = len(segment_durations_values(proto)[1]) - 1
+        spread = exact.hoc_global_dev * (1.0 + abs(exact.lambda0))
+        assert abs(exact.lambda0 - sampled.lambda0) <= (
+            1e-12 * scale + spread * (n_switch + 1) / 4000), name
+        assert exact.hoc_seg_max_dev == 0.0 and sampled.hoc_seg_max_dev <= 1e-12
+        assert (exact.A is None) == (sampled.A is None)
+        if exact.A is not None:
+            assert abs(exact.A - sampled.A) <= 1e-12 * scale
+        # the samples skip 2 grid steps either side of each switch, and a
+        # sample counts its whole step
+        tol = (4 * n_switch + 2) / 4000
+        assert abs(exact.sign_fraction - sampled.sign_fraction) <= tol, name
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_as_sampled_agrees_to_its_cells(self, centre_protocols, index):
+        from qoct.protocols import as_sampled
+        name, proto, params, cost = centre_protocols[index]
+        lam_T, _, _ = endpoint_costate(proto, params, cost)
+        exact = audit(proto, params, cost, final_adjoint=lam_T)
+        cells = audit(as_sampled(proto), params, cost, final_adjoint=lam_T)
+        scale = exact.max_abs_phi
+        assert np.array_equal(exact.times, cells.times)
+        assert np.max(np.abs(exact.phi - cells.phi)) <= 1e-3 * scale, name
+        assert np.max(np.abs(exact.hoc - cells.hoc)) <= 1e-3 * scale, name
+        assert abs(exact.lambda0 - cells.lambda0) <= 1e-4 * scale, name
+        assert cells.hoc_seg_max_dev <= 1e-12
+        if exact.A is not None:
+            assert abs(exact.A - cells.A) <= 1e-4 * scale, name
+        assert abs(exact.sign_fraction - cells.sign_fraction) <= 0.01, name
