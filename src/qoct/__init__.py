@@ -7,7 +7,6 @@ from .dynamics import (
     ModelParams,
     Trajectory,
     bloch_from_state,
-    constant_propagator,
     gate_cost,
     propagate,
     rabi_pi_time,
@@ -52,7 +51,6 @@ __all__ = [
     "asymptotic_ratio_model",
     "audit",
     "bloch_from_state",
-    "constant_propagator",
     "critical_amplitude",
     "find_time_optimal",
     "gate_cost",

@@ -54,7 +54,6 @@ __all__ = [
     "ModelParams",
     "BlochPoint",
     "Trajectory",
-    "constant_propagator",
     "cell_pairs",
     "segment_propagators",
     "segment_derivatives",
@@ -154,13 +153,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
-
-
-def constant_propagator(t: float, u: float, params: ModelParams) -> np.ndarray:
-    """Closed-form evolution operator for a constant control over duration t."""
-    if t < 0:
-        raise ValueError("duration must be nonnegative")
-    return segment_propagators(t, u, params)
 
 
 def _cells(durations, values, params: ModelParams):

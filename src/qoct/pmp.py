@@ -70,9 +70,7 @@ __all__ = [
     "endpoint_costate",
     "certified_audit",
     "omega_eff_from_ratio",
-    "analytical_switching",
     "alpha",
-    "bloch_velocity",
     "audit",
 ]
 
@@ -279,26 +277,6 @@ def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:
     return W / (1.0 + (2.0 / np.pi) * math.asin(arg))
 
 
-def analytical_switching(A: float, lambda0: float, omega_eff: float, T: float,
-                         params: ModelParams, times: np.ndarray) -> np.ndarray:
-    """Closed-form switching function of the even one-parameter BB protocol.
-
-    Piecewise cosine of frequency W with the offset alternating by
-    +/- 4 u_max lambda0 / W^2 on consecutive zero-spacing segments
-    Tbar = pi/omega_eff centered at T/2; each segment carries an accumulated
-    phase 2 chi so the function stays continuous with zeros exactly on the
-    segment boundaries.  Reduces to A cos(W (t - T/2)) when lambda0 = 0.
-    """
-    W = params.big_omega
-    off = 4.0 * params.u_max * abs(lambda0) / W ** 2
-    tbar = np.pi / omega_eff
-    chi = (np.pi / 2.0) * (W / omega_eff - 1.0)
-    s = np.asarray(times, dtype=float) - T / 2.0
-    k = np.round(s / tbar)
-    parity = 1.0 - 2.0 * np.mod(k, 2.0)
-    return A * np.cos(W * s - 2.0 * chi * k) + parity * off
-
-
 def alpha(b: BlochPoint) -> float:
     """Quadrant scalar alpha = 2 cot(theta) / sin(phi); zero on the equator.
 
@@ -310,15 +288,6 @@ def alpha(b: BlochPoint) -> float:
     if min(b.theta, np.pi - b.theta) < 1e-12:
         raise ValueError("on-boundary: alpha undefined at the poles")
     return 2.0 / (np.tan(b.theta) * np.sin(b.phi))
-
-
-def bloch_velocity(b: BlochPoint, u: float, params: ModelParams) -> tuple[float, float]:
-    """(theta_dot, phi_dot) = (-2 u sin(phi), omega0 - 2 u cos(phi) cot(theta))."""
-    if min(b.theta, np.pi - b.theta) < 1e-12:
-        raise ValueError("Bloch velocity is undefined at the poles")
-    tdot = -2.0 * u * np.sin(b.phi)
-    pdot = params.omega0 - 2.0 * u * np.cos(b.phi) / np.tan(b.theta)
-    return float(tdot), float(pdot)
 
 
 # H_oc is exactly constant on every bang, so a cell-wise protocol leaves a

@@ -13,8 +13,8 @@ Three schemes, all meaningful only for T above the bang-bang minimum time:
   perfect-gate set, by Gauss-Newton on the gate's two or three real
   equations with the amplitude bound kept as an active set.
 
-A discrete Fourier diagnostic and the small-time perturbative amplitude used
-to explain the odd-harmonic structure round out the module.
+A discrete Fourier diagnostic of the odd-harmonic structure rounds out the
+module.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ __all__ = [
     "project_to_gate",
     "constrained_smooth_optimize",
     "fourier_spectrum",
-    "perturbative_amplitude",
 ]
 
 @dataclass
@@ -536,26 +535,3 @@ def fourier_spectrum(protocol: Protocol, n_max: int = 40):
         dt = T / rel.size
         amps[1:] = (1.0 - np.exp(-1j * w * dt)) / (1j * w) * np.fft.fft(rel)[n[1:] % rel.size]
     return freqs, amps
-
-
-def perturbative_amplitude(V, omega: float, t: float) -> complex:
-    """First-order excited amplitude for a multi-harmonic drive at small t.
-
-    For u(t) = sum_N V_N cos(N omega t) acting on the ground state in the
-    rotating frame (omega0 = 2), each harmonic contributes a resonant pair term
-    (1 - e^(i (omega0 - N omega) t)) / (omega0 - N omega) plus its
-    counter-rotating partner; an exactly resonant denominator takes the
-    limit value -i t.
-    """
-    w0 = 2.0
-
-    def g(x: float) -> complex:
-        if abs(x) < 1e-12:
-            return -1j * t
-        return (1.0 - np.exp(1j * x * t)) / x
-
-    out = 0.0 + 0.0j
-    for k, vn in enumerate(np.atleast_1d(np.asarray(V, dtype=float))):
-        N = k + 1
-        out += (vn / 2.0) * (g(w0 - N * omega) + g(w0 + N * omega))
-    return complex(out)

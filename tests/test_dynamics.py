@@ -16,7 +16,6 @@ from qoct.dynamics import (
     bloch_angles,
     bloch_from_state,
     cell_pairs,
-    constant_propagator,
     gate_cost,
     ordered_product,
     pair_apply,
@@ -44,6 +43,7 @@ from qoct.protocols import (
     as_sampled,
     mirrored_tanh_times,
 )
+from reference import constant_propagator
 
 P05 = ModelParams(u_max=0.5)
 

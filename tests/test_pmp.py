@@ -25,9 +25,7 @@ from qoct.dynamics import (
 from qoct.pmp import (
     CostSpec,
     alpha,
-    analytical_switching,
     audit,
-    bloch_velocity,
     control_hamiltonian,
     cost_and_gradient,
     certified_audit,
@@ -37,6 +35,7 @@ from qoct.pmp import (
     unitary_and_jacobian,
 )
 from qoct.protocols import BangSequence, Sampled, segment_durations_values
+from reference import analytical_switching, bloch_velocity, constant_propagator
 
 P02 = ModelParams(u_max=0.2)
 P05 = ModelParams(u_max=0.5)
@@ -416,7 +415,7 @@ class TestPlanarGeometry:
             bloch_velocity(BlochPoint(0.0, 0.0), 0.1, P05)
 
     def test_velocity_matches_propagated_states(self):
-        from qoct.dynamics import bloch_from_state, constant_propagator
+        from qoct.dynamics import bloch_from_state
         b = BlochPoint(0.6 * np.pi, 0.9)
         u = 0.37
         psi = state_from_bloch(b)

@@ -32,7 +32,6 @@ from qoct.smoothing import (
     min_third_harmonic_time,
     optimize_tanh,
     optimize_third_harmonic,
-    perturbative_amplitude,
     power_cost,
     power_gradient,
     project_to_gate,
@@ -42,6 +41,7 @@ from qoct.smoothing import (
     tanh_protocol,
 )
 from qoct.xgate import GateProblem, min_gate_time, one_param_protocol, rabi_fidelity_curve
+from reference import perturbative_amplitude
 
 X02 = GateProblem("x", ModelParams(u_max=0.2))
 T_RABI_02 = np.pi / 0.2
