@@ -406,9 +406,10 @@ def box_root(f_rows, x0, lo, hi) -> OptimResult:
     def clip(X, lanes):
         return np.minimum(np.maximum(X, lo), hi)
 
-    lanes = gauss_newton(lambda X, lanes: f_rows(X), np.atleast_2d(x0), FD_STEP, ROOT_TOL,
-                         ROOT_STEPS, clip)
-    r = min((r for r in lanes if r.status == "converged"), key=lambda r: r.x[0], default=lanes[0])
+    results = gauss_newton(lambda X, lanes: f_rows(X), np.atleast_2d(x0), FD_STEP, ROOT_TOL,
+                           ROOT_STEPS, clip)
+    r = min((r for r in results if r.status == "converged"), key=lambda r: r.x[0],
+            default=results[0])
     if r.status != "converged":
         return r
     xt = clip(r.x + _lm_steps(r.J[None], r.F[None], np.zeros(1))[0], None)

@@ -259,11 +259,12 @@ def certified_audit(protocol: BangSequence | OneParamBB, params: ModelParams,
                     cost: CostSpec) -> OptimalityReport:
     """``audit`` of a minimum-time bang protocol at T* on its ``endpoint_costate``.
 
-    The audit is in closed form, and the costate and the audit read psi and
-    lambda from the same prefix scan (``_bang_prefixes``).  The report carries the costate's
-    ``certificate_residual`` and ``mu``; on an extremal its ``sign_margin``
-    is at rounding level (below 1e-13 at the benchmark centres), and a
-    switch moved off it by 1% of a bang reads a margin of 1e-4 or more.
+    The costate and the closed-form audit each read psi and lambda from a
+    prefix scan of the bangs (``_bang_prefixes``).  The report carries the
+    costate's ``certificate_residual`` and ``mu``; on an extremal its
+    ``sign_margin`` is at rounding level (below 1e-13 at the benchmark
+    centres), and a switch moved off it by 1% of a bang reads a margin of
+    1e-4 or more.
     """
     final_adjoint, residual, mu = endpoint_costate(protocol, params, cost)
     report = audit(protocol, params, cost, final_adjoint=final_adjoint)
@@ -393,7 +394,7 @@ def _q_vectors(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def _arcs(Q: np.ndarray, vals: np.ndarray, params: ModelParams):
-    """Phi = c0 + c1 cos(w tau) + c2 sin(w tau) and H_oc on bangs of value vals entered at Q (k, 3).
+    """Phi = c0 + c1 cos(w tau) + c2 sin(w tau) and H_oc on bangs of values vals entered at Q.
 
     On a bang of value v, H = W n.sigma with W = sqrt(h^2 + v^2), h =
     omega0/2 and n = (v, 0, h)/W, and psi and lambda both evolve by
@@ -411,21 +412,21 @@ def _arcs(Q: np.ndarray, vals: np.ndarray, params: ModelParams):
 
 
 def _merged(durs, vals, T: float):
-    """Boundaries and values of the segments (durs, vals) with equal neighbours merged, and their first cells."""
+    """Boundaries, values and first cells of the segments (durs, vals), equal neighbours merged."""
     starts = np.flatnonzero(np.concatenate([[True], np.abs(np.diff(vals)) > 0.0]))
     cum = np.concatenate([[0.0], np.cumsum(durs)])
     return np.concatenate([cum[starts], [T]]), vals[starts], starts
 
 
 def _omega_eff(boundaries, vals, params: ModelParams) -> float | None:
-    """pi / the mean middle-segment duration, or None unless every middle segment is a full bang."""
+    """pi / the mean middle-segment duration; None unless every middle segment is a full bang."""
     if len(vals) >= 3 and np.all(np.abs(np.abs(vals[1:-1]) - params.u_max) < 1e-9 * params.u_max):
         return float(np.pi / np.mean(np.diff(boundaries)[1:-1]))
     return None
 
 
 def _bang_prefixes(protocol: BangSequence | OneParamBB, params: ModelParams):
-    """Segments (durations, values) of a bang protocol and the prefix pairs (K + 1, 2) of its K cells.
+    """Segments (durations, values) of a bang protocol and the prefix pairs (K + 1, 2) of them.
 
     One prefix scan: ``cell_pairs``, ``pair_levels`` up the tree and
     ``pair_prefixes`` down it; row k is P_k at the start of segment k, the
@@ -452,7 +453,7 @@ def _extremes(c0, c1, c2, theta_end):
 
 
 def _measure_above(c0, c1, c2, theta_end, level):
-    """Measure of theta in [0, theta_end] where c0 + c1 cos(theta) + c2 sin(theta) > level, elementwise.
+    """Measure of theta in [0, theta_end] with c0 + c1 cos(theta) + c2 sin(theta) > level.
 
     With c0 + R cos(theta - phi), the set is cos(theta - phi) > g = (level -
     c0)/R: the arcs theta - phi + delta in [0, 2 delta) mod 2 pi, delta =

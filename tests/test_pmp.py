@@ -659,7 +659,7 @@ class TestEndpointCostate:
 
 
 class TestBangArcs:
-    """The sinusoid of Phi on a bang: exact extremes and exact measure of the sign rule's breach."""
+    """Phi's sinusoid on a bang: exact extremes, and the exact measure of a sign-rule breach."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
