@@ -698,25 +698,21 @@ class TestBangArcs:
         assert abs(dense.max_abs_phi - np.abs(dense.phi).max()) <= 1e-9
 
 
-def _centre_protocols():
+@pytest.fixture(scope="module")
+def centre_protocols(centre_roots, bsb_winners):
     """The gate-search and stateprep-search centres: (name, bang protocol, params, cost)."""
     from qoct.state_prep import find_time_optimal
-    from qoct.xgate import min_gate_time
     out = []
     for kind, u in GATE_CENTRES:
         problem = _gate_problem(kind, u)
-        res = min_gate_time(problem, with_report=False)
-        out.append((f"{kind} {u}", res.protocol, problem.params, problem.cost_spec()))
+        out.append((f"{kind} {u}", centre_roots[kind, u].protocol, problem.params,
+                    problem.cost_spec()))
     for u in (0.104, 0.16, 0.85):
         problem = _sp_problem(u)
-        res = find_time_optimal(problem, with_report=False)
+        res = bsb_winners[u] if u in bsb_winners else find_time_optimal(problem,
+                                                                         with_report=False)
         out.append((f"sp {u}", res.protocol(), problem.params, problem.cost_spec()))
     return out
-
-
-@pytest.fixture(scope="module")
-def centre_protocols():
-    return _centre_protocols()
 
 
 class TestClosedFormMatchesPropagation:
