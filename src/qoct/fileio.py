@@ -53,17 +53,51 @@ def write_csv(path, header: list[str], rows) -> Path:
     of "%.12g" cells, repeated once per row, over the array's Python floats.
     "%.12g" and ``fmt``'s "{:.12g}" are one conversion, so that is ``fmt``'s
     text for the same floats, without its type dispatch on numpy scalars;
-    rows holding ints, bools or strings take the iterable form.
+    rows holding ints, bools or strings take the iterable form.  A column of
+    few runs of equal values, such as an audit's constant H_oc or a bang
+    pulse's u, is formatted once per run (``_float_block``).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        row = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-        body = row * len(rows) % tuple(rows.ravel().tolist())
+        body = _float_block(rows.astype(float, copy=False))
     else:
         body = "".join(",".join(fmt(x) for x in row) + "\n" for row in rows)
     path.write_text(",".join(header) + "\n" + body, encoding="ascii", newline="\n")
     return path
+
+
+# each stretch of rows costs about 1 us of Python, and each baked cell saves
+# about 0.1 us: on a 2-vCPU x86-64 guest, at 4000 rows, baking a column of
+# 1000 runs wrote 1.3 times slower and one of 250 runs 1.15 times faster
+_ROWS_PER_RUN = 16
+
+
+def _float_block(rows: np.ndarray) -> str:
+    """Lines of "%.12g" cells for the rows of a 2-D float64 array.
+
+    A column with at most one run of equal values per ``_ROWS_PER_RUN``
+    rows is formatted once per run, and that text is baked into the row
+    template of each stretch of rows over which no such column changes; only
+    the other columns are ``%``-formatted row by row.  Runs compare bits, so
+    -0.0 and 0.0 (written "-0" and "0") are different values.
+    """
+    n, m = rows.shape
+    step = rows.view(np.int64)
+    step = step[1:] != step[:-1]
+    baked = (step.sum(axis=0) + 1) * _ROWS_PER_RUN <= n
+    if not baked.any():
+        return (",".join(["%.12g"] * m) + "\n") * n % tuple(rows.ravel().tolist())
+    starts = np.flatnonzero(np.concatenate(([True], step[:, baked].any(axis=1))))
+    ends = np.append(starts[1:], n).tolist()
+    free = rows[:, ~baked]
+    k, values = free.shape[1], free.ravel().tolist()
+    pieces, cols = [], baked.tolist()
+    for r0, r1, runs in zip(starts.tolist(), ends, rows[starts][:, baked].tolist()):
+        text = iter(["%.12g" % v for v in runs])
+        row = ",".join([next(text) if b else "%.12g" for b in cols]) + "\n"
+        pieces.append(row * (r1 - r0) % tuple(values[r0 * k:r1 * k]))
+    return "".join(pieces)
 
 
 def _jsonable(obj):

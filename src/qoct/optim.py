@@ -427,7 +427,11 @@ def dip_roots(f_rows, ts, step: float, ws, chunk: int):
     ``f_rows(X)`` returns F at the rows (T, omega) of X as a (k, m) array.
     The scan evaluates the grid ``ws`` (equally spaced) at ``chunk`` times
     of ``ts`` per call; its profile at each T is the ``grid_vertex``
-    (|F|^2, omega) of that grid.  At each local minimum of the profile, at
+    (|F|^2, omega) of that grid.  ``chunk`` trades the fixed cost of a call
+    against the rows a call evaluates past the dip that ends the scan: when
+    ``f_rows`` evaluates each row alone, as the square wave and the third
+    harmonic do, the dips, their solves and the roots are the same at every
+    ``chunk``.  At each local minimum of the profile, at
     ts[j - 1], ``box_root`` solves F = 0 from the vertex in the box
     [ts[j - 2], ts[j] + step] x [ws[0], ws[-1]].  A solve from the vertex
     can stall at a minimum of |F|^2 that is not a root while a root lies in

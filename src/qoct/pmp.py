@@ -46,7 +46,6 @@ import numpy as np
 from .dynamics import (
     KET_0,
     SIGMA_0,
-    BlochPoint,
     ModelParams,
     _cells,
     cell_pairs,
@@ -69,7 +68,6 @@ __all__ = [
     "endpoint_costate",
     "certified_audit",
     "omega_eff_from_ratio",
-    "alpha",
     "audit",
 ]
 
@@ -279,19 +277,6 @@ def omega_eff_from_ratio(lambda0_over_A: float, params: ModelParams) -> float:
     if abs(arg) > 1.0:
         raise ValueError("lambda0/A ratio outside the admissible range")
     return W / (1.0 + (2.0 / np.pi) * math.asin(arg))
-
-
-def alpha(b: BlochPoint) -> float:
-    """Quadrant scalar alpha = 2 cot(theta) / sin(phi); zero on the equator.
-
-    The arcs phi in {0, +/-pi} and the poles divide the sphere; evaluation
-    there raises ValueError('on-boundary').
-    """
-    if min(abs(b.phi), abs(abs(b.phi) - np.pi)) < 1e-12:
-        raise ValueError("on-boundary: alpha diverges at phi in {0, +/-pi}")
-    if min(b.theta, np.pi - b.theta) < 1e-12:
-        raise ValueError("on-boundary: alpha undefined at the poles")
-    return 2.0 / (np.tan(b.theta) * np.sin(b.phi))
 
 
 # H_oc is exactly constant on every bang, so a cell-wise protocol leaves a

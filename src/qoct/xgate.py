@@ -135,6 +135,12 @@ def _square_wave_pairs(X, problem: GateProblem, sign: float, parity: str) -> np.
     m = (n - 1) // 2 periods P = U(tau, v0) U(tau, -v0), followed by
     Q = U(tau, -v0) when n - 1 is odd.  Every row is evaluated elementwise,
     so it has the bits of the same (T, omega) alone.
+
+    Every bang has |u| = u_max, so the five cells share one
+    W = hypot(omega0/2, u_max), and their three durations e, tau and Q's tau
+    or 0 take cos and sin twice, of W e and W tau (cos 0 = 1 and sin 0 = 0
+    exactly).  The pairs come from ``cell_pairs``'s expressions on those
+    terms, so each has the bits of ``cell_pairs`` on the five cells.
     """
     T, w = np.asarray(X, dtype=float).T
     tau = np.pi / w
@@ -149,8 +155,16 @@ def _square_wave_pairs(X, problem: GateProblem, sign: float, parity: str) -> np.
     n_mid = np.maximum(n_switch - 1.0, 0.0)
     edge = 0.5 * (T - n_mid * tau)
     v_last = v0 * (1.0 - 2.0 * (n_switch % 2))
-    cells = cell_pairs(np.array([edge, tau, tau, (n_mid % 2) * tau, edge]),
-                       np.array([v0, -v0, v0, -v0, v_last]), problem.params)
+    h = 0.5 * problem.params.omega0
+    W = np.hypot(h, problem.params.u_max)
+    th = W * np.array([edge, tau])
+    c, s = np.cos(th), np.sin(th) / W
+    q = n_mid % 2 == 1  # Q's duration is tau, else 0
+    c = np.array([c[0], c[1], c[1], np.where(q, c[1], 1.0), c[0]])
+    s = np.array([s[0], s[1], s[1], np.where(q, s[1], 0.0), s[0]])
+    cells = np.empty(c.shape + (2,), dtype=complex)
+    np.subtract(c, (1j * h) * s, out=cells[..., 0])
+    np.multiply(-1j * s, np.array([v0, -v0, v0, -v0, v_last]), out=cells[..., 1])
     cells[2] = _su2_power(pair_product(cells[1:3]), n_mid // 2)
     return pair_product(cells[[0, 2, 3, 4]])  # E_first, P^m, Q, E_last
 
@@ -198,12 +212,17 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     frequency grid of ``optimize_omega_eff``: it solves the dips of |U00|^2
     by damped Gauss-Newton, each held to its bracket of the scan, widened by
     one step to the right, and to the grid's frequencies, down to |U00|^2 <=
-    ``optim.ROOT_TOL``.  The second parity (population transfer) scans only
-    up to one step past the first parity's root, and the earliest root over
-    the parities is T*.  ``newton_steps`` counts the Gauss-Newton steps of
-    its solve.  The optimality report audits the returned protocol at T*
-    with the costate of ``pmp.endpoint_costate`` (``pmp.certified_audit``),
-    whose residual and multipliers it carries.
+    ``optim.ROOT_TOL``.  A dip whose solve from its vertex does not converge
+    is solved again from the vertices of its neighbouring rows.  The scan
+    evaluates four T rows (1600 points) per residual call, the fastest of 1
+    to 6 rows at the gate-search band centres; every row is evaluated alone,
+    so the roots are those of one row per call, bit for bit.  The second
+    parity (population transfer) scans only up to one step past the first
+    parity's root, and the earliest root over the parities is T*.
+    ``newton_steps`` counts the Gauss-Newton steps of its solve.  The
+    optimality report audits the returned protocol at T* with the costate
+    of ``pmp.endpoint_costate`` (``pmp.certified_audit``), whose residual
+    and multipliers it carries.
     """
     t_rabi = rabi_pi_time(problem.params)
     # at small u_max a dip of the scanned cost is about one natural period
@@ -217,7 +236,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         if roots:  # scan on while ts[j - 1] is at most one step past the earliest root
             t_first = min(r.x[0] for r in roots.values())
             ts = ts[:np.searchsorted(ts, t_first + step, side="right") + 1]
-        root = next(dip_roots(lambda X: _u00_rows(X, problem, p), ts, step, ws, 1), None)
+        root = next(dip_roots(lambda X: _u00_rows(X, problem, p), ts, step, ws, 4), None)
         if root is not None:
             roots[p] = root
     if not roots:

@@ -201,6 +201,31 @@ class TestFileIO:
         empty = write_csv(tmp_path / "e.csv", ["x", "y"], np.empty((0, 2)))
         assert empty.read_bytes() == b"x,y\n"
 
+    @pytest.mark.parametrize("case", ["constant", "few runs", "all distinct", "signed zeros",
+                                      "one row", "threshold", "past threshold"])
+    def test_float_block_with_runs_is_one_format_per_cell(self, tmp_path, case):
+        # columns of few runs are formatted once per run; the bytes are those
+        # of one "%.12g" per cell
+        n = 160
+        t = np.linspace(0.0, 3.7, n)
+        runs = {"constant": np.full(n, 0.3),
+                "few runs": np.repeat([0.5, -0.5, 0.5, 1.0 / 3.0], n // 4),
+                "all distinct": np.sin(t),
+                "signed zeros": np.repeat([0.0, -0.0, 0.0, -0.0, 2.5], n // 5),
+                "one row": None,
+                "threshold": np.repeat(np.arange(10) * 0.1, 16),
+                "past threshold": np.repeat(np.arange(11) * 0.1, 16)[:n]}[case]
+        if runs is None:
+            block = np.array([[0.1, -0.0, 7.0]])
+        else:
+            block = np.column_stack((t, runs, np.where(t < 1.0, -0.0, 0.0), np.cos(t)))
+        path = write_csv(tmp_path / "r.csv", ["a"] * block.shape[1], block)
+        lines = [",".join(["a"] * block.shape[1])]
+        lines += [",".join(["%.12g" % v for v in row]) for row in block.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        if case == "signed zeros":
+            assert {"0", "-0"} <= {line.split(",")[1] for line in lines[1:]}
+
 
 class TestCli:
     def test_xgate_single_point(self, outdir, capsys):

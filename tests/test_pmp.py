@@ -24,7 +24,6 @@ from qoct.dynamics import (
 )
 from qoct.pmp import (
     CostSpec,
-    alpha,
     audit,
     control_hamiltonian,
     cost_and_gradient,
@@ -35,7 +34,7 @@ from qoct.pmp import (
     unitary_and_jacobian,
 )
 from qoct.protocols import BangSequence, Sampled, segment_durations_values
-from reference import analytical_switching, bloch_velocity, constant_propagator
+from reference import alpha, analytical_switching, bloch_velocity, constant_propagator
 
 P02 = ModelParams(u_max=0.2)
 P05 = ModelParams(u_max=0.5)

@@ -15,8 +15,10 @@ from qoct.dynamics import (
 )
 from qoct.optim import scalar_minimize
 from qoct.protocols import square_wave
+from reference import square_wave_pairs
 from qoct.xgate import (
     GateProblem,
+    _square_wave_pairs,
     asymptotic_ratio_model,
     min_gate_time,
     one_param_cost,
@@ -279,6 +281,71 @@ class TestRefusedDips:
         assert expm_u00_squared(res, u_max) <= optim.ROOT_TOL
         if ratio is not None:
             assert abs(res.ratio - ratio) < 1e-6
+
+
+class TestRowsPerCall:
+    """The scan's residual calls take several T rows, and every root keeps its bits.
+
+    The amplitudes are the gate-search benchmark's band centres and those of
+    ``TestRefusedDips``, whose first solves stall.
+    """
+
+    @staticmethod
+    def first_roots(problem, monkeypatch, chunk=None):
+        """(min_gate_time's chunk, first root) per parity, scanned at ``chunk`` rows if given."""
+        seen = []
+
+        def spy(f_rows, ts, step, ws, chosen):
+            for r in optim.dip_roots(f_rows, ts, step, ws, chunk or chosen):
+                seen.append((chosen, r))
+                yield r
+
+        monkeypatch.setattr(xgate, "dip_roots", spy)
+        min_gate_time(problem, with_report=False)
+        return seen
+
+    @pytest.mark.parametrize("kind, u_max", [
+        ("x", 0.48), ("x", 0.20), ("x", 0.0502), ("y", 0.30), ("pt", 0.30),
+        ("x", 0.02757), ("x", 0.03655), ("x", 0.0542), ("x", 0.075), ("x", 0.1214),
+        ("x", 0.17631), ("x", 0.22829), ("y", 0.07882)])
+    def test_roots_equal_one_row_per_call(self, kind, u_max, monkeypatch):
+        problem = GateProblem(kind, ModelParams(u_max=u_max))
+        rows = self.first_roots(problem, monkeypatch)
+        single = self.first_roots(problem, monkeypatch, chunk=1)
+        assert len(rows) == len(single) == len(problem.parities())
+        for (chunk, r), (_, r1) in zip(rows, single):
+            assert chunk > 1
+            assert r.x.tobytes() == r1.x.tobytes()
+            assert (r.fun, r.n_iter, r.status) == (r1.fun, r1.n_iter, r1.status)
+
+
+def n_mid(X, parity):
+    """Middle bangs of the square wave at the rows (T, omega) of X: its switch count less one."""
+    cycles = X[:, 0] * X[:, 1] / (2.0 * np.pi)
+    if parity == "even":
+        return np.maximum(2.0 * np.maximum(np.ceil(cycles - 0.5), 0.0) - 1.0, 0.0)
+    return 2.0 * (np.ceil(cycles) - 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_square_wave_pairs_equal_five_cell_reference_bitwise(seed):
+    # the cells share one W and the cos/sin of their durations; the reference
+    # takes hypot, cos and sin for each of the five cells
+    rng = np.random.default_rng(seed)
+    seen = set()  # middle-bang counts: odd on the even wave (or 0), even on the odd wave
+    for u_max in np.exp(rng.uniform(np.log(0.005), np.log(3.0), 12)):
+        problem = GateProblem("pt", ModelParams(u_max=float(u_max)))
+        X = np.column_stack((rng.uniform(0.0, 1.3, 300) * rabi_pi_time(problem.params),
+                             rng.uniform(0.5 * problem.params.omega0,
+                                         1.3 * problem.params.big_omega, 300)))
+        for parity in ("even", "odd"):
+            seen.update(n_mid(X, parity).tolist())
+            for sign in (1.0, -1.0):
+                new = _square_wave_pairs(X, problem, sign, parity)
+                ref = square_wave_pairs(X, problem, sign, parity)
+                np.testing.assert_array_equal(new.view(np.uint64), ref.view(np.uint64))
+    assert {0.0, 1.0} <= seen
+    assert any(m % 2 == 1 and m > 1 for m in seen) and any(m % 2 == 0 and m > 0 for m in seen)
 
 
 SWEEP = np.geomspace(0.02, 1.0, 80)
