@@ -322,8 +322,8 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     """Product U[n-1] @ ... @ U[0] (index 0 acts first) by ``pair_product``.
 
     ``units`` is (n, ..., 2, 2), a stack of n cells for every lane of the
-    trailing axes, or one 2x2 matrix, which is returned as it is.  No search
-    or report calls this; it serves ``total_unitary``.
+    trailing axes.  No search or report calls this; it serves
+    ``total_unitary``.
 
     Precondition: every cell has the SU(2) form [[a, -b*], [b, a*]], as the
     ``segment_propagators`` cells, their zero-duration identity pads and the
@@ -331,10 +331,7 @@ def ordered_product(units: np.ndarray) -> np.ndarray:
     pair (a, b) = (U00, U10) is read; U01 and U11 are not.  The product's
     pair is rebuilt once as [[a, -b*], [b, a*]].
     """
-    units = np.asarray(units)
-    if units.ndim == 2:
-        return units
-    return pair_matrix(pair_product(units[..., :, 0]))
+    return pair_matrix(pair_product(np.asarray(units)[..., :, 0]))
 
 
 def prefix_states(ab: np.ndarray, initial: np.ndarray, k) -> np.ndarray:

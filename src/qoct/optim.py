@@ -15,6 +15,11 @@ dip's box; the third harmonic's fixed-T gate is one ``box_root`` lane in
 (omega, R).  Nelder-Mead, one sequential simplex per run, serves only the
 minimization behind a BB state-prep winner's report at 0.999 T*, where no
 root exists; the BSB winner's report is at T* and needs no search.
+
+The engine's settings (``ROOT_TOL``, ``ROOT_STEPS``, ``FD_STEP``) and the
+scan's rows per call (``SCAN_ROWS``) are constants of this module, read at
+call time; no caller passes them.  Every Jacobian is a forward difference
+from ``_fd_rows``, the one place an exact Jacobian would replace them.
 """
 from __future__ import annotations
 
@@ -39,10 +44,18 @@ __all__ = [
 ]
 
 # The root solves stop at |F|^2 <= ROOT_TOL, after at most ROOT_STEPS steps,
-# with forward-difference Jacobians of step FD_STEP.
+# with forward-difference Jacobians of step FD_STEP (``_fd_rows``, the one
+# difference stencil of the package).  ``gauss_newton`` reads them at call time.
 ROOT_TOL = 1e-20
 ROOT_STEPS = 25
 FD_STEP = 1e-7
+# T rows that ``dip_roots`` evaluates per residual call.  Over the five
+# gate-search band centres (X u_max 0.48, 0.20, 0.0502, Y 0.30, PT 0.30) in
+# process, ``min_gate_time`` took a median of 39.9 / 37.3 / 29.5 / 26.4 /
+# 26.7 / 35.2 ms at 1 / 2 / 3 / 4 / 5 / 6 rows on a 2-vCPU guest; 3 and 4
+# rows stay within that host's noise of each other.  The square wave and the
+# third harmonic evaluate every row alone, so their roots do not depend on it.
+SCAN_ROWS = 4
 
 
 @dataclass
@@ -266,21 +279,22 @@ _DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
 _MIN_DECREASE = 0.01
 
 
-def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
-                 repair) -> list[OptimResult]:
+def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
     """Damped Gauss-Newton root solves of F(x) = 0 on B lanes at once, F with 2 real components.
 
     ``starts`` is (B, n).  ``f_rows(X, lanes)`` returns F at the rows of X
     (k, n) as a (k, 2) array, row i belonging to lane ``lanes[i]``;
     ``repair(X, lanes)`` maps rows back into their lanes' domains (the
     identity where every x is admissible) and is applied to the starts and
-    to every trial point.  A trial is a point and its forward-difference
-    neighbours x + h e_j, n + 1 rows, and each round makes one call over the
-    trials of all active lanes.  A trial step solves min |J s + F|^2 +
-    lam |J|^2 |s|^2 (``_lm_steps``); lam = 0 gives the minimum-norm
-    Gauss-Newton step -J^+ F.
+    to every trial point.  The settings are the module's, read at call
+    time: tolerance ``ROOT_TOL``, at most ``ROOT_STEPS`` steps per lane, and
+    Jacobians from ``_fd_rows`` (step ``FD_STEP``).  A trial is a point and
+    its forward-difference neighbours, n + 1 rows, and each round makes one
+    call over the trials of all active lanes.  A trial step solves
+    min |J s + F|^2 + lam |J|^2 |s|^2 (``_lm_steps``); lam = 0 gives the
+    minimum-norm Gauss-Newton step -J^+ F.
 
-    A lane takes its trial when |F|^2 falls by at least 1% or to ``tol``,
+    A lane takes its trial when |F|^2 falls by at least 1% or to ``ROOT_TOL``,
     and otherwise climbs the damping ladder ``_DAMPING``.  A step taken at
     the first rung it tried lets the next step start one rung lower, so
     steps return to Gauss-Newton near a root (Levenberg-Marquardt; Nocedal
@@ -289,19 +303,18 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
     than 1% is a stall only where the linear model predicted no more (it
     gained at least half the model's decrease): that trial is taken and the
     lane ends 'stalled'.  Where the model overshot, the lane climbs on.  A
-    lane ends 'converged' at |F|^2 <= ``tol``, 'stalled' also when no rung
-    lowers |F|^2, and 'max-iter' after ``max_steps`` steps.  Each result's ``fun`` is |F(x)|^2,
+    lane ends 'converged' at |F|^2 <= ``ROOT_TOL``, 'stalled' also when no rung
+    lowers |F|^2, and 'max-iter' after ``ROOT_STEPS`` steps.  Each result's ``fun`` is |F(x)|^2,
     ``n_eval`` counts its lane's rows, ``n_iter`` its steps, and ``F`` and
     ``J`` hold F and its Jacobian at x.  Raises RuntimeError if F is not
     finite at a start; a trial where it is not counts as no decrease.
     """
+    tol, max_steps = ROOT_TOL, ROOT_STEPS
     X = np.array(starts, dtype=float)
     B, n = X.shape
     lanes = np.arange(B)
     X = repair(X, lanes)
-    # a point and its forward-difference neighbours x + h e_j
-    offsets = np.vstack([np.zeros(n), h * np.eye(n)])
-    F, J, r = _fd_rows(f_rows, X, lanes, offsets)
+    F, J, r = _fd_rows(f_rows, X, lanes)
     if not np.isfinite(r).all():
         raise RuntimeError(f"residual is not finite at x0={X[~np.isfinite(r)][0]!r}")
     n_eval = np.full(B, n + 1)
@@ -324,7 +337,7 @@ def gauss_newton(f_rows, starts, h: float, tol: float, max_steps: int,
     climbed = np.zeros(len(lanes), dtype=bool)
     while lanes.size:
         xt = repair(X + _lm_steps(J, F, _DAMPING[rung]), lanes)
-        Ft, Jt, rt = _fd_rows(f_rows, xt, lanes, offsets)
+        Ft, Jt, rt = _fd_rows(f_rows, xt, lanes)
         n_eval += n + 1
         model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
         gain = r - rt  # NaN where F is not finite at the trial
@@ -376,16 +389,20 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     return -(J0 * w0[:, None] + J1 * w1[:, None])
 
 
-def _fd_rows(f_rows, X, lanes, offsets):
-    """F at the rows of X, their forward-difference Jacobians and |F|^2, from one call.
+def _fd_rows(f_rows, X, lanes):
+    """F at the rows of X (L, n), their Jacobians (L, m, n) and |F|^2, from one call.
 
-    ``offsets`` is (n + 1, n): a zero row, then h times the identity.
+    Each row x is evaluated with its forward-difference neighbours
+    x + FD_STEP e_j, and column j of its Jacobian is their difference from
+    F(x) over FD_STEP.  Every Jacobian of the root solves and of
+    ``smoothing``'s face slope comes from here.
     """
     L, n = X.shape
+    offsets = np.vstack([np.zeros(n), FD_STEP * np.eye(n)])
     rows = np.asarray(f_rows((X[:, None] + offsets).reshape(-1, n), np.repeat(lanes, n + 1)),
                       dtype=float).reshape(L, n + 1, -1)
     F = rows[:, 0]
-    J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / offsets[1, 0]
+    J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / FD_STEP
     return F, J, (F * F).sum(axis=1)
 
 
@@ -406,8 +423,7 @@ def box_root(f_rows, x0, lo, hi) -> OptimResult:
     def clip(X, lanes):
         return np.minimum(np.maximum(X, lo), hi)
 
-    results = gauss_newton(lambda X, lanes: f_rows(X), np.atleast_2d(x0), FD_STEP, ROOT_TOL,
-                           ROOT_STEPS, clip)
+    results = gauss_newton(lambda X, lanes: f_rows(X), np.atleast_2d(x0), clip)
     r = min((r for r in results if r.status == "converged"), key=lambda r: r.x[0],
             default=results[0])
     if r.status != "converged":
@@ -421,17 +437,18 @@ def box_root(f_rows, x0, lo, hi) -> OptimResult:
     return r
 
 
-def dip_roots(f_rows, ts, step: float, ws, chunk: int):
+def dip_roots(f_rows, ts, step: float, ws):
     """Roots of F(T, omega) = 0 at the dips of a scan upward in T, in increasing T.
 
     ``f_rows(X)`` returns F at the rows (T, omega) of X as a (k, m) array.
-    The scan evaluates the grid ``ws`` (equally spaced) at ``chunk`` times
-    of ``ts`` per call; its profile at each T is the ``grid_vertex``
-    (|F|^2, omega) of that grid.  ``chunk`` trades the fixed cost of a call
-    against the rows a call evaluates past the dip that ends the scan: when
-    ``f_rows`` evaluates each row alone, as the square wave and the third
-    harmonic do, the dips, their solves and the roots are the same at every
-    ``chunk``.  At each local minimum of the profile, at
+    The scan evaluates the grid ``ws`` (equally spaced) at ``SCAN_ROWS``
+    times of ``ts`` per call, read at call time; its profile at each T is
+    the ``grid_vertex`` (|F|^2, omega) of that grid.  The rows per call
+    trade the fixed cost of a call against the rows a call evaluates past
+    the dip that ends the scan: when ``f_rows`` evaluates each row alone, as
+    the square wave and the third harmonic do, the dips, their solves and
+    the roots are the same at any ``SCAN_ROWS``.  At each local minimum of
+    the profile, at
     ts[j - 1], ``box_root`` solves F = 0 from the vertex in the box
     [ts[j - 2], ts[j] + step] x [ws[0], ws[-1]].  A solve from the vertex
     can stall at a minimum of |F|^2 that is not a root while a root lies in
@@ -441,6 +458,7 @@ def dip_roots(f_rows, ts, step: float, ws, chunk: int):
     Raises RuntimeError when the first profile point already has |F|^2 <=
     ``TARGET_TOL``: the scan starts too late to see the first root.
     """
+    chunk = SCAN_ROWS
     prof = []  # (|F|^2, omega) at each scanned T
     for start in range(0, len(ts), chunk):
         block = ts[start:start + chunk]

@@ -169,16 +169,31 @@ class CostSpec:
 def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Phi = Re[-i <lambda|sigma_x|psi>] of adjoint and forward states (..., 2).
 
-    dC/du(t) = Phi(t) dt.
+    dC/du(t) = Phi(t) dt.  It is Q_x of ``_q_vectors``.
     """
-    return np.imag(lam[..., 0].conj() * psi[..., 1] + lam[..., 1].conj() * psi[..., 0])
+    return _q_vectors(lam, psi)[..., 0]
 
 
 def control_hamiltonian(lam: np.ndarray, psi: np.ndarray, u: np.ndarray,
                         params: ModelParams) -> np.ndarray:
     """H_oc = Re[-i <lambda|H|psi>] of states (..., 2), u the control per row."""
-    phi_z = np.imag(lam[..., 0].conj() * psi[..., 0] - lam[..., 1].conj() * psi[..., 1])
-    return 0.5 * params.omega0 * phi_z + u * switching_function(lam, psi)
+    return _hoc(_q_vectors(lam, psi), u, params)
+
+
+def _q_vectors(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Q_l = Im<lambda|sigma_l|psi>, l = x, y, z, on a last axis, of states (..., 2).
+
+    Q_x is Phi; the only place where Phi and Q_z are formed.
+    """
+    l0, l1 = np.conjugate(lam[..., 0]), np.conjugate(lam[..., 1])
+    p0, p1 = psi[..., 0], psi[..., 1]
+    return np.stack((np.imag(l0 * p1 + l1 * p0), np.real(l1 * p0 - l0 * p1),
+                     np.imag(l0 * p0 - l1 * p1)), axis=-1)
+
+
+def _hoc(Q: np.ndarray, u, params: ModelParams) -> np.ndarray:
+    """H_oc = (omega0/2) Q_z + u Q_x of Q vectors (..., 3) and controls u."""
+    return 0.5 * params.omega0 * Q[..., 2] + u * Q[..., 0]
 
 
 def cost_and_gradient(protocol: Sampled, params: ModelParams, cost: CostSpec):
@@ -231,7 +246,8 @@ def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, c
     square wave passes at any frequency.
 
     mu's sign makes the first bang obey u = -u_max Sgn[Phi_mu], read from
-    Phi_mu(0).
+    Phi_mu(0).  Phi_i is the Q_x of ``_q_vectors`` on the costate block
+    lambda_i, as every Phi of this module is.
 
     Returns lambda(T) (2,) for ``audit``, the residual and mu.
     """
@@ -240,11 +256,11 @@ def endpoint_costate(protocol: BangSequence | OneParamBB, params: ModelParams, c
         raise ValueError("the endpoint costate needs at least one switch")
     a, b = P[-1]
     E = cost.endpoint_states()
-    # conj(lambda_i) and psi at 0 and at the switches, lambda_i(T) = e_i
-    # carried back by U^dag
-    lam = pair_apply(P[:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).conj()
-    psi = pair_apply(P[:-1], cost.initial_state()[:, None])
-    M = np.imag(lam[:, 0] * psi[:, 1] + lam[:, 1] * psi[:, 0])
+    # lambda_i and psi at 0 and at the switches, states on the last axis;
+    # lambda_i(T) = e_i carried back by U^dag
+    lam = pair_apply(P[:-1], pair_apply(np.array([np.conjugate(a), -b]), E)).swapaxes(1, 2)
+    psi = pair_apply(P[:-1], cost.initial_state()[:, None]).swapaxes(1, 2)
+    M = _q_vectors(lam, psi)[..., 0]
     _, s, vt = np.linalg.svd(M[1:])
     residual = float(s[-1] / s[0]) if len(s) == E.shape[1] else 0.0
     mu = vt[-1]
@@ -367,17 +383,6 @@ def _initial_costate(a, b, cost: CostSpec, final_adjoint) -> np.ndarray:
     return pair_apply(np.array([np.conjugate(a), -b]), final_adjoint[:, None])[:, 0]
 
 
-def _q_vectors(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Q_l = Im<lambda|sigma_l|psi>, l = x, y, z, on a last axis, of states (..., 2).
-
-    Q_x is Phi, and H_oc = (omega0/2) Q_z + u Q_x.
-    """
-    l0, l1 = np.conjugate(lam[..., 0]), np.conjugate(lam[..., 1])
-    p0, p1 = psi[..., 0], psi[..., 1]
-    return np.stack((np.imag(l0 * p1 + l1 * p0), np.real(l1 * p0 - l0 * p1),
-                     np.imag(l0 * p0 - l1 * p1)), axis=-1)
-
-
 def _arcs(Q: np.ndarray, vals: np.ndarray, params: ModelParams):
     """Phi = c0 + c1 cos(w tau) + c2 sin(w tau) and H_oc on bangs of values vals entered at Q.
 
@@ -391,7 +396,7 @@ def _arcs(Q: np.ndarray, vals: np.ndarray, params: ModelParams):
     """
     h = 0.5 * params.omega0
     W = np.hypot(h, vals)
-    hoc = vals * Q[:, 0] + h * Q[:, 2]
+    hoc = _hoc(Q, vals, params)
     c0 = vals * hoc / W ** 2
     return c0, Q[:, 0] - c0, -(h / W) * Q[:, 1], 2.0 * W, hoc
 
@@ -525,16 +530,19 @@ def _sampled_audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     excluding samples within two grid steps of a switching instant, and
     ``sign_margin`` is the largest u Phi / (u_max max|Phi|) over the same
     samples.  Singular residence accumulates time spent with u = 0 while
-    |theta - pi/2| < 1e-3.  ``A`` is the mean amplitude of Phi's sinusoid
-    on the middle bangs (``_arcs``), from Q at each one's first sample.
+    |theta - pi/2| < 1e-3.  Phi, H_oc and ``A`` all come from one Q
+    (``_q_vectors``) per sample: ``A`` is the mean amplitude of Phi's
+    sinusoid on the middle bangs (``_arcs``), from Q at each one's first
+    sample.
     """
     traj = propagate(protocol, params, SIGMA_0, n_samples)
     P = traj.states[..., :, 0]
     lam0 = _initial_costate(*P[-1], cost, final_adjoint)
     states = pair_apply(P, np.column_stack([cost.initial_state(), lam0]))
-    psi, lam = states[..., 0], states[..., 1]
+    psi = states[..., 0]
     times = traj.times
-    phi = switching_function(lam, psi)
+    Q = _q_vectors(states[..., 1], psi)
+    phi = Q[:, 0]
 
     # merge equal-value cells so dense Sampled grids recover their true
     # piecewise structure (bang segments); smooth pulses stay cell-resolved
@@ -544,7 +552,7 @@ def _sampled_audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
     # the control at each sample is taken from its segment, so that samples
     # landing exactly on a cell edge do not leak across segments
     u = vals[seg_idx]
-    hoc = control_hamiltonian(lam, psi, u, params)
+    hoc = _hoc(Q, u, params)
 
     counts = np.bincount(seg_idx, minlength=len(vals)).astype(float)
     sums = np.bincount(seg_idx, weights=hoc, minlength=len(vals))
@@ -585,7 +593,7 @@ def _sampled_audit(protocol: Protocol, params: ModelParams, cost: CostSpec,
         first = np.searchsorted(seg_idx, np.arange(1, len(vals) - 1))
         first = first[seg_idx[first] == np.arange(1, len(vals) - 1)]
         if first.size:
-            _, c1, c2, _, _ = _arcs(_q_vectors(lam[first], psi[first]), u[first], params)
+            _, c1, c2, _, _ = _arcs(Q[first], u[first], params)
             A = float(np.mean(np.hypot(c1, c2)))
 
     return OptimalityReport(

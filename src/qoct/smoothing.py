@@ -145,8 +145,7 @@ def optimize_tanh(n_pairs: int, beta: float, T: float, problem: GateProblem,
                          params)
 
     start = x0 if x0 is not None else _tanh_seed(n_pairs, T, params)
-    (r,) = optim.gauss_newton(f_rows, [start], optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
-                              repair)
+    (r,) = optim.gauss_newton(f_rows, [start], repair)
     proto = tanh_protocol(r.x, beta, T, params)
     cost1 = float(problem.cost_spec().gap(*total_pairs([proto], params)[0]))
     return SmoothingRun(scheme="tanh", T=T, params=params, protocol=proto,
@@ -238,15 +237,14 @@ def _face_slope(T: float, w: float, params: ModelParams) -> float:
     """dT/dR along the perfect-gate curve F(T, omega, R) = 0 at a face root.
 
     By the implicit-function theorem d(T, omega)/dR = -J^-1 dF/dR, with J
-    the 2x2 Jacobian in (T, omega); all three columns are forward
-    differences (step 1e-7, R stepping into the box) from one batched call.
-    dT/dR > 0 says that moving off the face into R > -1/8 costs time, so
-    the face root is a local minimum of T over the pulse family.  NaN when
-    J is singular.
+    the 2x2 Jacobian in (T, omega); the 2x3 Jacobian in (T, omega, R) is
+    the root engine's forward difference (``optim._fd_rows``, R stepping
+    into the box), from one batched call.  dT/dR > 0 says that moving off
+    the face into R > -1/8 costs time, so the face root is a local minimum
+    of T over the pulse family.  NaN when J is singular.
     """
-    X = np.array([T, w, _R_FACE]) + np.vstack([np.zeros(3), optim.FD_STEP * np.eye(3)])
-    F = _third_rows(X, params)
-    D = (F[1:] - F[0]).T / optim.FD_STEP
+    _, (D,), _ = optim._fd_rows(lambda X, lanes: _third_rows(X, params),
+                                np.array([[T, w, _R_FACE]]), np.zeros(1, dtype=int))
     try:
         return float(np.linalg.solve(D[:, :2], -D[:, 2])[0])
     except np.linalg.LinAlgError:
@@ -258,7 +256,7 @@ def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
 
     The first root of U00(T, omega) = 0 that ``optim.dip_roots`` finds
     scanning T upward over [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
-    four times per batched propagation, over a 17-point frequency grid over
+    ``optim.SCAN_ROWS`` times per batched propagation, over a 17-point frequency grid over
     omega0 [0.96, 1.04] at R = -1/8.  Each dip of |U00|^2 is solved by
     damped Gauss-Newton in (T, omega), held to the dip's bracket of the scan,
     widened by one step to the right, and to the grid's frequencies, so the
@@ -272,7 +270,7 @@ def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
     t_rabi = rabi_pi_time(params)
     ts = np.arange(0.84, 1.02 + 1e-12, 0.005) * t_rabi
     root = next(optim.dip_roots(lambda X: _face_rows(X, params), ts, 0.005 * t_rabi,
-                                params.omega0 * _FACE_GRID, 4), None)
+                                params.omega0 * _FACE_GRID), None)
     if root is None:
         raise RuntimeError(
             "third-harmonic scheme did not reach the gate fidelity in the scan range")

@@ -33,6 +33,7 @@ from .dynamics import (
     cell_pairs,
     pair_product,
     state_from_bloch,
+    total_pairs,
 )
 from .pmp import CostSpec, OptimalityReport
 from .protocols import BangSequence
@@ -44,7 +45,6 @@ __all__ = [
     "cost_of_switchings",
     "optimize_structure",
     "bsb_candidates",
-    "best_bsb",
     "find_time_optimal",
     "critical_amplitude",
 ]
@@ -303,11 +303,6 @@ def bsb_candidates(problem: StatePrepProblem) -> list[dict]:
     return out
 
 
-def best_bsb(problem: StatePrepProblem) -> dict | None:
-    cands = bsb_candidates(problem)
-    return cands[0] if cands else None
-
-
 def _bsb_protocol(cand: dict, params: ModelParams) -> BangSequence:
     t1 = cand["t1"]
     t2 = t1 + cand["coast"]
@@ -333,6 +328,8 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 _SCAN_DRAWS = 5
 _GRID_SIDE = 8
 _GRID_SEEDS = 2
+# the generator's first 2 _SCAN_DRAWS uniforms, from which every draw is made
+_SCAN_UNIFORMS = np.random.default_rng(0).random(2 * _SCAN_DRAWS)
 
 
 def _box(structure: StructureLabel, T: float):
@@ -404,7 +401,8 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     call: a solve only finds the root of the basin it starts in, and the
     grid sees basins the draws miss.  The draws are those of a fresh
     ``np.random.default_rng(0)`` per structure, made for all structures at
-    once from the generator's first 2 _SCAN_DRAWS uniforms.  The lanes of
+    once from the generator's first 2 _SCAN_DRAWS uniforms
+    (``_SCAN_UNIFORMS``, drawn once per process).  The lanes of
     all structures solve G = 0 (``_reduced_rows``) in one
     ``optim.gauss_newton`` call, every trial clipped into its lane's box.  A structure's best lane is the
     first with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its
@@ -426,7 +424,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         lo, hi = np.array([_box(structures[j], Ts[j]) for j in solved]).transpose(1, 0, 2)
         # the draws of np.random.default_rng(0) that each structure makes:
         # rng.uniform(a, b) is a + (b - a) U, and BB-1 draws t0 alone
-        U = np.random.default_rng(0).random(2 * _SCAN_DRAWS)
+        U = _SCAN_UNIFORMS
         draws = np.stack([np.where(one, T * U[:_SCAN_DRAWS], T / (k + 1) * U[0::2]),
                           np.where(one, 0.0, (0.3 + (1.0 - 0.3) * U[1::2]) * T
                                    / np.maximum(k - 1, 1))], axis=-1)
@@ -452,7 +450,6 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
             lambda X, lanes: rows(X, lane_set[lanes]), starts,
-            optim.FD_STEP, optim.ROOT_TOL, optim.ROOT_STEPS,
             lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
         for j, start, count in zip(solved, first, counts):
             out[j] = min(runs[start:start + count], key=lambda r: r.fun)
@@ -516,9 +513,10 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     audits its own protocol at T* (``pmp.certified_audit``), on the costate
     of the endpoint rows (Re G, Im G).  Ties break toward fewer switchings.
     ``residual`` is the winner's |G|^2 at T* and ``solver_steps`` its lane's
-    steps (for BSB, |G|^2 of its closed-form protocol and 0); ``cost`` is
-    that protocol's |G|^2 - 1, from ``CostSpec.gap`` like every terminal
-    cost here.
+    steps: a BB winner's ``fun`` as its lane found it, and for BSB |G|^2 of
+    its closed-form protocol (``total_pairs`` and ``CostSpec.gap``, the
+    path of every protocol's terminal cost) and 0.  ``cost`` is
+    ``residual`` - 1.
 
     The refinement brackets each hit between the last coarse time that
     missed and the hit, on one grid of 2^m equal cells no wider than the
@@ -575,12 +573,11 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
     bb_structs = list(dict.fromkeys(s for s in structures if s.kind == "bb"))
     want_bsb = any(s.kind == "bsb" for s in structures)
 
-    bsb = best_bsb(problem) if want_bsb else None
+    bsb = next(iter(bsb_candidates(problem)), None) if want_bsb else None
     bsb_T = bsb["T"] if bsb is not None else np.inf
     if bsb is not None:
         bsb_proto = _bsb_protocol(bsb, params)
-        (bsb_gap,) = _bang_costs([bsb_proto.switch_times], [bsb_T], [bsb_proto.values], spec,
-                                 params)
+        bsb_gap = float(spec.gap(*total_pairs([bsb_proto], params)[0]))
         if bsb_gap > TARGET_TOL:  # construction must be self-consistent
             bsb, bsb_T = None, np.inf
 
@@ -692,19 +689,16 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     if s_win is None:  # BSB wins
         structure = StructureLabel("bsb", 2, win["s1"])
-        proto = bsb_proto
-        times, values = np.asarray(proto.switch_times), proto.values
+        times, values = np.asarray(bsb_proto.switch_times), bsb_proto.values
         residual, solver_steps = bsb_gap, 0
-        cost = float(bsb_gap) - 1.0
         diag = {"singular_duration": win["coast"], "bsb": dict(win)}
     else:
         times = _reduced_to_times(win.x, s_win, t_star)
         values = _bb_values(s_win.n_switch, s_win.lead_sign, params.u_max)
-        cost = cost_of_switchings(times, values, t_star, problem)
         residual, solver_steps = win.fun, win.n_iter
         times, values, structure = canonicalize_bangs(times, values, t_star)
-        values = tuple(float(v) for v in values)
         diag = {"singular_duration": 0.0}
+    cost = residual - 1.0
     diag["t_max"] = t_max
     diag["stalled_misses"] = stalled
     diag["speed_limit_skips"] = skips
@@ -713,7 +707,7 @@ def find_time_optimal(problem: StatePrepProblem, structures: list[StructureLabel
 
     report = None
     if with_report:
-        report = (pmp.certified_audit(proto, params, spec) if s_win is None
+        report = (pmp.certified_audit(bsb_proto, params, spec) if s_win is None
                   else report_near_optimum(structure, t_star, times, problem))
     return SearchResult(True, float(t_star), structure, tuple(float(t) for t in times),
                         tuple(float(v) for v in values), float(cost), report,

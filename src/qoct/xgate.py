@@ -37,7 +37,6 @@ from .protocols import OneParamBB
 __all__ = [
     "GateProblem",
     "GateSearchResult",
-    "one_param_protocol",
     "one_param_cost",
     "optimize_omega_eff",
     "min_gate_time",
@@ -80,15 +79,6 @@ class GateSearchResult:
     newton_steps: int
     protocol: OneParamBB
     report: OptimalityReport | None
-
-
-def one_param_protocol(omega_eff: float, T: float, problem: GateProblem,
-                       sign: int = 1, parity: str | None = None) -> OneParamBB:
-    """The signed square-wave protocol at a given switching frequency."""
-    if parity is None:
-        parity = problem.parities()[0]
-    return OneParamBB(omega_eff=omega_eff, T=T, u_max=problem.params.u_max,
-                      sign=sign, parity=parity)
 
 
 def one_param_cost(omega_eff, T: float, problem: GateProblem,
@@ -214,9 +204,9 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     one step to the right, and to the grid's frequencies, down to |U00|^2 <=
     ``optim.ROOT_TOL``.  A dip whose solve from its vertex does not converge
     is solved again from the vertices of its neighbouring rows.  The scan
-    evaluates four T rows (1600 points) per residual call, the fastest of 1
-    to 6 rows at the gate-search band centres; every row is evaluated alone,
-    so the roots are those of one row per call, bit for bit.  The second
+    evaluates ``optim.SCAN_ROWS`` T rows per residual call; every row is
+    evaluated alone, so the roots are those of one row per call, bit for
+    bit.  The second
     parity (population transfer) scans only up to one step past the first
     parity's root, and the earliest root over the parities is T*.
     ``newton_steps`` counts the Gauss-Newton steps of its solve.  The
@@ -236,7 +226,7 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
         if roots:  # scan on while ts[j - 1] is at most one step past the earliest root
             t_first = min(r.x[0] for r in roots.values())
             ts = ts[:np.searchsorted(ts, t_first + step, side="right") + 1]
-        root = next(dip_roots(lambda X: _u00_rows(X, problem, p), ts, step, ws, 4), None)
+        root = next(dip_roots(lambda X: _u00_rows(X, problem, p), ts, step, ws), None)
         if root is not None:
             roots[p] = root
     if not roots:
@@ -249,7 +239,8 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     # bang at -u_max), which matches the A > 0 form of the analytical
     # switching function
     cost = one_param_cost(w_opt, t_star, problem, -1.0, parity)
-    proto = one_param_protocol(w_opt, t_star, problem, sign=-1, parity=parity)
+    proto = OneParamBB(omega_eff=w_opt, T=t_star, u_max=problem.params.u_max, sign=-1,
+                       parity=parity)
     seq = proto.to_bang_sequence()
 
     report = None

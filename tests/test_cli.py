@@ -572,12 +572,12 @@ class TestCli:
 
     def test_verify_state_prep_cost(self, outdir, tmp_path, capsys):
         # a BSB pulse audited against its own state-prep problem
-        from qoct.state_prep import StatePrepProblem, best_bsb, _bsb_protocol
+        from qoct.state_prep import StatePrepProblem, bsb_candidates, _bsb_protocol
         from qoct.dynamics import BlochPoint
         problem = StatePrepProblem(BlochPoint(0.7 * np.pi, 0.0),
                                    BlochPoint(0.35 * np.pi, np.pi),
                                    ModelParams(u_max=0.8))
-        proto = _bsb_protocol(best_bsb(problem), problem.params)
+        proto = _bsb_protocol(bsb_candidates(problem)[0], problem.params)
         pulse = tmp_path / "bsb.csv"
         write_midpoints(pulse, proto, 3000)
         rc = main(["verify", "--pulse", str(pulse), "--umax", "0.8",

@@ -385,9 +385,9 @@ def same(X, lanes):
     return X
 
 
-def one_lane(f, x0, max_steps=25, repair=same):
+def one_lane(f, x0, repair=same):
     """``gauss_newton`` on one lane of the row function ``f(X)``."""
-    (r,) = gauss_newton(lambda X, lanes: f(X), [x0], 1e-7, 1e-20, max_steps, repair)
+    (r,) = gauss_newton(lambda X, lanes: f(X), [x0], repair)
     return r
 
 
@@ -462,8 +462,9 @@ class TestGaussNewton:
         with pytest.raises(RuntimeError, match="not finite"):
             one_lane(lambda X: np.full((len(X), 2), np.nan), [1.0])
 
-    def test_step_cap_reports_max_iter(self):
-        r = one_lane(self.circle_and_line, [2.0, 0.5], max_steps=1)
+    def test_step_cap_reports_max_iter(self, monkeypatch):
+        monkeypatch.setattr(optim, "ROOT_STEPS", 1)
+        r = one_lane(self.circle_and_line, [2.0, 0.5])
         assert r.status == "max-iter" and r.n_iter == 1 and r.fun > 1e-20
 
     def test_lanes_take_the_steps_and_bits_of_each_lane_alone(self):
@@ -488,7 +489,7 @@ class TestGaussNewton:
         def box(X, lanes):
             return np.clip(X, -2.5, 2.5)
 
-        runs = gauss_newton(f, [x0 for _, x0 in problems], 1e-7, 1e-20, 25, box)
+        runs = gauss_newton(f, [x0 for _, x0 in problems], box)
         alone = [one_lane(g, x0, repair=box) for g, x0 in problems]
         assert {r.status for r in runs} == {"converged", "stalled"}
         for r, a in zip(runs, alone):
@@ -559,13 +560,15 @@ SCAN_WS = np.linspace(0.5, 1.5, 11)
 
 
 class TestDipRoots:
-    def test_roots_come_in_increasing_t(self):
-        roots = list(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 1))
+    def test_roots_come_in_increasing_t(self, monkeypatch):
+        monkeypatch.setattr(optim, "SCAN_ROWS", 1)
+        roots = list(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS))
         assert [r.status for r in roots] == ["converged"] * 3
         np.testing.assert_allclose([r.x[0] for r in roots], np.pi * np.arange(1, 4), atol=1e-12)
         assert all(r.fun <= ROOT_TOL for r in roots)
         # the first root is the one a search takes, whatever the chunk size
-        first = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 4))
+        monkeypatch.setattr(optim, "SCAN_ROWS", 4)
+        first = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS))
         assert first.x.tobytes() == roots[0].x.tobytes()
 
     def test_root_is_held_to_its_box(self):
@@ -597,25 +600,27 @@ class TestDipRoots:
         # starts from the vertices of the rows on either side of the dip
         real, calls = optim.gauss_newton, []
 
-        def first_stalls(f_rows, starts, *args):
+        def first_stalls(f_rows, starts, repair):
             calls.append(np.array(starts))
-            out = real(f_rows, starts, *args)
+            out = real(f_rows, starts, repair)
             if len(calls) == 1:
                 out[0].status = "stalled"
             return out
 
         monkeypatch.setattr(optim, "gauss_newton", first_stalls)
-        r = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS, 1))
+        monkeypatch.setattr(optim, "SCAN_ROWS", 1)
+        r = next(dip_roots(synthetic(np.sin), SCAN_TS, 0.1, SCAN_WS))
         assert r.status == "converged" and abs(r.x[0] - np.pi) < 1e-12
         j = int(np.flatnonzero(SCAN_TS == calls[0][0, 0])[0]) + 1
         assert calls[0].shape == (1, 2) and calls[1].shape == (2, 2)
         np.testing.assert_array_equal(calls[1][:, 0], SCAN_TS[[j - 2, j]])
 
-    def test_refuses_when_target_met_at_scan_start(self):
+    def test_refuses_when_target_met_at_scan_start(self, monkeypatch):
+        monkeypatch.setattr(optim, "SCAN_ROWS", 1)
         with pytest.raises(RuntimeError, match="scan start"):
-            next(dip_roots(synthetic(lambda T: T - 2.0), SCAN_TS, 0.1, SCAN_WS, 1))
+            next(dip_roots(synthetic(lambda T: T - 2.0), SCAN_TS, 0.1, SCAN_WS))
 
-    def test_yields_nothing_when_no_dip_converges(self):
+    def test_yields_nothing_when_no_dip_converges(self, monkeypatch):
         # cos(T) + 1.01 dips at pi and 3 pi without reaching zero
         solves = []
 
@@ -624,7 +629,8 @@ class TestDipRoots:
                 solves.append(len(X))
             return synthetic(lambda T: np.cos(T) + 1.01)(X)
 
-        assert list(dip_roots(f, SCAN_TS, 0.1, SCAN_WS, 4)) == []
+        monkeypatch.setattr(optim, "SCAN_ROWS", 4)
+        assert list(dip_roots(f, SCAN_TS, 0.1, SCAN_WS)) == []
         assert solves
 
 

@@ -33,7 +33,7 @@ from qoct.pmp import (
     switching_function,
     unitary_and_jacobian,
 )
-from qoct.protocols import BangSequence, Sampled, segment_durations_values
+from qoct.protocols import BangSequence, OneParamBB, Sampled, segment_durations_values
 from reference import alpha, analytical_switching, bloch_velocity, constant_propagator
 
 P02 = ModelParams(u_max=0.2)
@@ -259,7 +259,7 @@ class TestControlHamiltonian:
 
     def test_hoc_estimates_dT_derivative(self, gate_results):
         # H_oc(T) ~ dC/dT across re-optimized protocols at fixed structure
-        from qoct.xgate import GateProblem, one_param_protocol, optimize_omega_eff
+        from qoct.xgate import GateProblem, optimize_omega_eff
         problem = GateProblem("x", ModelParams(u_max=0.5))
         res = gate_results[0.5]
         T = 0.985 * res.t_star
@@ -270,7 +270,7 @@ class TestControlHamiltonian:
             costs[Tq] = c
         fd = (costs[T + delta] - costs[T - delta]) / (2 * delta)
         w, _, _ = optimize_omega_eff(T, problem)
-        proto = one_param_protocol(w, T, problem, sign=-1)
+        proto = OneParamBB(w, T, problem.params.u_max, sign=-1)
         rep = audit(proto, problem.params, CostSpec("x"), n_samples=3001)
         hoc_T = float(np.mean(rep.hoc))
         assert abs(hoc_T - fd) < 0.05 * abs(fd)
@@ -289,12 +289,12 @@ class TestSwitchingFunction:
         assert rep.sign_fraction >= 0.999
 
     def test_phi_second_derivative_obeys_bang_ode(self, gate_results):
-        from qoct.xgate import GateProblem, one_param_protocol, optimize_omega_eff
+        from qoct.xgate import GateProblem, optimize_omega_eff
         problem = GateProblem("x", ModelParams(u_max=0.2))
         res = gate_results[0.2]
         T = 0.999 * res.t_star
         w, _, _ = optimize_omega_eff(T, problem)
-        proto = one_param_protocol(w, T, problem, sign=-1)
+        proto = OneParamBB(w, T, problem.params.u_max, sign=-1)
         rep = audit(proto, problem.params, CostSpec("x"), n_samples=8001)
         t, phi = rep.times, rep.phi
         dt = t[1] - t[0]
@@ -469,11 +469,11 @@ class TestAuditInvariants:
         # the coast is singular where Phi vanishes on it identically, which
         # the endpoint costate at T* shows; the cost's own costate vanishes
         # there with C + 1, and its Phi is rounding
-        from qoct.state_prep import StatePrepProblem, best_bsb, _bsb_protocol
+        from qoct.state_prep import StatePrepProblem, bsb_candidates, _bsb_protocol
         problem = StatePrepProblem(BlochPoint(0.7 * np.pi, 0.0),
                                    BlochPoint(0.35 * np.pi, np.pi),
                                    ModelParams(u_max=0.8))
-        cand = best_bsb(problem)
+        cand = bsb_candidates(problem)[0]
         proto = _bsb_protocol(cand, problem.params)
         rep = certified_audit(proto, problem.params, problem.cost_spec())
         assert abs(rep.singular_residence - cand["coast"]) <= 1e-12 * proto.T
@@ -570,11 +570,10 @@ class TestEndpointCostate:
     def test_any_symmetric_wave_is_an_extremal(self, centre_roots, kind, u, factor):
         # the certificate tells a PMP extremal, not a minimum time: a
         # symmetric square wave off the root frequency passes it too
-        from qoct.xgate import one_param_protocol
         res = centre_roots[kind, u]
         problem = _gate_problem(kind, u)
-        proto = one_param_protocol(factor * res.omega_eff, res.t_star, problem,
-                                   sign=-1, parity=res.parity)
+        proto = OneParamBB(factor * res.omega_eff, res.t_star, problem.params.u_max,
+                           sign=-1, parity=res.parity)
         rep = certified_audit(proto, problem.params, problem.cost_spec())
         assert rep.certificate_residual <= 1e-13
         assert rep.sign_fraction == 1.0
@@ -583,13 +582,14 @@ class TestEndpointCostate:
     def test_lambda0_over_a_is_well_conditioned_in_t_star(self):
         # lambda0 and A come from the protocol at T*, so a move of T* by a
         # few ulp moves their ratio by rounding only
-        from qoct.xgate import min_gate_time, one_param_protocol
+        from qoct.xgate import min_gate_time
         problem = _gate_problem("x", 0.03)
         res = min_gate_time(problem, with_report=False)
         ratios = []
         T = res.t_star
         for _ in range(5):
-            proto = one_param_protocol(res.omega_eff, T, problem, sign=-1, parity=res.parity)
+            proto = OneParamBB(res.omega_eff, T, problem.params.u_max, sign=-1,
+                               parity=res.parity)
             rep = certified_audit(proto, problem.params, problem.cost_spec())
             ratios.append(rep.lambda0 / rep.A)
             T = np.nextafter(T, np.inf)

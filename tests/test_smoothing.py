@@ -40,7 +40,7 @@ from qoct.smoothing import (
     smoothness_gradient,
     tanh_protocol,
 )
-from qoct.xgate import GateProblem, min_gate_time, one_param_protocol, rabi_fidelity_curve
+from qoct.xgate import GateProblem, min_gate_time, rabi_fidelity_curve
 from reference import perturbative_amplitude
 
 X02 = GateProblem("x", ModelParams(u_max=0.2))
@@ -378,7 +378,7 @@ class TestProjection:
     def test_recovers_perturbed_optimal_pulse(self):
         res = min_gate_time(X02, with_report=False)
         T = 1.02 * res.t_star
-        proto = one_param_protocol(res.omega_eff, T, X02, sign=-1)
+        proto = OneParamBB(res.omega_eff, T, X02.params.u_max, sign=-1)
         n_t = 400
         mids = (np.arange(n_t) + 0.5) * (T / n_t)
         rng = np.random.default_rng(4)
@@ -406,7 +406,7 @@ class TestProjection:
         res = min_gate_time(X02, with_report=False)
         T = 1.02 * res.t_star
         mids = (np.arange(n_t) + 0.5) * (T / n_t)
-        vals = np.asarray(one_param_protocol(res.omega_eff, T, X02, sign=-1).u(mids))
+        vals = np.asarray(OneParamBB(res.omega_eff, T, X02.params.u_max, sign=-1).u(mids))
         vals += 0.02 * np.random.default_rng(n_t).standard_normal(n_t)
         projected, info = project_to_gate(vals, T, X02, tol=1e-8)
         assert len(seen) == info.n_eval >= 3

@@ -22,7 +22,6 @@ from qoct.pmp import CostSpec
 from qoct.state_prep import (
     StatePrepProblem,
     StructureLabel,
-    best_bsb,
     bsb_candidates,
     canonicalize_bangs,
     cost_of_switchings,
@@ -417,7 +416,7 @@ class TestBsbConstruction:
         assert c + 1.0 <= 1e-6
 
     def test_singular_duration_monotone_toward_critical_amplitude(self):
-        coasts = [best_bsb(problem_at(u))["coast"] for u in (0.65, 0.7, 0.8, 1.0)]
+        coasts = [bsb_candidates(problem_at(u))[0]["coast"] for u in (0.65, 0.7, 0.8, 1.0)]
         assert all(a < b for a, b in zip(coasts, coasts[1:]))
 
 
@@ -440,7 +439,7 @@ class TestFindTimeOptimal:
         assert str(res.structure) == "BB-2"
         assert res.cost + 1.0 < 1e-6
         # the metastable BSB candidate exists but takes longer
-        bsb_T = best_bsb(problem_at(0.5))["T"]
+        bsb_T = bsb_candidates(problem_at(0.5))[0]["T"]
         assert res.t_star < bsb_T
 
     def test_bsb_wins_at_large_amplitude(self):
@@ -599,7 +598,7 @@ class TestSpeedLimit:
         # a grid time at or above the BSB time ends the scan whether it is
         # searched and misses or the speed limit rules it out
         p = problem_at(0.85)
-        bsb_T = best_bsb(p)["T"]
+        bsb_T = bsb_candidates(p)[0]["T"]
         T_end = 0.5 * np.pi
         assert 0.25 * np.pi < bsb_T <= T_end
         scan, excludes = state_prep._scan_optima, state_prep._speed_limit_excludes
@@ -664,8 +663,7 @@ def grid_oracle(problem, T):
             owners += [i] * 8
     owners = np.array(owners)
     boxes = np.array([state_prep._box(sets[i][0], T) for i in owners])
-    runs = optim.gauss_newton(lambda X, lanes: rows(X, owners[lanes]), starts, optim.FD_STEP,
-                              optim.ROOT_TOL, optim.ROOT_STEPS,
+    runs = optim.gauss_newton(lambda X, lanes: rows(X, owners[lanes]), starts,
                               lambda X, lanes: X.clip(boxes[lanes, 0], boxes[lanes, 1]))
     for i, r in zip(owners, runs):
         label = str(sets[i][0])

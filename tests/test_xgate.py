@@ -14,7 +14,7 @@ from qoct.dynamics import (
     total_unitary,
 )
 from qoct.optim import scalar_minimize
-from qoct.protocols import square_wave
+from qoct.protocols import OneParamBB, square_wave
 from reference import square_wave_pairs
 from qoct.xgate import (
     GateProblem,
@@ -22,7 +22,6 @@ from qoct.xgate import (
     asymptotic_ratio_model,
     min_gate_time,
     one_param_cost,
-    one_param_protocol,
     optimize_omega_eff,
     rabi_fidelity_curve,
 )
@@ -38,11 +37,11 @@ class TestOneParamProtocol:
             assert abs(cp - cm) < 1e-12
 
     def test_even_switch_count_for_x(self):
-        proto = one_param_protocol(2.0435, 1.69 * np.pi, X05)
+        proto = OneParamBB(2.0435, 1.69 * np.pi, X05.params.u_max)
         assert len(proto.to_bang_sequence().switch_times) % 2 == 0
 
     def test_odd_segment_count_and_equal_ends(self):
-        seq = one_param_protocol(2.0435, 1.69 * np.pi, X05).to_bang_sequence()
+        seq = OneParamBB(2.0435, 1.69 * np.pi, X05.params.u_max).to_bang_sequence()
         durs = seq.durations
         assert len(durs) % 2 == 1
         tbar = np.pi / 2.0435
@@ -292,15 +291,17 @@ class TestRowsPerCall:
 
     @staticmethod
     def first_roots(problem, monkeypatch, chunk=None):
-        """(min_gate_time's chunk, first root) per parity, scanned at ``chunk`` rows if given."""
+        """(the scan's rows per call, first root) per parity, scanned at ``chunk`` rows if given."""
         seen = []
 
-        def spy(f_rows, ts, step, ws, chosen):
-            for r in optim.dip_roots(f_rows, ts, step, ws, chunk or chosen):
-                seen.append((chosen, r))
+        def spy(f_rows, ts, step, ws):
+            for r in optim.dip_roots(f_rows, ts, step, ws):
+                seen.append((optim.SCAN_ROWS, r))
                 yield r
 
         monkeypatch.setattr(xgate, "dip_roots", spy)
+        if chunk is not None:
+            monkeypatch.setattr(optim, "SCAN_ROWS", chunk)
         min_gate_time(problem, with_report=False)
         return seen
 
