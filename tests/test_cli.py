@@ -479,6 +479,53 @@ class TestCli:
         assert record["config"]["nmax"] == 6
         assert record["config"]["umax"] == 0.5
 
+    STATE_PREP = ["state-prep", "--theta-init", "0.7pi", "--phi-init", "0",
+                  "--theta-target", "0.35pi", "--phi-target", "1pi", "--umax", "0.8"]
+
+    @pytest.mark.parametrize("cfg, argv", [
+        ({"tmax": [1, 2]}, STATE_PREP),
+        ({"beta": [4]}, ["smooth", "--scheme", "tanh", "--umax", "0.2", "--t-over-trabi", "0.9"]),
+        ({"nt": 1000.5}, ["smooth", "--scheme", "constrained", "--umax", "0.2",
+                          "--t-over-trabi", "0.9", "--initial", "rabi"]),
+        ({"gate": "z"}, ["xgate", "--umax", "0.5"]),
+        ({"structures": [["BSB"]]}, STATE_PREP),
+    ], ids=["list-for-one-value", "one-element-list", "float-for-int", "not-a-choice",
+            "nested-list"])
+    def test_config_value_the_flag_refuses_exits_2_naming_the_key(self, outdir, tmp_path,
+                                                                  capsys, cfg, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(path)])
+        assert exc.value.code == 2
+        (key,) = cfg
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (outdir / argv[0]).exists()
+
+    def test_config_float_for_int_is_refused_as_on_the_command_line(self, outdir):
+        with pytest.raises(SystemExit) as exc:
+            main(["smooth", "--scheme", "constrained", "--umax", "0.2", "--t-over-trabi", "0.9",
+                  "--initial", "rabi", "--nt", "1000.5"])
+        assert exc.value.code == 2
+
+    def test_config_values_are_parsed_by_their_flags(self, outdir, tmp_path, capsys):
+        # a JSON number reaches a float flag as the float the command line
+        # would give, and each element of an nargs list is parsed alone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tmax": "0.5pi", "structures": ["BSB"], "umax": 1}))
+        assert main(self.STATE_PREP + ["--config", str(path)]) == 0
+        record = json.loads((outdir / "state-prep" / "run_record.json").read_text())
+        assert record["config"]["tmax"] == 0.5 * np.pi
+        assert record["config"]["structures"] == ["BSB"]
+        assert record["config"]["umax"] == 0.8  # the command line wins
+        path.write_text(json.dumps({"nmax": 4, "umax": 1}))
+        pulse = tmp_path / "p.csv"
+        write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        assert main(["spectrum", "--pulse", str(pulse), "--config", str(path)]) == 0
+        record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
+        assert record["config"]["nmax"] == 4
+        assert isinstance(record["config"]["umax"], float) and record["config"]["umax"] == 1.0
+
     @pytest.mark.parametrize("argv", [
         ["xgate", "--umax", "0.5"],
         ["sweep", "--umax", "0.45:0.5:2"],
