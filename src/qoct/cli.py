@@ -115,6 +115,11 @@ class _ConfigFile(argparse.Action):
 
     Explicit flags must win over the file wherever they appear on the command
     line, so ``main`` parses a second time once the defaults are in place.
+    argparse applies a flag's ``type`` only to string defaults, so each
+    entry is parsed here as the command line parses its flag: a JSON string
+    or number is the flag's string, a JSON list the strings of a flag that
+    takes several (each parsed alone), null leaves the flag's default, and
+    a value the flag would refuse exits 2 naming its key.
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -124,9 +129,34 @@ class _ConfigFile(argparse.Action):
             parser.error(f"{option_string}: {exc}")
         if not isinstance(cfg, dict):
             parser.error(f"{option_string}: expected a JSON object")
-        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-        parser.set_defaults(**{k: v for k, v in defaults.items() if hasattr(namespace, k)})
+        actions = {a.dest: a for a in parser._actions}
+        defaults = {}
+        for key, value in cfg.items():
+            dest = key.replace("-", "_")
+            if value is not None and dest in actions and hasattr(namespace, dest):
+                try:
+                    defaults[dest] = _config_value(actions[dest], value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                    parser.error(f"{option_string} {values}: {key!r}: {exc}")
+        parser.set_defaults(**defaults)
         setattr(namespace, self.dest, values)
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file's ``value`` for ``action``, parsed as its command-line strings would be."""
+    several = action.nargs is not None
+    if isinstance(value, list) and not several:
+        raise ValueError(f"expected one value, got a list {value!r}")
+    items = value if isinstance(value, list) else [value]
+    out = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"expected a string or a number, got {item!r}")
+        parsed = action.type(str(item)) if action.type is not None else str(item)
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError(f"{parsed!r} is not one of {list(action.choices)}")
+        out.append(parsed)
+    return out if several else out[0]
 
 
 class _Record:

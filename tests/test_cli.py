@@ -510,15 +510,16 @@ class TestCli:
 
     def test_config_values_are_parsed_by_their_flags(self, outdir, tmp_path, capsys):
         # a JSON number reaches a float flag as the float the command line
-        # would give, and each element of an nargs list is parsed alone
+        # would give, each element of an nargs list is parsed alone, and
+        # null leaves a flag at its default
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"tmax": "0.5pi", "structures": ["BSB"], "umax": 1}))
         assert main(self.STATE_PREP + ["--config", str(path)]) == 0
         record = json.loads((outdir / "state-prep" / "run_record.json").read_text())
-        assert record["config"]["tmax"] == 0.5 * np.pi
+        assert record["config"]["tmax"] == pytest.approx(0.5 * np.pi, rel=1e-11)  # 12 digits
         assert record["config"]["structures"] == ["BSB"]
         assert record["config"]["umax"] == 0.8  # the command line wins
-        path.write_text(json.dumps({"nmax": 4, "umax": 1}))
+        path.write_text(json.dumps({"nmax": 4, "umax": 1, "out": None}))  # null: the default
         pulse = tmp_path / "p.csv"
         write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
         assert main(["spectrum", "--pulse", str(pulse), "--config", str(path)]) == 0
