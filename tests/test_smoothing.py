@@ -227,6 +227,29 @@ class TestThirdHarmonic:
         assert abs(u00) ** 2 == pytest.approx(run.extras["residual"], rel=1e-6, abs=1e-28)
         assert 0.0 <= run.cost_plus_1 <= 1e-13
 
+    def test_face_slope_is_the_rate_of_the_root_time_in_the_ratio(self):
+        # solve the gate in (T, omega) at R = -1/8 + d and -1/8 + 2d from the
+        # face root: the quotients q(d) = (T(d) - T*)/d differ from dT/dR by
+        # a d + O(d^2) with a about 2700, so 2 q(d) - q(2d) cancels the first
+        # order and what is left, second order in d plus the slope's own
+        # forward-difference error, is below 1% of q(2d) - q(d)
+        params = X02.params
+        T0, run = min_third_harmonic_time(X02)
+        slope = run.extras["dT_dR"]
+        assert slope == pytest.approx(30.458, abs=1e-3)
+
+        def quotient(d):
+            R = smoothing._R_FACE + d
+            r = optim.box_root(
+                lambda X: smoothing._third_rows(np.column_stack([X, np.full(len(X), R)]), params),
+                [T0, run.extras["omega"]], [0.9 * T0, 0.96 * params.omega0],
+                [1.1 * T0, 1.04 * params.omega0])
+            assert r.status == "converged"
+            return (r.x[0] - T0) / d
+
+        q1, q2 = quotient(1e-5), quotient(2e-5)
+        assert abs(2.0 * q1 - q2 - slope) <= 0.01 * abs(q2 - q1)
+
     def test_root_digits_independent_of_solve_start(self):
         # 15 starts in the dip at u_max = 0.2: a solve stopped at the first
         # iterate within 1e-20 returned 4 different 12-digit T*
