@@ -328,8 +328,6 @@ def _default_structures(problem: StatePrepProblem, t_max: float) -> list[Structu
 _SCAN_DRAWS = 5
 _GRID_SIDE = 8
 _GRID_SEEDS = 2
-# the generator's first 2 _SCAN_DRAWS uniforms, from which every draw is made
-_SCAN_UNIFORMS = np.random.default_rng(0).random(2 * _SCAN_DRAWS)
 
 
 def _box(structure: StructureLabel, T: float):
@@ -401,8 +399,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
     call: a solve only finds the root of the basin it starts in, and the
     grid sees basins the draws miss.  The draws are those of a fresh
     ``np.random.default_rng(0)`` per structure, made for all structures at
-    once from the generator's first 2 _SCAN_DRAWS uniforms
-    (``_SCAN_UNIFORMS``, drawn once per process).  The lanes of
+    once from the generator's first 2 _SCAN_DRAWS uniforms.  The lanes of
     all structures solve G = 0 (``_reduced_rows``) in one
     ``optim.gauss_newton`` call, every trial clipped into its lane's box.  A structure's best lane is the
     first with its lowest |G|^2 (``fun``).  BB-0 has nothing to solve: its
@@ -424,7 +421,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         lo, hi = np.array([_box(structures[j], Ts[j]) for j in solved]).transpose(1, 0, 2)
         # the draws of np.random.default_rng(0) that each structure makes:
         # rng.uniform(a, b) is a + (b - a) U, and BB-1 draws t0 alone
-        U = _SCAN_UNIFORMS
+        U = np.random.default_rng(0).random(2 * _SCAN_DRAWS)
         draws = np.stack([np.where(one, T * U[:_SCAN_DRAWS], T / (k + 1) * U[0::2]),
                           np.where(one, 0.0, (0.3 + (1.0 - 0.3) * U[1::2]) * T
                                    / np.maximum(k - 1, 1))], axis=-1)
