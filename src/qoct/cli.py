@@ -129,13 +129,13 @@ class _ConfigFile(argparse.Action):
             parser.error(f"{option_string}: {exc}")
         if not isinstance(cfg, dict):
             parser.error(f"{option_string}: expected a JSON object")
-        actions = {a.dest: a for a in parser._actions}
+        actions = {a.dest: a for a in parser._actions if hasattr(namespace, a.dest)}
         defaults = {}
         for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if value is not None and dest in actions and hasattr(namespace, dest):
+            action = actions.get(key.replace("-", "_"))
+            if action is not None and value is not None:
                 try:
-                    defaults[dest] = _config_value(actions[dest], value)
+                    defaults[action.dest] = _config_value(action, value)
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                     parser.error(f"{option_string} {values}: {key!r}: {exc}")
         parser.set_defaults(**defaults)
@@ -145,18 +145,13 @@ class _ConfigFile(argparse.Action):
 def _config_value(action: argparse.Action, value):
     """A config file's ``value`` for ``action``, parsed as its command-line strings would be."""
     several = action.nargs is not None
-    if isinstance(value, list) and not several:
-        raise ValueError(f"expected one value, got a list {value!r}")
-    items = value if isinstance(value, list) else [value]
-    out = []
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
-            raise ValueError(f"expected a string or a number, got {item!r}")
-        parsed = action.type(str(item)) if action.type is not None else str(item)
-        if action.choices is not None and parsed not in action.choices:
-            raise ValueError(f"{parsed!r} is not one of {list(action.choices)}")
-        out.append(parsed)
-    return out if several else out[0]
+    items = value if several and isinstance(value, list) else [value]
+    if not all(type(v) in (str, int, float) for v in items):
+        raise ValueError(f"{value!r} is not a string or a number")
+    parsed = [action.type(str(v)) if action.type is not None else str(v) for v in items]
+    if action.choices is not None and any(v not in action.choices for v in parsed):
+        raise ValueError(f"{value!r} is not in {list(action.choices)}")
+    return parsed if several else parsed[0]
 
 
 class _Record:

@@ -309,7 +309,6 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
     ``J`` hold F and its Jacobian at x.  Raises RuntimeError if F is not
     finite at a start; a trial where it is not counts as no decrease.
     """
-    tol, max_steps = ROOT_TOL, ROOT_STEPS
     X = np.array(starts, dtype=float)
     B, n = X.shape
     lanes = np.arange(B)
@@ -330,8 +329,8 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         return ~done
 
     # the state arrays hold the lanes still running, in lane order
-    end = (r <= tol) | (max_steps == 0)
-    keep = retire(end, np.where(r <= tol, "converged", "max-iter"))
+    end = (r <= ROOT_TOL) | (ROOT_STEPS == 0)
+    keep = retire(end, np.where(r <= ROOT_TOL, "converged", "max-iter"))
     X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
     n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
     climbed = np.zeros(len(lanes), dtype=bool)
@@ -341,7 +340,7 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         n_eval += n + 1
         model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
         gain = r - rt  # NaN where F is not finite at the trial
-        take = (rt <= tol) | (gain >= _MIN_DECREASE * r)
+        take = (rt <= ROOT_TOL) | (gain >= _MIN_DECREASE * r)
         stall = ~take & (gain > 0.0) & (gain >= 0.5 * (r - (model * model).sum(axis=1)))
         moved = take | stall
         X = np.where(moved[:, None], xt, X)
@@ -351,9 +350,9 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         steps += moved
         rung = np.where(moved, np.where(climbed, rung, np.maximum(rung - 1, 0)), rung + 1)
         climbed = ~moved  # the lane's last trial failed
-        conv = moved & (r <= tol)
+        conv = moved & (r <= ROOT_TOL)
         stall |= rung == len(_DAMPING)
-        end = conv | stall | (steps == max_steps)
+        end = conv | stall | (steps == ROOT_STEPS)
         if end.any():
             keep = retire(end, np.where(conv, "converged", np.where(stall, "stalled", "max-iter")))
             X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
@@ -458,10 +457,9 @@ def dip_roots(f_rows, ts, step: float, ws):
     Raises RuntimeError when the first profile point already has |F|^2 <=
     ``TARGET_TOL``: the scan starts too late to see the first root.
     """
-    chunk = SCAN_ROWS
     prof = []  # (|F|^2, omega) at each scanned T
-    for start in range(0, len(ts), chunk):
-        block = ts[start:start + chunk]
+    for start in range(0, len(ts), SCAN_ROWS):
+        block = ts[start:start + SCAN_ROWS]
         F = np.asarray(f_rows(np.column_stack([np.repeat(block, len(ws)),
                                                np.tile(ws, len(block))])))
         prof += [grid_vertex(r, ws) for r in (F ** 2).sum(axis=1).reshape(len(block), -1)]
