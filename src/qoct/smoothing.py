@@ -256,8 +256,8 @@ def min_third_harmonic_time(problem: GateProblem) -> tuple[float, SmoothingRun]:
 
     The first root of U00(T, omega) = 0 that ``optim.dip_roots`` finds
     scanning T upward over [0.84, 1.02] T_Rabi in steps of 0.005 T_Rabi,
-    ``optim.SCAN_ROWS`` times per batched propagation, over a 17-point frequency grid over
-    omega0 [0.96, 1.04] at R = -1/8.  Each dip of |U00|^2 is solved by
+    ``optim.SCAN_ROWS`` times per batched propagation, over a 17-point
+    frequency grid over omega0 [0.96, 1.04] at R = -1/8.  Each dip of |U00|^2 is solved by
     damped Gauss-Newton in (T, omega), held to the dip's bracket of the scan,
     widened by one step to the right, and to the grid's frequencies, so the
     root has the precision of the solve rather than of the grid.  ``extras``

@@ -206,9 +206,9 @@ def min_gate_time(problem: GateProblem, with_report: bool = True) -> GateSearchR
     is solved again from the vertices of its neighbouring rows.  The scan
     evaluates ``optim.SCAN_ROWS`` T rows per residual call; every row is
     evaluated alone, so the roots are those of one row per call, bit for
-    bit.  The second
-    parity (population transfer) scans only up to one step past the first
-    parity's root, and the earliest root over the parities is T*.
+    bit.  The second parity (population transfer) scans only up to one step
+    past the first parity's root, and the earliest root over the parities
+    is T*.
     ``newton_steps`` counts the Gauss-Newton steps of its solve.  The
     optimality report audits the returned protocol at T* with the costate
     of ``pmp.endpoint_costate`` (``pmp.certified_audit``), whose residual
