@@ -397,7 +397,7 @@ def _fd_rows(f_rows, X, lanes):
     ``smoothing``'s face slope comes from here.
     """
     L, n = X.shape
-    offsets = np.vstack([np.zeros(n), FD_STEP * np.eye(n)])
+    offsets = FD_STEP * np.eye(n + 1, n, -1)  # a zero row, then FD_STEP times the identity
     rows = np.asarray(f_rows((X[:, None] + offsets).reshape(-1, n), np.repeat(lanes, n + 1)),
                       dtype=float).reshape(L, n + 1, -1)
     F = rows[:, 0]
