@@ -1,11 +1,15 @@
-"""Closed-form reference formulas that only the tests compare qoct against.
+"""Reference formulas, and frozen copies of qoct code, that only the tests compare qoct against.
 
 None of them is called by the package: each states a known result in its
 simplest form, so that a test can check qoct's own, faster or more general
-computation of the same quantity.
+computation of the same quantity.  The frozen copy of the root engine
+(``gauss_newton``, ``lm_steps``, ``fd_rows``) pins its rounds, rows and bits,
+so that a change meant only to make it cheaper can show that it changed
+nothing else.
 """
 import numpy as np
 
+from qoct import optim
 from qoct.dynamics import BlochPoint, ModelParams, cell_pairs, pair_product, segment_propagators
 from qoct.xgate import _su2_power
 
@@ -108,3 +112,96 @@ def square_wave_pairs(X, problem, sign: float, parity: str) -> np.ndarray:
                        np.array([v0, -v0, v0, -v0, v_last]), problem.params)
     cells[2] = _su2_power(pair_product(cells[1:3]), n_mid // 2)
     return pair_product(cells[[0, 2, 3, 4]])
+
+
+# ``optim.gauss_newton``'s damping ladder and decrease threshold, frozen
+_DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
+_MIN_DECREASE = 0.01
+
+
+def gauss_newton(f_rows, starts, repair) -> list[optim.OptimResult]:
+    """A frozen copy of ``optim.gauss_newton``: the engine's rounds, rows and bits, pinned.
+
+    The same lanes, Levenberg-Marquardt ladder and stopping rules, written
+    as plainly as possible: every lane's state is updated by ``np.where``
+    and the running lanes are compacted after each round.  It reads
+    ``optim.ROOT_TOL``, ``optim.ROOT_STEPS`` and ``optim.FD_STEP`` at call
+    time, as the engine does.
+    """
+    X = np.array(starts, dtype=float)
+    B, n = X.shape
+    lanes = np.arange(B)
+    X = repair(X, lanes)
+    F, J, r = fd_rows(f_rows, X, lanes)
+    if not np.isfinite(r).all():
+        raise RuntimeError(f"residual is not finite at x0={X[~np.isfinite(r)][0]!r}")
+    n_eval = np.full(B, n + 1)
+    steps = np.zeros(B, dtype=int)
+    rung = np.zeros(B, dtype=int)
+    out = [None] * B
+
+    def retire(done, status):
+        for i in np.flatnonzero(done):
+            out[lanes[i]] = optim.OptimResult(x=X[i], fun=float(r[i]), status=str(status[i]),
+                                              n_eval=int(n_eval[i]), n_iter=int(steps[i]),
+                                              F=F[i], J=J[i])
+        return ~done
+
+    end = (r <= optim.ROOT_TOL) | (optim.ROOT_STEPS == 0)
+    keep = retire(end, np.where(r <= optim.ROOT_TOL, "converged", "max-iter"))
+    X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
+    n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
+    climbed = np.zeros(len(lanes), dtype=bool)
+    while lanes.size:
+        xt = repair(X + lm_steps(J, F, _DAMPING[rung]), lanes)
+        Ft, Jt, rt = fd_rows(f_rows, xt, lanes)
+        n_eval += n + 1
+        model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
+        gain = r - rt
+        take = (rt <= optim.ROOT_TOL) | (gain >= _MIN_DECREASE * r)
+        stall = ~take & (gain > 0.0) & (gain >= 0.5 * (r - (model * model).sum(axis=1)))
+        moved = take | stall
+        X = np.where(moved[:, None], xt, X)
+        F = np.where(moved[:, None], Ft, F)
+        J = np.where(moved[:, None, None], Jt, J)
+        r = np.where(moved, rt, r)
+        steps += moved
+        rung = np.where(moved, np.where(climbed, rung, np.maximum(rung - 1, 0)), rung + 1)
+        climbed = ~moved
+        conv = moved & (r <= optim.ROOT_TOL)
+        stall |= rung == len(_DAMPING)
+        end = conv | stall | (steps == optim.ROOT_STEPS)
+        if end.any():
+            keep = retire(end, np.where(conv, "converged", np.where(stall, "stalled", "max-iter")))
+            X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
+            n_eval, steps, rung, climbed = n_eval[keep], steps[keep], rung[keep], climbed[keep]
+    return out
+
+
+def lm_steps(J, F, lam) -> np.ndarray:
+    """A frozen copy of ``optim._lm_steps``: both branches evaluated on every lane."""
+    J0, J1 = J[:, 0], J[:, 1]
+    F0, F1 = F[:, 0], F[:, 1]
+    G = np.einsum("lin,ljn->lij", J, J)
+    p, q, t = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
+    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+    det = 0.5 * np.einsum("lij,lij->l", minors, minors)
+    tr = p + t
+    mu = lam * tr
+    g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
+    one = det <= (np.finfo(float).eps * max(2, J.shape[2]) * g) ** 2
+    d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), det + mu * (tr + mu))
+    w0 = np.where(one, p * F0 + q * F1, (t + mu) * F0 - q * F1) / d
+    w1 = np.where(one, q * F0 + t * F1, (p + mu) * F1 - q * F0) / d
+    return -(J0 * w0[:, None] + J1 * w1[:, None])
+
+
+def fd_rows(f_rows, X, lanes):
+    """A frozen copy of ``optim._fd_rows``: F, forward-difference J and |F|^2 from one call."""
+    L, n = X.shape
+    offsets = optim.FD_STEP * np.eye(n + 1, n, -1)
+    rows = np.asarray(f_rows((X[:, None] + offsets).reshape(-1, n), np.repeat(lanes, n + 1)),
+                      dtype=float).reshape(L, n + 1, -1)
+    F = rows[:, 0]
+    J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / optim.FD_STEP
+    return F, J, (F * F).sum(axis=1)

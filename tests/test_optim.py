@@ -19,6 +19,8 @@ from qoct.optim import (
     scalar_minimize,
 )
 
+import reference
+
 
 def quadratic(x):
     return float(np.sum((np.asarray(x) - 1.0) ** 2))
@@ -528,6 +530,80 @@ class TestGaussNewton:
         F = rng.normal(size=(lanes, 2))
         for lam in (np.zeros(lanes), rng.choice(_DAMPING, lanes)):
             assert _lm_steps(J, F, lam).tobytes() == dot_product_lm_steps(J, F, lam).tobytes()
+
+
+def random_lanes(n: int, seed: int, B: int = 36):
+    """Row function ``f(X, lanes)`` of B random lanes in n unknowns, and the lanes' starts.
+
+    The lanes take six kinds in turn: 0, quadratic rows c + M x + Q x^2, with
+    or without a root; 1, rows g(a.x) and 2 g(a.x), whose Jacobians have
+    rank one exactly; 2, constant rows, a zero Jacobian; 3, kind 0's rows,
+    NaN or inf (alternately by lane) where x0 > 1.2, above every start;
+    4, M (x - x_start), converged at the start; 5, seventh powers of two
+    linear forms, slow enough to run out of steps.
+    """
+    rng = np.random.default_rng(seed)
+    kind = np.arange(B) % 6
+    c = rng.normal(size=(B, 2))
+    M = rng.normal(size=(B, 2, n))
+    Q = 0.3 * rng.normal(size=(B, 2, n))
+    starts = rng.uniform(-1.0, 1.0, (B, n))
+    bad = np.where(np.arange(B) % 12 == 3, np.nan, np.inf)
+
+    def f(X, lanes):
+        k = kind[lanes][:, None]
+        lin = (M[lanes] * X[:, None, :]).sum(axis=2)
+        quad = c[lanes] + lin + (Q[lanes] * (X * X)[:, None, :]).sum(axis=2)
+        g = lin[:, :1] ** 3 - c[lanes, :1]
+        F = np.where(k == 1, np.hstack([g, 2.0 * g]), quad)
+        F = np.where(k == 2, c[lanes], F)
+        F = np.where((k == 3) & (np.abs(X[:, :1] - starts[lanes, :1]) > 0.1), bad[lanes][:, None], F)
+        F = np.where(k == 4, (M[lanes] * (X - starts[lanes])[:, None, :]).sum(axis=2), F)
+        return np.where(k == 5, 1e3 * lin ** 7, F)
+
+    return f, starts
+
+
+class TestEngineBitPin:
+    """``gauss_newton`` against its frozen copy in ``reference``: the same calls and bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("root_steps", [0, 1, 25])
+    @pytest.mark.parametrize("boxed", [False, True], ids=["free", "box"])
+    def test_every_result_field_and_call_is_the_frozen_engines(self, monkeypatch, n,
+                                                                root_steps, boxed):
+        monkeypatch.setattr(optim, "ROOT_STEPS", root_steps)
+        f, starts = random_lanes(n, seed=10 * n + root_steps)
+        repair = (lambda X, lanes: np.clip(X, -2.0, 2.0)) if boxed else same
+
+        def solve(engine):
+            calls = []
+
+            def spy(X, lanes):
+                F = f(X, lanes)
+                calls.append((X.tobytes(), np.asarray(lanes).tobytes(), np.isfinite(F).all()))
+                return F
+            with np.errstate(invalid="ignore", over="ignore"):
+                return engine(spy, starts, repair), calls
+
+        runs, calls = solve(gauss_newton)
+        refs, ref_calls = solve(reference.gauss_newton)
+        assert calls == ref_calls
+        for r, a in zip(runs, refs):
+            assert r.status == a.status and r.fun == a.fun
+            assert (r.n_eval, r.n_iter) == (a.n_eval, a.n_iter)
+            for field in ("x", "F", "J"):
+                ours, theirs = getattr(r, field), getattr(a, field)
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        # the cases reach every ending, and trials where F is not finite
+        statuses = {r.status for r in runs}
+        assert all(r.status == "converged" for r in runs[4::6])
+        assert max(r.n_iter for r in runs) == root_steps
+        if root_steps == 0:
+            assert statuses == {"converged", "max-iter"}
+        else:
+            assert statuses == {"converged", "stalled", "max-iter"}
+            assert not all(finite for *_, finite in calls)
 
 
 def dot_product_lm_steps(J, F, lam):
