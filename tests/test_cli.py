@@ -502,6 +502,39 @@ class TestCli:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (outdir / argv[0]).exists()
 
+    @pytest.mark.parametrize("cfg", [{"tmaxx": 1}, {"gate": "z"}, {"gate": None}],
+                             ids=["misspelt", "flag-of-another-command", "null"])
+    def test_config_key_naming_no_flag_exits_2_naming_the_key(self, outdir, tmp_path, capsys,
+                                                              cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(self.STATE_PREP + ["--config", str(path)])
+        assert exc.value.code == 2
+        (key,) = cfg
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (outdir / "state-prep").exists()
+
+    def test_config_file_gives_a_required_flag(self, outdir, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"umax": 0.5}))
+        assert main(["xgate", "--config", str(path)]) == 0
+        record = json.loads((outdir / "xgate" / "run_record.json").read_text())
+        assert record["config"]["umax"] == 0.5
+        # the command line still wins over the file, and still names a
+        # required flag that neither gives
+        pulse, other = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_rows(pulse, np.arange(32) * 0.05, np.full(32, 0.1))
+        write_rows(other, np.arange(16) * 0.05, np.full(16, 0.1))
+        path.write_text(json.dumps({"pulse": str(pulse)}))
+        assert main(["spectrum", "--pulse", str(other), "--config", str(path)]) == 0
+        record = json.loads((outdir / "spectrum" / "run_record.json").read_text())
+        assert record["config"]["pulse"] == str(other)
+        path.write_text(json.dumps({"gate": "y"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["xgate", "--config", str(path)])
+        assert exc.value.code == 2
+
     def test_config_float_for_int_is_refused_as_on_the_command_line(self, outdir):
         with pytest.raises(SystemExit) as exc:
             main(["smooth", "--scheme", "constrained", "--umax", "0.2", "--t-over-trabi", "0.9",
