@@ -119,7 +119,9 @@ class _ConfigFile(argparse.Action):
     entry is parsed here as the command line parses its flag: a JSON string
     or number is the flag's string, a JSON list the strings of a flag that
     takes several (each parsed alone), null leaves the flag's default, and
-    a value the flag would refuse exits 2 naming its key.
+    a value the flag would refuse exits 2 naming its key, as does a key that
+    names no flag of the subcommand.  A flag the file gives is no longer
+    required on the command line.
     """
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -133,11 +135,14 @@ class _ConfigFile(argparse.Action):
         defaults = {}
         for key, value in cfg.items():
             action = actions.get(key.replace("-", "_"))
-            if action is not None and value is not None:
+            if action is None:
+                parser.error(f"{option_string} {values}: {key!r} names no flag of {parser.prog}")
+            if value is not None:
                 try:
                     defaults[action.dest] = _config_value(action, value)
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                     parser.error(f"{option_string} {values}: {key!r}: {exc}")
+                action.required = False
         parser.set_defaults(**defaults)
         setattr(namespace, self.dest, values)
 
