@@ -24,6 +24,7 @@ from ``_fd_rows``, the one place an exact Jacobian would replace them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -277,6 +278,8 @@ def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
 # that takes a trial
 _DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
 _MIN_DECREASE = 0.01
+_EPS = np.finfo(float).eps
+_DROP = np.maximum(np.arange(len(_DAMPING)) - 1, 0)
 
 
 def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
@@ -316,48 +319,52 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
     F, J, r = _fd_rows(f_rows, X, lanes)
     if not np.isfinite(r).all():
         raise RuntimeError(f"residual is not finite at x0={X[~np.isfinite(r)][0]!r}")
-    n_eval = np.full(B, n + 1)
+    F = F.copy()  # a view of f_rows' array; the state arrays are updated in place
+    out = [None] * B
     steps = np.zeros(B, dtype=int)
     rung = np.zeros(B, dtype=int)
-    out = [None] * B
-
-    def retire(done, status):
-        for i in np.flatnonzero(done):
-            out[lanes[i]] = OptimResult(x=X[i], fun=float(r[i]), status=str(status[i]),
-                                        n_eval=int(n_eval[i]), n_iter=int(steps[i]),
-                                        F=F[i], J=J[i])
-        return ~done
-
+    fresh = np.ones(B, dtype=bool)  # the lane's last trial was taken, or it has made none
+    conv = r <= ROOT_TOL
+    stall = np.zeros(B, dtype=bool)
+    end = conv | (ROOT_STEPS == 0)
+    rounds = 0
     # the state arrays hold the lanes still running, in lane order
-    end = (r <= ROOT_TOL) | (ROOT_STEPS == 0)
-    keep = retire(end, np.where(r <= ROOT_TOL, "converged", "max-iter"))
-    X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
-    n_eval, steps, rung = n_eval[keep], steps[keep], rung[keep]
-    climbed = np.zeros(len(lanes), dtype=bool)
-    while lanes.size:
-        xt = repair(X + _lm_steps(J, F, _DAMPING[rung]), lanes)
+    while True:
+        if np.count_nonzero(end):
+            for i in end.nonzero()[0]:
+                out[lanes[i]] = OptimResult(
+                    x=X[i], fun=float(r[i]),
+                    status="converged" if conv[i] else "stalled" if stall[i] else "max-iter",
+                    n_eval=(n + 1) * (rounds + 1), n_iter=int(steps[i]), F=F[i], J=J[i])
+            keep = (~end).nonzero()[0]
+            if not keep.size:
+                return out
+            X, F, r, lanes, steps, rung, fresh = (
+                a.take(keep, axis=0) for a in (X, F, r, lanes, steps, rung, fresh))
+            J = J[keep]  # ``take`` would lose J's layout, and with it the bits of sums over n
+        xt = repair(X + _lm_steps(J, F, _DAMPING.take(rung)), lanes)
         Ft, Jt, rt = _fd_rows(f_rows, xt, lanes)
-        n_eval += n + 1
-        model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
+        rounds += 1
         gain = r - rt  # NaN where F is not finite at the trial
-        take = (rt <= ROOT_TOL) | (gain >= _MIN_DECREASE * r)
-        stall = ~take & (gain > 0.0) & (gain >= 0.5 * (r - (model * model).sum(axis=1)))
-        moved = take | stall
-        X = np.where(moved[:, None], xt, X)
-        F = np.where(moved[:, None], Ft, F)
-        J = np.where(moved[:, None, None], Jt, J)
-        r = np.where(moved, rt, r)
+        conv = rt <= ROOT_TOL
+        moved = conv | (gain >= _MIN_DECREASE * r)
+        stall = ~moved & (gain > 0.0)
+        k = stall.nonzero()[0]
+        if k.size:  # the lanes that gained less than 1%: did the model predict more?
+            model = F.take(k, 0) + (J[k] * (xt.take(k, 0) - X.take(k, 0))[:, None, :]).sum(axis=2)
+            stall[k] = gain.take(k) >= 0.5 * (r.take(k) - (model * model).sum(axis=1))
+            moved |= stall
+        np.copyto(X, xt, where=moved[:, None])
+        np.copyto(F, Ft, where=moved[:, None])
+        np.copyto(J, Jt, where=moved[:, None, None])
+        np.copyto(r, rt, where=moved)
         steps += moved
-        rung = np.where(moved, np.where(climbed, rung, np.maximum(rung - 1, 0)), rung + 1)
-        climbed = ~moved  # the lane's last trial failed
-        conv = moved & (r <= ROOT_TOL)
+        rung = np.where(moved, np.where(fresh, _DROP.take(rung), rung), rung + 1)
+        fresh = moved
         stall |= rung == len(_DAMPING)
-        end = conv | stall | (steps == ROOT_STEPS)
-        if end.any():
-            keep = retire(end, np.where(conv, "converged", np.where(stall, "stalled", "max-iter")))
-            X, F, J, r, lanes = X[keep], F[keep], J[keep], r[keep], lanes[keep]
-            n_eval, steps, rung, climbed = n_eval[keep], steps[keep], rung[keep], climbed[keep]
-    return out
+        end = conv | stall
+        if rounds >= ROOT_STEPS:  # no lane has taken more steps than there were rounds
+            end |= steps == ROOT_STEPS
 
 
 def _lm_steps(J, F, lam) -> np.ndarray:
@@ -370,21 +377,32 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     whose smaller eigenvalue is at most (eps max(2, n))^2 g, the cutoff of
     ``np.linalg.pinv`` on J's singular values, counts as rank one: then
     J^T (G + mu I)^+ F = J^T G F / (g (g + mu)), which keeps F's part in the
-    null space of J^T out of the step also when mu > 0.
+    null space of J^T out of the step also when mu > 0.  Every lane takes
+    the rank-two form, and the rank-one lanes are then written over.
     """
     J0, J1 = J[:, 0], J[:, 1]
     F0, F1 = F[:, 0], F[:, 1]
     G = np.einsum("lin,ljn->lij", J, J)
     p, q, t = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
-    minors = J0[:, :, None] * J1[:, None, :] - J0[:, None, :] * J1[:, :, None]
+    outer = J0[:, :, None] * J1[:, None, :]
+    minors = outer - outer.transpose(0, 2, 1)
     det = 0.5 * np.einsum("lij,lij->l", minors, minors)
     tr = p + t
     mu = lam * tr
-    g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
-    one = det <= (np.finfo(float).eps * max(2, J.shape[2]) * g) ** 2
-    d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), det + mu * (tr + mu))
-    w0 = np.where(one, p * F0 + q * F1, (t + mu) * F0 - q * F1) / d
-    w1 = np.where(one, q * F0 + t * F1, (p + mu) * F1 - q * F0) / d
+    # rank two: (G + mu I)^-1 F, through the adjugate of G + mu I
+    d = det + mu * (tr + mu)
+    w0 = (t + mu) * F0 - q * F1
+    w1 = (p + mu) * F1 - q * F0
+    cut = _EPS * max(2, J.shape[2])
+    if np.count_nonzero(det <= (2.0 * cut * tr) ** 2):  # else no lane is rank one, as g <= tr
+        g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
+        one = (det <= (cut * g) ** 2).nonzero()[0]
+        g, mu, p, q, t, F0, F1 = (a.take(one) for a in (g, mu, p, q, t, F0, F1))
+        d[one] = np.where(g > 0.0, g * (g + mu), 1.0)
+        w0[one] = p * F0 + q * F1
+        w1[one] = q * F0 + t * F1
+    w0 /= d
+    w1 /= d
     return -(J0 * w0[:, None] + J1 * w1[:, None])
 
 
@@ -397,12 +415,19 @@ def _fd_rows(f_rows, X, lanes):
     ``smoothing``'s face slope comes from here.
     """
     L, n = X.shape
-    offsets = FD_STEP * np.eye(n + 1, n, -1)  # a zero row, then FD_STEP times the identity
-    rows = np.asarray(f_rows((X[:, None] + offsets).reshape(-1, n), np.repeat(lanes, n + 1)),
-                      dtype=float).reshape(L, n + 1, -1)
+    rows = np.asarray(f_rows((X[:, None] + _offsets(n, FD_STEP)).reshape(-1, n),
+                             lanes.repeat(n + 1)), dtype=float).reshape(L, n + 1, -1)
     F = rows[:, 0]
     J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / FD_STEP
     return F, J, (F * F).sum(axis=1)
+
+
+@lru_cache
+def _offsets(n: int, step: float) -> np.ndarray:
+    """``_fd_rows``'s offsets, read-only: a zero row, then ``step`` times the identity."""
+    offsets = step * np.eye(n + 1, n, -1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def box_root(f_rows, x0, lo, hi) -> OptimResult:

@@ -103,9 +103,9 @@ class CostSpec:
             # (Re a, Im a, Re b, Im b) in Re G and in Im G
             (i0, i1), (t0, t1) = (np.asarray(v, dtype=complex) for v in (self.init, self.target))
             ca, cac, cb, cbc = -t1 * i0, t0 * i1, t0 * i0, t1 * i1
-            object.__setattr__(self, "_sp_coefficients", tuple(float(c) for c in (
-                ca.real + cac.real, cac.imag - ca.imag, cb.real + cbc.real, cbc.imag - cb.imag,
-                ca.imag + cac.imag, ca.real - cac.real, cb.imag + cbc.imag, cb.real - cbc.real)))
+            object.__setattr__(self, "_sp_coefficients", np.array((
+                (ca.real + cac.real, cac.imag - ca.imag, cb.real + cbc.real, cbc.imag - cb.imag),
+                (ca.imag + cac.imag, ca.real - cac.real, cb.imag + cbc.imag, cb.real - cbc.real))))
 
     def initial_state(self) -> np.ndarray:
         """The state psi(0) that the rows read at T: |0> for a gate, ``init`` for state prep."""
@@ -140,12 +140,9 @@ class CostSpec:
         rows alone, as numpy scalars, and in any stack.
         """
         if self.kind == "sp":
-            p0, p1, p2, p3, q0, q1, q2, q3 = self._sp_coefficients
-            ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-            F = np.empty(np.shape(a) + (2,))
-            F[..., 0] = (p0 * ar + p1 * ai) + (p2 * br + p3 * bi)
-            F[..., 1] = (q0 * ar + q1 * ai) + (q2 * br + q3 * bi)
-            return F
+            # the coefficient rows times (Re a, Im a, Re b, Im b), in one broadcast product
+            P = np.stack((a, b), axis=-1, dtype=complex).view(float)[..., None, :] * self._sp_coefficients
+            return (P[..., 0] + P[..., 1]) + (P[..., 2] + P[..., 3])
         if self.kind == "pt":
             return np.stack((a.real, a.imag), axis=-1)
         return np.stack((a.real, a.imag, b.real if self.kind == "x" else b.imag), axis=-1)

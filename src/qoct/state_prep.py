@@ -375,7 +375,7 @@ def _reduced_rows(lane_T, lane_k, lane_values, cost: CostSpec, params: ModelPara
     lane_consts = np.stack([lane_values.T, floor_T])
 
     def rows(X, lanes):
-        values, floor_T = lane_consts[:, :, lanes]
+        values, floor_T = lane_consts.take(lanes, axis=2)
         durs = np.empty((kmax + 1, len(lanes)))
         times, T = durs[:-1], floor_T[-1]
         np.maximum(_equal_bangs(X, kmax).T, floor_T[:-1], out=times)
@@ -446,8 +446,8 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         lane_set = np.repeat(solved, counts)
         lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
-            lambda X, lanes: rows(X, lane_set[lanes]), starts,
-            lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
+            lambda X, lanes: rows(X, lane_set.take(lanes)), starts,
+            lambda X, lanes: np.minimum(np.maximum(X, lane_lo.take(lanes, 0)), lane_hi.take(lanes, 0)))
         for j, start, count in zip(solved, first, counts):
             out[j] = min(runs[start:start + count], key=lambda r: r.fun)
     zero = np.flatnonzero(ks == 0)
