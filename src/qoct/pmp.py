@@ -61,8 +61,6 @@ from .protocols import BangSequence, OneParamBB, Protocol, Sampled, segment_dura
 __all__ = [
     "CostSpec",
     "OptimalityReport",
-    "switching_function",
-    "control_hamiltonian",
     "cost_and_gradient",
     "unitary_and_jacobian",
     "endpoint_costate",
@@ -161,20 +159,6 @@ class CostSpec:
     def value(self, U: np.ndarray) -> float:
         """Terminal cost C = ``gap`` - 1 of the total evolution operator U in SU(2)."""
         return float(self.gap(U[0, 0], U[1, 0]) - 1.0)
-
-
-def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Phi = Re[-i <lambda|sigma_x|psi>] of adjoint and forward states (..., 2).
-
-    dC/du(t) = Phi(t) dt.  It is Q_x of ``_q_vectors``.
-    """
-    return _q_vectors(lam, psi)[..., 0]
-
-
-def control_hamiltonian(lam: np.ndarray, psi: np.ndarray, u: np.ndarray,
-                        params: ModelParams) -> np.ndarray:
-    """H_oc = Re[-i <lambda|H|psi>] of states (..., 2), u the control per row."""
-    return _hoc(_q_vectors(lam, psi), u, params)
 
 
 def _q_vectors(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:

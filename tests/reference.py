@@ -11,6 +11,7 @@ import numpy as np
 
 from qoct import optim
 from qoct.dynamics import BlochPoint, ModelParams, cell_pairs, pair_product, segment_propagators
+from qoct.pmp import _hoc, _q_vectors
 from qoct.xgate import _su2_power
 
 
@@ -39,6 +40,20 @@ def analytical_switching(A: float, lambda0: float, omega_eff: float, T: float,
     k = np.round(s / tbar)
     parity = 1.0 - 2.0 * np.mod(k, 2.0)
     return A * np.cos(W * s - 2.0 * chi * k) + parity * off
+
+
+def switching_function(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Phi = Re[-i <lambda|sigma_x|psi>] of adjoint and forward states (..., 2).
+
+    dC/du(t) = Phi(t) dt.  It is Q_x of ``qoct.pmp._q_vectors``.
+    """
+    return _q_vectors(lam, psi)[..., 0]
+
+
+def control_hamiltonian(lam: np.ndarray, psi: np.ndarray, u: np.ndarray,
+                        params: ModelParams) -> np.ndarray:
+    """H_oc = Re[-i <lambda|H|psi>] of states (..., 2), u the control per row."""
+    return _hoc(_q_vectors(lam, psi), u, params)
 
 
 def alpha(b: BlochPoint) -> float:

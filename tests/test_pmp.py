@@ -25,16 +25,21 @@ from qoct.dynamics import (
 from qoct.pmp import (
     CostSpec,
     audit,
-    control_hamiltonian,
     cost_and_gradient,
     certified_audit,
     endpoint_costate,
     omega_eff_from_ratio,
-    switching_function,
     unitary_and_jacobian,
 )
 from qoct.protocols import BangSequence, OneParamBB, Sampled, segment_durations_values
-from reference import alpha, analytical_switching, bloch_velocity, constant_propagator
+from reference import (
+    alpha,
+    analytical_switching,
+    bloch_velocity,
+    constant_propagator,
+    control_hamiltonian,
+    switching_function,
+)
 
 P02 = ModelParams(u_max=0.2)
 P05 = ModelParams(u_max=0.5)
