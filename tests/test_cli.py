@@ -1,6 +1,9 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -713,3 +716,15 @@ class TestCli:
         rc = main(["verify", "--pulse", str(rabi_csv), "--umax", "0.2",
                    "--cost", "sp"])
         assert rc == 2
+
+
+def test_parser_leaves_numpy_random_unimported():
+    # every qoct process pays for what a module imports at module level: a
+    # module-level draw once made every gate search 10-17% slower, though
+    # none of them draws
+    code = "import sys, qoct.cli; qoct.cli.build_parser(); print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
