@@ -349,10 +349,9 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         conv = rt <= ROOT_TOL
         moved = conv | (gain >= _MIN_DECREASE * r)
         stall = ~moved & (gain > 0.0)
-        k = stall.nonzero()[0]
-        if k.size:  # the lanes that gained less than 1%: did the model predict more?
-            model = F.take(k, 0) + (J[k] * (xt.take(k, 0) - X.take(k, 0))[:, None, :]).sum(axis=2)
-            stall[k] = gain.take(k) >= 0.5 * (r.take(k) - (model * model).sum(axis=1))
+        if np.count_nonzero(stall):  # a gain below 1%: did the model predict more?
+            model = F + (J * (xt - X)[:, None, :]).sum(axis=2)
+            stall &= gain >= 0.5 * (r - (model * model).sum(axis=1))
             moved |= stall
         np.copyto(X, xt, where=moved[:, None])
         np.copyto(F, Ft, where=moved[:, None])
@@ -396,11 +395,10 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     cut = _EPS * max(2, J.shape[2])
     if np.count_nonzero(det <= (2.0 * cut * tr) ** 2):  # else no lane is rank one, as g <= tr
         g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
-        one = (det <= (cut * g) ** 2).nonzero()[0]
-        g, mu, p, q, t, F0, F1 = (a.take(one) for a in (g, mu, p, q, t, F0, F1))
-        d[one] = np.where(g > 0.0, g * (g + mu), 1.0)
-        w0[one] = p * F0 + q * F1
-        w1[one] = q * F0 + t * F1
+        one = det <= (cut * g) ** 2
+        d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), d)
+        w0 = np.where(one, p * F0 + q * F1, w0)
+        w1 = np.where(one, q * F0 + t * F1, w1)
     w0 /= d
     w1 /= d
     return -(J0 * w0[:, None] + J1 * w1[:, None])
