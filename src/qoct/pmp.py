@@ -138,12 +138,16 @@ class CostSpec:
         rows alone, as numpy scalars, and in any stack.
         """
         if self.kind == "sp":
-            # the coefficient rows times (Re a, Im a, Re b, Im b), in one broadcast product
-            P = np.stack((a, b), axis=-1, dtype=complex).view(float)[..., None, :] * self._sp_coefficients
-            return (P[..., 0] + P[..., 1]) + (P[..., 2] + P[..., 3])
+            return self._sp_rows(np.stack((a, b), axis=-1, dtype=complex))
         if self.kind == "pt":
             return np.stack((a.real, a.imag), axis=-1)
         return np.stack((a.real, a.imag, b.real if self.kind == "x" else b.imag), axis=-1)
+
+    def _sp_rows(self, ab: np.ndarray) -> np.ndarray:
+        """State preparation's ``rows`` of pairs ab (..., 2): (Re a, Im a, Re b, Im b)
+        times the coefficients of Re G and of Im G, in one broadcast product."""
+        P = ab.view(float)[..., None, :] * self._sp_coefficients
+        return (P[..., 0] + P[..., 1]) + (P[..., 2] + P[..., 3])
 
     def gap(self, a, b):
         """C + 1 = |F|^2 of ``rows(a, b)``, elementwise over stacks of pairs.

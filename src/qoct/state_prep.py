@@ -356,7 +356,7 @@ def _reduced_to_times(x, structure: StructureLabel, T: float) -> np.ndarray:
 
 
 def _reduced_rows(lane_T, lane_k, lane_values, cost: CostSpec, params: ModelParams):
-    """The scan's residual rows f(X, lanes): ``cost.rows`` of reduced coordinates, row by row.
+    """The scan's residual rows f(X, lanes): the state-prep ``cost.rows`` of reduced coordinates.
 
     Lane l has time ``lane_T[l]``, ``lane_k[l]`` switchings and segment
     values ``lane_values[l]``, padded at the end to one more than the
@@ -382,7 +382,7 @@ def _reduced_rows(lane_T, lane_k, lane_values, cost: CostSpec, params: ModelPara
         np.minimum(times, T, out=times)
         durs[-1] = T
         durs[1:] -= times  # numpy buffers the overlapping operand
-        return cost.rows(*pair_product(cell_pairs(durs, values, params)).T)
+        return cost._sp_rows(pair_product(cell_pairs(durs, values, params)))
 
     return rows
 
