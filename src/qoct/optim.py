@@ -279,7 +279,6 @@ def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
 _DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
 _MIN_DECREASE = 0.01
 _EPS = np.finfo(float).eps
-_DROP = np.maximum(np.arange(len(_DAMPING)) - 1, 0)
 
 
 def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
@@ -358,7 +357,7 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         np.copyto(J, Jt, where=moved[:, None, None])
         np.copyto(r, rt, where=moved)
         steps += moved
-        rung = np.where(moved, np.where(fresh, _DROP.take(rung), rung), rung + 1)
+        rung = np.where(moved, np.where(fresh, np.maximum(rung - 1, 0), rung), rung + 1)
         fresh = moved
         stall |= rung == len(_DAMPING)
         end = conv | stall
@@ -377,7 +376,9 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     ``np.linalg.pinv`` on J's singular values, counts as rank one: then
     J^T (G + mu I)^+ F = J^T G F / (g (g + mu)), which keeps F's part in the
     null space of J^T out of the step also when mu > 0.  Every lane takes
-    the rank-two form, and the rank-one lanes are then written over.
+    the rank-two form; only when some lane has det G <= (2 eps max(2, n)
+    tr G)^2, which every rank-one lane has as g <= tr G, are g and the
+    rank-one form made, and the rank-one lanes take it.
     """
     J0, J1 = J[:, 0], J[:, 1]
     F0, F1 = F[:, 0], F[:, 1]
