@@ -279,6 +279,8 @@ def projected_gradient(f, grad_f, x0, bounds, max_iter: int, tol: float,
 _DAMPING = np.array((0.0,) + tuple(10.0 ** k for k in range(-8, 1)))
 _MIN_DECREASE = 0.01
 _EPS = np.finfo(float).eps
+# the rung a step taken at its first try lets the next step start from
+_RUNG_DOWN = np.maximum(np.arange(len(_DAMPING)) - 1, 0)
 
 
 def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
@@ -330,7 +332,7 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
     # the state arrays hold the lanes still running, in lane order
     while True:
         if np.count_nonzero(end):
-            for i in end.nonzero()[0]:
+            for i in end.nonzero()[0].tolist():
                 out[lanes[i]] = OptimResult(
                     x=X[i], fun=float(r[i]),
                     status="converged" if conv[i] else "stalled" if stall[i] else "max-iter",
@@ -357,7 +359,7 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
         np.copyto(J, Jt, where=moved[:, None, None])
         np.copyto(r, rt, where=moved)
         steps += moved
-        rung = np.where(moved, np.where(fresh, np.maximum(rung - 1, 0), rung), rung + 1)
+        rung = np.where(moved, np.where(fresh, _RUNG_DOWN.take(rung), rung), rung + 1)
         fresh = moved
         stall |= rung == len(_DAMPING)
         end = conv | stall
@@ -414,17 +416,17 @@ def _fd_rows(f_rows, X, lanes):
     ``smoothing``'s face slope comes from here.
     """
     L, n = X.shape
-    rows = np.asarray(f_rows((X[:, None] + _offsets(n, FD_STEP)).reshape(-1, n),
+    rows = np.asarray(f_rows(X.repeat(n + 1, axis=0) + _offsets(L, n, FD_STEP),
                              lanes.repeat(n + 1)), dtype=float).reshape(L, n + 1, -1)
     F = rows[:, 0]
     J = (rows[:, 1:] - F[:, None]).transpose(0, 2, 1) / FD_STEP
-    return F, J, (F * F).sum(axis=1)
+    return F, J, np.add.reduce(F * F, axis=1)
 
 
-@lru_cache
-def _offsets(n: int, step: float) -> np.ndarray:
-    """``_fd_rows``'s offsets, read-only: a zero row, then ``step`` times the identity."""
-    offsets = step * np.eye(n + 1, n, -1)
+@lru_cache(maxsize=256)
+def _offsets(L: int, n: int, step: float) -> np.ndarray:
+    """``_fd_rows``'s offsets for L rows, read-only: per row a zero row, then ``step`` times the identity."""
+    offsets = np.tile(step * np.eye(n + 1, n, -1), (L, 1))
     offsets.flags.writeable = False
     return offsets
 
