@@ -393,15 +393,16 @@ def _lm_steps(J, F, lam) -> np.ndarray:
     mu = lam * tr
     # rank two: (G + mu I)^-1 F, through the adjugate of G + mu I
     d = det + mu * (tr + mu)
-    w0 = (t + mu) * F0 - q * F1
-    w1 = (p + mu) * F1 - q * F0
+    qF0, qF1 = q * F0, q * F1
+    w0 = (t + mu) * F0 - qF1
+    w1 = (p + mu) * F1 - qF0
     cut = _EPS * max(2, J.shape[2])
     if np.count_nonzero(det <= (2.0 * cut * tr) ** 2):  # else no lane is rank one, as g <= tr
         g = 0.5 * tr + np.hypot(0.5 * (p - t), q)
         one = det <= (cut * g) ** 2
         d = np.where(one, np.where(g > 0.0, g * (g + mu), 1.0), d)
-        w0 = np.where(one, p * F0 + q * F1, w0)
-        w1 = np.where(one, q * F0 + t * F1, w1)
+        w0 = np.where(one, p * F0 + qF1, w0)
+        w1 = np.where(one, qF0 + t * F1, w1)
     w0 /= d
     w1 /= d
     return -(J0 * w0[:, None] + J1 * w1[:, None])
