@@ -432,7 +432,7 @@ def _fd_rows(f_rows, X, lanes):
 
 @lru_cache(maxsize=256)
 def _offsets(L: int, n: int, step: float) -> np.ndarray:
-    """``_fd_rows``'s offsets for L rows, read-only: per row a zero row, then ``step`` times the identity."""
+    """``_fd_rows``'s offsets for L rows, read-only: per row a zero row, then ``step`` I."""
     offsets = np.tile(step * np.eye(n + 1, n, -1), (L, 1))
     offsets.flags.writeable = False
     return offsets

@@ -447,7 +447,7 @@ def _scan_optima(structures: list[StructureLabel], Ts: list[float], warms: list,
         lane_lo, lane_hi = np.repeat(lo, counts, axis=0), np.repeat(hi, counts, axis=0)
         runs = optim.gauss_newton(
             lambda X, lanes: rows(X, lane_set.take(lanes)), starts,
-            lambda X, lanes: np.minimum(np.maximum(X, lane_lo.take(lanes, 0)), lane_hi.take(lanes, 0)))
+            lambda X, lanes: np.minimum(np.maximum(X, lane_lo[lanes]), lane_hi[lanes]))
         for j, start, count in zip(solved, first, counts):
             out[j] = min(runs[start:start + count], key=lambda r: r.fun)
     zero = np.flatnonzero(ks == 0)

@@ -724,7 +724,8 @@ def test_parser_leaves_numpy_random_unimported():
     # none of them draws
     code = "import sys, qoct.cli; qoct.cli.build_parser(); print('numpy.random' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "False"

@@ -559,7 +559,8 @@ def random_lanes(n: int, seed: int, B: int = 36):
         g = lin[:, :1] ** 3 - c[lanes, :1]
         F = np.where(k == 1, np.hstack([g, 2.0 * g]), quad)
         F = np.where(k == 2, c[lanes], F)
-        F = np.where((k == 3) & (np.abs(X[:, :1] - starts[lanes, :1]) > 0.1), bad[lanes][:, None], F)
+        far = np.abs(X[:, :1] - starts[lanes, :1]) > 0.1
+        F = np.where((k == 3) & far, bad[lanes][:, None], F)
         F = np.where(k == 4, (M[lanes] * (X - starts[lanes])[:, None, :]).sum(axis=2), F)
         return np.where(k == 5, 1e3 * lin ** 7, F)
 
