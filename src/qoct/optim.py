@@ -316,8 +316,8 @@ def gauss_newton(f_rows, starts, repair) -> list[OptimResult]:
     Most of a state-prep search is this loop's fixed cost per round.  The
     running lanes' state is updated in place and compacted only in rounds
     where lanes end; on a 2-vCPU host a round's own work, beside a 2-row
-    residual of about 1 us, takes about 50, 51, 54 and 66 us at 1, 3, 10 and
-    40 lanes, where it took 83, 85, 91 and 108 us with every lane's state
+    residual of about 1 us, takes about 51, 51, 55 and 67 us at 1, 3, 10 and
+    40 lanes, where it took 82, 84, 90 and 109 us with every lane's state
     replaced by ``np.where`` and compacted each round (in process, against
     the frozen copy of that loop in ``tests/reference.py``).
     """
